@@ -30,7 +30,8 @@ from .geometry import (BACKGROUND_LAPSE, BackgroundChart, CorrectionConstants,
 from .massshell import (MomentumPoint, SingularShiftError, compute_p0,
                         mass_shell_residual, normalization_report,
                         pointwise_estimates_check)
-from .matter import (MatterMoments, ParticleEnsemble, RadialDistribution,
+from .transport import ParticleEnsemble
+from .matter import (MatterMoments, RadialDistribution,
                      UnsupportedModeError, continuity_rhs, continuity_step,
                      eta_direct, moment_bound_check,
                      moments_from_distribution,
@@ -40,7 +41,7 @@ from .modes import (ModeTrajectory, corrected_energy, energy_decay_check,
 from .homogeneous import (ConstraintSingularError, HomogeneousRun,
                           evolve_homogeneous, hamiltonian_constraint_b,
                           solve_lapse_algebraic)
-from .energies import (DecayFit, EnergyReport, decay_fit, monitors,
+from .energies import (DecayFit, decay_fit, monitors,
                        rho_energy, sasaki_energy, total_energy)
 from .harness import (ConfigError, ScenarioConfig, emit_report, main,
                       run_scenario, validate_config)
@@ -63,7 +64,7 @@ __all__ = [
     "integrate_mode", "mode_sweep",
     "ConstraintSingularError", "HomogeneousRun", "evolve_homogeneous",
     "hamiltonian_constraint_b", "solve_lapse_algebraic",
-    "DecayFit", "EnergyReport", "decay_fit", "monitors", "rho_energy",
+    "DecayFit", "decay_fit", "monitors", "rho_energy",
     "sasaki_energy", "total_energy",
     "ConfigError", "ScenarioConfig", "emit_report", "main", "run_scenario",
     "validate_config",

@@ -19,7 +19,7 @@ configuration values with documented defaults, not theorems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,7 +28,6 @@ from scipy.integrate import trapezoid
 from ._quadrature import composite_gauss_legendre
 
 __all__ = [
-    "EnergyReport",
     "DecayFit",
     "inverse_weight_integral",
     "sasaki_energy",
@@ -36,6 +35,7 @@ __all__ = [
     "total_energy",
     "validate_energy_weights",
     "decay_fit",
+    "tail_span_needed",
     "tail_convergence",
     "monitors",
 ]
@@ -174,31 +174,6 @@ def total_energy(E6: float, sasaki54sq: float, T: float,
     return math.exp((1.0 + deltaE) * T) * E6 + math.exp(-deltaEcal * T) * sasaki54sq
 
 
-# ---------------------------------------------------------------------------
-# reporting containers
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EnergyReport:
-    """Snapshot of every energy functional at one log time."""
-
-    sasaki: dict                 # (ell, mu) -> energy value
-    rhoEnergy: float
-    geomEnergy: float            # order-6 corrected mode energy
-    total: float
-    calG: float
-    weights: tuple               # (deltaE, deltaEcal)
-
-    def __post_init__(self) -> None:
-        for key, val in self.sasaki.items():
-            if val < 0:
-                raise ValueError(f"negative energy entry {key}")
-        for name in ("rhoEnergy", "geomEnergy", "total", "calG"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"negative energy entry {name}")
-
-
 @dataclass
 class DecayFit:
     """Least-squares exponential decay rate of a positive series."""
@@ -237,6 +212,11 @@ def decay_fit(T, v, window: Optional[tuple] = None) -> DecayFit:
 # ---------------------------------------------------------------------------
 
 
+def tail_span_needed(doublings: int = 3) -> float:
+    """Shortest run span ``tail_convergence`` accepts, ``(doublings + 1) ln 2``."""
+    return (doublings + 1) * math.log(2.0)
+
+
 def tail_convergence(T, y, t, doublings: int = 3) -> dict:
     """Numerical integrability proxy for ``int y dt`` up to the run horizon.
 
@@ -252,8 +232,7 @@ def tail_convergence(T, y, t, doublings: int = 3) -> dict:
     t = np.asarray(t, dtype=float)
     integrand = y * t
     span = T[-1] - T[0]
-    needed = (doublings + 1) * math.log(2.0)
-    if span <= needed:
+    if span <= tail_span_needed(doublings):
         raise ValueError("run too short for the requested tail doublings")
     tails = []
     for k in range(doublings + 1):

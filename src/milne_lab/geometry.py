@@ -341,25 +341,31 @@ def rescale_state(state, frame: TimeFrame, direction: str):
 
 
 def christoffels_from_metric(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Levi-Civita coefficients ``Gamma^a_{bc}`` from ``g`` and ``dg``."""
+    """Levi-Civita coefficients ``Gamma^a_{bc}`` from ``g`` and ``dg``.
+
+    ``g`` and ``dg`` may carry the same leading batch axes.
+    """
     ginv = np.linalg.inv(g)
-    # dg[a, b, c] = d_c g_ab
-    d_b_g_dc = np.einsum("dcb->dbc", dg)
-    d_c_g_db = dg.copy()
-    d_d_g_bc = np.einsum("bcd->dbc", dg)
-    return 0.5 * np.einsum("ad,dbc->abc", ginv, d_b_g_dc + d_c_g_db - d_d_g_bc)
+    # dg[..., a, b, c] = d_c g_ab
+    d_b_g_dc = np.einsum("...dcb->...dbc", dg)
+    d_d_g_bc = np.einsum("...bcd->...dbc", dg)
+    return 0.5 * np.einsum("...ad,...dbc->...abc", ginv,
+                           d_b_g_dc + dg - d_d_g_bc)
 
 
 def _require(value, name: str):
     if value is None:
-        raise ValueError(f"rescaled_christoffels needs {name} on the LocalGeometry")
+        raise ValueError(f"rescaled_christoffels needs {name} on the field data")
     return value
 
 
-def rescaled_christoffels(geom: LocalGeometry, frame: TimeFrame) -> dict:
+def rescaled_christoffels(geom, frame: TimeFrame) -> dict:
     """Connection blocks of the spacetime metric in nondimensional variables.
 
-    Returns a dict with
+    ``geom`` is a :class:`LocalGeometry` or any object with the same
+    attribute names whose arrays carry leading batch axes (such as a
+    :class:`milne_lab.transport.BatchFields`); every block then carries
+    the same batch axes.  Returns a dict with
 
     * ``"spatial"`` -- ``Gamma^a_{bc}`` of the full spacetime connection
       restricted to spatial indices: the Levi-Civita coefficients of ``g``
@@ -378,44 +384,48 @@ def rescaled_christoffels(geom: LocalGeometry, frame: TimeFrame) -> dict:
     directly against finite differences of that metric.
     """
     tau = frame.tau
-    g, Sigma, N, X = geom.g, geom.Sigma, geom.N, geom.X
-    ginv = geom.ginv
+    g, Sigma, X = geom.g, geom.Sigma, geom.X
     dN = _require(geom.dN, "dN")
     dX = _require(geom.dX, "dX")
     dg = _require(geom.dg, "dg")
     dTN = _require(geom.dTN, "dTN")
     dTX = _require(geom.dTX, "dTX")
+    # scalars as (..., 1) so they broadcast against vector components
+    N = np.asarray(geom.N, dtype=float)[..., None]
+    dTN = np.asarray(dTN, dtype=float)[..., None]
+    ginv = np.linalg.inv(g)
 
     gam_g = christoffels_from_metric(g, dg)
     K = Sigma + g / 3.0  # curvature companion with its trace part restored
-    KX = K @ X           # (Sigma + g/3)_{bc} X^c, lower index b
+    KX = np.einsum("...bc,...c->...b", K, X)  # (Sigma + g/3)_{bc} X^c
 
     # covariant derivative of the shift: (nabla_c X)^a
-    covdX = dX + np.einsum("acb,b->ac", gam_g, X)  # covdX[a, c] = nabla_c X^a
-    gradN_up = ginv @ dN
-    Sigma_mixed = ginv @ Sigma  # Sigma^a_c
+    covdX = dX + np.einsum("...acb,...b->...ac", gam_g, X)
+    gradN_up = np.einsum("...ab,...b->...a", ginv, dN)
+    Sigma_mixed = np.einsum("...ab,...bc->...ac", ginv, Sigma)  # Sigma^a_c
+    XdN = np.einsum("...a,...a->...", X, dN)[..., None]
+    XKX = np.einsum("...b,...b->...", X, KX)[..., None]
 
     eye = np.eye(3)
-    Nm3 = N - BACKGROUND_LAPSE
-
     gamma_star = (
         -X
-        - (2.0 / 3.0) * Nm3 * X
-        + np.einsum("b,ab->a", X, covdX)
-        - 2.0 * N * (Sigma_mixed @ X)
+        - (2.0 / 3.0) * (N - BACKGROUND_LAPSE) * X
+        + np.einsum("...b,...ab->...a", X, covdX)
+        - 2.0 * N * np.einsum("...ac,...c->...a", Sigma_mixed, X)
         + N * gradN_up
-        + (dTN / N - (X @ dN) / N + (X @ KX) / N) * X
+        + ((dTN - XdN + XKX) / N) * X
     )
 
+    Nm = N[..., None]
     gamma_star_star = (
-        -N * Sigma_mixed
-        + (1.0 - N / 3.0) * eye
+        -Nm * Sigma_mixed
+        + (1.0 - Nm / 3.0) * eye
         + covdX
-        - np.outer(X, dN) / N
-        + np.outer(X, KX) / N
+        - X[..., :, None] * dN[..., None, :] / Nm
+        + X[..., :, None] * KX[..., None, :] / Nm
     )
 
-    spatial = gam_g + np.einsum("bc,a->abc", K, X) / N
+    spatial = gam_g + np.einsum("...bc,...a->...abc", K, X) / Nm[..., None]
     time_time = (gamma_star - dTX) / tau**2
     time_space = (-eye + gamma_star_star) / tau
 

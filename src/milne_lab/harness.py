@@ -139,6 +139,27 @@ def _named_check(cond: bool, name: str, detail: str) -> None:
         raise ConfigError(f"config error [{name}]: {detail}")
 
 
+def _finite_number(value) -> bool:
+    # also rejects integers beyond the float range
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _has_type(value, spec: dict) -> bool:
+    """Whether ``value`` matches the ``type`` of a schema field."""
+    kind = spec["type"]
+    if kind == "int":
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind == "float":
+        return _finite_number(value)
+    if kind == "list[float]":
+        return (isinstance(value, (list, tuple))
+                and all(_finite_number(v) for v in value))
+    if value is None:  # an optional string left unset
+        return "default" in spec and spec["default"] is None
+    return isinstance(value, str)
+
+
 def validate_config(raw) -> ScenarioConfig:
     """Parse and validate a configuration document.
 
@@ -153,7 +174,7 @@ def validate_config(raw) -> ScenarioConfig:
     if isinstance(raw, (str, bytes)):
         try:
             data = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or undecodable bytes
             raise ConfigError(f"config error [json]: {exc}") from exc
     else:
         data = dict(raw)
@@ -165,26 +186,42 @@ def validate_config(raw) -> ScenarioConfig:
     for name, spec in fields.items():
         if spec.get("required") and name not in data:
             raise ConfigError(f"config error [missing]: {name!r} is required")
-    merged = {name: data.get(name, spec.get("default"))
-              for name, spec in fields.items()}
+    c = {name: data.get(name, spec.get("default"))
+         for name, spec in fields.items()}
+    for name, spec in fields.items():
+        _named_check(_has_type(c[name], spec), name,
+                     f"{name} must be of type {spec['type']} (finite "
+                     f"numbers only), got {c[name]!r}")
 
-    _named_check(merged["schemaVersion"] == CONFIG_SCHEMA["schemaVersion"],
+    _named_check(c["schemaVersion"] == CONFIG_SCHEMA["schemaVersion"],
                  "schemaVersion",
                  f"expected {CONFIG_SCHEMA['schemaVersion']}, "
-                 f"got {merged['schemaVersion']}")
-    _named_check(merged["scenario"] in SCENARIOS, "scenario",
+                 f"got {c['schemaVersion']}")
+    _named_check(c["scenario"] in SCENARIOS, "scenario",
                  f"scenario must be one of {SCENARIOS}, got "
-                 f"{merged['scenario']!r}")
-    for name in ("seed", "radialNodes", "quadNodes", "particleCount",
-                 "logEvery"):
-        _named_check(isinstance(merged[name], int)
-                     and not isinstance(merged[name], bool),
-                     name, f"{name} must be an integer")
-    c = dict(merged)
+                 f"{c['scenario']!r}")
+    _named_check(c["seed"] >= 0, "seed >= 0", f"seed={c['seed']}")
     _named_check(c["tau0"] < 0.0, "tau0 < 0", f"tau0={c['tau0']}")
+    _named_check(c["T0"] >= 0.0, "T0 >= 0", f"T0={c['T0']}")
     _named_check(c["h"] > 0.0, "h > 0", f"h={c['h']}")
     _named_check(c["Tend"] > c["T0"], "Tend > T0",
                  f"T0={c['T0']}, Tend={c['Tend']}")
+    span = c["Tend"] - c["T0"]
+    if c["scenario"] in ("homogeneous", "full_report"):
+        _named_check(span > energies.tail_span_needed(), "Tend - T0 > 4 ln 2",
+                     f"span={span} is too short for the completeness "
+                     f"tail doublings")
+    if c["scenario"] == "characteristics":
+        steps = span / c["h"]
+        _named_check(math.isfinite(steps)
+                     and abs(c["T0"] + round(steps) * c["h"] - c["Tend"])
+                     <= 1e-9,
+                     "h divides Tend - T0",
+                     f"T0={c['T0']}, Tend={c['Tend']}, h={c['h']}")
+    _named_check(c["matterQmax"] > 0.0, "matterQmax > 0",
+                 f"matterQmax={c['matterQmax']}")
+    _named_check(c["matterAmp"] >= 0.0, "matterAmp >= 0",
+                 f"matterAmp={c['matterAmp']}")
     _named_check(0.0 < c["deltaE"] < 0.5, "deltaE < 1/2",
                  f"deltaE={c['deltaE']} (deltaE < 1/2 required)")
     _named_check(c["deltaEcal"] > 0.5, "deltaEcal > 1/2",
@@ -208,8 +245,10 @@ def validate_config(raw) -> ScenarioConfig:
                  f"epsPrime={c['epsPrime']}")
     for name in ("radialNodes", "quadNodes", "particleCount", "logEvery"):
         _named_check(c[name] > 0, f"{name} > 0", f"{name}={c[name]}")
+    # the radial quadrature splits its nodes evenly over eight panels
+    _named_check(c["quadNodes"] % 8 == 0, "quadNodes multiple of 8",
+                 f"quadNodes={c['quadNodes']}")
     c["lambdaGrid"] = lam
-    c["out"] = None if c["out"] is None else str(c["out"])
     return ScenarioConfig(**c)
 
 
@@ -333,7 +372,7 @@ def _fit_window(T: np.ndarray) -> tuple:
 def _homogeneous_run(cfg: ScenarioConfig):
     f0 = _matter_profile(cfg)
     span = cfg.Tend - cfg.T0
-    n_steps = max(cfg.logEvery, int(round(span / max(cfg.h, 1e-3))))
+    n_steps = max(cfg.logEvery, int(round(span / cfg.h)))
     n_steps += (-n_steps) % cfg.logEvery
     return homogeneous.evolve_homogeneous(
         f0, tau0=cfg.tau0, T_end=span, n_steps=n_steps, n_q=cfg.radialNodes,

@@ -31,7 +31,7 @@ The evolution intentionally runs two discretisations side by side:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,13 +39,13 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from ._quadrature import composite_gauss_legendre
+from ._rk4 import rk4_step
 from .geometry import LocalGeometry, TimeFrame, make_time_frame
 from .matter import RadialDistribution
 from .energies import sasaki_energy
 
 __all__ = [
     "ConstraintSingularError",
-    "HomogeneousState",
     "HomogeneousRun",
     "solve_lapse_algebraic",
     "hamiltonian_constraint_b",
@@ -84,18 +84,6 @@ def hamiltonian_constraint_b(rho: float, frame: TimeFrame) -> float:
     if srho < 0.0:
         raise ValueError("s * rho must be nonnegative")
     return 1.0 / (1.0 - 6.0 * srho)
-
-
-@dataclass(frozen=True)
-class HomogeneousState:
-    """State of the reduced system at one slice."""
-
-    frame: TimeFrame
-    b: float
-    N: float
-    rho: float
-    eta_under: float
-    G: float
 
 
 @dataclass
@@ -194,12 +182,13 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
     f0_spline = CubicSpline(np.linspace(0.0, f0.qmax, 4 * n_q),
                             f0(np.linspace(0.0, f0.qmax, 4 * n_q)))
 
-    def rhs(T, b, rho_cont):
+    def rhs(T, y):
+        b, rho_cont = y
         s = s0 * math.exp(-T)
         N, rho_c, eta_c = _lapse_from_closure(f0_vals, u, w, b, b0, s)
         db = 2.0 * (N / 3.0 - 1.0) * b
         drho = (3.0 - N) * rho_cont - s**2 * (N / 3.0) * eta_c
-        return db, drho, N
+        return db, drho
 
     h = T_end / n_steps
     b, rho_cont = b0, rho0
@@ -248,15 +237,7 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
 
     if log_point(0.0, b, rho_cont):
         for i in range(n_steps):
-            T = i * h
-            k1b, k1r, _ = rhs(T, b, rho_cont)
-            k2b, k2r, _ = rhs(T + 0.5 * h, b + 0.5 * h * k1b,
-                              rho_cont + 0.5 * h * k1r)
-            k3b, k3r, _ = rhs(T + 0.5 * h, b + 0.5 * h * k2b,
-                              rho_cont + 0.5 * h * k2r)
-            k4b, k4r, _ = rhs(T + h, b + h * k3b, rho_cont + h * k3r)
-            b += (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-            rho_cont += (h / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+            b, rho_cont = rk4_step(rhs, i * h, (b, rho_cont), h)
             if (i + 1) % log_every == 0:
                 if not log_point((i + 1) * h, b, rho_cont):
                     break

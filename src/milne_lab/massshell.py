@@ -47,18 +47,21 @@ class SingularShiftError(ValueError):
 
 
 def _dots(geom: LocalGeometry, p: np.ndarray):
-    """Common inner products; ``p`` may be shaped (..., 3)."""
+    """Common inner products; ``p`` may be shaped (..., 3).
+
+    ``geom.g`` and ``geom.X`` may carry leading batch axes that broadcast
+    against those of ``p`` (one field point per momentum).
+    """
     p = np.asarray(p, dtype=float)
     g, X = geom.g, geom.X
-    p2 = np.einsum("...a,ab,...b->...", p, g, p)
-    Xp = np.einsum("a,ab,...b->...", X, g, p)
-    X2 = float(X @ g @ X)
-    return p, p2, Xp, X2
+    p2 = np.einsum("...a,...ab,...b->...", p, g, p)
+    Xp = np.einsum("...a,...ab,...b->...", X, g, p)
+    return p, p2, Xp
 
 
-def _check_admissible(geom: LocalGeometry) -> float:
-    X2 = float(geom.X @ geom.g @ geom.X)
-    if not geom.N**2 - X2 > 0.0:
+def _check_admissible(geom: LocalGeometry):
+    X2 = np.einsum("...a,...ab,...b->...", geom.X, geom.g, geom.X)
+    if not np.all(geom.N**2 - X2 > 0.0):
         raise SingularShiftError(
             f"shift dominates lapse: |X|_g^2 = {X2}, N^2 = {geom.N**2}")
     return X2
@@ -67,7 +70,7 @@ def _check_admissible(geom: LocalGeometry) -> float:
 def phat(geom: LocalGeometry, p: np.ndarray, frame: TimeFrame) -> np.ndarray:
     """Auxiliary momentum function ``phat`` (positive when admissible)."""
     X2 = _check_admissible(geom)
-    p, p2, Xp, _ = _dots(geom, p)
+    p, p2, Xp = _dots(geom, p)
     tau, N = frame.tau, geom.N
     Xhat_p = Xp / N
     Xhat2 = X2 / N**2
@@ -76,7 +79,7 @@ def phat(geom: LocalGeometry, p: np.ndarray, frame: TimeFrame) -> np.ndarray:
 
 def pbar(geom: LocalGeometry, p: np.ndarray) -> np.ndarray:
     """Sobolev weight ``sqrt(1 + |p|^2_g)``."""
-    _, p2, _, _ = _dots(geom, p)
+    _, p2, _ = _dots(geom, p)
     return np.sqrt(1.0 + p2)
 
 
@@ -91,9 +94,10 @@ def compute_p0(geom: LocalGeometry, p: np.ndarray, frame: TimeFrame,
     ``"paper_alternative"`` evaluate the two closed forms for the
     nondimensional component; they agree with each other identically and
     with ``tau^2 * first_principles`` (see :func:`normalization_report`).
+    The fields may carry leading batch axes, one point per momentum.
     """
     X2 = _check_admissible(geom)
-    p, p2, Xp, _ = _dots(geom, p)
+    p, p2, Xp = _dots(geom, p)
     tau, N = frame.tau, geom.N
 
     if method == "paper_primary":
@@ -111,10 +115,10 @@ def compute_p0(geom: LocalGeometry, p: np.ndarray, frame: TimeFrame,
         Xt = geom.X / tau
         gt = geom.g / tau**2
         pt = tau**2 * p
-        Xt_low = gt @ Xt
-        a = -Nt**2 + Xt @ Xt_low                       # gbar_00
-        b = np.einsum("a,...a->...", Xt_low, pt)       # gbar_0a pt^a
-        c = np.einsum("...a,ab,...b->...", pt, gt, pt) + 1.0
+        Xt_low = np.einsum("...ab,...b->...a", gt, Xt)
+        a = -Nt**2 + np.einsum("...a,...a->...", Xt, Xt_low)  # gbar_00
+        b = np.einsum("...a,...a->...", Xt_low, pt)    # gbar_0a pt^a
+        c = np.einsum("...a,...ab,...b->...", pt, gt, pt) + 1.0
         disc = b**2 - a * c
         return (-b - np.sqrt(disc)) / a
 
@@ -171,12 +175,13 @@ def mass_shell_residual(geom: LocalGeometry, p: np.ndarray, p0: np.ndarray,
     ``p0`` is the nondimensional component; the reconstruction uses the
     raw pair ``(tau^2 p0, tau^2 p)``.  Zero on the shell.  The algebra is
     arranged in order-one factors so the residual is cancellation-safe:
-    ``residual = -N^2 p0^2 + |tau p + p0 X|^2_g + 1``.
+    ``residual = -N^2 p0^2 + |tau p + p0 X|^2_g + 1``.  The fields may
+    carry leading batch axes, as in :func:`compute_p0`.
     """
     p = np.asarray(p, dtype=float)
     tau, N, g, X = frame.tau, geom.N, geom.g, geom.X
     v = tau * p + p0[..., None] * X
-    v2 = np.einsum("...a,ab,...b->...", v, g, v)
+    v2 = np.einsum("...a,...ab,...b->...", v, g, v)
     return -(N * p0) ** 2 + v2 + 1.0
 
 
@@ -189,7 +194,7 @@ def pointwise_estimates_check(geom: LocalGeometry, p: np.ndarray,
     sqrt(1-|Xhat|^2) sqrt(1+tau^2|p|^2)]``.
     """
     X2 = _check_admissible(geom)
-    p, p2, Xp, _ = _dots(geom, p)
+    p, p2, Xp = _dots(geom, p)
     tau, N = frame.tau, geom.N
     s = abs(tau)
     p0 = compute_p0(geom, p, frame, method="paper_primary")
@@ -224,7 +229,7 @@ def vertical_derivatives(geom: LocalGeometry, p: np.ndarray,
     ``p0`` and ``phat`` so it matches high-order finite differences.
     """
     X2 = _check_admissible(geom)
-    p, p2, Xp, _ = _dots(geom, p)
+    p, p2, Xp = _dots(geom, p)
     tau, N, g, X = frame.tau, geom.N, geom.g, geom.X
     ph = phat(geom, p, frame)
     p0 = compute_p0(geom, p, frame, method="paper_primary")
@@ -267,7 +272,7 @@ def time_derivatives(geom: LocalGeometry, p: np.ndarray, frame: TimeFrame,
     variable.
     """
     X2 = _check_admissible(geom)
-    p, p2, Xp, _ = _dots(geom, p)
+    p, p2, Xp = _dots(geom, p)
     tau, N, g, X = frame.tau, geom.N, geom.g, geom.X
     dTg = np.asarray(dTg, dtype=float)
     dTX = np.asarray(dTX, dtype=float)

@@ -28,6 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._quadrature import composite_gauss_legendre
+from ._rk4 import rk4_step
 from .geometry import LocalGeometry, TimeFrame
 from .massshell import compute_p0
 from .transport import ParticleEnsemble
@@ -36,7 +37,6 @@ from .energies import inverse_weight_integral, sasaki_energy
 __all__ = [
     "UnsupportedModeError",
     "RadialDistribution",
-    "ParticleEnsemble",
     "MatterMoments",
     "moments_from_distribution",
     "eta_direct",
@@ -291,17 +291,13 @@ def continuity_step(rho: float, j: np.ndarray, h: float, stages,
         raise ValueError("stages must hold (start, midpoint, end) data")
     grads = gradients if gradients is not None else (None, None, None)
 
-    def rhs(r, jj, k):
+    def rhs(t, y):
+        # stage times 0, h/2 and h select the start, midpoint and end data
+        k = 0 if t == 0.0 else 2 if t == h else 1
         geom, frame, eta_u, T_u = stages[k]
-        return continuity_rhs(r, jj, geom, frame, eta_u, T_u, grads[k])
+        return continuity_rhs(*y, geom, frame, eta_u, T_u, grads[k])
 
-    j = np.asarray(j, dtype=float)
-    k1r, k1j = rhs(rho, j, 0)
-    k2r, k2j = rhs(rho + 0.5 * h * k1r, j + 0.5 * h * k1j, 1)
-    k3r, k3j = rhs(rho + 0.5 * h * k2r, j + 0.5 * h * k2j, 1)
-    k4r, k4j = rhs(rho + h * k3r, j + h * k3j, 2)
-    rho_new = rho + (h / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-    j_new = j + (h / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
+    rho_new, j_new = rk4_step(rhs, 0.0, (rho, np.asarray(j, dtype=float)), h)
     return float(rho_new), j_new
 
 

@@ -31,7 +31,6 @@ from .geometry import CorrectionConstants, correction_constants
 from .energies import decay_fit
 
 __all__ = [
-    "ModeState",
     "ModeTrajectory",
     "mode_rhs",
     "integrate_mode",
@@ -45,15 +44,6 @@ __all__ = [
 
 MODE_CSV_COLUMNS = ["lambda", "alpha", "cE", "fitted_rate",
                     "min_quadform_eig", "max_violation"]
-
-
-@dataclass(frozen=True)
-class ModeState:
-    """Oscillator state ``(u, w = u')`` of one eigenvalue at one time."""
-
-    lam: float
-    u: float
-    w: float
 
 
 @dataclass
@@ -146,6 +136,10 @@ def integrate_mode(lam: float, u0: float, w0: float, T_span: tuple,
     W = np.empty(n_steps + 1)
     u, w = float(u0), float(w0)
     T[0], U[0], W[0] = T0, u, w
+    # written-out scalar stages rather than the shared rk4_step: a full
+    # report takes 5 x 10^4 mode steps, which cost three to four times as
+    # long through the tuple-generic step, and about twice as long with
+    # the whole lambda grid stepped as one array
     for i in range(n_steps):
         t = T0 + i * h
         k1u, k1w = mode_rhs(u, w, lam, t, S_amp, s0)

@@ -2,7 +2,7 @@
 
 Characteristics are the geodesics of the raw spacetime metric written in
 nondimensional variables ``(x, p, p0)``.  Two right-hand sides are
-provided:
+provided, both for shift-free fields:
 
 * ``mode="derived"`` -- obtained by pushing the exact geodesic equations
   through the rescaling.  The dilution of raw momenta cancels the growth
@@ -11,35 +11,40 @@ provided:
   an exact floating-point zero.  The time component ``p0`` is
   co-integrated (never recomputed algebraically), so the reconstructed
   mass-shell residual is a genuine measure of integration quality.
-* ``mode="paper_form"`` -- a verbatim evaluation of the classical
-  termwise bookkeeping, kept as a diagnostic.  At the background it
-  returns ``dp/dT = -2 p`` instead of zero; the discrepancy is reported
-  by the tests, not hidden.
+* ``mode="paper_form"`` -- the classical termwise bookkeeping, kept as a
+  diagnostic: the derived ``(dx/dT, dp/dT)`` at the on-shell ``p0`` with
+  the uncancelled ``-2 p`` term restored, ``dp/dT = derived - 2 p``.  At
+  the background it returns ``dp/dT = -2 p`` instead of zero; the
+  discrepancy is reported by the tests, not hidden.
 
 All work happens in a local orthonormal frame of the reference metric,
 where the spatial connection coefficients of the background vanish and
 every contraction is a plain array operation.  Field providers supply
 ``(g, N, X, Sigma)`` and their needed derivatives as closed-form
-functions of ``(T, x)`` on particle batches.
+functions of ``(T, x)`` on particle batches.  Conformal providers
+(``g = a I``) take a closed-form path; dense fields go through the
+batched connection blocks of :func:`milne_lab.geometry.rescaled_christoffels`
+and the mass-shell algebra of :mod:`milne_lab.massshell`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import TimeFrame, make_time_frame, BACKGROUND_LAPSE
+from ._rk4 import rk4_step
+from .geometry import (TimeFrame, make_time_frame, rescaled_christoffels,
+                       BACKGROUND_LAPSE)
+from .massshell import compute_p0, mass_shell_residual
 
 __all__ = [
     "BatchFields",
     "background_fields",
     "manufactured_lapse_fields",
-    "CharacteristicState",
     "ParticleEnsemble",
-    "SupportTracker",
     "characteristic_rhs",
     "integrate_characteristics",
     "TrajectoryLog",
@@ -72,14 +77,11 @@ class BatchFields:
     dTg: np.ndarray
     dTN: np.ndarray
     dTX: np.ndarray
-    # set by providers whose only nontrivial data are (N, dN, dTN) on the
-    # identity frame metric; enables a fast evaluation path that is
-    # checked against the general one in the tests
-    simple: bool = False
     # set by providers whose metric is a conformal multiple of the
     # identity frame metric, ``g = a I`` with ``Sigma = X = 0``:
     # ``conf_a`` is the factor ``a (n,)`` and ``conf_u`` its logarithmic
-    # gradient ``d_c ln a (n,3)``.  Enables the same kind of fast path.
+    # gradient ``d_c ln a (n,3)``.  Enables a closed-form evaluation
+    # path that the tests check against the dense one.
     conf_a: Optional[np.ndarray] = None
     conf_u: Optional[np.ndarray] = None
 
@@ -114,6 +116,7 @@ def _shared_blocks(n: int) -> dict:
             "vector": np.broadcast_to(0.0, (n, 3)),
             "matrix": np.broadcast_to(0.0, (n, 3, 3)),
             "tensor3": np.broadcast_to(0.0, (n, 3, 3, 3)),
+            "one": np.broadcast_to(1.0, (n,)),
             "eye": np.broadcast_to(np.eye(3), (n, 3, 3)),
             "lapse": np.full(n, BACKGROUND_LAPSE),
         }
@@ -123,7 +126,7 @@ def _shared_blocks(n: int) -> dict:
 
 
 def background_fields(T: float, x: np.ndarray) -> BatchFields:
-    """The fixed point ``(identity frame, Sigma=0, N=3, X=0)``."""
+    """The fixed point ``(identity frame, Sigma=0, N=3, X=0)``: conformal, a = 1."""
     z = _shared_blocks(x.shape[0])
     return BatchFields(
         g=z["eye"],
@@ -136,7 +139,8 @@ def background_fields(T: float, x: np.ndarray) -> BatchFields:
         dTg=z["matrix"],
         dTN=z["scalar"],
         dTX=z["vector"],
-        simple=True,
+        conf_a=z["one"],
+        conf_u=z["vector"],
     )
 
 
@@ -206,16 +210,8 @@ def manufactured_lapse_fields(eps: float) -> Callable[[float, np.ndarray], Batch
 
 
 # ---------------------------------------------------------------------------
-# states and ensembles
+# ensembles
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CharacteristicState:
-    """One characteristic point: chart position and nondimensional momentum."""
-
-    x: np.ndarray
-    p: np.ndarray
 
 
 @dataclass
@@ -246,20 +242,11 @@ class ParticleEnsemble:
         return float(np.sum(self.weights))
 
 
-class SupportTracker:
-    """Momentum-support functional ``calG = sup sqrt(|p|^2_g)``."""
-
-    @staticmethod
-    def G(fields: BatchFields, p: np.ndarray) -> np.ndarray:
-        if fields.conf_a is not None:
-            return fields.conf_a * np.einsum("na,na->n", p, p)
-        return np.einsum("na,nab,nb->n", p, fields.g, p)
-
-    @staticmethod
-    def calG(fields: BatchFields, p: np.ndarray) -> float:
-        if p.shape[0] == 0:
-            return 0.0
-        return float(np.sqrt(np.max(SupportTracker.G(fields, p))))
+def _support_sq(f: BatchFields, p: np.ndarray) -> np.ndarray:
+    """Squared momentum norm ``|p|^2_g``; ``calG`` is the root of its max."""
+    if f.conf_a is not None:
+        return f.conf_a * np.einsum("na,na->n", p, p)
+    return np.einsum("na,nab,nb->n", p, f.g, p)
 
 
 # ---------------------------------------------------------------------------
@@ -267,117 +254,59 @@ class SupportTracker:
 # ---------------------------------------------------------------------------
 
 
-def _batch_p0(fields: BatchFields, p: np.ndarray, tau: float) -> np.ndarray:
+def _batch_p0(f: BatchFields, p: np.ndarray, frame: TimeFrame) -> np.ndarray:
     """Closed-form nondimensional time component on a batch."""
-    if fields.simple:
-        return np.sqrt(1.0 + tau**2 * np.einsum("na,na->n", p, p)) / fields.N
-    if fields.conf_a is not None:
-        p2 = fields.conf_a * np.einsum("na,na->n", p, p)
-        return np.sqrt(1.0 + tau**2 * p2) / fields.N
-    g, N, X = fields.g, fields.N, fields.X
-    p2 = np.einsum("na,nab,nb->n", p, g, p)
-    Xp = np.einsum("na,nab,nb->n", X, g, p)
-    X2 = np.einsum("na,nab,nb->n", X, g, X)
-    D = N**2 - X2
-    return (tau * Xp + np.sqrt(tau**2 * Xp**2 + D * (1.0 + tau**2 * p2))) / D
+    if f.conf_a is not None:
+        p2 = f.conf_a * np.einsum("na,na->n", p, p)
+        return np.sqrt(1.0 + frame.tau**2 * p2) / f.N
+    return compute_p0(f, p, frame, method="paper_primary")
 
 
-def _correction_fields(fields: BatchFields, tau: float):
-    """Batched correction vector/matrix and spatial connection data."""
-    g, N, X, Sigma = fields.g, fields.N, fields.X, fields.Sigma
-    ginv = np.linalg.inv(g)
-    dg = fields.dg
-    gam = 0.5 * np.einsum("nad,ndbc->nabc", ginv,
-                          np.einsum("ndcb->ndbc", dg) + dg
-                          - np.einsum("nbcd->ndbc", dg))
-    K = Sigma + g / 3.0
-    KX = np.einsum("nbc,nc->nb", K, X)
-    covdX = fields.dX + np.einsum("nacb,nb->nac", gam, X)
-    gradN_up = np.einsum("nab,nb->na", ginv, fields.dN)
-    Sigma_mixed = np.einsum("nab,nbc->nac", ginv, Sigma)
-    Nm3 = N - BACKGROUND_LAPSE
-    XdN = np.einsum("na,na->n", X, fields.dN)
-    XKX = np.einsum("nb,nb->n", X, KX)
-
-    gamma_star = (
-        -X
-        - (2.0 / 3.0) * Nm3[:, None] * X
-        + np.einsum("nb,nab->na", X, covdX)
-        - 2.0 * N[:, None] * np.einsum("nac,nc->na", Sigma_mixed, X)
-        + N[:, None] * gradN_up
-        + ((fields.dTN - XdN + XKX) / N)[:, None] * X
-    )
-    eye = np.eye(3)
-    gamma_star_star = (
-        -N[:, None, None] * Sigma_mixed
-        + (1.0 - N / 3.0)[:, None, None] * eye
-        + covdX
-        - np.einsum("na,nc->nac", X, fields.dN) / N[:, None, None]
-        + np.einsum("na,nc->nac", X, KX) / N[:, None, None]
-    )
-    return gam, K, gamma_star, gamma_star_star
+def _residual(f: BatchFields, p: np.ndarray, q0: np.ndarray,
+              frame: TimeFrame) -> np.ndarray:
+    """Mass-shell residual of the co-evolved ``q0`` on a batch."""
+    if f.conf_a is not None:
+        p2 = np.einsum("na,na->n", p, p)
+        return -(f.N * q0) ** 2 + frame.tau**2 * f.conf_a * p2 + 1.0
+    return mass_shell_residual(f, p, q0, frame)
 
 
 def characteristic_rhs(state, fields_at, frame: TimeFrame, mode: str = "derived",
                        q0: Optional[np.ndarray] = None):
     """Right-hand side of the characteristic system at one time.
 
-    ``state`` may be a :class:`CharacteristicState` (single point) or a
-    pair of ``(n,3)`` arrays; ``fields_at`` is the already-evaluated
-    :class:`BatchFields` at the particle positions.  Returns
-    ``(dx/dT, dp/dT)`` for ``mode="paper_form"`` and ``(dx/dT, dp/dT,
-    dp0/dT)`` for ``mode="derived"`` (which co-evolves the time
-    component; pass the current ``q0``).
+    ``state`` is a pair of ``(n,3)`` arrays ``(x, p)``; ``fields_at`` is
+    the already-evaluated :class:`BatchFields` at the particle positions.
+    Returns ``(dx/dT, dp/dT, dp0/dT)`` for ``mode="derived"`` (which
+    co-evolves the time component; pass the current ``q0``, else the
+    on-shell value is used) and ``(dx/dT, dp/dT)`` for
+    ``mode="paper_form"``.  Fields with a shift raise
+    ``NotImplementedError``.
 
     Derived system (exact geodesic flow in nondimensional variables)::
 
         dx/dT = -tau p / p0
         dp/dT = 2 (gamma_star_star p)
-                + (p0 / tau) (gamma_star - dTX)
-                + (tau / p0) (Gamma(g) p p + (p K p) X / N)
+                + (p0 / tau) gamma_star
+                + (tau / p0) Gamma p p
 
+    with the blocks of :func:`milne_lab.geometry.rescaled_christoffels`,
     where the raw-dilution term ``+2p`` and the pure frame-drag term
     ``-2p`` have been cancelled symbolically.  The ``paper_form`` mode
-    evaluates the classical termwise expression instead, which keeps an
-    uncancelled ``-2p``.
+    keeps the uncancelled ``-2p`` of the classical termwise expression.
     """
-    if isinstance(state, CharacteristicState):
-        x = np.atleast_2d(state.x)
-        p = np.atleast_2d(state.p)
-        single = True
-    else:
-        x, p = state
-        single = False
+    x, p = state
     f = fields_at
     tau = frame.tau
 
-    if f.simple:
-        # identity frame metric, shift-free, trace-free part zero: only
-        # (N, dN, dTN) act.  Same formulas as below with the vanishing
-        # blocks dropped.
-        N = f.N[:, None]
-        p2 = np.einsum("na,na->n", p, p)
-        q0_alg = np.sqrt(1.0 + tau**2 * p2) / f.N
-        if mode == "paper_form":
-            dx = -tau * p / q0_alg[:, None]
-            dp = ((f.N * q0_alg)[:, None] * f.dN / tau
-                  - 2.0 * p + 2.0 * (1.0 - N / 3.0) * p)
-            if single:
-                return dx[0], dp[0]
-            return dx, dp
-        if mode != "derived":
-            raise ValueError(f"unknown mode {mode!r}")
-        if q0 is None:
-            q0 = q0_alg
-        q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-        dx = -tau * p / q0[:, None]
-        dp = 2.0 * (1.0 - N / 3.0) * p + (f.N * q0)[:, None] * f.dN / tau
-        dq0 = (-(f.dTN / f.N) * q0
-               + 2.0 * tau * np.einsum("na,na->n", f.dN, p) / f.N
-               - tau**2 * p2 / (f.N**2 * q0))
-        if single:
-            return dx[0], dp[0], dq0[0]
-        return dx, dp, dq0
+    if mode == "paper_form":
+        dx, dp, _ = characteristic_rhs(state, f, frame)
+        return dx, dp - 2.0 * p
+    if mode != "derived":
+        raise ValueError(f"unknown mode {mode!r}")
+    if q0 is None:
+        q0 = _batch_p0(f, p, frame)
+    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
 
     if f.conf_a is not None:
         # conformal frame metric g = a I, shift-free, trace-free part
@@ -390,77 +319,35 @@ def characteristic_rhs(state, fields_at, frame: TimeFrame, mode: str = "derived"
         N = f.N
         p2 = np.einsum("na,na->n", p, p)
         up = np.einsum("na,na->n", u, p)
-        if mode == "paper_form":
-            q0 = np.sqrt(1.0 + tau**2 * a * p2) / N
-        elif mode != "derived":
-            raise ValueError(f"unknown mode {mode!r}")
-        elif q0 is None:
-            q0 = np.sqrt(1.0 + tau**2 * a * p2) / N
-        else:
-            q0 = np.atleast_1d(np.asarray(q0, dtype=float))
         tau_over_q0 = tau / q0
         dx = -tau_over_q0[:, None] * p
         # p coefficient: 2 (1 - N/3) from the corrected frame drag plus
-        # the <u, p> part of the spatial connection; paper_form keeps the
-        # uncancelled -2 p of the termwise bookkeeping
+        # the <u, p> part of the spatial connection
         cp = (2.0 - (2.0 / 3.0) * N) + tau_over_q0 * up
-        if mode == "paper_form":
-            cp = cp - 2.0
         dp = (cp[:, None] * p
               + ((N * q0 / tau) / a)[:, None] * f.dN
               - (0.5 * tau_over_q0 * p2)[:, None] * u)
-        if mode == "paper_form":
-            if single:
-                return dx[0], dp[0]
-            return dx, dp
         # dg/dT = (2/3)(N - 3) g makes (2 g + dg/dT) p p = (2N/3) a |p|^2
         dq0 = (-(f.dTN / N) * q0
                + (2.0 * tau / N) * np.einsum("na,na->n", f.dN, p)
                - (tau**2 / 3.0) * a * p2 / (N * q0))
-        if single:
-            return dx[0], dp[0], dq0[0]
         return dx, dp, dq0
 
-    gam, K, gstar, gss = _correction_fields(f, tau)
-
-    if mode == "paper_form":
-        p0 = _batch_p0(f, p, tau)
-        dx = -tau * p / p0[:, None]
-        quad = (np.einsum("nabc,nb,nc->na", gam, p, p) * tau
-                + np.einsum("nbc,nb,nc->n", K, p, p)[:, None] * f.X / f.N[:, None])
-        dp = ((-tau * f.dTX + gstar / tau) * p0[:, None]
-              - 2.0 * p
-              + 2.0 * np.einsum("nac,nc->na", gss, p)
-              + quad / p0[:, None])
-        if single:
-            return dx[0], dp[0]
-        return dx, dp
-
-    if mode != "derived":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    if q0 is None:
-        q0 = _batch_p0(f, p, tau)
-    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    dx = -tau * p / q0[:, None]
-    quad = (np.einsum("nabc,nb,nc->na", gam, p, p)
-            + np.einsum("nbc,nb,nc->n", K, p, p)[:, None] * f.X / f.N[:, None])
-    dp = (2.0 * np.einsum("nac,nc->na", gss, p)
-          + (q0 / tau)[:, None] * (gstar - f.dTX)
-          + (tau / q0)[:, None] * quad)
-
-    # time-component flow (shift-free providers only)
     if np.any(f.X != 0.0) or np.any(f.dTX != 0.0):
         raise NotImplementedError(
-            "derived-mode p0 co-evolution is implemented for shift-free fields")
+            "the characteristic flow is implemented for shift-free fields")
+    blocks = rescaled_christoffels(f, frame)
+    dx = -tau * p / q0[:, None]
+    dp = (2.0 * np.einsum("nac,nc->na", blocks["gamma_star_star"], p)
+          + (q0 / tau)[:, None] * blocks["gamma_star"]
+          + (tau / q0)[:, None] * np.einsum("nabc,nb,nc->na",
+                                            blocks["spatial"], p, p))
     dNoverN = f.dTN / f.N
     gradNp = np.einsum("na,na->n", f.dN, p)
     gdot_pp = np.einsum("nab,na,nb->n", 2.0 * f.g + f.dTg, p, p)
     dq0 = (2.0 * q0 - (2.0 + dNoverN) * q0
            + 2.0 * tau * gradNp / f.N
            - tau**2 * gdot_pp / (2.0 * f.N**2 * q0))
-    if single:
-        return dx[0], dp[0], dq0[0]
     return dx, dp, dq0
 
 
@@ -481,31 +368,7 @@ class TrajectoryLog:
     G: np.ndarray                  # (m, n)
     calG: np.ndarray               # (m,)
     total_weight: np.ndarray       # (m,)
-    flagged: np.ndarray            # (n,) bool: admissibility lost mid-run
-
-    def rows(self):
-        """Iterate CSV rows: T, particle_id, x1..x3, p1..p3, p0, residual, G."""
-        for i, T in enumerate(self.T):
-            for j in range(self.x.shape[1]):
-                yield ([float(T), j]
-                       + [float(v) for v in self.x[i, j]]
-                       + [float(v) for v in self.p[i, j]]
-                       + [float(self.p0[i, j]),
-                          float(self.massshell_residual[i, j]),
-                          float(self.G[i, j])])
-
-
-CSV_COLUMNS = ["T", "particle_id", "x1", "x2", "x3", "p1", "p2", "p3",
-               "p0", "massshell_residual", "G"]
-
-
-def _residual(f: BatchFields, p: np.ndarray, q0: np.ndarray, tau: float) -> np.ndarray:
-    if f.conf_a is not None:
-        p2 = np.einsum("na,na->n", p, p)
-        return -(f.N * q0) ** 2 + tau**2 * f.conf_a * p2 + 1.0
-    v = tau * p + q0[:, None] * f.X
-    v2 = np.einsum("na,nab,nb->n", v, f.g, v)
-    return -(f.N * q0) ** 2 + v2 + 1.0
+    flagged: np.ndarray            # (n,) bool: left the flow, frozen since
 
 
 def integrate_characteristics(ensemble: ParticleEnsemble,
@@ -550,44 +413,38 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
             calG=np.max(np.stack([lg.calG for lg in logs]), axis=0),
             total_weight=np.sum(np.stack([lg.total_weight for lg in logs]), axis=0),
             flagged=cat("flagged", 0))
-        fin = ParticleEnsemble(
-            np.concatenate([fe.x for fe in fins]),
-            np.concatenate([fe.p for fe in fins]),
-            np.concatenate([fe.weights for fe in fins]))
+        fin = ParticleEnsemble(*(np.concatenate([getattr(fe, key) for fe in fins])
+                                 for key in ("x", "p", "weights")))
         return log, fin
 
     tau0 = frame0.tau0
-    x = ensemble.x.copy()
-    p = ensemble.p.copy()
-    n = ensemble.size
-    flagged = np.zeros(n, dtype=bool)
-
-    def frame_at(T: float) -> TimeFrame:
-        return make_time_frame(tau0, T)
+    x, p = ensemble.x, ensemble.p  # each step makes new arrays
+    flagged = np.zeros(ensemble.size, dtype=bool)
 
     T = frame0.T
-    f0 = fields(T, x)
-    q0 = _batch_p0(f0, p, frame0.tau) if n else np.zeros(0)
+    q0 = _batch_p0(fields(T, x), p, frame0)
 
-    logs_T, logs_x, logs_p, logs_q0 = [], [], [], []
-    logs_res, logs_G, logs_calG, logs_w = [], [], [], []
+    logs = {key: [] for key in ("T", "x", "p", "p0", "massshell_residual",
+                                "G", "calG", "total_weight")}
 
     def record(T: float, x, p, q0):
         f = fields(T, x)
-        tau = make_time_frame(tau0, T).tau
+        frame = make_time_frame(tau0, T)
         if mode == "paper_form":
-            q0 = _batch_p0(f, p, tau) if n else np.zeros(0)
-        res = _residual(f, p, q0, tau) if n else np.zeros(0)
-        G = SupportTracker.G(f, p) if n else np.zeros(0)
-        logs_T.append(T)
-        logs_x.append(x.copy()); logs_p.append(p.copy()); logs_q0.append(np.array(q0))
-        logs_res.append(res); logs_G.append(G)
-        logs_calG.append(float(np.sqrt(G.max())) if n else 0.0)
-        logs_w.append(ensemble.total_weight())
+            q0 = _batch_p0(f, p, frame)
+        G = _support_sq(f, p)
+        live = G[~flagged]  # flagged particles sit frozen off the flow
+        row = {"T": T, "x": x, "p": p, "p0": q0,
+               "massshell_residual": _residual(f, p, q0, frame), "G": G,
+               "calG": float(np.sqrt(live.max())) if live.size else 0.0,
+               "total_weight": ensemble.total_weight()}
+        for key, value in row.items():
+            logs[key].append(value)
 
-    def rhs(T: float, x, p, q0):
+    def rhs(T: float, y):
+        x, p, q0 = y
         f = fields(T, x)
-        fr = frame_at(T)
+        fr = make_time_frame(tau0, T)
         if mode == "derived":
             return characteristic_rhs((x, p), f, fr, mode, q0)
         dx, dp = characteristic_rhs((x, p), f, fr, mode)
@@ -595,33 +452,27 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
 
     record(T, x, p, q0)
     for step in range(n_steps):
-        if n:
-            k1 = rhs(T, x, p, q0)
-            k2 = rhs(T + h / 2, x + h / 2 * k1[0], p + h / 2 * k1[1], q0 + h / 2 * k1[2])
-            k3 = rhs(T + h / 2, x + h / 2 * k2[0], p + h / 2 * k2[1], q0 + h / 2 * k2[2])
-            k4 = rhs(T + h, x + h * k3[0], p + h * k3[1], q0 + h * k3[2])
-            x = x + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            p = p + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            q0 = q0 + h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            bad = ~np.isfinite(q0) | (q0 <= 0)
-            if np.any(bad & ~flagged):
-                flagged |= bad
-                q0 = np.where(bad, 1.0, q0)  # park the particle; it stays flagged
+        xn, pn, qn = rk4_step(rhs, T, (x, p, q0), h)
+        flagged |= ~(np.isfinite(qn) & (qn > 0))
+        # the row-wise test costs a few percent of a step at 10^5
+        # particles; run it only when some position or momentum is not
+        # finite
+        if not (np.isfinite(xn).all() and np.isfinite(pn).all()):
+            flagged |= ~(np.isfinite(xn).all(axis=1)
+                         & np.isfinite(pn).all(axis=1))
+        if flagged.any():
+            # a flagged particle keeps its last finite state, so no
+            # result depends on which particles share its chunk
+            xn = np.where(flagged[:, None], x, xn)
+            pn = np.where(flagged[:, None], p, pn)
+            qn = np.where(flagged, q0, qn)
+        x, p, q0 = xn, pn, qn
         T = frame0.T + (step + 1) * h
         if (step + 1) % log_every == 0 or step + 1 == n_steps:
             record(T, x, p, q0)
 
-    log = TrajectoryLog(
-        T=np.array(logs_T),
-        x=np.array(logs_x) if n else np.zeros((len(logs_T), 0, 3)),
-        p=np.array(logs_p) if n else np.zeros((len(logs_T), 0, 3)),
-        p0=np.array(logs_q0) if n else np.zeros((len(logs_T), 0)),
-        massshell_residual=np.array(logs_res) if n else np.zeros((len(logs_T), 0)),
-        G=np.array(logs_G) if n else np.zeros((len(logs_T), 0)),
-        calG=np.array(logs_calG),
-        total_weight=np.array(logs_w),
-        flagged=flagged,
-    )
+    log = TrajectoryLog(**{key: np.array(v) for key, v in logs.items()},
+                        flagged=flagged)
     final = ParticleEnsemble(x, p, ensemble.weights.copy())
     return log, final
 

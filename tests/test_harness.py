@@ -1,11 +1,20 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import milne_lab
 from milne_lab.harness import (
+    CONFIG_SCHEMA,
+    SCENARIOS,
     ConfigError,
     RunLog,
+    ScenarioConfig,
     emit_report,
     main,
     run_scenario,
@@ -74,6 +83,80 @@ class TestConfigValidation:
             validate_config("{not json")
 
 
+class TestConfigRobustness:
+    @pytest.mark.parametrize("extra, name", [
+        ({"h": "0.1"}, "h"),
+        ({"lambdaGrid": 5}, "lambdaGrid"),
+        ({"lambdaGrid": [0.5, "x"]}, "lambdaGrid"),
+        ({"Tend": math.inf}, "Tend"),
+        ({"seed": True}, "seed"),
+        ({"seed": -1}, "seed >= 0"),
+        ({"out": 3}, "out"),
+        ({"T0": -0.5}, "T0 >= 0"),
+        ({"scenario": "homogeneous", "Tend": 1.0}, "Tend - T0 > 4 ln 2"),
+        ({"scenario": "full_report", "T0": 2.0, "Tend": 4.0},
+         "Tend - T0 > 4 ln 2"),
+        ({"scenario": "characteristics", "Tend": 1.0005, "h": 1e-2},
+         "h divides Tend - T0"),
+        ({"quadNodes": 20}, "quadNodes multiple of 8"),
+        ({"matterQmax": 0.0}, "matterQmax > 0"),
+        ({"matterAmp": -1e-4}, "matterAmp >= 0"),
+    ])
+    def test_bad_value_named(self, extra, name):
+        with pytest.raises(ConfigError) as info:
+            validate_config(base_config(**extra))
+        assert f"[{name}]" in str(info.value)
+
+    def test_json_infinity_rejected(self):
+        with pytest.raises(ConfigError, match=r"\[Tend\]"):
+            validate_config('{"scenario": "modes", "seed": 0, '
+                            '"Tend": Infinity}')
+
+    def test_characteristics_step_dividing_span_accepted(self):
+        cfg = validate_config(base_config(scenario="characteristics",
+                                          T0=0.5, Tend=0.75, h=0.05))
+        assert cfg.h == 0.05
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.floats(allow_nan=True, allow_infinity=True)
+                 | st.text(max_size=4))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+_PLAUSIBLE = {
+    "int": st.integers(min_value=-3, max_value=300),
+    "float": st.floats(min_value=-10.0, max_value=10.0),
+    "list[float]": st.lists(st.floats(min_value=-1.0, max_value=3.0),
+                            max_size=4),
+    "str": st.sampled_from(SCENARIOS + ("none",)),
+}
+_OPTIONAL = {name: _JSON_VALUES | _PLAUSIBLE[spec["type"]]
+             for name, spec in CONFIG_SCHEMA["fields"].items()}
+_CONFIG_OBJECTS = (
+    # mostly past the required keys, so the field checks are reached
+    st.fixed_dictionaries({"scenario": st.sampled_from(SCENARIOS),
+                           "seed": st.integers(min_value=0, max_value=9)},
+                          optional={k: v for k, v in _OPTIONAL.items()
+                                    if k not in ("scenario", "seed")})
+    | st.fixed_dictionaries({}, optional=_OPTIONAL)
+    | st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_CONFIG_OBJECTS)
+def test_any_json_object_validates_or_raises_config_error(obj):
+    # validation only: a config is never run here, whatever its size
+    for raw in (obj, json.dumps(obj)):
+        try:
+            cfg = validate_config(raw)
+        except ConfigError:
+            continue
+        assert isinstance(cfg, ScenarioConfig)
+
+
 class TestRunLog:
     def test_append_and_column(self):
         log = RunLog(columns=["T", "v"])
@@ -99,6 +182,18 @@ class TestScenarios:
         assert result["monitors"]["fixed_point"]["holds"]
         assert result["monitors"]["algebraic_lapse_exact"]["holds"]
         assert result["summary"]["worst_residual"] < 1e-12
+
+    def test_halving_h_changes_homogeneous_log(self):
+        logs = []
+        for h, every in ((1e-3, 20), (5e-4, 40)):  # same log times
+            cfg = validate_config(base_config(scenario="homogeneous",
+                                              Tend=3.0, h=h, logEvery=every))
+            logs.append(np.array(run_scenario(cfg)["log"].rows))
+        coarse, fine = logs
+        assert coarse.shape == fine.shape
+        assert np.array_equal(coarse[:, 0], fine[:, 0])
+        assert not np.array_equal(coarse, fine)
+        assert np.allclose(coarse, fine, rtol=1e-9, atol=0.0)
 
     def test_modes_scenario_rate_table(self):
         result = run_scenario(validate_config(
@@ -174,3 +269,15 @@ class TestCli:
         assert main(["background-check", "--config", str(cfg),
                      "--strict"]) == 1
         assert main(["background-check", "--config", str(cfg)]) == 0
+
+    def test_package_runs_as_module(self):
+        src = os.path.dirname(os.path.dirname(milne_lab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "milne_lab", "background-check",
+             "--seed", "0"], capture_output=True, text=True, env=env,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "scenario background_check: PASS" in proc.stdout
+        assert "Warning" not in proc.stderr

@@ -8,7 +8,6 @@ from milne_lab.geometry import LocalGeometry, background_geometry, make_time_fra
 from milne_lab.matter import (
     MOMENT_CSV_COLUMNS,
     RESCALING_FACTORS,
-    ParticleEnsemble,
     RadialDistribution,
     UnsupportedModeError,
     continuity_rhs,
@@ -19,6 +18,7 @@ from milne_lab.matter import (
     pressure_time_derivative_reduced,
     rescale_moment,
 )
+from milne_lab.transport import ParticleEnsemble
 
 GEOM = background_geometry()
 

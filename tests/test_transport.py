@@ -98,6 +98,48 @@ class TestRhsEquivalence:
             assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
 
 
+def dense_provider(eps):
+    """The manufactured fields with the dense metric blocks filled in."""
+    conformal = manufactured_lapse_fields(eps)
+
+    def provider(T, x):
+        f = conformal(T, x).materialize()
+        return BatchFields(g=f.g, dg=f.dg, N=f.N, dN=f.dN, X=f.X, dX=f.dX,
+                           Sigma=f.Sigma, dTg=f.dTg, dTN=f.dTN, dTX=f.dTX)
+    return provider
+
+
+class TestPaperForm:
+    def test_paper_form_is_derived_minus_2p(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.2, 1.2, size=(32, 3))
+        p = rng.normal(size=(32, 3))
+        fr = make_time_frame(-1.0, 0.4)
+        f = dense_provider(0.3)(0.4, x)
+        dx_d, dp_d, _ = characteristic_rhs((x, p), f, fr, mode="derived")
+        dx_p, dp_p = characteristic_rhs((x, p), f, fr, mode="paper_form")
+        assert np.array_equal(dx_p, dx_d)
+        assert np.array_equal(dp_p, dp_d - 2.0 * p)
+
+    def test_paper_form_keeps_minus_2p_at_background(self):
+        rng = np.random.default_rng(6)
+        p = rng.normal(size=(8, 3))
+        f = background_fields(0.0, np.zeros((8, 3)))
+        _, dp = characteristic_rhs((np.zeros((8, 3)), p), f,
+                                   make_time_frame(-1.0, 0.0),
+                                   mode="paper_form")
+        assert np.array_equal(dp, -2.0 * p)
+
+    def test_shifted_fields_rejected(self):
+        x = np.zeros((4, 3))
+        f = dense_provider(0.3)(0.0, x)
+        f.X = np.full((4, 3), 0.1)
+        for mode in ("derived", "paper_form"):
+            with pytest.raises(NotImplementedError):
+                characteristic_rhs((x, np.ones((4, 3))), f,
+                                   make_time_frame(-1.0, 0.0), mode=mode)
+
+
 class TestIntegration:
     def test_background_mass_shell_drift(self):
         log, _ = run(background_fields)
@@ -120,6 +162,38 @@ class TestIntegration:
         assert np.array_equal(log1.p, log4.p)
         assert np.array_equal(log1.calG, log4.calG)
 
+    def test_flagged_particles_freeze_independently_of_threads(self):
+        # a lapse gradient that turns NaN on a moving front flags every
+        # particle the front overtakes
+        manufactured = manufactured_lapse_fields(EPS)
+
+        def provider(T, x):
+            f = manufactured(T, x)
+            f.dN = np.where((x[:, 0] > 1.15 - T / 2)[:, None], np.nan, f.dN)
+            return f
+
+        log1, fin1 = run(provider, n=64, span=0.5, log_every=10)
+        log2, fin2 = run(provider, n=64, span=0.5, log_every=10, threads=2)
+        assert int(np.sum(log1.flagged)) == 15
+        for key in ("x", "p", "p0", "massshell_residual", "G", "calG",
+                    "flagged"):
+            assert np.array_equal(getattr(log1, key), getattr(log2, key))
+        assert np.array_equal(fin1.p, fin2.p)
+        assert np.all(np.isfinite(log1.calG))
+        # flagged particles hold their last finite state
+        assert np.all(np.isfinite(log1.p0)) and np.all(np.isfinite(fin1.x))
+        frozen = log1.flagged
+        assert np.array_equal(log1.p[-1, frozen], log1.p[-2, frozen])
+
+    def test_dense_path_matches_conformal_path(self):
+        log_c, _ = run(manufactured_lapse_fields(0.3), n=16, span=0.5, h=1e-2,
+                       log_every=10)
+        log_d, _ = run(dense_provider(0.3), n=16, span=0.5, h=1e-2,
+                       log_every=10)
+        for key in ("x", "p", "p0", "G"):
+            assert np.allclose(getattr(log_c, key), getattr(log_d, key),
+                               rtol=1e-12, atol=1e-14)
+
     def test_convergence_order_is_four(self):
         errs = []
         for h in (4e-3, 2e-3, 1e-3):
@@ -133,6 +207,17 @@ class TestIntegration:
         log, _ = run(manufactured_lapse_fields(EPS), n=8, span=0.5,
                      mode="paper_form")
         assert log.p.shape[1] == 8
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_empty_ensemble(self, threads):
+        empty = ParticleEnsemble(x=np.zeros((0, 3)), p=np.zeros((0, 3)),
+                                 weights=np.zeros(0))
+        log, fin = integrate_characteristics(
+            empty, manufactured_lapse_fields(EPS), make_time_frame(-1.0, 0.0),
+            0.1, 1e-2, log_every=5, threads=threads)
+        assert log.p.shape == (3, 0, 3) and log.p0.shape == (3, 0)
+        assert np.array_equal(log.calG, np.zeros(3))
+        assert fin.size == 0
 
     def test_step_must_divide_span(self):
         with pytest.raises(ValueError):
