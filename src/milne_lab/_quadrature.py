@@ -1,10 +1,11 @@
-"""Composite Gauss-Legendre quadrature on a radial interval."""
+"""Quadrature rules: composite Gauss-Legendre on a radial interval, and
+the trapezoid rule on sampled data."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["composite_gauss_legendre"]
+__all__ = ["composite_gauss_legendre", "trapezoid"]
 
 
 def composite_gauss_legendre(a: float, b: float, n_nodes: int = 64,
@@ -26,3 +27,12 @@ def composite_gauss_legendre(a: float, b: float, n_nodes: int = 64,
     q = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
     w = (half[:, None] * wi[None, :]).ravel()
     return q, w
+
+
+def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
+    """Trapezoid rule for samples ``y`` at the nodes ``x`` of a 1-d grid.
+
+    Written out in place of ``scipy.integrate.trapezoid`` (same
+    arithmetic), so importing the package does not import scipy.
+    """
+    return np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)

@@ -23,22 +23,38 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import trapezoid
 
-from ._quadrature import composite_gauss_legendre
+from ._quadrature import composite_gauss_legendre, trapezoid
 
 __all__ = [
+    "MONITOR_THRESHOLDS",
     "DecayFit",
+    "DecayFitError",
     "inverse_weight_integral",
     "sasaki_energy",
     "rho_energy",
     "total_energy",
+    "WeightConditionError",
     "validate_energy_weights",
     "decay_fit",
     "tail_span_needed",
     "tail_convergence",
     "monitors",
 ]
+
+# the monitor thresholds a scenario configuration sets, with their defaults
+MONITOR_THRESHOLDS = {
+    "epsDecay": 0.2,
+    "epsTot": 0.05,
+    "epsLoc": 0.1,
+    "smallnessDelta": 0.5,
+    "deltaE": 0.05,
+    "deltaEcal": 0.9,
+}
+# fixed tolerances of the completeness conditions
+METRIC_LOWER_BOUND = 0.02
+LAPSE_UPPER_TOL = 1e-9
+SHIFT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +168,24 @@ def rho_energy(rho: float, geom, ell: int = 0, vol_cell: float = 1.0) -> float:
     return abs(float(rho)) * math.sqrt(detg) * vol_cell
 
 
+class WeightConditionError(ValueError):
+    """An energy-weight side condition fails; the message names it."""
+
+
 def validate_energy_weights(deltaE: float, deltaEcal: float) -> None:
-    """Check the side conditions on the total-energy exponents."""
-    if not deltaE < 0.5:
-        raise ValueError("weight condition violated: deltaE < 1/2 required")
+    """Check ``0 < deltaE < 1/2``, ``deltaEcal > 1/2`` and
+    ``deltaE + deltaEcal < 1``, raising :class:`WeightConditionError`."""
+    if not 0.0 < deltaE < 0.5:
+        raise WeightConditionError("deltaE < 1/2")
     if not deltaEcal > 0.5:
-        raise ValueError("weight condition violated: deltaEcal > 1/2 required")
+        raise WeightConditionError("deltaEcal > 1/2")
     if not deltaE + deltaEcal < 1.0:
-        raise ValueError("weight condition violated: deltaE + deltaEcal < 1 required")
+        raise WeightConditionError("deltaE + deltaEcal < 1")
 
 
 def total_energy(E6: float, sasaki54sq: float, T: float,
-                 deltaE: float = 0.05, deltaEcal: float = 0.9) -> float:
+                 deltaE: float = MONITOR_THRESHOLDS["deltaE"],
+                 deltaEcal: float = MONITOR_THRESHOLDS["deltaEcal"]) -> float:
     """Exponentially weighted total energy.
 
     ``E_tot = e^{(1 + deltaE) T} E6 + e^{-deltaEcal T} E^2_{5,4}`` with the
@@ -183,11 +205,16 @@ class DecayFit:
     residual: float
 
 
+class DecayFitError(ValueError):
+    """A decay rate cannot be fitted: too few samples, or a value <= 0."""
+
+
 def decay_fit(T, v, window: Optional[tuple] = None) -> DecayFit:
     """Fit ``v = A e^{-rate T}`` by least squares on ``ln v``.
 
-    Requires at least 8 strictly positive samples in the window; the RMS
-    residual of the log-linear fit is always reported.
+    Requires at least 8 strictly positive samples in the window, and
+    raises :class:`DecayFitError` otherwise; the RMS residual of the
+    log-linear fit is always reported.
     """
     T = np.asarray(T, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -196,9 +223,9 @@ def decay_fit(T, v, window: Optional[tuple] = None) -> DecayFit:
     mask = (T >= window[0]) & (T <= window[1])
     Tw, vw = T[mask], v[mask]
     if Tw.size < 8:
-        raise ValueError("decay fit needs at least 8 samples in the window")
+        raise DecayFitError("decay fit needs at least 8 samples in the window")
     if np.any(vw <= 0):
-        raise ValueError("decay fit requires strictly positive values")
+        raise DecayFitError("decay fit requires strictly positive values")
     y = np.log(vw)
     A = np.stack([Tw, np.ones_like(Tw)], axis=1)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -252,19 +279,6 @@ def tail_convergence(T, y, t, doublings: int = 3) -> dict:
             "holds": bool(worst < 0.5), "margin": 0.5 - worst}
 
 
-_MONITOR_DEFAULTS = {
-    "epsDecay": 0.2,
-    "epsTot": 0.05,
-    "epsLoc": 0.1,
-    "smallnessDelta": 0.5,
-    "metricLowerBound": 0.02,
-    "lapseUpperTol": 1e-9,
-    "shiftTol": 1e-10,
-    "deltaE": 0.05,
-    "deltaEcal": 0.9,
-}
-
-
 def monitors(run: dict, config: Optional[dict] = None) -> dict:
     """Evaluate the four run monitors on a logged series bundle.
 
@@ -288,10 +302,14 @@ def monitors(run: dict, config: Optional[dict] = None) -> dict:
       logged tolerance; (iv) the lapse-gradient proxy ``s (3 - N)`` and
       (v) the shear proxy ``s sqrt(E6)`` have numerically convergent
       tail integrals in physical time (``tail_convergence``).
+
+    ``config`` overrides entries of :data:`MONITOR_THRESHOLDS`; any other
+    key raises ``ValueError``.
     """
-    cfg = dict(_MONITOR_DEFAULTS)
-    if config:
-        cfg.update({k: v for k, v in config.items() if k in _MONITOR_DEFAULTS})
+    cfg = {**MONITOR_THRESHOLDS, **(config or {})}
+    if len(cfg) > len(MONITOR_THRESHOLDS):
+        raise ValueError(f"unknown monitor thresholds "
+                         f"{sorted(set(cfg) - set(MONITOR_THRESHOLDS))}")
     T = np.asarray(run["T"], dtype=float)
     s = np.asarray(run["s"], dtype=float)
     n = T.shape[0]
@@ -340,15 +358,15 @@ def monitors(run: dict, config: Optional[dict] = None) -> dict:
     conds = {}
     nmin, nmax = float(np.min(N)), float(np.max(N))
     conds["i_lapse_bounded"] = {
-        "holds": bool(nmin > 0.0 and nmax <= 3.0 * (1.0 + cfg["lapseUpperTol"])),
+        "holds": bool(nmin > 0.0 and nmax <= 3.0 * (1.0 + LAPSE_UPPER_TOL)),
         "min": nmin, "max": nmax}
     # physical metric ~ b / s^2; monotone growth means the initial time binds
     metric_measure = float(np.min(b * s[0] ** 2 / (9.0 * s**2)))
     conds["ii_metric_lower_bound"] = {
-        "holds": bool(metric_measure >= cfg["metricLowerBound"]),
-        "measured": metric_measure, "bound": cfg["metricLowerBound"]}
+        "holds": bool(metric_measure >= METRIC_LOWER_BOUND),
+        "measured": metric_measure, "bound": METRIC_LOWER_BOUND}
     xworst = float(np.max(Xnorm))
-    conds["iii_shift_decay"] = {"holds": bool(xworst <= cfg["shiftTol"]),
+    conds["iii_shift_decay"] = {"holds": bool(xworst <= SHIFT_TOL),
                                 "max": xworst}
     conds["iv_lapse_gradient_integrable"] = tail_convergence(T, s * (3.0 - N), t_phys)
     conds["v_shear_integrable"] = tail_convergence(T, s * np.sqrt(E6), t_phys)

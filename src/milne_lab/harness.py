@@ -1,9 +1,11 @@
 """Scenario configuration, run orchestration, persistence, and the CLI.
 
 Scenarios are configured by versioned JSON documents validated against
-:data:`CONFIG_SCHEMA` (side conditions on the energy-weight constants are
-checked by name, so a violated inequality is reported verbatim).  The
-five scenarios are
+:data:`CONFIG_SCHEMA`, which is derived from the fields, types and
+defaults of :class:`ScenarioConfig`; the monitor thresholds default to
+``energies.MONITOR_THRESHOLDS``.  Side conditions (the energy-weight
+constants among them) are checked by name, so a violated inequality is
+reported verbatim.  The five scenarios are
 
 * ``background_check`` — residual audit of the attractor fixed point,
 * ``modes`` — eigenvalue sweep of the linear perturbation oscillators,
@@ -55,40 +57,6 @@ __all__ = [
 SCENARIOS = ("background_check", "modes", "homogeneous", "characteristics",
              "full_report")
 
-CONFIG_SCHEMA = {
-    "schemaVersion": 1,
-    "fields": {
-        "schemaVersion": {"type": "int", "default": 1},
-        "scenario": {"type": "str", "required": True, "choices": SCENARIOS},
-        "seed": {"type": "int", "required": True},
-        "tau0": {"type": "float", "default": -1.0},
-        "T0": {"type": "float", "default": 0.0},
-        "Tend": {"type": "float", "default": 5.0},
-        "h": {"type": "float", "default": 1e-3},
-        "lambdaGrid": {"type": "list[float]",
-                       "default": [1.0 / 9.0, 0.2, 5.0 / 9.0, 1.0, 2.0]},
-        "epsPrime": {"type": "float", "default": 1.0 / 900.0},
-        "deltaAlpha": {"type": "float", "default": 0.0},
-        "deltaE": {"type": "float", "default": 0.05},
-        "deltaEcal": {"type": "float", "default": 0.9},
-        "epsDecay": {"type": "float", "default": 0.2},
-        "epsTot": {"type": "float", "default": 0.05},
-        "epsLoc": {"type": "float", "default": 0.1},
-        "smallnessDelta": {"type": "float", "default": 0.5},
-        "radialNodes": {"type": "int", "default": 257},
-        "quadNodes": {"type": "int", "default": 96},
-        "particleCount": {"type": "int", "default": 1000},
-        "perturbationEps": {"type": "float", "default": 1e-3},
-        "matterAmp": {"type": "float", "default": 2e-4},
-        "matterQmax": {"type": "float", "default": 2.0},
-        "modeAmp": {"type": "float", "default": 1e-2},
-        "gronwallC": {"type": "float", "default": 10.0},
-        "logEvery": {"type": "int", "default": 10},
-        "strictMarginFloor": {"type": "float", "default": 0.0},
-        "out": {"type": "str", "default": None},
-    },
-}
-
 REPORT_SCHEMA = {
     "schemaVersion": 1,
     "required": ["schemaVersion", "scenario", "seed", "ok", "monitors",
@@ -101,11 +69,19 @@ class ConfigError(ValueError):
     """Configuration rejected; the message names the violated condition."""
 
 
+_THRESHOLDS = energies.MONITOR_THRESHOLDS
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario configuration (see :data:`CONFIG_SCHEMA`)."""
+    """Validated scenario configuration.
 
-    scenario: str
+    The one declaration of the configuration fields: :data:`CONFIG_SCHEMA`
+    is derived from the annotations and defaults below, and fields
+    without a default are required.
+    """
+
+    scenario: str = field(metadata={"choices": SCENARIOS})
     seed: int
     schemaVersion: int = 1
     tau0: float = -1.0
@@ -115,12 +91,12 @@ class ScenarioConfig:
     lambdaGrid: tuple = (1.0 / 9.0, 0.2, 5.0 / 9.0, 1.0, 2.0)
     epsPrime: float = 1.0 / 900.0
     deltaAlpha: float = 0.0
-    deltaE: float = 0.05
-    deltaEcal: float = 0.9
-    epsDecay: float = 0.2
-    epsTot: float = 0.05
-    epsLoc: float = 0.1
-    smallnessDelta: float = 0.5
+    deltaE: float = _THRESHOLDS["deltaE"]
+    deltaEcal: float = _THRESHOLDS["deltaEcal"]
+    epsDecay: float = _THRESHOLDS["epsDecay"]
+    epsTot: float = _THRESHOLDS["epsTot"]
+    epsLoc: float = _THRESHOLDS["epsLoc"]
+    smallnessDelta: float = _THRESHOLDS["smallnessDelta"]
     radialNodes: int = 257
     quadNodes: int = 96
     particleCount: int = 1000
@@ -132,6 +108,29 @@ class ScenarioConfig:
     logEvery: int = 10
     strictMarginFloor: float = 0.0
     out: Optional[str] = None
+
+
+# schema type of each annotation used above
+_SCHEMA_TYPES = {"int": "int", "float": "float", "tuple": "list[float]",
+                 "str": "str", "Optional[str]": "str"}
+
+
+def _schema_field(f: dataclasses.Field) -> dict:
+    spec = {"type": _SCHEMA_TYPES[f.type]}
+    if f.default is dataclasses.MISSING:
+        spec["required"] = True
+    else:  # defaults in their JSON form
+        spec["default"] = (list(f.default) if isinstance(f.default, tuple)
+                           else f.default)
+    spec.update(f.metadata)
+    return spec
+
+
+CONFIG_SCHEMA = {
+    "schemaVersion": ScenarioConfig.schemaVersion,
+    "fields": {f.name: _schema_field(f)
+               for f in dataclasses.fields(ScenarioConfig)},
+}
 
 
 def _named_check(cond: bool, name: str, detail: str) -> None:
@@ -166,10 +165,11 @@ def validate_config(raw) -> ScenarioConfig:
     ``raw`` may be a JSON string or an already-decoded mapping.  Unknown
     keys are rejected, defaults are filled in, and every side condition
     is checked with a named error, including the energy-weight
-    inequalities ``deltaE < 1/2``, ``deltaEcal > 1/2``,
-    ``deltaE + deltaEcal < 1`` and the decay-budget conditions
+    inequalities of ``energies.validate_energy_weights`` (``0 < deltaE <
+    1/2``, ``deltaEcal > 1/2``, ``deltaE + deltaEcal < 1``), the
+    decay-budget conditions
     ``1 - 2 deltaAlpha - deltaE - epsTot > 1 - epsDecay`` and
-    ``deltaEcal - epsTot > 1 - epsDecay``.
+    ``deltaEcal - epsTot > 1 - epsDecay``, and caps on the run size.
     """
     if isinstance(raw, (str, bytes)):
         try:
@@ -222,12 +222,11 @@ def validate_config(raw) -> ScenarioConfig:
                  f"matterQmax={c['matterQmax']}")
     _named_check(c["matterAmp"] >= 0.0, "matterAmp >= 0",
                  f"matterAmp={c['matterAmp']}")
-    _named_check(0.0 < c["deltaE"] < 0.5, "deltaE < 1/2",
-                 f"deltaE={c['deltaE']} (deltaE < 1/2 required)")
-    _named_check(c["deltaEcal"] > 0.5, "deltaEcal > 1/2",
-                 f"deltaEcal={c['deltaEcal']}")
-    _named_check(c["deltaE"] + c["deltaEcal"] < 1.0, "deltaE + deltaEcal < 1",
-                 f"sum={c['deltaE'] + c['deltaEcal']}")
+    try:
+        energies.validate_energy_weights(c["deltaE"], c["deltaEcal"])
+    except energies.WeightConditionError as exc:
+        raise ConfigError(f"config error [{exc}]: deltaE={c['deltaE']}, "
+                          f"deltaEcal={c['deltaEcal']}") from exc
     _named_check(0.0 < c["epsDecay"] < 1.0, "0 < epsDecay < 1",
                  f"epsDecay={c['epsDecay']}")
     lhs1 = 1.0 - 2.0 * c["deltaAlpha"] - c["deltaE"] - c["epsTot"]
@@ -248,8 +247,62 @@ def validate_config(raw) -> ScenarioConfig:
     # the radial quadrature splits its nodes evenly over eight panels
     _named_check(c["quadNodes"] % 8 == 0, "quadNodes multiple of 8",
                  f"quadNodes={c['quadNodes']}")
+    _named_check(c["radialNodes"] >= 2, "radialNodes >= 2",
+                 f"radialNodes={c['radialNodes']}")
+    # keeps the manufactured lapse 3 + eps e^{-T} phi, |phi| <= 1, positive
+    _named_check(abs(c["perturbationEps"]) < 3.0, "|perturbationEps| < 3",
+                 f"perturbationEps={c['perturbationEps']}")
+    # the time frame divides by tau = tau0 e^{-T}
+    _named_check(abs(c["tau0"]) * math.exp(-c["Tend"]) >= sys.float_info.min,
+                 "|tau0| e^-Tend normal",
+                 f"tau0={c['tau0']}, Tend={c['Tend']}")
     c["lambdaGrid"] = lam
-    return ScenarioConfig(**c)
+    cfg = ScenarioConfig(**c)
+    _check_run_size(cfg)
+    if cfg.scenario in ("homogeneous", "full_report"):
+        try:
+            f0 = _matter_profile(cfg)
+        except ValueError as exc:  # a matterQmax too small to grid
+            raise ConfigError(f"config error [matterQmax]: {exc}") from exc
+        rho0 = homogeneous.initial_density(f0, cfg.tau0, cfg.quadNodes)
+        _named_check(abs(cfg.tau0) * rho0 < 1.0 / 6.0, "|tau0| rho0 < 1/6",
+                     f"|tau0| rho0={abs(cfg.tau0) * rho0} reaches the "
+                     f"constraint pole")
+    return cfg
+
+
+_MAX_NODES = 10**4
+_MAX_PARTICLES = 10**6
+_MAX_STEPS = 10**6
+_MAX_PARTICLE_STEPS = 10**9
+
+
+def _check_run_size(cfg: ScenarioConfig) -> None:
+    """Named checks on the step count and the run size.
+
+    The caps keep an accepted run to minutes: 10^9 particle-steps take
+    about a quarter of an hour at the 550-830 ns per particle-step
+    measured on a 2-vCPU VM.
+    """
+    for name in ("radialNodes", "quadNodes"):
+        _named_check(getattr(cfg, name) <= _MAX_NODES, f"{name} <= 10^4",
+                     f"{name}={getattr(cfg, name)}")
+    _named_check(len(cfg.lambdaGrid) <= _MAX_NODES, "len(lambdaGrid) <= 10^4",
+                 f"len(lambdaGrid)={len(cfg.lambdaGrid)}")
+    _named_check(cfg.particleCount <= _MAX_PARTICLES, "particleCount <= 10^6",
+                 f"particleCount={cfg.particleCount}")
+    if cfg.scenario == "background_check":  # takes no steps
+        return
+    steps = (cfg.Tend - cfg.T0) / cfg.h
+    _named_check(steps >= 1.0, "h <= Tend - T0",
+                 f"T0={cfg.T0}, Tend={cfg.Tend}, h={cfg.h}")
+    if steps <= _MAX_STEPS and cfg.scenario in ("homogeneous", "full_report"):
+        steps = _homogeneous_steps(cfg)
+    _named_check(steps <= _MAX_STEPS, "steps <= 10^6", f"steps={steps}")
+    if cfg.scenario == "characteristics":
+        _named_check(cfg.particleCount * steps <= _MAX_PARTICLE_STEPS,
+                     "particleCount x steps <= 10^9",
+                     f"particleCount={cfg.particleCount}, steps={steps}")
 
 
 @dataclass
@@ -339,27 +392,49 @@ def _run_background_check(cfg: ScenarioConfig) -> dict:
             "summary": {"worst_residual": worst, "lapse": N0}, "ok": ok}
 
 
+def _fit_rate(into: dict, key: str, T, v, window=None) -> None:
+    """Store the decay rate of ``v`` at ``into[key]``.
+
+    A series that cannot be fitted stores ``None``, with the reason at
+    ``into["unfitted"][key]``.
+    """
+    try:
+        into[key] = energies.decay_fit(T, v, window=window).rate
+    except energies.DecayFitError as exc:
+        into[key] = None
+        into.setdefault("unfitted", {})[key] = str(exc)
+
+
 def _run_modes(cfg: ScenarioConfig) -> dict:
-    n_steps = max(1000, int(round((cfg.Tend - cfg.T0) / cfg.h)))
-    rows = modes.mode_sweep(cfg.lambdaGrid, T_span=(cfg.T0, cfg.Tend),
-                            n_steps=n_steps, eps_prime=cfg.epsPrime)
+    # the rows of modes.mode_sweep, built here so one unfittable energy
+    # leaves the other columns and modes in place
+    n_steps = int(round((cfg.Tend - cfg.T0) / cfg.h))
     log = RunLog(columns=modes.MODE_CSV_COLUMNS)
-    log.rows = rows
     per_mode = {}
-    for lam, alpha, cE, rate, min_eig, max_violation in rows:
-        if lam > 1.0 / 9.0 + 1e-12:
-            holds = abs(rate - 2.0) <= 0.02 and max_violation <= 1e-12
+    for lam in cfg.lambdaGrid:
+        traj = modes.integrate_mode(lam, 1.0, -1.0, (cfg.T0, cfg.Tend),
+                                    n_steps, eps_prime=cfg.epsPrime)
+        c = traj.constants
+        diss = modes.dissipation_identity(traj.u, traj.w, lam, c)
+        eig = modes.coercivity_check(lam, c.cE)["min_eig"]
+        mode = {"alpha": c.alpha, "cE": c.cE, "min_quadform_eig": eig,
+                "max_violation": float(np.max(diss))}
+        _fit_rate(mode, "fitted_rate", traj.T, traj.energy)
+        rate, violation = mode["fitted_rate"], mode["max_violation"]
+        if rate is None:
+            holds = False
+        elif lam > 1.0 / 9.0 + 1e-12:
+            holds = abs(rate - 2.0) <= 0.02 and violation <= 1e-12
         else:
-            holds = max_violation <= 1e-12 and rate >= 2.0 * alpha - 0.05
-        per_mode[f"lambda={lam:.6g}"] = {
-            "holds": bool(holds and min_eig > 0.0),
-            "fitted_rate": rate, "alpha": alpha, "cE": cE,
-            "min_quadform_eig": min_eig, "max_violation": max_violation}
+            holds = violation <= 1e-12 and rate >= 2.0 * c.alpha - 0.05
+        mode["holds"] = bool(holds and eig > 0.0)
+        per_mode[f"lambda={lam:.6g}"] = mode
+        log.rows.append([float(lam), c.alpha, c.cE, rate, eig, violation])
     monitors = {"rate_table": {"holds": all(v["holds"]
                                             for v in per_mode.values()),
                                "modes": per_mode}}
     return {"log": log, "monitors": monitors,
-            "summary": {"n_modes": len(rows)},
+            "summary": {"n_modes": len(log.rows)},
             "ok": monitors["rate_table"]["holds"]}
 
 
@@ -369,13 +444,16 @@ def _fit_window(T: np.ndarray) -> tuple:
     return (float(lo), float(T[-1]))
 
 
+def _homogeneous_steps(cfg: ScenarioConfig) -> int:
+    """``(Tend - T0) / h`` rounded up to whole log intervals."""
+    n_steps = max(cfg.logEvery, int(round((cfg.Tend - cfg.T0) / cfg.h)))
+    return n_steps + (-n_steps) % cfg.logEvery
+
+
 def _homogeneous_run(cfg: ScenarioConfig):
-    f0 = _matter_profile(cfg)
-    span = cfg.Tend - cfg.T0
-    n_steps = max(cfg.logEvery, int(round(span / cfg.h)))
-    n_steps += (-n_steps) % cfg.logEvery
     return homogeneous.evolve_homogeneous(
-        f0, tau0=cfg.tau0, T_end=span, n_steps=n_steps, n_q=cfg.radialNodes,
+        _matter_profile(cfg), tau0=cfg.tau0, T_end=cfg.Tend - cfg.T0,
+        n_steps=_homogeneous_steps(cfg), n_q=cfg.radialNodes,
         log_every=cfg.logEvery, n_nodes=cfg.quadNodes)
 
 
@@ -389,28 +467,26 @@ def _homogeneous_series(cfg: ScenarioConfig, run) -> dict:
 
 
 def _monitor_config(cfg: ScenarioConfig) -> dict:
-    return {"epsDecay": cfg.epsDecay, "epsTot": cfg.epsTot,
-            "epsLoc": cfg.epsLoc, "smallnessDelta": cfg.smallnessDelta,
-            "deltaE": cfg.deltaE, "deltaEcal": cfg.deltaEcal}
+    return {name: getattr(cfg, name) for name in _THRESHOLDS}
 
 
 def _decay_summary(cfg: ScenarioConfig, run) -> dict:
     s = abs(cfg.tau0) * np.exp(-run.T)
     window = _fit_window(run.T)
-    lapse_fit = energies.decay_fit(run.T, np.abs(run.N - 3.0), window=window)
-    eta_fit = energies.decay_fit(run.T, s**2 * run.eta_under, window=window)
     mask = run.T >= run.T[-1] - 1.0
     rho_final = run.rho[mask]
     rho_drift = float(abs(rho_final[-1] - rho_final[0]) / rho_final[-1])
-    return {
-        "lapse_rate": lapse_fit.rate,
-        "tau2_eta_under_rate": eta_fit.rate,
+    summary = {
         "rho_drift_per_efold": rho_drift,
         "fit_window": list(window),
         "constraint_defect": float(np.max(np.abs(run.b_ode
                                                  - run.b_constraint))),
         "continuity_defect": float(np.max(np.abs(run.rho - run.rho_cont))),
     }
+    _fit_rate(summary, "lapse_rate", run.T, np.abs(run.N - 3.0), window)
+    _fit_rate(summary, "tau2_eta_under_rate", run.T, s**2 * run.eta_under,
+              window)
+    return summary
 
 
 def _run_homogeneous(cfg: ScenarioConfig) -> dict:
@@ -475,13 +551,15 @@ def _run_full_report(cfg: ScenarioConfig) -> dict:
     # vacuum mode sector integrated on the same log grid
     a = cfg.modeAmp
     mode_runs = []
-    n_steps = max(2000, 20 * (run.T.size - 1))
+    # at least 2000 steps, 20 or more per log interval, each log time on a step
+    intervals = run.T.size - 1
+    stride = max(20, -(-2000 // intervals))
+    n_steps = stride * intervals
     for lam in cfg.lambdaGrid:
         traj = modes.integrate_mode(lam, a, -a, (float(run.T[0]),
                                                  float(run.T[-1])),
                                     n_steps, eps_prime=cfg.epsPrime)
         mode_runs.append(traj)
-    stride = n_steps // (run.T.size - 1)
     E6 = np.zeros_like(run.T)
     g_norm_sq = np.zeros_like(run.T)
     for traj in mode_runs:
@@ -495,25 +573,24 @@ def _run_full_report(cfg: ScenarioConfig) -> dict:
     mons = energies.monitors(series, _monitor_config(cfg))
 
     summary = _decay_summary(cfg, run)
-    window = _fit_window(run.T)
-    g_fit = energies.decay_fit(run.T, np.sqrt(g_norm_sq), window=window)
-    summary["mode_metric_rate"] = g_fit.rate
+    _fit_rate(summary, "mode_metric_rate", run.T, np.sqrt(g_norm_sq),
+              _fit_window(run.T))
     summary["mode_metric_rate_floor"] = 1.0 - cfg.deltaE - 0.05
     summary["Etot_T0"] = mons["totalDecay"]["Etot0"]
 
     log = RunLog(columns=homogeneous.HOMOGENEOUS_CSV_COLUMNS + ["E6"])
     log.rows = [row + [float(e)] for row, e in zip(run.rows(), E6)]
-    rates_ok = (abs(summary["lapse_rate"] - 1.0) <= 0.1
+    rates_ok = ("unfitted" not in summary
+                and abs(summary["lapse_rate"] - 1.0) <= 0.1
                 and abs(summary["tau2_eta_under_rate"] - 2.0) <= 0.1
                 and summary["rho_drift_per_efold"] < 0.01
-                and g_fit.rate >= summary["mode_metric_rate_floor"])
-    mons["decay_rates"] = {"holds": bool(rates_ok),
-                           "lapse_rate": summary["lapse_rate"],
-                           "tau2_eta_under_rate":
-                               summary["tau2_eta_under_rate"],
-                           "rho_drift_per_efold":
-                               summary["rho_drift_per_efold"],
-                           "mode_metric_rate": g_fit.rate}
+                and summary["mode_metric_rate"]
+                >= summary["mode_metric_rate_floor"])
+    mons["decay_rates"] = {"holds": bool(rates_ok)}
+    for key in ("lapse_rate", "tau2_eta_under_rate", "rho_drift_per_efold",
+                "mode_metric_rate", "unfitted"):
+        if key in summary:
+            mons["decay_rates"][key] = summary[key]
     ok = all(m["holds"] for m in mons.values())
     return {"log": log, "monitors": mons, "summary": summary, "ok": ok}
 

@@ -36,9 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from scipy.integrate import trapezoid
-
-from ._quadrature import composite_gauss_legendre
+from ._quadrature import composite_gauss_legendre, trapezoid
 from ._rk4 import rk4_step
 from .geometry import LocalGeometry, TimeFrame, make_time_frame
 from .matter import RadialDistribution
@@ -50,6 +48,7 @@ __all__ = [
     "solve_lapse_algebraic",
     "hamiltonian_constraint_b",
     "scaling_closure_moments",
+    "initial_density",
     "evolve_homogeneous",
     "HOMOGENEOUS_CSV_COLUMNS",
 ]
@@ -138,6 +137,18 @@ def scaling_closure_moments(f0_vals: np.ndarray, u: np.ndarray,
     return rho, eta_under
 
 
+def initial_density(f0: RadialDistribution, tau0: float,
+                    n_nodes: int = 96) -> float:
+    """Initial energy density ``rho0`` of :func:`evolve_homogeneous`.
+
+    The exact-scaling closure at ``T = 0`` on ``n_nodes`` Gauss-Legendre
+    nodes; the run can start only if ``|tau0| rho0 < 1/6`` (the
+    constraint pole).
+    """
+    u, w = composite_gauss_legendre(0.0, f0.qmax, n_nodes)
+    return scaling_closure_moments(f0(u), u, w, 1.0, abs(float(tau0)))[0]
+
+
 def _lapse_from_closure(f0_vals, u, w, b, b0, s):
     r = b0 / b
     rho_c, eta_c = scaling_closure_moments(f0_vals, u, w, r, s)
@@ -176,7 +187,7 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
     u, w = composite_gauss_legendre(0.0, f0.qmax, n_nodes)
     f0_vals = f0(u)
 
-    rho0, _ = scaling_closure_moments(f0_vals, u, w, 1.0, s0)
+    rho0 = initial_density(f0, tau0, n_nodes)
     b0 = hamiltonian_constraint_b(rho0, make_time_frame(tau0, 0.0))
 
     f0_spline = CubicSpline(np.linspace(0.0, f0.qmax, 4 * n_q),

@@ -194,17 +194,18 @@ def manufactured_lapse_fields(eps: float) -> Callable[[float, np.ndarray], Batch
         )
 
     grad_sup = math.exp(0.5)
-    # the conformal factor is bounded below by exp(-2 eps / 3), which
-    # enters the frame norm of the raised lapse gradient as exp(eps / 3)
-    conf = math.exp(eps / 3.0)
+    size = abs(eps)  # the bounds hold for either sign of eps
+    # the conformal factor is bounded below by exp(-2 |eps| / 3), which
+    # enters the frame norm of the raised lapse gradient as exp(|eps| / 3)
+    conf = math.exp(size / 3.0)
     provider.norm_envelopes = {
         # sup-norm bounds of each correction field at time T
         "X": lambda T: 0.0,
         "dTX": lambda T: 0.0,
         "Sigma": lambda T: 0.0,
-        "Nm3": lambda T: eps * math.exp(-T),
-        "GammaStar": lambda T: (BACKGROUND_LAPSE + eps) * eps * math.exp(-T) * grad_sup * conf,
-        "GammaStarStar": lambda T: eps * math.exp(-T) / 3.0,
+        "Nm3": lambda T: size * math.exp(-T),
+        "GammaStar": lambda T: (BACKGROUND_LAPSE + size) * size * math.exp(-T) * grad_sup * conf,
+        "GammaStarStar": lambda T: size * math.exp(-T) / 3.0,
     }
     return provider
 

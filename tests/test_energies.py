@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from milne_lab._quadrature import trapezoid
 from milne_lab.energies import (
+    DecayFitError,
+    MONITOR_THRESHOLDS,
+    WeightConditionError,
     decay_fit,
     inverse_weight_integral,
     monitors,
@@ -142,6 +146,18 @@ class TestTotalEnergy:
         with pytest.raises(ValueError):
             validate_energy_weights(0.4, 0.7)
 
+    @pytest.mark.parametrize("deltaE, deltaEcal, condition", [
+        (0.0, 0.9, "deltaE < 1/2"),
+        (-0.1, 0.9, "deltaE < 1/2"),
+        (0.5, 0.9, "deltaE < 1/2"),
+        (0.05, 0.5, "deltaEcal > 1/2"),
+        (0.4, 0.7, "deltaE + deltaEcal < 1"),
+    ])
+    def test_failed_condition_is_named(self, deltaE, deltaEcal, condition):
+        with pytest.raises(WeightConditionError) as info:
+            validate_energy_weights(deltaE, deltaEcal)
+        assert str(info.value) == condition
+
 
 class TestDecayFit:
     def test_pure_exponential(self):
@@ -169,6 +185,21 @@ class TestDecayFit:
         v[10] = 0.0
         with pytest.raises(ValueError):
             decay_fit(T, v)
+
+    def test_unfittable_series_raise_the_named_error(self):
+        with pytest.raises(DecayFitError, match="8 samples"):
+            decay_fit(np.linspace(0, 1, 5), np.ones(5))
+        with pytest.raises(DecayFitError, match="positive"):
+            decay_fit(np.linspace(0, 1, 20), np.zeros(20))
+
+
+class TestTrapezoid:
+    def test_matches_scipy_bitwise(self):
+        from scipy.integrate import trapezoid as scipy_trapezoid
+        rng = np.random.default_rng(3)
+        x = np.sort(rng.uniform(0.0, 5.0, 257))
+        y = rng.normal(size=257)
+        assert trapezoid(y, x) == scipy_trapezoid(y, x)
 
 
 class TestTailConvergence:
@@ -240,3 +271,10 @@ class TestMonitors:
         run = synthetic_run()
         out = monitors(run, config={"smallnessDelta": 1e-6})
         assert not out["smallness"]["holds"]
+
+    def test_only_the_table_thresholds_are_settable(self):
+        assert set(MONITOR_THRESHOLDS) == {"epsDecay", "epsTot", "epsLoc",
+                                           "smallnessDelta", "deltaE",
+                                           "deltaEcal"}
+        with pytest.raises(ValueError, match="metricLowerBound"):
+            monitors(synthetic_run(), config={"metricLowerBound": 0.5})

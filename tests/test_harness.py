@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import milne_lab
+from milne_lab.energies import MONITOR_THRESHOLDS
 from milne_lab.harness import (
     CONFIG_SCHEMA,
     SCENARIOS,
@@ -101,6 +103,26 @@ class TestConfigRobustness:
         ({"quadNodes": 20}, "quadNodes multiple of 8"),
         ({"matterQmax": 0.0}, "matterQmax > 0"),
         ({"matterAmp": -1e-4}, "matterAmp >= 0"),
+        ({"deltaE": 0.0}, "deltaE < 1/2"),
+        ({"deltaEcal": 0.5}, "deltaEcal > 1/2"),
+        ({"perturbationEps": 1e6}, "|perturbationEps| < 3"),
+        ({"radialNodes": 1}, "radialNodes >= 2"),
+        ({"scenario": "homogeneous", "matterAmp": 0.05}, "|tau0| rho0 < 1/6"),
+        ({"scenario": "full_report", "tau0": -1e6}, "|tau0| rho0 < 1/6"),
+        ({"scenario": "characteristics", "T0": 1000.0, "Tend": 1000.01},
+         "|tau0| e^-Tend normal"),
+        ({"scenario": "homogeneous", "Tend": 800.0}, "|tau0| e^-Tend normal"),
+        ({"scenario": "modes", "h": 10.0}, "h <= Tend - T0"),
+        # run-size caps, checked by validation only: never run these
+        ({"scenario": "modes", "h": 1e-9}, "steps <= 10^6"),
+        ({"scenario": "homogeneous", "logEvery": 10**9}, "steps <= 10^6"),
+        ({"particleCount": 10**6 + 1}, "particleCount <= 10^6"),
+        ({"scenario": "characteristics", "particleCount": 10**6},
+         "particleCount x steps <= 10^9"),
+        ({"radialNodes": 10**4 + 1}, "radialNodes <= 10^4"),
+        ({"quadNodes": 10**4 + 8}, "quadNodes <= 10^4"),
+        ({"lambdaGrid": [1.0] * (10**4 + 1)}, "len(lambdaGrid) <= 10^4"),
+        ({"scenario": "homogeneous", "matterQmax": 5e-324}, "matterQmax"),
     ])
     def test_bad_value_named(self, extra, name):
         with pytest.raises(ConfigError) as info:
@@ -111,6 +133,12 @@ class TestConfigRobustness:
         with pytest.raises(ConfigError, match=r"\[Tend\]"):
             validate_config('{"scenario": "modes", "seed": 0, '
                             '"Tend": Infinity}')
+
+    def test_huge_run_rejected(self):
+        # validation only: this run would take days
+        with pytest.raises(ConfigError):
+            validate_config(base_config(scenario="characteristics", Tend=1e6,
+                                        particleCount=10**9))
 
     def test_characteristics_step_dividing_span_accepted(self):
         cfg = validate_config(base_config(scenario="characteristics",
@@ -157,6 +185,28 @@ def test_any_json_object_validates_or_raises_config_error(obj):
         assert isinstance(cfg, ScenarioConfig)
 
 
+class TestConfigSchema:
+    def test_schema_is_derived_from_the_dataclass(self):
+        fields = CONFIG_SCHEMA["fields"]
+        assert list(fields) == [f.name for f in dataclasses.fields(
+            ScenarioConfig)]
+        assert fields["scenario"]["choices"] == SCENARIOS
+        assert {n for n, spec in fields.items()
+                if spec.get("required")} == {"scenario", "seed"}
+        cfg = ScenarioConfig(scenario="modes", seed=0)
+        for name, spec in fields.items():
+            if "default" in spec:
+                default = getattr(cfg, name)
+                if isinstance(default, tuple):
+                    default = list(default)
+                assert spec["default"] == default, name
+
+    def test_threshold_defaults_come_from_the_energies_table(self):
+        cfg = validate_config(base_config())
+        for name, value in MONITOR_THRESHOLDS.items():
+            assert getattr(cfg, name) == value
+
+
 class TestRunLog:
     def test_append_and_column(self):
         log = RunLog(columns=["T", "v"])
@@ -194,6 +244,36 @@ class TestScenarios:
         assert np.array_equal(coarse[:, 0], fine[:, 0])
         assert not np.array_equal(coarse, fine)
         assert np.allclose(coarse, fine, rtol=1e-9, atol=0.0)
+
+    def test_halving_h_changes_modes_log(self):
+        logs = [run_scenario(validate_config(base_config(
+            scenario="modes", h=h)))["log"].rows for h in (0.01, 0.005)]
+        assert logs[0] != logs[1]
+
+    def test_unfittable_homogeneous_rates_are_null(self):
+        for extra in ({"logEvery": 2500}, {"Tend": 60.0, "h": 0.01}):
+            result = run_scenario(validate_config(
+                base_config(scenario="homogeneous", **extra)))
+            summary = result["summary"]
+            assert summary["lapse_rate"] is None
+            assert "lapse_rate" in summary["unfitted"]
+
+    def test_unfittable_mode_energy_fails_rate_table(self, tmp_path):
+        cfg = tmp_path / "modes.json"
+        cfg.write_text(json.dumps({"Tend": 400.0, "h": 0.01}))
+        out = tmp_path / "out"
+        assert main(["modes", "--config", str(cfg), "--out", str(out)]) == 1
+        table = json.load(open(out / "report.json"))["monitors"]["rate_table"]
+        assert not table["holds"]
+        unfitted = [m for m in table["modes"].values()
+                    if m["fitted_rate"] is None]
+        assert unfitted and all(not m["holds"] and m["unfitted"]
+                                for m in unfitted)
+
+    def test_negative_perturbation_holds_support_envelope(self):
+        result = run_scenario(validate_config(base_config(
+            scenario="characteristics", perturbationEps=-0.5, Tend=0.5)))
+        assert result["monitors"]["support_envelope"]["holds"]
 
     def test_modes_scenario_rate_table(self):
         result = run_scenario(validate_config(
@@ -269,6 +349,18 @@ class TestCli:
         assert main(["background-check", "--config", str(cfg),
                      "--strict"]) == 1
         assert main(["background-check", "--config", str(cfg)]) == 0
+
+    def test_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(milne_lab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, milne_lab; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_package_runs_as_module(self):
         src = os.path.dirname(os.path.dirname(milne_lab.__file__))
