@@ -264,6 +264,14 @@ def validate_config(raw) -> ScenarioConfig:
             f0 = _matter_profile(cfg)
         except ValueError as exc:  # a matterQmax too small to grid
             raise ConfigError(f"config error [matterQmax]: {exc}") from exc
+        # the log-point energy squares the profile's second derivative,
+        # -2 matterAmp / matterQmax^2, which must stay far inside the
+        # float range (the spline of the profile overflows first)
+        _named_check(cfg.matterAmp <= _MAX_CURVATURE * cfg.matterQmax**2,
+                     "matterQmax",
+                     f"matterAmp / matterQmax^2 must be <= 1e150, got "
+                     f"matterAmp={cfg.matterAmp}, "
+                     f"matterQmax={cfg.matterQmax}")
         rho0 = homogeneous.initial_density(f0, cfg.tau0, cfg.quadNodes)
         _named_check(abs(cfg.tau0) * rho0 < 1.0 / 6.0, "|tau0| rho0 < 1/6",
                      f"|tau0| rho0={abs(cfg.tau0) * rho0} reaches the "
@@ -275,14 +283,18 @@ _MAX_NODES = 10**4
 _MAX_PARTICLES = 10**6
 _MAX_STEPS = 10**6
 _MAX_PARTICLE_STEPS = 10**9
+_MAX_MODE_STEPS = 10**8
+_MAX_CURVATURE = 1e150
 
 
 def _check_run_size(cfg: ScenarioConfig) -> None:
     """Named checks on the step count and the run size.
 
-    The caps keep an accepted run to minutes: 10^9 particle-steps take
-    about a quarter of an hour at the 550-830 ns per particle-step
-    measured on a 2-vCPU VM.
+    The caps keep an accepted run to minutes.  Measured on a 2-vCPU VM
+    (``bench/bench.py``), a particle-step costs 200-500 ns (10^5 particles
+    on two threads to 10^3 particles on one), so 10^9 particle-steps take
+    3-8 minutes; a scalar step of one mode costs about 2.5 us, so the
+    10^8 mode steps of ``full_report`` take about 4 minutes.
     """
     for name in ("radialNodes", "quadNodes"):
         _named_check(getattr(cfg, name) <= _MAX_NODES, f"{name} <= 10^4",
@@ -303,6 +315,12 @@ def _check_run_size(cfg: ScenarioConfig) -> None:
         _named_check(cfg.particleCount * steps <= _MAX_PARTICLE_STEPS,
                      "particleCount x steps <= 10^9",
                      f"particleCount={cfg.particleCount}, steps={steps}")
+    if cfg.scenario == "full_report":
+        _, mode_steps = _mode_steps(steps // cfg.logEvery)
+        _named_check(len(cfg.lambdaGrid) * mode_steps <= _MAX_MODE_STEPS,
+                     "len(lambdaGrid) x mode steps <= 10^8",
+                     f"len(lambdaGrid)={len(cfg.lambdaGrid)}, "
+                     f"mode steps={mode_steps}")
 
 
 @dataclass
@@ -542,6 +560,16 @@ def _run_characteristics(cfg: ScenarioConfig) -> dict:
                         "final_calG": float(log_t.calG[-1])}, "ok": ok}
 
 
+def _mode_steps(intervals: int) -> tuple:
+    """``(stride, steps)`` of the ``full_report`` mode sector.
+
+    At least 2000 steps, 20 or more per log interval, and every one of
+    the ``intervals`` log intervals a whole number (``stride``) of steps.
+    """
+    stride = max(20, -(-2000 // intervals))
+    return stride, stride * intervals
+
+
 def _run_full_report(cfg: ScenarioConfig) -> dict:
     run = _homogeneous_run(cfg)
     if not run.completed:
@@ -551,10 +579,7 @@ def _run_full_report(cfg: ScenarioConfig) -> dict:
     # vacuum mode sector integrated on the same log grid
     a = cfg.modeAmp
     mode_runs = []
-    # at least 2000 steps, 20 or more per log interval, each log time on a step
-    intervals = run.T.size - 1
-    stride = max(20, -(-2000 // intervals))
-    n_steps = stride * intervals
+    stride, n_steps = _mode_steps(run.T.size - 1)
     for lam in cfg.lambdaGrid:
         traj = modes.integrate_mode(lam, a, -a, (float(run.T[0]),
                                                  float(run.T[-1])),

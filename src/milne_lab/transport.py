@@ -25,6 +25,30 @@ functions of ``(T, x)`` on particle batches.  Conformal providers
 (``g = a I``) take a closed-form path; dense fields go through the
 batched connection blocks of :func:`milne_lab.geometry.rescaled_christoffels`
 and the mass-shell algebra of :mod:`milne_lab.massshell`.
+
+Hot path.  The integrator packs the state of a chunk of particles as one
+``(7, n)`` array of rows ``x0 x1 x2 p0 p1 p2 q0``, so every component is
+a contiguous row.  A provider with a row form (the attribute
+``conformal_rows``, set by :func:`background_fields` and
+:func:`manufactured_lapse_fields`) writes its conformal fields as rows
+into preallocated buffers, and the derived right-hand side is evaluated
+from them in place (``out=``), with no :class:`BatchFields` built per
+RK4 stage.  The provider call ``provider(T, x)`` and the conformal branch
+of :func:`characteristic_rhs` are adapters over the same row kernels, so
+each formula exists once.  Dense fields, ``paper_form`` and providers
+without a row form run through the same loop with their
+:class:`BatchFields` right-hand side.
+
+The particles are split into chunks of ``_CHUNK`` (cache-sized: the
+buffers of one chunk are about 47 rows), each integrated over the whole
+run, and the chunks are shared by at most ``threads`` workers.  Nothing
+couples particles, so the output is bitwise independent of the chunk
+size and of the thread count.  The row-wise dot product :func:`_dot3`
+adds its three products as ``(a0 b0 + a2 b2) + a1 b1``, the order of
+``np.einsum("na,na->n")`` on ``(n, 3)`` arrays, so the row form gives
+bit for bit the results of the ``(n, 3)`` formulation it replaced
+(``|p|^2`` enters ``calG``, the residual and every stage, and a
+different rounding would change the logged trajectories).
 """
 
 from __future__ import annotations
@@ -35,7 +59,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._rk4 import rk4_step
+from ._rk4 import rk4_step_into
 from .geometry import (TimeFrame, make_time_frame, rescaled_christoffels,
                        BACKGROUND_LAPSE)
 from .massshell import compute_p0, mass_shell_residual
@@ -102,9 +126,9 @@ class BatchFields:
         return self
 
 
-# shared read-only zero/identity blocks, keyed by batch size; providers
-# are evaluated tens of thousands of times per run, so the trivial
-# blocks are allocated once (fields are treated as read-only by callers)
+# shared read-only zero blocks, keyed by batch size; the BatchFields
+# path evaluates a provider at every RK4 stage, so the trivial blocks are
+# allocated once (fields are treated as read-only by callers)
 _shared_blocks_cache: dict = {}
 
 
@@ -112,36 +136,79 @@ def _shared_blocks(n: int) -> dict:
     blocks = _shared_blocks_cache.get(n)
     if blocks is None:
         blocks = {
-            "scalar": np.broadcast_to(0.0, (n,)),
             "vector": np.broadcast_to(0.0, (n, 3)),
             "matrix": np.broadcast_to(0.0, (n, 3, 3)),
-            "tensor3": np.broadcast_to(0.0, (n, 3, 3, 3)),
-            "one": np.broadcast_to(1.0, (n,)),
-            "eye": np.broadcast_to(np.eye(3), (n, 3, 3)),
-            "lapse": np.full(n, BACKGROUND_LAPSE),
         }
-        blocks["lapse"].flags.writeable = False
         _shared_blocks_cache[n] = blocks
     return blocks
 
 
+# Row form of conformal fields: one (9, n) array whose rows hold N, the
+# three components of dN, dT N, the conformal factor a and the three
+# components of u = grad ln a.  A row-form fill ``fill(T, x, F, W)``
+# writes them for the position rows ``x (3, n)`` into ``F``, using the
+# scratch rows ``W (_SCRATCH_ROWS, n)``.
+_N, _DN, _DTN, _A, _U = 0, slice(1, 4), 4, 5, slice(6, 9)
+_FIELD_ROWS = 9
+_SCRATCH_ROWS = 10
+
+
+def _scratch(n: int) -> np.ndarray:
+    return np.empty((_SCRATCH_ROWS, n))
+
+
+def _dot3(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+          tmp: np.ndarray) -> np.ndarray:
+    """Column-wise dot product of two ``(3, n)`` row blocks, into ``out``.
+
+    ``tmp`` is ``(3, n)`` scratch.  The sum is ``(a0 b0 + a2 b2) + a1 b1``,
+    the order in which ``np.einsum("na,na->n")`` adds the products of an
+    ``(n, 3)`` pair, so the row form reproduces the ``(n, 3)`` results
+    bit for bit.
+    """
+    np.multiply(a, b, out=tmp)
+    np.add(tmp[0], tmp[2], out=out)
+    out += tmp[1]
+    return out
+
+
+def _conformal_batch(fill, T: float, x: np.ndarray) -> BatchFields:
+    """:class:`BatchFields` of a row-form fill at the positions ``x (n, 3)``."""
+    n = x.shape[0]
+    F = np.empty((_FIELD_ROWS, n))
+    fill(T, np.ascontiguousarray(x.T), F, _scratch(n))
+    z = _shared_blocks(n)
+    return BatchFields(
+        g=None, dg=None, dTg=None,  # dense blocks via materialize()
+        N=F[_N], dN=F[_DN].T.copy(), dTN=F[_DTN],
+        X=z["vector"], dX=z["matrix"], Sigma=z["matrix"], dTX=z["vector"],
+        conf_a=F[_A], conf_u=F[_U].T.copy())
+
+
+def _rows_of(f: BatchFields) -> np.ndarray:
+    """The row form of conformal :class:`BatchFields`."""
+    F = np.empty((_FIELD_ROWS, np.shape(f.N)[0]))
+    F[_N] = f.N
+    F[_DN] = np.transpose(f.dN)
+    F[_DTN] = f.dTN
+    F[_A] = f.conf_a
+    F[_U] = np.transpose(f.conf_u)
+    return F
+
+
+def _background_rows(T: float, x: np.ndarray, F: np.ndarray,
+                     W: np.ndarray) -> None:
+    F.fill(0.0)
+    F[_N] = BACKGROUND_LAPSE
+    F[_A] = 1.0
+
+
 def background_fields(T: float, x: np.ndarray) -> BatchFields:
     """The fixed point ``(identity frame, Sigma=0, N=3, X=0)``: conformal, a = 1."""
-    z = _shared_blocks(x.shape[0])
-    return BatchFields(
-        g=z["eye"],
-        dg=z["tensor3"],
-        N=z["lapse"],
-        dN=z["vector"],
-        X=z["vector"],
-        dX=z["matrix"],
-        Sigma=z["matrix"],
-        dTg=z["matrix"],
-        dTN=z["scalar"],
-        dTX=z["vector"],
-        conf_a=z["one"],
-        conf_u=z["vector"],
-    )
+    return _conformal_batch(_background_rows, T, x)
+
+
+background_fields.conformal_rows = _background_rows
 
 
 def manufactured_lapse_fields(eps: float) -> Callable[[float, np.ndarray], BatchFields]:
@@ -160,39 +227,42 @@ def manufactured_lapse_fields(eps: float) -> Callable[[float, np.ndarray], Batch
 
     Used for manufactured-solution invariant tests; the returned provider
     also exposes closed-form sup-norm envelopes of the correction fields
-    via the attribute ``norm_envelopes``.
+    via the attribute ``norm_envelopes``, and its row form via
+    ``conformal_rows``.
     """
 
     scale = math.exp(1.5)
 
-    def provider(T: float, x: np.ndarray) -> BatchFields:
-        z = _shared_blocks(x.shape[0])
-        x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
-        bump = scale * np.exp(-0.5 * np.einsum("na,na->n", x, x))
-        prod = x0 * x1
-        pairs = np.empty_like(x)
-        pairs[:, 0] = x1 * x2
-        pairs[:, 1] = x0 * x2
-        pairs[:, 2] = prod
-        prod = prod * x2
-        phi = bump * prod
-        dphi = (pairs - prod[:, None] * x) * bump[:, None]
+    def rows(T: float, x: np.ndarray, F: np.ndarray, W: np.ndarray) -> None:
+        bump, prod, phi = W[0], W[1], W[2]
+        pairs, dphi = W[3:6], W[6:9]
+        _dot3(x, x, bump, dphi)
+        bump *= -0.5
+        np.exp(bump, out=bump)
+        bump *= scale                           # e^{3/2} exp(-|x|^2 / 2)
+        np.multiply(x[1], x[2], out=pairs[0])
+        np.multiply(x[0], x[2], out=pairs[1])
+        np.multiply(x[0], x[1], out=pairs[2])
+        np.multiply(pairs[2], x[2], out=prod)  # x0 x1 x2
+        np.multiply(bump, prod, out=phi)
+        np.multiply(x, prod, out=dphi)
+        np.subtract(pairs, dphi, out=dphi)
+        dphi *= bump                            # grad phi
         decay = math.exp(-T)
         amp = eps * decay
         grown = (2.0 * eps / 3.0) * (1.0 - decay)
-        return BatchFields(
-            g=None, dg=None, dTg=None,  # dense blocks via materialize()
-            N=BACKGROUND_LAPSE + amp * phi,
-            dN=amp * dphi,
-            dTN=-amp * phi,
-            X=z["vector"],
-            dX=z["matrix"],
-            Sigma=z["matrix"],
-            dTX=z["vector"],
-            conf_a=np.exp(grown * phi),
-            conf_u=grown * dphi,
-        )
+        np.multiply(phi, amp, out=F[_N])
+        F[_N] += BACKGROUND_LAPSE
+        np.multiply(dphi, amp, out=F[_DN])
+        np.multiply(phi, -amp, out=F[_DTN])
+        np.multiply(phi, grown, out=F[_A])
+        np.exp(F[_A], out=F[_A])
+        np.multiply(dphi, grown, out=F[_U])
 
+    def provider(T: float, x: np.ndarray) -> BatchFields:
+        return _conformal_batch(rows, T, x)
+
+    provider.conformal_rows = rows
     grad_sup = math.exp(0.5)
     size = abs(eps)  # the bounds hold for either sign of eps
     # the conformal factor is bounded below by exp(-2 |eps| / 3), which
@@ -243,11 +313,95 @@ class ParticleEnsemble:
         return float(np.sum(self.weights))
 
 
-def _support_sq(f: BatchFields, p: np.ndarray) -> np.ndarray:
-    """Squared momentum norm ``|p|^2_g``; ``calG`` is the root of its max."""
-    if f.conf_a is not None:
-        return f.conf_a * np.einsum("na,na->n", p, p)
-    return np.einsum("na,nab,nb->n", p, f.g, p)
+# ---------------------------------------------------------------------------
+# conformal flow in row form
+# ---------------------------------------------------------------------------
+
+
+def _conformal_rhs(tau: float, p: np.ndarray, q0: np.ndarray, F: np.ndarray,
+                   k: np.ndarray, W: np.ndarray) -> None:
+    """Derived right-hand side of conformal fields, into the rows of ``k``.
+
+    ``p (3, n)`` and ``q0 (n,)`` are the momentum rows and the
+    co-evolved time component; ``k (7, n)`` receives ``dx, dp, dq0``.
+    The conformal frame metric ``g = a I`` is shift-free with zero
+    trace-free part, so the spatial connection is the gradient of
+    ``ln a`` and every contraction closes in flat dot products; the
+    inverse metric cancels the factor ``a`` inside the metric gradient,
+    so ``Gamma(g) p p = <u, p> p - |p|^2 u / 2`` is ``a``-independent.
+    """
+    N, dN, dTN, a, u = F[_N], F[_DN], F[_DTN], F[_A], F[_U]
+    p2, up, t, cp, nq, coef, c = W[0], W[1], W[2], W[3], W[4], W[5], W[6]
+    tmp = W[7:10]
+    _dot3(p, p, p2, tmp)
+    _dot3(u, p, up, tmp)
+    np.divide(tau, q0, out=t)
+    np.negative(t, out=c)
+    np.multiply(c, p, out=k[0:3])               # dx = -(tau / q0) p
+    # p coefficient: 2 (1 - N/3) from the corrected frame drag plus the
+    # <u, p> part of the spatial connection
+    np.multiply(N, 2.0 / 3.0, out=cp)
+    np.subtract(2.0, cp, out=cp)
+    np.multiply(t, up, out=c)
+    cp += c
+    np.multiply(N, q0, out=nq)
+    np.divide(nq, tau, out=coef)
+    coef /= a
+    dp = k[3:6]
+    np.multiply(cp, p, out=dp)
+    np.multiply(coef, dN, out=tmp)
+    dp += tmp
+    np.multiply(t, 0.5, out=c)
+    c *= p2
+    np.multiply(c, u, out=tmp)
+    dp -= tmp
+    # dg/dT = (2/3)(N - 3) g makes (2 g + dg/dT) p p = (2N/3) a |p|^2
+    grad_p = _dot3(dN, p, up, tmp)
+    np.divide(dTN, N, out=c)
+    np.negative(c, out=c)
+    c *= q0
+    np.divide(2.0 * tau, N, out=cp)
+    cp *= grad_p
+    c += cp
+    np.multiply(a, tau**2 / 3.0, out=cp)
+    cp *= p2
+    cp /= nq
+    np.subtract(c, cp, out=k[6])
+
+
+def _p0_rows(tau: float, F: np.ndarray, p: np.ndarray, out: np.ndarray,
+             W: np.ndarray) -> np.ndarray:
+    """On-shell time component ``sqrt(1 + tau^2 a |p|^2) / N``."""
+    _dot3(p, p, out, W[7:10])
+    out *= F[_A]
+    out *= tau**2
+    out += 1.0
+    np.sqrt(out, out=out)
+    out /= F[_N]
+    return out
+
+
+def _support_rows(F: np.ndarray, p: np.ndarray, out: np.ndarray,
+                  W: np.ndarray) -> np.ndarray:
+    """Squared momentum norm ``|p|^2_g = a |p|^2``."""
+    _dot3(p, p, out, W[7:10])
+    out *= F[_A]
+    return out
+
+
+def _residual_rows(tau: float, F: np.ndarray, p: np.ndarray, q0: np.ndarray,
+                   out: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Mass-shell residual ``1 + tau^2 a |p|^2 - (N q0)^2`` of ``q0``."""
+    p2, term = W[0], W[1]
+    _dot3(p, p, p2, W[7:10])
+    np.multiply(F[_A], tau**2, out=term)
+    term *= p2
+    np.multiply(F[_N], q0, out=out)
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    out += term
+    out += 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +409,19 @@ def _support_sq(f: BatchFields, p: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _support_sq(f: BatchFields, p: np.ndarray) -> np.ndarray:
+    """Squared momentum norm ``|p|^2_g``; ``calG`` is the root of its max."""
+    if f.conf_a is not None:
+        n = p.shape[0]
+        return _support_rows(_rows_of(f), p.T, np.empty(n), _scratch(n))
+    return np.einsum("na,nab,nb->n", p, f.g, p)
+
+
 def _batch_p0(f: BatchFields, p: np.ndarray, frame: TimeFrame) -> np.ndarray:
     """Closed-form nondimensional time component on a batch."""
     if f.conf_a is not None:
-        p2 = f.conf_a * np.einsum("na,na->n", p, p)
-        return np.sqrt(1.0 + frame.tau**2 * p2) / f.N
+        n = p.shape[0]
+        return _p0_rows(frame.tau, _rows_of(f), p.T, np.empty(n), _scratch(n))
     return compute_p0(f, p, frame, method="paper_primary")
 
 
@@ -267,8 +429,9 @@ def _residual(f: BatchFields, p: np.ndarray, q0: np.ndarray,
               frame: TimeFrame) -> np.ndarray:
     """Mass-shell residual of the co-evolved ``q0`` on a batch."""
     if f.conf_a is not None:
-        p2 = np.einsum("na,na->n", p, p)
-        return -(f.N * q0) ** 2 + frame.tau**2 * f.conf_a * p2 + 1.0
+        n = p.shape[0]
+        return _residual_rows(frame.tau, _rows_of(f), p.T, q0, np.empty(n),
+                              _scratch(n))
     return mass_shell_residual(f, p, q0, frame)
 
 
@@ -295,6 +458,8 @@ def characteristic_rhs(state, fields_at, frame: TimeFrame, mode: str = "derived"
     where the raw-dilution term ``+2p`` and the pure frame-drag term
     ``-2p`` have been cancelled symbolically.  The ``paper_form`` mode
     keeps the uncancelled ``-2p`` of the classical termwise expression.
+    Conformal fields are evaluated by the row-form kernel of the
+    integrator.
     """
     x, p = state
     f = fields_at
@@ -310,29 +475,10 @@ def characteristic_rhs(state, fields_at, frame: TimeFrame, mode: str = "derived"
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
 
     if f.conf_a is not None:
-        # conformal frame metric g = a I, shift-free, trace-free part
-        # zero: the spatial connection is the gradient of ln a and every
-        # contraction closes in flat dot products.  For g = a I the
-        # inverse metric cancels the factor a inside the metric gradient,
-        # so Gamma(g) p p = <u, p> p - |p|^2 u / 2 is a-independent.
-        a = f.conf_a
-        u = f.conf_u
-        N = f.N
-        p2 = np.einsum("na,na->n", p, p)
-        up = np.einsum("na,na->n", u, p)
-        tau_over_q0 = tau / q0
-        dx = -tau_over_q0[:, None] * p
-        # p coefficient: 2 (1 - N/3) from the corrected frame drag plus
-        # the <u, p> part of the spatial connection
-        cp = (2.0 - (2.0 / 3.0) * N) + tau_over_q0 * up
-        dp = (cp[:, None] * p
-              + ((N * q0 / tau) / a)[:, None] * f.dN
-              - (0.5 * tau_over_q0 * p2)[:, None] * u)
-        # dg/dT = (2/3)(N - 3) g makes (2 g + dg/dT) p p = (2N/3) a |p|^2
-        dq0 = (-(f.dTN / N) * q0
-               + (2.0 * tau / N) * np.einsum("na,na->n", f.dN, p)
-               - (tau**2 / 3.0) * a * p2 / (N * q0))
-        return dx, dp, dq0
+        n = p.shape[0]
+        k = np.empty((7, n))
+        _conformal_rhs(tau, p.T, q0, _rows_of(f), k, _scratch(n))
+        return k[0:3].T.copy(), k[3:6].T.copy(), k[6]
 
     if np.any(f.X != 0.0) or np.any(f.dTX != 0.0):
         raise NotImplementedError(
@@ -372,6 +518,86 @@ class TrajectoryLog:
     flagged: np.ndarray            # (n,) bool: left the flow, frozen since
 
 
+# Particles per chunk.  Each chunk is integrated over the whole run in
+# its own buffers, about 47 rows of 8-byte floats per particle.  Tuned at
+# 10^5 particles on two threads of a 2-vCPU VM: 16667 and 25000 ran
+# fastest (~1.9 s for 100 steps), 20000, 33334 and 50000 leave one
+# worker a chunk more (2.0-2.3 s).  Chunks small enough for L2 (~4000)
+# are faster on one thread but several times slower on two, which then
+# queue for the interpreter lock between the short numpy calls.
+_CHUNK = 25_000
+
+
+class _RowFlow:
+    """Derived flow of one chunk under a provider with a row form."""
+
+    def __init__(self, fill, tau0: float, size: int):
+        self.fill = fill
+        self.tau0 = tau0
+        self.F = np.empty((_FIELD_ROWS, size))
+        self.W = _scratch(size)
+
+    def p0(self, frame: TimeFrame, y: np.ndarray, out: np.ndarray) -> None:
+        self.fill(frame.T, y[0:3], self.F, self.W)
+        _p0_rows(frame.tau, self.F, y[3:6], out, self.W)
+
+    def rhs(self, T: float, y: np.ndarray, k: np.ndarray) -> None:
+        self.fill(T, y[0:3], self.F, self.W)
+        _conformal_rhs(make_time_frame(self.tau0, T).tau, y[3:6], y[6],
+                       self.F, k, self.W)
+
+    def observe(self, T: float, y: np.ndarray, G: np.ndarray,
+                residual: np.ndarray) -> np.ndarray:
+        self.fill(T, y[0:3], self.F, self.W)
+        _support_rows(self.F, y[3:6], G, self.W)
+        _residual_rows(make_time_frame(self.tau0, T).tau, self.F, y[3:6],
+                       y[6], residual, self.W)
+        return y[6]
+
+
+class _BatchFlow:
+    """Flow of one chunk through the provider's :class:`BatchFields`.
+
+    Used for dense fields, for ``paper_form`` and for providers without a
+    row form; it hands :func:`characteristic_rhs` the ``(n, 3)`` columns
+    of the packed state.
+    """
+
+    def __init__(self, fields, tau0: float, mode: str):
+        self.fields = fields
+        self.tau0 = tau0
+        self.mode = mode
+
+    def _at(self, T: float, y: np.ndarray) -> tuple:
+        x = y[0:3].T.copy()
+        p = y[3:6].T.copy()
+        return x, p, self.fields(T, x)
+
+    def p0(self, frame: TimeFrame, y: np.ndarray, out: np.ndarray) -> None:
+        _, p, f = self._at(frame.T, y)
+        out[...] = _batch_p0(f, p, frame)
+
+    def rhs(self, T: float, y: np.ndarray, k: np.ndarray) -> None:
+        x, p, f = self._at(T, y)
+        frame = make_time_frame(self.tau0, T)
+        if self.mode == "derived":
+            dx, dp, k[6] = characteristic_rhs((x, p), f, frame, self.mode, y[6])
+        else:
+            dx, dp = characteristic_rhs((x, p), f, frame, self.mode)
+            k[6] = 0.0
+        k[0:3] = dx.T
+        k[3:6] = dp.T
+
+    def observe(self, T: float, y: np.ndarray, G: np.ndarray,
+                residual: np.ndarray) -> np.ndarray:
+        _, p, f = self._at(T, y)
+        frame = make_time_frame(self.tau0, T)
+        q0 = _batch_p0(f, p, frame) if self.mode == "paper_form" else y[6]
+        G[...] = _support_sq(f, p)
+        residual[...] = _residual(f, p, q0, frame)
+        return q0
+
+
 def integrate_characteristics(ensemble: ParticleEnsemble,
                               fields: Callable[[float, np.ndarray], BatchFields],
                               frame0: TimeFrame, Tend: float, h: float,
@@ -381,101 +607,100 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
     """Integrate the characteristic system with fixed-step classical RK4.
 
     Returns ``(TrajectoryLog, final ParticleEnsemble)``.  ``log_every``
-    thins the output log; the final step is always logged.  ``threads``
-    splits the ensemble into contiguous chunks integrated independently
-    (results are concatenated in the original particle order, so the
-    output is thread-count independent).
+    thins the output log; the final step is always logged.  The ensemble
+    is split into chunks of ``_CHUNK`` particles, each integrated
+    independently; ``threads`` caps the number of worker threads that
+    share them.  Every particle's arithmetic is independent of the
+    chunking, so the output is independent of the thread count.
     """
+    if mode not in ("derived", "paper_form"):
+        raise ValueError(f"unknown mode {mode!r}")
     if h <= 0:
         raise ValueError("step size must be positive")
+    if log_every < 1:
+        raise ValueError("log_every must be positive")
     if Tend <= frame0.T:
         raise ValueError("Tend must exceed the initial time")
     n_steps = int(round((Tend - frame0.T) / h))
     if abs(frame0.T + n_steps * h - Tend) > 1e-9:
         raise ValueError("(Tend - T0) must be an integer number of steps")
 
-    if threads > 1 and ensemble.size > 1:
+    T0, tau0, n = frame0.T, frame0.tau0, ensemble.size
+    logged = list(range(log_every, n_steps + 1, log_every))
+    if not logged or logged[-1] != n_steps:
+        logged.append(n_steps)
+    log_row = {step: row for row, step in enumerate(logged, start=1)}
+    m = len(logged) + 1
+    log = TrajectoryLog(
+        T=np.array([T0] + [T0 + step * h for step in logged]),
+        x=np.empty((m, n, 3)), p=np.empty((m, n, 3)), p0=np.empty((m, n)),
+        massshell_residual=np.empty((m, n)), G=np.empty((m, n)),
+        calG=np.zeros(m), total_weight=np.full(m, ensemble.total_weight()),
+        flagged=np.zeros(n, dtype=bool))
+    final = np.empty((6, n))
+    starts = range(0, n, _CHUNK)
+    # largest G of a live particle, per chunk and log row
+    top = np.full((len(starts), m), -np.inf)
+    row_form = getattr(fields, "conformal_rows", None)
+
+    def run_chunk(i: int) -> None:
+        lo = starts[i]
+        hi = min(lo + _CHUNK, n)
+        flow = (_RowFlow(row_form, tau0, hi - lo)
+                if row_form is not None and mode == "derived"
+                else _BatchFlow(fields, tau0, mode))
+        # packed state: rows x0 x1 x2 p0 p1 p2 q0
+        y = np.empty((7, hi - lo))
+        y[0:3] = ensemble.x[lo:hi].T
+        y[3:6] = ensemble.p[lo:hi].T
+        flow.p0(frame0, y, y[6])
+        spare, k, acc = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+        flagged = log.flagged[lo:hi]
+        frozen = False
+
+        def record(row: int, T: float, y: np.ndarray) -> None:
+            G = log.G[row, lo:hi]
+            log.p0[row, lo:hi] = flow.observe(
+                T, y, G, log.massshell_residual[row, lo:hi])
+            log.x[row, lo:hi] = y[0:3].T
+            log.p[row, lo:hi] = y[3:6].T
+            live = G[~flagged] if frozen else G
+            if live.size:
+                top[i, row] = live.max()
+
+        record(0, T0, y)
+        T = T0
+        for step in range(1, n_steps + 1):
+            new = rk4_step_into(flow.rhs, T, y, h, spare, k, acc)
+            # a finite sum has no inf or NaN terms: one pass in the usual
+            # case, the particle-wise test only when it fails
+            if not (math.isfinite(new.sum()) and new[6].min() > 0.0):
+                flagged |= ~(np.isfinite(new).all(axis=0) & (new[6] > 0.0))
+                frozen = bool(flagged.any())
+            if frozen:
+                # a flagged particle keeps its last finite state
+                np.copyto(new, y, where=flagged)
+            y, spare = new, y
+            T = T0 + step * h
+            if step in log_row:
+                record(log_row[step], T, y)
+        final[:, lo:hi] = y[0:6]
+
+    workers = min(threads, len(starts))
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
-        bounds = np.linspace(0, ensemble.size, threads + 1).astype(int)
-        chunks = [ParticleEnsemble(ensemble.x[a:b], ensemble.p[a:b],
-                                   ensemble.weights[a:b])
-                  for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda ch: integrate_characteristics(
-                    ch, fields, frame0, Tend, h, mode, log_every, threads=1),
-                chunks))
-        logs = [lg for lg, _ in parts]
-        fins = [fe for _, fe in parts]
-        cat = lambda key, axis: np.concatenate([getattr(lg, key) for lg in logs], axis=axis)
-        log = TrajectoryLog(
-            T=logs[0].T, x=cat("x", 1), p=cat("p", 1), p0=cat("p0", 1),
-            massshell_residual=cat("massshell_residual", 1), G=cat("G", 1),
-            calG=np.max(np.stack([lg.calG for lg in logs]), axis=0),
-            total_weight=np.sum(np.stack([lg.total_weight for lg in logs]), axis=0),
-            flagged=cat("flagged", 0))
-        fin = ParticleEnsemble(*(np.concatenate([getattr(fe, key) for fe in fins])
-                                 for key in ("x", "p", "weights")))
-        return log, fin
-
-    tau0 = frame0.tau0
-    x, p = ensemble.x, ensemble.p  # each step makes new arrays
-    flagged = np.zeros(ensemble.size, dtype=bool)
-
-    T = frame0.T
-    q0 = _batch_p0(fields(T, x), p, frame0)
-
-    logs = {key: [] for key in ("T", "x", "p", "p0", "massshell_residual",
-                                "G", "calG", "total_weight")}
-
-    def record(T: float, x, p, q0):
-        f = fields(T, x)
-        frame = make_time_frame(tau0, T)
-        if mode == "paper_form":
-            q0 = _batch_p0(f, p, frame)
-        G = _support_sq(f, p)
-        live = G[~flagged]  # flagged particles sit frozen off the flow
-        row = {"T": T, "x": x, "p": p, "p0": q0,
-               "massshell_residual": _residual(f, p, q0, frame), "G": G,
-               "calG": float(np.sqrt(live.max())) if live.size else 0.0,
-               "total_weight": ensemble.total_weight()}
-        for key, value in row.items():
-            logs[key].append(value)
-
-    def rhs(T: float, y):
-        x, p, q0 = y
-        f = fields(T, x)
-        fr = make_time_frame(tau0, T)
-        if mode == "derived":
-            return characteristic_rhs((x, p), f, fr, mode, q0)
-        dx, dp = characteristic_rhs((x, p), f, fr, mode)
-        return dx, dp, np.zeros_like(q0)
-
-    record(T, x, p, q0)
-    for step in range(n_steps):
-        xn, pn, qn = rk4_step(rhs, T, (x, p, q0), h)
-        flagged |= ~(np.isfinite(qn) & (qn > 0))
-        # the row-wise test costs a few percent of a step at 10^5
-        # particles; run it only when some position or momentum is not
-        # finite
-        if not (np.isfinite(xn).all() and np.isfinite(pn).all()):
-            flagged |= ~(np.isfinite(xn).all(axis=1)
-                         & np.isfinite(pn).all(axis=1))
-        if flagged.any():
-            # a flagged particle keeps its last finite state, so no
-            # result depends on which particles share its chunk
-            xn = np.where(flagged[:, None], x, xn)
-            pn = np.where(flagged[:, None], p, pn)
-            qn = np.where(flagged, q0, qn)
-        x, p, q0 = xn, pn, qn
-        T = frame0.T + (step + 1) * h
-        if (step + 1) % log_every == 0 or step + 1 == n_steps:
-            record(T, x, p, q0)
-
-    log = TrajectoryLog(**{key: np.array(v) for key, v in logs.items()},
-                        flagged=flagged)
-    final = ParticleEnsemble(x, p, ensemble.weights.copy())
-    return log, final
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_chunk, range(len(starts))))
+    else:
+        for i in range(len(starts)):
+            run_chunk(i)
+    if len(starts):
+        G_max = top.max(axis=0)
+        live = ~np.isneginf(G_max)  # rows where some particle is live
+        log.calG[live] = np.sqrt(G_max[live])
+    fin = ParticleEnsemble(final[0:3].T.copy(), final[3:6].T.copy(),
+                           ensemble.weights.copy())
+    return log, fin
 
 
 # ---------------------------------------------------------------------------

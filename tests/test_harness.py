@@ -123,6 +123,15 @@ class TestConfigRobustness:
         ({"quadNodes": 10**4 + 8}, "quadNodes <= 10^4"),
         ({"lambdaGrid": [1.0] * (10**4 + 1)}, "len(lambdaGrid) <= 10^4"),
         ({"scenario": "homogeneous", "matterQmax": 5e-324}, "matterQmax"),
+        # the profile's curvature matterAmp / matterQmax^2 overflows the
+        # spline and the energy at the log points
+        ({"scenario": "homogeneous", "matterQmax": 1e-300, "Tend": 3.0,
+          "h": 0.01}, "matterQmax"),
+        ({"scenario": "full_report", "matterQmax": 1e-80}, "matterQmax"),
+        # 10^4 modes of 2 x 10^7 steps each: validation only
+        ({"scenario": "full_report", "logEvery": 1, "h": 5e-6,
+          "lambdaGrid": [1.0] * 10**4},
+         "len(lambdaGrid) x mode steps <= 10^8"),
     ])
     def test_bad_value_named(self, extra, name):
         with pytest.raises(ConfigError) as info:
@@ -139,6 +148,15 @@ class TestConfigRobustness:
         with pytest.raises(ConfigError):
             validate_config(base_config(scenario="characteristics", Tend=1e6,
                                         particleCount=10**9))
+
+    def test_mode_step_cap_counts_the_mode_sector(self):
+        # validation only: 10^4 modes of the default 10^4 mode steps sit
+        # on the cap; halving logEvery doubles the mode steps
+        validate_config(base_config(scenario="full_report",
+                                    lambdaGrid=[1.0] * 10**4))
+        with pytest.raises(ConfigError, match="mode steps"):
+            validate_config(base_config(scenario="full_report", logEvery=5,
+                                        lambdaGrid=[1.0] * 10**4))
 
     def test_characteristics_step_dividing_span_accepted(self):
         cfg = validate_config(base_config(scenario="characteristics",

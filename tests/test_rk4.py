@@ -1,6 +1,6 @@
 import numpy as np
 
-from milne_lab._rk4 import rk4_step
+from milne_lab._rk4 import rk4_step, rk4_step_into
 
 
 def test_float_pair_matches_written_out_stages():
@@ -52,3 +52,23 @@ def test_stage_times_and_order():
 
     rk4_step(f, 1.0, (0.0,), 0.5)
     assert seen == [1.0, 1.25, 1.25, 1.5]
+
+
+def test_buffered_step_matches_rk4_step():
+    rng = np.random.default_rng(1)
+    y = rng.normal(size=(7, 33))
+
+    def f(t, y):
+        return np.sin(y[::-1]) * y - t * np.roll(y, 1, axis=1)
+
+    def f_into(t, y, k):
+        k[...] = f(t, y)
+
+    t, h = 0.3, 0.07
+    before = y.copy()
+    out, k, acc = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    got = rk4_step_into(f_into, t, y, h, out, k, acc)
+    assert got is out
+    want = rk4_step(lambda t, ys: [f(t, ys[0])], t, [y], h)[0]
+    assert np.array_equal(got, want)
+    assert np.array_equal(y, before)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from milne_lab import transport
 from milne_lab.geometry import make_time_frame
 from milne_lab.transport import (
     BatchFields,
@@ -109,6 +110,20 @@ def dense_provider(eps):
     return provider
 
 
+def nan_front_provider():
+    """Manufactured fields whose lapse gradient turns NaN on a moving front.
+
+    Every particle the front overtakes gets flagged.
+    """
+    manufactured = manufactured_lapse_fields(EPS)
+
+    def provider(T, x):
+        f = manufactured(T, x)
+        f.dN = np.where((x[:, 0] > 1.15 - T / 2)[:, None], np.nan, f.dN)
+        return f
+    return provider
+
+
 class TestPaperForm:
     def test_paper_form_is_derived_minus_2p(self):
         rng = np.random.default_rng(5)
@@ -163,15 +178,7 @@ class TestIntegration:
         assert np.array_equal(log1.calG, log4.calG)
 
     def test_flagged_particles_freeze_independently_of_threads(self):
-        # a lapse gradient that turns NaN on a moving front flags every
-        # particle the front overtakes
-        manufactured = manufactured_lapse_fields(EPS)
-
-        def provider(T, x):
-            f = manufactured(T, x)
-            f.dN = np.where((x[:, 0] > 1.15 - T / 2)[:, None], np.nan, f.dN)
-            return f
-
+        provider = nan_front_provider()
         log1, fin1 = run(provider, n=64, span=0.5, log_every=10)
         log2, fin2 = run(provider, n=64, span=0.5, log_every=10, threads=2)
         assert int(np.sum(log1.flagged)) == 15
@@ -219,9 +226,120 @@ class TestIntegration:
         assert np.array_equal(log.calG, np.zeros(3))
         assert fin.size == 0
 
+    def test_log_every_must_be_positive(self):
+        with pytest.raises(ValueError, match="log_every"):
+            run(background_fields, n=4, span=0.1, h=1e-2, log_every=0)
+
     def test_step_must_divide_span(self):
         with pytest.raises(ValueError):
             run(background_fields, n=4, span=1.0005, h=1e-2)
+
+
+LOG_KEYS = ("T", "x", "p", "p0", "massshell_residual", "G", "calG",
+            "total_weight", "flagged")
+
+
+def assert_same_log(a, b):
+    for key in LOG_KEYS:
+        assert np.array_equal(getattr(a, key), getattr(b, key)), key
+
+
+METAMORPHIC_PROVIDERS = {
+    "row form": lambda: manufactured_lapse_fields(0.3),
+    "dense": lambda: dense_provider(0.3),
+    "flagging": nan_front_provider,
+}
+
+
+class TestMetamorphic:
+    """Bitwise invariances of the integrator under relabelling and chunking."""
+
+    @pytest.mark.parametrize("name", sorted(METAMORPHIC_PROVIDERS))
+    def test_permuting_particles_permutes_the_log(self, name, monkeypatch):
+        monkeypatch.setattr(transport, "_CHUNK", 7)  # several chunks
+        provider = METAMORPHIC_PROVIDERS[name]()
+        ens = sample_ensemble(40, seed=8)
+        perm = np.random.default_rng(9).permutation(ens.size)
+        shuffled = ParticleEnsemble(ens.x[perm], ens.p[perm],
+                                    ens.weights[perm])
+        frame0 = make_time_frame(-1.0, 0.0)
+        log, fin = integrate_characteristics(ens, provider, frame0, 0.4,
+                                             1e-2, log_every=10, threads=2)
+        log_s, fin_s = integrate_characteristics(shuffled, provider, frame0,
+                                                 0.4, 1e-2, log_every=10)
+        for key in ("x", "p", "p0", "massshell_residual", "G"):
+            assert np.array_equal(getattr(log_s, key),
+                                  getattr(log, key)[:, perm]), key
+        assert np.array_equal(log_s.flagged, log.flagged[perm])
+        for key in ("T", "calG", "total_weight"):
+            assert np.array_equal(getattr(log_s, key), getattr(log, key)), key
+        assert np.array_equal(fin_s.x, fin.x[perm])
+        assert np.array_equal(fin_s.p, fin.p[perm])
+        if name == "flagging":
+            assert 0 < int(np.sum(log.flagged)) < ens.size
+
+    @pytest.mark.parametrize("name", ["row form", "flagging"])
+    def test_chunk_size_does_not_change_results(self, name, monkeypatch):
+        provider = METAMORPHIC_PROVIDERS[name]()
+        reference, _ = run(provider, n=64, span=0.5, h=1e-2, log_every=5)
+        if name == "flagging":
+            assert 0 < int(np.sum(reference.flagged)) < 64
+        for chunk in (7, 64, transport._CHUNK):
+            monkeypatch.setattr(transport, "_CHUNK", chunk)
+            for threads in (1, 2):
+                log, _ = run(provider, n=64, span=0.5, h=1e-2, log_every=5,
+                             threads=threads)
+                assert_same_log(log, reference)
+
+    def test_row_kernel_matches_characteristic_rhs(self):
+        provider = manufactured_lapse_fields(0.3)
+        rng = np.random.default_rng(10)
+        n, T = 50, 0.7
+        x = rng.uniform(-1.2, 1.2, size=(n, 3))
+        p = rng.normal(size=(n, 3))
+        q0 = rng.uniform(0.3, 0.5, size=n)  # off shell: co-evolved values
+        frame = make_time_frame(-1.0, T)
+        want = characteristic_rhs((x, p), provider(T, x), frame, q0=q0)
+        y = np.concatenate([x.T, p.T, q0[None]])
+        k = np.empty_like(y)
+        transport._RowFlow(provider.conformal_rows, -1.0, n).rhs(T, y, k)
+        assert np.array_equal(k[0:3], want[0].T)
+        assert np.array_equal(k[3:6], want[1].T)
+        assert np.array_equal(k[6], want[2])
+
+    def test_row_kernel_matches_einsum_transcription(self):
+        # the derived conformal flow written on (n, 3) arrays with einsum
+        # dot products; the row kernel must reproduce it bit for bit
+        provider = manufactured_lapse_fields(0.3)
+        rng = np.random.default_rng(11)
+        n, T = 1000, 0.4
+        x = rng.uniform(-1.2, 1.2, size=(n, 3))
+        p = rng.normal(size=(n, 3))
+        q0 = rng.uniform(0.3, 0.5, size=n)
+        tau = make_time_frame(-1.0, T).tau
+        f = provider(T, x)
+        a, u, N = f.conf_a, f.conf_u, f.N
+        p2 = np.einsum("na,na->n", p, p)
+        up = np.einsum("na,na->n", u, p)
+        t = tau / q0
+        cp = (2.0 - (2.0 / 3.0) * N) + t * up
+        want = (-t[:, None] * p,
+                cp[:, None] * p + ((N * q0 / tau) / a)[:, None] * f.dN
+                - (0.5 * t * p2)[:, None] * u,
+                -(f.dTN / N) * q0
+                + (2.0 * tau / N) * np.einsum("na,na->n", f.dN, p)
+                - (tau**2 / 3.0) * a * p2 / (N * q0))
+        got = characteristic_rhs((x, p), f, make_time_frame(-1.0, T), q0=q0)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 1000, 4096])
+    def test_dot3_keeps_einsum_summation_order(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, 3)) * np.exp(rng.normal(scale=4, size=(n, 3)))
+        b = rng.normal(size=(n, 3))
+        got = transport._dot3(a.T, b.T, np.empty(n), np.empty((3, n)))
+        assert np.array_equal(got, np.einsum("na,na->n", a, b))
 
 
 class TestSupportEnvelope:
