@@ -1,11 +1,14 @@
-"""Particle scaling of the characteristic integrator.
+"""Particle scaling of transport and the cost of the full_report layers.
 
 Times ``transport.integrate_characteristics`` (derived mode, manufactured
 lapse with eps = 1e-3, h = 1e-3, tau0 = -1) at 10^3, 10^4 and 10^5
 particles on one and two threads, and writes a JSON table of ns per
 particle-step with the largest mass-shell residual of each run next to
-it, so a speedup that costs accuracy shows in the same row.  Standard
-library plus numpy; about half a minute on a 2-vCPU VM::
+it, so a speedup that costs accuracy shows in the same row.  The
+``report`` section times ``full_report`` at its defaults, the
+homogeneous closure per call, the homogeneous log point and one mode
+step, next to the run's constraint and continuity defects.  Standard
+library plus numpy; about 45 s on a 2-vCPU VM::
 
     python bench/bench.py --out BENCH_<n>.json
     python bench/bench.py --src OTHER_CHECKOUT/src --out before.json
@@ -34,6 +37,7 @@ THREADS = (1, 2)
 REPEATS = 3
 H = 1e-3
 EPS = 1e-3
+MODE_SPAN, MODE_STEPS = (0.0, 10.0), 10_000
 
 
 def source_lines(src: Path) -> int:
@@ -72,6 +76,93 @@ def run_once(transport, frame0, n: int, steps: int, threads: int) -> tuple:
         log_every=max(1, steps // 10), threads=threads)
     wall = time.perf_counter() - t0
     return wall, float(np.max(np.abs(log.massshell_residual)))
+
+
+def wall_of(fn) -> float:
+    """Wall time of one call of ``fn``."""
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def closure_cost(harness, homogeneous, cfg) -> float:
+    """Seconds per ``scaling_closure_moments`` call over one homogeneous
+    run, timed inside the call (whatever its signature)."""
+    closure = homogeneous.scaling_closure_moments
+    spent, calls = [0.0], [0]
+
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return closure(*args, **kwargs)
+        finally:
+            spent[0] += time.perf_counter() - t0
+            calls[0] += 1
+
+    homogeneous.scaling_closure_moments = timed
+    try:
+        harness.run_scenario(cfg)
+    finally:
+        homogeneous.scaling_closure_moments = closure
+    return spent[0] / calls[0]
+
+
+def report_section() -> dict:
+    """Wall time of ``full_report`` and the cost of its three layers."""
+    from milne_lab import harness, homogeneous, modes
+
+    cfg = harness.validate_config({"scenario": "full_report", "seed": 0})
+    result = harness.run_scenario(cfg)  # also pays the first-call costs
+    report_walls = [wall_of(lambda: harness.run_scenario(cfg))
+                    for _ in range(REPEATS)]
+
+    hom_cfg = harness.validate_config({"scenario": "homogeneous", "seed": 0})
+    closure_s = statistics.median(closure_cost(harness, homogeneous, hom_cfg)
+                                  for _ in range(REPEATS))
+
+    # a log point: the run logging every logEvery steps against the same
+    # run logging only its two ends
+    n_steps = harness._homogeneous_steps(cfg)
+    args = (harness._matter_profile(cfg), cfg.tau0, cfg.Tend - cfg.T0,
+            n_steps)
+    kwargs = {"n_q": cfg.radialNodes, "n_nodes": cfg.quadNodes}
+    walls = {cfg.logEvery: [], n_steps: []}
+    for _ in range(REPEATS):  # interleaved, so drift hits both alike
+        for every in walls:
+            walls[every].append(wall_of(
+                lambda: homogeneous.evolve_homogeneous(
+                    *args, log_every=every, **kwargs)))
+    extra_points = n_steps // cfg.logEvery + 1 - 2
+    log_point_s = (statistics.median(walls[cfg.logEvery])
+                   - statistics.median(walls[n_steps])) / extra_points
+
+    lambdas = cfg.lambdaGrid
+    mode_s = statistics.median(
+        wall_of(lambda: [modes.integrate_mode(lam, 1.0, -1.0, MODE_SPAN,
+                                              MODE_STEPS) for lam in lambdas])
+        for _ in range(REPEATS))
+    section = {
+        "config": "full_report defaults, seed 0",
+        "repeats": REPEATS,
+        "statistic": "median wall time over the repeats",
+        "full_report_wall_s": round(statistics.median(report_walls), 4),
+        "full_report_walls_s": [round(w, 4) for w in report_walls],
+        "closure_us_per_call": round(1e6 * closure_s, 2),
+        "log_point_ms": round(1e3 * log_point_s, 3),
+        "log_point_method": f"(wall at logEvery {cfg.logEvery} - wall at "
+                            f"2 log points) / {extra_points}, "
+                            f"{n_steps} steps each",
+        "mode_ns_per_step": round(1e9 * mode_s
+                                  / (len(lambdas) * MODE_STEPS), 1),
+        "mode_steps": f"{len(lambdas)} lambdas x {MODE_STEPS} steps",
+        "constraint_defect": result["summary"]["constraint_defect"],
+        "continuity_defect": result["summary"]["continuity_defect"],
+    }
+    print(f"full_report {section['full_report_wall_s']:.3f} s, closure "
+          f"{section['closure_us_per_call']:.2f} us/call, log point "
+          f"{section['log_point_ms']:.3f} ms, mode step "
+          f"{section['mode_ns_per_step']:.0f} ns")
+    return section
 
 
 def main(argv=None) -> int:
@@ -121,6 +212,7 @@ def main(argv=None) -> int:
             "statistic": "median wall time over the repeats",
             "rows": rows,
         },
+        "report": report_section(),
     }
     out = ROOT / args.out
     out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -293,8 +293,8 @@ def _check_run_size(cfg: ScenarioConfig) -> None:
     The caps keep an accepted run to minutes.  Measured on a 2-vCPU VM
     (``bench/bench.py``), a particle-step costs 200-500 ns (10^5 particles
     on two threads to 10^3 particles on one), so 10^9 particle-steps take
-    3-8 minutes; a scalar step of one mode costs about 2.5 us, so the
-    10^8 mode steps of ``full_report`` take about 4 minutes.
+    3-8 minutes; a scalar step of one mode costs about 1 us, so the
+    10^8 mode steps of ``full_report`` take about 2 minutes.
     """
     for name in ("radialNodes", "quadNodes"):
         _named_check(getattr(cfg, name) <= _MAX_NODES, f"{name} <= 10^4",
@@ -493,14 +493,19 @@ def _decay_summary(cfg: ScenarioConfig, run) -> dict:
     window = _fit_window(run.T)
     mask = run.T >= run.T[-1] - 1.0
     rho_final = run.rho[mask]
-    rho_drift = float(abs(rho_final[-1] - rho_final[0]) / rho_final[-1])
     summary = {
-        "rho_drift_per_efold": rho_drift,
+        "rho_drift_per_efold": None,
         "fit_window": list(window),
         "constraint_defect": float(np.max(np.abs(run.b_ode
                                                  - run.b_constraint))),
         "continuity_defect": float(np.max(np.abs(run.rho - run.rho_cont))),
     }
+    if rho_final[-1] > 0.0:
+        summary["rho_drift_per_efold"] = float(
+            abs(rho_final[-1] - rho_final[0]) / rho_final[-1])
+    else:  # no matter: a relative drift of zero density is undefined
+        summary.setdefault("unfitted", {})["rho_drift_per_efold"] = \
+            "density is zero at the end of the run"
     _fit_rate(summary, "lapse_rate", run.T, np.abs(run.N - 3.0), window)
     _fit_rate(summary, "tau2_eta_under_rate", run.T, s**2 * run.eta_under,
               window)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +276,28 @@ class TestScenarios:
             summary = result["summary"]
             assert summary["lapse_rate"] is None
             assert "lapse_rate" in summary["unfitted"]
+
+    @pytest.mark.parametrize("scenario", ["homogeneous", "full_report"])
+    def test_matter_free_drift_is_null_and_report_strict_json(
+            self, scenario, tmp_path):
+        def reject(name):
+            raise ValueError(f"report.json carries the bare constant {name}")
+
+        cfg = validate_config(base_config(scenario=scenario, matterAmp=0.0,
+                                          Tend=4.0, h=0.005))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_scenario(cfg)
+        summary = result["summary"]
+        assert summary["rho_drift_per_efold"] is None
+        assert "rho_drift_per_efold" in summary["unfitted"]
+        paths = emit_report(result, str(tmp_path))
+        report = json.loads(open(paths["json"]).read(),
+                            parse_constant=reject)
+        assert report["summary"]["rho_drift_per_efold"] is None
+        if scenario == "full_report":
+            assert not result["ok"]
+            assert report["monitors"]["decay_rates"]["holds"] is False
 
     def test_unfittable_mode_energy_fails_rate_table(self, tmp_path):
         cfg = tmp_path / "modes.json"

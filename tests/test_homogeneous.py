@@ -1,11 +1,21 @@
+import dataclasses
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from milne_lab._quadrature import composite_gauss_legendre
 from milne_lab.homogeneous import (
     HOMOGENEOUS_CSV_COLUMNS,
     ConstraintSingularError,
+    HomogeneousRun,
+    _closure_nodes,
     evolve_homogeneous,
     hamiltonian_constraint_b,
+    initial_density,
+    scaling_closure_moments,
     solve_lapse_algebraic,
 )
 from milne_lab.geometry import make_time_frame
@@ -124,3 +134,56 @@ class TestFailureModes:
     def test_nonpositive_steps_rejected(self):
         with pytest.raises(ValueError):
             evolve_homogeneous(bump(2e-3), tau0=-1.0, T_end=1.0, n_steps=0)
+
+
+def closure_from_nodes(f0_vals, u, w, r, s):
+    """The closure written on the raw nodes, weights and f0 values."""
+    ph = np.sqrt(1.0 + (s**2 * r) * u**2)
+    rho = 4.0 * math.pi * r**1.5 * float(np.sum(w * f0_vals * ph * u**2))
+    eta_under = 4.0 * math.pi * r**2.5 * float(np.sum(w * f0_vals * u**4
+                                                       / ph))
+    return rho, eta_under
+
+
+def assert_bitwise(got, want, what=""):
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert np.array_equal(got, want), what
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), what
+
+
+class TestClosureBitwise:
+    @pytest.mark.parametrize("n_nodes", [48, 96])
+    def test_node_products_match_raw_formula(self, n_nodes):
+        f0 = bump(2e-3)
+        u, w = composite_gauss_legendre(0.0, f0.qmax, n_nodes)
+        f0_vals = f0(u)
+        nodes = _closure_nodes(f0, n_nodes)
+        for got, want in zip(nodes, (w * f0_vals, u**2, w * f0_vals * u**4)):
+            assert_bitwise(got, want)
+        rng = np.random.default_rng(11)
+        rs = rng.uniform(0.01, 1.0, size=300)
+        ss = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 2.0, size=298)])
+        got = [scaling_closure_moments(*nodes, r, s) for r, s in zip(rs, ss)]
+        want = [closure_from_nodes(f0_vals, u, w, r, s)
+                for r, s in zip(rs, ss)]
+        assert_bitwise(got, want)
+        assert_bitwise(initial_density(f0, -0.7, n_nodes),
+                       closure_from_nodes(f0_vals, u, w, 1.0, 0.7)[0])
+
+
+class TestRunBitwise:
+    def test_run_matches_recorded_reference(self):
+        data = Path(__file__).parent / "data"
+        ref = json.loads((data / "homogeneous_run_reference.json").read_text())
+        run = evolve_homogeneous(bump(2e-3), tau0=-1.0, T_end=4.0,
+                                 n_steps=200, log_every=20, n_nodes=48,
+                                 n_q=65)
+        assert run.completed
+        arrays = [f.name for f in dataclasses.fields(HomogeneousRun)
+                  if isinstance(getattr(run, f.name), np.ndarray)]
+        assert sorted(arrays) == sorted(set(ref) - {"about", "b0"})
+        for name in arrays:
+            want = [float.fromhex(v) for v in ref[name]]
+            assert_bitwise(getattr(run, name), want, name)
+        assert float(run.b0).hex() == ref["b0"]

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from milne_lab._rk4 import rk4_step
 from milne_lab.geometry import correction_constants
+from milne_lab.harness import ScenarioConfig
 from milne_lab.modes import (
     MODE_CSV_COLUMNS,
     coercivity_check,
@@ -120,3 +123,43 @@ class TestForcedRuns:
         traj = integrate_mode(1.0, 1.0, -1.0, (0.0, 10.0), 5000, S_amp=0.3)
         late = np.abs(traj.u[traj.T > 8.0])
         assert np.max(late) < 0.01
+
+
+DEFAULT_LAMBDAS = next(f.default for f in dataclasses.fields(ScenarioConfig)
+                       if f.name == "lambdaGrid")
+
+
+def mode_rhs_loop(lam, u0, w0, T_span, n_steps, S_amp, s0):
+    """``integrate_mode``'s states from ``rk4_step`` driven by ``mode_rhs``."""
+    T0, T1 = T_span
+    h = (T1 - T0) / n_steps
+
+    def f(T, y):
+        return mode_rhs(y[0], y[1], lam, T, S_amp, s0)
+
+    T, U, W = [T0], [u0], [w0]
+    y = (u0, w0)
+    for i in range(n_steps):
+        t = T0 + i * h
+        y = rk4_step(f, t, y, h)
+        T.append(t + h)
+        U.append(y[0])
+        W.append(y[1])
+    return np.array(T), np.array(U), np.array(W)
+
+
+class TestWrittenOutStages:
+    @pytest.mark.parametrize("S_amp, s0", [(0.0, 1.0), (1.0, 1.0),
+                                           (1.0, 0.7)])
+    @pytest.mark.parametrize("T_span, n_steps", [((0.0, 8.0), 2000),
+                                                 ((0.3, 5.0), 1000)])
+    def test_bitwise_equal_to_rk4_step_over_mode_rhs(self, S_amp, s0,
+                                                      T_span, n_steps):
+        for lam in DEFAULT_LAMBDAS:
+            traj = integrate_mode(lam, 1.0, -1.0, T_span, n_steps,
+                                  S_amp=S_amp, s0=s0)
+            want = mode_rhs_loop(lam, 1.0, -1.0, T_span, n_steps, S_amp, s0)
+            for got, ref in zip((traj.T, traj.u, traj.w), want):
+                assert np.array_equal(got, ref), lam
+                assert np.array_equal(got.view(np.int64),
+                                      ref.view(np.int64)), lam
