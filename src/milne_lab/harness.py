@@ -358,11 +358,11 @@ def _thread_budget() -> int:
     raw = os.environ.get("MILNE_LAB_THREADS", "1")
     try:
         n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"config error [MILNE_LAB_THREADS]: not an integer: {raw!r}"
-        ) from exc
-    return max(1, n)
+    except ValueError:  # named below, with the values <= 0
+        n = 0
+    _named_check(n > 0, "MILNE_LAB_THREADS",
+                 f"must be a positive integer, got {raw!r}")
+    return n
 
 
 def _matter_profile(cfg: ScenarioConfig):
@@ -405,9 +405,8 @@ def _run_background_check(cfg: ScenarioConfig) -> dict:
                                 "margin": 1e-12 - worst},
                 "algebraic_lapse_exact": {"holds": bool(lapse_exact),
                                           "value": N0}}
-    ok = monitors["fixed_point"]["holds"] and lapse_exact
     return {"log": log, "monitors": monitors,
-            "summary": {"worst_residual": worst, "lapse": N0}, "ok": ok}
+            "summary": {"worst_residual": worst, "lapse": N0}}
 
 
 def _fit_rate(into: dict, key: str, T, v, window=None) -> None:
@@ -452,8 +451,7 @@ def _run_modes(cfg: ScenarioConfig) -> dict:
                                             for v in per_mode.values()),
                                "modes": per_mode}}
     return {"log": log, "monitors": monitors,
-            "summary": {"n_modes": len(log.rows)},
-            "ok": monitors["rate_table"]["holds"]}
+            "summary": {"n_modes": len(log.rows)}}
 
 
 def _fit_window(T: np.ndarray) -> tuple:
@@ -518,13 +516,12 @@ def _run_homogeneous(cfg: ScenarioConfig) -> dict:
     log.rows = run.rows()
     if not run.completed:
         return {"log": log, "monitors": {},
-                "summary": {"abort": run.abort_reason}, "ok": False}
+                "summary": {"abort": run.abort_reason}}
     mons = energies.monitors(_homogeneous_series(cfg, run),
                              _monitor_config(cfg))
     summary = _decay_summary(cfg, run)
     summary["b0"] = run.b0
-    ok = run.completed and all(m["holds"] for m in mons.values())
-    return {"log": log, "monitors": mons, "summary": summary, "ok": ok}
+    return {"log": log, "monitors": mons, "summary": summary}
 
 
 def _run_characteristics(cfg: ScenarioConfig) -> dict:
@@ -540,9 +537,8 @@ def _run_characteristics(cfg: ScenarioConfig) -> dict:
     log_t, _ = transport.integrate_characteristics(
         ens, provider, frame0, cfg.Tend, cfg.h, mode="derived",
         log_every=max(1, int(round(0.05 / cfg.h))), threads=threads)
-    norms = {key: np.array([provider.norm_envelopes[key](t) for t in log_t.T])
-             for key in ("X", "Sigma", "Nm3", "dTX", "GammaStar",
-                         "GammaStarStar")}
+    norms = {key: np.array([bound(t) for t in log_t.T])
+             for key, bound in provider.norm_envelopes.items()}
     norms["tau0_abs"] = abs(cfg.tau0)
     gron = transport.support_bound_check(log_t.T, log_t.calG, norms,
                                          C=cfg.gronwallC)
@@ -559,10 +555,9 @@ def _run_characteristics(cfg: ScenarioConfig) -> dict:
     log.rows = [[float(t), float(g), float(r), float(e)]
                 for t, g, r, e in zip(log_t.T, log_t.calG, res_by_step,
                                       gron["envelope"])]
-    ok = all(m["holds"] for m in monitors.values())
     return {"log": log, "monitors": monitors,
             "summary": {"max_residual": max_res, "flagged": flagged,
-                        "final_calG": float(log_t.calG[-1])}, "ok": ok}
+                        "final_calG": float(log_t.calG[-1])}}
 
 
 def _mode_steps(intervals: int) -> tuple:
@@ -579,8 +574,7 @@ def _run_full_report(cfg: ScenarioConfig) -> dict:
     run = _homogeneous_run(cfg)
     if not run.completed:
         return {"log": RunLog(columns=homogeneous.HOMOGENEOUS_CSV_COLUMNS),
-                "monitors": {}, "summary": {"abort": run.abort_reason},
-                "ok": False}
+                "monitors": {}, "summary": {"abort": run.abort_reason}}
     # vacuum mode sector integrated on the same log grid
     a = cfg.modeAmp
     mode_runs = []
@@ -621,8 +615,7 @@ def _run_full_report(cfg: ScenarioConfig) -> dict:
                 "mode_metric_rate", "unfitted"):
         if key in summary:
             mons["decay_rates"][key] = summary[key]
-    ok = all(m["holds"] for m in mons.values())
-    return {"log": log, "monitors": mons, "summary": summary, "ok": ok}
+    return {"log": log, "monitors": mons, "summary": summary}
 
 
 _RUNNERS = {
@@ -638,9 +631,12 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     """Dispatch a validated configuration to its scenario runner.
 
     Returns ``{"log": RunLog, "monitors": ..., "summary": ..., "ok": bool,
-    "config": cfg}``; deterministic for fixed ``(config, seed)``.
+    "config": cfg}``; deterministic for fixed ``(config, seed)``.  ``ok``
+    holds when the run did not abort and every monitor holds.
     """
     result = _RUNNERS[cfg.scenario](cfg)
+    result["ok"] = ("abort" not in result["summary"]
+                    and all(m["holds"] for m in result["monitors"].values()))
     result["config"] = cfg
     return result
 
@@ -776,11 +772,10 @@ def main(argv=None) -> int:
         raw["out"] = args.out
     try:
         cfg = validate_config(raw)
+        result = run_scenario(cfg)  # reads the thread budget
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-
-    result = run_scenario(cfg)
     ok = bool(result["ok"])
     if args.strict and ok:
         failing = _strict_margins(result["monitors"], cfg.strictMarginFloor)

@@ -113,8 +113,7 @@ class HomogeneousRun:
 
     def rows(self) -> list:
         """CSV rows following :data:`HOMOGENEOUS_CSV_COLUMNS`."""
-        cols = [self.T, self.tau, self.b_ode, self.b_constraint, self.N,
-                self.rho, self.eta_under, self.G, self.E_report]
+        cols = [getattr(self, name) for name in HOMOGENEOUS_CSV_COLUMNS]
         return [list(map(float, vals)) for vals in zip(*cols)]
 
 
@@ -220,9 +219,7 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
 
     h = T_end / n_steps
     b, rho_cont = b0, rho0
-    logs = {k: [] for k in ("T", "tau", "b_ode", "b_constraint", "N", "rho",
-                            "eta_under", "G", "E_report", "rho_closure",
-                            "eta_under_closure", "rho_cont")}
+    rows = []  # one tuple per log point, in HomogeneousRun field order
     completed, abort_reason = True, None
 
     def log_point(T, b, rho_cont):
@@ -255,12 +252,8 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
                                    values=fq)
         E = sasaki_energy(f_now, geom, ell=energy_ell, mu=energy_mu,
                           ladder_ell=energy_ladder)
-        row = {"T": T, "tau": frame.tau, "b_ode": b, "b_constraint": b_con,
-               "N": N, "rho": rho_g, "eta_under": eta_g,
-               "G": f0.qmax * stretch, "E_report": E, "rho_closure": rho_c,
-               "eta_under_closure": eta_c, "rho_cont": rho_cont}
-        for k, v in row.items():
-            logs[k].append(v)
+        rows.append((T, frame.tau, b, b_con, N, rho_g, eta_g,
+                     f0.qmax * stretch, E, rho_c, eta_c, rho_cont))
         return True
 
     if log_point(0.0, b, rho_cont):
@@ -270,13 +263,7 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
                 if not log_point((i + 1) * h, b, rho_cont):
                     break
 
-    return HomogeneousRun(
-        T=np.array(logs["T"]), tau=np.array(logs["tau"]),
-        b_ode=np.array(logs["b_ode"]),
-        b_constraint=np.array(logs["b_constraint"]), N=np.array(logs["N"]),
-        rho=np.array(logs["rho"]), eta_under=np.array(logs["eta_under"]),
-        G=np.array(logs["G"]), E_report=np.array(logs["E_report"]),
-        rho_closure=np.array(logs["rho_closure"]),
-        eta_under_closure=np.array(logs["eta_under_closure"]),
-        rho_cont=np.array(logs["rho_cont"]), b0=b0,
-        completed=completed, abort_reason=abort_reason)
+    # reshape keeps the twelve series when a run aborts at T = 0
+    series = np.array(rows, dtype=float).reshape(-1, 12).T.copy()
+    return HomogeneousRun(*series, b0=b0, completed=completed,
+                          abort_reason=abort_reason)

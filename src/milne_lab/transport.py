@@ -27,17 +27,17 @@ batched connection blocks of :func:`milne_lab.geometry.rescaled_christoffels`
 and the mass-shell algebra of :mod:`milne_lab.massshell`.
 
 Hot path.  The integrator packs the state of a chunk of particles as one
-``(7, n)`` array of rows ``x0 x1 x2 p0 p1 p2 q0``, so every component is
-a contiguous row.  A provider with a row form (the attribute
+``(7, n)`` array of rows ``x0 x1 x2 p0 p1 p2 q0`` and drives every chunk
+through one flow.  Conformal fields reach the row kernels as the row
+views ``(N, dN, dTN, a, u)``: a provider with a row form (the attribute
 ``conformal_rows``, set by :func:`background_fields` and
-:func:`manufactured_lapse_fields`) writes its conformal fields as rows
-into preallocated buffers, and the derived right-hand side is evaluated
-from them in place (``out=``), with no :class:`BatchFields` built per
-RK4 stage.  The provider call ``provider(T, x)`` and the conformal branch
-of :func:`characteristic_rhs` are adapters over the same row kernels, so
-each formula exists once.  Dense fields, ``paper_form`` and providers
-without a row form run through the same loop with their
-:class:`BatchFields` right-hand side.
+:func:`manufactured_lapse_fields`) fills preallocated rows in place, with
+no :class:`BatchFields` per RK4 stage, and the conformal
+:class:`BatchFields` of any other provider are viewed as rows.
+``paper_form`` runs the same kernels at the on-shell ``q0``; dense fields
+run :func:`characteristic_rhs`.  The views go one way only: ``dN`` and
+``conf_u`` of :class:`BatchFields` are ``(n, 3)`` copies of their rows,
+because ``np.einsum("na,na->n")`` sums a strided operand in another order.
 
 The particles are split into chunks of ``_CHUNK`` (cache-sized: the
 buffers of one chunk are about 47 rows), each integrated over the whole
@@ -126,31 +126,18 @@ class BatchFields:
         return self
 
 
-# shared read-only zero blocks, keyed by batch size; the BatchFields
-# path evaluates a provider at every RK4 stage, so the trivial blocks are
-# allocated once (fields are treated as read-only by callers)
-_shared_blocks_cache: dict = {}
-
-
-def _shared_blocks(n: int) -> dict:
-    blocks = _shared_blocks_cache.get(n)
-    if blocks is None:
-        blocks = {
-            "vector": np.broadcast_to(0.0, (n, 3)),
-            "matrix": np.broadcast_to(0.0, (n, 3, 3)),
-        }
-        _shared_blocks_cache[n] = blocks
-    return blocks
-
-
-# Row form of conformal fields: one (9, n) array whose rows hold N, the
-# three components of dN, dT N, the conformal factor a and the three
-# components of u = grad ln a.  A row-form fill ``fill(T, x, F, W)``
+# Row form of conformal fields: the tuple of row views ``(N, dN, dTN, a,
+# u)`` with ``dN (3, n)`` the lapse gradient, ``a`` the conformal factor
+# and ``u (3, n) = grad ln a``.  A row-form fill ``fill(T, x, F, W)``
 # writes them for the position rows ``x (3, n)`` into ``F``, using the
 # scratch rows ``W (_SCRATCH_ROWS, n)``.
-_N, _DN, _DTN, _A, _U = 0, slice(1, 4), 4, 5, slice(6, 9)
-_FIELD_ROWS = 9
 _SCRATCH_ROWS = 10
+
+
+def _field_rows(n: int) -> tuple:
+    """Row views ``(N, dN, dTN, a, u)`` over one new ``(9, n)`` block."""
+    F = np.empty((9, n))
+    return F[0], F[1:4], F[4], F[5], F[6:9]
 
 
 def _scratch(n: int) -> np.ndarray:
@@ -175,32 +162,29 @@ def _dot3(a: np.ndarray, b: np.ndarray, out: np.ndarray,
 def _conformal_batch(fill, T: float, x: np.ndarray) -> BatchFields:
     """:class:`BatchFields` of a row-form fill at the positions ``x (n, 3)``."""
     n = x.shape[0]
-    F = np.empty((_FIELD_ROWS, n))
+    N, dN, dTN, a, u = F = _field_rows(n)
     fill(T, np.ascontiguousarray(x.T), F, _scratch(n))
-    z = _shared_blocks(n)
+    vector = np.broadcast_to(0.0, (n, 3))
+    matrix = np.broadcast_to(0.0, (n, 3, 3))
+    # dN and conf_u are C-contiguous copies, not views of their rows:
+    # np.einsum("na,na->n") adds the products of a strided operand in a
+    # different order, which would change the sums of the dense formulas
     return BatchFields(
         g=None, dg=None, dTg=None,  # dense blocks via materialize()
-        N=F[_N], dN=F[_DN].T.copy(), dTN=F[_DTN],
-        X=z["vector"], dX=z["matrix"], Sigma=z["matrix"], dTX=z["vector"],
-        conf_a=F[_A], conf_u=F[_U].T.copy())
+        N=N, dN=dN.T.copy(), dTN=dTN,
+        X=vector, dX=matrix, Sigma=matrix, dTX=vector,
+        conf_a=a, conf_u=u.T.copy())
 
 
-def _rows_of(f: BatchFields) -> np.ndarray:
-    """The row form of conformal :class:`BatchFields`."""
-    F = np.empty((_FIELD_ROWS, np.shape(f.N)[0]))
-    F[_N] = f.N
-    F[_DN] = np.transpose(f.dN)
-    F[_DTN] = f.dTN
-    F[_A] = f.conf_a
-    F[_U] = np.transpose(f.conf_u)
-    return F
+def _rows_of(f: BatchFields) -> tuple:
+    """Row views ``(N, dN, dTN, a, u)`` of conformal :class:`BatchFields`."""
+    return f.N, np.transpose(f.dN), f.dTN, f.conf_a, np.transpose(f.conf_u)
 
 
-def _background_rows(T: float, x: np.ndarray, F: np.ndarray,
+def _background_rows(T: float, x: np.ndarray, F: tuple,
                      W: np.ndarray) -> None:
-    F.fill(0.0)
-    F[_N] = BACKGROUND_LAPSE
-    F[_A] = 1.0
+    for row, value in zip(F, (BACKGROUND_LAPSE, 0.0, 0.0, 1.0, 0.0)):
+        row.fill(value)
 
 
 def background_fields(T: float, x: np.ndarray) -> BatchFields:
@@ -233,7 +217,8 @@ def manufactured_lapse_fields(eps: float) -> Callable[[float, np.ndarray], Batch
 
     scale = math.exp(1.5)
 
-    def rows(T: float, x: np.ndarray, F: np.ndarray, W: np.ndarray) -> None:
+    def rows(T: float, x: np.ndarray, F: tuple, W: np.ndarray) -> None:
+        N, dN, dTN, a, u = F
         bump, prod, phi = W[0], W[1], W[2]
         pairs, dphi = W[3:6], W[6:9]
         _dot3(x, x, bump, dphi)
@@ -251,13 +236,13 @@ def manufactured_lapse_fields(eps: float) -> Callable[[float, np.ndarray], Batch
         decay = math.exp(-T)
         amp = eps * decay
         grown = (2.0 * eps / 3.0) * (1.0 - decay)
-        np.multiply(phi, amp, out=F[_N])
-        F[_N] += BACKGROUND_LAPSE
-        np.multiply(dphi, amp, out=F[_DN])
-        np.multiply(phi, -amp, out=F[_DTN])
-        np.multiply(phi, grown, out=F[_A])
-        np.exp(F[_A], out=F[_A])
-        np.multiply(dphi, grown, out=F[_U])
+        np.multiply(phi, amp, out=N)
+        N += BACKGROUND_LAPSE
+        np.multiply(dphi, amp, out=dN)
+        np.multiply(phi, -amp, out=dTN)
+        np.multiply(phi, grown, out=a)
+        np.exp(a, out=a)
+        np.multiply(dphi, grown, out=u)
 
     def provider(T: float, x: np.ndarray) -> BatchFields:
         return _conformal_batch(rows, T, x)
@@ -318,7 +303,7 @@ class ParticleEnsemble:
 # ---------------------------------------------------------------------------
 
 
-def _conformal_rhs(tau: float, p: np.ndarray, q0: np.ndarray, F: np.ndarray,
+def _conformal_rhs(tau: float, p: np.ndarray, q0: np.ndarray, F: tuple,
                    k: np.ndarray, W: np.ndarray) -> None:
     """Derived right-hand side of conformal fields, into the rows of ``k``.
 
@@ -330,7 +315,7 @@ def _conformal_rhs(tau: float, p: np.ndarray, q0: np.ndarray, F: np.ndarray,
     inverse metric cancels the factor ``a`` inside the metric gradient,
     so ``Gamma(g) p p = <u, p> p - |p|^2 u / 2`` is ``a``-independent.
     """
-    N, dN, dTN, a, u = F[_N], F[_DN], F[_DTN], F[_A], F[_U]
+    N, dN, dTN, a, u = F
     p2, up, t, cp, nq, coef, c = W[0], W[1], W[2], W[3], W[4], W[5], W[6]
     tmp = W[7:10]
     _dot3(p, p, p2, tmp)
@@ -369,34 +354,37 @@ def _conformal_rhs(tau: float, p: np.ndarray, q0: np.ndarray, F: np.ndarray,
     np.subtract(c, cp, out=k[6])
 
 
-def _p0_rows(tau: float, F: np.ndarray, p: np.ndarray, out: np.ndarray,
+def _p0_rows(tau: float, F: tuple, p: np.ndarray, out: np.ndarray,
              W: np.ndarray) -> np.ndarray:
     """On-shell time component ``sqrt(1 + tau^2 a |p|^2) / N``."""
+    N, _, _, a, _ = F
     _dot3(p, p, out, W[7:10])
-    out *= F[_A]
+    out *= a
     out *= tau**2
     out += 1.0
     np.sqrt(out, out=out)
-    out /= F[_N]
+    out /= N
     return out
 
 
-def _support_rows(F: np.ndarray, p: np.ndarray, out: np.ndarray,
+def _support_rows(F: tuple, p: np.ndarray, out: np.ndarray,
                   W: np.ndarray) -> np.ndarray:
     """Squared momentum norm ``|p|^2_g = a |p|^2``."""
+    _, _, _, a, _ = F
     _dot3(p, p, out, W[7:10])
-    out *= F[_A]
+    out *= a
     return out
 
 
-def _residual_rows(tau: float, F: np.ndarray, p: np.ndarray, q0: np.ndarray,
+def _residual_rows(tau: float, F: tuple, p: np.ndarray, q0: np.ndarray,
                    out: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Mass-shell residual ``1 + tau^2 a |p|^2 - (N q0)^2`` of ``q0``."""
+    N, _, _, a, _ = F
     p2, term = W[0], W[1]
     _dot3(p, p, p2, W[7:10])
-    np.multiply(F[_A], tau**2, out=term)
+    np.multiply(a, tau**2, out=term)
     term *= p2
-    np.multiply(F[_N], q0, out=out)
+    np.multiply(N, q0, out=out)
     np.square(out, out=out)
     np.negative(out, out=out)
     out += term
@@ -409,30 +397,12 @@ def _residual_rows(tau: float, F: np.ndarray, p: np.ndarray, q0: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _support_sq(f: BatchFields, p: np.ndarray) -> np.ndarray:
-    """Squared momentum norm ``|p|^2_g``; ``calG`` is the root of its max."""
-    if f.conf_a is not None:
-        n = p.shape[0]
-        return _support_rows(_rows_of(f), p.T, np.empty(n), _scratch(n))
-    return np.einsum("na,nab,nb->n", p, f.g, p)
-
-
 def _batch_p0(f: BatchFields, p: np.ndarray, frame: TimeFrame) -> np.ndarray:
     """Closed-form nondimensional time component on a batch."""
     if f.conf_a is not None:
         n = p.shape[0]
         return _p0_rows(frame.tau, _rows_of(f), p.T, np.empty(n), _scratch(n))
     return compute_p0(f, p, frame, method="paper_primary")
-
-
-def _residual(f: BatchFields, p: np.ndarray, q0: np.ndarray,
-              frame: TimeFrame) -> np.ndarray:
-    """Mass-shell residual of the co-evolved ``q0`` on a batch."""
-    if f.conf_a is not None:
-        n = p.shape[0]
-        return _residual_rows(frame.tau, _rows_of(f), p.T, q0, np.empty(n),
-                              _scratch(n))
-    return mass_shell_residual(f, p, q0, frame)
 
 
 def characteristic_rhs(state, fields_at, frame: TimeFrame, mode: str = "derived",
@@ -528,73 +498,74 @@ class TrajectoryLog:
 _CHUNK = 25_000
 
 
-class _RowFlow:
-    """Derived flow of one chunk under a provider with a row form."""
+class _Flow:
+    """Flow of one chunk of particles in the packed state.
 
-    def __init__(self, fill, tau0: float, size: int):
-        self.fill = fill
-        self.tau0 = tau0
-        self.F = np.empty((_FIELD_ROWS, size))
-        self.W = _scratch(size)
-
-    def p0(self, frame: TimeFrame, y: np.ndarray, out: np.ndarray) -> None:
-        self.fill(frame.T, y[0:3], self.F, self.W)
-        _p0_rows(frame.tau, self.F, y[3:6], out, self.W)
-
-    def rhs(self, T: float, y: np.ndarray, k: np.ndarray) -> None:
-        self.fill(T, y[0:3], self.F, self.W)
-        _conformal_rhs(make_time_frame(self.tau0, T).tau, y[3:6], y[6],
-                       self.F, k, self.W)
-
-    def observe(self, T: float, y: np.ndarray, G: np.ndarray,
-                residual: np.ndarray) -> np.ndarray:
-        self.fill(T, y[0:3], self.F, self.W)
-        _support_rows(self.F, y[3:6], G, self.W)
-        _residual_rows(make_time_frame(self.tau0, T).tau, self.F, y[3:6],
-                       y[6], residual, self.W)
-        return y[6]
-
-
-class _BatchFlow:
-    """Flow of one chunk through the provider's :class:`BatchFields`.
-
-    Used for dense fields, for ``paper_form`` and for providers without a
-    row form; it hands :func:`characteristic_rhs` the ``(n, 3)`` columns
-    of the packed state.
+    The field step returns row views of conformal fields, which go to the
+    row kernels, or dense :class:`BatchFields`, which go to
+    :func:`characteristic_rhs` on the ``(n, 3)`` columns of the state.
+    ``paper_form`` evaluates the flow at the on-shell ``q0``.
     """
 
-    def __init__(self, fields, tau0: float, mode: str):
+    def __init__(self, fields, tau0: float, mode: str, size: int):
         self.fields = fields
+        self.fill = getattr(fields, "conformal_rows", None)
         self.tau0 = tau0
         self.mode = mode
+        self.F = _field_rows(size) if self.fill is not None else None
+        self.W = _scratch(size)
+        self.q0 = np.empty(size) if mode == "paper_form" else None
 
-    def _at(self, T: float, y: np.ndarray) -> tuple:
-        x = y[0:3].T.copy()
-        p = y[3:6].T.copy()
-        return x, p, self.fields(T, x)
+    def _fields(self, T: float, y: np.ndarray):
+        if self.fill is not None:
+            self.fill(T, y[0:3], self.F, self.W)
+            return self.F
+        f = self.fields(T, y[0:3].T.copy())
+        return _rows_of(f) if f.conf_a is not None else f
+
+    def _on_shell(self, frame: TimeFrame, F, y: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+        if isinstance(F, BatchFields):
+            out[...] = compute_p0(F, y[3:6].T.copy(), frame,
+                                  method="paper_primary")
+            return out
+        return _p0_rows(frame.tau, F, y[3:6], out, self.W)
+
+    def _q0(self, frame: TimeFrame, F, y: np.ndarray) -> np.ndarray:
+        if self.q0 is None:
+            return y[6]
+        return self._on_shell(frame, F, y, self.q0)
 
     def p0(self, frame: TimeFrame, y: np.ndarray, out: np.ndarray) -> None:
-        _, p, f = self._at(frame.T, y)
-        out[...] = _batch_p0(f, p, frame)
+        self._on_shell(frame, self._fields(frame.T, y), y, out)
 
     def rhs(self, T: float, y: np.ndarray, k: np.ndarray) -> None:
-        x, p, f = self._at(T, y)
+        F = self._fields(T, y)
         frame = make_time_frame(self.tau0, T)
-        if self.mode == "derived":
-            dx, dp, k[6] = characteristic_rhs((x, p), f, frame, self.mode, y[6])
-        else:
-            dx, dp = characteristic_rhs((x, p), f, frame, self.mode)
+        if isinstance(F, BatchFields):
+            out = characteristic_rhs((y[0:3].T, y[3:6].T.copy()), F, frame,
+                                     self.mode, y[6])
+            k[0:3] = out[0].T
+            k[3:6] = out[1].T
+            k[6] = out[2] if self.q0 is None else 0.0
+            return
+        _conformal_rhs(frame.tau, y[3:6], self._q0(frame, F, y), F, k, self.W)
+        if self.q0 is not None:  # paper_form: the uncancelled -2 p, q0 fixed
+            k[3:6] -= 2.0 * y[3:6]
             k[6] = 0.0
-        k[0:3] = dx.T
-        k[3:6] = dp.T
 
     def observe(self, T: float, y: np.ndarray, G: np.ndarray,
                 residual: np.ndarray) -> np.ndarray:
-        _, p, f = self._at(T, y)
+        F = self._fields(T, y)
         frame = make_time_frame(self.tau0, T)
-        q0 = _batch_p0(f, p, frame) if self.mode == "paper_form" else y[6]
-        G[...] = _support_sq(f, p)
-        residual[...] = _residual(f, p, q0, frame)
+        q0 = self._q0(frame, F, y)
+        if isinstance(F, BatchFields):
+            p = y[3:6].T.copy()
+            G[...] = np.einsum("na,nab,nb->n", p, F.g, p)
+            residual[...] = mass_shell_residual(F, p, q0, frame)
+        else:
+            _support_rows(F, y[3:6], G, self.W)
+            _residual_rows(frame.tau, F, y[3:6], q0, residual, self.W)
         return q0
 
 
@@ -641,14 +612,11 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
     starts = range(0, n, _CHUNK)
     # largest G of a live particle, per chunk and log row
     top = np.full((len(starts), m), -np.inf)
-    row_form = getattr(fields, "conformal_rows", None)
 
     def run_chunk(i: int) -> None:
         lo = starts[i]
         hi = min(lo + _CHUNK, n)
-        flow = (_RowFlow(row_form, tau0, hi - lo)
-                if row_form is not None and mode == "derived"
-                else _BatchFlow(fields, tau0, mode))
+        flow = _Flow(fields, tau0, mode, hi - lo)
         # packed state: rows x0 x1 x2 p0 p1 p2 q0
         y = np.empty((7, hi - lo))
         y[0:3] = ensemble.x[lo:hi].T

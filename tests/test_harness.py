@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import milne_lab
+from milne_lab import harness
 from milne_lab.energies import MONITOR_THRESHOLDS
 from milne_lab.harness import (
     CONFIG_SCHEMA,
@@ -382,6 +383,23 @@ class TestCli:
             run_scenario(validate_config(
                 base_config(scenario="characteristics", Tend=0.01, h=1e-3,
                             particleCount=4)))
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_bad_thread_env_exits_2_without_traceback(self, value, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.setenv("MILNE_LAB_THREADS", value)
+        cfg = tmp_path / "chars.json"
+        cfg.write_text(json.dumps({"Tend": 0.01, "h": 1e-3,
+                                   "particleCount": 4}))
+        assert main(["characteristics", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "[MILNE_LAB_THREADS]" in err and repr(value) in err
+        assert "Traceback" not in err
+
+    def test_large_thread_budget_accepted(self, monkeypatch):
+        # validated only: a run never starts more workers than chunks
+        monkeypatch.setenv("MILNE_LAB_THREADS", "1000000")
+        assert harness._thread_budget() == 1000000
 
     def test_strict_floor_turns_thin_margins_into_failure(self, tmp_path):
         # an absurd strict floor must flip an otherwise passing run

@@ -187,3 +187,14 @@ class TestRunBitwise:
             want = [float.fromhex(v) for v in ref[name]]
             assert_bitwise(getattr(run, name), want, name)
         assert float(run.b0).hex() == ref["b0"]
+
+    def test_run_aborted_at_T0_has_empty_series(self):
+        # a lapse tolerance of -1 rejects the first log point
+        run = evolve_homogeneous(bump(2e-3), tau0=-1.0, T_end=1.0,
+                                 n_steps=10, log_every=10, lapse_tol=-1.0)
+        assert not run.completed and "T=0.0" in run.abort_reason
+        for f in dataclasses.fields(HomogeneousRun):
+            value = getattr(run, f.name)
+            if isinstance(value, np.ndarray):
+                assert value.shape == (0,) and value.dtype == float, f.name
+        assert run.rows() == []

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +280,17 @@ class TestMetamorphic:
         if name == "flagging":
             assert 0 < int(np.sum(log.flagged)) < ens.size
 
+    @pytest.mark.parametrize("mode", ["derived", "paper_form"])
+    def test_conformal_fields_without_row_form_match_row_form(self, mode):
+        # the BatchFields of a provider without a row form reach the row
+        # kernels as views, bit for bit like the row-form fill
+        manufactured = manufactured_lapse_fields(0.3)
+        reference, _ = run(manufactured, n=40, span=0.4, h=1e-2,
+                           log_every=10, mode=mode)
+        log, _ = run(lambda T, x: manufactured(T, x), n=40, span=0.4,
+                     h=1e-2, log_every=10, mode=mode)
+        assert_same_log(log, reference)
+
     @pytest.mark.parametrize("name", ["row form", "flagging"])
     def test_chunk_size_does_not_change_results(self, name, monkeypatch):
         provider = METAMORPHIC_PROVIDERS[name]()
@@ -302,7 +315,7 @@ class TestMetamorphic:
         want = characteristic_rhs((x, p), provider(T, x), frame, q0=q0)
         y = np.concatenate([x.T, p.T, q0[None]])
         k = np.empty_like(y)
-        transport._RowFlow(provider.conformal_rows, -1.0, n).rhs(T, y, k)
+        transport._Flow(provider, -1.0, "derived", n).rhs(T, y, k)
         assert np.array_equal(k[0:3], want[0].T)
         assert np.array_equal(k[3:6], want[1].T)
         assert np.array_equal(k[6], want[2])
@@ -340,6 +353,39 @@ class TestMetamorphic:
         b = rng.normal(size=(n, 3))
         got = transport._dot3(a.T, b.T, np.empty(n), np.empty((3, n)))
         assert np.array_equal(got, np.einsum("na,na->n", a, b))
+
+
+REFERENCE_PROVIDERS = {
+    "row_form_derived": lambda: manufactured_lapse_fields(0.3),
+    "row_form_paper_form": lambda: manufactured_lapse_fields(0.3),
+    "nan_front": nan_front_provider,
+    "dense": lambda: dense_provider(0.3),
+}
+
+
+class TestReferenceBitwise:
+    """Every log array and the final state equal a recorded run bit for bit."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_PROVIDERS))
+    def test_run_matches_recorded_reference(self, name, threads, monkeypatch):
+        path = Path(__file__).parent / "data" / "transport_reference.json"
+        ref = json.loads(path.read_text())[name]
+        monkeypatch.setattr(transport, "_CHUNK", 7)  # three chunks
+        log, fin = integrate_characteristics(
+            sample_ensemble(16, seed=12), REFERENCE_PROVIDERS[name](),
+            make_time_frame(-1.0, 0.0), 0.5, 0.025, mode=ref["mode"],
+            log_every=7, threads=threads)
+        got = {key: getattr(log, key) for key in LOG_KEYS if key != "flagged"}
+        got.update(final_x=fin.x, final_p=fin.p)
+        for key, arr in got.items():
+            want = np.array([float.fromhex(v) for v in ref[key]["hex"]])
+            assert arr.shape == tuple(ref[key]["shape"]), key
+            assert np.array_equal(arr.ravel().view(np.int64),
+                                  want.view(np.int64)), key
+        assert log.flagged.tolist() == ref["flagged"]
+        if name == "nan_front":
+            assert 0 < sum(ref["flagged"]) < 16
 
 
 class TestSupportEnvelope:
