@@ -60,6 +60,18 @@ def git_sha(src: Path) -> str:
     return out.stdout.strip()
 
 
+def git_dirty(src: Path):
+    """Whether ``src`` differs from ``git_sha`` (uncommitted or untracked
+    files under it); ``None`` for a tree outside git."""
+    try:
+        out = subprocess.run(["git", "status", "--porcelain", "--", str(src)],
+                             cwd=src, capture_output=True, text=True,
+                             check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return bool(out.stdout.strip())
+
+
 def run_once(transport, frame0, n: int, steps: int, threads: int) -> tuple:
     """Wall time and largest |mass-shell residual| at the logged times."""
     import numpy as np
@@ -202,6 +214,7 @@ def main(argv=None) -> int:
                   f"residual {residual[threads]:.2e}")
     doc = {
         "git_sha": git_sha(src),
+        "git_dirty": git_dirty(src),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": os.cpu_count(),

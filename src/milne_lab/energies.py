@@ -75,15 +75,72 @@ def inverse_weight_integral(mu: float) -> float:
     return 0.25 * math.sqrt(math.pi) * math.gamma(mu - 1.5) / math.gamma(mu)
 
 
+def _not_a_knot_spline(x, y):
+    """Not-a-knot cubic spline through ``(x, y)``, a scipy ``PPoly``.
+
+    Bitwise equal to ``scipy.interpolate.CubicSpline(x, y)`` for 1-D real
+    data, without its front end (array-API shims, a second validation in
+    the ``CubicHermiteSpline`` round trip).  It keeps the input checks of
+    scipy 1.17.1's ``prepare_input`` (finite ``x`` and ``y``, strictly
+    increasing ``x``, each a ``ValueError``), repeats the numpy
+    expressions of ``CubicSpline.__init__`` for the tridiagonal slope
+    system with the same ``solve_banded((1, 1), ..., check_finite=False)``
+    call, then those of ``CubicHermiteSpline.__init__`` for the
+    coefficients, and ends in ``PPoly.construct_fast(c, x)``.  Grids of
+    two or three nodes go to ``CubicSpline`` itself: there scipy's
+    not-a-knot spline is the line or the parabola through the points,
+    built by other code than the banded system.  The tests compare the
+    helper bitwise with ``CubicSpline``, so a scipy release that changes
+    the arithmetic fails there instead of drifting.
+    """
+    from scipy.interpolate import CubicSpline, PPoly
+    from scipy.linalg import solve_banded
+
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or y.shape != x.shape:
+        raise ValueError("`x` and `y` must be 1-D of the same length.")
+    n = x.shape[0]
+    if n < 4:  # scipy fits a line (n = 2) or a parabola (n = 3) here
+        return CubicSpline(x, y)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("`x` must contain only finite values.")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("`y` must contain only finite values.")
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise ValueError("`x` must be strictly increasing sequence.")
+    slope = np.diff(y) / dx
+
+    A = np.zeros((3, n))  # banded storage of the slope system
+    b = np.empty(n)
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    A[1, 0] = dx[1]
+    A[0, 1] = x[2] - x[0]
+    d = x[2] - x[0]
+    b[0] = ((dx[0] + 2*d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
+    A[1, -1] = dx[-2]
+    A[-1, -2] = x[-1] - x[-3]
+    d = x[-1] - x[-3]
+    b[-1] = ((dx[-1]**2*slope[-2] + (2*d + dx[-1])*dx[-2]*slope[-1]) / d)
+    s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
+                     overwrite_b=True, check_finite=False).reshape(n)
+
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    return PPoly.construct_fast(c, x)
+
+
 def _radial_derivatives(f, qmax: float, n_nodes: int):
     """Quadrature nodes plus f, f', f'' sampled there via a cubic spline."""
-    from scipy.interpolate import CubicSpline
-
     q, w = composite_gauss_legendre(0.0, qmax, n_nodes)
     grid = np.asarray(f.grid, dtype=float)
     vals = f.profile(grid) if getattr(f, "profile", None) is not None \
         else np.asarray(f.values, dtype=float)
-    spline = CubicSpline(grid, vals)
+    spline = _not_a_knot_spline(grid, vals)
     return q, w, spline(q), spline(q, 1), spline(q, 2)
 
 
@@ -111,6 +168,12 @@ def sasaki_energy(f, geom, ell: int, mu: float, ladder_ell: Optional[int] = None
     metric volume of the homogeneous cell.  ``base="gamma"`` evaluates
     the same functional with weights and measure of the reference metric
     (the two are equivalent for conformal factors near one).
+
+    The geometry enters only through ``det g``: for ``base="g"`` only as
+    ``vol = sqrt(det g) * vol_cell``, and ``geom=None`` stands for
+    ``det g = 1``.  So ``sasaki_energy(f, None, ..., vol_cell=sqrt(det g)
+    * v)`` is bitwise the value with ``geom`` and ``vol_cell=v``, with no
+    geometry object built.
 
     Raises ``ValueError`` for ``ell > 2`` (documented desk-scale cap on
     the derivative count; use ``ladder_ell`` for the weight order).

@@ -211,6 +211,9 @@ def validate_config(raw) -> ScenarioConfig:
         _named_check(span > energies.tail_span_needed(), "Tend - T0 > 4 ln 2",
                      f"span={span} is too short for the completeness "
                      f"tail doublings")
+        # the homogeneous run starts from tau0 at T = 0 and reads only the span
+        _named_check(c["T0"] == 0.0, "T0 = 0",
+                     f"T0={c['T0']}: {c['scenario']} starts at T = 0")
     if c["scenario"] == "characteristics":
         steps = span / c["h"]
         _named_check(math.isfinite(steps)

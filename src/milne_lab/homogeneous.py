@@ -38,9 +38,9 @@ import numpy as np
 
 from ._quadrature import composite_gauss_legendre, trapezoid
 from ._rk4 import rk4_step
-from .geometry import LocalGeometry, TimeFrame, make_time_frame
+from .geometry import TimeFrame, make_time_frame
 from .matter import RadialDistribution
-from .energies import sasaki_energy
+from .energies import _not_a_knot_spline, sasaki_energy
 
 __all__ = [
     "ConstraintSingularError",
@@ -196,8 +196,6 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
     if the lapse leaves ``(0, 3 + tol]``, the constraint reaches its
     pole, or the spot check fails.
     """
-    from scipy.interpolate import CubicSpline
-
     if n_steps < 1 or n_steps % log_every != 0:
         raise ValueError("n_steps must be a positive multiple of log_every")
     s0 = abs(float(tau0))
@@ -206,8 +204,8 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
     rho0 = initial_density(f0, tau0, n_nodes)
     b0 = hamiltonian_constraint_b(rho0, make_time_frame(tau0, 0.0))
 
-    f0_spline = CubicSpline(np.linspace(0.0, f0.qmax, 4 * n_q),
-                            f0(np.linspace(0.0, f0.qmax, 4 * n_q)))
+    f0_spline = _not_a_knot_spline(np.linspace(0.0, f0.qmax, 4 * n_q),
+                                   f0(np.linspace(0.0, f0.qmax, 4 * n_q)))
 
     def rhs(T, y):
         b, rho_cont = y
@@ -246,12 +244,14 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
         if abs(N - 3.0) > 10.0 * (s * rho_c + s**3 * eta_c) + 1e-14:
             completed, abort_reason = False, f"lapse spot check failed at T={T}"
             return False
-        geom = LocalGeometry(g=b * np.eye(3), Sigma=np.zeros((3, 3)), N=N,
-                             X=np.zeros(3))
         f_now = RadialDistribution(grid=q_grid, qmax=f0.qmax * stretch,
                                    values=fq)
-        E = sasaki_energy(f_now, geom, ell=energy_ell, mu=energy_mu,
-                          ladder_ell=energy_ladder)
+        # the metric b I enters the energy only through sqrt(det g), so it
+        # goes in as the cell volume; det is taken as sasaki_energy takes
+        # it from a geometry (b**3 can differ in the last bit)
+        vol_g = math.sqrt(float(np.linalg.det(b * np.eye(3))))
+        E = sasaki_energy(f_now, None, ell=energy_ell, mu=energy_mu,
+                          ladder_ell=energy_ladder, vol_cell=vol_g)
         rows.append((T, frame.tau, b, b_con, N, rho_g, eta_g,
                      f0.qmax * stretch, E, rho_c, eta_c, rho_cont))
         return True

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
-from milne_lab._quadrature import trapezoid
+from milne_lab._quadrature import composite_gauss_legendre, trapezoid
 from milne_lab.energies import (
+    _not_a_knot_spline,
     DecayFitError,
     MONITOR_THRESHOLDS,
     WeightConditionError,
@@ -107,6 +110,114 @@ class TestSasakiEnergy:
     def test_unknown_base_rejected(self):
         with pytest.raises(ValueError):
             sasaki_energy(smooth_bump(), GEOM, ell=0, mu=4.0, base="euclid")
+
+
+def assert_bitwise(got, want, what=""):
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape, what
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), what
+
+
+def assert_same_spline(x, y, points):
+    """Breakpoints, coefficients and 0th-2nd derivatives, bit for bit."""
+    got, want = _not_a_knot_spline(x, y), CubicSpline(x, y)
+    assert_bitwise(got.x, want.x, "x")
+    assert_bitwise(got.c, want.c, "c")
+    for nu in range(3):
+        assert_bitwise(got(points, nu), want(points, nu), f"derivative {nu}")
+
+
+def off_grid(x, rng):
+    """Points between the nodes and slightly past both ends."""
+    lo, hi = x[0], x[-1]
+    mids = 0.5 * (x[:-1] + x[1:])
+    return np.concatenate([mids, rng.uniform(lo, hi, size=64),
+                           [lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)]])
+
+
+class TestNotAKnotSpline:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 257, 1028])
+    def test_matches_cubic_spline_on_random_grids(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            x = np.cumsum(rng.uniform(1e-3, 1.0, size=n)) - 0.5
+            y = rng.normal(size=n)
+            assert_same_spline(x, y, off_grid(x, rng))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 257, 1028])
+    @pytest.mark.parametrize("stretch", [1.0, 0.97, 0.6180339887, 1.3])
+    def test_matches_cubic_spline_on_log_point_grids(self, n, stretch):
+        # the homogeneous log point splines f0 on linspace(0, qmax, 4 n_q)
+        # and the stretched profile on linspace(0, qmax * stretch, n_q)
+        qmax = 2.0
+        f0 = lambda q: 2e-4 * np.maximum(0.0, 1.0 - (q / qmax) ** 2)
+        x = np.linspace(0.0, qmax * stretch, n)
+        q_log = x / stretch
+        y = np.clip(CubicSpline(np.linspace(0.0, qmax, 4 * n),
+                                f0(np.linspace(0.0, qmax, 4 * n)))(q_log),
+                    0.0, None)
+        q_nodes, _ = composite_gauss_legendre(0.0, qmax * stretch, 64)
+        assert_same_spline(x, y, np.concatenate([q_nodes, x]))
+        x4 = np.linspace(0.0, qmax, 4 * n)
+        assert_same_spline(x4, f0(x4), q_log)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=1,
+                    max_size=40),
+           st.floats(min_value=-1e3, max_value=1e3),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_cubic_spline_property(self, steps, start, seed):
+        x = start + np.cumsum(np.array(steps))
+        x = np.concatenate([[start], x])
+        assume(np.all(np.diff(x) > 0))  # no step lost to rounding
+        rng = np.random.default_rng(seed)
+        y = rng.normal(scale=10.0 ** rng.integers(-4, 4), size=x.size)
+        assert_same_spline(x, y, off_grid(x, rng))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("bad", ["x_nan", "x_inf", "y_nan", "y_inf",
+                                     "x_repeated", "x_decreasing"])
+    def test_rejects_bad_input(self, n, bad):
+        x = np.linspace(0.0, 1.0, n)
+        y = np.sin(x)
+        if bad == "x_nan":
+            x[1] = np.nan
+        elif bad == "x_inf":
+            x[-1] = np.inf
+        elif bad == "y_nan":
+            y[0] = np.nan
+        elif bad == "y_inf":
+            y[-1] = -np.inf
+        elif bad == "x_repeated":
+            x[1] = x[0]
+        else:
+            x = x[::-1].copy()
+        with pytest.raises(ValueError):
+            CubicSpline(x, y)
+        with pytest.raises(ValueError):
+            _not_a_knot_spline(x, y)
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError):
+            _not_a_knot_spline(np.linspace(0.0, 1.0, 5), np.zeros(4))
+
+
+class TestSasakiEnergyWithoutGeometry:
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=1e-3, max_value=1e3),
+           st.sampled_from([(0, None), (1, 3), (2, 5)]))
+    def test_volume_factor_equals_geometry(self, b, orders):
+        # the homogeneous log point passes sqrt(det(b I)) as the cell
+        # volume instead of building the geometry b I
+        ell, ladder = orders
+        f = smooth_bump(amp=2e-4, qmax=2.0 * b**-0.5)
+        vol = math.sqrt(float(np.linalg.det(b * np.eye(3))))
+        got = sasaki_energy(f, None, ell=ell, mu=4.0, ladder_ell=ladder,
+                            vol_cell=vol)
+        want = sasaki_energy(f, scaled_geom(b), ell=ell, mu=4.0,
+                             ladder_ell=ladder)
+        assert_bitwise(got, want)
 
 
 class TestRhoEnergy:

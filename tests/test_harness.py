@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -134,6 +137,9 @@ class TestConfigRobustness:
         ({"scenario": "full_report", "logEvery": 1, "h": 5e-6,
           "lambdaGrid": [1.0] * 10**4},
          "len(lambdaGrid) x mode steps <= 10^8"),
+        # homogeneous runs start at T = 0
+        ({"scenario": "homogeneous", "T0": 1.0, "Tend": 6.0}, "T0 = 0"),
+        ({"scenario": "full_report", "T0": 0.5, "Tend": 5.0}, "T0 = 0"),
     ])
     def test_bad_value_named(self, extra, name):
         with pytest.raises(ConfigError) as info:
@@ -396,6 +402,16 @@ class TestCli:
         assert "[MILNE_LAB_THREADS]" in err and repr(value) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["homogeneous", "report"])
+    def test_homogeneous_start_other_than_zero_exits_2(self, command,
+                                                       tmp_path, capsys):
+        # these runs start at T = 0, so T0 = 1 must not run as T0 = 0
+        cfg = tmp_path / "late_start.json"
+        cfg.write_text(json.dumps({"T0": 1, "Tend": 6}))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "[T0 = 0]" in err and "Traceback" not in err
+
     def test_large_thread_budget_accepted(self, monkeypatch):
         # validated only: a run never starts more workers than chunks
         monkeypatch.setenv("MILNE_LAB_THREADS", "1000000")
@@ -432,3 +448,61 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "scenario background_check: PASS" in proc.stdout
         assert "Warning" not in proc.stderr
+
+
+# small configs of every scenario, valid or not: a run takes at most
+# about 0.1 s, and the whole property about 5 s.  Tend, h and radialNodes
+# are always set, since their defaults make runs of a second.
+_SMALL_CAPS = {
+    "h": st.sampled_from([0.01, 0.025, 0.05, 0.0]),
+    "radialNodes": st.integers(min_value=1, max_value=40),
+}
+_SMALL_FIELDS = {
+    "tau0": st.sampled_from([-1.0, -0.5, 0.0]),
+    "T0": st.sampled_from([0.0, 0.5, -0.1]),
+    "lambdaGrid": st.lists(st.sampled_from([0.05, 1.0 / 9.0, 1.0, 2.0]),
+                           max_size=2),
+    "quadNodes": st.sampled_from([8, 12, 16, 48]),
+    "particleCount": st.integers(min_value=0, max_value=16),
+    "perturbationEps": st.sampled_from([0.0, 1e-3, 0.5, 4.0]),
+    "matterAmp": st.sampled_from([0.0, 2e-4, 2e-2, -1.0]),
+    "matterQmax": st.sampled_from([0.5, 2.0, 0.0]),
+    "logEvery": st.integers(min_value=0, max_value=10),
+    "deltaE": st.sampled_from([0.05, 0.6]),
+    "strictMarginFloor": st.sampled_from([0.0, 1e-9, 1e6]),
+}
+_SMALL_TEND = {"background-check": [5.0], "modes": [0.5, 1.0],
+               "homogeneous": [1.0, 3.0, 3.5],
+               "characteristics": [0.05, 0.06, 0.52],
+               "report": [3.0, 3.5]}
+
+
+@st.composite
+def _small_cli_runs(draw):
+    command = draw(st.sampled_from(sorted(_SMALL_TEND)))
+    cfg = draw(st.fixed_dictionaries(
+        {"Tend": st.sampled_from(_SMALL_TEND[command]), **_SMALL_CAPS},
+        optional=_SMALL_FIELDS))
+    flags = draw(st.lists(st.sampled_from(["--strict", "--out"]),
+                          unique=True))
+    return command, cfg, flags
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_cli_runs())
+def test_cli_small_runs_exit_cleanly(run):
+    command, cfg, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        argv = [command, "--config", path]
+        if "--strict" in flags:
+            argv.append("--strict")
+        if "--out" in flags:
+            argv += ["--out", os.path.join(tmp, "out")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

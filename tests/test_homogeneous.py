@@ -19,6 +19,7 @@ from milne_lab.homogeneous import (
     solve_lapse_algebraic,
 )
 from milne_lab.geometry import make_time_frame
+from milne_lab.harness import run_scenario, validate_config
 from milne_lab.matter import RadialDistribution
 
 
@@ -187,6 +188,20 @@ class TestRunBitwise:
             want = [float.fromhex(v) for v in ref[name]]
             assert_bitwise(getattr(run, name), want, name)
         assert float(run.b0).hex() == ref["b0"]
+
+    @pytest.mark.parametrize("radial_nodes", [2, 3, 4])
+    def test_small_grid_energy_matches_recorded_reference(self, radial_nodes):
+        # two and three nodes take scipy's line and parabola splines
+        data = Path(__file__).parent / "data"
+        ref = json.loads(
+            (data / "homogeneous_small_grid_energy.json").read_text())
+        result = run_scenario(validate_config(
+            {"scenario": "homogeneous", "seed": 0, "radialNodes": radial_nodes,
+             "Tend": 3.0, "h": 0.01}))
+        assert "abort" not in result["summary"]
+        col = HOMOGENEOUS_CSV_COLUMNS.index("E_report")
+        got = [row[col] for row in result["log"].rows]
+        assert_bitwise(got, [float.fromhex(v) for v in ref[str(radial_nodes)]])
 
     def test_run_aborted_at_T0_has_empty_series(self):
         # a lapse tolerance of -1 rejects the first log point
