@@ -7,8 +7,11 @@ particle-step with the largest mass-shell residual of each run next to
 it, so a speedup that costs accuracy shows in the same row.  The
 ``report`` section times ``full_report`` at its defaults, the
 homogeneous closure per call, the homogeneous log point and one mode
-step, next to the run's constraint and continuity defects.  Standard
-library plus numpy; about 45 s on a 2-vCPU VM::
+step, next to the run's constraint and continuity defects.  The
+``memory`` section records the ``tracemalloc`` peak of one
+``characteristics`` run at the ``chars_wide`` size, measured apart from
+the timed runs.  Standard library plus numpy; about 50 s on a 2-vCPU
+VM::
 
     python bench/bench.py --out BENCH_<n>.json
     python bench/bench.py --src OTHER_CHECKOUT/src --out before.json
@@ -27,6 +30,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -177,6 +181,36 @@ def report_section() -> dict:
     return section
 
 
+def memory_section() -> dict:
+    """``tracemalloc`` peak of one ``characteristics`` run at the
+    ``chars_wide`` size, through ``harness.run_scenario``."""
+    from milne_lab import harness
+
+    raw = {"scenario": "characteristics", "seed": 0,
+           "particleCount": 100_000, "Tend": 0.1}
+    cfg = harness.validate_config(raw)
+    saved = os.environ.get("MILNE_LAB_THREADS")
+    os.environ["MILNE_LAB_THREADS"] = "2"
+    tracemalloc.start()
+    try:
+        harness.run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if saved is None:
+            del os.environ["MILNE_LAB_THREADS"]
+        else:
+            os.environ["MILNE_LAB_THREADS"] = saved
+    section = {
+        "config": f"{raw}, MILNE_LAB_THREADS=2",
+        "characteristics_peak_mb": round(peak / 2**20, 2),
+        "method": "tracemalloc peak over one harness.run_scenario, "
+                  "MB = 2^20 bytes",
+    }
+    print(f"characteristics peak {section['characteristics_peak_mb']:.2f} MB")
+    return section
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
@@ -226,6 +260,7 @@ def main(argv=None) -> int:
             "rows": rows,
         },
         "report": report_section(),
+        "memory": memory_section(),
     }
     out = ROOT / args.out
     out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -159,6 +159,29 @@ def _has_type(value, spec: dict) -> bool:
     return isinstance(value, str)
 
 
+def _json_object(text) -> dict:
+    """The JSON object in ``text``; anything else is a named error."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # malformed JSON or undecodable bytes
+        raise ConfigError(f"config error [json]: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config error [json]: top level must be an object")
+    return data
+
+
+def _read_config(path: str) -> dict:
+    """The JSON object in the file at ``path``; a file that cannot be read
+    is the named error ``[config-file]``."""
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"config error [config-file]: cannot read "
+                          f"{path!r}: {exc.strerror}") from exc
+    return _json_object(text)
+
+
 def validate_config(raw) -> ScenarioConfig:
     """Parse and validate a configuration document.
 
@@ -171,15 +194,7 @@ def validate_config(raw) -> ScenarioConfig:
     ``1 - 2 deltaAlpha - deltaE - epsTot > 1 - epsDecay`` and
     ``deltaEcal - epsTot > 1 - epsDecay``, and caps on the run size.
     """
-    if isinstance(raw, (str, bytes)):
-        try:
-            data = json.loads(raw)
-        except ValueError as exc:  # malformed JSON or undecodable bytes
-            raise ConfigError(f"config error [json]: {exc}") from exc
-    else:
-        data = dict(raw)
-    if not isinstance(data, dict):
-        raise ConfigError("config error [json]: top level must be an object")
+    data = _json_object(raw) if isinstance(raw, (str, bytes)) else dict(raw)
     fields = CONFIG_SCHEMA["fields"]
     unknown = sorted(set(data) - set(fields))
     _named_check(not unknown, "unknown-keys", f"unrecognised keys {unknown}")
@@ -539,13 +554,14 @@ def _run_characteristics(cfg: ScenarioConfig) -> dict:
     threads = _thread_budget()
     log_t, _ = transport.integrate_characteristics(
         ens, provider, frame0, cfg.Tend, cfg.h, mode="derived",
-        log_every=max(1, int(round(0.05 / cfg.h))), threads=threads)
+        log_every=max(1, int(round(0.05 / cfg.h))), threads=threads,
+        full_log=False)
     norms = {key: np.array([bound(t) for t in log_t.T])
              for key, bound in provider.norm_envelopes.items()}
     norms["tau0_abs"] = abs(cfg.tau0)
     gron = transport.support_bound_check(log_t.T, log_t.calG, norms,
                                          C=cfg.gronwallC)
-    max_res = float(np.max(np.abs(log_t.massshell_residual)))
+    max_res = float(np.max(log_t.max_residual))
     flagged = int(np.sum(log_t.flagged))
     monitors = {
         "massshell": {"holds": bool(max_res < 1e-8 and flagged == 0),
@@ -554,9 +570,8 @@ def _run_characteristics(cfg: ScenarioConfig) -> dict:
                              "margin": gron["margin"]},
     }
     log = RunLog(columns=["T", "calG", "max_residual", "envelope"])
-    res_by_step = np.max(np.abs(log_t.massshell_residual), axis=1)
     log.rows = [[float(t), float(g), float(r), float(e)]
-                for t, g, r, e in zip(log_t.T, log_t.calG, res_by_step,
+                for t, g, r, e in zip(log_t.T, log_t.calG, log_t.max_residual,
                                       gron["envelope"])]
     return {"log": log, "monitors": monitors,
             "summary": {"max_residual": max_res, "flagged": flagged,
@@ -759,21 +774,17 @@ def main(argv=None) -> int:
                             "configured floor")
     args = parser.parse_args(argv)
 
-    raw = {}
-    if args.config is not None:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    raw.setdefault("scenario", _CLI_SCENARIOS[args.command])
-    if raw["scenario"] != _CLI_SCENARIOS[args.command]:
-        print(f"error: config scenario {raw['scenario']!r} does not match "
-              f"subcommand {args.command!r}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    raw.setdefault("seed", 0)
-    if args.out is not None:
-        raw["out"] = args.out
     try:
+        raw = {} if args.config is None else _read_config(args.config)
+        raw.setdefault("scenario", _CLI_SCENARIOS[args.command])
+        _named_check(raw["scenario"] == _CLI_SCENARIOS[args.command],
+                     "scenario", f"config scenario {raw['scenario']!r} does "
+                     f"not match subcommand {args.command!r}")
+        if args.seed is not None:
+            raw["seed"] = args.seed
+        raw.setdefault("seed", 0)
+        if args.out is not None:
+            raw["out"] = args.out
         cfg = validate_config(raw)
         result = run_scenario(cfg)  # reads the thread budget
     except ConfigError as exc:

@@ -49,6 +49,14 @@ adds its three products as ``(a0 b0 + a2 b2) + a1 b1``, the order of
 bit for bit the results of the ``(n, 3)`` formulation it replaced
 (``|p|^2`` enters ``calG``, the residual and every stage, and a
 different rounding would change the logged trajectories).
+
+A full log stores every particle's state, ``G`` and residual at each log
+row.  A summary log (``full_log=False``, what the ``characteristics``
+scenario asks for) observes ``G`` and the residual of a chunk in two
+scratch rows and keeps only their per-row maxima, ``calG`` and
+``max_residual``, and no final state.  A maximum is exact in any order
+of reduction and ``np.max`` passes a NaN through, so these equal the
+maxima of the full log bit for bit.
 """
 
 from __future__ import annotations
@@ -475,15 +483,20 @@ def characteristic_rhs(state, fields_at, frame: TimeFrame, mode: str = "derived"
 
 @dataclass
 class TrajectoryLog:
-    """Output-step log of a characteristic integration."""
+    """Output-step log of a characteristic integration.
+
+    The per-particle fields are ``None`` in a summary log (see
+    :func:`integrate_characteristics`); the per-row fields are always set.
+    """
 
     T: np.ndarray                  # (m,)
-    x: np.ndarray                  # (m, n, 3)
-    p: np.ndarray                  # (m, n, 3)
-    p0: np.ndarray                 # (m, n)
-    massshell_residual: np.ndarray  # (m, n)
-    G: np.ndarray                  # (m, n)
+    x: Optional[np.ndarray]        # (m, n, 3)
+    p: Optional[np.ndarray]        # (m, n, 3)
+    p0: Optional[np.ndarray]       # (m, n)
+    massshell_residual: Optional[np.ndarray]  # (m, n)
+    G: Optional[np.ndarray]        # (m, n)
     calG: np.ndarray               # (m,)
+    max_residual: np.ndarray       # (m,) largest |massshell_residual| per row
     total_weight: np.ndarray       # (m,)
     flagged: np.ndarray            # (n,) bool: left the flow, frozen since
 
@@ -574,7 +587,8 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
                               frame0: TimeFrame, Tend: float, h: float,
                               mode: str = "derived",
                               log_every: int = 100,
-                              threads: int = 1) -> tuple:
+                              threads: int = 1,
+                              full_log: bool = True) -> tuple:
     """Integrate the characteristic system with fixed-step classical RK4.
 
     Returns ``(TrajectoryLog, final ParticleEnsemble)``.  ``log_every``
@@ -583,6 +597,15 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
     independently; ``threads`` caps the number of worker threads that
     share them.  Every particle's arithmetic is independent of the
     chunking, so the output is independent of the thread count.
+
+    ``full_log=False`` records a summary: the log keeps only its per-row
+    fields ``T``, ``calG``, ``max_residual``, ``total_weight`` and
+    ``flagged``, its per-particle fields are ``None``, and the call
+    returns ``(log, None)``.  Each chunk then observes ``G`` and the
+    residual in its own scratch rows and keeps only their maxima.  A
+    maximum does not depend on the order of reduction (and ``np.max``
+    passes a NaN through), so the summary fields equal those of the full
+    log bit for bit.
     """
     if mode not in ("derived", "paper_form"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -602,16 +625,23 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
         logged.append(n_steps)
     log_row = {step: row for row, step in enumerate(logged, start=1)}
     m = len(logged) + 1
+
+    def per_particle(*shape):
+        return np.empty((m, n) + shape) if full_log else None
+
     log = TrajectoryLog(
         T=np.array([T0] + [T0 + step * h for step in logged]),
-        x=np.empty((m, n, 3)), p=np.empty((m, n, 3)), p0=np.empty((m, n)),
-        massshell_residual=np.empty((m, n)), G=np.empty((m, n)),
-        calG=np.zeros(m), total_weight=np.full(m, ensemble.total_weight()),
+        x=per_particle(3), p=per_particle(3), p0=per_particle(),
+        massshell_residual=per_particle(), G=per_particle(),
+        calG=np.zeros(m), max_residual=np.zeros(m),
+        total_weight=np.full(m, ensemble.total_weight()),
         flagged=np.zeros(n, dtype=bool))
-    final = np.empty((6, n))
+    final = np.empty((6, n)) if full_log else None
     starts = range(0, n, _CHUNK)
-    # largest G of a live particle, per chunk and log row
+    # largest G of a live particle and largest |residual|, per chunk and
+    # log row
     top = np.full((len(starts), m), -np.inf)
+    worst = np.zeros((len(starts), m))
 
     def run_chunk(i: int) -> None:
         lo = starts[i]
@@ -625,16 +655,20 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
         spare, k, acc = np.empty_like(y), np.empty_like(y), np.empty_like(y)
         flagged = log.flagged[lo:hi]
         frozen = False
+        observed = None if full_log else np.empty((2, hi - lo))  # G, residual
 
         def record(row: int, T: float, y: np.ndarray) -> None:
-            G = log.G[row, lo:hi]
-            log.p0[row, lo:hi] = flow.observe(
-                T, y, G, log.massshell_residual[row, lo:hi])
-            log.x[row, lo:hi] = y[0:3].T
-            log.p[row, lo:hi] = y[3:6].T
+            G, res = ((log.G[row, lo:hi], log.massshell_residual[row, lo:hi])
+                      if full_log else observed)
+            q0 = flow.observe(T, y, G, res)
+            if full_log:
+                log.p0[row, lo:hi] = q0
+                log.x[row, lo:hi] = y[0:3].T
+                log.p[row, lo:hi] = y[3:6].T
             live = G[~flagged] if frozen else G
             if live.size:
                 top[i, row] = live.max()
+            worst[i, row] = np.max(np.abs(res))
 
         record(0, T0, y)
         T = T0
@@ -652,7 +686,8 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
             T = T0 + step * h
             if step in log_row:
                 record(log_row[step], T, y)
-        final[:, lo:hi] = y[0:6]
+        if full_log:
+            final[:, lo:hi] = y[0:6]
 
     workers = min(threads, len(starts))
     if workers > 1:
@@ -666,6 +701,9 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
         G_max = top.max(axis=0)
         live = ~np.isneginf(G_max)  # rows where some particle is live
         log.calG[live] = np.sqrt(G_max[live])
+        log.max_residual[:] = np.max(worst, axis=0)
+    if not full_log:
+        return log, None
     fin = ParticleEnsemble(final[0:3].T.copy(), final[3:6].T.copy(),
                            ensemble.weights.copy())
     return log, fin

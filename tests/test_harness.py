@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import milne_lab
-from milne_lab import harness
+from milne_lab import harness, transport
 from milne_lab.energies import MONITOR_THRESHOLDS
 from milne_lab.harness import (
     CONFIG_SCHEMA,
@@ -318,6 +318,20 @@ class TestScenarios:
         assert unfitted and all(not m["holds"] and m["unfitted"]
                                 for m in unfitted)
 
+    def test_characteristics_report_independent_of_chunks_and_threads(
+            self, tmp_path, monkeypatch):
+        cfg = validate_config({"scenario": "characteristics", "seed": 4,
+                               "particleCount": 50, "Tend": 0.5, "h": 1e-2})
+        blobs = []
+        for sub, chunk, threads in (("default", transport._CHUNK, "1"),
+                                    ("chunked", 7, "2")):
+            monkeypatch.setattr(transport, "_CHUNK", chunk)
+            monkeypatch.setenv("MILNE_LAB_THREADS", threads)
+            paths = emit_report(run_scenario(cfg), str(tmp_path / sub))
+            blobs.append((open(paths["csv"], "rb").read(),
+                          open(paths["json"], "rb").read()))
+        assert blobs[0] == blobs[1]
+
     def test_negative_perturbation_holds_support_envelope(self):
         result = run_scenario(validate_config(base_config(
             scenario="characteristics", perturbationEps=-0.5, Tend=0.5)))
@@ -375,6 +389,20 @@ class TestCli:
         cfg = tmp_path / "mismatch.json"
         cfg.write_text(json.dumps(base_config(scenario="modes")))
         assert main(["background-check", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("content, name", [
+        (None, "[config-file]"),
+        ("{not json", "[json]"),
+        ("[1]", "[json]"),
+    ], ids=["missing", "malformed", "not-an-object"])
+    def test_unreadable_config_file_exits_2(self, content, name, tmp_path,
+                                            capsys):
+        cfg = tmp_path / "config.json"
+        if content is not None:
+            cfg.write_text(content)
+        assert main(["modes", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
 
     def test_out_writes_artifacts(self, tmp_path):
         out = tmp_path / "artifacts"

@@ -355,6 +355,80 @@ class TestMetamorphic:
         assert np.array_equal(got, np.einsum("na,na->n", a, b))
 
 
+def nan_residual_provider():
+    """Manufactured fields whose lapse turns NaN on a moving front.
+
+    A particle the front overtakes gets flagged, and its frozen state has
+    a NaN mass-shell residual from then on.
+    """
+    manufactured = manufactured_lapse_fields(EPS)
+
+    def provider(T, x):
+        f = manufactured(T, x)
+        f.N = np.where(x[:, 0] > 1.15 - T / 2, np.nan, f.N)
+        return f
+    return provider
+
+
+def without_row_form(provider):
+    """The same provider, reached through its BatchFields only."""
+    return lambda T, x: provider(T, x)
+
+
+SUMMARY_PROVIDERS = {
+    "row form": lambda: manufactured_lapse_fields(0.3),
+    "no row form": lambda: without_row_form(manufactured_lapse_fields(0.3)),
+    "dense": lambda: dense_provider(0.3),
+    "flagging": nan_front_provider,
+    "NaN residual": nan_residual_provider,
+}
+SUMMARY_KEYS = ("T", "calG", "max_residual", "total_weight", "flagged")
+PER_PARTICLE_KEYS = ("x", "p", "p0", "massshell_residual", "G")
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+class TestSummaryLog:
+    """A summary log equals the per-row fields of the full log bit for bit."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("mode", ["derived", "paper_form"])
+    @pytest.mark.parametrize("name", sorted(SUMMARY_PROVIDERS))
+    def test_summary_fields_equal_the_full_log(self, name, mode, threads,
+                                               monkeypatch):
+        monkeypatch.setattr(transport, "_CHUNK", 7)  # six chunks
+        provider = SUMMARY_PROVIDERS[name]()
+        kw = dict(n=40, span=0.5, h=1e-2, log_every=5, mode=mode,
+                  threads=threads)
+        full, fin = run(provider, **kw)
+        summary, none = run(provider, full_log=False, **kw)
+        assert same_bits(full.max_residual,
+                         np.max(np.abs(full.massshell_residual), axis=1))
+        for key in SUMMARY_KEYS:
+            assert same_bits(getattr(summary, key), getattr(full, key)), key
+        for key in PER_PARTICLE_KEYS:
+            assert getattr(summary, key) is None, key
+        assert none is None and fin.size == 40
+        if name in ("flagging", "NaN residual"):
+            assert 0 < int(np.sum(full.flagged)) < 40
+        if name == "NaN residual":  # a NaN passes through both maxima
+            assert np.isnan(summary.max_residual[-1])
+
+    @pytest.mark.parametrize("full_log", [True, False])
+    def test_empty_ensemble_has_zero_maxima(self, full_log):
+        empty = ParticleEnsemble(x=np.zeros((0, 3)), p=np.zeros((0, 3)),
+                                 weights=np.zeros(0))
+        log, fin = integrate_characteristics(
+            empty, manufactured_lapse_fields(EPS), make_time_frame(-1.0, 0.0),
+            0.1, 1e-2, log_every=5, full_log=full_log)
+        assert np.array_equal(log.max_residual, np.zeros(3))
+        assert np.array_equal(log.calG, np.zeros(3))
+        assert (fin is None) is not full_log
+
+
 REFERENCE_PROVIDERS = {
     "row_form_derived": lambda: manufactured_lapse_fields(0.3),
     "row_form_paper_form": lambda: manufactured_lapse_fields(0.3),
