@@ -6,12 +6,14 @@ particles on one and two threads, and writes a JSON table of ns per
 particle-step with the largest mass-shell residual of each run next to
 it, so a speedup that costs accuracy shows in the same row.  The
 ``report`` section times ``full_report`` at its defaults, the
-homogeneous closure per call, the homogeneous log point and one mode
-step, next to the run's constraint and continuity defects.  The
-``memory`` section records the ``tracemalloc`` peak of one
-``characteristics`` run at the ``chars_wide`` size, measured apart from
-the timed runs.  Standard library plus numpy; about 50 s on a 2-vCPU
-VM::
+homogeneous closure per call, the homogeneous log point (median of
+back-to-back run pairs), ``sasaki_energy`` per distribution (one call
+each, and one call on a stack of 64) and one mode step, next to the
+run's constraint and continuity defects.  The ``memory`` section records
+the ``tracemalloc`` peaks of one ``characteristics`` run at the
+``chars_wide`` size and of one ``full_report`` run at its defaults,
+measured apart from the timed runs.  Standard library plus numpy; about
+60 s on a 2-vCPU VM::
 
     python bench/bench.py --out BENCH_<n>.json
     python bench/bench.py --src OTHER_CHECKOUT/src --out before.json
@@ -39,6 +41,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = ((1_000, 1_000), (10_000, 200), (100_000, 50))
 THREADS = (1, 2)
 REPEATS = 3
+LOG_POINT_PAIRS = 7  # interleaved (every logEvery, two ends) run pairs
+ENERGY_ROWS = 64  # the log-point block of homogeneous.evolve_homogeneous
 H = 1e-3
 EPS = 1e-3
 MODE_SPAN, MODE_STEPS = (0.0, 10.0), 10_000
@@ -123,6 +127,43 @@ def closure_cost(harness, homogeneous, cfg) -> float:
     return spent[0] / calls[0]
 
 
+def energy_row_cost(homogeneous, cfg):
+    """Microseconds per distribution of ``sasaki_energy``, called once per
+    distribution and once on a stack of ``ENERGY_ROWS``, on log-point-like
+    distributions; the stack figure is ``None`` for a tree whose
+    ``sasaki_energy`` takes one distribution only."""
+    import numpy as np
+    from milne_lab.matter import RadialDistribution
+
+    qmax = cfg.matterQmax
+    fs = []
+    for stretch in np.linspace(1.0, 0.5, ENERGY_ROWS):
+        grid = np.linspace(0.0, qmax * stretch, cfg.radialNodes)
+        fs.append(RadialDistribution(
+            grid=grid, qmax=qmax * stretch,
+            values=cfg.matterAmp * np.maximum(0.0, 1 - (grid / qmax) ** 2)))
+    vols = np.linspace(1.0, 1.2, ENERGY_ROWS)
+    kwargs = {"ell": 2, "mu": 4.0, "ladder_ell": 5}
+
+    def single():
+        for f, vol in zip(fs, vols):
+            homogeneous.sasaki_energy(f, None, vol_cell=float(vol), **kwargs)
+
+    def stack():
+        homogeneous.sasaki_energy(fs, None, vol_cell=vols, **kwargs)
+
+    try:
+        stack()
+    except (AttributeError, TypeError):  # no stack form in this tree
+        stack = None
+    out = {}
+    for name, fn in (("single", single), (f"stack_{ENERGY_ROWS}", stack)):
+        out[name] = None if fn is None else round(
+            1e6 * statistics.median(wall_of(fn) for _ in range(REPEATS))
+            / ENERGY_ROWS, 1)
+    return out
+
+
 def report_section() -> dict:
     """Wall time of ``full_report`` and the cost of its three layers."""
     from milne_lab import harness, homogeneous, modes
@@ -137,20 +178,19 @@ def report_section() -> dict:
                                   for _ in range(REPEATS))
 
     # a log point: the run logging every logEvery steps against the same
-    # run logging only its two ends
+    # run logging only its two ends, run back to back in pairs, so drift
+    # hits both runs of a pair alike
     n_steps = harness._homogeneous_steps(cfg)
     args = (harness._matter_profile(cfg), cfg.tau0, cfg.Tend - cfg.T0,
             n_steps)
     kwargs = {"n_q": cfg.radialNodes, "n_nodes": cfg.quadNodes}
-    walls = {cfg.logEvery: [], n_steps: []}
-    for _ in range(REPEATS):  # interleaved, so drift hits both alike
-        for every in walls:
-            walls[every].append(wall_of(
-                lambda: homogeneous.evolve_homogeneous(
-                    *args, log_every=every, **kwargs)))
     extra_points = n_steps // cfg.logEvery + 1 - 2
-    log_point_s = (statistics.median(walls[cfg.logEvery])
-                   - statistics.median(walls[n_steps])) / extra_points
+    diffs = []
+    for _ in range(LOG_POINT_PAIRS):
+        logged, ends = [wall_of(lambda: homogeneous.evolve_homogeneous(
+            *args, log_every=every, **kwargs))
+            for every in (cfg.logEvery, n_steps)]
+        diffs.append((logged - ends) / extra_points)
 
     lambdas = cfg.lambdaGrid
     mode_s = statistics.median(
@@ -164,10 +204,13 @@ def report_section() -> dict:
         "full_report_wall_s": round(statistics.median(report_walls), 4),
         "full_report_walls_s": [round(w, 4) for w in report_walls],
         "closure_us_per_call": round(1e6 * closure_s, 2),
-        "log_point_ms": round(1e3 * log_point_s, 3),
-        "log_point_method": f"(wall at logEvery {cfg.logEvery} - wall at "
-                            f"2 log points) / {extra_points}, "
+        "log_point_ms": round(1e3 * statistics.median(diffs), 3),
+        "log_point_ms_pairs": [round(1e3 * d, 3) for d in diffs],
+        "log_point_method": f"median over {LOG_POINT_PAIRS} back-to-back "
+                            f"pairs of (wall at logEvery {cfg.logEvery} - "
+                            f"wall at 2 log points) / {extra_points}, "
                             f"{n_steps} steps each",
+        "sasaki_energy_us_per_row": energy_row_cost(homogeneous, cfg),
         "mode_ns_per_step": round(1e9 * mode_s
                                   / (len(lambdas) * MODE_STEPS), 1),
         "mode_steps": f"{len(lambdas)} lambdas x {MODE_STEPS} steps",
@@ -181,33 +224,45 @@ def report_section() -> dict:
     return section
 
 
+def peak_mb(harness, raw) -> float:
+    """``tracemalloc`` peak of one ``harness.run_scenario`` of ``raw``, in
+    MB = 2^20 bytes."""
+    cfg = harness.validate_config(raw)
+    tracemalloc.start()
+    try:
+        harness.run_scenario(cfg)
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+    finally:
+        tracemalloc.stop()
+
+
 def memory_section() -> dict:
-    """``tracemalloc`` peak of one ``characteristics`` run at the
-    ``chars_wide`` size, through ``harness.run_scenario``."""
+    """``tracemalloc`` peaks of one ``characteristics`` run at the
+    ``chars_wide`` size and of one ``full_report`` run at its defaults."""
     from milne_lab import harness
 
     raw = {"scenario": "characteristics", "seed": 0,
            "particleCount": 100_000, "Tend": 0.1}
-    cfg = harness.validate_config(raw)
+    report_raw = {"scenario": "full_report", "seed": 0}
     saved = os.environ.get("MILNE_LAB_THREADS")
     os.environ["MILNE_LAB_THREADS"] = "2"
-    tracemalloc.start()
     try:
-        harness.run_scenario(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        characteristics_peak = peak_mb(harness, raw)
     finally:
-        tracemalloc.stop()
         if saved is None:
             del os.environ["MILNE_LAB_THREADS"]
         else:
             os.environ["MILNE_LAB_THREADS"] = saved
     section = {
         "config": f"{raw}, MILNE_LAB_THREADS=2",
-        "characteristics_peak_mb": round(peak / 2**20, 2),
+        "characteristics_peak_mb": characteristics_peak,
+        "report_config": str(report_raw),
+        "report_peak_mb": peak_mb(harness, report_raw),
         "method": "tracemalloc peak over one harness.run_scenario, "
                   "MB = 2^20 bytes",
     }
-    print(f"characteristics peak {section['characteristics_peak_mb']:.2f} MB")
+    print(f"characteristics peak {section['characteristics_peak_mb']:.2f} MB, "
+          f"report peak {section['report_peak_mb']:.2f} MB")
     return section
 
 

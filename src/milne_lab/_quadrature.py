@@ -20,26 +20,28 @@ def _reference_rule(per: int) -> tuple[np.ndarray, np.ndarray]:
     return xi, wi
 
 
-def composite_gauss_legendre(a: float, b: float, n_nodes: int = 64,
+def composite_gauss_legendre(a: float, b, n_nodes: int = 64,
                              panels: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of a composite Gauss-Legendre rule on ``[a, b]``.
 
     ``n_nodes`` is the total node count, split evenly across ``panels``
-    subintervals (``n_nodes`` must be divisible by ``panels``).  The
-    reference rule is cached per node count (``leggauss`` costs about
-    0.2 ms a call); the returned arrays are new on every call.
+    subintervals (``n_nodes`` must be divisible by ``panels``).  An array
+    ``b`` of shape ``(m,)`` gives ``(m, n_nodes)`` nodes and weights, row
+    ``i`` bitwise the rule on ``[a, b[i]]``.  The reference rule is cached
+    per node count (``leggauss`` costs about 0.2 ms a call); the returned
+    arrays are new on every call.
     """
-    if b <= a:
+    if np.any(np.asarray(b) <= a):
         raise ValueError("empty quadrature interval")
     if n_nodes % panels != 0:
         raise ValueError("n_nodes must be divisible by panels")
     per = n_nodes // panels
     xi, wi = _reference_rule(per)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    q = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
-    w = (half[:, None] * wi[None, :]).ravel()
+    edges = np.linspace(a, b, panels + 1).T  # (m, panels + 1) for an array b
+    half = 0.5 * np.diff(edges, axis=-1)
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    q = (mid[..., None] + half[..., None] * xi).reshape(*np.shape(b), n_nodes)
+    w = (half[..., None] * wi).reshape(*np.shape(b), n_nodes)
     return q, w
 
 

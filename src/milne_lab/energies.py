@@ -75,78 +75,117 @@ def inverse_weight_integral(mu: float) -> float:
     return 0.25 * math.sqrt(math.pi) * math.gamma(mu - 1.5) / math.gamma(mu)
 
 
+def _solve_tridiagonal_rows(A, b):
+    """``solve_banded((1, 1), A[i], b[i])`` for each row ``i``, bitwise.
+
+    ``A`` of shape ``(m, 3, n)`` holds each system in ``solve_banded``'s
+    banded storage and ``b`` of shape ``(m, n)`` the right-hand sides.
+    Each row goes straight to the LAPACK ``dgtsv`` that ``solve_banded``
+    dispatches to for one band on each side (about 9 us a call against
+    32 us for ``solve_banded`` at 257 nodes); a singular system is a
+    ``LinAlgError``, as there.  ``A`` is overwritten.
+    """
+    from scipy.linalg import LinAlgError
+    from scipy.linalg.lapack import dgtsv
+
+    s = np.empty_like(b)
+    for row in range(len(b)):
+        du, d, dl = A[row, 0, 1:], A[row, 1], A[row, 2, :-1]
+        s[row], info = dgtsv(dl, d, du, b[row], 1, 1, 1, 0)[3:]
+        if info > 0:
+            raise LinAlgError("singular matrix")
+    return s
+
+
 def _not_a_knot_spline(x, y):
     """Not-a-knot cubic spline through ``(x, y)``, a scipy ``PPoly``.
 
-    Bitwise equal to ``scipy.interpolate.CubicSpline(x, y)`` for 1-D real
-    data, without its front end (array-API shims, a second validation in
-    the ``CubicHermiteSpline`` round trip).  It keeps the input checks of
-    scipy 1.17.1's ``prepare_input`` (finite ``x`` and ``y``, strictly
-    increasing ``x``, each a ``ValueError``), repeats the numpy
-    expressions of ``CubicSpline.__init__`` for the tridiagonal slope
-    system with the same ``solve_banded((1, 1), ..., check_finite=False)``
-    call, then those of ``CubicHermiteSpline.__init__`` for the
-    coefficients, and ends in ``PPoly.construct_fast(c, x)``.  Grids of
-    two or three nodes go to ``CubicSpline`` itself: there scipy's
-    not-a-knot spline is the line or the parabola through the points,
-    built by other code than the banded system.  The tests compare the
-    helper bitwise with ``CubicSpline``, so a scipy release that changes
-    the arithmetic fails there instead of drifting.
+    ``x`` and ``y`` of shape ``(n,)`` give one spline; a stack of shape
+    ``(m, n)`` gives a list of ``m`` splines, one per row, built in one
+    pass.  Each is bitwise equal to ``scipy.interpolate.CubicSpline(x,
+    y)`` for 1-D real data, without its front end (array-API shims, a
+    second validation in the ``CubicHermiteSpline`` round trip).  It keeps
+    the input checks of scipy 1.17.1's ``prepare_input`` (finite ``x`` and
+    ``y``, strictly increasing ``x``, each a ``ValueError``), repeats the
+    numpy expressions of ``CubicSpline.__init__`` for the tridiagonal
+    slope system, solves each row with the LAPACK ``dgtsv`` that
+    ``solve_banded((1, 1), ...)`` dispatches to (``LinAlgError`` for a
+    singular system, as there), then repeats those of
+    ``CubicHermiteSpline.__init__`` for the coefficients, and ends in
+    ``PPoly.construct_fast(c, x)`` per row.  Grids of two or three nodes
+    go to ``CubicSpline`` itself, row by row: there scipy's not-a-knot
+    spline is the line or the parabola through the points, built by other
+    code than the banded system.  The tests compare the helper bitwise
+    with ``CubicSpline`` and ``solve_banded``, so a scipy release that
+    changes the arithmetic fails there instead of drifting.
     """
     from scipy.interpolate import CubicSpline, PPoly
-    from scipy.linalg import solve_banded
 
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.shape != x.shape:
-        raise ValueError("`x` and `y` must be 1-D of the same length.")
-    n = x.shape[0]
+    if x.ndim not in (1, 2) or y.shape != x.shape:
+        raise ValueError("`x` and `y` must be 1-D (or stacks of 1-D rows) "
+                         "of the same length.")
+    single = x.ndim == 1
+    x, y = np.atleast_2d(x), np.atleast_2d(y)
+    n = x.shape[-1]
     if n < 4:  # scipy fits a line (n = 2) or a parabola (n = 3) here
-        return CubicSpline(x, y)
+        splines = [CubicSpline(xi, yi) for xi, yi in zip(x, y)]
+        return splines[0] if single else splines
     if not np.all(np.isfinite(x)):
         raise ValueError("`x` must contain only finite values.")
     if not np.all(np.isfinite(y)):
         raise ValueError("`y` must contain only finite values.")
-    dx = np.diff(x)
+    dx = np.diff(x, axis=-1)
     if np.any(dx <= 0):
         raise ValueError("`x` must be strictly increasing sequence.")
-    slope = np.diff(y) / dx
+    slope = np.diff(y, axis=-1) / dx
 
-    A = np.zeros((3, n))  # banded storage of the slope system
-    b = np.empty(n)
-    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    A[0, 2:] = dx[:-1]
-    A[-1, :-2] = dx[1:]
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    A[1, 0] = dx[1]
-    A[0, 1] = x[2] - x[0]
-    d = x[2] - x[0]
-    b[0] = ((dx[0] + 2*d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
-    A[1, -1] = dx[-2]
-    A[-1, -2] = x[-1] - x[-3]
-    d = x[-1] - x[-3]
-    b[-1] = ((dx[-1]**2*slope[-2] + (2*d + dx[-1])*dx[-2]*slope[-1]) / d)
-    s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
-                     overwrite_b=True, check_finite=False).reshape(n)
+    A = np.zeros((len(x), 3, n))  # banded storage of each slope system
+    b = np.empty((len(x), n))
+    A[:, 1, 1:-1] = 2 * (dx[:, :-1] + dx[:, 1:])
+    A[:, 0, 2:] = dx[:, :-1]
+    A[:, -1, :-2] = dx[:, 1:]
+    b[:, 1:-1] = 3 * (dx[:, 1:] * slope[:, :-1] + dx[:, :-1] * slope[:, 1:])
+    A[:, 1, 0] = dx[:, 1]
+    A[:, 0, 1] = x[:, 2] - x[:, 0]
+    d = x[:, 2] - x[:, 0]
+    b[:, 0] = ((dx[:, 0] + 2*d) * dx[:, 1] * slope[:, 0]
+               + dx[:, 0]**2 * slope[:, 1]) / d
+    A[:, 1, -1] = dx[:, -2]
+    A[:, -1, -2] = x[:, -1] - x[:, -3]
+    d = x[:, -1] - x[:, -3]
+    b[:, -1] = ((dx[:, -1]**2*slope[:, -2]
+                 + (2*d + dx[:, -1])*dx[:, -2]*slope[:, -1]) / d)
+    s = _solve_tridiagonal_rows(A, b)
 
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
-    return PPoly.construct_fast(c, x)
+    t = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
+    c = np.stack((t / dx, (slope - s[:, :-1]) / dx - t, s[:, :-1], y[:, :-1]),
+                 axis=1)
+    splines = [PPoly.construct_fast(ci, xi) for ci, xi in zip(c, x)]
+    return splines[0] if single else splines
 
 
-def _radial_derivatives(f, qmax: float, n_nodes: int):
-    """Quadrature nodes plus f, f', f'' sampled there via a cubic spline."""
+def _radial_derivatives(fs, qmax: np.ndarray, n_nodes: int):
+    """Quadrature nodes plus f, f', f'' sampled there via a cubic spline.
+
+    One row per distribution of ``fs`` (grids of one length), ``qmax``
+    the array of their support radii.
+    """
     q, w = composite_gauss_legendre(0.0, qmax, n_nodes)
-    grid = np.asarray(f.grid, dtype=float)
-    vals = f.profile(grid) if getattr(f, "profile", None) is not None \
-        else np.asarray(f.values, dtype=float)
-    spline = _not_a_knot_spline(grid, vals)
-    return q, w, spline(q), spline(q, 1), spline(q, 2)
+    grid = np.array([f.grid for f in fs], dtype=float)
+    vals = np.array([
+        f.profile(g) if getattr(f, "profile", None) is not None
+        else f.values for f, g in zip(fs, grid)], dtype=float)
+    derivs = np.empty((3,) + q.shape)
+    for row, spline in enumerate(_not_a_knot_spline(grid, vals)):
+        for nu in range(3):
+            derivs[nu, row] = spline(q[row], nu)
+    return q, w, *derivs
 
 
 def sasaki_energy(f, geom, ell: int, mu: float, ladder_ell: Optional[int] = None,
-                  vol_cell: float = 1.0, n_nodes: int = 64,
-                  base: str = "g") -> float:
+                  vol_cell=1.0, n_nodes: int = 64, base: str = "g"):
     """Weighted ``L^2``-Sobolev energy of a radial distribution function.
 
     For a homogeneous isotropic ``f(q)`` (``q`` the frame-metric momentum
@@ -175,6 +214,14 @@ def sasaki_energy(f, geom, ell: int, mu: float, ladder_ell: Optional[int] = None
     * v)`` is bitwise the value with ``geom`` and ``vol_cell=v``, with no
     geometry object built.
 
+    ``f`` is one distribution, and the energy a float; or a list of
+    distributions whose grids have one length, and the energies a 1-D
+    array in the same order, with ``vol_cell`` a float or an array of one
+    cell volume per distribution.  A stack is evaluated in one pass (one
+    quadrature rule, one spline build, 2-D sums), and each entry is
+    bitwise the value of its own call; a single distribution is a stack
+    of one.  A distribution with ``qmax <= 0`` has energy 0.
+
     Raises ``ValueError`` for ``ell > 2`` (documented desk-scale cap on
     the derivative count; use ``ladder_ell`` for the weight order).
     """
@@ -187,12 +234,21 @@ def sasaki_energy(f, geom, ell: int, mu: float, ladder_ell: Optional[int] = None
     L = ell if ladder_ell is None else ladder_ell
     if L < ell:
         raise ValueError("ladder_ell must be >= ell")
-    if f.qmax <= 0:
-        return 0.0
+    stack = isinstance(f, (list, tuple))
+    fs = list(f) if stack else [f]
+    qmax = np.array([float(fi.qmax) for fi in fs])
+    live = qmax > 0
+    energy = np.zeros(len(fs))
+    if not live.any():
+        return energy if stack else 0.0
+    vol_cell = np.asarray(vol_cell, dtype=float)
+    if vol_cell.ndim:  # one cell volume per distribution
+        vol_cell = vol_cell[live]
     detg = float(np.linalg.det(geom.g)) if geom is not None else 1.0
     scale = detg ** (1.0 / 6.0)  # isotropic conformal stretch sqrt(b)
 
-    q, w, f0, f1, f2 = _radial_derivatives(f, float(f.qmax), n_nodes)
+    q, w, f0, f1, f2 = _radial_derivatives(
+        [fi for fi, ok in zip(fs, live) if ok], qmax[live], n_nodes)
     if base == "g":
         vol = math.sqrt(detg) * vol_cell
         s, ds = q, 1.0  # integrate directly in frame-metric magnitude
@@ -206,7 +262,7 @@ def sasaki_energy(f, geom, ell: int, mu: float, ladder_ell: Optional[int] = None
     else:
         raise ValueError(f"unknown base {base!r}")
     pbar2 = 1.0 + s**2
-    total = 0.0
+    total = np.zeros(q.shape[0])
     for k in range(min(ell, 2) + 1):
         if k == 0:
             dk = f0**2
@@ -215,8 +271,10 @@ def sasaki_energy(f, geom, ell: int, mu: float, ladder_ell: Optional[int] = None
         else:
             dk = f2**2 + 2.0 * (f1 / q * ds) ** 2
         expo = 2.0 * mu + 4.0 * (L - k) - 2.0 * k
-        total += 4.0 * math.pi * np.sum(w / ds * pbar2 ** (expo / 2.0) * dk * s**2)
-    return math.sqrt(vol * total)
+        total += 4.0 * math.pi * np.sum(
+            w / ds * pbar2 ** (expo / 2.0) * dk * s**2, axis=-1)
+    energy[live] = np.sqrt(vol * total)
+    return energy if stack else float(energy[0])
 
 
 def rho_energy(rho: float, geom, ell: int = 0, vol_cell: float = 1.0) -> float:

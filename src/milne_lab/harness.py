@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -185,16 +186,23 @@ def _read_config(path: str) -> dict:
 def validate_config(raw) -> ScenarioConfig:
     """Parse and validate a configuration document.
 
-    ``raw`` may be a JSON string or an already-decoded mapping.  Unknown
-    keys are rejected, defaults are filled in, and every side condition
-    is checked with a named error, including the energy-weight
+    ``raw`` may be a JSON string or an already-decoded mapping; anything
+    else is the named error ``[json]``.  Unknown keys are rejected,
+    defaults are filled in, and every side condition is checked with a
+    named error, including the energy-weight
     inequalities of ``energies.validate_energy_weights`` (``0 < deltaE <
     1/2``, ``deltaEcal > 1/2``, ``deltaE + deltaEcal < 1``), the
     decay-budget conditions
     ``1 - 2 deltaAlpha - deltaE - epsTot > 1 - epsDecay`` and
     ``deltaEcal - epsTot > 1 - epsDecay``, and caps on the run size.
     """
-    data = _json_object(raw) if isinstance(raw, (str, bytes)) else dict(raw)
+    if isinstance(raw, (str, bytes)):
+        data = _json_object(raw)
+    else:
+        _named_check(isinstance(raw, Mapping), "json",
+                     f"config must be a JSON string or a mapping, got "
+                     f"{type(raw).__name__}")
+        data = dict(raw)
     fields = CONFIG_SCHEMA["fields"]
     unknown = sorted(set(data) - set(fields))
     _named_check(not unknown, "unknown-keys", f"unrecognised keys {unknown}")

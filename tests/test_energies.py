@@ -5,10 +5,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.linalg import LinAlgError, solve_banded
 
 from milne_lab._quadrature import composite_gauss_legendre, trapezoid
 from milne_lab.energies import (
     _not_a_knot_spline,
+    _solve_tridiagonal_rows,
     DecayFitError,
     MONITOR_THRESHOLDS,
     WeightConditionError,
@@ -198,6 +200,20 @@ class TestNotAKnotSpline:
         with pytest.raises(ValueError):
             _not_a_knot_spline(x, y)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 257])
+    def test_stack_gives_one_spline_per_row(self, n):
+        rng = np.random.default_rng(n)
+        x = np.cumsum(rng.uniform(1e-3, 1.0, size=(6, n)), axis=1)
+        y = rng.normal(size=(6, n))
+        splines = _not_a_knot_spline(x, y)
+        assert len(splines) == 6
+        for xi, yi, got in zip(x, y, splines):
+            want = CubicSpline(xi, yi)
+            assert_bitwise(got.c, want.c, "c")
+            points = off_grid(xi, rng)
+            for nu in range(3):
+                assert_bitwise(got(points, nu), want(points, nu), f"{nu}")
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             _not_a_knot_spline(np.linspace(0.0, 1.0, 5), np.zeros(4))
@@ -218,6 +234,119 @@ class TestSasakiEnergyWithoutGeometry:
         want = sasaki_energy(f, scaled_geom(b), ell=ell, mu=4.0,
                              ladder_ell=ladder)
         assert_bitwise(got, want)
+
+
+def not_a_knot_system(x, rng):
+    """Banded storage of the not-a-knot slope system on the grid ``x``
+    (as ``CubicSpline`` fills it), with a random right-hand side."""
+    dx = np.diff(x)
+    A = np.zeros((3, x.size))
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    A[1, 0], A[0, 1] = dx[1], x[2] - x[0]
+    A[1, -1], A[-1, -2] = dx[-2], x[-1] - x[-3]
+    return A, rng.normal(size=x.size)
+
+
+def assert_rows_match_solve_banded(systems):
+    A = np.stack([a for a, _ in systems])
+    b = np.stack([rhs for _, rhs in systems])
+    got = _solve_tridiagonal_rows(A.copy(), b)
+    for row, (a, rhs) in enumerate(systems):
+        want = solve_banded((1, 1), a, rhs.reshape(-1, 1),
+                            check_finite=False).reshape(-1)
+        assert_bitwise(got[row], want, f"row {row}")
+
+
+class TestTridiagonalRows:
+    @pytest.mark.parametrize("n", [4, 5, 257, 1028])
+    def test_matches_solve_banded(self, n):
+        rng = np.random.default_rng(n)
+        grids = [np.cumsum(rng.uniform(1e-3, 1.0, size=n)) for _ in range(5)]
+        grids.append(np.linspace(0.0, 2.0, n))
+        assert_rows_match_solve_banded([not_a_knot_system(x, rng)
+                                        for x in grids])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.floats(min_value=1e-6, max_value=1e3),
+                             min_size=3, max_size=40), min_size=1, max_size=4),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_solve_banded_property(self, step_lists, seed):
+        # one stack holds grids of one length: cut every list to the
+        # shortest, then check each increasing grid's system row by row
+        n = min(len(steps) for steps in step_lists)
+        rng = np.random.default_rng(seed)
+        grids = [np.concatenate([[0.0], np.cumsum(steps[:n])])
+                 for steps in step_lists]
+        assume(all(np.all(np.diff(x) > 0) for x in grids))
+        assert_rows_match_solve_banded([not_a_knot_system(x, rng)
+                                        for x in grids])
+
+    def test_singular_system_raises_like_solve_banded(self):
+        A, b = np.zeros((3, 5)), np.ones(5)
+        with pytest.raises(LinAlgError):
+            solve_banded((1, 1), A, b)
+        with pytest.raises(LinAlgError):
+            _solve_tridiagonal_rows(A[None], b[None])
+
+
+def stack_member(n, qmax, kind, amp, rng):
+    """A distribution on ``n`` nodes: sampled ``values``, a ``profile``,
+    or one whose support radius is zero."""
+    grid = np.linspace(0.0, max(qmax, 1.0), n)
+    if kind == "profile":
+        return RadialDistribution(
+            grid=grid, qmax=qmax,
+            profile=lambda q: amp * np.maximum(0.0, 1.0 - (q / qmax) ** 2) ** 3)
+    f = RadialDistribution(grid=grid, qmax=grid[-1],
+                           values=amp * rng.uniform(size=n))
+    if kind == "empty":
+        f.qmax = 0.0  # the energy of an empty support is zero
+    return f
+
+
+class TestSasakiEnergyStack:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 4, 257]),
+           st.lists(st.tuples(st.sampled_from(["values", "profile", "empty"]),
+                              st.floats(min_value=0.05, max_value=4.0),
+                              st.floats(min_value=0.0, max_value=1.0),
+                              st.floats(min_value=1e-2, max_value=1e2)),
+                    min_size=1, max_size=5),
+           st.sampled_from([(0, None), (1, 3), (2, 5)]),
+           st.sampled_from(["g", "gamma"]),
+           st.sampled_from([None, 0.8, 1.3]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_stack_equals_single_calls(self, n, members, orders, base, b,
+                                       seed):
+        rng = np.random.default_rng(seed)
+        fs = [stack_member(n, qmax, kind, amp, rng)
+              for kind, qmax, amp, _ in members]
+        vols = np.array([vol for *_, vol in members])
+        geom = None if b is None else scaled_geom(b)
+        ell, ladder = orders
+        got = sasaki_energy(fs, geom, ell=ell, mu=4.0, ladder_ell=ladder,
+                            vol_cell=vols, base=base)
+        want = [sasaki_energy(f, geom, ell=ell, mu=4.0, ladder_ell=ladder,
+                              vol_cell=vol, base=base)
+                for f, vol in zip(fs, vols)]
+        assert isinstance(got, np.ndarray) and got.shape == (len(fs),)
+        assert all(type(e) is float for e in want)
+        assert_bitwise(got, want)
+        for (kind, *_), e in zip(members, got):
+            if kind == "empty":
+                assert e == 0.0
+
+    def test_shared_cell_volume_and_empty_stack(self):
+        fs = [smooth_bump(amp=2e-4, qmax=q) for q in (1.0, 1.5, 2.0)]
+        got = sasaki_energy(fs, None, ell=2, mu=4.0, ladder_ell=5,
+                            vol_cell=0.7)
+        want = [sasaki_energy(f, None, ell=2, mu=4.0, ladder_ell=5,
+                              vol_cell=0.7) for f in fs]
+        assert_bitwise(got, want)
+        empty = sasaki_energy([], None, ell=2, mu=4.0)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 class TestRhoEnergy:

@@ -140,10 +140,16 @@ class TestConfigRobustness:
         # homogeneous runs start at T = 0
         ({"scenario": "homogeneous", "T0": 1.0, "Tend": 6.0}, "T0 = 0"),
         ({"scenario": "full_report", "T0": 0.5, "Tend": 5.0}, "T0 = 0"),
+        # a config that is neither a JSON string nor a mapping goes in as is
+        ([1], "json"),
+        (5, "json"),
+        (None, "json"),
+        ([("scenario", "modes"), ("seed", 0)], "json"),
     ])
     def test_bad_value_named(self, extra, name):
+        raw = base_config(**extra) if isinstance(extra, dict) else extra
         with pytest.raises(ConfigError) as info:
-            validate_config(base_config(**extra))
+            validate_config(raw)
         assert f"[{name}]" in str(info.value)
 
     def test_json_infinity_rejected(self):

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from milne_lab import homogeneous
 from milne_lab._quadrature import composite_gauss_legendre
+from milne_lab.energies import sasaki_energy
 from milne_lab.homogeneous import (
     HOMOGENEOUS_CSV_COLUMNS,
     ConstraintSingularError,
@@ -213,3 +215,51 @@ class TestRunBitwise:
             if isinstance(value, np.ndarray):
                 assert value.shape == (0,) and value.dtype == float, f.name
         assert run.rows() == []
+
+
+def run_arrays(run):
+    return {f.name: getattr(run, f.name) for f in dataclasses.fields(run)
+            if isinstance(getattr(run, f.name), np.ndarray)}
+
+
+class TestEnergyBlocks:
+    """E_report is computed per block of log points; the block size is
+    invisible in every output."""
+
+    ARGS = (bump(2e-3), -1.0, 4.0, 2000)  # 201 log points
+
+    def blocked_run(self, monkeypatch, block, **kwargs):
+        calls = []
+
+        def counted(f, *args, **kw):
+            calls.append(len(f))
+            return sasaki_energy(f, *args, **kw)
+
+        monkeypatch.setattr(homogeneous, "_ENERGY_BLOCK", block)
+        monkeypatch.setattr(homogeneous, "sasaki_energy", counted)
+        return evolve_homogeneous(*self.ARGS, **kwargs), calls
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 501])
+    def test_block_size_leaves_the_run_bitwise_unchanged(self, monkeypatch,
+                                                         block):
+        want = evolve_homogeneous(*self.ARGS)
+        got, calls = self.blocked_run(monkeypatch, block)
+        assert calls == [min(block, 201 - i) for i in range(0, 201, block)]
+        assert (got.completed, got.abort_reason) == (True, None)
+        assert float(got.b0).hex() == float(want.b0).hex()
+        for name, value in run_arrays(want).items():
+            assert_bitwise(getattr(got, name), value, name)
+
+    @pytest.mark.parametrize("block", [1, 64])
+    def test_aborted_run_keeps_rows_energy_and_reason(self, monkeypatch,
+                                                      block):
+        # N relaxes toward 3 from below, so a negative lapse tolerance
+        # stops the run partway, with a partly filled block pending
+        full = evolve_homogeneous(*self.ARGS)
+        got, calls = self.blocked_run(monkeypatch, block, lapse_tol=-0.017)
+        rows = got.T.size
+        assert not got.completed and 64 < rows < 201
+        assert got.abort_reason == f"lapse left (0, 3] at T={full.T[rows]}"
+        assert sum(calls) == rows
+        for name, value in run_arrays(full).items():
+            assert_bitwise(getattr(got, name), value[:rows], name)

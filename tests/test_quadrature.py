@@ -43,3 +43,20 @@ def test_mutating_returned_arrays_leaves_later_calls_unchanged():
     assert_bitwise(q3, want_q)
     assert_bitwise(w3, want_w)
 
+
+
+@pytest.mark.parametrize("n_nodes", [48, 64, 96])
+def test_array_limit_matches_per_row_calls(n_nodes):
+    rng = np.random.default_rng(n_nodes)
+    b = np.concatenate([[2.0, 1e-3, 0.5], rng.uniform(0.01, 10.0, size=61)])
+    q, w = composite_gauss_legendre(0.0, b, n_nodes)
+    assert q.shape == w.shape == (b.size, n_nodes)
+    for row, bi in enumerate(b):
+        want_q, want_w = composite_gauss_legendre(0.0, float(bi), n_nodes)
+        assert_bitwise(q[row], want_q)
+        assert_bitwise(w[row], want_w)
+
+
+def test_array_limit_with_an_empty_interval_rejected():
+    with pytest.raises(ValueError, match="empty quadrature interval"):
+        composite_gauss_legendre(0.0, np.array([1.0, 0.0, 2.0]), 64)
