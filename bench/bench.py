@@ -12,8 +12,10 @@ each, and one call on a stack of 64) and one mode step, next to the
 run's constraint and continuity defects.  The ``memory`` section records
 the ``tracemalloc`` peaks of one ``characteristics`` run at the
 ``chars_wide`` size and of one ``full_report`` run at its defaults,
-measured apart from the timed runs.  Standard library plus numpy; about
-60 s on a 2-vCPU VM::
+measured apart from the timed runs.  ``source_lines`` counts the
+non-blank, non-comment lines of the package, and
+``source_lines_by_module`` splits them per module.  Standard library
+plus numpy; about 60 s on a 2-vCPU VM::
 
     python bench/bench.py --out BENCH_<n>.json
     python bench/bench.py --src OTHER_CHECKOUT/src --out before.json
@@ -48,15 +50,14 @@ EPS = 1e-3
 MODE_SPAN, MODE_STEPS = (0.0, 10.0), 10_000
 
 
-def source_lines(src: Path) -> int:
-    """Non-blank, non-comment lines of the package modules."""
-    total = 0
+def source_lines_by_module(src: Path) -> dict:
+    """Non-blank, non-comment lines of each package module."""
+    counts = {}
     for path in sorted((src / "milne_lab").glob("*.py")):
-        for line in path.read_text().splitlines():
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                total += 1
-    return total
+        counts[path.name] = sum(
+            1 for line in path.read_text().splitlines()
+            if line.strip() and not line.strip().startswith("#"))
+    return counts
 
 
 def git_sha(src: Path) -> str:
@@ -301,13 +302,15 @@ def main(argv=None) -> int:
             print(f"{n:>7} particles x {steps:>4} steps, {threads} thread(s): "
                   f"{rows[-1]['ns_per_particle_step']:7.1f} ns/particle-step, "
                   f"residual {residual[threads]:.2e}")
+    lines = source_lines_by_module(src)
     doc = {
         "git_sha": git_sha(src),
         "git_dirty": git_dirty(src),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": os.cpu_count(),
-        "source_lines": source_lines(src),
+        "source_lines": sum(lines.values()),
+        "source_lines_by_module": lines,
         "transport_scaling": {
             "provider": f"manufactured_lapse_fields({EPS})",
             "mode": "derived", "h": H, "repeats": REPEATS,

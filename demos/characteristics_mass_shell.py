@@ -30,8 +30,7 @@ log, final = integrate_characteristics(ensemble, provider, frame0,
                                        log_every=500)
 
 print("T      max|mass-shell residual|   support radius")
-for T, res, g in zip(log.T, np.max(np.abs(log.massshell_residual), axis=1),
-                     log.calG):
+for T, res, g in zip(log.T, log.max_residual, log.calG):
     print(f"{T:4.1f}   {res:24.3e}   {g:.6f}")
 
 # convergence of the invariant defect under step halving
@@ -40,7 +39,7 @@ errs = []
 for h in (8e-2, 4e-2, 2e-2):
     lg, _ = integrate_characteristics(ensemble, provider, frame0, 2.0, h,
                                       log_every=int(round(2.0 / h)))
-    errs.append(np.max(np.abs(lg.massshell_residual[-1])))
+    errs.append(lg.max_residual[-1])
     print(f"  h={h:.0e}  residual={errs[-1]:.3e}")
 orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
 print(f"  observed orders: {np.round(orders, 3)}")

@@ -10,9 +10,9 @@ import numpy as np
 
 from milne_lab.geometry import LocalGeometry, make_time_frame
 from milne_lab.massshell import (
+    MomentumPoint,
     compute_p0,
     mass_shell_residual,
-    momentum_point,
     normalization_report,
     pointwise_estimates_check,
 )
@@ -37,7 +37,7 @@ print(f"\nraw/closed-form ratio: {np.mean(rep['ratio']):.6f} "
 p0 = compute_p0(geom, p, frame, "paper_primary")
 print(f"on-shell residual: {np.max(np.abs(mass_shell_residual(geom, p, p0, frame))):.3e}")
 
-mp = momentum_point(geom, p[0], frame)
+mp = MomentumPoint(geom, p[0], frame)
 print(f"\nsingle-point bundle: p0={mp.p0:.6f}  pund={mp.pund:.6f}  "
       f"pbar={mp.pbar:.6f}  phat={mp.phat:.6f}")
 

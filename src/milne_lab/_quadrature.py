@@ -7,7 +7,9 @@ import functools
 
 import numpy as np
 
-__all__ = ["composite_gauss_legendre", "trapezoid"]
+__all__ = ["PANELS", "composite_gauss_legendre", "trapezoid"]
+
+PANELS = 8  # subintervals of every composite rule
 
 
 @functools.lru_cache(maxsize=16)  # a run uses two or three node counts
@@ -20,12 +22,12 @@ def _reference_rule(per: int) -> tuple[np.ndarray, np.ndarray]:
     return xi, wi
 
 
-def composite_gauss_legendre(a: float, b, n_nodes: int = 64,
-                             panels: int = 8) -> tuple[np.ndarray, np.ndarray]:
+def composite_gauss_legendre(a: float, b, n_nodes: int = 64
+                             ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of a composite Gauss-Legendre rule on ``[a, b]``.
 
-    ``n_nodes`` is the total node count, split evenly across ``panels``
-    subintervals (``n_nodes`` must be divisible by ``panels``).  An array
+    ``n_nodes`` is the total node count, split evenly over the ``PANELS``
+    subintervals (so it must be a multiple of ``PANELS``).  An array
     ``b`` of shape ``(m,)`` gives ``(m, n_nodes)`` nodes and weights, row
     ``i`` bitwise the rule on ``[a, b[i]]``.  The reference rule is cached
     per node count (``leggauss`` costs about 0.2 ms a call); the returned
@@ -33,11 +35,10 @@ def composite_gauss_legendre(a: float, b, n_nodes: int = 64,
     """
     if np.any(np.asarray(b) <= a):
         raise ValueError("empty quadrature interval")
-    if n_nodes % panels != 0:
-        raise ValueError("n_nodes must be divisible by panels")
-    per = n_nodes // panels
-    xi, wi = _reference_rule(per)
-    edges = np.linspace(a, b, panels + 1).T  # (m, panels + 1) for an array b
+    if n_nodes % PANELS != 0:
+        raise ValueError(f"n_nodes must be divisible by {PANELS}")
+    xi, wi = _reference_rule(n_nodes // PANELS)
+    edges = np.linspace(a, b, PANELS + 1).T  # (m, PANELS + 1) for an array b
     half = 0.5 * np.diff(edges, axis=-1)
     mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
     q = (mid[..., None] + half[..., None] * xi).reshape(*np.shape(b), n_nodes)

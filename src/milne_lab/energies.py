@@ -55,6 +55,8 @@ MONITOR_THRESHOLDS = {
 METRIC_LOWER_BOUND = 0.02
 LAPSE_UPPER_TOL = 1e-9
 SHIFT_TOL = 1e-10
+# horizon doublings of the tail-integral test (tail_convergence)
+TAIL_DOUBLINGS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +279,15 @@ def sasaki_energy(f, geom, ell: int, mu: float, ladder_ell: Optional[int] = None
     return energy if stack else float(energy[0])
 
 
-def rho_energy(rho: float, geom, ell: int = 0, vol_cell: float = 1.0) -> float:
+def rho_energy(rho: float, geom) -> float:
     """Sobolev energy of the energy density over the homogeneous cell.
 
     With vanishing spatial gradients every derivative order collapses to
-    the zeroth one, ``|rho| * vol_g`` with the metric cell volume; the
-    order argument is kept for interface symmetry and does not affect the
-    value.
+    the zeroth one, ``|rho| sqrt(det g)`` over the unit cell (``geom=None``
+    stands for ``det g = 1``).
     """
     detg = float(np.linalg.det(geom.g)) if geom is not None else 1.0
-    return abs(float(rho)) * math.sqrt(detg) * vol_cell
+    return abs(float(rho)) * math.sqrt(detg)
 
 
 class WeightConditionError(ValueError):
@@ -360,30 +361,30 @@ def decay_fit(T, v, window: Optional[tuple] = None) -> DecayFit:
 # ---------------------------------------------------------------------------
 
 
-def tail_span_needed(doublings: int = 3) -> float:
-    """Shortest run span ``tail_convergence`` accepts, ``(doublings + 1) ln 2``."""
-    return (doublings + 1) * math.log(2.0)
+def tail_span_needed() -> float:
+    """Shortest run span that ``tail_convergence`` accepts."""
+    return (TAIL_DOUBLINGS + 1) * math.log(2.0)
 
 
-def tail_convergence(T, y, t, doublings: int = 3) -> dict:
+def tail_convergence(T, y, t) -> dict:
     """Numerical integrability proxy for ``int y dt`` up to the run horizon.
 
     Computes finite-horizon tail integrals ``tail_k = int_{T_k}^{T_end}
-    y t dT`` (``dt = t dT`` for the physical time ``t``) at horizon
-    starts doubling in ``t`` (``T_{k+1} = T_k + ln 2``), and requires
-    every successive tail ratio to stay below one half.  For integrands
-    decaying at least like ``1/t^2`` the finite upper horizon makes the
-    ratio strictly smaller than ``1/2``.
+    y t dT`` (``dt = t dT`` for the physical time ``t``) at
+    ``TAIL_DOUBLINGS + 1`` horizon starts doubling in ``t`` (``T_{k+1} =
+    T_k + ln 2``), and requires every successive tail ratio to stay below
+    one half.  For integrands decaying at least like ``1/t^2`` the finite
+    upper horizon makes the ratio strictly smaller than ``1/2``.
     """
     T = np.asarray(T, dtype=float)
     y = np.asarray(y, dtype=float)
     t = np.asarray(t, dtype=float)
     integrand = y * t
     span = T[-1] - T[0]
-    if span <= tail_span_needed(doublings):
-        raise ValueError("run too short for the requested tail doublings")
+    if span <= tail_span_needed():
+        raise ValueError("run too short for the tail doublings")
     tails = []
-    for k in range(doublings + 1):
+    for k in range(TAIL_DOUBLINGS + 1):
         Tk = T[0] + k * math.log(2.0)
         mask = T >= Tk
         Ts = np.concatenate([[Tk], T[mask]])

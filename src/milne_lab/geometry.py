@@ -158,9 +158,6 @@ class BackgroundChart:
         lam = self.conformal_factor(x)
         return np.eye(3) / lam[..., None, None] ** 2
 
-    def sqrt_det(self, x: np.ndarray) -> np.ndarray:
-        return self.conformal_factor(x) ** 3
-
     def christoffels(self, x: np.ndarray) -> np.ndarray:
         """Connection coefficients ``Gam[a, b, c] = Gamma^a_{bc}``."""
         dphi, _ = self.phi_derivatives(x)
@@ -259,44 +256,17 @@ class LocalGeometry:
     def ginv(self) -> np.ndarray:
         return np.linalg.inv(self.g)
 
-    @property
-    def Nhat(self) -> float:
-        """Lapse relative to its background value 3."""
-        return self.N / BACKGROUND_LAPSE
 
-    @property
-    def Xhat(self) -> np.ndarray:
-        """Shift per unit lapse, ``X / N``; admissibility needs |Xhat|_g < 1."""
-        return self.X / self.N
+def background_geometry() -> LocalGeometry:
+    """The fixed-point data ``(gamma, 0, 3, 0)`` in an orthonormal frame.
 
-    def norm_g(self, v: np.ndarray) -> float:
-        return float(np.sqrt(v @ self.g @ v))
-
-
-def background_geometry(chart: Optional[BackgroundChart] = None,
-                        x: Optional[np.ndarray] = None) -> LocalGeometry:
-    """The fixed-point data ``(gamma, 0, 3, 0)``.
-
-    Without arguments an orthonormal-frame representation is returned
-    (``g`` equals the identity); with a chart and a point, the chart
-    components of the reference metric are used and the metric derivative
-    block is filled in from the closed-form connection.
+    ``g`` is the identity, and every derivative block is zero.
     """
-    if chart is None:
-        return LocalGeometry(
-            g=np.eye(3), Sigma=np.zeros((3, 3)), N=BACKGROUND_LAPSE,
-            X=np.zeros(3), dN=np.zeros(3), dX=np.zeros((3, 3)),
-            dg=np.zeros((3, 3, 3)), dTg=np.zeros((3, 3)), dTN=0.0,
-            dTX=np.zeros(3),
-        )
-    g = chart.metric(x)
-    gam = chart.christoffels(x)
-    # d_c g_ab = g_ad Gamma^d_{bc} + g_bd Gamma^d_{ac}
-    dg = np.einsum("ad,dbc->abc", g, gam) + np.einsum("bd,dac->abc", g, gam)
     return LocalGeometry(
-        g=g, Sigma=np.zeros((3, 3)), N=BACKGROUND_LAPSE, X=np.zeros(3),
-        dN=np.zeros(3), dX=np.zeros((3, 3)), dg=dg,
-        dTg=np.zeros((3, 3)), dTN=0.0, dTX=np.zeros(3),
+        g=np.eye(3), Sigma=np.zeros((3, 3)), N=BACKGROUND_LAPSE,
+        X=np.zeros(3), dN=np.zeros(3), dX=np.zeros((3, 3)),
+        dg=np.zeros((3, 3, 3)), dTg=np.zeros((3, 3)), dTN=0.0,
+        dTX=np.zeros(3),
     )
 
 
@@ -458,11 +428,12 @@ class CorrectionConstants:
 
 
 _LAMBDA_CRITICAL = 1.0 / 9.0
+_BORDERLINE_TOL = 1e-12  # |lambda0 - 1/9| that counts as the borderline
 
 
 def correction_constants(lambda0: float,
-                         eps_prime: Optional[float] = None,
-                         tol: float = 1e-12) -> CorrectionConstants:
+                         eps_prime: Optional[float] = None
+                         ) -> CorrectionConstants:
     """Energy-correction constants for lowest spectral value ``lambda0``.
 
     Above the borderline value ``1/9`` the uncorrected choice
@@ -474,9 +445,9 @@ def correction_constants(lambda0: float,
     condition ``cE < 3 sqrt(lambda0)`` holds.
     """
     lambda0 = float(lambda0)
-    if lambda0 > _LAMBDA_CRITICAL + tol:
+    if lambda0 > _LAMBDA_CRITICAL + _BORDERLINE_TOL:
         out = CorrectionConstants(alpha=1.0, cE=1.0, delta_alpha=0.0)
-    elif abs(lambda0 - _LAMBDA_CRITICAL) <= tol:
+    elif abs(lambda0 - _LAMBDA_CRITICAL) <= _BORDERLINE_TOL:
         if eps_prime is None or not (0.0 < eps_prime < lambda0):
             raise ValueError(
                 "borderline spectral value needs eps_prime in (0, lambda0)")

@@ -37,9 +37,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import geometry, matter, modes, homogeneous, transport, energies
+from . import matter, modes, homogeneous, transport, energies
+from ._quadrature import PANELS
 from .geometry import (BACKGROUND_LAPSE, background_geometry, make_time_frame,
-                       rescaled_christoffels, correction_constants)
+                       rescaled_christoffels)
 from .massshell import compute_p0, mass_shell_residual
 
 __all__ = [
@@ -270,8 +271,7 @@ def validate_config(raw) -> ScenarioConfig:
                  f"epsPrime={c['epsPrime']}")
     for name in ("radialNodes", "quadNodes", "particleCount", "logEvery"):
         _named_check(c[name] > 0, f"{name} > 0", f"{name}={c[name]}")
-    # the radial quadrature splits its nodes evenly over eight panels
-    _named_check(c["quadNodes"] % 8 == 0, "quadNodes multiple of 8",
+    _named_check(c["quadNodes"] % PANELS == 0, "quadNodes multiple of 8",
                  f"quadNodes={c['quadNodes']}")
     _named_check(c["radialNodes"] >= 2, "radialNodes >= 2",
                  f"radialNodes={c['radialNodes']}")
@@ -469,7 +469,8 @@ def _run_modes(cfg: ScenarioConfig) -> dict:
         elif lam > 1.0 / 9.0 + 1e-12:
             holds = abs(rate - 2.0) <= 0.02 and violation <= 1e-12
         else:
-            holds = violation <= 1e-12 and rate >= 2.0 * c.alpha - 0.05
+            holds = (violation <= 1e-12
+                     and rate >= 2.0 * c.alpha - modes.RATE_TOL)
         mode["holds"] = bool(holds and eig > 0.0)
         per_mode[f"lambda={lam:.6g}"] = mode
         log.rows.append([float(lam), c.alpha, c.cE, rate, eig, violation])

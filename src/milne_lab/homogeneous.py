@@ -26,9 +26,9 @@ The evolution intentionally runs two discretisations side by side:
   and its moments are taken with the trapezoid rule, giving an
   independent second-order-in-``dq`` measurement whose constraint defect
   converges at the expected rate.  The weighted distribution energy
-  ``E_report`` feeds no abort check, so it is computed per block of up
-  to 64 log points, one ``sasaki_energy`` call on the block's stack of
-  distributions, each value bitwise the one of its own call.
+  ``E_report`` feeds no abort check, so it is a separate series, one
+  ``sasaki_energy`` call per block of up to 64 log points, each value
+  bitwise the one of its own call.
 """
 
 from __future__ import annotations
@@ -183,9 +183,8 @@ def _lapse_from_closure(nodes, b, b0, s):
 
 def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
                        n_steps: int, n_q: int = 257, log_every: int = 10,
-                       n_nodes: int = 96, lapse_tol: float = 1e-9,
-                       energy_ell: int = 2, energy_ladder: int = 5,
-                       energy_mu: float = 4.0) -> HomogeneousRun:
+                       n_nodes: int = 96,
+                       lapse_tol: float = 1e-9) -> HomogeneousRun:
     """Evolve the reduced homogeneous system on ``[0, T_end]``.
 
     ``f0`` is the initial isotropic distribution as a function of the
@@ -207,8 +206,8 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
         raise ValueError("n_steps must be a positive multiple of log_every")
     s0 = abs(float(tau0))
     nodes = _closure_nodes(f0, n_nodes)
-
-    rho0 = initial_density(f0, tau0, n_nodes)
+    # initial_density, from the nodes just built
+    rho0 = scaling_closure_moments(*nodes, 1.0, s0)[0]
     b0 = hamiltonian_constraint_b(rho0, make_time_frame(tau0, 0.0))
 
     f0_spline = _not_a_knot_spline(np.linspace(0.0, f0.qmax, 4 * n_q),
@@ -224,17 +223,16 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
 
     h = T_end / n_steps
     b, rho_cont = b0, rho0
-    rows = []  # one list per log point, in HomogeneousRun field order
+    # one list per log point, in HomogeneousRun field order without E_report
+    rows, E_report = [], []
     pending = []  # (distribution, cell volume) of the rows without E yet
     completed, abort_reason = True, None
 
     def flush_energies():
-        # E feeds no abort check, so it is filled in per block of rows
-        E = sasaki_energy([f for f, _ in pending], None, ell=energy_ell,
-                          mu=energy_mu, ladder_ell=energy_ladder,
-                          vol_cell=np.array([vol for _, vol in pending]))
-        for row, e in zip(rows[len(rows) - len(pending):], E):
-            row[8] = e  # the E_report field
+        # E feeds no abort check, so it is computed per block of rows
+        E_report.extend(sasaki_energy(
+            [f for f, _ in pending], None, ell=2, mu=4.0, ladder_ell=5,
+            vol_cell=np.array([vol for _, vol in pending])))
         pending.clear()
 
     def log_point(T, b, rho_cont):
@@ -269,7 +267,7 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
         vol_g = math.sqrt(float(np.linalg.det(b * np.eye(3))))
         pending.append((f_now, vol_g))
         rows.append([T, frame.tau, b, b_con, N, rho_g, eta_g,
-                     f0.qmax * stretch, None, rho_c, eta_c, rho_cont])
+                     f0.qmax * stretch, rho_c, eta_c, rho_cont])
         if len(pending) == _ENERGY_BLOCK:
             flush_energies()
         return True
@@ -283,7 +281,8 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
     if pending:
         flush_energies()
 
-    # reshape keeps the twelve series when a run aborts at T = 0
-    series = np.array(rows, dtype=float).reshape(-1, 12).T.copy()
-    return HomogeneousRun(*series, b0=b0, completed=completed,
+    # reshape keeps the eleven series when a run aborts at T = 0
+    series = np.array(rows, dtype=float).reshape(-1, 11).T.copy()
+    return HomogeneousRun(*series[:8], np.array(E_report, dtype=float),
+                          *series[8:], b0=b0, completed=completed,
                           abort_reason=abort_reason)

@@ -32,7 +32,6 @@ __all__ = [
     "SingularShiftError",
     "MomentumPoint",
     "compute_p0",
-    "momentum_point",
     "phat",
     "pbar",
     "normalization_report",
@@ -140,11 +139,6 @@ class MomentumPoint:
         self.phat = phat(geom, p, frame)
         self.pbar = pbar(geom, p)
         self.pund = geom.N * self.p0
-
-
-def momentum_point(geom: LocalGeometry, p: np.ndarray,
-                   frame: TimeFrame) -> MomentumPoint:
-    return MomentumPoint(geom, p, frame)
 
 
 def normalization_report(geom: LocalGeometry, p: np.ndarray,

@@ -46,11 +46,7 @@ __all__ = [
     "moment_bound_check",
     "RESCALING_FACTORS",
     "rescale_moment",
-    "MOMENT_CSV_COLUMNS",
 ]
-
-MOMENT_CSV_COLUMNS = ["T", "rho", "eta_under", "tau2_eta_under",
-                      "trT_under", "S_scalar", "G"]
 
 
 class UnsupportedModeError(ValueError):
@@ -204,8 +200,8 @@ def moments_from_distribution(f, geom: LocalGeometry, frame: TimeFrame,
                          S=S, eta=eta, tau=tau)
 
 
-def eta_direct(f: RadialDistribution, geom: LocalGeometry, frame: TimeFrame,
-               n_nodes: int = 64) -> float:
+def eta_direct(f: RadialDistribution, geom: LocalGeometry,
+               frame: TimeFrame) -> float:
     """Independent single-quadrature evaluation of ``eta``.
 
     Uses the combined kernel ``(1 + 2 tau^2 q^2) / phat`` instead of
@@ -214,7 +210,7 @@ def eta_direct(f: RadialDistribution, geom: LocalGeometry, frame: TimeFrame,
     """
     _require_isotropic(geom, "eta_direct")
     tau = frame.tau
-    q, w = composite_gauss_legendre(0.0, f.qmax, n_nodes)
+    q, w = composite_gauss_legendre(0.0, f.qmax)
     fv = f(q)
     ph = np.sqrt(1.0 + tau**2 * q**2)
     return 4.0 * math.pi * float(np.sum(w * fv * (1.0 + 2.0 * tau**2 * q**2)
@@ -278,24 +274,22 @@ def continuity_rhs(rho: float, j: np.ndarray, geom: LocalGeometry,
     return float(drho), dj
 
 
-def continuity_step(rho: float, j: np.ndarray, h: float, stages,
-                    gradients: Optional[tuple] = None) -> tuple:
-    """One classical Runge-Kutta step of the continuity system.
+def continuity_step(rho: float, j: np.ndarray, h: float, stages) -> tuple:
+    """One classical Runge-Kutta step of the homogeneous continuity system.
 
     ``stages`` is a 3-tuple of ``(geom, frame, eta_under, T_under)``
     evaluated at the step start, midpoint and end; the stress data acts
-    as external forcing fixed per stage.  ``gradients`` optionally
-    supplies the matching 3-tuple of gradient-contraction dicts.
+    as external forcing fixed per stage.  Each stage must be homogeneous
+    (zero shift and lapse gradient): no gradient contractions are passed.
     """
     if len(stages) != 3:
         raise ValueError("stages must hold (start, midpoint, end) data")
-    grads = gradients if gradients is not None else (None, None, None)
 
     def rhs(t, y):
         # stage times 0, h/2 and h select the start, midpoint and end data
         k = 0 if t == 0.0 else 2 if t == h else 1
         geom, frame, eta_u, T_u = stages[k]
-        return continuity_rhs(*y, geom, frame, eta_u, T_u, grads[k])
+        return continuity_rhs(*y, geom, frame, eta_u, T_u)
 
     rho_new, j_new = rk4_step(rhs, 0.0, (rho, np.asarray(j, dtype=float)), h)
     return float(rho_new), j_new
@@ -331,11 +325,10 @@ def pressure_time_derivative_reduced(f: RadialDistribution,
 
 
 def moment_bound_check(f: RadialDistribution, geom: LocalGeometry,
-                       frame: TimeFrame, ell: int, vol_cell: float = 1.0,
-                       n_nodes: int = 64) -> dict:
+                       frame: TimeFrame, ell: int) -> dict:
     """Cauchy-Schwarz moment bounds with the explicit weight constant.
 
-    Each moment norm over the homogeneous cell is compared against
+    Each moment norm over the unit homogeneous cell is compared against
     ``C(mu) E_{ell,mu}`` where ``C(mu)^2 = vol_g * 4 pi I(mu)`` with
     ``I(mu)`` the closed-form inverse-weight integral and ``E`` the
     weighted distribution energy: density and momentum density against
@@ -350,18 +343,15 @@ def moment_bound_check(f: RadialDistribution, geom: LocalGeometry,
     if ell < 2:
         raise ValueError("moment bounds need weight order ell >= 2")
     _require_isotropic(geom, "moment_bound_check")
-    mom = moments_from_distribution(f, geom, frame, n_nodes=n_nodes)
-    detg = float(np.linalg.det(geom.g))
-    vol_g = math.sqrt(detg) * vol_cell
+    mom = moments_from_distribution(f, geom, frame)
+    vol_g = math.sqrt(float(np.linalg.det(geom.g)))
     sqrt_vol = math.sqrt(vol_g)
 
     def C(mu):
         return math.sqrt(vol_g * 4.0 * math.pi * inverse_weight_integral(mu))
 
-    E3 = sasaki_energy(f, geom, ell=min(ell, 2), mu=3.0, ladder_ell=ell,
-                       vol_cell=vol_cell, n_nodes=n_nodes)
-    E4 = sasaki_energy(f, geom, ell=min(ell, 2), mu=4.0, ladder_ell=ell,
-                       vol_cell=vol_cell, n_nodes=n_nodes)
+    E3 = sasaki_energy(f, geom, ell=min(ell, 2), mu=3.0, ladder_ell=ell)
+    E4 = sasaki_energy(f, geom, ell=min(ell, 2), mu=4.0, ladder_ell=ell)
 
     tau = frame.tau
     checks = {

@@ -732,7 +732,7 @@ def support_bound_check(T: np.ndarray, calG: np.ndarray, norms: dict,
     anchored at the run's ``tau0``; the check is performed with
     ``|tau0| <= 1``).  Integrals use trapezoidal quadrature of the logged
     series.  Returns measured/envelope series, ``holds`` and the minimum
-    margin.
+    margin over ``T > T0`` (at ``T0`` the envelope equals ``calG``).
     """
     required = ("X", "Sigma", "Nm3", "dTX", "GammaStar", "GammaStarStar")
     missing = [k for k in required if k not in norms]
@@ -763,5 +763,5 @@ def support_bound_check(T: np.ndarray, calG: np.ndarray, norms: dict,
         "measured": calG,
         "envelope": envelope,
         "holds": bool(np.all(calG <= envelope * (1.0 + 1e-12))),
-        "margin": float(np.min(margin)),
+        "margin": float(np.min(margin[1:] if T.size > 1 else margin)),
     }

@@ -1,0 +1,113 @@
+"""The public surface of the package holds nothing that nobody uses.
+
+* Every defaulted parameter of a public function or method in
+  ``src/milne_lab`` is set by some call in the repository.  A parameter
+  that no caller sets always takes its default, so it is a constant, not
+  an option, and belongs in the body.
+* Every name in an ``__all__`` resolves, so a deletion cannot leave a
+  stale export behind.
+
+Both scans read the source with ``ast``; nothing is run.
+"""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "milne_lab"
+CALLER_DIRS = ("src", "tests", "demos", "bench", "perfbench")
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def public_functions(tree):
+    """``(function node, is_method)`` for the public functions of a module
+    and the public methods of its public classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node, False
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield item, True
+
+
+def defaulted_parameters():
+    """``(label, function name, parameter, position, is_method)`` for every
+    defaulted parameter; ``position`` is ``None`` for keyword-only ones."""
+    out = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn, is_method in public_functions(tree):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params = [(a.arg, i) for i, a in enumerate(positional)
+                      if i >= first]
+            params += [(a.arg, None) for a, d in
+                       zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None]
+            for name, position in params:
+                out.append((f"{path.stem}.{fn.name}({name})", fn.name, name,
+                            position, is_method))
+    return out
+
+
+def calls_by_name():
+    """Every call in the repository's Python files, keyed by the called
+    name (``f(...)`` and ``obj.f(...)`` both count as calls of ``f``)."""
+    calls = {}
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                if name is not None:
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def sets(call, name, position, is_method):
+    """Whether ``call`` passes a value for the parameter; a call with
+    ``*args`` or ``**kwargs`` may pass any of them."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    # a method call obj.f(a, ...) binds a to the parameter after self
+    return position is not None and len(call.args) + is_method > position
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    params = defaulted_parameters()
+    assert params  # the scan sees the package
+    calls = calls_by_name()
+    unset = [label for label, fn, name, position, is_method in params
+             if not any(sets(call, name, position, is_method)
+                        for call in calls.get(fn, []))]
+    assert not unset, (f"{len(unset)} defaulted parameters that no call "
+                       f"sets: {unset}")
+
+
+def exporting_modules():
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "__all__"
+                       for t in node.targets) for node in tree.body):
+            yield ("milne_lab" if path.stem == "__init__"
+                   else f"milne_lab.{path.stem}")
+
+
+@pytest.mark.parametrize("module", list(exporting_modules()))
+def test_all_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names {missing}"

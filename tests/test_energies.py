@@ -360,9 +360,6 @@ class TestRhoEnergy:
         b = 1.44
         assert rho_energy(1.0, scaled_geom(b)) == pytest.approx(b**1.5)
 
-    def test_order_independent(self):
-        assert rho_energy(1.3, GEOM, ell=0) == rho_energy(1.3, GEOM, ell=6)
-
 
 class TestTotalEnergy:
     def test_zero(self):

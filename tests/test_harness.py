@@ -459,6 +459,17 @@ class TestCli:
                      "--strict"]) == 1
         assert main(["background-check", "--config", str(cfg)]) == 0
 
+    def test_strict_support_envelope_margin_is_taken_past_T0(self, tmp_path,
+                                                              capsys):
+        # the envelope equals calG at T0, where a margin reads 0 and failed
+        # every positive floor while both monitors held
+        cfg = tmp_path / "strict.json"
+        cfg.write_text(json.dumps({"Tend": 0.2, "strictMarginFloor": 1e-9}))
+        assert main(["characteristics", "--config", str(cfg),
+                     "--strict"]) == 0
+        out = capsys.readouterr().out
+        assert "monitor support_envelope: ok" in out and "PASS" in out
+
     def test_import_loads_no_scipy(self):
         src = os.path.dirname(os.path.dirname(milne_lab.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

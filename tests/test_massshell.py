@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from milne_lab.geometry import LocalGeometry, background_geometry, make_time_frame
 from milne_lab.massshell import (
+    MomentumPoint,
     SingularShiftError,
     compute_p0,
     mass_shell_residual,
-    momentum_point,
     normalization_report,
     pointwise_estimates_check,
     time_derivatives,
@@ -81,7 +81,7 @@ class TestMomentumPoint:
         geom = random_geometry(rng)
         fr = make_time_frame(-1.0, 0.5)
         p = rng.normal(size=3)
-        mp = momentum_point(geom, p, fr)
+        mp = MomentumPoint(geom, p, fr)
         assert mp.pund == pytest.approx(geom.N * mp.p0)
         assert mp.pbar >= 1.0
         assert mp.phat > 0.0

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from milne_lab.geometry import LocalGeometry, background_geometry, make_time_frame
 from milne_lab.matter import (
-    MOMENT_CSV_COLUMNS,
     RESCALING_FACTORS,
     RadialDistribution,
     UnsupportedModeError,
@@ -249,6 +248,3 @@ class TestConversionTable:
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
             rescale_moment("pressure", 1.0, make_time_frame(-1.0, 0.0))
-
-    def test_csv_columns_documented(self):
-        assert MOMENT_CSV_COLUMNS[0] == "T" and "G" in MOMENT_CSV_COLUMNS

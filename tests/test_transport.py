@@ -478,6 +478,22 @@ class TestSupportEnvelope:
         assert rep["holds"]
         assert rep["envelope"][-1] >= rep["measured"][-1]
 
+    def test_margin_measured_past_T0(self):
+        # the envelope starts at calG(T0), so row 0 has margin 0 by
+        # construction and the reported margin is taken over the rows after
+        provider = manufactured_lapse_fields(EPS)
+        log, _ = run(provider, n=64, log_every=100)
+        norms = {k: np.array([provider.norm_envelopes[k](t) for t in log.T])
+                 for k in ("X", "Sigma", "Nm3", "dTX", "GammaStar",
+                           "GammaStarStar")}
+        rep = support_bound_check(log.T, log.calG, norms, C=10.0)
+        gap = rep["envelope"] - rep["measured"]
+        assert gap[0] == 0.0
+        assert rep["margin"] == np.min(gap[1:]) > 0.0
+        first = support_bound_check(log.T[:1], log.calG[:1],
+                                    {k: v[:1] for k, v in norms.items()})
+        assert first["margin"] == 0.0
+
     def test_missing_norm_series_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             support_bound_check(np.array([0.0, 1.0]), np.array([1.0, 1.0]),
