@@ -3,7 +3,9 @@
 Each eigenvalue lambda >= 1/9 drives one mode equation.  Away from the
 borderline the corrected energy obeys dE/dT + 2E = 0 exactly; at the
 borderline a slightly detuned cross term still guarantees the rate
-2 * alpha with alpha = 0.9.  The sweep prints one row per eigenvalue.
+2 * alpha with alpha = 0.9.  The sweep prints one row per eigenvalue,
+with the verdict of ``energy_decay_check``, the acceptance rule of the
+``modes`` scenario.
 """
 
 import numpy as np
@@ -19,10 +21,11 @@ from milne_lab.modes import (
 
 LAMBDAS = (1.0 / 9.0, 0.2, 5.0 / 9.0, 1.0, 2.0)
 
-rows = mode_sweep(LAMBDAS)
-print("  ".join(f"{c:>18s}" for c in MODE_CSV_COLUMNS))
-for row in rows:
-    print("  ".join(f"{v:18.6e}" for v in row))
+sweep = mode_sweep(LAMBDAS, (0.0, 8.0), 2000, 1.0 / 900.0)
+print("  ".join(f"{c:>18s}" for c in MODE_CSV_COLUMNS + ["holds"]))
+for entry in sweep:
+    print("  ".join([f"{entry[c]:18.6e}" for c in MODE_CSV_COLUMNS]
+                    + [f"{entry['holds']!s:>18s}"]))
 
 # closed-form checks for the two analytically solvable members
 traj = integrate_mode(1.0 / 9.0, 1.0, -1.0, (0.0, 6.0), 3000,

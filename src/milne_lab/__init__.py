@@ -41,8 +41,8 @@ from .modes import (ModeTrajectory, corrected_energy, energy_decay_check,
 from .homogeneous import (ConstraintSingularError, HomogeneousRun,
                           evolve_homogeneous, hamiltonian_constraint_b,
                           solve_lapse_algebraic)
-from .energies import (DecayFit, decay_fit, monitors,
-                       rho_energy, sasaki_energy, total_energy)
+from .energies import (decay_fit, monitors, rho_energy, sasaki_energy,
+                       total_energy)
 from .harness import (ConfigError, ScenarioConfig, emit_report, main,
                       run_scenario, validate_config)
 
@@ -64,7 +64,7 @@ __all__ = [
     "integrate_mode", "mode_sweep",
     "ConstraintSingularError", "HomogeneousRun", "evolve_homogeneous",
     "hamiltonian_constraint_b", "solve_lapse_algebraic",
-    "DecayFit", "decay_fit", "monitors", "rho_energy",
+    "decay_fit", "monitors", "rho_energy",
     "sasaki_energy", "total_energy",
     "ConfigError", "ScenarioConfig", "emit_report", "main", "run_scenario",
     "validate_config",

@@ -19,7 +19,6 @@ configuration values with documented defaults, not theorems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,7 +27,6 @@ from ._quadrature import composite_gauss_legendre, trapezoid
 
 __all__ = [
     "MONITOR_THRESHOLDS",
-    "DecayFit",
     "DecayFitError",
     "inverse_weight_integral",
     "sasaki_energy",
@@ -318,25 +316,16 @@ def total_energy(E6: float, sasaki54sq: float, T: float,
     return math.exp((1.0 + deltaE) * T) * E6 + math.exp(-deltaEcal * T) * sasaki54sq
 
 
-@dataclass
-class DecayFit:
-    """Least-squares exponential decay rate of a positive series."""
-
-    rate: float
-    window: tuple
-    residual: float
-
-
 class DecayFitError(ValueError):
     """A decay rate cannot be fitted: too few samples, or a value <= 0."""
 
 
-def decay_fit(T, v, window: Optional[tuple] = None) -> DecayFit:
-    """Fit ``v = A e^{-rate T}`` by least squares on ``ln v``.
+def decay_fit(T, v, window: Optional[tuple] = None) -> float:
+    """Rate of the least-squares fit ``v = A e^{-rate T}`` on ``ln v``.
 
-    Requires at least 8 strictly positive samples in the window, and
-    raises :class:`DecayFitError` otherwise; the RMS residual of the
-    log-linear fit is always reported.
+    Fits over the samples with ``T`` in ``window`` (the whole series by
+    default).  Requires at least 8 strictly positive samples there, and
+    raises :class:`DecayFitError` otherwise.
     """
     T = np.asarray(T, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -348,12 +337,22 @@ def decay_fit(T, v, window: Optional[tuple] = None) -> DecayFit:
         raise DecayFitError("decay fit needs at least 8 samples in the window")
     if np.any(vw <= 0):
         raise DecayFitError("decay fit requires strictly positive values")
-    y = np.log(vw)
     A = np.stack([Tw, np.ones_like(Tw)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
-    return DecayFit(rate=-float(coef[0]), window=(float(window[0]), float(window[1])),
-                    residual=resid)
+    coef, *_ = np.linalg.lstsq(A, np.log(vw), rcond=None)
+    return -float(coef[0])
+
+
+def _fit_rate(into: dict, key: str, T, v, window=None) -> None:
+    """Store the decay rate of ``v`` at ``into[key]``.
+
+    A series that cannot be fitted stores ``None``, with the reason at
+    ``into["unfitted"][key]``.
+    """
+    try:
+        into[key] = decay_fit(T, v, window=window)
+    except DecayFitError as exc:
+        into[key] = None
+        into.setdefault("unfitted", {})[key] = str(exc)
 
 
 # ---------------------------------------------------------------------------

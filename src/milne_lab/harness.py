@@ -351,28 +351,23 @@ def _check_run_size(cfg: ScenarioConfig) -> None:
 
 @dataclass
 class RunLog:
-    """Append-only per-step table with a strictly increasing time column."""
+    """The CSV table of a run: its column names and its rows.
+
+    Every row must be as wide as ``columns``, and a ``T`` column must
+    increase strictly down the rows; either fault is a ``ValueError``
+    when the log is built.
+    """
 
     columns: list
     rows: list = field(default_factory=list)
 
-    def append(self, row) -> None:
-        row = list(row)
-        if len(row) != len(self.columns):
+    def __post_init__(self) -> None:
+        if any(len(row) != len(self.columns) for row in self.rows):
             raise ValueError("row width does not match the columns")
-        if "T" in self.columns and self.rows:
+        if "T" in self.columns:
             i = self.columns.index("T")
-            if not row[i] > self.rows[-1][i]:
+            if any(not b[i] > a[i] for a, b in zip(self.rows, self.rows[1:])):
                 raise ValueError("time column must be strictly increasing")
-        self.rows.append(row)
-
-    def extend(self, rows) -> None:
-        for row in rows:
-            self.append(row)
-
-    def column(self, name: str) -> np.ndarray:
-        i = self.columns.index(name)
-        return np.array([row[i] for row in self.rows], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +417,8 @@ def _run_background_check(cfg: ScenarioConfig) -> dict:
     checks["hamiltonian_b_minus_1"] = abs(
         homogeneous.hamiltonian_constraint_b(0.0, frame) - 1.0)
 
-    log = RunLog(columns=["check", "residual"])
-    for name, val in sorted(checks.items()):
-        log.rows.append([name, val])
+    log = RunLog(["check", "residual"],
+                 [[name, val] for name, val in sorted(checks.items())])
     lapse_exact = (N0 == BACKGROUND_LAPSE)
     worst = max(checks.values())
     monitors = {"fixed_point": {"holds": bool(worst < 1e-12),
@@ -435,45 +429,14 @@ def _run_background_check(cfg: ScenarioConfig) -> dict:
             "summary": {"worst_residual": worst, "lapse": N0}}
 
 
-def _fit_rate(into: dict, key: str, T, v, window=None) -> None:
-    """Store the decay rate of ``v`` at ``into[key]``.
-
-    A series that cannot be fitted stores ``None``, with the reason at
-    ``into["unfitted"][key]``.
-    """
-    try:
-        into[key] = energies.decay_fit(T, v, window=window).rate
-    except energies.DecayFitError as exc:
-        into[key] = None
-        into.setdefault("unfitted", {})[key] = str(exc)
-
-
 def _run_modes(cfg: ScenarioConfig) -> dict:
-    # the rows of modes.mode_sweep, built here so one unfittable energy
-    # leaves the other columns and modes in place
     n_steps = int(round((cfg.Tend - cfg.T0) / cfg.h))
-    log = RunLog(columns=modes.MODE_CSV_COLUMNS)
-    per_mode = {}
-    for lam in cfg.lambdaGrid:
-        traj = modes.integrate_mode(lam, 1.0, -1.0, (cfg.T0, cfg.Tend),
-                                    n_steps, eps_prime=cfg.epsPrime)
-        c = traj.constants
-        diss = modes.dissipation_identity(traj.u, traj.w, lam, c)
-        eig = modes.coercivity_check(lam, c.cE)["min_eig"]
-        mode = {"alpha": c.alpha, "cE": c.cE, "min_quadform_eig": eig,
-                "max_violation": float(np.max(diss))}
-        _fit_rate(mode, "fitted_rate", traj.T, traj.energy)
-        rate, violation = mode["fitted_rate"], mode["max_violation"]
-        if rate is None:
-            holds = False
-        elif lam > 1.0 / 9.0 + 1e-12:
-            holds = abs(rate - 2.0) <= 0.02 and violation <= 1e-12
-        else:
-            holds = (violation <= 1e-12
-                     and rate >= 2.0 * c.alpha - modes.RATE_TOL)
-        mode["holds"] = bool(holds and eig > 0.0)
-        per_mode[f"lambda={lam:.6g}"] = mode
-        log.rows.append([float(lam), c.alpha, c.cE, rate, eig, violation])
+    sweep = modes.mode_sweep(cfg.lambdaGrid, (cfg.T0, cfg.Tend), n_steps,
+                             cfg.epsPrime)
+    log = RunLog(modes.MODE_CSV_COLUMNS,
+                 [[m[k] for k in modes.MODE_CSV_COLUMNS] for m in sweep])
+    per_mode = {f"lambda={m['lambda']:.6g}":
+                {k: v for k, v in m.items() if k != "lambda"} for m in sweep}
     monitors = {"rate_table": {"holds": all(v["holds"]
                                             for v in per_mode.values()),
                                "modes": per_mode}}
@@ -531,16 +494,16 @@ def _decay_summary(cfg: ScenarioConfig, run) -> dict:
     else:  # no matter: a relative drift of zero density is undefined
         summary.setdefault("unfitted", {})["rho_drift_per_efold"] = \
             "density is zero at the end of the run"
-    _fit_rate(summary, "lapse_rate", run.T, np.abs(run.N - 3.0), window)
-    _fit_rate(summary, "tau2_eta_under_rate", run.T, s**2 * run.eta_under,
-              window)
+    energies._fit_rate(summary, "lapse_rate", run.T, np.abs(run.N - 3.0),
+                       window)
+    energies._fit_rate(summary, "tau2_eta_under_rate", run.T,
+                       s**2 * run.eta_under, window)
     return summary
 
 
 def _run_homogeneous(cfg: ScenarioConfig) -> dict:
     run = _homogeneous_run(cfg)
-    log = RunLog(columns=homogeneous.HOMOGENEOUS_CSV_COLUMNS)
-    log.rows = run.rows()
+    log = RunLog(homogeneous.HOMOGENEOUS_CSV_COLUMNS, run.rows())
     if not run.completed:
         return {"log": log, "monitors": {},
                 "summary": {"abort": run.abort_reason}}
@@ -578,10 +541,10 @@ def _run_characteristics(cfg: ScenarioConfig) -> dict:
         "support_envelope": {"holds": gron["holds"],
                              "margin": gron["margin"]},
     }
-    log = RunLog(columns=["T", "calG", "max_residual", "envelope"])
-    log.rows = [[float(t), float(g), float(r), float(e)]
-                for t, g, r, e in zip(log_t.T, log_t.calG, log_t.max_residual,
-                                      gron["envelope"])]
+    log = RunLog(["T", "calG", "max_residual", "envelope"],
+                 [[float(t), float(g), float(r), float(e)]
+                  for t, g, r, e in zip(log_t.T, log_t.calG,
+                                        log_t.max_residual, gron["envelope"])])
     return {"log": log, "monitors": monitors,
             "summary": {"max_residual": max_res, "flagged": flagged,
                         "final_calG": float(log_t.calG[-1])}}
@@ -604,16 +567,13 @@ def _run_full_report(cfg: ScenarioConfig) -> dict:
                 "monitors": {}, "summary": {"abort": run.abort_reason}}
     # vacuum mode sector integrated on the same log grid
     a = cfg.modeAmp
-    mode_runs = []
     stride, n_steps = _mode_steps(run.T.size - 1)
+    E6 = np.zeros_like(run.T)
+    g_norm_sq = np.zeros_like(run.T)
     for lam in cfg.lambdaGrid:
         traj = modes.integrate_mode(lam, a, -a, (float(run.T[0]),
                                                  float(run.T[-1])),
                                     n_steps, eps_prime=cfg.epsPrime)
-        mode_runs.append(traj)
-    E6 = np.zeros_like(run.T)
-    g_norm_sq = np.zeros_like(run.T)
-    for traj in mode_runs:
         u = traj.u[::stride]
         w = traj.w[::stride]
         E6 += modes.corrected_energy(u, w, traj.lam, traj.constants, order=6)
@@ -624,13 +584,13 @@ def _run_full_report(cfg: ScenarioConfig) -> dict:
     mons = energies.monitors(series, _monitor_config(cfg))
 
     summary = _decay_summary(cfg, run)
-    _fit_rate(summary, "mode_metric_rate", run.T, np.sqrt(g_norm_sq),
-              _fit_window(run.T))
+    energies._fit_rate(summary, "mode_metric_rate", run.T,
+                       np.sqrt(g_norm_sq), _fit_window(run.T))
     summary["mode_metric_rate_floor"] = 1.0 - cfg.deltaE - 0.05
     summary["Etot_T0"] = mons["totalDecay"]["Etot0"]
 
-    log = RunLog(columns=homogeneous.HOMOGENEOUS_CSV_COLUMNS + ["E6"])
-    log.rows = [row + [float(e)] for row, e in zip(run.rows(), E6)]
+    log = RunLog(homogeneous.HOMOGENEOUS_CSV_COLUMNS + ["E6"],
+                 [row + [float(e)] for row, e in zip(run.rows(), E6)])
     rates_ok = ("unfitted" not in summary
                 and abs(summary["lapse_rate"] - 1.0) <= 0.1
                 and abs(summary["tau2_eta_under_rate"] - 2.0) <= 0.1
@@ -679,20 +639,11 @@ def _fmt(value):
     return str(value)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _json_default(obj):
+    """The JSON form of a numpy array or scalar (``json.dump`` hook)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
 
 
 def validate_report(report: dict) -> None:
@@ -728,16 +679,17 @@ def emit_report(result: dict, out_dir: str) -> dict:
         "scenario": cfg.scenario,
         "seed": cfg.seed,
         "ok": bool(result["ok"]),
-        "monitors": _jsonable(result["monitors"]),
-        "summary": _jsonable(result["summary"]),
+        "monitors": result["monitors"],
+        "summary": result["summary"],
         # the destination directory is not part of the run's identity
-        "config": _jsonable({k: v for k, v in dataclasses.asdict(cfg).items()
-                             if k != "out"}),
+        "config": {k: v for k, v in dataclasses.asdict(cfg).items()
+                   if k != "out"},
     }
     validate_report(report)
     json_path = os.path.join(out_dir, "report.json")
     with open(json_path, "w", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True,
+                  default=_json_default)
         fh.write("\n")
     return {"csv": csv_path, "json": json_path}
 

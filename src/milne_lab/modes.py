@@ -15,8 +15,11 @@ cross term ``cE u' u`` chosen by :func:`milne_lab.geometry.correction_constants`
 so that the energy is coercive and decays at the guaranteed rate
 ``2 alpha``.  The module provides the oscillator integration, the
 corrected-energy ladder, the exact dissipation identity for verifying the
-decay rate, the coercivity eigenvalue check, and a sweep helper emitting
-one summary row per eigenvalue.
+decay rate, the coercivity eigenvalue check, the decay check that decides
+whether one mode decays at its guaranteed rate (``energy_decay_check``,
+the one acceptance rule of the ``modes`` scenario), and the sweep that
+runs it on each eigenvalue of a grid (``mode_sweep``, the scenario's rate
+table).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import CorrectionConstants, correction_constants
-from .energies import decay_fit
+from .energies import _fit_rate
 
 __all__ = [
     "ModeTrajectory",
@@ -46,7 +49,8 @@ __all__ = [
 MODE_CSV_COLUMNS = ["lambda", "alpha", "cE", "fitted_rate",
                     "min_quadform_eig", "max_violation"]
 
-# how far a fitted energy rate may fall below the guaranteed rate 2 alpha
+# how far the fitted energy rate of the borderline mode may fall below
+# its guaranteed rate 2 alpha
 RATE_TOL = 0.05
 
 
@@ -172,43 +176,44 @@ def integrate_mode(lam: float, u0: float, w0: float, T_span: tuple,
 
 def energy_decay_check(traj: ModeTrajectory,
                        fit_window: Optional[tuple] = None) -> dict:
-    """Verify the guaranteed corrected-energy decay of a source-free run.
+    """Whether a source-free mode run decays at its guaranteed rate.
 
-    Two independent checks: (a) the exact dissipation identity stays
-    nonpositive along the trajectory (its maximum is reported as
-    ``max_violation``); (b) a log-linear fit of the energy recovers at
-    least the guaranteed rate ``2 alpha`` within :data:`RATE_TOL` (the fit
-    can exceed the guarantee, never undershoot it beyond the tolerance).
+    Returns the mode's entry of the ``modes`` report: ``alpha``, ``cE``,
+    the smallest eigenvalue ``min_quadform_eig`` of the energy form, the
+    worst dissipation-identity value ``max_violation``, the log-linear
+    energy rate ``fitted_rate`` over ``fit_window`` (the whole run by
+    default; ``None``, the reason at ``unfitted``, if it cannot be fitted)
+    and ``holds``: the form is positive definite, the identity stays <=
+    1e-12, and the rate is within 0.02 of 2 above the borderline
+    eigenvalue 1/9, at it no more than :data:`RATE_TOL` below ``2 alpha``.
     """
     c = traj.constants
     diss = dissipation_identity(traj.u, traj.w, traj.lam, c)
-    max_violation = float(np.max(diss))
-    fit = decay_fit(traj.T, traj.energy, window=fit_window)
-    guaranteed = 2.0 * c.alpha
-    return {
-        "max_violation": max_violation,
-        "identity_holds": bool(max_violation <= 1e-12 * float(np.max(traj.energy))),
-        "fitted_rate": fit.rate,
-        "guaranteed_rate": guaranteed,
-        "rate_holds": bool(fit.rate >= guaranteed - RATE_TOL),
-        "fit_residual": fit.residual,
-    }
+    entry = {"alpha": c.alpha, "cE": c.cE,
+             "min_quadform_eig": coercivity_check(traj.lam, c.cE)["min_eig"],
+             "max_violation": float(np.max(diss))}
+    _fit_rate(entry, "fitted_rate", traj.T, traj.energy, fit_window)
+    rate = entry["fitted_rate"]
+    rate_ok = rate is not None and (
+        abs(rate - 2.0) <= 0.02 if traj.lam > 1.0 / 9.0 + 1e-12
+        else rate >= 2.0 * c.alpha - RATE_TOL)
+    entry["holds"] = bool(rate_ok and entry["max_violation"] <= 1e-12
+                          and entry["min_quadform_eig"] > 0.0)
+    return entry
 
 
-def mode_sweep(lambdas: Sequence[float]) -> list:
-    """Integrate a family of eigenvalues and summarise one row each.
+def mode_sweep(lambdas: Sequence[float], T_span: tuple, n_steps: int,
+               eps_prime: float) -> list:
+    """:func:`energy_decay_check` of each eigenvalue of ``lambdas``, in order.
 
-    Each mode runs from ``(u, u') = (1, -1)`` over ``T in [0, 8]`` in 2000
-    steps, its energy rate fitted over the whole run.  Rows follow
-    :data:`MODE_CSV_COLUMNS`: eigenvalue, decay constants, fitted energy
-    rate, smallest eigenvalue of the energy quadratic form, and the worst
-    value of the dissipation identity.
+    Each mode runs from ``(u, u') = (1, -1)`` over ``T_span`` in
+    ``n_steps`` steps, ``eps_prime`` setting the borderline constants.
+    Each entry adds the eigenvalue at ``"lambda"``, so it holds every
+    column of :data:`MODE_CSV_COLUMNS`.
     """
-    rows = []
+    entries = []
     for lam in lambdas:
-        traj = integrate_mode(lam, 1.0, -1.0, (0.0, 8.0), 2000)
-        chk = energy_decay_check(traj)
-        co = coercivity_check(lam, traj.constants.cE)
-        rows.append([float(lam), traj.constants.alpha, traj.constants.cE,
-                     chk["fitted_rate"], co["min_eig"], chk["max_violation"]])
-    return rows
+        traj = integrate_mode(lam, 1.0, -1.0, T_span, n_steps,
+                              eps_prime=eps_prime)
+        entries.append({"lambda": float(lam), **energy_decay_check(traj)})
+    return entries

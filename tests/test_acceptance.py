@@ -154,10 +154,10 @@ def test_criterion_4_corrected_energy_decay():
             # generic gap: dE/dT + 2E vanishes identically
             viol = float(np.max(np.abs(diss)))
             E6 = corrected_energy(traj.u, traj.w, lam, c, order=6)
-            fit = decay_fit(traj.T, E6, window=(3.0, 8.0))
-            this_ok = viol <= 1e-12 and abs(fit.rate - 2.0) <= 0.02
+            rate = decay_fit(traj.T, E6, window=(3.0, 8.0))
+            this_ok = viol <= 1e-12 and abs(rate - 2.0) <= 0.02
             details.append(f"lam={lam:.3g} viol={viol:.1e} "
-                           f"rate={fit.rate:.4f}")
+                           f"rate={rate:.4f}")
         else:
             # borderline: dE/dT <= -2 alpha E pointwise
             viol = float(np.max(diss))

@@ -6,8 +6,11 @@
   an option, and belongs in the body.
 * Every name in an ``__all__`` resolves, so a deletion cannot leave a
   stale export behind.
+* Every field of a public dataclass in ``src/milne_lab`` is read
+  somewhere: its name appears as an attribute load or as a string
+  constant (a ``getattr`` or key name) in the repository.
 
-Both scans read the source with ``ast``; nothing is run.
+The scans read the source with ``ast``; nothing is run.
 """
 
 import ast
@@ -111,3 +114,44 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names {missing}"
+
+
+def dataclass_fields():
+    """``(label, field name)`` for each field of a public dataclass."""
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef)
+                    and not node.name.startswith("_")
+                    and any("dataclass" in ast.unparse(d)
+                            for d in node.decorator_list)):
+                continue
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    yield (f"{path.stem}.{node.name}.{item.target.id}",
+                           item.target.id)
+
+
+def names_read():
+    """Attribute names loaded and string constants in the repository."""
+    names = set()
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(),
+                                           filename=str(path))):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    names.add(node.attr)
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    names.add(node.value)
+    return names
+
+
+def test_every_dataclass_field_is_read():
+    fields = list(dataclass_fields())
+    assert fields  # the scan sees the dataclasses
+    read = names_read()
+    unread = [label for label, name in fields if name not in read]
+    assert not unread, f"{len(unread)} dataclass fields never read: {unread}"

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import milne_lab
 from milne_lab import harness, transport
-from milne_lab.energies import MONITOR_THRESHOLDS
+from milne_lab._quadrature import PANELS
+from milne_lab.energies import MONITOR_THRESHOLDS, TAIL_DOUBLINGS
 from milne_lab.harness import (
     CONFIG_SCHEMA,
     SCENARIOS,
@@ -88,6 +90,18 @@ class TestConfigValidation:
     def test_invalid_json_named(self):
         with pytest.raises(ConfigError, match="json"):
             validate_config("{not json")
+
+    def test_error_names_state_the_package_constants(self):
+        # the names spell the constants out; a changed constant must not
+        # leave its error misstating the condition
+        name = f"[quadNodes multiple of {PANELS}]"
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            validate_config(base_config(quadNodes=12 * PANELS + 1))
+        name = f"[Tend - T0 > {TAIL_DOUBLINGS + 1} ln 2]"
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            validate_config(base_config(
+                scenario="homogeneous",
+                Tend=(TAIL_DOUBLINGS + 1) * math.log(2.0)))
 
 
 class TestConfigRobustness:
@@ -240,21 +254,17 @@ class TestConfigSchema:
 
 
 class TestRunLog:
-    def test_append_and_column(self):
-        log = RunLog(columns=["T", "v"])
-        log.extend([[0.0, 1.0], [0.5, 0.5]])
-        assert np.allclose(log.column("v"), [1.0, 0.5])
+    def test_constructor_keeps_checked_rows(self):
+        log = RunLog(["T", "v"], [[0.0, 1.0], [0.5, 0.5]])
+        assert log.rows == [[0.0, 1.0], [0.5, 0.5]]
 
     def test_time_must_increase(self):
-        log = RunLog(columns=["T", "v"])
-        log.append([0.0, 1.0])
         with pytest.raises(ValueError, match="increasing"):
-            log.append([0.0, 0.9])
+            RunLog(["T", "v"], [[0.0, 1.0], [0.0, 0.9]])
 
     def test_row_width_checked(self):
-        log = RunLog(columns=["T", "v"])
         with pytest.raises(ValueError, match="width"):
-            log.append([0.0])
+            RunLog(["T", "v"], [[0.0, 1.0], [0.5]])
 
 
 class TestScenarios:

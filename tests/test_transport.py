@@ -355,6 +355,32 @@ class TestMetamorphic:
         assert np.array_equal(got, np.einsum("na,na->n", a, b))
 
 
+class TestExactSymmetries:
+    """Bitwise equivariance of transport under an exact symmetry."""
+
+    @pytest.mark.parametrize("mode", ["derived", "paper_form"])
+    def test_flipping_two_axes_flips_the_log(self, mode):
+        # the manufactured fields see x only through x0 x1 x2, dot products
+        # and exp(-|x|^2 / 2), so S = diag(-1, -1, 1) changes only signs
+        S = np.array([-1.0, -1.0, 1.0])
+        ens = sample_ensemble(300, seed=11)
+        flipped = ParticleEnsemble(ens.x * S, ens.p * S, ens.weights)
+        frame0 = make_time_frame(-1.0, 0.0)
+        provider = manufactured_lapse_fields(0.3)
+        log, fin = integrate_characteristics(ens, provider, frame0, 0.5, 1e-2,
+                                             mode=mode, log_every=10)
+        log_s, fin_s = integrate_characteristics(flipped, provider, frame0,
+                                                 0.5, 1e-2, mode=mode,
+                                                 log_every=10)
+        assert np.array_equal(log_s.x, log.x * S)
+        assert np.array_equal(log_s.p, log.p * S)
+        for key in ("T", "p0", "G", "massshell_residual", "calG",
+                    "max_residual", "flagged"):
+            assert np.array_equal(getattr(log_s, key), getattr(log, key)), key
+        assert np.array_equal(fin_s.x, fin.x * S)
+        assert np.array_equal(fin_s.p, fin.p * S)
+
+
 def nan_residual_provider():
     """Manufactured fields whose lapse turns NaN on a moving front.
 
@@ -382,6 +408,8 @@ SUMMARY_PROVIDERS = {
     "flagging": nan_front_provider,
     "NaN residual": nan_residual_provider,
 }
+
+
 SUMMARY_KEYS = ("T", "calG", "max_residual", "total_weight", "flagged")
 PER_PARTICLE_KEYS = ("x", "p", "p0", "massshell_residual", "G")
 
