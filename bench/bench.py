@@ -6,22 +6,25 @@ particles on one and two threads, and writes a JSON table of ns per
 particle-step with the largest mass-shell residual of each run next to
 it, so a speedup that costs accuracy shows in the same row.  The
 ``report`` section times ``full_report`` at its defaults, the
-homogeneous closure per call, the homogeneous log point (median of
-back-to-back run pairs), ``sasaki_energy`` per distribution (one call
-each, and one call on a stack of 64) and one mode step, next to the
-run's constraint and continuity defects.  The ``memory`` section records
-the ``tracemalloc`` peaks of one ``characteristics`` run at the
-``chars_wide`` size and of one ``full_report`` run at its defaults,
-measured apart from the timed runs.  ``source_lines`` counts the
+homogeneous closure per call, the homogeneous RK4 step and log point
+(medians of back-to-back run pairs), ``sasaki_energy`` per distribution
+(one call each, and one call on a stack of 64) and one mode step, next
+to the run's constraint and continuity defects.  The ``scenarios``
+section times each scenario at its defaults (median of three warm
+runs).  The ``memory`` section records the ``tracemalloc`` peaks of one
+``characteristics`` run at the ``chars_wide`` size and of one
+``full_report`` run at its defaults, measured apart from the timed
+runs.  ``source_lines`` counts the
 non-blank, non-comment lines of the package, and
 ``source_lines_by_module`` splits them per module.  Standard library
-plus numpy; about 60 s on a 2-vCPU VM::
+plus numpy; about 2 minutes on a 2-vCPU VM::
 
-    python bench/bench.py --out BENCH_<n>.json
-    python bench/bench.py --src OTHER_CHECKOUT/src --out before.json
+    python bench/bench.py --src PARENT_CHECKOUT/src --out before.json
+    python bench/bench.py --before before.json --out BENCH_<n>.json
 
 ``--src`` times another source tree with the same script (side-by-side
-comparisons); ``--out`` is relative to the repository root.
+comparisons); ``--before`` stores an earlier run's JSON under
+``before`` in the output; paths are relative to the repository root.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ SIZES = ((1_000, 1_000), (10_000, 200), (100_000, 50))
 THREADS = (1, 2)
 REPEATS = 3
 LOG_POINT_PAIRS = 7  # interleaved (every logEvery, two ends) run pairs
+STEP_PAIRS = 7  # interleaved (n, 2 n steps, two log points each) run pairs
 ENERGY_ROWS = 64  # the log-point block of homogeneous.evolve_homogeneous
 H = 1e-3
 EPS = 1e-3
@@ -192,6 +196,14 @@ def report_section() -> dict:
             *args, log_every=every, **kwargs))
             for every in (cfg.logEvery, n_steps)]
         diffs.append((logged - ends) / extra_points)
+    # an RK4 step: the run of 2 n_steps steps against the run of n_steps,
+    # both logging only their two ends, back to back in pairs
+    step_diffs = []
+    for _ in range(STEP_PAIRS):
+        short, long = [wall_of(lambda: homogeneous.evolve_homogeneous(
+            *args[:3], steps, log_every=steps, **kwargs))
+            for steps in (n_steps, 2 * n_steps)]
+        step_diffs.append((long - short) / n_steps)
 
     lambdas = cfg.lambdaGrid
     mode_s = statistics.median(
@@ -211,6 +223,12 @@ def report_section() -> dict:
                             f"pairs of (wall at logEvery {cfg.logEvery} - "
                             f"wall at 2 log points) / {extra_points}, "
                             f"{n_steps} steps each",
+        "homogeneous_step_us": round(1e6 * statistics.median(step_diffs), 2),
+        "homogeneous_step_us_pairs": [round(1e6 * d, 2) for d in step_diffs],
+        "homogeneous_step_method": f"median over {STEP_PAIRS} back-to-back "
+                                   f"pairs of (wall at {2 * n_steps} steps "
+                                   f"- wall at {n_steps} steps) / "
+                                   f"{n_steps}, two log points each",
         "sasaki_energy_us_per_row": energy_row_cost(homogeneous, cfg),
         "mode_ns_per_step": round(1e9 * mode_s
                                   / (len(lambdas) * MODE_STEPS), 1),
@@ -219,10 +237,30 @@ def report_section() -> dict:
         "continuity_defect": result["summary"]["continuity_defect"],
     }
     print(f"full_report {section['full_report_wall_s']:.3f} s, closure "
-          f"{section['closure_us_per_call']:.2f} us/call, log point "
+          f"{section['closure_us_per_call']:.2f} us/call, RK4 step "
+          f"{section['homogeneous_step_us']:.2f} us, log point "
           f"{section['log_point_ms']:.3f} ms, mode step "
           f"{section['mode_ns_per_step']:.0f} ns")
     return section
+
+
+def scenarios_section() -> dict:
+    """Wall time of each scenario at its defaults: one warm-up run, then
+    the median of ``REPEATS`` runs."""
+    from milne_lab import harness
+
+    walls = {}
+    for scenario in harness.SCENARIOS:
+        cfg = harness.validate_config({"scenario": scenario, "seed": 0})
+        harness.run_scenario(cfg)  # first-call costs
+        runs = [wall_of(lambda: harness.run_scenario(cfg))
+                for _ in range(REPEATS)]
+        walls[scenario] = {"wall_s": round(statistics.median(runs), 4),
+                           "walls_s": [round(w, 4) for w in runs]}
+        print(f"{scenario} {walls[scenario]['wall_s']:.3f} s")
+    return {"config": "defaults, seed 0, MILNE_LAB_THREADS as set",
+            "statistic": f"median warm wall over {REPEATS} runs",
+            "walls": walls}
 
 
 def peak_mb(harness, raw) -> float:
@@ -273,7 +311,12 @@ def main(argv=None) -> int:
                         help="source tree to import milne_lab from")
     parser.add_argument("--out", default="BENCH.json",
                         help="output JSON, relative to the repository root")
+    parser.add_argument("--before", type=Path,
+                        help="JSON of an earlier run (say of the parent "
+                             "commit) to store under 'before'")
     args = parser.parse_args(argv)
+    before = (json.loads((ROOT / args.before).read_text())
+              if args.before else None)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
     import numpy as np
@@ -318,8 +361,11 @@ def main(argv=None) -> int:
             "rows": rows,
         },
         "report": report_section(),
+        "scenarios": scenarios_section(),
         "memory": memory_section(),
     }
+    if before is not None:
+        doc["before"] = before
     out = ROOT / args.out
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {out}")

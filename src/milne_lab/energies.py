@@ -103,35 +103,50 @@ def _not_a_knot_spline(x, y):
     ``x`` and ``y`` of shape ``(n,)`` give one spline; a stack of shape
     ``(m, n)`` gives a list of ``m`` splines, one per row, built in one
     pass.  Each is bitwise equal to ``scipy.interpolate.CubicSpline(x,
-    y)`` for 1-D real data, without its front end (array-API shims, a
-    second validation in the ``CubicHermiteSpline`` round trip).  It keeps
-    the input checks of scipy 1.17.1's ``prepare_input`` (finite ``x`` and
-    ``y``, strictly increasing ``x``, each a ``ValueError``), repeats the
-    numpy expressions of ``CubicSpline.__init__`` for the tridiagonal
-    slope system, solves each row with the LAPACK ``dgtsv`` that
-    ``solve_banded((1, 1), ...)`` dispatches to (``LinAlgError`` for a
-    singular system, as there), then repeats those of
-    ``CubicHermiteSpline.__init__`` for the coefficients, and ends in
-    ``PPoly.construct_fast(c, x)`` per row.  Grids of two or three nodes
-    go to ``CubicSpline`` itself, row by row: there scipy's not-a-knot
-    spline is the line or the parabola through the points, built by other
-    code than the banded system.  The tests compare the helper bitwise
-    with ``CubicSpline`` and ``solve_banded``, so a scipy release that
-    changes the arithmetic fails there instead of drifting.
+    y)`` for 1-D real data: ``PPoly.construct_fast`` over the rows of
+    :func:`_not_a_knot_coefficients`.
     """
-    from scipy.interpolate import CubicSpline, PPoly
+    from scipy.interpolate import PPoly
+
+    single = np.ndim(x) == 1
+    x, c = _not_a_knot_coefficients(x, y)
+    splines = [PPoly.construct_fast(ci, xi) for ci, xi in zip(c, x)]
+    return splines[0] if single else splines
+
+
+def _not_a_knot_coefficients(x, y):
+    """Breakpoints and coefficients of not-a-knot cubic splines.
+
+    ``x`` and ``y`` of shape ``(n,)`` or ``(m, n)``, one spline per row;
+    returns ``x`` as an ``(m, n)`` float array and the coefficients ``c``
+    of shape ``(m, 4, n - 1)``, each ``c[i]`` bitwise the ``c`` of
+    ``scipy.interpolate.CubicSpline(x[i], y[i])`` without its front end
+    (array-API shims, a second validation in the ``CubicHermiteSpline``
+    round trip).  It keeps the input checks of scipy 1.17.1's
+    ``prepare_input`` (finite ``x`` and ``y``, strictly increasing ``x``,
+    each a ``ValueError``), repeats the numpy expressions of
+    ``CubicSpline.__init__`` for the tridiagonal slope system, solves each
+    row with the LAPACK ``dgtsv`` that ``solve_banded((1, 1), ...)``
+    dispatches to (``LinAlgError`` for a singular system, as there), then
+    repeats those of ``CubicHermiteSpline.__init__`` for the coefficients.
+    Grids of two or three nodes go to ``CubicSpline`` itself, row by row:
+    there scipy's not-a-knot spline is the line or the parabola through
+    the points, built by other code than the banded system.  The tests
+    compare the helper bitwise with ``CubicSpline`` and ``solve_banded``,
+    so a scipy release that changes the arithmetic fails there instead of
+    drifting.
+    """
+    from scipy.interpolate import CubicSpline
 
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim not in (1, 2) or y.shape != x.shape:
         raise ValueError("`x` and `y` must be 1-D (or stacks of 1-D rows) "
                          "of the same length.")
-    single = x.ndim == 1
     x, y = np.atleast_2d(x), np.atleast_2d(y)
     n = x.shape[-1]
     if n < 4:  # scipy fits a line (n = 2) or a parabola (n = 3) here
-        splines = [CubicSpline(xi, yi) for xi, yi in zip(x, y)]
-        return splines[0] if single else splines
+        return x, np.array([CubicSpline(xi, yi).c for xi, yi in zip(x, y)])
     if not np.all(np.isfinite(x)):
         raise ValueError("`x` must contain only finite values.")
     if not np.all(np.isfinite(y)):
@@ -160,10 +175,36 @@ def _not_a_knot_spline(x, y):
     s = _solve_tridiagonal_rows(A, b)
 
     t = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
-    c = np.stack((t / dx, (slope - s[:, :-1]) / dx - t, s[:, :-1], y[:, :-1]),
-                 axis=1)
-    splines = [PPoly.construct_fast(ci, xi) for ci, xi in zip(c, x)]
-    return splines[0] if single else splines
+    return x, np.stack((t / dx, (slope - s[:, :-1]) / dx - t, s[:, :-1],
+                        y[:, :-1]), axis=1)
+
+
+def _cubic_derivatives(x, c, q):
+    """Values, first and second derivatives of stacked piecewise cubics.
+
+    Row ``i`` of ``x`` ``(m, n)`` and ``c`` ``(m, 4, n - 1)`` is the
+    spline ``PPoly.construct_fast(c[i], x[i])``, evaluated at the points
+    ``q[i]`` of ``q`` ``(m, k)``; returns a ``(3, m, k)`` array that is
+    bitwise ``[spline(q[i], nu) for nu in (0, 1, 2)]`` row by row.  It
+    repeats scipy's ``_ppoly.evaluate``: each point lies in the interval
+    ``x[j] <= q < x[j + 1]`` (the last closed, points outside the span in
+    the end intervals), and ``evaluate_poly1`` sums the power form from
+    ``0.0`` with ``z = s, s s, s s s`` built by repeated multiplication
+    and each term ``(c z) prefactor``.
+    """
+    j = np.empty(q.shape, dtype=np.intp)
+    for row, (xi, qi) in enumerate(zip(x, q)):
+        j[row] = np.searchsorted(xi, qi, side="right")
+    np.clip(j - 1, 0, x.shape[-1] - 2, out=j)
+    rows = np.arange(len(q))[:, None]
+    s = q - x[rows, j]
+    c3, c2, c1, c0 = c.transpose(1, 0, 2)[:, rows, j]
+    s2 = s * s
+    out = np.empty((3,) + q.shape)
+    out[0] = 0.0 + c0 + c1 * s + c2 * s2 + c3 * (s2 * s)
+    out[1] = 0.0 + c1 + c2 * s * 2.0 + c3 * s2 * 3.0
+    out[2] = 0.0 + c2 * 2.0 + c3 * s * 6.0
+    return out
 
 
 def _radial_derivatives(fs, qmax: np.ndarray, n_nodes: int):
@@ -177,11 +218,8 @@ def _radial_derivatives(fs, qmax: np.ndarray, n_nodes: int):
     vals = np.array([
         f.profile(g) if getattr(f, "profile", None) is not None
         else f.values for f, g in zip(fs, grid)], dtype=float)
-    derivs = np.empty((3,) + q.shape)
-    for row, spline in enumerate(_not_a_knot_spline(grid, vals)):
-        for nu in range(3):
-            derivs[nu, row] = spline(q[row], nu)
-    return q, w, *derivs
+    return q, w, *_cubic_derivatives(*_not_a_knot_coefficients(grid, vals),
+                                     q)
 
 
 def sasaki_energy(f, geom, ell: int, mu: float, ladder_ell: Optional[int] = None,

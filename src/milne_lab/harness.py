@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
@@ -285,6 +286,14 @@ def validate_config(raw) -> ScenarioConfig:
     c["lambdaGrid"] = lam
     cfg = ScenarioConfig(**c)
     _check_run_size(cfg)
+    if cfg.scenario == "modes":
+        # the report holds one entry per key, so two modes under one key
+        # would hide the first one's verdict
+        keys = Counter(_mode_key(v) for v in cfg.lambdaGrid)
+        shared = sorted(k for k, n in keys.items() if n > 1)
+        _named_check(not shared, "lambdaGrid keys distinct",
+                     f"modes {shared} share a report key (lambda to six "
+                     f"significant digits)")
     if cfg.scenario in ("homogeneous", "full_report"):
         try:
             f0 = _matter_profile(cfg)
@@ -429,13 +438,18 @@ def _run_background_check(cfg: ScenarioConfig) -> dict:
             "summary": {"worst_residual": worst, "lapse": N0}}
 
 
+def _mode_key(lam: float) -> str:
+    """The key of a mode's entry in the ``modes`` report."""
+    return f"lambda={lam:.6g}"
+
+
 def _run_modes(cfg: ScenarioConfig) -> dict:
     n_steps = int(round((cfg.Tend - cfg.T0) / cfg.h))
     sweep = modes.mode_sweep(cfg.lambdaGrid, (cfg.T0, cfg.Tend), n_steps,
                              cfg.epsPrime)
     log = RunLog(modes.MODE_CSV_COLUMNS,
                  [[m[k] for k in modes.MODE_CSV_COLUMNS] for m in sweep])
-    per_mode = {f"lambda={m['lambda']:.6g}":
+    per_mode = {_mode_key(m["lambda"]):
                 {k: v for k, v in m.items() if k != "lambda"} for m in sweep}
     monitors = {"rate_table": {"holds": all(v["holds"]
                                             for v in per_mode.values()),

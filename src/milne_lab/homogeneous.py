@@ -20,7 +20,10 @@ The evolution intentionally runs two discretisations side by side:
   continuity density are integrated with classical Runge-Kutta, with all
   momentum integrals evaluated through the exact-scaling closure on a
   Gauss-Legendre rule (spectrally accurate, and the closure makes the
-  constraint propagate exactly at the continuous level);
+  constraint propagate exactly at the continuous level).  The RK4 step
+  is written out over one stage function, with the operations of
+  ``_rk4.rk4_step`` in the same order, and the closure works in scratch
+  arrays made once per run;
 * logging — the distribution is materialised on a fixed momentum grid by
   cubic semi-Lagrangian interpolation along the exact characteristics
   and its moments are taken with the trapezoid rule, giving an
@@ -40,7 +43,6 @@ from typing import Optional
 import numpy as np
 
 from ._quadrature import composite_gauss_legendre, trapezoid
-from ._rk4 import rk4_step
 from .geometry import TimeFrame, make_time_frame
 from .matter import RadialDistribution
 from .energies import _not_a_knot_spline, sasaki_energy
@@ -125,19 +127,27 @@ class HomogeneousRun:
 
 
 def _closure_nodes(f0: RadialDistribution, n_nodes: int) -> tuple:
-    """Node products ``(w f0(u), u^2, w f0(u) u^4)`` of the closure.
+    """Node products and scratch of :func:`scaling_closure_moments`.
 
-    ``u``, ``w`` are the ``n_nodes``-point composite Gauss-Legendre rule
-    on ``[0, qmax]`` of the initial distribution ``f0``; they depend only
-    on ``f0``, so a run builds them once for all its closure calls.
+    ``(w f0(u), u^2, w f0(u) u^4, scratch)`` on the ``n_nodes``-point
+    composite Gauss-Legendre rule ``u``, ``w`` on ``[0, qmax]`` of the
+    initial distribution ``f0``.  ``scratch`` holds a 0-d array for the
+    scalar ``s^2 r``, a row of ones, two work rows, a ``(2, n_nodes)``
+    block with its two rows and a ``(2,)`` array for the sums.  They
+    depend only on ``f0``, so a run builds them once for all its closure
+    calls.
     """
     u, w = composite_gauss_legendre(0.0, f0.qmax, n_nodes)
     wf = w * f0(u)
-    return wf, u**2, wf * u**4
+    terms = np.empty((2, n_nodes))
+    scratch = (np.empty(()), np.ones(n_nodes), np.empty(n_nodes),
+               np.empty(n_nodes), terms, *terms, np.empty(2))
+    return wf, u**2, wf * u**4, scratch
 
 
 def scaling_closure_moments(wf: np.ndarray, u2: np.ndarray,
-                            wfu4: np.ndarray, r: float, s: float) -> tuple:
+                            wfu4: np.ndarray, scratch: tuple, r: float,
+                            s: float) -> tuple:
     """Exact-scaling momentum integrals ``(rho, eta_under)``.
 
     ``r = b0 / b`` is the squared support stretch; substituting the
@@ -148,17 +158,29 @@ def scaling_closure_moments(wf: np.ndarray, u2: np.ndarray,
 
     evaluated on fixed initial-magnitude nodes ``u`` with weights ``w``,
     passed as the node products ``wf = w f0(u)``, ``u2 = u^2`` and
-    ``wfu4 = wf u^4`` — no interpolation enters the dynamics.  The sums
-    run over ``(wf ph) u2`` and ``wfu4 / ph`` with ``ph = sqrt(1 + s^2 r
-    u2)``, i.e. ``w f0 ph u^2`` and ``w f0 u^4 / ph`` evaluated left to
-    right, and ``np.add.reduce`` is ``np.sum``'s reduction without its
-    dispatch.  A run builds the products once (:func:`_closure_nodes`), so
-    a call costs about 8 us at 96 nodes (``bench/bench.py``, 2-vCPU VM).
+    ``wfu4 = wf u^4`` — no interpolation enters the dynamics.  With ``ph
+    = sqrt(1 + s^2 r u2)``, the terms ``(wf ph) u2`` and ``wfu4 / ph``
+    (``w f0 ph u^2`` and ``w f0 u^4 / ph`` evaluated left to right) go
+    into the rows of one block, and one ``np.add.reduce`` over the block
+    gives both sums, each bitwise ``np.sum`` of its row.  Every array
+    operation writes into the ``scratch`` of :func:`_closure_nodes`,
+    built once per run, and takes array operands only (a Python float
+    operand costs about 0.3 us more per call).  At 96 nodes a call cost
+    5.9 us against 9.4 us allocating its arrays (``bench/bench.py``
+    ``closure_us_per_call`` in ``BENCH_12.json``, 2-vCPU VM): seven numpy
+    calls at their per-call floor.
     """
-    ph = np.sqrt(1.0 + (s**2 * r) * u2)
-    rho = 4.0 * math.pi * r**1.5 * float(np.add.reduce(wf * ph * u2))
-    eta_under = 4.0 * math.pi * r**2.5 * float(np.add.reduce(wfu4 / ph))
-    return rho, eta_under
+    c, ones, t, ph, terms, rho_terms, eta_terms, sums = scratch
+    c[()] = s**2 * r
+    np.multiply(c, u2, t)
+    np.add(ones, t, t)
+    np.sqrt(t, ph)
+    np.multiply(wf, ph, t)
+    np.multiply(t, u2, rho_terms)
+    np.divide(wfu4, ph, eta_terms)
+    rho_sum, eta_sum = np.add.reduce(terms, 1, None, sums).tolist()
+    return (4.0 * math.pi * r**1.5 * rho_sum,
+            4.0 * math.pi * r**2.5 * eta_sum)
 
 
 def initial_density(f0: RadialDistribution, tau0: float,
@@ -171,14 +193,6 @@ def initial_density(f0: RadialDistribution, tau0: float,
     """
     return scaling_closure_moments(*_closure_nodes(f0, n_nodes), 1.0,
                                    abs(float(tau0)))[0]
-
-
-def _lapse_from_closure(nodes, b, b0, s):
-    r = b0 / b
-    rho_c, eta_c = scaling_closure_moments(*nodes, r, s)
-    eta = rho_c + s**2 * eta_c
-    N = solve_lapse_algebraic(0.0, s * eta)
-    return N, rho_c, eta_c
 
 
 def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
@@ -210,18 +224,22 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
     rho0 = scaling_closure_moments(*nodes, 1.0, s0)[0]
     b0 = hamiltonian_constraint_b(rho0, make_time_frame(tau0, 0.0))
 
+    def stage(s, b, rho_cont):
+        # slopes of b' = 2 (N/3 - 1) b and of the continuity equation; the
+        # lapse is written out here and at the log point, since a shared
+        # helper costs one more Python call in each of the 4 stages a step
+        s2 = s**2
+        rho_c, eta_c = scaling_closure_moments(*nodes, b0 / b, s)
+        N = solve_lapse_algebraic(0.0, s * (rho_c + s2 * eta_c))
+        N3 = N / 3.0
+        return 2.0 * (N3 - 1.0) * b, (3.0 - N) * rho_cont - s2 * N3 * eta_c
+
     f0_spline = _not_a_knot_spline(np.linspace(0.0, f0.qmax, 4 * n_q),
                                    f0(np.linspace(0.0, f0.qmax, 4 * n_q)))
 
-    def rhs(T, y):
-        b, rho_cont = y
-        s = s0 * math.exp(-T)
-        N, rho_c, eta_c = _lapse_from_closure(nodes, b, b0, s)
-        db = 2.0 * (N / 3.0 - 1.0) * b
-        drho = (3.0 - N) * rho_cont - s**2 * (N / 3.0) * eta_c
-        return db, drho
-
     h = T_end / n_steps
+    half, sixth = h / 2, h / 6
+    exp = math.exp
     b, rho_cont = b0, rho0
     # one list per log point, in HomogeneousRun field order without E_report
     rows, E_report = [], []
@@ -239,7 +257,8 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
         nonlocal completed, abort_reason
         frame = make_time_frame(tau0, T)
         s = frame.s
-        N, rho_c, eta_c = _lapse_from_closure(nodes, b, b0, s)
+        rho_c, eta_c = scaling_closure_moments(*nodes, b0 / b, s)
+        N = solve_lapse_algebraic(0.0, s * (rho_c + s**2 * eta_c))
         if not (0.0 < N <= 3.0 * (1.0 + lapse_tol)):
             completed, abort_reason = False, f"lapse left (0, 3] at T={T}"
             return False
@@ -273,8 +292,20 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
         return True
 
     if log_point(0.0, b, rho_cont):
+        # classical Runge-Kutta written out: the same floating-point
+        # operations, in the same order, as rk4_step driven by the two
+        # slopes (pinned bitwise by the tests), with h/2, h/6 and the scale
+        # s at t + h/2 hoisted, as in modes.integrate_mode
         for i in range(n_steps):
-            b, rho_cont = rk4_step(rhs, i * h, (b, rho_cont), h)
+            t = i * h
+            s_half = s0 * exp(-(t + half))
+            db1, dr1 = stage(s0 * exp(-t), b, rho_cont)
+            db2, dr2 = stage(s_half, b + half * db1, rho_cont + half * dr1)
+            db3, dr3 = stage(s_half, b + half * db2, rho_cont + half * dr2)
+            db4, dr4 = stage(s0 * exp(-(t + h)), b + h * db3,
+                             rho_cont + h * dr3)
+            b += sixth * (db1 + 2.0 * db2 + 2.0 * db3 + db4)
+            rho_cont += sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
             if (i + 1) % log_every == 0:
                 if not log_point((i + 1) * h, b, rho_cont):
                     break

@@ -9,6 +9,8 @@ from scipy.linalg import LinAlgError, solve_banded
 
 from milne_lab._quadrature import composite_gauss_legendre, trapezoid
 from milne_lab.energies import (
+    _cubic_derivatives,
+    _not_a_knot_coefficients,
     _not_a_knot_spline,
     _solve_tridiagonal_rows,
     DecayFitError,
@@ -217,6 +219,45 @@ class TestNotAKnotSpline:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             _not_a_knot_spline(np.linspace(0.0, 1.0, 5), np.zeros(4))
+
+
+def assert_cubics_match_ppoly(x, y, points):
+    """``_cubic_derivatives`` row by row against ``CubicSpline.__call__``
+    for ``nu = 0, 1, 2``, bit for bit."""
+    got = _cubic_derivatives(*_not_a_knot_coefficients(x, y), points)
+    assert got.shape == (3,) + points.shape
+    for row, (xi, yi, qi) in enumerate(zip(x, y, points)):
+        want = CubicSpline(xi, yi)
+        for nu in range(3):
+            assert_bitwise(got[nu, row], want(qi, nu), f"row {row}, nu {nu}")
+
+
+class TestCubicDerivatives:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 257])
+    def test_matches_ppoly_at_nodes_knots_and_support_edge(self, n):
+        # the log-point rows: Gauss nodes on [0, qmax], every knot (the
+        # last one is q = qmax) and points just past both ends
+        rng = np.random.default_rng(n)
+        qmax = rng.uniform(0.5, 3.0, size=6)
+        x = np.array([np.linspace(0.0, qm, n) for qm in qmax])
+        y = np.clip(rng.normal(size=(6, n)), 0.0, None) * 1e-3
+        q_nodes, _ = composite_gauss_legendre(0.0, qmax, 64)
+        points = np.concatenate([q_nodes, x, -0.01 * x[:, -1:],
+                                 1.01 * x[:, -1:]], axis=1)
+        assert_cubics_match_ppoly(x, y, points)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=40),
+           st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_ppoly_on_random_grids(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.uniform(1e-3, 1.0, size=(rows, n)), axis=1)
+        y = rng.normal(scale=10.0 ** rng.integers(-4, 4), size=(rows, n))
+        lo, hi = x[:, :1], x[:, -1:]
+        points = np.concatenate([x, rng.uniform(lo - 0.1, hi + 0.1,
+                                                size=(rows, 32))], axis=1)
+        assert_cubics_match_ppoly(x, y, points)
 
 
 class TestSasakiEnergyWithoutGeometry:

@@ -103,6 +103,21 @@ class TestConfigValidation:
                 scenario="homogeneous",
                 Tend=(TAIL_DOUBLINGS + 1) * math.log(2.0)))
 
+    def test_colliding_mode_keys_named(self, tmp_path, capsys):
+        # the modes report keys each mode by lambda to six digits, so a
+        # repeated value would share one verdict with its twin
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"Tend": 8,
+                                    "lambdaGrid": [1 / 9, 0.3, 3, 3]}))
+        assert main(["modes", "--config", str(path)]) == 2
+        assert "[lambdaGrid keys distinct]" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=r"\[lambdaGrid keys distinct\]"):
+            validate_config(base_config(scenario="modes",
+                                        lambdaGrid=[0.3, 0.3 + 1e-9]))
+        cfg = validate_config(base_config(scenario="modes",
+                                          lambdaGrid=[0.3, 0.30001]))
+        assert cfg.lambdaGrid == (0.3, 0.30001)
+
 
 class TestConfigRobustness:
     @pytest.mark.parametrize("extra, name", [
