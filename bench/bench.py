@@ -8,8 +8,10 @@ it, so a speedup that costs accuracy shows in the same row.  The
 ``report`` section times ``full_report`` at its defaults, the
 homogeneous closure per call, the homogeneous RK4 step and log point
 (medians of back-to-back run pairs), ``sasaki_energy`` per distribution
-(one call each, and one call on a stack of 64) and one mode step, next
-to the run's constraint and continuity defects.  The ``scenarios``
+(one call each, and one call on a stack of 64), and the report's mode
+sector with its cost per mode step (median of back-to-back pairs at the
+sector's step count and twice it), next to the run's constraint and
+continuity defects.  The ``scenarios``
 section times each scenario at its defaults (median of three warm
 runs).  The ``memory`` section records the ``tracemalloc`` peaks of one
 ``characteristics`` run at the ``chars_wide`` size and of one
@@ -48,10 +50,10 @@ THREADS = (1, 2)
 REPEATS = 3
 LOG_POINT_PAIRS = 7  # interleaved (every logEvery, two ends) run pairs
 STEP_PAIRS = 7  # interleaved (n, 2 n steps, two log points each) run pairs
+MODE_PAIRS = 7  # interleaved (n, 2 n steps) mode sector pairs
 ENERGY_ROWS = 64  # the log-point block of homogeneous.evolve_homogeneous
 H = 1e-3
 EPS = 1e-3
-MODE_SPAN, MODE_STEPS = (0.0, 10.0), 10_000
 
 
 def source_lines_by_module(src: Path) -> dict:
@@ -205,11 +207,24 @@ def report_section() -> dict:
             for steps in (n_steps, 2 * n_steps)]
         step_diffs.append((long - short) / n_steps)
 
+    # a mode step: full_report's mode sector (every lambda of the grid over
+    # the run span, at the sector's step count) against the same sector at
+    # twice the steps, back to back in pairs; the shorter run is the sector
     lambdas = cfg.lambdaGrid
-    mode_s = statistics.median(
-        wall_of(lambda: [modes.integrate_mode(lam, 1.0, -1.0, MODE_SPAN,
-                                              MODE_STEPS) for lam in lambdas])
-        for _ in range(REPEATS))
+    _, mode_steps = harness._mode_steps(n_steps // cfg.logEvery)
+
+    def mode_sector(steps):
+        for lam in lambdas:
+            modes.integrate_mode(lam, cfg.modeAmp, -cfg.modeAmp,
+                                 (0.0, cfg.Tend - cfg.T0), steps,
+                                 eps_prime=cfg.epsPrime)
+
+    sector_walls, mode_diffs = [], []
+    for _ in range(MODE_PAIRS):
+        short, long = [wall_of(lambda: mode_sector(steps))
+                       for steps in (mode_steps, 2 * mode_steps)]
+        sector_walls.append(short)
+        mode_diffs.append((long - short) / (len(lambdas) * mode_steps))
     section = {
         "config": "full_report defaults, seed 0",
         "repeats": REPEATS,
@@ -230,16 +245,22 @@ def report_section() -> dict:
                                    f"- wall at {n_steps} steps) / "
                                    f"{n_steps}, two log points each",
         "sasaki_energy_us_per_row": energy_row_cost(homogeneous, cfg),
-        "mode_ns_per_step": round(1e9 * mode_s
-                                  / (len(lambdas) * MODE_STEPS), 1),
-        "mode_steps": f"{len(lambdas)} lambdas x {MODE_STEPS} steps",
+        "mode_sector_ms": round(1e3 * statistics.median(sector_walls), 2),
+        "mode_ns_per_step": round(1e9 * statistics.median(mode_diffs), 1),
+        "mode_ns_per_step_pairs": [round(1e9 * d, 1) for d in mode_diffs],
+        "mode_method": f"median over {MODE_PAIRS} back-to-back pairs of "
+                       f"the sector ({len(lambdas)} lambdas x {mode_steps} "
+                       f"steps) and the sector at {2 * mode_steps} steps: "
+                       f"the first run's wall, and the difference / "
+                       f"{len(lambdas) * mode_steps}",
         "constraint_defect": result["summary"]["constraint_defect"],
         "continuity_defect": result["summary"]["continuity_defect"],
     }
     print(f"full_report {section['full_report_wall_s']:.3f} s, closure "
           f"{section['closure_us_per_call']:.2f} us/call, RK4 step "
           f"{section['homogeneous_step_us']:.2f} us, log point "
-          f"{section['log_point_ms']:.3f} ms, mode step "
+          f"{section['log_point_ms']:.3f} ms, mode sector "
+          f"{section['mode_sector_ms']:.1f} ms, mode step "
           f"{section['mode_ns_per_step']:.0f} ns")
     return section
 

@@ -46,10 +46,12 @@ def composite_gauss_legendre(a: float, b, n_nodes: int = 64
     return q, w
 
 
-def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
+def trapezoid(y: np.ndarray, x: np.ndarray):
     """Trapezoid rule for samples ``y`` at the nodes ``x`` of a 1-d grid.
 
-    Written out in place of ``scipy.integrate.trapezoid`` (same
-    arithmetic), so importing the package does not import scipy.
+    ``y`` of shape ``(..., n)`` is integrated along its last axis, each
+    row bitwise the rule on that row alone.  Written out in place of
+    ``scipy.integrate.trapezoid`` (same arithmetic), so importing the
+    package does not import scipy.
     """
-    return np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
+    return np.sum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)

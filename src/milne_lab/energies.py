@@ -258,7 +258,9 @@ def sasaki_energy(f, geom, ell: int, mu: float, ladder_ell: Optional[int] = None
     cell volume per distribution.  A stack is evaluated in one pass (one
     quadrature rule, one spline build, 2-D sums), and each entry is
     bitwise the value of its own call; a single distribution is a stack
-    of one.  A distribution with ``qmax <= 0`` has energy 0.
+    of one.  A distribution with ``qmax <= 0`` has energy 0.  Of each
+    distribution only ``qmax``, ``grid`` and ``values`` (or a
+    ``profile``, where it has one) are read.
 
     Raises ``ValueError`` for ``ell > 2`` (documented desk-scale cap on
     the derivative count; use ``ladder_ell`` for the weight order).

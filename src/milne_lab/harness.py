@@ -40,7 +40,8 @@ import numpy as np
 
 from . import matter, modes, homogeneous, transport, energies
 from ._quadrature import PANELS
-from .geometry import (BACKGROUND_LAPSE, background_geometry, make_time_frame,
+from .geometry import (BACKGROUND_LAPSE, background_geometry,
+                       correction_constants, make_time_frame,
                        rescaled_christoffels)
 from .massshell import compute_p0, mass_shell_residual
 
@@ -196,7 +197,9 @@ def validate_config(raw) -> ScenarioConfig:
     1/2``, ``deltaEcal > 1/2``, ``deltaE + deltaEcal < 1``), the
     decay-budget conditions
     ``1 - 2 deltaAlpha - deltaE - epsTot > 1 - epsDecay`` and
-    ``deltaEcal - epsTot > 1 - epsDecay``, and caps on the run size.
+    ``deltaEcal - epsTot > 1 - epsDecay``, caps on the run size, and a
+    ``full_report`` ``modeAmp`` whose mode energies stay finite and mode
+    metric normal over the run span.
     """
     if isinstance(raw, (str, bytes)):
         data = _json_object(raw)
@@ -311,6 +314,25 @@ def validate_config(raw) -> ScenarioConfig:
         _named_check(abs(cfg.tau0) * rho0 < 1.0 / 6.0, "|tau0| rho0 < 1/6",
                      f"|tau0| rho0={abs(cfg.tau0) * rho0} reaches the "
                      f"constraint pole")
+    if cfg.scenario == "full_report":
+        # every mode of the sector starts at (a, -a) and is a e^{-(T - T0)}
+        # times a bounded oscillation (the roots have real part -1, and
+        # this start has no T e^{-T} part at the double root): the
+        # corrected energies are largest at T0, where they must be finite,
+        # and the squared mode metric falls to about (a e^{-span})^2, which
+        # must stay normal for its decay rate to be fitted
+        a = cfg.modeAmp
+        with np.errstate(over="ignore", invalid="ignore"):
+            E6 = sum(modes.corrected_energy(
+                a, -a, lam, correction_constants(lam, cfg.epsPrime), order=6)
+                for lam in cfg.lambdaGrid)
+        _named_check(math.isfinite(E6), "modeAmp: mode energies finite",
+                     f"modeAmp={a} gives E6={E6} at T0")
+        end = a * math.exp(-span)
+        _named_check(end * end >= sys.float_info.min,
+                     "modeAmp: mode metric normal",
+                     f"modeAmp={a} gives a squared mode metric of about "
+                     f"{end * end} at Tend")
     return cfg
 
 
@@ -328,8 +350,8 @@ def _check_run_size(cfg: ScenarioConfig) -> None:
     The caps keep an accepted run to minutes.  Measured on a 2-vCPU VM
     (``bench/bench.py``), a particle-step costs 200-500 ns (10^5 particles
     on two threads to 10^3 particles on one), so 10^9 particle-steps take
-    3-8 minutes; a scalar step of one mode costs about 1 us, so the
-    10^8 mode steps of ``full_report`` take about 2 minutes.
+    3-8 minutes; a scalar step of one mode costs about 0.5 us, so the
+    10^8 mode steps of ``full_report`` take about a minute.
     """
     for name in ("radialNodes", "quadNodes"):
         _named_check(getattr(cfg, name) <= _MAX_NODES, f"{name} <= 10^4",

@@ -28,15 +28,17 @@ The evolution intentionally runs two discretisations side by side:
   cubic semi-Lagrangian interpolation along the exact characteristics
   and its moments are taken with the trapezoid rule, giving an
   independent second-order-in-``dq`` measurement whose constraint defect
-  converges at the expected rate.  The weighted distribution energy
-  ``E_report`` feeds no abort check, so it is a separate series, one
-  ``sasaki_energy`` call per block of up to 64 log points, each value
-  bitwise the one of its own call.
+  converges at the expected rate.  A log point does eagerly only what
+  its abort checks read; the weighted distribution energy ``E_report``
+  feeds none, so it is a separate series, one ``sasaki_energy`` call per
+  block of up to 64 log points, each value bitwise the one of its own
+  call.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,6 +66,11 @@ HOMOGENEOUS_CSV_COLUMNS = ["T", "tau", "b_ode", "b_constraint", "N", "rho",
 # log points whose distribution energies one sasaki_energy call evaluates;
 # a block's arrays stay a few hundred kB, so the run's peak memory holds
 _ENERGY_BLOCK = 64
+
+# the fields of a distribution that sasaki_energy reads: a log point's
+# grid and values are built valid, so they skip RadialDistribution's
+# checks (about 25 us a log point)
+_LogDistribution = namedtuple("_LogDistribution", "grid qmax values")
 
 
 class ConstraintSingularError(ValueError):
@@ -214,7 +221,13 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
 
     The run aborts (with ``completed=False`` and the reason recorded)
     if the lapse leaves ``(0, 3 + tol]``, the constraint reaches its
-    pole, or the spot check fails.
+    pole, or the spot check fails.  A log point computes, in this order,
+    the closure moments and the lapse (checked), the grid distribution
+    and its two trapezoid moments from one stacked rule (the pole
+    checked), the constraint ``b`` and the spot check.  The cell volume
+    ``sqrt(det(b I))`` and the energy wait for the block flush: one
+    stacked determinant and one ``sasaki_energy`` call per block, on
+    the grids and values as the log points made them.
     """
     if n_steps < 1 or n_steps % log_every != 0:
         raise ValueError("n_steps must be a positive multiple of log_every")
@@ -243,14 +256,21 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
     b, rho_cont = b0, rho0
     # one list per log point, in HomogeneousRun field order without E_report
     rows, E_report = [], []
-    pending = []  # (distribution, cell volume) of the rows without E yet
+    pending = []  # (grid, values) of the log distributions without E yet
     completed, abort_reason = True, None
 
     def flush_energies():
-        # E feeds no abort check, so it is computed per block of rows
+        # E feeds no abort check, so it is computed per block of rows.  The
+        # metric b I enters the energy only through sqrt(det g), so it goes
+        # in as the cell volume; det is taken as sasaki_energy takes it
+        # from a geometry (b**3 can differ in the last bit)
+        block = rows[len(rows) - len(pending):]
+        b = np.array([row[2] for row in block])
+        vol = np.sqrt(np.linalg.det(b[:, None, None] * np.eye(3)))
         E_report.extend(sasaki_energy(
-            [f for f, _ in pending], None, ell=2, mu=4.0, ladder_ell=5,
-            vol_cell=np.array([vol for _, vol in pending])))
+            [_LogDistribution(grid, row[7], values)
+             for (grid, values), row in zip(pending, block)],
+            None, ell=2, mu=4.0, ladder_ell=5, vol_cell=vol))
         pending.clear()
 
     def log_point(T, b, rho_cont):
@@ -269,8 +289,9 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
         q_grid = np.linspace(0.0, f0.qmax * stretch, n_q)
         fq = np.clip(f0_spline(q_grid / stretch), 0.0, None)
         ph = np.sqrt(1.0 + frame.tau**2 * q_grid**2)
-        rho_g = 4.0 * math.pi * float(trapezoid(fq * ph * q_grid**2, q_grid))
-        eta_g = 4.0 * math.pi * float(trapezoid(fq * q_grid**4 / ph, q_grid))
+        rho_g, eta_g = (4.0 * math.pi * trapezoid(
+            np.array([fq * ph * q_grid**2, fq * q_grid**4 / ph]),
+            q_grid)).tolist()
         if s * rho_g >= 1.0 / 6.0:
             completed, abort_reason = False, f"constraint pole at T={T}"
             return False
@@ -278,13 +299,7 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
         if abs(N - 3.0) > 10.0 * (s * rho_c + s**3 * eta_c) + 1e-14:
             completed, abort_reason = False, f"lapse spot check failed at T={T}"
             return False
-        f_now = RadialDistribution(grid=q_grid, qmax=f0.qmax * stretch,
-                                   values=fq)
-        # the metric b I enters the energy only through sqrt(det g), so it
-        # goes in as the cell volume; det is taken as sasaki_energy takes
-        # it from a geometry (b**3 can differ in the last bit)
-        vol_g = math.sqrt(float(np.linalg.det(b * np.eye(3))))
-        pending.append((f_now, vol_g))
+        pending.append((q_grid, fq))
         rows.append([T, frame.tau, b, b_con, N, rho_g, eta_g,
                      f0.qmax * stretch, rho_c, eta_c, rho_cont])
         if len(pending) == _ENERGY_BLOCK:

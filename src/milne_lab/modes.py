@@ -24,6 +24,7 @@ table).
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -139,21 +140,29 @@ def integrate_mode(lam: float, u0: float, w0: float, T_span: tuple,
     # mode_rhs written out, with 9 lam, h/2 and h/6 hoisted and the source
     # evaluated once per distinct stage time: the same floating-point
     # operations, in the same order, as rk4_step driven by mode_rhs (pinned
-    # bitwise by the tests).  About 1.1 us a step (bench/bench.py, 2-vCPU
-    # VM) against 2.4 us calling mode_rhs and 3-4 times that through the
-    # generic step; stepping the lambda grid as one array is slower too.
-    # The states go into arrays of doubles: lists would keep a float object
-    # per value alive (about 0.8 MB more peak memory in a report)
+    # bitwise by the tests).  |s0 e^{-t}| only shrinks as t grows, so when
+    # the first step's source is a zero every stage source is that same
+    # signed zero, and the loop takes it without an exp; the "+ src" terms
+    # stay, as x + 0.0 is not x at x = -0.0.  The times are T0 + i h, as in
+    # rk4_step's caller, computed after the loop.  About 0.5 us a step
+    # source-free (bench/bench.py, 2-vCPU VM) against 2.4 us calling
+    # mode_rhs and 3-4 times that through the generic step; stepping the
+    # lambda grid as one array is slower too.  The states go into arrays of
+    # doubles: lists would keep a float object per value alive (about
+    # 0.8 MB more peak memory in a report)
     half, sixth, lam9 = 0.5 * h, h / 6.0, 9.0 * lam
     exp = math.exp
+    src = 18.0 * (s0 * exp(-T0)) * S_amp
+    if src == 0.0:
+        sources = itertools.repeat((src, src, src), n_steps)
+    else:
+        sources = ((18.0 * (s0 * exp(-t)) * S_amp,
+                    18.0 * (s0 * exp(-(t + half))) * S_amp,
+                    18.0 * (s0 * exp(-(t + h))) * S_amp)
+                   for t in (T0 + i * h for i in range(n_steps)))
     u, w = float(u0), float(w0)
-    T, U, W = array("d", [T0]), array("d", [u]), array("d", [w])
-    for i in range(n_steps):
-        t = T0 + i * h
-        t_half, t_end = t + half, t + h
-        src = 18.0 * (s0 * exp(-t)) * S_amp
-        src_half = 18.0 * (s0 * exp(-t_half)) * S_amp
-        src_end = 18.0 * (s0 * exp(-t_end)) * S_amp
+    U, W = array("d", [u]), array("d", [w])
+    for src, src_half, src_end in sources:
         # the u-slope of a stage is its w state (k1u = w), so k2u, k3u and
         # k4u are the stage values of w
         k1w = -2.0 * w - lam9 * u + src
@@ -165,10 +174,10 @@ def integrate_mode(lam: float, u0: float, w0: float, T_span: tuple,
         k4w = -2.0 * k4u - lam9 * (u + h * k3u) + src_end
         u += sixth * (w + 2.0 * k2u + 2.0 * k3u + k4u)
         w += sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        T.append(t_end)
         U.append(u)
         W.append(w)
-    T, U, W = np.array(T), np.array(U), np.array(W)
+    T = np.concatenate(([T0], T0 + np.arange(n_steps) * h + h))
+    U, W = np.array(U), np.array(W)
     energy = corrected_energy(U, W, lam, constants)
     return ModeTrajectory(lam=lam, constants=constants, T=T, u=U, w=W,
                           energy=energy)

@@ -118,6 +118,33 @@ class TestConfigValidation:
                                           lambdaGrid=[0.3, 0.30001]))
         assert cfg.lambdaGrid == (0.3, 0.30001)
 
+    @pytest.mark.parametrize("amp, name", [
+        # the corrected energies overflow: NaN in the report
+        (1e154, "modeAmp: mode energies finite"),
+        (-1e154, "modeAmp: mode energies finite"),
+        # the mode metric is zero or underflows: its rate is unfitted
+        (0.0, "modeAmp: mode metric normal"),
+        (1e-160, "modeAmp: mode metric normal"),
+    ])
+    def test_mode_amplitude_out_of_range_named(self, tmp_path, capsys, amp,
+                                               name):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"modeAmp": amp}))
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(path), "--out",
+                     str(out)]) == 2
+        assert f"[{name}]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ordinary_mode_amplitudes_accepted(self):
+        # modeAmp is read by full_report only
+        validate_config(base_config(modeAmp=0.0))
+        for amp in (1e-150, -1e-150, 1e-2, 1e10):
+            validate_config(base_config(scenario="full_report", modeAmp=amp))
+        result = run_scenario(validate_config(
+            base_config(scenario="full_report", modeAmp=1e-150)))
+        assert result["summary"]["mode_metric_rate"] > 0.9
+
 
 class TestConfigRobustness:
     @pytest.mark.parametrize("extra, name", [

@@ -165,6 +165,37 @@ class TestWrittenOutStages:
                 assert np.array_equal(got.view(np.int64),
                                       ref.view(np.int64)), lam
 
+    # from a zero state every w-slope is -0.0 before its source is added
+    # (-2 * 0.0 - 9 lam * 0.0), so these runs pin the zero arithmetic of
+    # the source-free path; the sums w + (h/2) k turn a slope's -0.0
+    # back into 0.0, so every state is 0.0 whatever the source's sign
+    @pytest.mark.parametrize("S_amp, s0", [(0.0, 1.0), (-0.0, 1.0),
+                                           (0.0, -0.7)])
+    def test_signed_zero_sources_from_a_zero_state(self, S_amp, s0):
+        for lam in DEFAULT_LAMBDAS:
+            traj = integrate_mode(lam, 0.0, 0.0, (0.0, 2.0), 200,
+                                  S_amp=S_amp, s0=s0)
+            want = mode_rhs_loop(lam, 0.0, 0.0, (0.0, 2.0), 200, S_amp, s0)
+            for got, ref in zip((traj.T, traj.u, traj.w), want):
+                assert np.array_equal(got.view(np.int64),
+                                      ref.view(np.int64)), lam
+            assert not np.any(traj.u.view(np.int64)), lam
+            assert not np.any(traj.w.view(np.int64)), lam
+
+    # at (1e-300, 1e-30) the source underflows to a zero at every stage,
+    # so the first step's zero stands for all of them
+    @pytest.mark.parametrize("S_amp, s0", [(0.0, 1.0), (0.3, 1.0),
+                                           (1e-300, 1e-30)])
+    def test_time_grid_at_non_dyadic_start_and_step(self, S_amp, s0):
+        # T0 = 0.1 and h = 0.003 are not binary fractions, so T0 + i h
+        # rounds at most steps
+        traj = integrate_mode(0.2, 1.0, -1.0, (0.1, 2.2), 700, S_amp=S_amp,
+                              s0=s0)
+        want = mode_rhs_loop(0.2, 1.0, -1.0, (0.1, 2.2), 700, S_amp, s0)
+        for got, ref in zip((traj.T, traj.u, traj.w), want):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert traj.T.size == 701 and traj.T[0] == 0.1
+
 
 class TestExactSymmetries:
     """Bitwise relations from the exact symmetries of the mode equation."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from milne_lab._quadrature import composite_gauss_legendre
+from milne_lab._quadrature import composite_gauss_legendre, trapezoid
 
 
 def uncached_rule(a, b, n_nodes, panels=8):
@@ -60,3 +60,20 @@ def test_array_limit_matches_per_row_calls(n_nodes):
 def test_array_limit_with_an_empty_interval_rejected():
     with pytest.raises(ValueError, match="empty quadrature interval"):
         composite_gauss_legendre(0.0, np.array([1.0, 0.0, 2.0]), 64)
+
+
+def test_stacked_trapezoid_rows_match_one_row_calls():
+    # each row of a stack sums as the one-row rule does (pairwise
+    # summation along the last axis), across lengths past numpy's
+    # summation blocks
+    rng = np.random.default_rng(3)
+    for n in range(2, 1026):
+        x = np.sort(rng.uniform(0.0, 3.0, n))
+        y = rng.normal(size=(2, n))
+        got = trapezoid(y, x)
+        assert got.shape == (2,)
+        for row in range(2):
+            one = trapezoid(y[row], x)
+            assert np.ndim(one) == 0
+            want = np.sum(np.diff(x) * (y[row, 1:] + y[row, :-1]) / 2.0)
+            assert_bitwise(np.array([got[row], one]), np.array([want, want]))

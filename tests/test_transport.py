@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from milne_lab import transport
 from milne_lab.geometry import make_time_frame
@@ -408,6 +409,32 @@ SUMMARY_PROVIDERS = {
     "flagging": nan_front_provider,
     "NaN residual": nan_residual_provider,
 }
+
+
+class TestConvergenceOrder:
+    # h = 1/k with k >= 15 keeps the coarse step past the pre-asymptotic
+    # range; 400 random points of this domain (ensemble seeds 0-99) read
+    # orders 3.89-4.05, and k = 10 reaches 4.19 at eps = 1
+    @settings(max_examples=8, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=0.5),
+           st.integers(min_value=1, max_value=50),
+           st.integers(min_value=15, max_value=40),
+           st.integers(min_value=0, max_value=99))
+    def test_halving_h_gives_order_four(self, eps, n, k, seed):
+        # chunks of 7 particles split every ensemble of more than 7
+        for chunk in (transport._CHUNK, 7):
+            states = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(transport, "_CHUNK", chunk)
+                for m in (1, 2, 4):
+                    _, fin = run(manufactured_lapse_fields(eps), n=n,
+                                 span=1.0, h=1.0 / (k * m), seed=seed,
+                                 log_every=k * m)
+                    states.append(np.concatenate([fin.x, fin.p], axis=1))
+            coarse, mid, fine = states
+            order = np.log2(np.max(np.abs(coarse - mid))
+                            / np.max(np.abs(mid - fine)))
+            assert abs(order - 4.0) <= 0.2, (chunk, order)
 
 
 SUMMARY_KEYS = ("T", "calG", "max_residual", "total_weight", "flagged")
