@@ -4,7 +4,11 @@ Times ``transport.integrate_characteristics`` (derived mode, manufactured
 lapse with eps = 1e-3, h = 1e-3, tau0 = -1) at 10^3, 10^4 and 10^5
 particles on one and two threads, and writes a JSON table of ns per
 particle-step with the largest mass-shell residual of each run next to
-it, so a speedup that costs accuracy shows in the same row.  The
+it, so a speedup that costs accuracy shows in the same row.  Its
+``row_alignment`` entry compares the CPU time of one chunk of
+``transport._CHUNK`` particles over 40 steps on one thread with its rows
+on cache lines and with the same rows 16 bytes past them (alternating
+in-process pairs), so a buffer that loses its alignment shows.  The
 ``report`` section times ``full_report`` at its defaults, the
 homogeneous closure per call, the homogeneous RK4 step and log point
 (medians of back-to-back run pairs), ``sasaki_energy`` per distribution
@@ -48,6 +52,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = ((1_000, 1_000), (10_000, 200), (100_000, 50))
 THREADS = (1, 2)
 REPEATS = 3
+ALIGN_PAIRS = 12  # alternating (aligned, offset rows) chunk run pairs
+ALIGN_STEPS = 40
 LOG_POINT_PAIRS = 7  # interleaved (every logEvery, two ends) run pairs
 STEP_PAIRS = 7  # interleaved (n, 2 n steps, two log points each) run pairs
 MODE_PAIRS = 7  # interleaved (n, 2 n steps) mode sector pairs
@@ -87,8 +93,10 @@ def git_dirty(src: Path):
     return bool(out.stdout.strip())
 
 
-def run_once(transport, frame0, n: int, steps: int, threads: int) -> tuple:
-    """Wall time and largest |mass-shell residual| at the logged times."""
+def run_once(transport, frame0, n: int, steps: int, threads: int,
+             clock=time.perf_counter) -> tuple:
+    """Time on ``clock`` and largest |mass-shell residual| at the logged
+    times."""
     import numpy as np
 
     rng = np.random.default_rng(0)
@@ -97,12 +105,51 @@ def run_once(transport, frame0, n: int, steps: int, threads: int) -> tuple:
         p=rng.normal(scale=0.7, size=(n, 3)),
         weights=np.full(n, 1.0 / n))
     provider = transport.manufactured_lapse_fields(EPS)
-    t0 = time.perf_counter()
+    t0 = clock()
     log, _ = transport.integrate_characteristics(
         ens, provider, frame0, frame0.T + steps * H, H, mode="derived",
         log_every=max(1, steps // 10), threads=threads)
-    wall = time.perf_counter() - t0
-    return wall, float(np.max(np.abs(log.massshell_residual)))
+    elapsed = clock() - t0
+    return elapsed, float(np.max(np.abs(log.massshell_residual)))
+
+
+def row_alignment(transport, frame0):
+    """CPU time of one chunk with its rows on cache lines over the same
+    chunk with every block 16 bytes past a line, in alternating pairs;
+    ``None`` for a tree that does not allocate through ``_rows``."""
+    aligned = getattr(transport, "_rows", None)
+    if aligned is None:
+        return None
+    chunk = transport._CHUNK
+
+    def offset(m, n):  # aligned rows with their first 2 doubles cut off
+        return aligned(m, n + 2)[:, 2:]
+
+    def cpu(rows):
+        transport._rows = rows
+        try:
+            return run_once(transport, frame0, chunk, ALIGN_STEPS, 1,
+                            clock=time.process_time)[0]
+        finally:
+            transport._rows = aligned
+
+    ratios = []
+    for i in range(ALIGN_PAIRS):
+        order = (aligned, offset) if i % 2 == 0 else (offset, aligned)
+        cpu_s = {rows: cpu(rows) for rows in order}
+        ratios.append(cpu_s[aligned] / cpu_s[offset])
+    entry = {
+        "particles": chunk, "steps": ALIGN_STEPS, "threads": 1,
+        "statistic": f"process_time ratio aligned / 16-byte offset rows, "
+                     f"{ALIGN_PAIRS} alternating in-process pairs",
+        "median_ratio": round(statistics.median(ratios), 3),
+        "aligned_wins": sum(r < 1.0 for r in ratios),
+        "ratios": [round(r, 3) for r in ratios],
+    }
+    print(f"row alignment: aligned / offset CPU time "
+          f"{entry['median_ratio']:.3f}, aligned faster in "
+          f"{entry['aligned_wins']}/{ALIGN_PAIRS} pairs")
+    return entry
 
 
 def wall_of(fn) -> float:
@@ -380,6 +427,7 @@ def main(argv=None) -> int:
             "mode": "derived", "h": H, "repeats": REPEATS,
             "statistic": "median wall time over the repeats",
             "rows": rows,
+            "row_alignment": row_alignment(transport, frame0),
         },
         "report": report_section(),
         "scenarios": scenarios_section(),

@@ -141,9 +141,9 @@ def integrate_mode(lam: float, u0: float, w0: float, T_span: tuple,
     # evaluated once per distinct stage time: the same floating-point
     # operations, in the same order, as rk4_step driven by mode_rhs (pinned
     # bitwise by the tests).  |s0 e^{-t}| only shrinks as t grows, so when
-    # the first step's source is a zero every stage source is that same
-    # signed zero, and the loop takes it without an exp; the "+ src" terms
-    # stay, as x + 0.0 is not x at x = -0.0.  The times are T0 + i h, as in
+    # the first step's source is a zero every stage source is a zero, and
+    # the loop adds 0.0 without an exp (the sign of a zero source never
+    # reaches u or w, which the tests check).  The times are T0 + i h, as in
     # rk4_step's caller, computed after the loop.  About 0.5 us a step
     # source-free (bench/bench.py, 2-vCPU VM) against 2.4 us calling
     # mode_rhs and 3-4 times that through the generic step; stepping the
@@ -152,9 +152,8 @@ def integrate_mode(lam: float, u0: float, w0: float, T_span: tuple,
     # 0.8 MB more peak memory in a report)
     half, sixth, lam9 = 0.5 * h, h / 6.0, 9.0 * lam
     exp = math.exp
-    src = 18.0 * (s0 * exp(-T0)) * S_amp
-    if src == 0.0:
-        sources = itertools.repeat((src, src, src), n_steps)
+    if 18.0 * (s0 * exp(-T0)) * S_amp == 0.0:
+        sources = itertools.repeat((0.0, 0.0, 0.0), n_steps)
     else:
         sources = ((18.0 * (s0 * exp(-t)) * S_amp,
                     18.0 * (s0 * exp(-(t + half))) * S_amp,

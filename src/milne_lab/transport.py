@@ -39,6 +39,19 @@ run :func:`characteristic_rhs`.  The views go one way only: ``dN`` and
 ``conf_u`` of :class:`BatchFields` are ``(n, 3)`` copies of their rows,
 because ``np.einsum("na,na->n")`` sums a strided operand in another order.
 
+Every row of the hot loop (state, stage, slope, field and scratch rows)
+starts on a 64-byte cache line: :func:`_rows` cuts each block at a line
+boundary and pads the row stride to whole lines.  ``np.empty`` makes no
+such promise: a ``(7, 25000)`` block typically starts 16 bytes past a
+line, and as 25 000 doubles fill whole lines, so does each of its rows.
+A misaligned row splits every AVX-512 load and store across two lines;
+a 25 000-element ``np.multiply`` took 7.6-7.8 us with aligned operands
+against 15-17 us at offsets of 8 to 32 bytes (median of 2000 calls,
+2-vCPU Xeon VM).  Most row passes of a stage are such multiplies, adds
+and subtracts; ``divide``, ``exp`` and ``sqrt`` are bound by arithmetic
+and do not care.  Where a row starts changes no result bit (the tests
+run every offset).
+
 The particles are split into chunks of ``_CHUNK`` (cache-sized: the
 buffers of one chunk are about 47 rows), each integrated over the whole
 run, and the chunks are shared by at most ``threads`` workers.  Nothing
@@ -142,14 +155,26 @@ class BatchFields:
 _SCRATCH_ROWS = 10
 
 
+def _rows(m: int, n: int) -> np.ndarray:
+    """A new ``(m, n)`` float block whose rows each start on a cache line.
+
+    The block is cut from a larger buffer at its first 64-byte boundary,
+    with the row stride rounded up to whole lines of 8 doubles.
+    """
+    stride = -(-n // 8) * 8
+    raw = np.empty(m * stride + 8)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip:skip + m * stride].reshape(m, stride)[:, :n]
+
+
 def _field_rows(n: int) -> tuple:
     """Row views ``(N, dN, dTN, a, u)`` over one new ``(9, n)`` block."""
-    F = np.empty((9, n))
+    F = _rows(9, n)
     return F[0], F[1:4], F[4], F[5], F[6:9]
 
 
 def _scratch(n: int) -> np.ndarray:
-    return np.empty((_SCRATCH_ROWS, n))
+    return _rows(_SCRATCH_ROWS, n)
 
 
 def _dot3(a: np.ndarray, b: np.ndarray, out: np.ndarray,
@@ -409,7 +434,8 @@ def _batch_p0(f: BatchFields, p: np.ndarray, frame: TimeFrame) -> np.ndarray:
     """Closed-form nondimensional time component on a batch."""
     if f.conf_a is not None:
         n = p.shape[0]
-        return _p0_rows(frame.tau, _rows_of(f), p.T, np.empty(n), _scratch(n))
+        return _p0_rows(frame.tau, _rows_of(f), p.T, _rows(1, n)[0],
+                        _scratch(n))
     return compute_p0(f, p, frame, method="paper_primary")
 
 
@@ -454,7 +480,7 @@ def characteristic_rhs(state, fields_at, frame: TimeFrame, mode: str = "derived"
 
     if f.conf_a is not None:
         n = p.shape[0]
-        k = np.empty((7, n))
+        k = _rows(7, n)
         _conformal_rhs(tau, p.T, q0, _rows_of(f), k, _scratch(n))
         return k[0:3].T.copy(), k[3:6].T.copy(), k[6]
 
@@ -502,12 +528,15 @@ class TrajectoryLog:
 
 
 # Particles per chunk.  Each chunk is integrated over the whole run in
-# its own buffers, about 47 rows of 8-byte floats per particle.  Tuned at
-# 10^5 particles on two threads of a 2-vCPU VM: 16667 and 25000 ran
-# fastest (~1.9 s for 100 steps), 20000, 33334 and 50000 leave one
-# worker a chunk more (2.0-2.3 s).  Chunks small enough for L2 (~4000)
-# are faster on one thread but several times slower on two, which then
-# queue for the interpreter lock between the short numpy calls.
+# its own buffers, about 47 cache-line-aligned rows of 8-byte floats per
+# particle.  Tuned at 10^5 particles x 100 steps on two threads of a
+# 2-vCPU VM with AVX-512, where 25000 runs fastest (1.5 s, 1.8 s before
+# the rows were aligned): 16672, 50000 and 12500 took 6 %, 10 % and
+# 19 % longer (medians of 6 alternating runs), and 20000 and 33334
+# leave one worker a chunk more.  Chunks small enough for L2 (~4000)
+# are faster on one thread (by 10 % with aligned rows) but several times
+# slower on two, which then queue for the interpreter lock between the
+# short numpy calls.
 _CHUNK = 25_000
 
 
@@ -527,7 +556,7 @@ class _Flow:
         self.mode = mode
         self.F = _field_rows(size) if self.fill is not None else None
         self.W = _scratch(size)
-        self.q0 = np.empty(size) if mode == "paper_form" else None
+        self.q0 = _rows(1, size)[0] if mode == "paper_form" else None
 
     def _fields(self, T: float, y: np.ndarray):
         if self.fill is not None:
@@ -647,15 +676,15 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
         lo = starts[i]
         hi = min(lo + _CHUNK, n)
         flow = _Flow(fields, tau0, mode, hi - lo)
-        # packed state: rows x0 x1 x2 p0 p1 p2 q0
-        y = np.empty((7, hi - lo))
+        # packed state: rows x0 x1 x2 p0 p1 p2 q0; the RK4 step's output
+        # and scratch have its layout
+        y, spare, k, acc = (_rows(7, hi - lo) for _ in range(4))
         y[0:3] = ensemble.x[lo:hi].T
         y[3:6] = ensemble.p[lo:hi].T
         flow.p0(frame0, y, y[6])
-        spare, k, acc = np.empty_like(y), np.empty_like(y), np.empty_like(y)
         flagged = log.flagged[lo:hi]
         frozen = False
-        observed = None if full_log else np.empty((2, hi - lo))  # G, residual
+        observed = None if full_log else _rows(2, hi - lo)  # G, residual
 
         def record(row: int, T: float, y: np.ndarray) -> None:
             G, res = ((log.G[row, lo:hi], log.massshell_residual[row, lo:hi])

@@ -517,6 +517,144 @@ class TestReferenceBitwise:
             assert 0 < sum(ref["flagged"]) < 16
 
 
+def offset_rows(offset, padded):
+    """A stand-in for ``transport._rows`` whose blocks start ``offset``
+    bytes past a cache line, with rows of ``n`` doubles (``padded=False``)
+    or of whole lines."""
+    def rows(m, n):
+        stride = -(-n // 8) * 8 if padded else n
+        raw = np.empty(m * stride + 16)
+        skip = -raw.ctypes.data % 64 // 8 + offset // 8
+        return raw[skip:skip + m * stride].reshape(m, stride)[:, :n]
+    return rows
+
+
+def alignment_run(mode, full_log, threads, n):
+    # with _CHUNK at 600, 1001 particles make two chunks, of 600 and 401
+    log, fin = run(manufactured_lapse_fields(0.3), n=n, span=0.2, h=1e-2,
+                   log_every=5, mode=mode, threads=threads,
+                   full_log=full_log)
+    got = {key: getattr(log, key) for key in LOG_KEYS + ("max_residual",)}
+    if fin is not None:
+        got.update(final_x=fin.x, final_p=fin.p)
+    return got
+
+
+ALIGNMENT_RUNS = [(mode, full_log, threads, n)
+                  for mode in ("derived", "paper_form")
+                  for full_log in (True, False)
+                  for threads in (1, 2)
+                  for n in (1, 7, 1001)]
+
+
+@pytest.fixture(scope="module")
+def aligned_runs():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_CHUNK", 600)
+        return {args: alignment_run(*args) for args in ALIGNMENT_RUNS}
+
+
+def assert_starts_on_lines(*blocks):
+    for block in blocks:
+        for row in np.atleast_2d(block):
+            assert row.ctypes.data % 64 == 0, row.ctypes.data % 64
+
+
+class TestRowAlignment:
+    """Every hot-loop row starts on a cache line, and where rows start
+    changes no bit of a run."""
+
+    @pytest.mark.parametrize("padded", [True, False])
+    @pytest.mark.parametrize("offset", [8, 16, 24, 32, 40, 48, 56])
+    def test_offset_rows_change_no_bits(self, offset, padded, aligned_runs,
+                                        monkeypatch):
+        # numpy's SIMD exp and sqrt loops are not promised to give the
+        # same bits at every alignment; these runs pin that they do
+        monkeypatch.setattr(transport, "_CHUNK", 600)
+        rows, blocks = offset_rows(offset, padded), []
+
+        def recorded(m, n):
+            blocks.append(rows(m, n))
+            return blocks[-1]
+
+        monkeypatch.setattr(transport, "_rows", recorded)
+        for args in ALIGNMENT_RUNS:
+            got = alignment_run(*args)
+            for key, want in aligned_runs[args].items():
+                if want is None:
+                    assert got[key] is None, (args, key)
+                else:
+                    assert same_bits(got[key], want), (args, key)
+        assert blocks and all(b.ctypes.data % 64 == offset for b in blocks)
+
+    @pytest.mark.parametrize("full_log", [True, False])
+    @pytest.mark.parametrize("mode", ["derived", "paper_form"])
+    @pytest.mark.parametrize("n, chunk", [(1, None), (7, None), (8, None),
+                                          (1001, None), (1001, 600)])
+    def test_every_hot_loop_row_starts_on_a_cache_line(self, n, chunk, mode,
+                                                       full_log, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(transport, "_CHUNK", chunk)
+        rhs, observe = transport._Flow.rhs, transport._Flow.observe
+        # buffer addresses per chunk's flow: a later chunk may reuse the
+        # memory of an earlier one
+        seen = {}
+
+        def buffers(flow):  # state, slope and summary-row addresses
+            return seen.setdefault(flow, (set(), set(), set()))
+
+        def checked_rhs(flow, T, y, k):
+            # over one step y is the state and the stage state, and k the
+            # two slope buffers of rk4_step_into
+            assert_starts_on_lines(y, k, flow.W, *flow.F)
+            if flow.q0 is not None:
+                assert_starts_on_lines(flow.q0)
+            buffers(flow)[0].add(y.ctypes.data)
+            buffers(flow)[1].add(k.ctypes.data)
+            return rhs(flow, T, y, k)
+
+        def checked_observe(flow, T, y, G, residual):
+            assert_starts_on_lines(y)
+            if not full_log:  # the chunk's summary rows
+                assert_starts_on_lines(G, residual)
+                buffers(flow)[2].add(G.ctypes.data)
+            return observe(flow, T, y, G, residual)
+
+        monkeypatch.setattr(transport._Flow, "rhs", checked_rhs)
+        monkeypatch.setattr(transport._Flow, "observe", checked_observe)
+        run(manufactured_lapse_fields(0.3), n=n, span=0.05, h=1e-2,
+            log_every=2, mode=mode, full_log=full_log)
+        assert len(seen) == (1 if chunk is None else 2)
+        for states, slopes, observed in seen.values():
+            assert len(states) == len(slopes) == 2
+            assert len(observed) == (0 if full_log else 1)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 1001])
+    def test_characteristic_rhs_rows_start_on_cache_lines(self, n,
+                                                          monkeypatch):
+        kernel, p0_rows = transport._conformal_rhs, transport._p0_rows
+        calls = []
+
+        def checked_kernel(tau, p, q0, F, k, W):
+            assert_starts_on_lines(k, W)
+            calls.append("rhs")
+            return kernel(tau, p, q0, F, k, W)
+
+        def checked_p0(tau, F, p, out, W):
+            assert_starts_on_lines(out, W)
+            calls.append("p0")
+            return p0_rows(tau, F, p, out, W)
+
+        monkeypatch.setattr(transport, "_conformal_rhs", checked_kernel)
+        monkeypatch.setattr(transport, "_p0_rows", checked_p0)
+        ens = sample_ensemble(n, seed=4)
+        frame = make_time_frame(-1.0, 0.3)
+        f = manufactured_lapse_fields(0.3)(0.3, ens.x)
+        assert_starts_on_lines(f.N, f.dTN, f.conf_a)
+        characteristic_rhs((ens.x, ens.p), f, frame)  # on-shell q0
+        assert calls == ["p0", "rhs"]
+
+
 class TestSupportEnvelope:
     def test_background_support_constant(self):
         log, _ = run(background_fields, n=64)
