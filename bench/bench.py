@@ -15,15 +15,27 @@ homogeneous closure per call, the homogeneous RK4 step and log point
 (one call each, and one call on a stack of 64), and the report's mode
 sector with its cost per mode step (median of back-to-back pairs at the
 sector's step count and twice it), next to the run's constraint and
-continuity defects.  The ``scenarios``
-section times each scenario at its defaults (median of three warm
-runs).  The ``memory`` section records the ``tracemalloc`` peaks of one
+continuity defects.  The ``scenarios`` section times each scenario at
+its defaults (ten warm runs).  The ``full_report`` walls and the
+scenario walls are also given scaled to one machine speed, as
+``perfbench/run.py`` scales ``wall_s``: a probe process runs a fixed
+kernel of ``perfbench/calibrate.py`` (``solver``, or ``wide`` for
+``characteristics``) before the first run and after each, and the mean
+wall times the kernel's reference time over the mean kernel time around
+the runs, so two trees timed minutes apart compare.  The ``accuracy``
+section gives the observed order of classical Runge-Kutta under step
+halving (``log2`` of successive max-norm differences at h, h/2, h/4)
+for one fixed configuration of each ``TestConvergenceOrder``: final
+transport ``x`` and ``p``, homogeneous ``b_ode`` and ``rho_cont``, and a
+mode's ``u`` and ``w``, so a speedup that costs accuracy shows in the
+same file.  The ``memory`` section records the ``tracemalloc`` peaks of one
 ``characteristics`` run at the ``chars_wide`` size and of one
 ``full_report`` run at its defaults, measured apart from the timed
 runs.  ``source_lines`` counts the
 non-blank, non-comment lines of the package, and
 ``source_lines_by_module`` splits them per module.  Standard library
-plus numpy; about 2 minutes on a 2-vCPU VM::
+plus numpy (and scipy in the probe process); about 2 minutes on a
+2-vCPU VM::
 
     python bench/bench.py --src PARENT_CHECKOUT/src --out before.json
     python bench/bench.py --before before.json --out BENCH_<n>.json
@@ -52,6 +64,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = ((1_000, 1_000), (10_000, 200), (100_000, 50))
 THREADS = (1, 2)
 REPEATS = 3
+# probed runs of each full_report and scenario wall: over four alternating
+# pairs of fresh processes the scaled full_report walls of ten runs kept
+# the two trees of a 10 % gain apart, those of three runs did not
+WALL_REPEATS = 10
 ALIGN_PAIRS = 12  # alternating (aligned, offset rows) chunk run pairs
 ALIGN_STEPS = 40
 LOG_POINT_PAIRS = 7  # interleaved (every logEvery, two ends) run pairs
@@ -60,6 +76,11 @@ MODE_PAIRS = 7  # interleaved (n, 2 n steps) mode sector pairs
 ENERGY_ROWS = 64  # the log-point block of homogeneous.evolve_homogeneous
 H = 1e-3
 EPS = 1e-3
+# the machine-speed probe of perfbench/run.py: seconds of each kernel at
+# the speed scaled walls are quoted at, and the probe's share of each run
+CALIBRATE = ROOT / "perfbench" / "calibrate.py"
+KERNEL_REF_S = {"wide": 0.09, "solver": 0.13}
+KERNEL_SHARE = 0.25
 
 
 def source_lines_by_module(src: Path) -> dict:
@@ -159,6 +180,39 @@ def wall_of(fn) -> float:
     return time.perf_counter() - t0
 
 
+def probed_walls(fn, kernel: str, threads: int = 1) -> dict:
+    """Walls of ``WALL_REPEATS`` calls of ``fn`` and their mean scaled to
+    one machine speed by the ``calibrate.py`` probe ``kernel``
+    (``threads`` copies of it), timed in a process of its own before the
+    first call and for ``KERNEL_SHARE`` of each call's wall after it."""
+    proc = subprocess.Popen(
+        [sys.executable, str(CALIBRATE), kernel, str(threads)], cwd=ROOT,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def probe(seconds):  # mean seconds of one kernel
+        proc.stdin.write(f"{seconds!r}\n")
+        proc.stdin.flush()
+        return float(proc.stdout.readline())
+
+    try:
+        walls, kernels, before = [], [], probe(0.0)
+        for _ in range(WALL_REPEATS):
+            walls.append(wall_of(fn))
+            after = probe(KERNEL_SHARE * walls[-1])
+            kernels.append(0.5 * (before + after))
+            before = after
+    finally:
+        proc.stdin.close()
+        proc.wait()
+        proc.stdout.close()
+    return {"wall_s": round(statistics.median(walls), 4),
+            "walls_s": [round(w, 4) for w in walls],
+            "scaled_wall_s": round(KERNEL_REF_S[kernel] * statistics.fmean(
+                walls) / statistics.fmean(kernels), 4),
+            "kernel": kernel,
+            "kernel_s": [round(k, 4) for k in kernels]}
+
+
 def closure_cost(harness, homogeneous, cfg) -> float:
     """Seconds per ``scaling_closure_moments`` call over one homogeneous
     run, timed inside the call (whatever its signature)."""
@@ -224,8 +278,7 @@ def report_section() -> dict:
 
     cfg = harness.validate_config({"scenario": "full_report", "seed": 0})
     result = harness.run_scenario(cfg)  # also pays the first-call costs
-    report_walls = [wall_of(lambda: harness.run_scenario(cfg))
-                    for _ in range(REPEATS)]
+    report = probed_walls(lambda: harness.run_scenario(cfg), "solver")
 
     hom_cfg = harness.validate_config({"scenario": "homogeneous", "seed": 0})
     closure_s = statistics.median(closure_cost(harness, homogeneous, hom_cfg)
@@ -276,8 +329,14 @@ def report_section() -> dict:
         "config": "full_report defaults, seed 0",
         "repeats": REPEATS,
         "statistic": "median wall time over the repeats",
-        "full_report_wall_s": round(statistics.median(report_walls), 4),
-        "full_report_walls_s": [round(w, 4) for w in report_walls],
+        "full_report_statistic": f"median warm wall over {WALL_REPEATS} "
+                                 f"runs, and their mean scaled to the speed "
+                                 f"at which the calibrate.py solver kernel "
+                                 f"takes {KERNEL_REF_S['solver']} s",
+        "full_report_wall_s": report["wall_s"],
+        "full_report_walls_s": report["walls_s"],
+        "full_report_scaled_wall_s": report["scaled_wall_s"],
+        "full_report_kernel_s": report["kernel_s"],
         "closure_us_per_call": round(1e6 * closure_s, 2),
         "log_point_ms": round(1e3 * statistics.median(diffs), 3),
         "log_point_ms_pairs": [round(1e3 * d, 3) for d in diffs],
@@ -303,7 +362,8 @@ def report_section() -> dict:
         "constraint_defect": result["summary"]["constraint_defect"],
         "continuity_defect": result["summary"]["continuity_defect"],
     }
-    print(f"full_report {section['full_report_wall_s']:.3f} s, closure "
+    print(f"full_report {section['full_report_wall_s']:.3f} s (scaled "
+          f"{section['full_report_scaled_wall_s']:.3f} s), closure "
           f"{section['closure_us_per_call']:.2f} us/call, RK4 step "
           f"{section['homogeneous_step_us']:.2f} us, log point "
           f"{section['log_point_ms']:.3f} ms, mode sector "
@@ -314,21 +374,94 @@ def report_section() -> dict:
 
 def scenarios_section() -> dict:
     """Wall time of each scenario at its defaults: one warm-up run, then
-    the median of ``REPEATS`` runs."""
+    ``WALL_REPEATS`` probed runs (``probed_walls``)."""
     from milne_lab import harness
 
+    threads = int(os.environ.get("MILNE_LAB_THREADS", "1"))
     walls = {}
     for scenario in harness.SCENARIOS:
         cfg = harness.validate_config({"scenario": scenario, "seed": 0})
         harness.run_scenario(cfg)  # first-call costs
-        runs = [wall_of(lambda: harness.run_scenario(cfg))
-                for _ in range(REPEATS)]
-        walls[scenario] = {"wall_s": round(statistics.median(runs), 4),
-                           "walls_s": [round(w, 4) for w in runs]}
-        print(f"{scenario} {walls[scenario]['wall_s']:.3f} s")
+        walls[scenario] = (
+            probed_walls(lambda: harness.run_scenario(cfg), "wide", threads)
+            if scenario == "characteristics" else
+            probed_walls(lambda: harness.run_scenario(cfg), "solver"))
+        print(f"{scenario} {walls[scenario]['wall_s']:.3f} s (scaled "
+              f"{walls[scenario]['scaled_wall_s']:.3f} s)")
     return {"config": "defaults, seed 0, MILNE_LAB_THREADS as set",
-            "statistic": f"median warm wall over {REPEATS} runs",
+            "statistic": f"median warm wall over {WALL_REPEATS} runs; their "
+                         f"mean scaled to the speed at which the "
+                         f"calibrate.py kernel takes {KERNEL_REF_S}",
             "walls": walls}
+
+
+def observed_order(coarse, mid, fine):
+    """``log2`` of the ratio of successive max-norm differences along the
+    last axis."""
+    import numpy as np
+
+    return np.log2(np.max(np.abs(coarse - mid), axis=-1)
+                   / np.max(np.abs(mid - fine), axis=-1))
+
+
+def accuracy_section() -> dict:
+    """Observed RK4 order under step halving of transport, the
+    homogeneous system and a mode, one configuration of each module's
+    ``TestConvergenceOrder``."""
+    import numpy as np
+    from milne_lab import homogeneous, modes, transport
+    from milne_lab.geometry import make_time_frame
+    from milne_lab.matter import RadialDistribution
+
+    # transport: 16 particles (ensemble seed 0) under the manufactured
+    # lapse with eps = 0.25, to T = 1 at h = 1/20, 1/40 and 1/80
+    rng = np.random.default_rng(0)
+    x, p = rng.uniform(-1.2, 1.2, size=(16, 3)), rng.normal(scale=0.7,
+                                                            size=(16, 3))
+    finals = []
+    for m in (1, 2, 4):
+        ens = transport.ParticleEnsemble(x=x.copy(), p=p.copy(),
+                                         weights=np.full(16, 1 / 16))
+        _, fin = transport.integrate_characteristics(
+            ens, transport.manufactured_lapse_fields(0.25),
+            make_time_frame(-1.0, 0.0), 1.0, 1.0 / (20 * m), log_every=20 * m)
+        finals.append(np.concatenate([fin.x, fin.p], axis=1).ravel())
+    # homogeneous: the bump of amplitude 2e-3 at tau0 = -1.5 to T = 2 at
+    # h = 0.05, 0.025 and 0.0125, five log points each
+    f0 = RadialDistribution(grid=np.linspace(0.0, 2.0, 200), qmax=2.0,
+                            profile=lambda q: 2e-3 * np.maximum(
+                                0.0, 1.0 - (q / 2.0) ** 2))
+    series = []
+    for m in (1, 2, 4):
+        run = homogeneous.evolve_homogeneous(f0, -1.5, 2.0, 40 * m, n_q=9,
+                                             log_every=8 * m, n_nodes=16)
+        series.append(np.array([run.b_ode, run.rho_cont]))
+    # a mode: lambda = 1, source amplitude 0.5, to T = 3 at h = 0.05,
+    # 0.025 and 0.0125, compared on the coarse steps
+    states = []
+    for m in (1, 2, 4):
+        traj = modes.integrate_mode(1.0, 1.0, -1.0, (0.0, 3.0), 60 * m,
+                                    S_amp=0.5)
+        states.append(np.array([traj.u[::m], traj.w[::m]]))
+    b_order, rho_order = observed_order(*series)
+    u_order, w_order = observed_order(*states)
+    section = {
+        "method": "log2 of successive max-norm differences at h, h/2, h/4",
+        "transport_x_p": round(float(observed_order(*finals)), 3),
+        "transport_config": "16 particles, manufactured lapse eps 0.25, "
+                            "T 0 to 1, h 1/20",
+        "homogeneous_b_ode": round(float(b_order), 3),
+        "homogeneous_rho_cont": round(float(rho_order), 3),
+        "homogeneous_config": "bump amplitude 2e-3, tau0 -1.5, T 0 to 2, "
+                              "h 0.05, n_q 9, 16 nodes",
+        "mode_u": round(float(u_order), 3),
+        "mode_w": round(float(w_order), 3),
+        "mode_config": "lambda 1, u 1, w -1, S_amp 0.5, T 0 to 3, h 0.05",
+    }
+    print("RK4 orders: " + ", ".join(
+        f"{k} {v:.3f}" for k, v in section.items()
+        if isinstance(v, float)))
+    return section
 
 
 def peak_mb(harness, raw) -> float:
@@ -431,6 +564,7 @@ def main(argv=None) -> int:
         },
         "report": report_section(),
         "scenarios": scenarios_section(),
+        "accuracy": accuracy_section(),
         "memory": memory_section(),
     }
     if before is not None:

@@ -47,10 +47,12 @@ def composite_gauss_legendre(a: float, b, n_nodes: int = 64
 
 
 def trapezoid(y: np.ndarray, x: np.ndarray):
-    """Trapezoid rule for samples ``y`` at the nodes ``x`` of a 1-d grid.
+    """Trapezoid rule for samples ``y`` at the nodes ``x`` of per-row grids.
 
-    ``y`` of shape ``(..., n)`` is integrated along its last axis, each
-    row bitwise the rule on that row alone.  Written out in place of
+    ``y`` of shape ``(..., n)`` is integrated along its last axis over
+    the grids ``x``, of shape ``(n,)`` or broadcasting against ``y`` (say
+    ``(m, 1, n)`` grids for ``(m, 2, n)`` samples), each row bitwise the
+    rule on that row and its grid alone.  Written out in place of
     ``scipy.integrate.trapezoid`` (same arithmetic), so importing the
     package does not import scipy.
     """

@@ -28,11 +28,17 @@ The evolution intentionally runs two discretisations side by side:
   cubic semi-Lagrangian interpolation along the exact characteristics
   and its moments are taken with the trapezoid rule, giving an
   independent second-order-in-``dq`` measurement whose constraint defect
-  converges at the expected rate.  A log point does eagerly only what
-  its abort checks read; the weighted distribution energy ``E_report``
-  feeds none, so it is a separate series, one ``sasaki_energy`` call per
-  block of up to 64 log points, each value bitwise the one of its own
-  call.
+  converges at the expected rate.  Of a log point only the checks that
+  read its closure moments alone run at once, the lapse range and the
+  lapse spot check.  Its grid work waits for the block flush, one pass
+  over up to 64 log points on stacked ``(m, n_q)`` arrays: the grid
+  distribution, its two trapezoid moments, the pole check, the
+  constraint ``b`` and the weighted distribution energy ``E_report``
+  (one ``sasaki_energy`` call), each row bitwise its own evaluation.
+  An abort resolves as if every log point had run in full, checking
+  lapse range, pole and spot check in this order: the first pole of the
+  block wins, the rows from the abort on are dropped, and so are the
+  steps taken past a pole (at most one block of log points).
 """
 
 from __future__ import annotations
@@ -221,13 +227,23 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
 
     The run aborts (with ``completed=False`` and the reason recorded)
     if the lapse leaves ``(0, 3 + tol]``, the constraint reaches its
-    pole, or the spot check fails.  A log point computes, in this order,
-    the closure moments and the lapse (checked), the grid distribution
-    and its two trapezoid moments from one stacked rule (the pole
-    checked), the constraint ``b`` and the spot check.  The cell volume
-    ``sqrt(det(b I))`` and the energy wait for the block flush: one
-    stacked determinant and one ``sasaki_energy`` call per block, on
-    the grids and values as the log points made them.
+    pole, or the spot check fails, checked in this order at each log
+    point.  A log point computes its closure moments and lapse at once,
+    and with them the two checks that read nothing else: the lapse range
+    and the spot check.  The rest waits for the block flush, on stacked
+    arrays of up to ``_ENERGY_BLOCK`` log points: the grids and the
+    distributions on them, their trapezoid moments, the pole check ``s
+    rho >= 1/6`` on the grid ``rho``, the constraint ``b``, the cell
+    volumes ``sqrt(det(b I))`` and one ``sasaki_energy`` call.  A block
+    is flushed when it is full, when a log point fails an inline check,
+    and at the end of the run.  The first pole among its log points wins
+    over the inline failure (which comes after the pole check of its own
+    log point only for the spot check), and the rows from the abort on
+    are dropped.  So a pole stops the run up to one block of log points
+    late; the steps taken past it, which cannot raise (``b`` stays
+    positive and the closure moments nonnegative), are thrown away.
+    Rows, energies and reason are bitwise those of a run that does every
+    log point in full.
     """
     if n_steps < 1 or n_steps % log_every != 0:
         raise ValueError("n_steps must be a positive multiple of log_every")
@@ -247,64 +263,82 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
         N3 = N / 3.0
         return 2.0 * (N3 - 1.0) * b, (3.0 - N) * rho_cont - s2 * N3 * eta_c
 
-    f0_spline = _not_a_knot_spline(np.linspace(0.0, f0.qmax, 4 * n_q),
-                                   f0(np.linspace(0.0, f0.qmax, 4 * n_q)))
+    q_fine = np.linspace(0.0, f0.qmax, 4 * n_q)
+    f0_spline = _not_a_knot_spline(q_fine, f0(q_fine))
 
     h = T_end / n_steps
     half, sixth = h / 2, h / 6
     exp = math.exp
     b, rho_cont = b0, rho0
-    # one list per log point, in HomogeneousRun field order without E_report
-    rows, E_report = [], []
-    pending = []  # (grid, values) of the log distributions without E yet
+    # per log point whose grid work waits for the block flush: T, tau, b,
+    # N, rho_c, eta_c, rho_cont, s, tau^2 and the support stretch
+    pending = []
+    blocks, E_report = [], []  # (11, m) logged series and energies a block
     completed, abort_reason = True, None
 
-    def flush_energies():
-        # E feeds no abort check, so it is computed per block of rows.  The
-        # metric b I enters the energy only through sqrt(det g), so it goes
-        # in as the cell volume; det is taken as sasaki_energy takes it
-        # from a geometry (b**3 can differ in the last bit)
-        block = rows[len(rows) - len(pending):]
-        b = np.array([row[2] for row in block])
-        vol = np.sqrt(np.linalg.det(b[:, None, None] * np.eye(3)))
-        E_report.extend(sasaki_energy(
-            [_LogDistribution(grid, row[7], values)
-             for (grid, values), row in zip(pending, block)],
-            None, ell=2, mu=4.0, ladder_ell=5, vol_cell=vol))
-        pending.clear()
+    def flush(failure=None, drop=0):
+        # the grid work of the pending log points, each row bitwise its
+        # own evaluation; the log grid rides the exact characteristics: its
+        # last node sits on the support edge, so the trapezoid error stays
+        # second order with a smooth coefficient under grid refinement.
+        # The first pole wins over the inline `failure`; the rows from it
+        # on are dropped, and so are the last `drop` rows (a log point
+        # that failed its spot check)
+        nonlocal completed, abort_reason
+        keep = len(pending) - drop
+        if pending:
+            T, tau, b, N, rho_c, eta_c, rho_cont, s, tau2, stretch = \
+                np.array(pending).T
+            pending.clear()
+            G = f0.qmax * stretch
+            q = np.linspace(0.0, G, n_q, axis=-1)
+            fq = np.clip(f0_spline(q / stretch[:, None]), 0.0, None)
+            q2 = q**2
+            ph = np.sqrt(1.0 + tau2[:, None] * q2)
+            terms = np.empty((len(q), 2, n_q))
+            np.multiply(fq * ph, q2, terms[:, 0])
+            np.divide(fq * q**4, ph, terms[:, 1])
+            rho_g, eta_g = (4.0 * math.pi * trapezoid(terms, q[:, None])).T
+            srho = s * rho_g
+            poles = np.flatnonzero(srho >= 1.0 / 6.0)
+            if poles.size:
+                keep = poles[0]
+                failure = f"constraint pole at T={float(T[keep])}"
+            if keep:
+                rows = np.array([T, tau, b, srho, N, rho_g, eta_g, G, rho_c,
+                                 eta_c, rho_cont])[:, :keep]
+                # the constraint b = 1 / (1 - 6 s rho) of the rows short of
+                # the pole
+                rows[3] = 1.0 / (1.0 - 6.0 * rows[3])
+                blocks.append(rows)
+                # the metric b I enters the energy only through sqrt(det g),
+                # so it goes in as the cell volume; det is taken as
+                # sasaki_energy takes it from a geometry (b**3 can differ in
+                # the last bit)
+                vol = np.sqrt(np.linalg.det(b[:keep, None, None] * np.eye(3)))
+                E_report.extend(sasaki_energy(
+                    list(map(_LogDistribution, q[:keep], G[:keep],
+                             fq[:keep])),
+                    None, ell=2, mu=4.0, ladder_ell=5, vol_cell=vol))
+        if failure is not None:
+            completed, abort_reason = False, failure
+        return failure is None
 
     def log_point(T, b, rho_cont):
-        nonlocal completed, abort_reason
+        # the checks that read only the closure run at once; the rest of
+        # the log point waits in `pending` for the block flush
         frame = make_time_frame(tau0, T)
         s = frame.s
         rho_c, eta_c = scaling_closure_moments(*nodes, b0 / b, s)
         N = solve_lapse_algebraic(0.0, s * (rho_c + s**2 * eta_c))
         if not (0.0 < N <= 3.0 * (1.0 + lapse_tol)):
-            completed, abort_reason = False, f"lapse left (0, 3] at T={T}"
-            return False
-        # the log grid rides the exact characteristics: its last node sits
-        # on the support edge, so the trapezoid error stays second order
-        # with a smooth coefficient under grid refinement
-        stretch = math.sqrt(b0 / b)
-        q_grid = np.linspace(0.0, f0.qmax * stretch, n_q)
-        fq = np.clip(f0_spline(q_grid / stretch), 0.0, None)
-        ph = np.sqrt(1.0 + frame.tau**2 * q_grid**2)
-        rho_g, eta_g = (4.0 * math.pi * trapezoid(
-            np.array([fq * ph * q_grid**2, fq * q_grid**4 / ph]),
-            q_grid)).tolist()
-        if s * rho_g >= 1.0 / 6.0:
-            completed, abort_reason = False, f"constraint pole at T={T}"
-            return False
-        b_con = hamiltonian_constraint_b(rho_g, frame)
+            return flush(f"lapse left (0, 3] at T={T}")
+        pending.append([T, frame.tau, b, N, rho_c, eta_c, rho_cont, s,
+                        frame.tau**2, math.sqrt(b0 / b)])
         if abs(N - 3.0) > 10.0 * (s * rho_c + s**3 * eta_c) + 1e-14:
-            completed, abort_reason = False, f"lapse spot check failed at T={T}"
-            return False
-        pending.append((q_grid, fq))
-        rows.append([T, frame.tau, b, b_con, N, rho_g, eta_g,
-                     f0.qmax * stretch, rho_c, eta_c, rho_cont])
-        if len(pending) == _ENERGY_BLOCK:
-            flush_energies()
-        return True
+            # the pole check of this log point still comes first
+            return flush(f"lapse spot check failed at T={T}", drop=1)
+        return len(pending) < _ENERGY_BLOCK or flush()
 
     if log_point(0.0, b, rho_cont):
         # classical Runge-Kutta written out: the same floating-point
@@ -321,14 +355,14 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
                              rho_cont + h * dr3)
             b += sixth * (db1 + 2.0 * db2 + 2.0 * db3 + db4)
             rho_cont += sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
-            if (i + 1) % log_every == 0:
-                if not log_point((i + 1) * h, b, rho_cont):
-                    break
-    if pending:
-        flush_energies()
+            if (i + 1) % log_every == 0 and not log_point((i + 1) * h, b,
+                                                           rho_cont):
+                break
+        else:
+            flush()
 
-    # reshape keeps the eleven series when a run aborts at T = 0
-    series = np.array(rows, dtype=float).reshape(-1, 11).T.copy()
+    # the empty block keeps the eleven series when a run aborts at T = 0
+    series = np.concatenate([np.empty((11, 0)), *blocks], axis=1)
     return HomogeneousRun(*series[:8], np.array(E_report, dtype=float),
                           *series[8:], b0=b0, completed=completed,
                           abort_reason=abort_reason)

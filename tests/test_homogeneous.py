@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from milne_lab import homogeneous
 from milne_lab._rk4 import rk4_step
-from milne_lab._quadrature import composite_gauss_legendre
-from milne_lab.energies import sasaki_energy
+from milne_lab._quadrature import composite_gauss_legendre, trapezoid
+from milne_lab.energies import _not_a_knot_spline, sasaki_energy
 from milne_lab.homogeneous import (
     HOMOGENEOUS_CSV_COLUMNS,
     ConstraintSingularError,
@@ -354,3 +354,266 @@ class TestEnergyBlocks:
         assert sum(calls) == rows
         for name, value in run_arrays(full).items():
             assert_bitwise(getattr(got, name), value[:rows], name)
+
+
+def per_point_reference(f0, tau0, T_end, n_steps, n_q=257, log_every=10,
+                        n_nodes=96, lapse_tol=1e-9):
+    """``evolve_homogeneous`` with each log point done at once, in the
+    order closure and lapse range, grid moments and pole, constraint and
+    spot check; the energies in one ``sasaki_energy`` call at the end.
+    It calls the functions of the module, so a patch of one reaches the
+    reference and the run alike."""
+    s0 = abs(float(tau0))
+    nodes = _closure_nodes(f0, n_nodes)
+    rho0 = homogeneous.scaling_closure_moments(*nodes, 1.0, s0)[0]
+    b0 = hamiltonian_constraint_b(rho0, make_time_frame(tau0, 0.0))
+
+    def stage(s, b, rho_cont):
+        s2 = s**2
+        rho_c, eta_c = homogeneous.scaling_closure_moments(*nodes, b0 / b, s)
+        N = solve_lapse_algebraic(0.0, s * (rho_c + s2 * eta_c))
+        N3 = N / 3.0
+        return 2.0 * (N3 - 1.0) * b, (3.0 - N) * rho_cont - s2 * N3 * eta_c
+
+    q_fine = np.linspace(0.0, f0.qmax, 4 * n_q)
+    f0_spline = homogeneous._not_a_knot_spline(q_fine, f0(q_fine))
+    rows, dists, reason = [], [], None
+
+    def log_point(T, b, rho_cont):
+        nonlocal reason
+        frame = make_time_frame(tau0, T)
+        s = frame.s
+        rho_c, eta_c = homogeneous.scaling_closure_moments(*nodes, b0 / b, s)
+        N = solve_lapse_algebraic(0.0, s * (rho_c + s**2 * eta_c))
+        if not (0.0 < N <= 3.0 * (1.0 + lapse_tol)):
+            reason = f"lapse left (0, 3] at T={T}"
+            return False
+        stretch = math.sqrt(b0 / b)
+        q_grid = np.linspace(0.0, f0.qmax * stretch, n_q)
+        fq = np.clip(f0_spline(q_grid / stretch), 0.0, None)
+        ph = np.sqrt(1.0 + frame.tau**2 * q_grid**2)
+        rho_g, eta_g = (4.0 * math.pi * homogeneous.trapezoid(
+            np.array([fq * ph * q_grid**2, fq * q_grid**4 / ph]),
+            q_grid)).tolist()
+        if s * rho_g >= 1.0 / 6.0:
+            reason = f"constraint pole at T={T}"
+            return False
+        b_con = hamiltonian_constraint_b(rho_g, frame)
+        if abs(N - 3.0) > 10.0 * (s * rho_c + s**3 * eta_c) + 1e-14:
+            reason = f"lapse spot check failed at T={T}"
+            return False
+        dists.append(RadialDistribution(grid=q_grid, qmax=f0.qmax * stretch,
+                                        values=fq))
+        rows.append([T, frame.tau, b, b_con, N, rho_g, eta_g,
+                     f0.qmax * stretch, rho_c, eta_c, rho_cont])
+        return True
+
+    h = T_end / n_steps
+    half, sixth = h / 2, h / 6
+    b, rho_cont = b0, rho0
+    if log_point(0.0, b, rho_cont):
+        for i in range(n_steps):
+            t = i * h
+            s_half = s0 * math.exp(-(t + half))
+            db1, dr1 = stage(s0 * math.exp(-t), b, rho_cont)
+            db2, dr2 = stage(s_half, b + half * db1, rho_cont + half * dr1)
+            db3, dr3 = stage(s_half, b + half * db2, rho_cont + half * dr2)
+            db4, dr4 = stage(s0 * math.exp(-(t + h)), b + h * db3,
+                             rho_cont + h * dr3)
+            b += sixth * (db1 + 2.0 * db2 + 2.0 * db3 + db4)
+            rho_cont += sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
+            if (i + 1) % log_every == 0 and not log_point((i + 1) * h, b,
+                                                           rho_cont):
+                break
+    series = np.array(rows, dtype=float).reshape(-1, 11).T.copy()
+    energy = np.empty(0)
+    if rows:
+        vol = np.sqrt(np.linalg.det(series[2][:, None, None] * np.eye(3)))
+        energy = homogeneous.sasaki_energy(dists, None, ell=2, mu=4.0,
+                                           ladder_ell=5, vol_cell=vol)
+    return HomogeneousRun(*series[:8], energy, *series[8:], b0=b0,
+                          completed=reason is None, abort_reason=reason)
+
+
+def spot_breaking_moments(s):
+    """Closure moments ``(rho_c, eta_c)`` of opposite signs that the
+    lapse accepts and its spot check rejects at the scale ``s``.
+
+    With moments >= 0 the spot check cannot fail: ``X = s rho_c + s^3
+    eta_c >= 0`` gives ``|N - 3| = 9 X / (1 + 3 X) <= 10 X``.  These
+    cancel exactly in the lapse's ``s (rho_c + s^2 eta_c)``, so ``N =
+    3``, and leave a rounding residue below ``-1e-15`` in the spot
+    check's ``s rho_c + s^3 eta_c``."""
+    for k in range(1, 60):
+        for sign in (1.0, -1.0):
+            eta = sign * (1e3 + k) / s**2
+            rho = -(s**2 * eta)
+            if s * rho + s**3 * eta < -1e-15:
+                assert s * (rho + s**2 * eta) == 0.0
+                return rho, eta
+    raise AssertionError(f"no spot-breaking moments at s = {s}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestAbortOrder:
+    """A run that aborts keeps the rows, energies and reason of the
+    per-log-point order (lapse range, pole, spot check at each point),
+    whatever the block size and wherever in a block the abort falls, and
+    raises no numpy warning on the way (a pole row's constraint b is never
+    taken)."""
+
+    ARGS = (bump(2e-3), -1.2, 1.4, 140)
+    KWARGS = {"n_q": 65, "log_every": 2, "n_nodes": 48}  # 71 log points
+    # first row, mid-block, both sides of the first 64-row block, last row
+    ROWS = [0, 30, 63, 64, 65, 70]
+
+    @pytest.fixture(scope="class")
+    def full(self):
+        run = evolve_homogeneous(*self.ARGS, **self.KWARGS)
+        # the triggers below rely on N and the support rising row by row
+        assert run.completed and run.T.size == 71
+        assert np.all(np.diff(run.N) > 0) and np.all(np.diff(run.G) > 0)
+        return run
+
+    def assert_runs_match(self, monkeypatch, patch, **kwargs):
+        # `patch` installs a fresh trigger before each run
+        patch()
+        want = per_point_reference(*self.ARGS, **self.KWARGS, **kwargs)
+        for block in (1, 7, 64):
+            monkeypatch.setattr(homogeneous, "_ENERGY_BLOCK", block)
+            patch()
+            got = evolve_homogeneous(*self.ARGS, **self.KWARGS, **kwargs)
+            assert (got.completed, got.abort_reason) == (
+                want.completed, want.abort_reason), block
+            assert float(got.b0).hex() == float(want.b0).hex()
+            for name, value in run_arrays(want).items():
+                assert_bitwise(getattr(got, name), value, f"{name}, {block}")
+        return want
+
+    def test_completed_run_matches_reference(self, monkeypatch, full):
+        want = self.assert_runs_match(monkeypatch, lambda: None)
+        assert want.completed and want.T.size == full.T.size
+
+    def lapse_tol(self, full, row):
+        # N rises toward 3, so a tolerance between 3 (1 + tol) of two
+        # rows stops the run at the later one
+        return -1.0 if row == 0 else (full.N[row - 1] + full.N[row]) / 6 - 1
+
+    def pole_patch(self, monkeypatch, full, row):
+        # the grid rho of `row` exactly on the pole, s rho = 1/6, and far
+        # past it on every grid reaching further; per-row and stacked
+        # trapezoid calls alike
+        edge, s = full.G[row], make_time_frame(self.ARGS[1], full.T[row]).s
+        on_pole = 1.0 / 6.0 / s / (4.0 * math.pi)
+        for _ in range(64):
+            srho = s * (4.0 * math.pi * on_pole)
+            if srho == 1.0 / 6.0:
+                break
+            on_pole = math.nextafter(on_pole, math.inf if srho < 1.0 / 6.0
+                                     else 0.0)
+        assert srho == 1.0 / 6.0
+
+        def inflated(y, x):
+            out = trapezoid(y, x)
+            last = x[..., -1].reshape(out.shape[:-1])
+            out[..., 0] = np.where(last > edge, 1e9, np.where(
+                last == edge, on_pole, out[..., 0]))
+            return out
+
+        return lambda: monkeypatch.setattr(homogeneous, "trapezoid", inflated)
+
+    def spot_patch(self, monkeypatch, full, row):
+        # spot-breaking moments at the log point of `row`, its closure
+        # call the only one with its arguments (r = b0 / b, s) save the
+        # first call, the initial density at T = 0, which keeps its moments
+        closure = homogeneous.scaling_closure_moments
+        at_row = (full.b0 / full.b_ode[row],
+                  make_time_frame(self.ARGS[1], full.T[row]).s)
+
+        def install():
+            calls = []
+
+            def breaking(*args):
+                calls.append(None)
+                if len(calls) == 1 or args[-2:] != at_row:
+                    return closure(*args)
+                return spot_breaking_moments(args[-1])
+
+            monkeypatch.setattr(homogeneous, "scaling_closure_moments",
+                                breaking)
+
+        return install
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_lapse_abort(self, monkeypatch, full, row):
+        want = self.assert_runs_match(monkeypatch, lambda: None,
+                                      lapse_tol=self.lapse_tol(full, row))
+        assert want.T.size == row
+        assert want.abort_reason == f"lapse left (0, 3] at T={full.T[row]}"
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_pole_abort(self, monkeypatch, full, row):
+        want = self.assert_runs_match(
+            monkeypatch, self.pole_patch(monkeypatch, full, row))
+        assert want.T.size == row
+        assert want.abort_reason == f"constraint pole at T={full.T[row]}"
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_spot_check_abort(self, monkeypatch, full, row):
+        want = self.assert_runs_match(
+            monkeypatch, self.spot_patch(monkeypatch, full, row))
+        assert want.T.size == row
+        assert want.abort_reason == (
+            f"lapse spot check failed at T={full.T[row]}")
+
+    # a pole against an inline failure at the same log point, and at an
+    # earlier or later one of the same block
+    @pytest.mark.parametrize("pole_row, failure, failure_row, first", [
+        (30, "lapse", 30, "lapse left (0, 3]"),
+        (30, "spot", 30, "constraint pole"),
+        (30, "lapse", 40, "constraint pole"),
+        (30, "spot", 40, "constraint pole"),
+        (40, "lapse", 30, "lapse left (0, 3]"),
+        (40, "spot", 30, "lapse spot check failed"),
+        (63, "spot", 64, "constraint pole"),
+    ])
+    def test_pole_against_inline_failure(self, monkeypatch, full, pole_row,
+                                         failure, failure_row, first):
+        pole = self.pole_patch(monkeypatch, full, pole_row)
+        kwargs, patch = {}, pole
+        if failure == "lapse":
+            kwargs["lapse_tol"] = self.lapse_tol(full, failure_row)
+        else:
+            spot = self.spot_patch(monkeypatch, full, failure_row)
+            patch = lambda: (pole(), spot())  # noqa: E731
+        want = self.assert_runs_match(monkeypatch, patch, **kwargs)
+        row = failure_row if first != "constraint pole" else pole_row
+        assert want.T.size == row
+        assert want.abort_reason == f"{first} at T={full.T[row]}"
+
+
+class TestBatchedNumpy:
+    """The numpy calls that the block flush makes on stacked rows give
+    each row bitwise its one-row call."""
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 65, 257])
+    def test_linspace_with_array_stops(self, n):
+        stops = np.concatenate([[2.0, 1e-3], np.random.default_rng(n)
+                                .uniform(0.5, 5.0, size=62)])
+        grids = np.linspace(0.0, stops, n, axis=-1)
+        assert grids.shape == (64, n)
+        for grid, stop in zip(grids, stops):
+            assert_bitwise(grid, np.linspace(0.0, float(stop), n))
+
+    @pytest.mark.parametrize("n_q", [9, 65, 257])
+    def test_ppoly_on_a_stack(self, n_q):
+        f0 = bump(2e-3)
+        q_fine = np.linspace(0.0, f0.qmax, 4 * n_q)
+        spline = _not_a_knot_spline(q_fine, f0(q_fine))
+        stretch = np.linspace(1.0, 1.5, 64)
+        grids = np.linspace(0.0, f0.qmax * stretch, n_q, axis=-1)
+        got = spline(grids / stretch[:, None])
+        assert got.shape == (64, n_q)
+        for row, st in zip(got, stretch.tolist()):
+            grid = np.linspace(0.0, f0.qmax * st, n_q)
+            assert_bitwise(row, spline(grid / st))

@@ -77,3 +77,20 @@ def test_stacked_trapezoid_rows_match_one_row_calls():
             assert np.ndim(one) == 0
             want = np.sum(np.diff(x) * (y[row, 1:] + y[row, :-1]) / 2.0)
             assert_bitwise(np.array([got[row], one]), np.array([want, want]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 65, 129, 257, 1025])
+def test_stacked_grids_rows_match_one_row_calls(n):
+    # the stack a block of log points integrates: (m, 2, n) samples on
+    # (m, 1, n) grids, laid out as np.linspace with an array of stops
+    # makes them, and contiguous
+    rng = np.random.default_rng(n)
+    stops = rng.uniform(0.5, 5.0, size=64)
+    y = rng.normal(size=(64, 2, n))
+    grids = np.linspace(0.0, stops, n, axis=-1)
+    for x in (grids, np.ascontiguousarray(grids)):
+        got = trapezoid(y, x[:, None])
+        assert got.shape == (64, 2)
+        for row, stop in enumerate(stops):
+            want = trapezoid(y[row], np.linspace(0.0, float(stop), n))
+            assert_bitwise(got[row], want)
