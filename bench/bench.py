@@ -1,6 +1,7 @@
 """Particle scaling of transport and the cost of the full_report layers.
 
-Times ``transport.integrate_characteristics`` (derived mode, manufactured
+The ``transport_scaling`` section times
+``transport.integrate_characteristics`` (derived mode, manufactured
 lapse with eps = 1e-3, h = 1e-3, tau0 = -1) at 10^3, 10^4 and 10^5
 particles on one and two threads, and writes a JSON table of ns per
 particle-step with the largest mass-shell residual of each run next to
@@ -9,45 +10,60 @@ it, so a speedup that costs accuracy shows in the same row.  Its
 ``transport._CHUNK`` particles over 40 steps on one thread with its rows
 on cache lines and with the same rows 16 bytes past them (alternating
 in-process pairs), so a buffer that loses its alignment shows.  The
-``report`` section times ``full_report`` at its defaults, the
-homogeneous closure per call, the homogeneous RK4 step and log point
-(medians of back-to-back run pairs), ``sasaki_energy`` per distribution
-(one call each, and one call on a stack of 64), and the report's mode
-sector with its cost per mode step (median of back-to-back pairs at the
-sector's step count and twice it), next to the run's constraint and
-continuity defects.  The ``scenarios`` section times each scenario at
-its defaults (ten warm runs).  The ``full_report`` walls and the
-scenario walls are also given scaled to one machine speed, as
-``perfbench/run.py`` scales ``wall_s``: a probe process runs a fixed
-kernel of ``perfbench/calibrate.py`` (``solver``, or ``wide`` for
+``report`` section times ``full_report`` at its defaults, one 64-row
+block flush of its homogeneous log points inside the run
+(``flush_ms``), the homogeneous closure per call, the homogeneous RK4
+step and log point (medians of back-to-back run pairs),
+``sasaki_energy`` per distribution (one call each, and one call on a
+stack of 64), and the report's mode sector with its cost per mode step
+(median of back-to-back pairs at the sector's step count and twice it),
+next to the run's constraint and continuity defects.  The ``scenarios``
+section times each scenario at its defaults (ten warm runs).  The
+``full_report`` walls, ``flush_ms`` and the scenario walls are also
+given scaled to one machine speed, as ``perfbench/run.py`` scales
+``wall_s``: a probe process runs a fixed kernel of
+``perfbench/calibrate.py`` (``solver``, or ``wide`` for
 ``characteristics``) before the first run and after each, and the mean
-wall times the kernel's reference time over the mean kernel time around
-the runs, so two trees timed minutes apart compare.  The ``accuracy``
-section gives the observed order of classical Runge-Kutta under step
-halving (``log2`` of successive max-norm differences at h, h/2, h/4)
-for one fixed configuration of each ``TestConvergenceOrder``: final
-transport ``x`` and ``p``, homogeneous ``b_ode`` and ``rho_cont``, and a
-mode's ``u`` and ``w``, so a speedup that costs accuracy shows in the
-same file.  The ``memory`` section records the ``tracemalloc`` peaks of one
-``characteristics`` run at the ``chars_wide`` size and of one
-``full_report`` run at its defaults, measured apart from the timed
-runs.  ``source_lines`` counts the
+figure times the kernel's reference time over the mean kernel time
+around the runs, so two trees timed minutes apart compare.  The
+``accuracy`` section gives the observed order of classical Runge-Kutta
+under step halving (``log2`` of successive max-norm differences at h,
+h/2, h/4) for one fixed configuration of each ``TestConvergenceOrder``:
+final transport ``x`` and ``p``, homogeneous ``b_ode`` and
+``rho_cont``, and a mode's ``u`` and ``w``, so a speedup that costs
+accuracy shows in the same file.  The ``memory`` section records the
+``tracemalloc`` peaks of one ``characteristics`` run at the
+``chars_wide`` size and of one ``full_report`` run at its defaults,
+measured apart from the timed runs.  ``source_lines`` counts the
 non-blank, non-comment lines of the package, and
-``source_lines_by_module`` splits them per module.  Standard library
-plus numpy (and scipy in the probe process); about 2 minutes on a
-2-vCPU VM::
+``source_lines_by_module`` splits them per module.
+
+The sections run in the order ``report``, ``scenarios``, ``accuracy``,
+``transport_scaling``, ``memory``, each section's seconds recorded in
+``section_seconds``; on a 2-vCPU VM they took about 15, 42, 0.1, 20 and
+5 s.  ``report`` and ``scenarios`` come before the 10^5-particle runs:
+the large buffers those free raise glibc's mmap and trim thresholds for
+the rest of the process, after which a ``full_report`` no longer pays
+the page faults a fresh process pays for its temporaries (at the
+parent of the change that added ``flush_ms``, a flush read 5.75 ms
+scaled with ``report`` first, ``before`` in ``BENCH_16.json``, and 3.38
+ms after the transport runs).  Standard library plus numpy (and scipy
+in the probe process); about 2 minutes in all::
 
     python bench/bench.py --src PARENT_CHECKOUT/src --out before.json
     python bench/bench.py --before before.json --out BENCH_<n>.json
+    python bench/bench.py --only report --out report.json
 
 ``--src`` times another source tree with the same script (side-by-side
 comparisons); ``--before`` stores an earlier run's JSON under
-``before`` in the output; paths are relative to the repository root.
+``before`` in the output; ``--only`` runs the named sections alone;
+paths are relative to the repository root.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -180,11 +196,14 @@ def wall_of(fn) -> float:
     return time.perf_counter() - t0
 
 
-def probed_walls(fn, kernel: str, threads: int = 1) -> dict:
+def probed_walls(fn, kernel: str, threads: int = 1, figure=None) -> dict:
     """Walls of ``WALL_REPEATS`` calls of ``fn`` and their mean scaled to
     one machine speed by the ``calibrate.py`` probe ``kernel``
     (``threads`` copies of it), timed in a process of its own before the
-    first call and for ``KERNEL_SHARE`` of each call's wall after it."""
+    first call and for ``KERNEL_SHARE`` of each call's wall after it.
+    ``figure``, if given, returns after each call a list of seconds
+    measured inside it; the median of each call's list is kept, and
+    their mean is scaled as the walls are."""
     proc = subprocess.Popen(
         [sys.executable, str(CALIBRATE), kernel, str(threads)], cwd=ROOT,
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
@@ -195,9 +214,11 @@ def probed_walls(fn, kernel: str, threads: int = 1) -> dict:
         return float(proc.stdout.readline())
 
     try:
-        walls, kernels, before = [], [], probe(0.0)
+        walls, figures, kernels, before = [], [], [], probe(0.0)
         for _ in range(WALL_REPEATS):
             walls.append(wall_of(fn))
+            if figure is not None:
+                figures.append(statistics.median(figure()))
             after = probe(KERNEL_SHARE * walls[-1])
             kernels.append(0.5 * (before + after))
             before = after
@@ -205,12 +226,51 @@ def probed_walls(fn, kernel: str, threads: int = 1) -> dict:
         proc.stdin.close()
         proc.wait()
         proc.stdout.close()
-    return {"wall_s": round(statistics.median(walls), 4),
-            "walls_s": [round(w, 4) for w in walls],
-            "scaled_wall_s": round(KERNEL_REF_S[kernel] * statistics.fmean(
-                walls) / statistics.fmean(kernels), 4),
-            "kernel": kernel,
-            "kernel_s": [round(k, 4) for k in kernels]}
+    speed = KERNEL_REF_S[kernel] / statistics.fmean(kernels)
+    out = {"wall_s": round(statistics.median(walls), 4),
+           "walls_s": [round(w, 4) for w in walls],
+           "scaled_wall_s": round(speed * statistics.fmean(walls), 4),
+           "kernel": kernel,
+           "kernel_s": [round(k, 4) for k in kernels]}
+    if figure is not None:
+        out["figures_s"] = figures
+        out["scaled_figure_s"] = speed * statistics.fmean(figures)
+    return out
+
+
+@contextlib.contextmanager
+def flush_timers(homogeneous, flushes: list):
+    """Append to ``flushes`` the seconds of each block flush of
+    ``ENERGY_ROWS`` log points in the runs made inside the block.
+
+    A flush runs right after the closure call of its block's last log
+    point and ends with its one ``sasaki_energy`` call, so its time is
+    taken from the end of that closure call to the end of the energy
+    call: the flush plus the lapse and checks of that log point (a few
+    us).  Both functions are wrapped at ``homogeneous``, which the run
+    calls them through."""
+    closure = homogeneous.scaling_closure_moments
+    energy = homogeneous.sasaki_energy
+    closure_end = [0.0]
+
+    def timed_closure(*args):
+        out = closure(*args)
+        closure_end[0] = time.perf_counter()
+        return out
+
+    def timed_energy(f, *args, **kwargs):
+        out = energy(f, *args, **kwargs)
+        if len(f) == ENERGY_ROWS:
+            flushes.append(time.perf_counter() - closure_end[0])
+        return out
+
+    homogeneous.scaling_closure_moments = timed_closure
+    homogeneous.sasaki_energy = timed_energy
+    try:
+        yield flushes
+    finally:
+        homogeneous.scaling_closure_moments = closure
+        homogeneous.sasaki_energy = energy
 
 
 def closure_cost(harness, homogeneous, cfg) -> float:
@@ -279,6 +339,17 @@ def report_section() -> dict:
     cfg = harness.validate_config({"scenario": "full_report", "seed": 0})
     result = harness.run_scenario(cfg)  # also pays the first-call costs
     report = probed_walls(lambda: harness.run_scenario(cfg), "solver")
+    # the block flushes of the same runs, timed inside them (the wrappers
+    # slow the closure, so these runs are apart from the walls above)
+    flushes = []
+
+    def timed_run():
+        flushes.clear()
+        with flush_timers(homogeneous, flushes):
+            harness.run_scenario(cfg)
+        return flushes
+
+    flush = probed_walls(timed_run, "solver", figure=lambda: flushes)
 
     hom_cfg = harness.validate_config({"scenario": "homogeneous", "seed": 0})
     closure_s = statistics.median(closure_cost(harness, homogeneous, hom_cfg)
@@ -337,6 +408,15 @@ def report_section() -> dict:
         "full_report_walls_s": report["walls_s"],
         "full_report_scaled_wall_s": report["scaled_wall_s"],
         "full_report_kernel_s": report["kernel_s"],
+        "flush_ms": round(1e3 * flush["scaled_figure_s"], 3),
+        "flush_ms_raw": [round(1e3 * f, 3) for f in flush["figures_s"]],
+        "flush_kernel_s": flush["kernel_s"],
+        "flush_method": f"one {ENERGY_ROWS}-row block flush of full_report, "
+                        f"timed in the run from the end of its last log "
+                        f"point's closure call to the end of its "
+                        f"sasaki_energy call; the median of each of "
+                        f"{WALL_REPEATS} runs (flush_ms_raw), their mean "
+                        f"scaled as full_report_scaled_wall_s",
         "closure_us_per_call": round(1e6 * closure_s, 2),
         "log_point_ms": round(1e3 * statistics.median(diffs), 3),
         "log_point_ms_pairs": [round(1e3 * d, 3) for d in diffs],
@@ -363,7 +443,8 @@ def report_section() -> dict:
         "continuity_defect": result["summary"]["continuity_defect"],
     }
     print(f"full_report {section['full_report_wall_s']:.3f} s (scaled "
-          f"{section['full_report_scaled_wall_s']:.3f} s), closure "
+          f"{section['full_report_scaled_wall_s']:.3f} s), block flush "
+          f"{section['flush_ms']:.2f} ms scaled, closure "
           f"{section['closure_us_per_call']:.2f} us/call, RK4 step "
           f"{section['homogeneous_step_us']:.2f} us, log point "
           f"{section['log_point_ms']:.3f} ms, mode sector "
@@ -506,21 +587,10 @@ def memory_section() -> dict:
     return section
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="source tree to import milne_lab from")
-    parser.add_argument("--out", default="BENCH.json",
-                        help="output JSON, relative to the repository root")
-    parser.add_argument("--before", type=Path,
-                        help="JSON of an earlier run (say of the parent "
-                             "commit) to store under 'before'")
-    args = parser.parse_args(argv)
-    before = (json.loads((ROOT / args.before).read_text())
-              if args.before else None)
-    src = args.src.resolve()
-    sys.path.insert(0, str(src))
-    import numpy as np
+def transport_section() -> dict:
+    """ns per particle-step at each of ``SIZES`` on each of ``THREADS``,
+    with the largest mass-shell residual of each run, and the
+    ``row_alignment`` pairs."""
     from milne_lab import transport
     from milne_lab.geometry import make_time_frame
 
@@ -546,6 +616,44 @@ def main(argv=None) -> int:
             print(f"{n:>7} particles x {steps:>4} steps, {threads} thread(s): "
                   f"{rows[-1]['ns_per_particle_step']:7.1f} ns/particle-step, "
                   f"residual {residual[threads]:.2e}")
+    return {
+        "provider": f"manufactured_lapse_fields({EPS})",
+        "mode": "derived", "h": H, "repeats": REPEATS,
+        "statistic": "median wall time over the repeats",
+        "rows": rows,
+        "row_alignment": row_alignment(transport, frame0),
+    }
+
+
+# in this order (see the module docstring)
+SECTIONS = {
+    "report": report_section,
+    "scenarios": scenarios_section,
+    "accuracy": accuracy_section,
+    "transport_scaling": transport_section,
+    "memory": memory_section,
+}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="source tree to import milne_lab from")
+    parser.add_argument("--out", default="BENCH.json",
+                        help="output JSON, relative to the repository root")
+    parser.add_argument("--before", type=Path,
+                        help="JSON of an earlier run (say of the parent "
+                             "commit) to store under 'before'")
+    parser.add_argument("--only", nargs="+", choices=list(SECTIONS),
+                        metavar="SECTION",
+                        help=f"run only these sections, of {list(SECTIONS)}")
+    args = parser.parse_args(argv)
+    before = (json.loads((ROOT / args.before).read_text())
+              if args.before else None)
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    import numpy as np
+
     lines = source_lines_by_module(src)
     doc = {
         "git_sha": git_sha(src),
@@ -555,18 +663,14 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "source_lines": sum(lines.values()),
         "source_lines_by_module": lines,
-        "transport_scaling": {
-            "provider": f"manufactured_lapse_fields({EPS})",
-            "mode": "derived", "h": H, "repeats": REPEATS,
-            "statistic": "median wall time over the repeats",
-            "rows": rows,
-            "row_alignment": row_alignment(transport, frame0),
-        },
-        "report": report_section(),
-        "scenarios": scenarios_section(),
-        "accuracy": accuracy_section(),
-        "memory": memory_section(),
+        "section_seconds": {},
     }
+    for name in SECTIONS:  # in their order, whatever the order of --only
+        if args.only and name not in args.only:
+            continue
+        t0 = time.perf_counter()
+        doc[name] = SECTIONS[name]()
+        doc["section_seconds"][name] = round(time.perf_counter() - t0, 1)
     if before is not None:
         doc["before"] = before
     out = ROOT / args.out

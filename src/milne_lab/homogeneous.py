@@ -35,6 +35,11 @@ The evolution intentionally runs two discretisations side by side:
   distribution, its two trapezoid moments, the pole check, the
   constraint ``b`` and the weighted distribution energy ``E_report``
   (one ``sasaki_energy`` call), each row bitwise its own evaluation.
+  The flush works in buffers made once per run and hands its blocks to
+  ``sasaki_energy`` uncopied, so the heap serves its few remaining
+  temporaries again from flush to flush (2-3 minor page faults a warm
+  default ``full_report`` run, against about 4400 with an array per
+  operation).
   An abort resolves as if every log point had run in full, checking
   lapse range, pole and spot check in this order: the first pole of the
   block wins, the rows from the abort on are dropped, and so are the
@@ -44,7 +49,6 @@ The evolution intentionally runs two discretisations side by side:
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,7 +57,7 @@ import numpy as np
 from ._quadrature import composite_gauss_legendre, trapezoid
 from .geometry import TimeFrame, make_time_frame
 from .matter import RadialDistribution
-from .energies import _not_a_knot_spline, sasaki_energy
+from .energies import _GridRows, _not_a_knot_spline, sasaki_energy
 
 __all__ = [
     "ConstraintSingularError",
@@ -73,10 +77,10 @@ HOMOGENEOUS_CSV_COLUMNS = ["T", "tau", "b_ode", "b_constraint", "N", "rho",
 # a block's arrays stay a few hundred kB, so the run's peak memory holds
 _ENERGY_BLOCK = 64
 
-# the fields of a distribution that sasaki_energy reads: a log point's
-# grid and values are built valid, so they skip RadialDistribution's
-# checks (about 25 us a log point)
-_LogDistribution = namedtuple("_LogDistribution", "grid qmax values")
+# the ufuncs of scaling_closure_moments, looked up once rather than on np
+# at each of its 20 000 calls a default run
+_multiply, _add, _sqrt, _divide = np.multiply, np.add, np.sqrt, np.divide
+_add_reduce, _FOUR_PI = np.add.reduce, 4.0 * math.pi
 
 
 class ConstraintSingularError(ValueError):
@@ -178,22 +182,38 @@ def scaling_closure_moments(wf: np.ndarray, u2: np.ndarray,
     gives both sums, each bitwise ``np.sum`` of its row.  Every array
     operation writes into the ``scratch`` of :func:`_closure_nodes`,
     built once per run, and takes array operands only (a Python float
-    operand costs about 0.3 us more per call).  At 96 nodes a call cost
-    5.9 us against 9.4 us allocating its arrays (``bench/bench.py``
-    ``closure_us_per_call`` in ``BENCH_12.json``, 2-vCPU VM): seven numpy
-    calls at their per-call floor.
+    operand costs about 0.3 us more per call).  Its ufuncs are bound to
+    module names once, and ``s^2 r`` goes in by ``c[...] =`` (99 ns
+    against 164 ns for ``c[()] =``): at 96 nodes a call took 0.92 of the
+    4.3 us of the ``np.*`` form (median of 21 interleaved pairs, 2-vCPU
+    VM), seven numpy calls at their per-call floor.  Runs call it
+    through the module, so a wrapper bound there sees every call.
     """
     c, ones, t, ph, terms, rho_terms, eta_terms, sums = scratch
-    c[()] = s**2 * r
-    np.multiply(c, u2, t)
-    np.add(ones, t, t)
-    np.sqrt(t, ph)
-    np.multiply(wf, ph, t)
-    np.multiply(t, u2, rho_terms)
-    np.divide(wfu4, ph, eta_terms)
-    rho_sum, eta_sum = np.add.reduce(terms, 1, None, sums).tolist()
-    return (4.0 * math.pi * r**1.5 * rho_sum,
-            4.0 * math.pi * r**2.5 * eta_sum)
+    c[...] = s**2 * r
+    _multiply(c, u2, t)
+    _add(ones, t, t)
+    _sqrt(t, ph)
+    _multiply(wf, ph, t)
+    _multiply(t, u2, rho_terms)
+    _divide(wfu4, ph, eta_terms)
+    rho_sum, eta_sum = _add_reduce(terms, 1, None, sums).tolist()
+    return _FOUR_PI * r**1.5 * rho_sum, _FOUR_PI * r**2.5 * eta_sum
+
+
+def _linspace_rows(stops: np.ndarray, ramp: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """``np.linspace(0.0, stops, n, axis=-1)`` written into ``out``.
+
+    As numpy computes it for ``(m,)`` stops: ``ramp = np.arange(n,
+    dtype=float)`` times ``stops / (n - 1)``, the last node set to the
+    stop.  Numpy's branch for a step that underflows to 0 is left out: a
+    log grid's step is about that of the ``f0`` spline's own grid over
+    the support, which is strictly increasing.
+    """
+    np.multiply(ramp, (stops / (len(ramp) - 1))[:, None], out=out)
+    out[:, -1] = stops
+    return out
 
 
 def initial_density(f0: RadialDistribution, tau0: float,
@@ -247,6 +267,8 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
     """
     if n_steps < 1 or n_steps % log_every != 0:
         raise ValueError("n_steps must be a positive multiple of log_every")
+    if n_q < 2:  # a log grid spans [0, G]
+        raise ValueError("n_q must be at least 2")
     s0 = abs(float(tau0))
     nodes = _closure_nodes(f0, n_nodes)
     # initial_density, from the nodes just built
@@ -276,6 +298,14 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
     blocks, E_report = [], []  # (11, m) logged series and energies a block
     completed, abort_reason = True, None
 
+    # the flush's arrays, made once per run: per log point the grid, its
+    # nodes over the stretch, q^2, sqrt(1 + tau^2 q^2), a work row and
+    # the two moment rows
+    block = min(_ENERGY_BLOCK, n_steps // log_every + 1)
+    ramp = np.arange(n_q, dtype=float)
+    rows_block = np.empty((5, block, n_q))
+    terms_block = np.empty((block, 2, n_q))
+
     def flush(failure=None, drop=0):
         # the grid work of the pending log points, each row bitwise its
         # own evaluation; the log grid rides the exact characteristics: its
@@ -290,14 +320,23 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
             T, tau, b, N, rho_c, eta_c, rho_cont, s, tau2, stretch = \
                 np.array(pending).T
             pending.clear()
+            q, nodes, q2, ph, work = rows_block[:, :len(T)]
+            terms = terms_block[:len(T)]
             G = f0.qmax * stretch
-            q = np.linspace(0.0, G, n_q, axis=-1)
-            fq = np.clip(f0_spline(q / stretch[:, None]), 0.0, None)
-            q2 = q**2
-            ph = np.sqrt(1.0 + tau2[:, None] * q2)
-            terms = np.empty((len(q), 2, n_q))
-            np.multiply(fq * ph, q2, terms[:, 0])
-            np.divide(fq * q**4, ph, terms[:, 1])
+            _linspace_rows(G, ramp, q)
+            np.divide(q, stretch[:, None], out=nodes)
+            fq = f0_spline(nodes)
+            np.clip(fq, 0.0, None, out=fq)
+            np.square(q, out=q2)
+            np.multiply(tau2[:, None], q2, out=ph)
+            np.add(1.0, ph, out=ph)
+            np.sqrt(ph, out=ph)
+            rho_terms, eta_terms = terms.transpose(1, 0, 2)
+            np.multiply(fq, ph, out=work)
+            np.multiply(work, q2, out=rho_terms)
+            np.power(q, 4, out=work)
+            np.multiply(fq, work, out=work)
+            np.divide(work, ph, out=eta_terms)
             rho_g, eta_g = (4.0 * math.pi * trapezoid(terms, q[:, None])).T
             srho = s * rho_g
             poles = np.flatnonzero(srho >= 1.0 / 6.0)
@@ -317,9 +356,8 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
                 # the last bit)
                 vol = np.sqrt(np.linalg.det(b[:keep, None, None] * np.eye(3)))
                 E_report.extend(sasaki_energy(
-                    list(map(_LogDistribution, q[:keep], G[:keep],
-                             fq[:keep])),
-                    None, ell=2, mu=4.0, ladder_ell=5, vol_cell=vol))
+                    _GridRows(q[:keep], G[:keep], fq[:keep]), None, ell=2,
+                    mu=4.0, ladder_ell=5, vol_cell=vol))
         if failure is not None:
             completed, abort_reason = False, failure
         return failure is None

@@ -290,14 +290,36 @@ def not_a_knot_system(x, rng):
     return A, rng.normal(size=x.size)
 
 
+def tridiagonal_system(matrix, rhs, n, rng):
+    """Banded storage and right-hand side of one system on ``n`` nodes.
+
+    ``matrix`` is ``"knot"``, a not-a-knot slope system on a random grid,
+    or ``"swap"``, off-diagonals larger than the diagonal, so that dgtsv
+    swaps rows.  ``rhs`` is ``"normal"``; ``"tail"``, exact zeros from a
+    random node on, as the slopes past a clipped distribution edge give;
+    or ``"signed"``, values drawn from -0.0, 0.0, 1.0 and -1.0.
+    """
+    if matrix == "knot":
+        A, b = not_a_knot_system(np.cumsum(rng.uniform(1e-3, 1.0, size=n)),
+                                 rng)
+    else:
+        A, b = rng.normal(size=(3, n)), rng.normal(size=n)
+        A[1] *= 0.1
+    if rhs == "tail":
+        b[rng.integers(1, n):] = 0.0
+    elif rhs == "signed":
+        b = rng.choice([-0.0, 0.0, 1.0, -1.0], size=n)
+    return A, b
+
+
 def assert_rows_match_solve_banded(systems):
-    A = np.stack([a for a, _ in systems])
+    A = np.stack([a for a, _ in systems], axis=1)
     b = np.stack([rhs for _, rhs in systems])
-    got = _solve_tridiagonal_rows(A.copy(), b)
+    got = _solve_tridiagonal_rows(A, b.copy())
     for row, (a, rhs) in enumerate(systems):
         want = solve_banded((1, 1), a, rhs.reshape(-1, 1),
                             check_finite=False).reshape(-1)
-        assert_bitwise(got[row], want, f"row {row}")
+        assert got[row].tobytes() == want.tobytes(), f"row {row}"
 
 
 class TestTridiagonalRows:
@@ -329,7 +351,36 @@ class TestTridiagonalRows:
         with pytest.raises(LinAlgError):
             solve_banded((1, 1), A, b)
         with pytest.raises(LinAlgError):
-            _solve_tridiagonal_rows(A[None], b[None])
+            _solve_tridiagonal_rows(A[:, None], b[None])
+
+    # the stacked solve makes one dgtsv call for all rows; a zero coupling
+    # between two rows is exact unless the elimination meets a -0.0 on a
+    # right-hand side, so the "signed" rows carry signed zeros next to
+    # other rows of every kind
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 7, 64]), st.integers(min_value=4, max_value=40),
+           st.lists(st.tuples(st.sampled_from(["knot", "swap"]),
+                              st.sampled_from(["normal", "tail", "signed"])),
+                    min_size=64, max_size=64),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_stack_matches_solve_banded_property(self, m, n, kinds, seed):
+        rng = np.random.default_rng(seed)
+        assert_rows_match_solve_banded([tridiagonal_system(matrix, rhs, n, rng)
+                                        for matrix, rhs in kinds[:m]])
+
+    @pytest.mark.parametrize("m, singular", [(1, 0), (7, 0), (7, 3), (7, 6),
+                                             (64, 63)])
+    def test_one_singular_row_raises(self, m, singular):
+        rng = np.random.default_rng(m + singular)
+        systems = [tridiagonal_system("knot", "normal", 9, rng)
+                   for _ in range(m)]
+        A, b = systems[singular]
+        A[:, 4:] = 0.0  # a zero pivot halfway down the row
+        with pytest.raises(LinAlgError):
+            solve_banded((1, 1), A, b)
+        A = np.stack([a for a, _ in systems], axis=1)
+        with pytest.raises(LinAlgError):
+            _solve_tridiagonal_rows(A, np.stack([rhs for _, rhs in systems]))
 
 
 def stack_member(n, qmax, kind, amp, rng):

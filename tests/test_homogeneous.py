@@ -16,6 +16,7 @@ from milne_lab.homogeneous import (
     ConstraintSingularError,
     HomogeneousRun,
     _closure_nodes,
+    _linspace_rows,
     evolve_homogeneous,
     hamiltonian_constraint_b,
     initial_density,
@@ -604,6 +605,20 @@ class TestBatchedNumpy:
         assert grids.shape == (64, n)
         for grid, stop in zip(grids, stops):
             assert_bitwise(grid, np.linspace(0.0, float(stop), n))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from([1, 7, 64]), st.sampled_from([2, 3, 9, 65, 257]),
+           st.lists(st.floats(min_value=1e-300, max_value=1e300),
+                    min_size=64, max_size=64))
+    def test_buffered_grid_is_linspace(self, m, n, stops):
+        # the flush's grids, written into a buffer, are numpy's own
+        stops = np.array(stops[:m])
+        out = np.full((m, n), np.nan)
+        got = _linspace_rows(stops, np.arange(n, dtype=float), out)
+        assert got is out
+        assert_bitwise(got, np.linspace(0.0, stops, n, axis=-1))
+        for grid, stop in zip(got, stops.tolist()):
+            assert_bitwise(grid, np.linspace(0.0, stop, n))
 
     @pytest.mark.parametrize("n_q", [9, 65, 257])
     def test_ppoly_on_a_stack(self, n_q):
