@@ -11,33 +11,29 @@ provided, both for shift-free fields:
   an exact floating-point zero.  The time component ``p0`` is
   co-integrated (never recomputed algebraically), so the reconstructed
   mass-shell residual is a genuine measure of integration quality.
-* ``mode="paper_form"`` -- the classical termwise bookkeeping, kept as a
-  diagnostic: the derived ``(dx/dT, dp/dT)`` at the on-shell ``p0`` with
-  the uncancelled ``-2 p`` term restored, ``dp/dT = derived - 2 p``.  At
-  the background it returns ``dp/dT = -2 p`` instead of zero; the
-  discrepancy is reported by the tests, not hidden.
+* ``mode="paper_form"`` -- the classical termwise bookkeeping, a
+  diagnostic of :func:`characteristic_rhs` only: the derived ``dx/dT``
+  and ``dp/dT = derived - 2 p`` at the on-shell ``p0``, the uncancelled
+  ``-2 p`` restored.  At the background it returns ``dp/dT = -2 p``
+  instead of zero; the discrepancy is reported by the tests, not hidden.
 
 All work happens in a local orthonormal frame of the reference metric,
 where the spatial connection coefficients of the background vanish and
 every contraction is a plain array operation.  Field providers supply
 ``(g, N, X, Sigma)`` and their needed derivatives as closed-form
-functions of ``(T, x)`` on particle batches.  Conformal providers
-(``g = a I``) take a closed-form path; dense fields go through the
-batched connection blocks of :func:`milne_lab.geometry.rescaled_christoffels`
-and the mass-shell algebra of :mod:`milne_lab.massshell`.
+functions of ``(T, x)`` on particle batches.  :func:`characteristic_rhs`,
+the dense formula reference, goes through the batched connection blocks
+of :func:`milne_lab.geometry.rescaled_christoffels`.
 
-Hot path.  The integrator packs the state of a chunk of particles as one
-``(7, n)`` array of rows ``x0 x1 x2 p0 p1 p2 q0`` and drives every chunk
-through one flow.  Conformal fields reach the row kernels as the row
-views ``(N, dN, dTN, a, u)``: a provider with a row form (the attribute
-``conformal_rows``, set by :func:`background_fields` and
-:func:`manufactured_lapse_fields`) fills preallocated rows in place, with
-no :class:`BatchFields` per RK4 stage, and the conformal
-:class:`BatchFields` of any other provider are viewed as rows.
-``paper_form`` runs the same kernels at the on-shell ``q0``; dense fields
-run :func:`characteristic_rhs`.  The views go one way only: ``dN`` and
-``conf_u`` of :class:`BatchFields` are ``(n, 3)`` copies of their rows,
-because ``np.einsum("na,na->n")`` sums a strided operand in another order.
+Hot path.  The integrator runs ``mode="derived"`` on conformal fields
+(``g = a I``) only.  It packs the state of a chunk of particles as one
+``(7, n)`` array of rows ``x0 x1 x2 p0 p1 p2 q0``, and at every RK4
+stage the provider's row fill (``conformal_rows``, set by
+:func:`background_fields` and :func:`manufactured_lapse_fields`) writes
+the field rows ``(N, dN, dTN, a, u)`` in place for the row kernels.  The
+``(n, 3)`` ``dN`` and ``conf_u`` of a provider's :class:`BatchFields`
+are copies of these rows, because ``np.einsum("na,na->n")`` sums a
+strided operand in another order.
 
 Every row of the hot loop (state, stage, slope, field and scratch rows)
 starts on a 64-byte cache line: :func:`_rows` cuts each block at a line
@@ -76,14 +72,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Protocol
 
 import numpy as np
 
 from ._rk4 import rk4_step_into
 from .geometry import (TimeFrame, make_time_frame, rescaled_christoffels,
                        BACKGROUND_LAPSE)
-from .massshell import compute_p0, mass_shell_residual
+from .massshell import compute_p0
 
 __all__ = [
     "BatchFields",
@@ -125,8 +121,8 @@ class BatchFields:
     # set by providers whose metric is a conformal multiple of the
     # identity frame metric, ``g = a I`` with ``Sigma = X = 0``:
     # ``conf_a`` is the factor ``a (n,)`` and ``conf_u`` its logarithmic
-    # gradient ``d_c ln a (n,3)``.  Enables a closed-form evaluation
-    # path that the tests check against the dense one.
+    # gradient ``d_c ln a (n,3)``, from which :meth:`materialize` fills
+    # the dense blocks.
     conf_a: Optional[np.ndarray] = None
     conf_u: Optional[np.ndarray] = None
 
@@ -155,6 +151,13 @@ class BatchFields:
 _SCRATCH_ROWS = 10
 
 
+class _RowProvider(Protocol):
+    """A field provider that carries its row fill as ``conformal_rows``."""
+    conformal_rows: Callable[[float, np.ndarray, tuple, np.ndarray], None]
+
+    def __call__(self, T: float, x: np.ndarray) -> BatchFields: ...
+
+
 def _rows(m: int, n: int) -> np.ndarray:
     """A new ``(m, n)`` float block whose rows each start on a cache line.
 
@@ -171,10 +174,6 @@ def _field_rows(n: int) -> tuple:
     """Row views ``(N, dN, dTN, a, u)`` over one new ``(9, n)`` block."""
     F = _rows(9, n)
     return F[0], F[1:4], F[4], F[5], F[6:9]
-
-
-def _scratch(n: int) -> np.ndarray:
-    return _rows(_SCRATCH_ROWS, n)
 
 
 def _dot3(a: np.ndarray, b: np.ndarray, out: np.ndarray,
@@ -196,7 +195,7 @@ def _conformal_batch(fill, T: float, x: np.ndarray) -> BatchFields:
     """:class:`BatchFields` of a row-form fill at the positions ``x (n, 3)``."""
     n = x.shape[0]
     N, dN, dTN, a, u = F = _field_rows(n)
-    fill(T, np.ascontiguousarray(x.T), F, _scratch(n))
+    fill(T, np.ascontiguousarray(x.T), F, _rows(_SCRATCH_ROWS, n))
     vector = np.broadcast_to(0.0, (n, 3))
     matrix = np.broadcast_to(0.0, (n, 3, 3))
     # dN and conf_u are C-contiguous copies, not views of their rows:
@@ -207,11 +206,6 @@ def _conformal_batch(fill, T: float, x: np.ndarray) -> BatchFields:
         N=N, dN=dN.T.copy(), dTN=dTN,
         X=vector, dX=matrix, Sigma=matrix, dTX=vector,
         conf_a=a, conf_u=u.T.copy())
-
-
-def _rows_of(f: BatchFields) -> tuple:
-    """Row views ``(N, dN, dTN, a, u)`` of conformal :class:`BatchFields`."""
-    return f.N, np.transpose(f.dN), f.dTN, f.conf_a, np.transpose(f.conf_u)
 
 
 def _background_rows(T: float, x: np.ndarray, F: tuple,
@@ -228,7 +222,7 @@ def background_fields(T: float, x: np.ndarray) -> BatchFields:
 background_fields.conformal_rows = _background_rows
 
 
-def manufactured_lapse_fields(eps: float) -> Callable[[float, np.ndarray], BatchFields]:
+def manufactured_lapse_fields(eps: float) -> _RowProvider:
     """A closed-form lapse perturbation ``N = 3 + eps e^{-T} phi(x)``.
 
     The profile is a Gaussian-damped cubic,
@@ -307,7 +301,7 @@ def manufactured_lapse_fields(eps: float) -> Callable[[float, np.ndarray], Batch
 class ParticleEnsemble:
     """Weighted empirical measure representing a distribution function.
 
-    ``x, p`` are ``(n, 3)`` arrays, ``weights`` is ``(n,)`` nonnegative.
+    ``x, p`` are ``(n, 3)`` arrays, ``weights`` is ``(n,)``, finite, >= 0.
     """
 
     x: np.ndarray
@@ -318,10 +312,13 @@ class ParticleEnsemble:
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
         self.p = np.atleast_2d(np.asarray(self.p, dtype=float))
         self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if np.any(self.weights < 0):
-            raise ValueError("ensemble weights must be nonnegative")
-        if self.x.shape != self.p.shape or self.x.shape[0] != self.weights.shape[0]:
-            raise ValueError("inconsistent ensemble shapes")
+        shapes = self.x.shape, self.p.shape, self.weights.shape
+        n = self.weights.shape[0]
+        if shapes != ((n, 3), (n, 3), (n,)):
+            raise ValueError("ensemble shapes must be x (n, 3), p (n, 3) "
+                             f"and weights (n,), got {shapes}")
+        if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()):
+            raise ValueError("ensemble weights must be finite and nonnegative")
 
     @property
     def size(self) -> int:
@@ -430,24 +427,16 @@ def _residual_rows(tau: float, F: tuple, p: np.ndarray, q0: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _batch_p0(f: BatchFields, p: np.ndarray, frame: TimeFrame) -> np.ndarray:
-    """Closed-form nondimensional time component on a batch."""
-    if f.conf_a is not None:
-        n = p.shape[0]
-        return _p0_rows(frame.tau, _rows_of(f), p.T, _rows(1, n)[0],
-                        _scratch(n))
-    return compute_p0(f, p, frame, method="paper_primary")
-
-
 def characteristic_rhs(state, fields_at, frame: TimeFrame, mode: str = "derived",
                        q0: Optional[np.ndarray] = None):
     """Right-hand side of the characteristic system at one time.
 
     ``state`` is a pair of ``(n,3)`` arrays ``(x, p)``; ``fields_at`` is
-    the already-evaluated :class:`BatchFields` at the particle positions.
-    Returns ``(dx/dT, dp/dT, dp0/dT)`` for ``mode="derived"`` (which
-    co-evolves the time component; pass the current ``q0``, else the
-    on-shell value is used) and ``(dx/dT, dp/dT)`` for
+    the already-evaluated :class:`BatchFields` at the particle positions
+    (conformal ones are materialized).  Returns ``(dx/dT, dp/dT,
+    dp0/dT)`` for ``mode="derived"`` (which co-evolves the time
+    component; pass the current ``q0``, else the on-shell value is used)
+    and ``(dx/dT, dp/dT)`` for
     ``mode="paper_form"``.  Fields with a shift raise
     ``NotImplementedError``.
 
@@ -462,11 +451,10 @@ def characteristic_rhs(state, fields_at, frame: TimeFrame, mode: str = "derived"
     where the raw-dilution term ``+2p`` and the pure frame-drag term
     ``-2p`` have been cancelled symbolically.  The ``paper_form`` mode
     keeps the uncancelled ``-2p`` of the classical termwise expression.
-    Conformal fields are evaluated by the row-form kernel of the
-    integrator.
+    This is the dense reference of the integrator's row kernels.
     """
     x, p = state
-    f = fields_at
+    f = fields_at.materialize()
     tau = frame.tau
 
     if mode == "paper_form":
@@ -475,14 +463,8 @@ def characteristic_rhs(state, fields_at, frame: TimeFrame, mode: str = "derived"
     if mode != "derived":
         raise ValueError(f"unknown mode {mode!r}")
     if q0 is None:
-        q0 = _batch_p0(f, p, frame)
+        q0 = compute_p0(f, p, frame, method="paper_primary")
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-
-    if f.conf_a is not None:
-        n = p.shape[0]
-        k = _rows(7, n)
-        _conformal_rhs(tau, p.T, q0, _rows_of(f), k, _scratch(n))
-        return k[0:3].T.copy(), k[3:6].T.copy(), k[6]
 
     if np.any(f.X != 0.0) or np.any(f.dTX != 0.0):
         raise NotImplementedError(
@@ -541,85 +523,46 @@ _CHUNK = 25_000
 
 
 class _Flow:
-    """Flow of one chunk of particles in the packed state.
-
-    The field step returns row views of conformal fields, which go to the
-    row kernels, or dense :class:`BatchFields`, which go to
-    :func:`characteristic_rhs` on the ``(n, 3)`` columns of the state.
-    ``paper_form`` evaluates the flow at the on-shell ``q0``.
+    """Flow of one chunk of particles in the packed state ``y (7, n)``:
+    each evaluation fills the field rows ``F`` at the positions ``y[0:3]``
+    and runs a row kernel on ``p = y[3:6]`` and ``q0 = y[6]``.
     """
 
-    def __init__(self, fields, tau0: float, mode: str, size: int):
-        self.fields = fields
-        self.fill = getattr(fields, "conformal_rows", None)
+    def __init__(self, fill, tau0: float, size: int):
+        self.fill = fill
         self.tau0 = tau0
-        self.mode = mode
-        self.F = _field_rows(size) if self.fill is not None else None
-        self.W = _scratch(size)
-        self.q0 = _rows(1, size)[0] if mode == "paper_form" else None
+        self.F = _field_rows(size)
+        self.W = _rows(_SCRATCH_ROWS, size)
 
-    def _fields(self, T: float, y: np.ndarray):
-        if self.fill is not None:
-            self.fill(T, y[0:3], self.F, self.W)
-            return self.F
-        f = self.fields(T, y[0:3].T.copy())
-        return _rows_of(f) if f.conf_a is not None else f
+    def _fill_at(self, T: float, y: np.ndarray) -> float:
+        """Fill the field rows at the positions of ``y``; return ``tau``."""
+        self.fill(T, y[0:3], self.F, self.W)
+        return make_time_frame(self.tau0, T).tau
 
-    def _on_shell(self, frame: TimeFrame, F, y: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-        if isinstance(F, BatchFields):
-            out[...] = compute_p0(F, y[3:6].T.copy(), frame,
-                                  method="paper_primary")
-            return out
-        return _p0_rows(frame.tau, F, y[3:6], out, self.W)
-
-    def _q0(self, frame: TimeFrame, F, y: np.ndarray) -> np.ndarray:
-        if self.q0 is None:
-            return y[6]
-        return self._on_shell(frame, F, y, self.q0)
-
-    def p0(self, frame: TimeFrame, y: np.ndarray, out: np.ndarray) -> None:
-        self._on_shell(frame, self._fields(frame.T, y), y, out)
+    def p0(self, T: float, y: np.ndarray, out: np.ndarray) -> None:
+        _p0_rows(self._fill_at(T, y), self.F, y[3:6], out, self.W)
 
     def rhs(self, T: float, y: np.ndarray, k: np.ndarray) -> None:
-        F = self._fields(T, y)
-        frame = make_time_frame(self.tau0, T)
-        if isinstance(F, BatchFields):
-            out = characteristic_rhs((y[0:3].T, y[3:6].T.copy()), F, frame,
-                                     self.mode, y[6])
-            k[0:3] = out[0].T
-            k[3:6] = out[1].T
-            k[6] = out[2] if self.q0 is None else 0.0
-            return
-        _conformal_rhs(frame.tau, y[3:6], self._q0(frame, F, y), F, k, self.W)
-        if self.q0 is not None:  # paper_form: the uncancelled -2 p, q0 fixed
-            k[3:6] -= 2.0 * y[3:6]
-            k[6] = 0.0
+        _conformal_rhs(self._fill_at(T, y), y[3:6], y[6], self.F, k, self.W)
 
     def observe(self, T: float, y: np.ndarray, G: np.ndarray,
-                residual: np.ndarray) -> np.ndarray:
-        F = self._fields(T, y)
-        frame = make_time_frame(self.tau0, T)
-        q0 = self._q0(frame, F, y)
-        if isinstance(F, BatchFields):
-            p = y[3:6].T.copy()
-            G[...] = np.einsum("na,nab,nb->n", p, F.g, p)
-            residual[...] = mass_shell_residual(F, p, q0, frame)
-        else:
-            _support_rows(F, y[3:6], G, self.W)
-            _residual_rows(frame.tau, F, y[3:6], q0, residual, self.W)
-        return q0
+                residual: np.ndarray) -> None:
+        tau = self._fill_at(T, y)
+        _support_rows(self.F, y[3:6], G, self.W)
+        _residual_rows(tau, self.F, y[3:6], y[6], residual, self.W)
 
 
 def integrate_characteristics(ensemble: ParticleEnsemble,
-                              fields: Callable[[float, np.ndarray], BatchFields],
+                              fields: _RowProvider,
                               frame0: TimeFrame, Tend: float, h: float,
                               mode: str = "derived",
                               log_every: int = 100,
                               threads: int = 1,
                               full_log: bool = True) -> tuple:
-    """Integrate the characteristic system with fixed-step classical RK4.
+    """Integrate the derived characteristic system with fixed-step RK4.
 
+    ``fields`` must carry a row fill (``conformal_rows``; else
+    ``TypeError``) and ``mode`` be ``"derived"`` (else ``ValueError``).
     Returns ``(TrajectoryLog, final ParticleEnsemble)``.  ``log_every``
     thins the output log; the final step is always logged.  The ensemble
     is split into chunks of ``_CHUNK`` particles, each integrated
@@ -636,8 +579,13 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
     passes a NaN through), so the summary fields equal those of the full
     log bit for bit.
     """
-    if mode not in ("derived", "paper_form"):
-        raise ValueError(f"unknown mode {mode!r}")
+    fill = getattr(fields, "conformal_rows", None)
+    if fill is None:
+        raise TypeError("integrate_characteristics needs a provider with a "
+                        "row fill (conformal_rows), such as background_fields")
+    if mode != "derived":
+        raise ValueError(f"unknown mode {mode!r}: the characteristics "
+                         "are integrated in mode='derived' only")
     if h <= 0:
         raise ValueError("step size must be positive")
     if log_every < 1:
@@ -675,13 +623,13 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
     def run_chunk(i: int) -> None:
         lo = starts[i]
         hi = min(lo + _CHUNK, n)
-        flow = _Flow(fields, tau0, mode, hi - lo)
+        flow = _Flow(fill, tau0, hi - lo)
         # packed state: rows x0 x1 x2 p0 p1 p2 q0; the RK4 step's output
         # and scratch have its layout
         y, spare, k, acc = (_rows(7, hi - lo) for _ in range(4))
         y[0:3] = ensemble.x[lo:hi].T
         y[3:6] = ensemble.p[lo:hi].T
-        flow.p0(frame0, y, y[6])
+        flow.p0(T0, y, y[6])
         flagged = log.flagged[lo:hi]
         frozen = False
         observed = None if full_log else _rows(2, hi - lo)  # G, residual
@@ -689,9 +637,9 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
         def record(row: int, T: float, y: np.ndarray) -> None:
             G, res = ((log.G[row, lo:hi], log.massshell_residual[row, lo:hi])
                       if full_log else observed)
-            q0 = flow.observe(T, y, G, res)
+            flow.observe(T, y, G, res)
             if full_log:
-                log.p0[row, lo:hi] = q0
+                log.p0[row, lo:hi] = y[6]
                 log.x[row, lo:hi] = y[0:3].T
                 log.p[row, lo:hi] = y[3:6].T
             live = G[~flagged] if frozen else G

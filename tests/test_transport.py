@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milne_lab import transport
+from milne_lab._rk4 import rk4_step
 from milne_lab.geometry import make_time_frame
+from milne_lab.massshell import compute_p0
 from milne_lab.transport import (
     BatchFields,
     ParticleEnsemble,
@@ -26,6 +28,14 @@ def sample_ensemble(n, seed=0):
     return ParticleEnsemble(x=rng.uniform(-1.2, 1.2, size=(n, 3)),
                             p=rng.normal(scale=0.7, size=(n, 3)),
                             weights=np.full(n, 1.0 / n))
+
+
+def ensemble_of(n):
+    """``sample_ensemble(n)``, or the empty ensemble for ``n = 0``."""
+    if n:
+        return sample_ensemble(n)
+    return ParticleEnsemble(x=np.zeros((0, 3)), p=np.zeros((0, 3)),
+                            weights=np.zeros(0))
 
 
 def run(provider, n=64, span=2.0, h=1e-3, seed=0, **kw):
@@ -79,26 +89,33 @@ class TestProviders:
             assert np.max(np.abs(f.N - 3.0)) <= provider.norm_envelopes["Nm3"](T) * (1 + 1e-12)
 
 
+def row_kernel_rhs(provider, T, x, p, q0):
+    """The integrator's derived right-hand side, as ``(n, 3)`` columns."""
+    y = np.concatenate([x.T, p.T, q0[None]])
+    k = np.empty_like(y)
+    transport._Flow(provider.conformal_rows, -1.0, x.shape[0]).rhs(T, y, k)
+    return k[0:3].T, k[3:6].T, k[6]
+
+
 class TestRhsEquivalence:
+    @pytest.mark.parametrize("on_shell", [True, False])
     @pytest.mark.parametrize("provider_name", ["background", "manufactured"])
-    def test_fast_path_matches_general_path(self, provider_name):
+    def test_row_kernel_matches_dense_rhs(self, provider_name, on_shell):
         provider = (background_fields if provider_name == "background"
                     else manufactured_lapse_fields(0.3))
         rng = np.random.default_rng(4)
-        x = rng.uniform(-1.2, 1.2, size=(32, 3))
-        p = rng.normal(size=(32, 3))
-        f = provider(0.7, x)
-        f.materialize()
-        dense = BatchFields(g=f.g.copy(), dg=f.dg.copy(), N=f.N, dN=f.dN,
-                            X=f.X, dX=f.dX, Sigma=f.Sigma, dTg=f.dTg.copy(),
-                            dTN=f.dTN, dTX=f.dTX)
-        fr = make_time_frame(-1.0, 0.7)
-        # shift-free on-shell time component shared by both evaluations
-        q0 = np.sqrt(1.0 + fr.tau**2
-                     * np.einsum("na,nab,nb->n", p, dense.g, p)) / f.N
-        fast = characteristic_rhs((x, p), f, fr, mode="derived", q0=q0)
-        gen = characteristic_rhs((x, p), dense, fr, mode="derived", q0=q0)
-        for a, b in zip(fast, gen):
+        n, T = 32, 0.7
+        x = rng.uniform(-1.2, 1.2, size=(n, 3))
+        p = rng.normal(size=(n, 3))
+        fr = make_time_frame(-1.0, T)
+        f = provider(T, x).materialize()
+        if on_shell:  # the shift-free on-shell time component
+            q0 = np.sqrt(1.0 + fr.tau**2
+                         * np.einsum("na,nab,nb->n", p, f.g, p)) / f.N
+        else:  # co-evolved values off the shell
+            q0 = rng.uniform(0.3, 0.5, size=n)
+        want = characteristic_rhs((x, p), f, fr, mode="derived", q0=q0)
+        for a, b in zip(row_kernel_rhs(provider, T, x, p, q0), want):
             assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
 
 
@@ -113,18 +130,25 @@ def dense_provider(eps):
     return provider
 
 
+def row_provider(fill):
+    """The provider of the row fill ``fill``."""
+    def provider(T, x):
+        return transport._conformal_batch(fill, T, x)
+    provider.conformal_rows = fill
+    return provider
+
+
 def nan_front_provider():
     """Manufactured fields whose lapse gradient turns NaN on a moving front.
 
     Every particle the front overtakes gets flagged.
     """
-    manufactured = manufactured_lapse_fields(EPS)
+    rows = manufactured_lapse_fields(EPS).conformal_rows
 
-    def provider(T, x):
-        f = manufactured(T, x)
-        f.dN = np.where((x[:, 0] > 1.15 - T / 2)[:, None], np.nan, f.dN)
-        return f
-    return provider
+    def fill(T, x, F, W):
+        rows(T, x, F, W)
+        F[1][:, x[0] > 1.15 - T / 2] = np.nan  # the dN rows
+    return row_provider(fill)
 
 
 class TestPaperForm:
@@ -156,6 +180,22 @@ class TestPaperForm:
             with pytest.raises(NotImplementedError):
                 characteristic_rhs((x, np.ones((4, 3))), f,
                                    make_time_frame(-1.0, 0.0), mode=mode)
+
+
+class TestEnsemble:
+    @pytest.mark.parametrize("x, p, weights, match", [
+        (np.zeros((4, 2)), np.zeros((4, 2)), np.ones(4), "shapes"),
+        (np.zeros((4, 3)), np.zeros((4, 2)), np.ones(4), "shapes"),
+        (np.zeros((4, 3)), np.zeros((3, 3)), np.ones(4), "shapes"),
+        (np.zeros((4, 3)), np.zeros((4, 3)), np.ones((4, 1)), "shapes"),
+        (np.zeros((2, 3)), np.zeros((2, 3)), [1.0, -1.0], "nonnegative"),
+        (np.zeros((2, 3)), np.zeros((2, 3)), [1.0, np.nan], "finite"),
+        (np.zeros((2, 3)), np.zeros((2, 3)), [np.inf, 1.0], "finite"),
+    ], ids=["x (4, 2)", "p (4, 2)", "p (3, 3)", "weights (4, 1)",
+            "negative weight", "NaN weight", "inf weight"])
+    def test_malformed_ensemble_is_a_named_error(self, x, p, weights, match):
+        with pytest.raises(ValueError, match=match):
+            ParticleEnsemble(x=x, p=p, weights=weights)
 
 
 class TestIntegration:
@@ -196,13 +236,30 @@ class TestIntegration:
         assert np.array_equal(log1.p[-1, frozen], log1.p[-2, frozen])
 
     def test_dense_path_matches_conformal_path(self):
-        log_c, _ = run(manufactured_lapse_fields(0.3), n=16, span=0.5, h=1e-2,
-                       log_every=10)
-        log_d, _ = run(dense_provider(0.3), n=16, span=0.5, h=1e-2,
-                       log_every=10)
-        for key in ("x", "p", "p0", "G"):
-            assert np.allclose(getattr(log_c, key), getattr(log_d, key),
-                               rtol=1e-12, atol=1e-14)
+        # classical RK4 over the dense formula reference
+        provider, h = dense_provider(0.3), 1e-2
+        log, _ = run(manufactured_lapse_fields(0.3), n=16, span=0.5, h=h,
+                     log_every=10)
+        ens = sample_ensemble(16)
+
+        def rhs(T, y):
+            x, p, q0 = y
+            return characteristic_rhs((x, p), provider(T, x),
+                                      make_time_frame(-1.0, T), q0=q0)
+
+        frame0 = make_time_frame(-1.0, 0.0)
+        y = [ens.x, ens.p, compute_p0(provider(0.0, ens.x), ens.p, frame0,
+                                      method="paper_primary")]
+        for step in range(51):
+            if step:
+                y = rk4_step(rhs, (step - 1) * h, y, h)
+            if step % 10 == 0:
+                x, p, q0 = y
+                G = np.einsum("na,nab,nb->n", p, provider(step * h, x).g, p)
+                row = step // 10
+                for key, dense in (("x", x), ("p", p), ("p0", q0), ("G", G)):
+                    assert np.allclose(getattr(log, key)[row], dense,
+                                       rtol=1e-12, atol=1e-14), (key, row)
 
     def test_convergence_order_is_four(self):
         errs = []
@@ -213,18 +270,30 @@ class TestIntegration:
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(np.abs(orders - 4.0) <= 0.2)
 
-    def test_paper_form_mode_differs_but_runs(self):
-        log, _ = run(manufactured_lapse_fields(EPS), n=8, span=0.5,
-                     mode="paper_form")
-        assert log.p.shape[1] == 8
+    @pytest.mark.parametrize("n", [0, 8])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_provider_without_row_fill_is_a_named_error(self, threads, n):
+        manufactured = manufactured_lapse_fields(EPS)
+        with pytest.raises(TypeError, match="conformal_rows"):
+            integrate_characteristics(
+                ensemble_of(n), lambda T, x: manufactured(T, x),
+                make_time_frame(-1.0, 0.0), 0.1, 1e-2, threads=threads)
+
+    @pytest.mark.parametrize("n", [0, 8])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_paper_form_integration_is_a_named_error(self, threads, n):
+        with pytest.raises(ValueError, match="paper_form"):
+            integrate_characteristics(
+                ensemble_of(n), manufactured_lapse_fields(EPS),
+                make_time_frame(-1.0, 0.0), 0.1, 1e-2, mode="paper_form",
+                threads=threads)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_empty_ensemble(self, threads):
-        empty = ParticleEnsemble(x=np.zeros((0, 3)), p=np.zeros((0, 3)),
-                                 weights=np.zeros(0))
         log, fin = integrate_characteristics(
-            empty, manufactured_lapse_fields(EPS), make_time_frame(-1.0, 0.0),
-            0.1, 1e-2, log_every=5, threads=threads)
+            ensemble_of(0), manufactured_lapse_fields(EPS),
+            make_time_frame(-1.0, 0.0), 0.1, 1e-2, log_every=5,
+            threads=threads)
         assert log.p.shape == (3, 0, 3) and log.p0.shape == (3, 0)
         assert np.array_equal(log.calG, np.zeros(3))
         assert fin.size == 0
@@ -249,7 +318,6 @@ def assert_same_log(a, b):
 
 METAMORPHIC_PROVIDERS = {
     "row form": lambda: manufactured_lapse_fields(0.3),
-    "dense": lambda: dense_provider(0.3),
     "flagging": nan_front_provider,
 }
 
@@ -281,17 +349,6 @@ class TestMetamorphic:
         if name == "flagging":
             assert 0 < int(np.sum(log.flagged)) < ens.size
 
-    @pytest.mark.parametrize("mode", ["derived", "paper_form"])
-    def test_conformal_fields_without_row_form_match_row_form(self, mode):
-        # the BatchFields of a provider without a row form reach the row
-        # kernels as views, bit for bit like the row-form fill
-        manufactured = manufactured_lapse_fields(0.3)
-        reference, _ = run(manufactured, n=40, span=0.4, h=1e-2,
-                           log_every=10, mode=mode)
-        log, _ = run(lambda T, x: manufactured(T, x), n=40, span=0.4,
-                     h=1e-2, log_every=10, mode=mode)
-        assert_same_log(log, reference)
-
     @pytest.mark.parametrize("name", ["row form", "flagging"])
     def test_chunk_size_does_not_change_results(self, name, monkeypatch):
         provider = METAMORPHIC_PROVIDERS[name]()
@@ -304,22 +361,6 @@ class TestMetamorphic:
                 log, _ = run(provider, n=64, span=0.5, h=1e-2, log_every=5,
                              threads=threads)
                 assert_same_log(log, reference)
-
-    def test_row_kernel_matches_characteristic_rhs(self):
-        provider = manufactured_lapse_fields(0.3)
-        rng = np.random.default_rng(10)
-        n, T = 50, 0.7
-        x = rng.uniform(-1.2, 1.2, size=(n, 3))
-        p = rng.normal(size=(n, 3))
-        q0 = rng.uniform(0.3, 0.5, size=n)  # off shell: co-evolved values
-        frame = make_time_frame(-1.0, T)
-        want = characteristic_rhs((x, p), provider(T, x), frame, q0=q0)
-        y = np.concatenate([x.T, p.T, q0[None]])
-        k = np.empty_like(y)
-        transport._Flow(provider, -1.0, "derived", n).rhs(T, y, k)
-        assert np.array_equal(k[0:3], want[0].T)
-        assert np.array_equal(k[3:6], want[1].T)
-        assert np.array_equal(k[6], want[2])
 
     def test_row_kernel_matches_einsum_transcription(self):
         # the derived conformal flow written on (n, 3) arrays with einsum
@@ -343,7 +384,7 @@ class TestMetamorphic:
                 -(f.dTN / N) * q0
                 + (2.0 * tau / N) * np.einsum("na,na->n", f.dN, p)
                 - (tau**2 / 3.0) * a * p2 / (N * q0))
-        got = characteristic_rhs((x, p), f, make_time_frame(-1.0, T), q0=q0)
+        got = row_kernel_rhs(provider, T, x, p, q0)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
@@ -359,8 +400,7 @@ class TestMetamorphic:
 class TestExactSymmetries:
     """Bitwise equivariance of transport under an exact symmetry."""
 
-    @pytest.mark.parametrize("mode", ["derived", "paper_form"])
-    def test_flipping_two_axes_flips_the_log(self, mode):
+    def test_flipping_two_axes_flips_the_log(self):
         # the manufactured fields see x only through x0 x1 x2, dot products
         # and exp(-|x|^2 / 2), so S = diag(-1, -1, 1) changes only signs
         S = np.array([-1.0, -1.0, 1.0])
@@ -369,10 +409,9 @@ class TestExactSymmetries:
         frame0 = make_time_frame(-1.0, 0.0)
         provider = manufactured_lapse_fields(0.3)
         log, fin = integrate_characteristics(ens, provider, frame0, 0.5, 1e-2,
-                                             mode=mode, log_every=10)
+                                             log_every=10)
         log_s, fin_s = integrate_characteristics(flipped, provider, frame0,
-                                                 0.5, 1e-2, mode=mode,
-                                                 log_every=10)
+                                                 0.5, 1e-2, log_every=10)
         assert np.array_equal(log_s.x, log.x * S)
         assert np.array_equal(log_s.p, log.p * S)
         for key in ("T", "p0", "G", "massshell_residual", "calG",
@@ -388,24 +427,16 @@ def nan_residual_provider():
     A particle the front overtakes gets flagged, and its frozen state has
     a NaN mass-shell residual from then on.
     """
-    manufactured = manufactured_lapse_fields(EPS)
+    rows = manufactured_lapse_fields(EPS).conformal_rows
 
-    def provider(T, x):
-        f = manufactured(T, x)
-        f.N = np.where(x[:, 0] > 1.15 - T / 2, np.nan, f.N)
-        return f
-    return provider
-
-
-def without_row_form(provider):
-    """The same provider, reached through its BatchFields only."""
-    return lambda T, x: provider(T, x)
+    def fill(T, x, F, W):
+        rows(T, x, F, W)
+        F[0][x[0] > 1.15 - T / 2] = np.nan  # the N row
+    return row_provider(fill)
 
 
 SUMMARY_PROVIDERS = {
     "row form": lambda: manufactured_lapse_fields(0.3),
-    "no row form": lambda: without_row_form(manufactured_lapse_fields(0.3)),
-    "dense": lambda: dense_provider(0.3),
     "flagging": nan_front_provider,
     "NaN residual": nan_residual_provider,
 }
@@ -450,14 +481,12 @@ class TestSummaryLog:
     """A summary log equals the per-row fields of the full log bit for bit."""
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("mode", ["derived", "paper_form"])
     @pytest.mark.parametrize("name", sorted(SUMMARY_PROVIDERS))
-    def test_summary_fields_equal_the_full_log(self, name, mode, threads,
+    def test_summary_fields_equal_the_full_log(self, name, threads,
                                                monkeypatch):
         monkeypatch.setattr(transport, "_CHUNK", 7)  # six chunks
         provider = SUMMARY_PROVIDERS[name]()
-        kw = dict(n=40, span=0.5, h=1e-2, log_every=5, mode=mode,
-                  threads=threads)
+        kw = dict(n=40, span=0.5, h=1e-2, log_every=5, threads=threads)
         full, fin = run(provider, **kw)
         summary, none = run(provider, full_log=False, **kw)
         assert same_bits(full.max_residual,
@@ -474,11 +503,10 @@ class TestSummaryLog:
 
     @pytest.mark.parametrize("full_log", [True, False])
     def test_empty_ensemble_has_zero_maxima(self, full_log):
-        empty = ParticleEnsemble(x=np.zeros((0, 3)), p=np.zeros((0, 3)),
-                                 weights=np.zeros(0))
         log, fin = integrate_characteristics(
-            empty, manufactured_lapse_fields(EPS), make_time_frame(-1.0, 0.0),
-            0.1, 1e-2, log_every=5, full_log=full_log)
+            ensemble_of(0), manufactured_lapse_fields(EPS),
+            make_time_frame(-1.0, 0.0), 0.1, 1e-2, log_every=5,
+            full_log=full_log)
         assert np.array_equal(log.max_residual, np.zeros(3))
         assert np.array_equal(log.calG, np.zeros(3))
         assert (fin is None) is not full_log
@@ -486,9 +514,7 @@ class TestSummaryLog:
 
 REFERENCE_PROVIDERS = {
     "row_form_derived": lambda: manufactured_lapse_fields(0.3),
-    "row_form_paper_form": lambda: manufactured_lapse_fields(0.3),
     "nan_front": nan_front_provider,
-    "dense": lambda: dense_provider(0.3),
 }
 
 
@@ -529,19 +555,17 @@ def offset_rows(offset, padded):
     return rows
 
 
-def alignment_run(mode, full_log, threads, n):
+def alignment_run(full_log, threads, n):
     # with _CHUNK at 600, 1001 particles make two chunks, of 600 and 401
     log, fin = run(manufactured_lapse_fields(0.3), n=n, span=0.2, h=1e-2,
-                   log_every=5, mode=mode, threads=threads,
-                   full_log=full_log)
+                   log_every=5, threads=threads, full_log=full_log)
     got = {key: getattr(log, key) for key in LOG_KEYS + ("max_residual",)}
     if fin is not None:
         got.update(final_x=fin.x, final_p=fin.p)
     return got
 
 
-ALIGNMENT_RUNS = [(mode, full_log, threads, n)
-                  for mode in ("derived", "paper_form")
+ALIGNMENT_RUNS = [(full_log, threads, n)
                   for full_log in (True, False)
                   for threads in (1, 2)
                   for n in (1, 7, 1001)]
@@ -588,10 +612,9 @@ class TestRowAlignment:
         assert blocks and all(b.ctypes.data % 64 == offset for b in blocks)
 
     @pytest.mark.parametrize("full_log", [True, False])
-    @pytest.mark.parametrize("mode", ["derived", "paper_form"])
     @pytest.mark.parametrize("n, chunk", [(1, None), (7, None), (8, None),
                                           (1001, None), (1001, 600)])
-    def test_every_hot_loop_row_starts_on_a_cache_line(self, n, chunk, mode,
+    def test_every_hot_loop_row_starts_on_a_cache_line(self, n, chunk,
                                                        full_log, monkeypatch):
         if chunk is not None:
             monkeypatch.setattr(transport, "_CHUNK", chunk)
@@ -607,8 +630,6 @@ class TestRowAlignment:
             # over one step y is the state and the stage state, and k the
             # two slope buffers of rk4_step_into
             assert_starts_on_lines(y, k, flow.W, *flow.F)
-            if flow.q0 is not None:
-                assert_starts_on_lines(flow.q0)
             buffers(flow)[0].add(y.ctypes.data)
             buffers(flow)[1].add(k.ctypes.data)
             return rhs(flow, T, y, k)
@@ -623,36 +644,11 @@ class TestRowAlignment:
         monkeypatch.setattr(transport._Flow, "rhs", checked_rhs)
         monkeypatch.setattr(transport._Flow, "observe", checked_observe)
         run(manufactured_lapse_fields(0.3), n=n, span=0.05, h=1e-2,
-            log_every=2, mode=mode, full_log=full_log)
+            log_every=2, full_log=full_log)
         assert len(seen) == (1 if chunk is None else 2)
         for states, slopes, observed in seen.values():
             assert len(states) == len(slopes) == 2
             assert len(observed) == (0 if full_log else 1)
-
-    @pytest.mark.parametrize("n", [1, 7, 8, 1001])
-    def test_characteristic_rhs_rows_start_on_cache_lines(self, n,
-                                                          monkeypatch):
-        kernel, p0_rows = transport._conformal_rhs, transport._p0_rows
-        calls = []
-
-        def checked_kernel(tau, p, q0, F, k, W):
-            assert_starts_on_lines(k, W)
-            calls.append("rhs")
-            return kernel(tau, p, q0, F, k, W)
-
-        def checked_p0(tau, F, p, out, W):
-            assert_starts_on_lines(out, W)
-            calls.append("p0")
-            return p0_rows(tau, F, p, out, W)
-
-        monkeypatch.setattr(transport, "_conformal_rhs", checked_kernel)
-        monkeypatch.setattr(transport, "_p0_rows", checked_p0)
-        ens = sample_ensemble(n, seed=4)
-        frame = make_time_frame(-1.0, 0.3)
-        f = manufactured_lapse_fields(0.3)(0.3, ens.x)
-        assert_starts_on_lines(f.N, f.dTN, f.conf_a)
-        characteristic_rhs((ens.x, ens.p), f, frame)  # on-shell q0
-        assert calls == ["p0", "rhs"]
 
 
 class TestSupportEnvelope:
