@@ -98,13 +98,15 @@ def row_kernel_rhs(provider, T, x, p, q0):
 
 
 class TestRhsEquivalence:
+    # sizes below, on and past a cache line of 8 doubles, and two chunks
+    @pytest.mark.parametrize("n", [1, 7, 8, 32, 1001])
     @pytest.mark.parametrize("on_shell", [True, False])
     @pytest.mark.parametrize("provider_name", ["background", "manufactured"])
-    def test_row_kernel_matches_dense_rhs(self, provider_name, on_shell):
+    def test_row_kernel_matches_dense_rhs(self, provider_name, on_shell, n):
         provider = (background_fields if provider_name == "background"
                     else manufactured_lapse_fields(0.3))
         rng = np.random.default_rng(4)
-        n, T = 32, 0.7
+        T = 0.7
         x = rng.uniform(-1.2, 1.2, size=(n, 3))
         p = rng.normal(size=(n, 3))
         fr = make_time_frame(-1.0, T)
@@ -317,6 +319,7 @@ def assert_same_log(a, b):
 
 
 METAMORPHIC_PROVIDERS = {
+    "background": lambda: background_fields,
     "row form": lambda: manufactured_lapse_fields(0.3),
     "flagging": nan_front_provider,
 }
@@ -349,7 +352,7 @@ class TestMetamorphic:
         if name == "flagging":
             assert 0 < int(np.sum(log.flagged)) < ens.size
 
-    @pytest.mark.parametrize("name", ["row form", "flagging"])
+    @pytest.mark.parametrize("name", sorted(METAMORPHIC_PROVIDERS))
     def test_chunk_size_does_not_change_results(self, name, monkeypatch):
         provider = METAMORPHIC_PROVIDERS[name]()
         reference, _ = run(provider, n=64, span=0.5, h=1e-2, log_every=5)
@@ -400,18 +403,21 @@ class TestMetamorphic:
 class TestExactSymmetries:
     """Bitwise equivariance of transport under an exact symmetry."""
 
-    def test_flipping_two_axes_flips_the_log(self):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_flipping_two_axes_flips_the_log(self, threads, monkeypatch):
         # the manufactured fields see x only through x0 x1 x2, dot products
         # and exp(-|x|^2 / 2), so S = diag(-1, -1, 1) changes only signs
         S = np.array([-1.0, -1.0, 1.0])
+        monkeypatch.setattr(transport, "_CHUNK", 64)  # five chunks
         ens = sample_ensemble(300, seed=11)
         flipped = ParticleEnsemble(ens.x * S, ens.p * S, ens.weights)
         frame0 = make_time_frame(-1.0, 0.0)
         provider = manufactured_lapse_fields(0.3)
         log, fin = integrate_characteristics(ens, provider, frame0, 0.5, 1e-2,
-                                             log_every=10)
+                                             log_every=10, threads=threads)
         log_s, fin_s = integrate_characteristics(flipped, provider, frame0,
-                                                 0.5, 1e-2, log_every=10)
+                                                 0.5, 1e-2, log_every=10,
+                                                 threads=threads)
         assert np.array_equal(log_s.x, log.x * S)
         assert np.array_equal(log_s.p, log.p * S)
         for key in ("T", "p0", "G", "massshell_residual", "calG",
@@ -436,6 +442,7 @@ def nan_residual_provider():
 
 
 SUMMARY_PROVIDERS = {
+    "background": lambda: background_fields,
     "row form": lambda: manufactured_lapse_fields(0.3),
     "flagging": nan_front_provider,
     "NaN residual": nan_residual_provider,
@@ -649,6 +656,22 @@ class TestRowAlignment:
         for states, slopes, observed in seen.values():
             assert len(states) == len(slopes) == 2
             assert len(observed) == (0 if full_log else 1)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 1001])
+    def test_provider_rows_start_on_cache_lines(self, n):
+        # the dense formula reference reads its lapse and conformal rows
+        # from the same aligned fill the integrator runs on
+        rows, calls = manufactured_lapse_fields(0.3).conformal_rows, []
+
+        def checked_fill(T, x, F, W):
+            assert_starts_on_lines(*F, W)
+            calls.append(x.shape)
+            rows(T, x, F, W)
+
+        ens = sample_ensemble(n, seed=4)
+        f = row_provider(checked_fill)(0.3, ens.x)
+        assert calls == [(3, n)]
+        assert_starts_on_lines(f.N, f.dTN, f.conf_a)
 
 
 class TestSupportEnvelope:
