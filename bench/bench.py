@@ -3,9 +3,12 @@
 The ``transport_scaling`` section times
 ``transport.integrate_characteristics`` (derived mode, manufactured
 lapse with eps = 1e-3, h = 1e-3, tau0 = -1) at 10^3, 10^4 and 10^5
-particles on one and two threads, and writes a JSON table of ns per
-particle-step with the largest mass-shell residual of each run next to
-it, so a speedup that costs accuracy shows in the same row.  Its
+particles on a budget of one and two workers (``threads``), and writes
+a JSON table of ns per particle-step with the largest mass-shell
+residual of each run next to it, so a speedup that costs accuracy shows
+in the same row.  Each row also gives the peak RSS of one more such run
+in a fresh process, of the process itself and of its largest forked
+worker, so memory that moves into workers shows in the same row.  Its
 ``row_alignment`` entry compares the CPU time of one chunk of
 ``transport._CHUNK`` particles over 40 steps on one thread with its rows
 on cache lines and with the same rows 16 bytes past them (alternating
@@ -148,6 +151,42 @@ def run_once(transport, frame0, n: int, steps: int, threads: int,
         log_every=max(1, steps // 10), threads=threads)
     elapsed = clock() - t0
     return elapsed, float(np.max(np.abs(log.massshell_residual)))
+
+
+# one run_once in a fresh process; prints the peak RSS, in MB, of the
+# process (VmHWM: its ru_maxrss starts at the RSS of the process that
+# spawned it, which Linux keeps across exec) and of its largest reaped
+# child, a forked worker
+RSS_RUN = """
+import json, resource, sys
+sys.path[:0] = sys.argv[1:3]  # milne_lab's tree, this script's directory
+import bench
+from milne_lab import transport
+from milne_lab.geometry import make_time_frame
+bench.run_once(transport, make_time_frame(-1.0, 0.0), *map(int, sys.argv[3:]))
+with open("/proc/self/status") as status:
+    hwm = next(int(line.split()[1]) for line in status
+               if line.startswith("VmHWM:"))
+workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps([hwm / 1024.0, workers / 1024.0]))
+"""
+
+
+def peak_rss(transport, n: int, steps: int, threads: int) -> dict:
+    """Peak RSS of one run in a fresh process, which imports the
+    ``milne_lab`` that ``transport`` belongs to: the process's own and
+    its largest worker's (``RUSAGE_CHILDREN``, 0 when no worker was
+    forked; it counts the pages a worker shares with its parent), so
+    memory that moved into worker processes stays visible."""
+    src = Path(transport.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", RSS_RUN, str(src),
+         str(Path(__file__).resolve().parent), str(n), str(steps),
+         str(threads)],
+        cwd=ROOT, capture_output=True, text=True, check=True)
+    parent, workers = json.loads(out.stdout.splitlines()[-1])
+    return {"parent_peak_rss_mb": round(parent, 1),
+            "workers_peak_rss_mb": round(workers, 1)}
 
 
 def row_alignment(transport, frame0):
@@ -589,7 +628,8 @@ def memory_section() -> dict:
 
 def transport_section() -> dict:
     """ns per particle-step at each of ``SIZES`` on each of ``THREADS``,
-    with the largest mass-shell residual of each run, and the
+    with the largest mass-shell residual of each run, the peak RSS of
+    one more run in a fresh process (see :func:`peak_rss`), and the
     ``row_alignment`` pairs."""
     from milne_lab import transport
     from milne_lab.geometry import make_time_frame
@@ -612,10 +652,13 @@ def transport_section() -> dict:
                 "ns_per_particle_step": round(1e9 * median / (n * steps), 1),
                 "wall_s": [round(w, 4) for w in walls[threads]],
                 "massshell_residual_max": residual[threads],
+                **peak_rss(transport, n, steps, threads),
             })
             print(f"{n:>7} particles x {steps:>4} steps, {threads} thread(s): "
                   f"{rows[-1]['ns_per_particle_step']:7.1f} ns/particle-step, "
-                  f"residual {residual[threads]:.2e}")
+                  f"residual {residual[threads]:.2e}, peak RSS "
+                  f"{rows[-1]['parent_peak_rss_mb']:.1f} MB + workers "
+                  f"{rows[-1]['workers_peak_rss_mb']:.1f} MB")
     return {
         "provider": f"manufactured_lapse_fields({EPS})",
         "mode": "derived", "h": H, "repeats": REPEATS,

@@ -54,6 +54,15 @@ def trapezoid(y: np.ndarray, x: np.ndarray):
     ``(m, 1, n)`` grids for ``(m, 2, n)`` samples), each row bitwise the
     rule on that row and its grid alone.  Written out in place of
     ``scipy.integrate.trapezoid`` (same arithmetic), so importing the
-    package does not import scipy.
+    package does not import scipy.  The sums, the products with the
+    steps and the halves are all written into one array of the
+    broadcast shape, bitwise the values of the written-out expression
+    ``np.sum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)``.
     """
-    return np.sum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    dx, y = np.diff(x), np.asarray(y)
+    terms = np.empty(np.broadcast_shapes(dx.shape, y[..., 1:].shape),
+                     np.result_type(dx, y, 2.0))
+    np.add(y[..., 1:], y[..., :-1], out=terms)
+    np.multiply(dx, terms, out=terms)
+    terms /= 2.0
+    return np.sum(terms, axis=-1)

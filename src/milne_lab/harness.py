@@ -20,7 +20,8 @@ Outputs are a per-scenario CSV log and a JSON report, both byte-stable
 for a fixed ``(config, seed)`` pair; the process exit code is 0 exactly
 when every enabled monitor holds (``--strict`` additionally enforces a
 margin floor).  The ``MILNE_LAB_THREADS`` environment variable caps
-particle-level parallelism.
+the worker processes among which the characteristic integrator shares
+the particles (see :func:`milne_lab.transport.integrate_characteristics`).
 """
 
 from __future__ import annotations
@@ -348,10 +349,11 @@ def _check_run_size(cfg: ScenarioConfig) -> None:
     """Named checks on the step count and the run size.
 
     The caps keep an accepted run to minutes.  Measured on a 2-vCPU VM
-    (``bench/bench.py``), a particle-step costs 200-500 ns (10^5 particles
-    on two threads to 10^3 particles on one), so 10^9 particle-steps take
-    3-8 minutes; a scalar step of one mode costs about 0.5 us, so the
-    10^8 mode steps of ``full_report`` take about a minute.
+    (``bench/bench.py``), a particle-step costs 140-500 ns (10^5 particles
+    on two worker processes to 10^3 particles on one), so 10^9
+    particle-steps take 2-8 minutes; a scalar step of one mode costs
+    about 0.5 us, so the 10^8 mode steps of ``full_report`` take about a
+    minute.
     """
     for name in ("radialNodes", "quadNodes"):
         _named_check(getattr(cfg, name) <= _MAX_NODES, f"{name} <= 10^4",
@@ -783,7 +785,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             raw["out"] = args.out
         cfg = validate_config(raw)
-        result = run_scenario(cfg)  # reads the thread budget
+        result = run_scenario(cfg)  # reads the worker budget
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

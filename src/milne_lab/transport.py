@@ -48,12 +48,15 @@ and subtracts; ``divide``, ``exp`` and ``sqrt`` are bound by arithmetic
 and do not care.  Where a row starts changes no result bit (the tests
 run every offset).
 
-The particles are split into chunks of ``_CHUNK`` (cache-sized: the
-buffers of one chunk are about 47 rows), each integrated over the whole
-run, and the chunks are shared by at most ``threads`` workers.  Nothing
-couples particles, so the output is bitwise independent of the chunk
-size and of the thread count.  The row-wise dot product :func:`_dot3`
-adds its three products as ``(a0 b0 + a2 b2) + a1 b1``, the order of
+The particles are split into at most ``threads`` contiguous shares,
+one per worker process, and each share into chunks of at most
+``_CHUNK`` (sized for L2: the buffers of one chunk are about 47 rows),
+each integrated over the whole run.  The calling process integrates the
+first share and forks a child for each other one; the children write
+their log rows into a shared anonymous map.  Nothing couples particles,
+so the output is bitwise independent of the chunk size and of the
+worker count.  The row-wise dot product :func:`_dot3` adds its three
+products as ``(a0 b0 + a2 b2) + a1 b1``, the order of
 ``np.einsum("na,na->n")`` on ``(n, 3)`` arrays, so the row form gives
 bit for bit the results of the ``(n, 3)`` formulation it replaced
 (``|p|^2`` enters ``calG``, the residual and every stage, and a
@@ -71,6 +74,10 @@ maxima of the full log bit for bit.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
@@ -511,15 +518,94 @@ class TrajectoryLog:
 
 # Particles per chunk.  Each chunk is integrated over the whole run in
 # its own buffers, about 47 cache-line-aligned rows of 8-byte floats per
-# particle.  Tuned at 10^5 particles x 100 steps on two threads of a
-# 2-vCPU VM with AVX-512, where 25000 runs fastest (1.5 s, 1.8 s before
-# the rows were aligned): 16672, 50000 and 12500 took 6 %, 10 % and
-# 19 % longer (medians of 6 alternating runs), and 20000 and 33334
-# leave one worker a chunk more.  Chunks small enough for L2 (~4000)
-# are faster on one thread (by 10 % with aligned rows) but several times
-# slower on two, which then queue for the interpreter lock between the
-# short numpy calls.
-_CHUNK = 25_000
+# particle (3 MB at 8192).  Swept at 10^5 particles x 100 steps on a
+# 2-vCPU VM with AVX-512 (summary log, median of three fresh processes'
+# median walls): 4096 / 8192 / 16384 / 25000 particles took 2.53 / 2.27
+# / 2.70 / 2.78 s on one worker and 1.40 / 1.29 / 1.36 / 1.51 s on two.
+# Larger chunks fall out of L2, so every row pass waits on memory;
+# smaller ones spread numpy's fixed cost per call over fewer particles.
+# Each worker is a process of its own, so a chunk's short numpy calls
+# never wait on another worker's.
+_CHUNK = 8192
+
+
+def _workers(threads: int, chunks: int) -> int:
+    """Worker processes for ``chunks`` chunks on a budget of ``threads``:
+    at most one per CPU this process may run on, and one where ``fork``
+    is missing or unsafe: on a platform without ``os.sched_getaffinity``
+    (not Linux), or while this process runs other threads, one of which
+    may hold a lock the child would wait on forever."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return min(1, chunks)
+    return min(threads, chunks, len(os.sched_getaffinity(0)))
+
+
+def _split(n: int, workers: int) -> tuple:
+    """Chunks of ``n`` particles for ``workers`` workers: the chunk
+    bounds ``(lo, hi)`` and, per worker, the range of its chunks.
+
+    Each worker gets one contiguous share; shares differ in size by at
+    most one particle, and each is cut into equal chunks of at most
+    ``_CHUNK``.
+    """
+    chunks, jobs = [], []
+    for w in range(workers):
+        lo, hi = n * w // workers, n * (w + 1) // workers
+        k = -(-(hi - lo) // _CHUNK)
+        jobs.append(range(len(chunks), len(chunks) + k))
+        chunks += [(lo + (hi - lo) * j // k, lo + (hi - lo) * (j + 1) // k)
+                   for j in range(k)]
+    return chunks, jobs
+
+
+def _shared(*specs) -> list:
+    """Zeroed arrays of the given ``(shape, dtype)``, all in one anonymous
+    shared map, each starting on a cache line: what a forked worker
+    writes into them, its parent reads."""
+    counts = [math.prod(shape) for shape, _ in specs]
+    sizes = [-(-count * np.dtype(dtype).itemsize // 64) * 64
+             for count, (_, dtype) in zip(counts, specs)]
+    buf = mmap.mmap(-1, max(1, sum(sizes)))
+    arrays, offset = [], 0
+    for (shape, dtype), count, size in zip(specs, counts, sizes):
+        arrays.append(np.frombuffer(buf, dtype, count, offset).reshape(shape))
+        offset += size
+    return arrays
+
+
+def _fork_each(run: Callable, jobs: list) -> None:
+    """``run(job)`` for every job: ``jobs[0]`` in this process and each
+    other job in a forked child process.
+
+    A child leaves only through ``os._exit``, never returning into the
+    caller's stack.  Every child is reaped before this returns or
+    raises, and killed first if this process's own job raises.  The job
+    of a child that exits non-zero runs again here, so its exception
+    reaches the caller.
+    """
+    children = {}
+    try:
+        for job in jobs[1:]:
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    run(job)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[pid] = job
+        if jobs:
+            run(jobs[0])
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        failed = [job for pid, job in children.items()
+                  if os.waitpid(pid, 0)[1] != 0]
+    for job in failed:
+        run(job)
 
 
 class _Flow:
@@ -552,6 +638,14 @@ class _Flow:
         _residual_rows(tau, self.F, y[3:6], y[6], residual, self.W)
 
 
+def _count(name: str, value) -> None:
+    """Named errors for a count that is not a positive integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def integrate_characteristics(ensemble: ParticleEnsemble,
                               fields: _RowProvider,
                               frame0: TimeFrame, Tend: float, h: float,
@@ -562,13 +656,21 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
     """Integrate the derived characteristic system with fixed-step RK4.
 
     ``fields`` must carry a row fill (``conformal_rows``; else
-    ``TypeError``) and ``mode`` be ``"derived"`` (else ``ValueError``).
-    Returns ``(TrajectoryLog, final ParticleEnsemble)``.  ``log_every``
-    thins the output log; the final step is always logged.  The ensemble
-    is split into chunks of ``_CHUNK`` particles, each integrated
-    independently; ``threads`` caps the number of worker threads that
-    share them.  Every particle's arithmetic is independent of the
-    chunking, so the output is independent of the thread count.
+    ``TypeError``) and ``mode`` be ``"derived"`` (else ``ValueError``);
+    ``h`` and ``Tend`` must be finite, and ``log_every`` and ``threads``
+    positive integers (``TypeError`` or ``ValueError``).  Returns
+    ``(TrajectoryLog, final ParticleEnsemble)``.  ``log_every`` thins the
+    output log; the final step is always logged.
+
+    ``threads`` caps the number of worker processes (see
+    :func:`_workers`).  Each worker integrates one contiguous share of
+    the particles, chunk by chunk (chunks of at most ``_CHUNK``); this
+    process runs the first share and forks a child for each other one,
+    and the log arrays are written in a shared map.  Every particle's
+    arithmetic is independent of the chunking, so the output is
+    independent of the worker count.  No child outlives the call; a
+    child that fails has its share rerun here, so the caller sees the
+    provider's own exception.
 
     ``full_log=False`` records a summary: the log keeps only its per-row
     fields ``T``, ``calG``, ``max_residual``, ``total_weight`` and
@@ -586,10 +688,12 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
     if mode != "derived":
         raise ValueError(f"unknown mode {mode!r}: the characteristics "
                          "are integrated in mode='derived' only")
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    if log_every < 1:
-        raise ValueError("log_every must be positive")
+    _count("log_every", log_every)
+    _count("threads", threads)
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size must be positive and finite, got {h}")
+    if not math.isfinite(Tend):
+        raise ValueError(f"Tend must be finite, got {Tend}")
     if Tend <= frame0.T:
         raise ValueError("Tend must exceed the initial time")
     n_steps = int(round((Tend - frame0.T) / h))
@@ -603,26 +707,23 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
     log_row = {step: row for row, step in enumerate(logged, start=1)}
     m = len(logged) + 1
 
-    def per_particle(*shape):
-        return np.empty((m, n) + shape) if full_log else None
-
+    chunks, jobs = _split(n, _workers(threads, -(-n // _CHUNK)))
+    # everything a worker writes: the largest G of a live particle and
+    # the largest |residual| per chunk and log row, the flags, and the
+    # per-particle rows and final state of a full log
+    per_particle = ((m, n, 3), (m, n, 3), (m, n), (m, n), (m, n), (6, n))
+    top, worst, flagged, *arrays = _shared(
+        ((len(chunks), m), float), ((len(chunks), m), float), ((n,), bool),
+        *((shape, float) for shape in per_particle if full_log))
+    x, p, p0, residual, G, final = arrays if full_log else (None,) * 6
     log = TrajectoryLog(
         T=np.array([T0] + [T0 + step * h for step in logged]),
-        x=per_particle(3), p=per_particle(3), p0=per_particle(),
-        massshell_residual=per_particle(), G=per_particle(),
+        x=x, p=p, p0=p0, massshell_residual=residual, G=G,
         calG=np.zeros(m), max_residual=np.zeros(m),
-        total_weight=np.full(m, ensemble.total_weight()),
-        flagged=np.zeros(n, dtype=bool))
-    final = np.empty((6, n)) if full_log else None
-    starts = range(0, n, _CHUNK)
-    # largest G of a live particle and largest |residual|, per chunk and
-    # log row
-    top = np.full((len(starts), m), -np.inf)
-    worst = np.zeros((len(starts), m))
+        total_weight=np.full(m, ensemble.total_weight()), flagged=flagged)
 
     def run_chunk(i: int) -> None:
-        lo = starts[i]
-        hi = min(lo + _CHUNK, n)
+        lo, hi = chunks[i]
         flow = _Flow(fill, tau0, hi - lo)
         # packed state: rows x0 x1 x2 p0 p1 p2 q0; the RK4 step's output
         # and scratch have its layout
@@ -630,7 +731,11 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
         y[0:3] = ensemble.x[lo:hi].T
         y[3:6] = ensemble.p[lo:hi].T
         flow.p0(T0, y, y[6])
+        # the flags start clear, also when the chunk is rerun here after
+        # its worker failed
         flagged = log.flagged[lo:hi]
+        flagged[:] = False
+        top[i] = -np.inf
         frozen = False
         observed = None if full_log else _rows(2, hi - lo)  # G, residual
 
@@ -666,15 +771,12 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
         if full_log:
             final[:, lo:hi] = y[0:6]
 
-    workers = min(threads, len(starts))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, range(len(starts))))
-    else:
-        for i in range(len(starts)):
+    def run_share(ids: range) -> None:
+        for i in ids:
             run_chunk(i)
-    if len(starts):
+
+    _fork_each(run_share, jobs)
+    if chunks:
         G_max = top.max(axis=0)
         live = ~np.isneginf(G_max)  # rows where some particle is live
         log.calG[live] = np.sqrt(G_max[live])

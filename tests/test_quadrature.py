@@ -94,3 +94,33 @@ def test_stacked_grids_rows_match_one_row_calls(n):
         for row, stop in enumerate(stops):
             want = trapezoid(y[row], np.linspace(0.0, float(stop), n))
             assert_bitwise(got[row], want)
+
+
+def written_out_trapezoid(y, x):
+    return np.sum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+
+
+@pytest.mark.parametrize("case", ["wider grids", "integer samples",
+                                  "integer grid and samples", "float32",
+                                  "block"])
+def test_in_place_trapezoid_matches_the_written_out_rule(case):
+    # grids wider than the samples broadcast them, and integer samples
+    # are summed as integers before they meet the float steps (past
+    # 2^53, a float sum of the two samples rounds differently)
+    rng = np.random.default_rng(7)
+    x = np.sort(rng.uniform(0.0, 3.0, size=(3, 65)), axis=-1)
+    y = {"wider grids": rng.normal(size=65),
+         "integer samples": rng.integers(-2**60, 2**60, size=(2, 3, 65)),
+         "integer grid and samples": rng.integers(-9, 9, size=65),
+         "float32": rng.normal(size=(3, 65)).astype(np.float32),
+         "block": rng.normal(size=(64, 2, 65))}[case]
+    if case == "integer grid and samples":
+        x = np.arange(65) ** 2
+    elif case == "float32":
+        x = x.astype(np.float32)
+    elif case == "block":
+        x = np.sort(rng.uniform(0.0, 3.0, size=(64, 1, 65)), axis=-1)
+    got, want = trapezoid(y, x), written_out_trapezoid(y, x)
+    assert np.shape(got) == np.shape(want)
+    assert np.result_type(got) == np.result_type(want)
+    assert np.atleast_1d(got).tobytes() == np.atleast_1d(want).tobytes()

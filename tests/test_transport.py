@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +309,35 @@ class TestIntegration:
     def test_step_must_divide_span(self):
         with pytest.raises(ValueError):
             run(background_fields, n=4, span=1.0005, h=1e-2)
+
+    @pytest.mark.parametrize("bad, error, name", [
+        (dict(threads=0), ValueError, "threads"),
+        (dict(threads=-3), ValueError, "threads"),
+        (dict(threads=True), TypeError, "threads"),
+        (dict(threads=2.0), TypeError, "threads"),
+        (dict(h=math.nan), ValueError, "step size"),
+        (dict(h=math.inf), ValueError, "step size"),
+        (dict(span=math.inf), ValueError, "Tend"),
+        (dict(span=math.nan), ValueError, "Tend"),
+        (dict(log_every=2.5), TypeError, "log_every"),
+        (dict(log_every=True), TypeError, "log_every"),
+        (dict(log_every=-1), ValueError, "log_every"),
+    ])
+    def test_bad_input_is_a_named_error_before_any_buffer(
+            self, bad, error, name, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("reached before the inputs were checked")
+        for attr in ("_rows", "_shared", "_split", "_fork_each"):
+            monkeypatch.setattr(transport, attr, unreachable)
+        monkeypatch.setattr(os, "fork", unreachable)
+        kw = dict(dict(n=4, span=0.1, h=1e-2), **bad)
+        with pytest.raises(error, match=name):
+            run(manufactured_lapse_fields(EPS), **kw)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        log, _ = run(background_fields, n=4, span=0.1, h=1e-2,
+                     log_every=np.int64(5), threads=np.int32(2))
+        assert log.T.shape == (3,)
 
 
 LOG_KEYS = ("T", "x", "p", "p0", "massshell_residual", "G", "calG",
@@ -710,3 +741,157 @@ class TestSupportEnvelope:
         with pytest.raises(ValueError, match="missing"):
             support_bound_check(np.array([0.0, 1.0]), np.array([1.0, 1.0]),
                                 {"X": np.zeros(2)})
+
+
+class Boom(Exception):
+    """Raised by a provider on one worker's share."""
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Four CPUs for the worker cap, and the pids of the workers forked."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWorkers:
+    """Worker processes: shares, the worker cap, failures and reaping."""
+
+    @pytest.mark.parametrize("share", ["child", "parent"])
+    def test_a_raising_share_reaches_the_caller_and_no_child_is_left(
+            self, share, forks, monkeypatch):
+        # the child's exception cannot cross the fork: the parent reruns
+        # the child's share and raises it itself; a raise in the parent's
+        # own share kills the child
+        monkeypatch.setattr(transport, "_CHUNK", 7)
+        rows = manufactured_lapse_fields(EPS).conformal_rows
+
+        def fill(T, x, F, W):
+            if np.any(x[0] > 2.5):
+                raise Boom("a marked particle")
+            rows(T, x, F, W)
+
+        ens = sample_ensemble(40)
+        ens.x[30 if share == "child" else 5, 0] = 3.0  # shares [0, 20), [20, 40)
+        with pytest.raises(Boom):
+            integrate_characteristics(ens, row_provider(fill),
+                                      make_time_frame(-1.0, 0.0), 0.5, 1e-2,
+                                      threads=2)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_a_child_that_dies_mid_run_has_its_share_rerun_to_the_same_bits(
+            self, forks, monkeypatch):
+        # one chunk a share; the child dies at T = 0.41, after the front
+        # flagged particles 31 (T < 0.1) and 38 (T < 0.4) of its share,
+        # and the rerun must not freeze 38 early from a stale flag
+        monkeypatch.setattr(transport, "_CHUNK", 20)
+        rows, parent = nan_front_provider().conformal_rows, os.getpid()
+
+        def fill(T, x, F, W):
+            if T > 0.4 and os.getpid() != parent:
+                os._exit(3)
+            rows(T, x, F, W)
+
+        kw = dict(n=40, span=0.5, h=1e-2, log_every=5)
+        log, fin = run(nan_front_provider(), **kw)
+        log_2, fin_2 = run(row_provider(fill), threads=2, **kw)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert np.flatnonzero(log.flagged[20:]).tolist() == [11, 18]
+        assert_same_log(log_2, log)
+        assert same_bits(log_2.max_residual, log.max_residual)
+        assert same_bits(fin_2.x, fin.x) and same_bits(fin_2.p, fin.p)
+
+    @pytest.mark.parametrize("full_log", [True, False])
+    def test_logs_are_bitwise_equal_at_one_two_and_three_workers(
+            self, full_log, forks, monkeypatch):
+        monkeypatch.setattr(transport, "_CHUNK", 7)
+        provider = nan_front_provider()
+        runs = {}
+        for threads in (1, 2, 3):
+            forks.clear()
+            runs[threads] = run(provider, n=40, span=0.5, h=1e-2,
+                                log_every=5, threads=threads,
+                                full_log=full_log)
+            assert len(forks) == threads - 1
+        assert_no_child_left()
+        log, fin = runs[1]
+        # three workers take shares of 13, 13 and 14 particles; the front
+        # flags particles in the children's shares
+        assert log.flagged[13:].any() and not log.flagged.all()
+        for threads in (2, 3):
+            other, other_fin = runs[threads]
+            for key in LOG_KEYS + ("max_residual",):
+                want, got = getattr(log, key), getattr(other, key)
+                assert (got is None if want is None
+                        else same_bits(got, want)), (threads, key)
+            if full_log:
+                assert same_bits(other_fin.x, fin.x)
+                assert same_bits(other_fin.p, fin.p)
+            else:
+                assert other_fin is None
+
+    def test_budget_above_the_chunk_count(self, forks, monkeypatch):
+        monkeypatch.setattr(transport, "_CHUNK", 7)  # two chunks
+        provider = manufactured_lapse_fields(0.3)
+        log, fin = run(provider, n=10, span=0.2, h=1e-2, log_every=5)
+        log_64, fin_64 = run(provider, n=10, span=0.2, h=1e-2, log_every=5,
+                             threads=64)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert_same_log(log_64, log)
+        assert same_bits(fin_64.x, fin.x) and same_bits(fin_64.p, fin.p)
+
+    def test_worker_cap(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        assert transport._workers(8, 100) == 3  # the CPUs
+        assert transport._workers(2, 100) == 2  # the budget
+        assert transport._workers(8, 2) == 2  # the chunks
+        assert transport._workers(8, 0) == 0
+        done = threading.Event()
+        other = threading.Thread(target=done.wait, args=(60,))
+        other.start()
+        try:  # no fork while another thread may hold a lock
+            assert transport._workers(8, 100) == 1
+        finally:
+            done.set()
+            other.join(60)
+        assert not other.is_alive()
+        assert transport._workers(8, 100) == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert transport._workers(8, 100) == 1
+        assert transport._workers(8, 0) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=300),
+           st.integers(min_value=1, max_value=9),
+           st.integers(min_value=1, max_value=40))
+    def test_split_gives_balanced_shares_of_bounded_chunks(self, n, budget,
+                                                           chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transport, "_CHUNK", chunk)
+            workers = min(budget, -(-n // chunk))
+            chunks, jobs = transport._split(n, workers)
+        assert len(jobs) == workers
+        assert [i for job in jobs for i in job] == list(range(len(chunks)))
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        assert chunks[-1][1] == n
+        assert all(0 < hi - lo <= chunk for lo, hi in chunks)
+        sizes = [chunks[job[-1]][1] - chunks[job[0]][0] for job in jobs]
+        assert max(sizes) - min(sizes) <= 1
