@@ -3,39 +3,44 @@
 The ``transport_scaling`` section times
 ``transport.integrate_characteristics`` (derived mode, manufactured
 lapse with eps = 1e-3, h = 1e-3, tau0 = -1) at 10^3, 10^4 and 10^5
-particles on a budget of one and two workers (``threads``), and writes
-a JSON table of ns per particle-step with the largest mass-shell
-residual of each run next to it, so a speedup that costs accuracy shows
-in the same row.  Each row also gives the peak RSS of one more such run
-in a fresh process, of the process itself and of its largest forked
-worker, so memory that moves into workers shows in the same row.  Its
-``row_alignment`` entry compares the CPU time of one chunk of
-``transport._CHUNK`` particles over 40 steps on one thread with its rows
-on cache lines and with the same rows 16 bytes past them (alternating
-in-process pairs), so a buffer that loses its alignment shows.  The
-``report`` section times ``full_report`` at its defaults, one 64-row
-block flush of its homogeneous log points inside the run
-(``flush_ms``), the homogeneous closure per call, the homogeneous RK4
-step and log point (medians of back-to-back run pairs),
-``sasaki_energy`` per distribution (one call each, and one call on a
-stack of 64), and the report's mode sector with its cost per mode step
-(median of back-to-back pairs at the sector's step count and twice it),
-next to the run's constraint and continuity defects.  The ``scenarios``
-section times each scenario at its defaults (ten warm runs).  The
-``full_report`` walls, ``flush_ms`` and the scenario walls are also
-given scaled to one machine speed, as ``perfbench/run.py`` scales
-``wall_s``: a probe process runs a fixed kernel of
-``perfbench/calibrate.py`` (``solver``, or ``wide`` for
-``characteristics``) before the first run and after each, and the mean
-figure times the kernel's reference time over the mean kernel time
-around the runs, so two trees timed minutes apart compare.  The
-``accuracy`` section gives the observed order of classical Runge-Kutta
-under step halving (``log2`` of successive max-norm differences at h,
-h/2, h/4) for one fixed configuration of each ``TestConvergenceOrder``:
-final transport ``x`` and ``p``, homogeneous ``b_ode`` and
-``rho_cont``, and a mode's ``u`` and ``w``, so a speedup that costs
-accuracy shows in the same file.  The ``memory`` section records the
-``tracemalloc`` peaks of one ``characteristics`` run at the
+particles on a budget of one and two workers (``threads``), and writes a
+JSON table of ns per particle-step, raw (median of ``WALL_REPEATS``
+runs) and scaled to one machine speed by the ``wide`` probe (see below),
+with the largest mass-shell residual of each run next to it, so a
+speedup that costs accuracy shows in the same row.  Its
+``fixed_us_per_step`` entry is the cost of a step that does not grow
+with the particles: a 1-particle run at 2500 and at 5000 steps, the
+difference of their times over 2500, median of ``WALL_REPEATS``
+back-to-back pairs, and their mean scaled by the ``solver`` probe.  Each
+row also gives the peak RSS of one more such run in a fresh process, of
+the process itself and of its largest forked worker, so memory that
+moves into workers shows in the same row.  Its ``row_alignment`` entry
+compares the CPU time of one chunk of ``transport._CHUNK`` particles
+over 40 steps on one thread with its rows on cache lines and with the
+same rows 16 bytes past them (alternating in-process pairs), so a buffer
+that loses its alignment shows.  The ``report`` section times
+``full_report`` at its defaults, one 64-row block flush of its
+homogeneous log points inside the run (``flush_ms``), the homogeneous
+closure per call, the homogeneous RK4 step and log point (medians of
+back-to-back run pairs), ``sasaki_energy`` per distribution (one call
+each, and one call on a stack of 64), and the report's mode sector with
+its cost per mode step (median of back-to-back pairs at the sector's
+step count and twice it), next to the run's constraint and continuity
+defects.  The ``scenarios`` section times each scenario at its defaults
+(ten warm runs).  The ``full_report`` walls, ``flush_ms`` and the
+scenario walls are also given scaled to one machine speed, as
+``perfbench/run.py`` scales ``wall_s``: a probe process runs a fixed
+kernel of ``perfbench/calibrate.py`` (``solver``, or ``wide`` for
+``characteristics`` and the transport rows) before the first run and
+after each, and the mean figure times the kernel's reference time over
+the mean kernel time around the runs, so two trees timed minutes apart
+compare.  The ``accuracy`` section gives the observed order of classical
+Runge-Kutta under step halving (``log2`` of successive max-norm
+differences at h, h/2, h/4) for one fixed configuration of each
+``TestConvergenceOrder``: final transport ``x`` and ``p``, homogeneous
+``b_ode`` and ``rho_cont``, and a mode's ``u`` and ``w``, so a speedup
+that costs accuracy shows in the same file.  The ``memory`` section
+records the ``tracemalloc`` peaks of one ``characteristics`` run at the
 ``chars_wide`` size and of one ``full_report`` run at its defaults,
 measured apart from the timed runs.  ``source_lines`` counts the
 non-blank, non-comment lines of the package, and
@@ -43,15 +48,15 @@ non-blank, non-comment lines of the package, and
 
 The sections run in the order ``report``, ``scenarios``, ``accuracy``,
 ``transport_scaling``, ``memory``, each section's seconds recorded in
-``section_seconds``; on a 2-vCPU VM they took about 15, 42, 0.1, 20 and
-5 s.  ``report`` and ``scenarios`` come before the 10^5-particle runs:
+``section_seconds``; on a 2-vCPU VM they took about 18, 45, 0.1, 95 and
+6 s.  ``report`` and ``scenarios`` come before the 10^5-particle runs:
 the large buffers those free raise glibc's mmap and trim thresholds for
 the rest of the process, after which a ``full_report`` no longer pays
 the page faults a fresh process pays for its temporaries (at the
 parent of the change that added ``flush_ms``, a flush read 5.75 ms
 scaled with ``report`` first, ``before`` in ``BENCH_16.json``, and 3.38
 ms after the transport runs).  Standard library plus numpy (and scipy
-in the probe process); about 2 minutes in all::
+in the probe process); about 3 minutes in all::
 
     python bench/bench.py --src PARENT_CHECKOUT/src --out before.json
     python bench/bench.py --before before.json --out BENCH_<n>.json
@@ -83,6 +88,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = ((1_000, 1_000), (10_000, 200), (100_000, 50))
 THREADS = (1, 2)
 REPEATS = 3
+FIXED_STEPS = 2500  # a 1-particle run at this many steps and twice as many
 # probed runs of each full_report and scenario wall: over four alternating
 # pairs of fresh processes the scaled full_report walls of ten runs kept
 # the two trees of a 10 % gain apart, those of three runs did not
@@ -626,11 +632,40 @@ def memory_section() -> dict:
     return section
 
 
+def fixed_cost(transport, frame0) -> dict:
+    """us per step of a 1-particle run, the part of a step's cost that
+    does not grow with the particles: the difference of the times of a
+    ``2 FIXED_STEPS`` and a ``FIXED_STEPS`` run (the same ten log rows
+    each) over ``FIXED_STEPS``, over ``WALL_REPEATS`` back-to-back pairs,
+    raw and scaled by the ``solver`` probe, whose scalar loop and small
+    numpy calls are bound by per-call costs as this run is."""
+    diffs = []
+
+    def pair():
+        short, _ = run_once(transport, frame0, 1, FIXED_STEPS, 1)
+        long, _ = run_once(transport, frame0, 1, 2 * FIXED_STEPS, 1)
+        diffs.append((long - short) / FIXED_STEPS)
+
+    walls = probed_walls(pair, "solver", figure=lambda: diffs[-1:])
+    entry = {"particles": 1, "steps": [FIXED_STEPS, 2 * FIXED_STEPS],
+             "threads": 1,
+             "statistic": f"median over {WALL_REPEATS} back-to-back pairs; "
+                          f"scaled: their mean scaled as the walls are",
+             "fixed_us_per_step": round(1e6 * statistics.median(diffs), 1),
+             "scaled_fixed_us_per_step": round(
+                 1e6 * walls["scaled_figure_s"], 1),
+             "pairs_us_per_step": [round(1e6 * d, 1) for d in diffs]}
+    print(f"fixed cost: {entry['fixed_us_per_step']:.1f} us per step "
+          f"(scaled {entry['scaled_fixed_us_per_step']:.1f})")
+    return entry
+
+
 def transport_section() -> dict:
     """ns per particle-step at each of ``SIZES`` on each of ``THREADS``,
-    with the largest mass-shell residual of each run, the peak RSS of
-    one more run in a fresh process (see :func:`peak_rss`), and the
-    ``row_alignment`` pairs."""
+    raw and scaled (``probed_walls`` with the ``wide`` kernel), with the
+    largest mass-shell residual of each run, the peak RSS of one more run
+    in a fresh process (see :func:`peak_rss`), the fixed cost per step
+    (:func:`fixed_cost`) and the ``row_alignment`` pairs."""
     from milne_lab import transport
     from milne_lab.geometry import make_time_frame
 
@@ -638,32 +673,43 @@ def transport_section() -> dict:
     run_once(transport, frame0, 1_000, 10, 1)  # first-call costs
     rows = []
     for n, steps in SIZES:
-        walls = {threads: [] for threads in THREADS}
-        residual = {}
-        for _ in range(REPEATS):  # interleaved, so drift hits both alike
-            for threads in THREADS:
-                wall, residual[threads] = run_once(transport, frame0, n,
-                                                   steps, threads)
-                walls[threads].append(wall)
         for threads in THREADS:
-            median = statistics.median(walls[threads])
+            runs = []  # (integration seconds, residual) of each call
+
+            def timed():
+                runs.append(run_once(transport, frame0, n, steps, threads))
+
+            # the probe runs one kernel per worker the run can use
+            workers = min(threads, -(-n // transport._CHUNK))
+            walls = probed_walls(timed, "wide", workers,
+                                 figure=lambda: [runs[-1][0]])
+            per = 1e9 / (n * steps)
             rows.append({
                 "particles": n, "steps": steps, "threads": threads,
-                "ns_per_particle_step": round(1e9 * median / (n * steps), 1),
-                "wall_s": [round(w, 4) for w in walls[threads]],
-                "massshell_residual_max": residual[threads],
+                "ns_per_particle_step": round(
+                    per * statistics.median(t for t, _ in runs), 1),
+                "scaled_ns_per_particle_step": round(
+                    per * walls["scaled_figure_s"], 1),
+                "wall_s": [round(t, 4) for t, _ in runs],
+                "kernel_s": walls["kernel_s"],
+                "massshell_residual_max": max(r for _, r in runs),
                 **peak_rss(transport, n, steps, threads),
             })
             print(f"{n:>7} particles x {steps:>4} steps, {threads} thread(s): "
-                  f"{rows[-1]['ns_per_particle_step']:7.1f} ns/particle-step, "
-                  f"residual {residual[threads]:.2e}, peak RSS "
-                  f"{rows[-1]['parent_peak_rss_mb']:.1f} MB + workers "
+                  f"{rows[-1]['ns_per_particle_step']:7.1f} ns/particle-step "
+                  f"(scaled {rows[-1]['scaled_ns_per_particle_step']:.1f}), "
+                  f"residual {rows[-1]['massshell_residual_max']:.2e}, peak "
+                  f"RSS {rows[-1]['parent_peak_rss_mb']:.1f} MB + workers "
                   f"{rows[-1]['workers_peak_rss_mb']:.1f} MB")
     return {
         "provider": f"manufactured_lapse_fields({EPS})",
-        "mode": "derived", "h": H, "repeats": REPEATS,
-        "statistic": "median wall time over the repeats",
+        "mode": "derived", "h": H, "repeats": WALL_REPEATS,
+        "statistic": f"ns_per_particle_step: median integration time over "
+                     f"{WALL_REPEATS} runs; scaled_ns_per_particle_step: "
+                     f"their mean scaled to the speed at which the "
+                     f"calibrate.py wide kernel takes {KERNEL_REF_S['wide']} s",
         "rows": rows,
+        "fixed_us_per_step": fixed_cost(transport, frame0),
         "row_alignment": row_alignment(transport, frame0),
     }
 

@@ -349,11 +349,11 @@ def _check_run_size(cfg: ScenarioConfig) -> None:
     """Named checks on the step count and the run size.
 
     The caps keep an accepted run to minutes.  Measured on a 2-vCPU VM
-    (``bench/bench.py``), a particle-step costs 140-500 ns (10^5 particles
-    on two worker processes to 10^3 particles on one), so 10^9
-    particle-steps take 2-8 minutes; a scalar step of one mode costs
-    about 0.5 us, so the 10^8 mode steps of ``full_report`` take about a
-    minute.
+    (``bench/bench.py``, scaled rows), a particle-step costs 100-400 ns
+    (10^4-10^5 particles on two worker processes to 10^3 particles on
+    one), so 10^9 particle-steps take 2-7 minutes; a scalar step of one
+    mode costs about 0.5 us, so the 10^8 mode steps of ``full_report``
+    take about a minute.
     """
     for name in ("radialNodes", "quadNodes"):
         _named_check(getattr(cfg, name) <= _MAX_NODES, f"{name} <= 10^4",

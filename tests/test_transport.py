@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milne_lab import transport
-from milne_lab._rk4 import rk4_step
+from milne_lab._rk4 import rk4_step, rk4_step_into
 from milne_lab.geometry import make_time_frame
 from milne_lab.massshell import compute_p0
 from milne_lab.transport import (
@@ -195,8 +195,12 @@ class TestEnsemble:
         (np.zeros((2, 3)), np.zeros((2, 3)), [1.0, -1.0], "nonnegative"),
         (np.zeros((2, 3)), np.zeros((2, 3)), [1.0, np.nan], "finite"),
         (np.zeros((2, 3)), np.zeros((2, 3)), [np.inf, 1.0], "finite"),
+        (np.zeros((4, 3)), np.array([[0.0] * 3, [np.nan, 0.0, 0.0]] * 2),
+         np.ones(4), "p must be finite"),
+        (np.array([[0.0, 0.0, -np.inf]] * 2), np.zeros((2, 3)), np.ones(2),
+         "x must be finite"),
     ], ids=["x (4, 2)", "p (4, 2)", "p (3, 3)", "weights (4, 1)",
-            "negative weight", "NaN weight", "inf weight"])
+            "negative weight", "NaN weight", "inf weight", "NaN p", "inf x"])
     def test_malformed_ensemble_is_a_named_error(self, x, p, weights, match):
         with pytest.raises(ValueError, match=match):
             ParticleEnsemble(x=x, p=p, weights=weights)
@@ -703,6 +707,103 @@ class TestRowAlignment:
         f = row_provider(checked_fill)(0.3, ens.x)
         assert calls == [(3, n)]
         assert_starts_on_lines(f.N, f.dTN, f.conf_a)
+
+
+def unbound_run(fill, ens, steps, h):
+    """Full-log rows ``(x, p, p0)`` of the integrator's RK4 steps, with
+    every right-hand side evaluated by a new flow: nothing is bound
+    before the call that uses it."""
+    def rhs(T, y, k):
+        transport._Flow(fill, -1.0, ens.size).rhs(T, y, k)
+
+    y = np.concatenate([ens.x.T, ens.p.T, np.zeros((1, ens.size))])
+    transport._Flow(fill, -1.0, ens.size).p0(0.0, y, y[6])
+    rows = [y.copy()]
+    for step in range(steps):
+        y = rk4_step_into(rhs, step * h, y, h, *(np.empty_like(y)
+                                                 for _ in range(3))).copy()
+        rows.append(y)
+    return np.array(rows)
+
+
+class TestBoundKernels:
+    """Kernels and fills bound once per chunk give the bits of ones bound
+    anew for every call, and of the plain row-fill protocol."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("steps", [5, 6])
+    def test_either_state_block_gives_the_same_bits(self, steps, threads,
+                                                    monkeypatch):
+        # an RK4 step writes the state into the other block, so after an
+        # odd count the final state comes from the second block
+        monkeypatch.setattr(transport, "_CHUNK", 7)  # three chunks
+        provider, h = manufactured_lapse_fields(0.3), 1e-2
+        ens = sample_ensemble(20, seed=13)
+        log, fin = integrate_characteristics(
+            ens, provider, make_time_frame(-1.0, 0.0), steps * h, h,
+            log_every=1, threads=threads)
+        want = unbound_run(provider.conformal_rows, ens, steps, h)
+        assert same_bits(log.x, want[:, 0:3].transpose(0, 2, 1).copy())
+        assert same_bits(log.p, want[:, 3:6].transpose(0, 2, 1).copy())
+        assert same_bits(log.p0, want[:, 6])
+        assert same_bits(fin.x, want[-1, 0:3].T.copy())
+        assert same_bits(fin.p, want[-1, 3:6].T.copy())
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 1001])
+    def test_plain_fill_equals_the_bound_fill(self, n):
+        rows = manufactured_lapse_fields(0.3).conformal_rows
+
+        def plain(T, x, F, W):  # no bind: the generic binding calls it
+            rows(T, x, F, W)
+
+        x = np.ascontiguousarray(sample_ensemble(n, seed=14).x.T)
+        filled = {}
+        for fill in (rows, plain):
+            F = transport._rows(9, n)
+            retime, at = transport._bind_fill(
+                fill, F, transport._rows(transport._SCRATCH_ROWS, n))
+            bound = at(x)
+            for T in (0.0, 0.37, 2.5):
+                retime(T)
+                bound()
+                filled[fill, T] = F.copy()
+        for T in (0.0, 0.37, 2.5):
+            assert same_bits(filled[plain, T], filled[rows, T]), T
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_plain_fill_runs_to_the_bits_of_the_provider(self, threads,
+                                                         monkeypatch):
+        monkeypatch.setattr(transport, "_CHUNK", 7)
+        provider = manufactured_lapse_fields(0.3)
+        rows = provider.conformal_rows
+        kw = dict(n=20, span=0.2, h=1e-2, log_every=5, threads=threads)
+        log, fin = run(provider, **kw)
+        log_plain, fin_plain = run(row_provider(
+            lambda T, x, F, W: rows(T, x, F, W)), **kw)
+        assert_same_log(log_plain, log)
+        assert same_bits(fin_plain.x, fin.x) and same_bits(fin_plain.p, fin.p)
+
+    @pytest.mark.parametrize("padded", [True, False])
+    @pytest.mark.parametrize("offset", [0, 8, 16, 24, 32, 40, 48, 56])
+    @pytest.mark.parametrize("n", [1, 7, 8, 1001])
+    def test_stacked_field_rows_equal_per_row_calls(self, n, offset, padded):
+        # the fill scales phi into N dTN a by a (3, 1) column and grad phi
+        # into dN u by a (2, 1, 1) one, and takes exp of the row a; each
+        # must give the bits of one call per row, at every row offset
+        rng = np.random.default_rng(n + offset)
+        phi = rng.normal(size=n)
+        dphi = rng.normal(size=(3, n)) * np.exp(rng.normal(scale=3,
+                                                           size=(3, n)))
+        amp, grown = 0.3 * math.exp(-0.7), 0.2 * (1.0 - math.exp(-0.7))
+        factors = np.array([[amp], [-amp], [grown]])
+        F = offset_rows(offset, padded)(9, n)
+        np.multiply(phi, factors, F[0:3])
+        np.exp(F[2], F[2])
+        np.multiply(dphi, factors[0::2, :, None], F[3:9].reshape(2, 3, n))
+        want = [phi * amp, phi * -amp, np.exp(phi * grown),
+                *(dphi * amp), *(dphi * grown)]
+        for row, w in zip(F, want):
+            assert same_bits(row.copy(), w)
 
 
 class TestSupportEnvelope:
