@@ -501,15 +501,17 @@ def report_section() -> dict:
 def scenarios_section() -> dict:
     """Wall time of each scenario at its defaults: one warm-up run, then
     ``WALL_REPEATS`` probed runs (``probed_walls``)."""
-    from milne_lab import harness
+    from milne_lab import harness, transport
 
     threads = int(os.environ.get("MILNE_LAB_THREADS", "1"))
     walls = {}
     for scenario in harness.SCENARIOS:
         cfg = harness.validate_config({"scenario": scenario, "seed": 0})
         harness.run_scenario(cfg)  # first-call costs
+        # the probe runs one kernel per worker the run can use
+        workers = min(threads, -(-cfg.particleCount // transport._CHUNK))
         walls[scenario] = (
-            probed_walls(lambda: harness.run_scenario(cfg), "wide", threads)
+            probed_walls(lambda: harness.run_scenario(cfg), "wide", workers)
             if scenario == "characteristics" else
             probed_walls(lambda: harness.run_scenario(cfg), "solver"))
         print(f"{scenario} {walls[scenario]['wall_s']:.3f} s (scaled "

@@ -4,10 +4,10 @@ The package studies small perturbations of a linearly expanding vacuum
 cosmology coupled to collisionless kinetic matter, in nondimensional
 variables that turn the background into a fixed point.  Modules:
 
-* :mod:`milne_lab.geometry` — background chart, time frames, rescaling,
-  connection blocks and the energy-correction constants;
-* :mod:`milne_lab.massshell` — the mass-shell root, pointwise momentum
-  estimates, and derivatives of the momentum functions;
+* :mod:`milne_lab.geometry` — background chart, time frames, connection
+  blocks and the energy-correction constants;
+* :mod:`milne_lab.massshell` — the mass-shell root and the pointwise
+  momentum estimates;
 * :mod:`milne_lab.transport` — characteristic (geodesic) transport with
   mass-shell-conservation diagnostics and the momentum-support envelope;
 * :mod:`milne_lab.matter` — kinetic moments, their continuity system and
@@ -25,24 +25,20 @@ variables that turn the background into a fixed point.  Modules:
 from .geometry import (BACKGROUND_LAPSE, BackgroundChart, CorrectionConstants,
                        LocalGeometry, TimeFrame, background_geometry,
                        correction_constants, make_time_frame,
-                       rescale_state, rescaled_christoffels,
-                       time_frame_from_tau)
+                       rescaled_christoffels)
 from .massshell import (MomentumPoint, SingularShiftError, compute_p0,
                         mass_shell_residual, normalization_report,
                         pointwise_estimates_check)
 from .transport import ParticleEnsemble
 from .matter import (MatterMoments, RadialDistribution,
-                     UnsupportedModeError, continuity_rhs, continuity_step,
-                     eta_direct, moment_bound_check,
-                     moments_from_distribution,
-                     pressure_time_derivative_reduced, rescale_moment)
+                     UnsupportedModeError, continuity_rhs, eta_direct,
+                     moment_bound_check, moments_from_distribution)
 from .modes import (ModeTrajectory, corrected_energy, energy_decay_check,
                     integrate_mode, mode_sweep)
 from .homogeneous import (ConstraintSingularError, HomogeneousRun,
                           evolve_homogeneous, hamiltonian_constraint_b,
                           solve_lapse_algebraic)
-from .energies import (decay_fit, monitors, rho_energy, sasaki_energy,
-                       total_energy)
+from .energies import decay_fit, monitors, sasaki_energy, total_energy
 from .harness import (ConfigError, ScenarioConfig, emit_report, main,
                       run_scenario, validate_config)
 
@@ -51,21 +47,18 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKGROUND_LAPSE", "BackgroundChart", "CorrectionConstants",
     "LocalGeometry", "TimeFrame", "background_geometry",
-    "correction_constants", "make_time_frame", "rescale_state",
-    "rescaled_christoffels", "time_frame_from_tau",
+    "correction_constants", "make_time_frame", "rescaled_christoffels",
     "MomentumPoint", "SingularShiftError", "compute_p0",
     "mass_shell_residual", "normalization_report",
     "pointwise_estimates_check",
     "MatterMoments", "ParticleEnsemble", "RadialDistribution",
-    "UnsupportedModeError", "continuity_rhs", "continuity_step",
-    "eta_direct", "moment_bound_check", "moments_from_distribution",
-    "pressure_time_derivative_reduced", "rescale_moment",
+    "UnsupportedModeError", "continuity_rhs", "eta_direct",
+    "moment_bound_check", "moments_from_distribution",
     "ModeTrajectory", "corrected_energy", "energy_decay_check",
     "integrate_mode", "mode_sweep",
     "ConstraintSingularError", "HomogeneousRun", "evolve_homogeneous",
     "hamiltonian_constraint_b", "solve_lapse_algebraic",
-    "decay_fit", "monitors", "rho_energy",
-    "sasaki_energy", "total_energy",
+    "decay_fit", "monitors", "sasaki_energy", "total_energy",
     "ConfigError", "ScenarioConfig", "emit_report", "main", "run_scenario",
     "validate_config",
     "__version__",

@@ -16,9 +16,9 @@ def rk4_step(f, t: float, y, h: float) -> list:
     and the new components ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)`` are
     returned as a list.
     """
-    # the reference the written-out steps of modes.integrate_mode and
-    # homogeneous.evolve_homogeneous are pinned to; the one production
-    # caller, matter's continuity update, takes a single step
+    # the test reference the written-out steps of modes.integrate_mode and
+    # homogeneous.evolve_homogeneous and the buffered rk4_step_into are
+    # pinned to; no production code calls it
     half = h / 2
     k1 = f(t, y)
     k2 = f(t + half, [a + half * k for a, k in zip(y, k1)])

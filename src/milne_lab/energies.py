@@ -4,8 +4,6 @@ The module provides
 
 * weighted ``L^2``-Sobolev energies of radial distribution functions on
   the tangent bundle (``sasaki_energy``),
-* the plain ``L^2`` energy of the energy density on the homogeneous cell
-  (``rho_energy``),
 * the exponentially weighted total energy combining the geometric energy
   and the distribution-function energy (``total_energy``),
 * log-linear decay-rate fitting (``decay_fit``), and
@@ -30,7 +28,6 @@ __all__ = [
     "DecayFitError",
     "inverse_weight_integral",
     "sasaki_energy",
-    "rho_energy",
     "total_energy",
     "WeightConditionError",
     "validate_energy_weights",
@@ -382,17 +379,6 @@ def sasaki_energy(f, geom, ell: int, mu: float, ladder_ell: Optional[int] = None
             w / ds * pbar2 ** (expo / 2.0) * dk * s**2, axis=-1)
     energy[live] = np.sqrt(vol * total)
     return energy if stack else float(energy[0])
-
-
-def rho_energy(rho: float, geom) -> float:
-    """Sobolev energy of the energy density over the homogeneous cell.
-
-    With vanishing spatial gradients every derivative order collapses to
-    the zeroth one, ``|rho| sqrt(det g)`` over the unit cell (``geom=None``
-    stands for ``det g = 1``).
-    """
-    detg = float(np.linalg.det(geom.g)) if geom is not None else 1.0
-    return abs(float(rho)) * math.sqrt(detg)
 
 
 class WeightConditionError(ValueError):

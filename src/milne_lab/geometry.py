@@ -1,4 +1,4 @@
-"""Background geometry, logarithmic time frames, and variable rescaling.
+"""Background geometry, logarithmic time frames and connection blocks.
 
 The model universe expands linearly at leading order.  All evolution is
 phrased in a compactified logarithmic time ``T`` tied to a negative mean
@@ -13,8 +13,6 @@ This module provides:
 * :class:`TimeFrame` -- the (tau, T, s, t) bookkeeping for one time slice,
 * :class:`BackgroundChart` -- the reference hyperbolic metric in a ball
   chart, with closed-form connection and curvature,
-* :func:`rescale_state` -- the bijection between raw and nondimensional
-  field/momentum variables,
 * :func:`rescaled_christoffels` -- the connection blocks of the full
   spacetime metric expressed through the nondimensional fields, including
   the two correction fields ``gamma_star`` (a vector built from lapse and
@@ -38,8 +36,6 @@ __all__ = [
     "LocalGeometry",
     "CorrectionConstants",
     "make_time_frame",
-    "time_frame_from_tau",
-    "rescale_state",
     "christoffels_from_metric",
     "rescaled_christoffels",
     "correction_constants",
@@ -93,16 +89,6 @@ def make_time_frame(tau0: float, T: float) -> TimeFrame:
     if not T >= 0.0:
         raise ValueError(f"T must be nonnegative, got {T}")
     tau = tau0 * math.exp(-T)
-    return TimeFrame(tau0=tau0, T=T, tau=tau, s=abs(tau), t=-3.0 / tau)
-
-
-def time_frame_from_tau(tau0: float, tau: float) -> TimeFrame:
-    """Inverse of :func:`make_time_frame` in the ``tau`` variable."""
-    if not tau0 < 0.0:
-        raise ValueError(f"tau0 must be negative, got {tau0}")
-    if not tau0 <= tau < 0.0:
-        raise ValueError(f"tau must lie in [tau0, 0), got {tau}")
-    T = -math.log(tau / tau0)
     return TimeFrame(tau0=tau0, T=T, tau=tau, s=abs(tau), t=-3.0 / tau)
 
 
@@ -268,41 +254,6 @@ def background_geometry() -> LocalGeometry:
         dg=np.zeros((3, 3, 3)), dTg=np.zeros((3, 3)), dTN=0.0,
         dTX=np.zeros(3),
     )
-
-
-# ---------------------------------------------------------------------------
-# rescaling
-# ---------------------------------------------------------------------------
-
-
-def rescale_state(state, frame: TimeFrame, direction: str):
-    """Map between raw and nondimensional variables.
-
-    ``state`` is a tuple ``(g, Sigma, N, X, p)`` (any entry may be None).
-    With ``direction="to_rescaled"`` the raw fields acquire the weights
-
-    ``g -> tau^2 g,  Sigma -> tau Sigma,  N -> tau^2 N,  X -> tau X,
-    p -> tau^-2 p``
-
-    and ``direction="to_raw"`` inverts them exactly.
-    """
-    if direction not in ("to_rescaled", "to_raw"):
-        raise ValueError(f"unknown direction {direction!r}")
-    tau = frame.tau
-    w = {
-        "g": tau**2, "Sigma": tau, "N": tau**2, "X": tau, "p": tau**-2,
-    }
-    if direction == "to_raw":
-        w = {k: 1.0 / v for k, v in w.items()}
-    g, Sigma, N, X, p = state
-    out = []
-    for name, val in zip(("g", "Sigma", "N", "X", "p"), (g, Sigma, N, X, p)):
-        if val is None:
-            out.append(None)
-        else:
-            out.append(np.asarray(val, dtype=float) * w[name]
-                       if np.ndim(val) else float(val) * w[name])
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -785,6 +785,12 @@ def main(argv=None) -> int:
         if args.out is not None:
             raw["out"] = args.out
         cfg = validate_config(raw)
+        if cfg.out is not None:  # fail before the run, not after it
+            try:
+                os.makedirs(cfg.out, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"config error [out]: cannot create "
+                                  f"{cfg.out!r}: {exc.strerror}") from exc
         result = run_scenario(cfg)  # reads the worker budget
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

@@ -3,10 +3,8 @@
 Particles of unit mass live on the shell ``gbar(pt, pt) = -1`` of the raw
 spacetime metric.  In nondimensional variables the spatial momentum ``p``
 determines the time component ``p0`` through a quadratic constraint; this
-module provides three independent evaluations of that root, the two
-classical pointwise estimates relating ``|p|_g`` and ``p0``, and the
-momentum and time derivatives of the auxiliary momentum functions that
-feed the kinetic-moment evolution identities.
+module provides three independent evaluations of that root and the two
+classical pointwise estimates relating ``|p|_g`` and ``p0``.
 
 Conventions
 -----------
@@ -17,9 +15,6 @@ Conventions
 * ``phat`` is a convenience function with ``phat = sqrt(tau^2 <Xhat,p>^2
   + (1 - |Xhat|^2)(1 + tau^2 |p|^2))``; ``pbar = sqrt(1 + |p|^2_g)`` is
   the order-one Sobolev weight; ``pund = N p0``.
-* Time derivatives are taken along paths that hold the *raw* momentum
-  fixed (the comoving convention used by the moment identities), so the
-  nondimensional ``p`` grows like ``tau^-2`` along the path.
 """
 
 from __future__ import annotations
@@ -36,8 +31,6 @@ __all__ = [
     "pbar",
     "normalization_report",
     "pointwise_estimates_check",
-    "vertical_derivatives",
-    "time_derivatives",
 ]
 
 
@@ -206,105 +199,3 @@ def pointwise_estimates_check(geom: LocalGeometry, p: np.ndarray,
         "lhs1": lhs1, "rhs1": rhs1, "holds1": bool(np.all(lhs1 <= rhs1 * (1 + 1e-13))),
         "lhs2": lhs2, "rhs2": rhs2, "holds2": bool(np.all(lhs2 <= rhs2 * (1 + 1e-13))),
     }
-
-
-# ---------------------------------------------------------------------------
-# momentum (vertical) derivatives
-# ---------------------------------------------------------------------------
-
-
-def vertical_derivatives(geom: LocalGeometry, p: np.ndarray,
-                         frame: TimeFrame) -> dict:
-    """Momentum derivatives of ``p0`` and the pressure kernel.
-
-    Returns ``{"Be_p0": dp0/dp^e, "Be_eta_kernel": d/dp^e of
-    |p + tau^-1 p0 X|^2_g / phat}`` (lower index ``e``).  The kernel
-    derivative is assembled by the chain rule from the closed forms of
-    ``p0`` and ``phat`` so it matches high-order finite differences.
-    """
-    X2 = _check_admissible(geom)
-    p, p2, Xp = _dots(geom, p)
-    tau, N, g, X = frame.tau, geom.N, geom.g, geom.X
-    ph = phat(geom, p, frame)
-    p0 = compute_p0(geom, p, frame, method="paper_primary")
-
-    p_low = np.einsum("ab,...b->...a", g, p)
-    X_low = g @ X
-    Xhat_low = X_low / N
-    Xhat_p = Xp / N
-    Xhat2 = X2 / N**2
-
-    Be_p0 = (tau * Xhat_low * p0[..., None]
-             + tau**2 / N * p_low) / ph[..., None]
-
-    # kernel K = |v|^2 / phat with v = p + tau^-1 p0 X
-    v = p + (p0 / tau)[..., None] * X
-    v_low = np.einsum("ab,...b->...a", g, v)
-    v2 = np.einsum("...a,...a->...", v, v_low)
-    vX = np.einsum("...a,a->...", v, X_low)
-    Be_phat = tau**2 * (Xhat_p[..., None] * Xhat_low
-                        + (1.0 - Xhat2) * p_low) / ph[..., None]
-    Be_v2 = 2.0 * v_low + (2.0 / tau) * vX[..., None] * Be_p0
-    Be_kernel = Be_v2 / ph[..., None] - (v2 / ph**2)[..., None] * Be_phat
-
-    return {"Be_p0": Be_p0, "Be_eta_kernel": Be_kernel}
-
-
-# ---------------------------------------------------------------------------
-# time derivatives (comoving: raw momentum held fixed)
-# ---------------------------------------------------------------------------
-
-
-def time_derivatives(geom: LocalGeometry, p: np.ndarray, frame: TimeFrame,
-                     dTg: np.ndarray, dTN: float, dTX: np.ndarray) -> dict:
-    """Logarithmic-time derivatives of ``phat`` and ``p0``.
-
-    The derivative is taken along a path of ``(g, N, X, tau)`` holding
-    the *raw* momentum fixed, so the nondimensional ``p`` carries an
-    implicit ``tau^-2`` growth; this is the convention under which the
-    kinetic-moment integrals have a time-independent integration
-    variable.
-    """
-    X2 = _check_admissible(geom)
-    p, p2, Xp = _dots(geom, p)
-    tau, N, g, X = frame.tau, geom.N, geom.g, geom.X
-    dTg = np.asarray(dTg, dtype=float)
-    dTX = np.asarray(dTX, dtype=float)
-    dTN = float(dTN)
-
-    ph = phat(geom, p, frame)
-    p0 = compute_p0(geom, p, frame, method="paper_primary")
-
-    Xhat = X / N
-    Xhat_p = Xp / N
-    Xhat2 = X2 / N**2
-    Xhat_p_dot = np.einsum("a,ab,...b->...", Xhat, dTg, p)
-    Xhat2_dot = float(Xhat @ dTg @ Xhat)
-    pp_dotg = np.einsum("...a,ab,...b->...", p, dTg, p)
-    aux = dTX - dTN * Xhat  # appears contracted against p and Xhat
-    p_aux = np.einsum("...a,ab,b->...", p, g, aux)
-    Xhat_aux = float(Xhat @ g @ aux)
-
-    dT_phat = (1.0 / (2.0 * ph)) * (
-        2.0 * tau**2 * Xhat_p**2
-        + 2.0 * tau**2 * Xhat_p * (Xhat_p_dot + p_aux / N)
-        - (1.0 + tau**2 * p2) * (Xhat2_dot + 2.0 * Xhat_aux / N)
-        + tau**2 * (1.0 - Xhat2) * (2.0 * p2 + pp_dotg)
-    )
-
-    dT_NX2 = -2.0 * N * dTN + float(X @ dTg @ X) + 2.0 * float((g @ X) @ dTX)
-    p_dTX = np.einsum("...a,ab,b->...", p, g, dTX)
-    Xp_dotg = np.einsum("a,ab,...b->...", X, dTg, p)
-    # derived by implicit differentiation of the mass-shell quadratic at
-    # fixed raw momentum; includes the metric-shift cross term
-    # 2 tau p0 <X, p>_dTg that a naive term collection drops
-    dT_p0 = 2.0 * p0 + (1.0 / (2.0 * N * ph)) * (
-        4.0 * p0**2 * (-(N**2) + X2)
-        + 6.0 * p0 * tau * Xp
-        + 2.0 * tau**2 * p2
-        + p0**2 * dT_NX2
-        + 2.0 * tau * p0 * p_dTX
-        + 2.0 * tau * p0 * Xp_dotg
-        + tau**2 * pp_dotg
-    )
-    return {"dT_phat": dT_phat, "dT_p0": dT_p0}

@@ -12,11 +12,11 @@ either
 * a :class:`ParticleEnsemble` — weighted momentum samples with fully
   general kernels,
 
-and provides the exact continuity system the moments satisfy, the
-reduced pressure-derivative formula used for cross-checking transport
-runs, the Cauchy-Schwarz moment bounds with explicit constants, and the
-fixed conversion table between the nondimensional moments and their raw
-counterparts.
+and provides the exact continuity system the moments satisfy (its
+right-hand side at the background feeds the ``background_check``
+scenario's vacuum check) and the Cauchy-Schwarz moment bounds with
+explicit constants.  :func:`eta_direct` evaluates ``eta`` with one
+combined kernel, the reference the moment tests compare against.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._quadrature import composite_gauss_legendre
-from ._rk4 import rk4_step
 from .geometry import LocalGeometry, TimeFrame
 from .massshell import compute_p0
 from .transport import ParticleEnsemble
@@ -41,11 +40,7 @@ __all__ = [
     "moments_from_distribution",
     "eta_direct",
     "continuity_rhs",
-    "continuity_step",
-    "pressure_time_derivative_reduced",
     "moment_bound_check",
-    "RESCALING_FACTORS",
-    "rescale_moment",
 ]
 
 
@@ -226,7 +221,6 @@ _GRADIENT_KEYS = ("X_grad_rho", "div_N2j", "X_grad_j", "gradX_j", "div_NT")
 
 def continuity_rhs(rho: float, j: np.ndarray, geom: LocalGeometry,
                    frame: TimeFrame, eta_under: float,
-                   T_under: Optional[np.ndarray] = None,
                    gradients: Optional[dict] = None) -> tuple:
     """Exact evolution system of the first two moments.
 
@@ -243,12 +237,12 @@ def continuity_rhs(rho: float, j: np.ndarray, geom: LocalGeometry,
     ``gradients`` (keys ``X_grad_rho, div_N2j, X_grad_j, gradX_j,
     div_NT``), otherwise an :class:`UnsupportedModeError` is raised.
     Homogeneous states (zero shift, zero lapse gradient) need no extras.
+    The stress is the isotropic ``T_under = (eta_under / 3) ginv``.
     """
     tau, s = frame.tau, frame.s
     g, N, X, Sigma = geom.g, geom.N, geom.X, geom.Sigma
     j = np.asarray(j, dtype=float)
-    if T_under is None:
-        T_under = (eta_under / 3.0) * geom.ginv
+    T_under = (eta_under / 3.0) * geom.ginv
     dN = geom.dN if geom.dN is not None else np.zeros(3)
     homogeneous = (float(np.max(np.abs(X))) == 0.0
                    and float(np.max(np.abs(dN))) == 0.0)
@@ -272,51 +266,6 @@ def continuity_rhs(rho: float, j: np.ndarray, geom: LocalGeometry,
     dj = ((5.0 / 3.0) * (3.0 - N) * j - X_grad_j - gradX_j + tau * div_NT
           - 2.0 * N * (Sigma_mixed @ j) - (rho / s) * (geom.ginv @ dN))
     return float(drho), dj
-
-
-def continuity_step(rho: float, j: np.ndarray, h: float, stages) -> tuple:
-    """One classical Runge-Kutta step of the homogeneous continuity system.
-
-    ``stages`` is a 3-tuple of ``(geom, frame, eta_under, T_under)``
-    evaluated at the step start, midpoint and end; the stress data acts
-    as external forcing fixed per stage.  Each stage must be homogeneous
-    (zero shift and lapse gradient): no gradient contractions are passed.
-    """
-    if len(stages) != 3:
-        raise ValueError("stages must hold (start, midpoint, end) data")
-
-    def rhs(t, y):
-        # stage times 0, h/2 and h select the start, midpoint and end data
-        k = 0 if t == 0.0 else 2 if t == h else 1
-        geom, frame, eta_u, T_u = stages[k]
-        return continuity_rhs(*y, geom, frame, eta_u, T_u)
-
-    rho_new, j_new = rk4_step(rhs, 0.0, (rho, np.asarray(j, dtype=float)), h)
-    return float(rho_new), j_new
-
-
-def pressure_time_derivative_reduced(f: RadialDistribution,
-                                     geom: LocalGeometry, frame: TimeFrame,
-                                     n_nodes: int = 64) -> float:
-    """Reduced closed form of ``d_T eta_under`` for homogeneous isotropic data.
-
-    With ``c = 1 - N/3`` and ``phat = sqrt(1 + tau^2 q^2)``::
-
-        d_T eta_under = 4 pi int f [ 5 c q^4 / phat
-                                     + (1 - c) tau^2 q^6 / phat^3 ] dq.
-
-    At the background lapse (``c = 0``) this reduces to the explicit
-    ``tau``-derivative of the static-profile quadrature.  Nonzero shift
-    falls outside the reduction and raises :class:`UnsupportedModeError`.
-    """
-    _require_isotropic(geom, "pressure_time_derivative_reduced")
-    tau = frame.tau
-    c = 1.0 - geom.N / 3.0
-    q, w = composite_gauss_legendre(0.0, f.qmax, n_nodes)
-    fv = f(q)
-    ph = np.sqrt(1.0 + tau**2 * q**2)
-    integrand = 5.0 * c * q**4 / ph + (1.0 - c) * tau**2 * q**6 / ph**3
-    return 4.0 * math.pi * float(np.sum(w * fv * integrand))
 
 
 # ---------------------------------------------------------------------------
@@ -371,34 +320,3 @@ def moment_bound_check(f: RadialDistribution, geom: LocalGeometry,
     report["within_design_regime"] = bool(ell >= 4)
     return report
 
-
-# ---------------------------------------------------------------------------
-# conversion table
-# ---------------------------------------------------------------------------
-
-# name -> (power of the scale factor s = |tau|, numerical prefactor) taking
-# the nondimensional moment to its raw counterpart.  The source-tensor row
-# applies to the trace-adjusted combination (stress minus half its metric
-# trace), and the stress row to contravariant components.
-RESCALING_FACTORS = {
-    "rho": (-3, 4.0 * math.pi),
-    "eta": (-3, 4.0 * math.pi),
-    "eta_under": (-5, 4.0 * math.pi),
-    "j": (-5, 8.0 * math.pi),
-    "S": (-1, 8.0 * math.pi),
-    "T_upper": (-7, 1.0),
-}
-
-
-def rescale_moment(name: str, value, frame: TimeFrame):
-    """Convert a nondimensional moment to its raw counterpart.
-
-    Applies the fixed power of the scale factor and prefactor from
-    :data:`RESCALING_FACTORS`.
-    """
-    if name not in RESCALING_FACTORS:
-        raise KeyError(f"unknown moment {name!r}; known: "
-                       f"{sorted(RESCALING_FACTORS)}")
-    power, pref = RESCALING_FACTORS[name]
-    return pref * frame.s**power * np.asarray(value, dtype=float) \
-        if np.ndim(value) else pref * frame.s**power * float(value)

@@ -6,6 +6,12 @@
   an option, and belongs in the body.
 * Every name in an ``__all__`` resolves, so a deletion cannot leave a
   stale export behind.
+* Every name in an ``__all__`` is loaded by code that runs: some module
+  of ``src``, ``demos``, ``bench`` or ``perfbench`` reads it as a name or
+  an attribute.  An ``__all__`` entry or a re-export in ``__init__.py``
+  is not a load.  The only exceptions are the reference implementations
+  in :data:`TEST_REFERENCES`, each kept for the test that compares
+  against it.
 * Every field of a public dataclass in ``src/milne_lab`` is read
   somewhere: its name appears as an attribute load or as a string
   constant (a ``getattr`` or key name) in the repository.
@@ -22,6 +28,14 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "milne_lab"
 CALLER_DIRS = ("src", "tests", "demos", "bench", "perfbench")
+USE_DIRS = ("src", "demos", "bench", "perfbench")  # what runs
+# exported names that only tests load, each with the test that compares
+# the code under test against it
+TEST_REFERENCES = {
+    "eta_direct": "tests/test_matter.py::TestMoments::"
+                  "test_eta_identity_against_direct_kernel",
+    "rk4_step": "tests/test_rk4.py::test_buffered_step_matches_rk4_step",
+}
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -114,6 +128,49 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names {missing}"
+
+
+def names_loaded():
+    """Names and attribute names loaded in the code that runs."""
+    names = set()
+    for folder in USE_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(),
+                                           filename=str(path))):
+                if (isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Load)):
+                    names.add(node.id)
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Load)):
+                    names.add(node.attr)
+    return names
+
+
+def test_every_export_is_loaded_by_code_that_runs():
+    exported = {(module, name) for module in exporting_modules()
+                for name in importlib.import_module(module).__all__}
+    loaded = names_loaded()
+    unused = sorted(f"{module}.{name}" for module, name in exported
+                    if name not in loaded and name not in TEST_REFERENCES)
+    assert not unused, (f"{len(unused)} exports only tests load: {unused}; "
+                        f"delete them, or add a reference implementation "
+                        f"to TEST_REFERENCES with the test that uses it")
+
+
+@pytest.mark.parametrize("name", sorted(TEST_REFERENCES))
+def test_test_references_are_exported_unused_and_tested(name):
+    exported = {n for module in exporting_modules()
+                for n in importlib.import_module(module).__all__}
+    assert name in exported, f"{name} is exported by no module"
+    assert name not in names_loaded(), f"{name} is loaded by code that runs"
+    path, test = TEST_REFERENCES[name].split("::", 1)
+    tree = ast.parse((ROOT / path).read_text())
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert set(test.split("::")) <= defined, TEST_REFERENCES[name]
+    assert name in {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}, (
+        f"{path} does not use {name}")
 
 
 def dataclass_fields():

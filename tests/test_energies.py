@@ -19,7 +19,6 @@ from milne_lab.energies import (
     decay_fit,
     inverse_weight_integral,
     monitors,
-    rho_energy,
     sasaki_energy,
     tail_convergence,
     total_energy,
@@ -439,18 +438,6 @@ class TestSasakiEnergyStack:
         assert_bitwise(got, want)
         empty = sasaki_energy([], None, ell=2, mu=4.0)
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
-
-
-class TestRhoEnergy:
-    def test_zero(self):
-        assert rho_energy(0.0, GEOM) == 0.0
-
-    def test_unit_cell_value(self):
-        assert rho_energy(2.0, scaled_geom(1.0)) == pytest.approx(2.0)
-
-    def test_metric_volume_scaling(self):
-        b = 1.44
-        assert rho_energy(1.0, scaled_geom(b)) == pytest.approx(b**1.5)
 
 
 class TestTotalEnergy:

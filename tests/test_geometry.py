@@ -12,9 +12,7 @@ from milne_lab.geometry import (
     christoffels_from_metric,
     correction_constants,
     make_time_frame,
-    rescale_state,
     rescaled_christoffels,
-    time_frame_from_tau,
 )
 
 CHART = BackgroundChart()
@@ -37,8 +35,7 @@ class TestTimeFrame:
 
     def test_round_trip_with_tau(self):
         fr = make_time_frame(-1.3, 2.7)
-        back = time_frame_from_tau(-1.3, fr.tau)
-        assert back.T == pytest.approx(2.7, abs=1e-14)
+        assert -math.log(fr.tau / fr.tau0) == pytest.approx(2.7, abs=1e-14)
 
     def test_rejects_positive_tau0(self):
         with pytest.raises(ValueError):
@@ -83,34 +80,6 @@ class TestBackgroundChart:
     def test_rejects_points_outside_ball(self):
         with pytest.raises(ValueError):
             CHART.metric(np.array([3.0, 0.0, 0.0]))
-
-
-class TestRescaling:
-    @given(T=st.floats(0.0, 8.0), tau0=st.floats(-3.0, -0.1))
-    @settings(max_examples=40, deadline=None)
-    def test_round_trip(self, T, tau0):
-        fr = make_time_frame(tau0, T)
-        state = (np.eye(3) * 1.3, np.eye(3) * 0.1, 2.5, np.ones(3) * 0.2,
-                 np.array([1.0, -2.0, 0.5]))
-        fwd = rescale_state(state, fr, "to_rescaled")
-        back = rescale_state(fwd, fr, "to_raw")
-        for a, b in zip(state, back):
-            assert np.allclose(a, b, rtol=1e-12)
-
-    def test_weights(self):
-        fr = make_time_frame(-1.0, math.log(2.0))  # tau = -1/2
-        g, Sigma, N, X, p = rescale_state(
-            (np.eye(3), np.eye(3), 1.0, np.ones(3), np.ones(3)),
-            fr, "to_rescaled")
-        assert np.allclose(g, 0.25 * np.eye(3))
-        assert np.allclose(Sigma, -0.5 * np.eye(3))
-        assert N == pytest.approx(0.25)
-        assert np.allclose(X, -0.5 * np.ones(3))
-        assert np.allclose(p, 4.0 * np.ones(3))
-
-    def test_unknown_direction(self):
-        with pytest.raises(ValueError):
-            rescale_state((None,) * 5, make_time_frame(-1.0, 0.0), "sideways")
 
 
 class TestConnectionBlocks:

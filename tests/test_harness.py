@@ -469,6 +469,18 @@ class TestCli:
         assert (out / "report.json").exists()
         assert (out / "background_check_log.csv").exists()
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_that_cannot_be_created_exits_2(self, out, tmp_path,
+                                                capsys, monkeypatch):
+        (tmp_path / "file").write_text("not a directory")
+        ran = []
+        monkeypatch.setattr(harness, "run_scenario", ran.append)
+        assert main(["background-check", "--out",
+                     str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert "[out]" in err and "Traceback" not in err
+        assert not ran  # rejected before the run
+
     def test_bad_thread_env_rejected(self, monkeypatch):
         monkeypatch.setenv("MILNE_LAB_THREADS", "many")
         with pytest.raises(ConfigError, match="MILNE_LAB_THREADS"):

@@ -10,8 +10,6 @@ from milne_lab.massshell import (
     mass_shell_residual,
     normalization_report,
     pointwise_estimates_check,
-    time_derivatives,
-    vertical_derivatives,
 )
 
 
@@ -96,62 +94,3 @@ class TestPointwiseEstimates:
             rep = pointwise_estimates_check(geom, rng.normal(
                 scale=3.0, size=(200, 3)), fr)
             assert rep["holds1"] and rep["holds2"]
-
-
-class TestDerivatives:
-    def fd_vertical(self, geom, p, fr, h=1e-6):
-        d_p0 = np.zeros(3)
-        d_kernel = np.zeros(3)
-
-        def kernel(pp):
-            p0 = compute_p0(geom, pp, fr, "paper_primary")
-            from milne_lab.massshell import phat
-            v = pp + (p0 / fr.tau) * geom.X
-            return float(v @ geom.g @ v) / float(phat(geom, pp, fr))
-
-        for e in range(3):
-            dp = np.zeros(3)
-            dp[e] = h
-            d_p0[e] = (compute_p0(geom, p + dp, fr, "paper_primary")
-                       - compute_p0(geom, p - dp, fr, "paper_primary")) / (2 * h)
-            d_kernel[e] = (kernel(p + dp) - kernel(p - dp)) / (2 * h)
-        return d_p0, d_kernel
-
-    def test_vertical_derivatives_match_finite_differences(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            geom = random_geometry(rng)
-            fr = make_time_frame(-1.0, rng.uniform(0.0, 3.0))
-            p = rng.normal(size=3)
-            out = vertical_derivatives(geom, p, fr)
-            fd_p0, fd_kernel = self.fd_vertical(geom, p, fr)
-            assert np.allclose(out["Be_p0"], fd_p0, atol=1e-8)
-            assert np.allclose(out["Be_eta_kernel"], fd_kernel, atol=1e-7)
-
-    def test_time_derivatives_match_finite_differences(self):
-        # vary (g, N, X, tau) along a smooth path at fixed raw momentum
-        rng = np.random.default_rng(29)
-        tau0 = -1.0
-        dTg = 0.1 * np.eye(3) + 0.03
-        dTN = -0.2
-        dTX = np.array([0.05, -0.02, 0.01])
-
-        def geom_at(T):
-            return LocalGeometry(
-                g=np.eye(3) + (T - 1.0) * dTg, Sigma=np.zeros((3, 3)),
-                N=3.0 + (T - 1.0) * dTN,
-                X=np.array([0.1, -0.15, 0.2]) + (T - 1.0) * dTX)
-
-        fr = make_time_frame(tau0, 1.0)
-        p = rng.normal(size=3)
-        p_raw = fr.tau**2 * p
-        out = time_derivatives(geom_at(1.0), p, fr, dTg, dTN, dTX)
-
-        h = 1e-6
-        vals = []
-        for T in (1.0 - h, 1.0 + h):
-            f = make_time_frame(tau0, T)
-            vals.append(compute_p0(geom_at(T), p_raw / f.tau**2, f,
-                                   "paper_primary"))
-        fd = (vals[1] - vals[0]) / (2 * h)
-        assert out["dT_p0"] == pytest.approx(fd, rel=1e-6)

@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from milne_lab._rk4 import rk4_step
 from milne_lab.geometry import LocalGeometry, background_geometry, make_time_frame
 from milne_lab.matter import (
-    RESCALING_FACTORS,
     RadialDistribution,
     UnsupportedModeError,
     continuity_rhs,
-    continuity_step,
     eta_direct,
     moment_bound_check,
     moments_from_distribution,
-    pressure_time_derivative_reduced,
-    rescale_moment,
 )
 from milne_lab.transport import ParticleEnsemble
 
@@ -176,40 +173,14 @@ class TestContinuity:
         geom = LocalGeometry(g=np.eye(3), Sigma=np.zeros((3, 3)), N=2.5,
                              X=np.zeros(3))
         h = 0.1
-        stages = [(geom, make_time_frame(-1.0, T), 0.0, None)
-                  for T in (0.0, h / 2, h)]
-        rho1, _ = continuity_step(1.0, np.zeros(3), h, stages)
+
+        def rhs(T, y):
+            return continuity_rhs(*y, geom, make_time_frame(-1.0, T), 0.0)
+
+        rho1, _ = rk4_step(rhs, 0.0, (1.0, np.zeros(3)), h)
         # classical fourth-order one-step error for rho' = 0.5 rho at h = 0.1
         # is (0.5 h)^5 / 120 ~ 2.6e-9
         assert rho1 == pytest.approx(math.exp(0.5 * h), abs=1e-8)
-
-
-class TestPressureDerivative:
-    def test_zero_distribution(self):
-        grid = np.linspace(0.0, 2.0, 50)
-        f = RadialDistribution(grid=grid, qmax=2.0, values=np.zeros(50))
-        assert pressure_time_derivative_reduced(
-            f, GEOM, make_time_frame(-1.0, 0.5)) == 0.0
-
-    def test_matches_finite_differences_at_background(self):
-        f = gaussian_bump()
-        h = 1e-5
-
-        def eta_at(T):
-            return moments_from_distribution(
-                f, GEOM, make_time_frame(-1.0, T), n_nodes=128).eta_under
-
-        fd = (eta_at(0.5 + h) - eta_at(0.5 - h)) / (2 * h)
-        red = pressure_time_derivative_reduced(
-            f, GEOM, make_time_frame(-1.0, 0.5), n_nodes=128)
-        assert red == pytest.approx(fd, abs=1e-6)
-
-    def test_shift_rejected(self):
-        geom = LocalGeometry(g=np.eye(3), Sigma=np.zeros((3, 3)), N=3.0,
-                             X=np.array([0.1, 0.0, 0.0]))
-        with pytest.raises(UnsupportedModeError):
-            pressure_time_derivative_reduced(gaussian_bump(), geom,
-                                             make_time_frame(-1.0, 0.0))
 
 
 class TestMomentBounds:
@@ -234,17 +205,3 @@ class TestMomentBounds:
                                  make_time_frame(-1.0, 0.0), ell=2)
         assert rep["all_hold"] and not rep["within_design_regime"]
 
-
-class TestConversionTable:
-    def test_density_factor(self):
-        fr = make_time_frame(-1.0, 1.0)
-        assert rescale_moment("rho", 1.0, fr) == pytest.approx(
-            4 * math.pi * fr.s**-3)
-
-    def test_all_rows_present(self):
-        assert set(RESCALING_FACTORS) == {"rho", "eta", "eta_under", "j",
-                                          "S", "T_upper"}
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(KeyError):
-            rescale_moment("pressure", 1.0, make_time_frame(-1.0, 0.0))
