@@ -194,13 +194,17 @@ def _not_a_knot_coefficients(x, y):
     np.multiply(3, b[:, 1:-1], out=b[:, 1:-1])
     A[1, :, 0] = dx[:, 1]
     A[0, :, 1] = x[:, 2] - x[:, 0]
+    # scipy squares the end steps as float64 scalars, through C pow, which
+    # can differ by an ulp from the exact square that ** 2 of an array is
+    first_sq, last_sq = (np.array([v**2 for v in dx[:, j].tolist()])
+                         for j in (0, -1))
     d = x[:, 2] - x[:, 0]
     b[:, 0] = ((dx[:, 0] + 2*d) * dx[:, 1] * slope[:, 0]
-               + dx[:, 0]**2 * slope[:, 1]) / d
+               + first_sq * slope[:, 1]) / d
     A[1, :, -1] = dx[:, -2]
     A[2, :, -2] = x[:, -1] - x[:, -3]
     d = x[:, -1] - x[:, -3]
-    b[:, -1] = ((dx[:, -1]**2*slope[:, -2]
+    b[:, -1] = ((last_sq*slope[:, -2]
                  + (2*d + dx[:, -1])*dx[:, -2]*slope[:, -1]) / d)
     s = _solve_tridiagonal_rows(A, b)
 

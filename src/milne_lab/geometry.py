@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
+    "BACKGROUND_LAPSE",
     "TimeFrame",
     "BackgroundChart",
     "LocalGeometry",

@@ -27,6 +27,7 @@ __all__ = [
     "SingularShiftError",
     "MomentumPoint",
     "compute_p0",
+    "mass_shell_residual",
     "phat",
     "pbar",
     "normalization_report",

@@ -30,8 +30,10 @@ Hot path.  The integrator runs ``mode="derived"`` on conformal fields
 ``(7, n)`` array of rows ``x0 x1 x2 p0 p1 p2 q0``, and at every RK4
 stage the provider's row fill (``conformal_rows``, set by
 :func:`background_fields` and :func:`manufactured_lapse_fields`) writes
-the field rows ``(N, dN, dTN, a, u)`` in place for the row kernels.  The
-``(n, 3)`` ``dN`` and ``conf_u`` of a provider's :class:`BatchFields`
+the field rows ``(N, dN, dTN, a, u)`` in place for the row kernels.
+That fill is a binder, the one row-fill protocol (see the comment above
+``_SCRATCH_ROWS``), and the provider's own ``(T, x)`` call runs it too.
+The ``(n, 3)`` ``dN`` and ``conf_u`` of a provider's :class:`BatchFields`
 are copies of these rows, because ``np.einsum("na,na->n")`` sums a
 strided operand in another order.
 
@@ -55,8 +57,9 @@ particles.
 Every row of the hot loop (state, stage, slope, field and scratch rows)
 starts on a 64-byte cache line: :func:`_rows` cuts each block at a line
 boundary and pads the row stride to whole lines.  ``np.empty`` makes no
-such promise: a ``(7, 25000)`` block typically starts 16 bytes past a
-line, and as 25 000 doubles fill whole lines, so does each of its rows.
+such promise: the ``(7, 8192)`` block of a full chunk typically starts
+16 bytes past a line, and as 8192 doubles fill whole lines, so does each
+of its rows; in a chunk of another size the rows drift across offsets.
 A misaligned row splits every AVX-512 load and store across two lines;
 a 25 000-element ``np.multiply`` took 7.6-7.8 us with aligned operands
 against 15-17 us at offsets of 8 to 32 bytes (median of 2000 calls,
@@ -169,25 +172,21 @@ class BatchFields:
         return self
 
 
-# Row form of conformal fields: the tuple of row views ``(N, dN, dTN, a,
-# u)`` with ``dN (3, n)`` the lapse gradient, ``a`` the conformal factor
-# and ``u (3, n) = grad ln a``.  A row-form fill ``fill(T, x, F, W)``
-# writes them for the position rows ``x (3, n)`` into ``F``, using the
-# scratch rows ``W (_SCRATCH_ROWS, n)``.  The views lie in one ``(9, n)``
-# field block laid out ``N dTN a | dN u`` (:func:`_field_views`), so the
-# rows that take the same factor are adjacent.  A fill may carry
-# ``bind(F, W)``, which returns ``(retime, at)`` for the field block
-# ``F``: ``retime(T)`` sets the time and ``at(x)`` returns the fill of the
-# position rows ``x`` at that time, a function of no arguments, with
-# every row view it needs built once (:func:`_bind_fill`).  A wrapper
-# that copies the attributes of the fill it wraps (``functools.wraps``)
-# must not copy ``bind``, or the integrator bypasses the wrapper.
+# Row form of conformal fields: one ``(9, n)`` field block ``F`` laid out
+# ``N dTN a | dN u``, with ``dN (3, n)`` the lapse gradient, ``a`` the
+# conformal factor and ``u (3, n) = grad ln a``, so the rows that take the
+# same factor are adjacent.  A provider's row fill ``conformal_rows(F,
+# W)``, with the scratch rows ``W (_SCRATCH_ROWS, n)``, is a binder that
+# returns ``(retime, at)``: ``retime(T)`` sets the time, and ``at(x)`` the
+# fill of ``F`` at the position rows ``x (3, n)`` and the time last set, a
+# function of no arguments with every row view it needs built once.  The
+# integrator (:class:`_Flow`) and :func:`_conformal_batch` both run it.
 _SCRATCH_ROWS = 10
 
 
 class _RowProvider(Protocol):
     """A field provider that carries its row fill as ``conformal_rows``."""
-    conformal_rows: Callable[[float, np.ndarray, tuple, np.ndarray], None]
+    conformal_rows: Callable[[np.ndarray, np.ndarray], tuple]
 
     def __call__(self, T: float, x: np.ndarray) -> BatchFields: ...
 
@@ -204,11 +203,6 @@ def _rows(m: int, n: int) -> np.ndarray:
     return raw[skip:skip + m * stride].reshape(m, stride)[:, :n]
 
 
-def _field_views(F: np.ndarray) -> tuple:
-    """Row views ``(N, dN, dTN, a, u)`` of a field block ``N dTN a | dN u``."""
-    return F[0], F[3:6], F[1], F[2], F[6:9]
-
-
 def _scalar(value: float) -> np.ndarray:
     """A read-only 0-d array: a ufunc takes it as an operand about 0.2 us
     faster than the Python float, which it converts on every call."""
@@ -220,23 +214,6 @@ def _scalar(value: float) -> np.ndarray:
 _multiply, _add, _subtract, _divide, _exp = (
     np.multiply, np.add, np.subtract, np.divide, np.exp)
 _TWO, _TWO_THIRDS, _HALF = map(_scalar, (2.0, 2.0 / 3.0, 0.5))
-
-
-def _bind_fill(fill, F: np.ndarray, W: np.ndarray) -> tuple:
-    """``(retime, at)`` of the row fill ``fill`` over the field block ``F``
-    and the scratch ``W``: its own ``bind``, or for a plain fill one that
-    calls it with the field views at the last time set."""
-    bind = getattr(fill, "bind", None)
-    if bind is not None:
-        return bind(F, W)
-    views, now = _field_views(F), [0.0]
-
-    def retime(T: float) -> None:
-        now[0] = T
-
-    def at(x: np.ndarray) -> Callable[[], None]:
-        return lambda: fill(now[0], x, views, W)
-    return retime, at
 
 
 def _dot3(a: np.ndarray, b: np.ndarray, out: np.ndarray,
@@ -254,11 +231,13 @@ def _dot3(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     return out
 
 
-def _conformal_batch(fill, T: float, x: np.ndarray) -> BatchFields:
-    """:class:`BatchFields` of a row-form fill at the positions ``x (n, 3)``."""
+def _conformal_batch(bind, T: float, x: np.ndarray) -> BatchFields:
+    """:class:`BatchFields` of the row fill ``bind`` at ``x (n, 3)``."""
     n = x.shape[0]
-    N, dN, dTN, a, u = F = _field_views(_rows(9, n))
-    fill(T, np.ascontiguousarray(x.T), F, _rows(_SCRATCH_ROWS, n))
+    F = _rows(9, n)
+    retime, at = bind(F, _rows(_SCRATCH_ROWS, n))
+    retime(T)
+    at(np.ascontiguousarray(x.T))()
     vector = np.broadcast_to(0.0, (n, 3))
     matrix = np.broadcast_to(0.0, (n, 3, 3))
     # dN and conf_u are C-contiguous copies, not views of their rows:
@@ -266,15 +245,17 @@ def _conformal_batch(fill, T: float, x: np.ndarray) -> BatchFields:
     # different order, which would change the sums of the dense formulas
     return BatchFields(
         g=None, dg=None, dTg=None,  # dense blocks via materialize()
-        N=N, dN=dN.T.copy(), dTN=dTN,
+        N=F[0], dN=F[3:6].T.copy(), dTN=F[1],
         X=vector, dX=matrix, Sigma=matrix, dTX=vector,
-        conf_a=a, conf_u=u.T.copy())
+        conf_a=F[2], conf_u=F[6:9].T.copy())
 
 
-def _background_rows(T: float, x: np.ndarray, F: tuple,
-                     W: np.ndarray) -> None:
-    for row, value in zip(F, (BACKGROUND_LAPSE, 0.0, 0.0, 1.0, 0.0)):
-        row.fill(value)
+def _background_rows(F: np.ndarray, W: np.ndarray) -> tuple:
+    # the rows are constant, so they are written once, here
+    F.fill(0.0)
+    F[0] = BACKGROUND_LAPSE
+    F[2] = 1.0
+    return (lambda T: None), (lambda x: lambda: None)
 
 
 def background_fields(T: float, x: np.ndarray) -> BatchFields:
@@ -352,22 +333,10 @@ def manufactured_lapse_fields(eps: float) -> _RowProvider:
             return fill
         return retime, at
 
-    def rows(T: float, x: np.ndarray, F: tuple, W: np.ndarray) -> None:
-        # the fill through a field block of its own, copied out, so that
-        # any view tuple F gets the bits of the bound fill
-        block = _rows(9, x.shape[1])
-        retime, at = bind(block, W)
-        retime(T)
-        at(x)()
-        for view, row in zip(F, _field_views(block)):
-            view[...] = row
-
-    rows.bind = bind
-
     def provider(T: float, x: np.ndarray) -> BatchFields:
-        return _conformal_batch(rows, T, x)
+        return _conformal_batch(bind, T, x)
 
-    provider.conformal_rows = rows
+    provider.conformal_rows = bind
     grad_sup = math.exp(0.5)
     size = abs(eps)  # the bounds hold for either sign of eps
     # the conformal factor is bounded below by exp(-2 |eps| / 3), which
@@ -501,34 +470,31 @@ def _bind_rhs(fill: Callable[[], None], y: np.ndarray, k: np.ndarray,
     return rhs
 
 
+def _support_rows(F: np.ndarray, p: np.ndarray, out: np.ndarray,
+                  W: np.ndarray) -> np.ndarray:
+    """Squared momentum norm ``|p|^2_g = a |p|^2``, leaving ``|p|^2`` in
+    the scratch row ``W[0]``."""
+    _dot3(p, p, W[0], W[7:10])
+    return np.multiply(W[0], F[2], out=out)
+
+
 def _p0_rows(tau: float, F: np.ndarray, p: np.ndarray, out: np.ndarray,
              W: np.ndarray) -> np.ndarray:
     """On-shell time component ``sqrt(1 + tau^2 a |p|^2) / N``."""
-    N, a = F[0], F[2]
-    _dot3(p, p, out, W[7:10])
-    out *= a
+    _support_rows(F, p, out, W)
     out *= tau**2
     out += 1.0
     np.sqrt(out, out=out)
-    out /= N
+    out /= F[0]
     return out
 
 
-def _support_rows(F: np.ndarray, p: np.ndarray, out: np.ndarray,
-                  W: np.ndarray) -> np.ndarray:
-    """Squared momentum norm ``|p|^2_g = a |p|^2``."""
-    _dot3(p, p, out, W[7:10])
-    out *= F[2]
-    return out
-
-
-def _residual_rows(tau: float, F: np.ndarray, p: np.ndarray,
-                   q0: np.ndarray, out: np.ndarray,
-                   W: np.ndarray) -> np.ndarray:
-    """Mass-shell residual ``1 + tau^2 a |p|^2 - (N q0)^2`` of ``q0``."""
+def _residual_rows(tau: float, F: np.ndarray, q0: np.ndarray,
+                   out: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Mass-shell residual ``1 + tau^2 a |p|^2 - (N q0)^2`` of ``q0``, with
+    ``|p|^2`` read from ``W[0]``, where :func:`_support_rows` leaves it."""
     N, a = F[0], F[2]
     p2, term = W[0], W[1]
-    _dot3(p, p, p2, W[7:10])
     np.multiply(a, tau**2, out=term)
     term *= p2
     np.multiply(N, q0, out=out)
@@ -733,11 +699,11 @@ class _Flow:
     changes (the two half-step stages share theirs).
     """
 
-    def __init__(self, fill, tau0: float, size: int):
+    def __init__(self, bind, tau0: float, size: int):
         self.tau0 = tau0
         self.F = _rows(9, size)
         self.W = _rows(_SCRATCH_ROWS, size)
-        self._retime, self._at = _bind_fill(fill, self.F, self.W)
+        self._retime, self._at = bind(self.F, self.W)
         self.T = None
         self.tau = tuple(np.zeros(()) for _ in range(4))
         # bindings keyed by the ids of the arrays they hold, which keeps
@@ -781,8 +747,7 @@ class _Flow:
         self._time(T)
         self._fill(y)()
         _support_rows(self.F, y[3:6], G, self.W)
-        _residual_rows(float(self.tau[0]), self.F, y[3:6], y[6], residual,
-                       self.W)
+        _residual_rows(float(self.tau[0]), self.F, y[6], residual, self.W)
 
 
 def _count(name: str, value) -> None:
@@ -828,8 +793,8 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
     passes a NaN through), so the summary fields equal those of the full
     log bit for bit.
     """
-    fill = getattr(fields, "conformal_rows", None)
-    if fill is None:
+    bind = getattr(fields, "conformal_rows", None)
+    if bind is None:
         raise TypeError("integrate_characteristics needs a provider with a "
                         "row fill (conformal_rows), such as background_fields")
     if mode != "derived":
@@ -871,7 +836,7 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
 
     def run_chunk(i: int) -> None:
         lo, hi = chunks[i]
-        flow = _Flow(fill, tau0, hi - lo)
+        flow = _Flow(bind, tau0, hi - lo)
         # packed state: rows x0 x1 x2 p0 p1 p2 q0; the RK4 step's output
         # and scratch have its layout
         y, spare, k, acc = (_rows(7, hi - lo) for _ in range(4))

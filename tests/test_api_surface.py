@@ -6,6 +6,8 @@
   an option, and belongs in the body.
 * Every name in an ``__all__`` resolves, so a deletion cannot leave a
   stale export behind.
+* Every name that ``__init__.py`` re-exports from a module of the
+  package is in that module's ``__all__``.
 * Every name in an ``__all__`` is loaded by code that runs: some module
   of ``src``, ``demos``, ``bench`` or ``perfbench`` reads it as a name or
   an attribute.  An ``__all__`` entry or a re-export in ``__init__.py``
@@ -128,6 +130,22 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names {missing}"
+
+
+def init_reexports():
+    """``(module, name)`` for each name ``__init__.py`` imports from a
+    module of the package."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                yield f"milne_lab.{node.module}", alias.name
+
+
+def test_every_reexport_is_in_its_modules_all():
+    missing = sorted(f"{module}.{name}" for module, name in init_reexports()
+                     if name not in importlib.import_module(module).__all__)
+    assert not missing, f"re-exports missing from __all__: {missing}"
 
 
 def names_loaded():

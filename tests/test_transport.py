@@ -134,12 +134,36 @@ def dense_provider(eps):
     return provider
 
 
-def row_provider(fill):
-    """The provider of the row fill ``fill``."""
+def hooked_provider(hook, eps=EPS):
+    """Manufactured fields whose row fill runs ``hook(T, x, F, W)`` after
+    it, with the time, the position rows, the field block and the scratch."""
+    bind = manufactured_lapse_fields(eps).conformal_rows
+
+    def hooked(F, W):
+        retime, at = bind(F, W)
+        now = [0.0]
+
+        def hooked_retime(T):
+            now[0] = T
+            retime(T)
+
+        def hooked_at(x):
+            fill = at(x)
+
+            def hooked_fill():
+                fill()
+                hook(now[0], x, F, W)
+            return hooked_fill
+        return hooked_retime, hooked_at
+
     def provider(T, x):
-        return transport._conformal_batch(fill, T, x)
-    provider.conformal_rows = fill
+        return transport._conformal_batch(hooked, T, x)
+    provider.conformal_rows = hooked
     return provider
+
+
+def nan_front(T, x, F, W):
+    F[3:6, x[0] > 1.15 - T / 2] = np.nan  # the dN rows
 
 
 def nan_front_provider():
@@ -147,12 +171,7 @@ def nan_front_provider():
 
     Every particle the front overtakes gets flagged.
     """
-    rows = manufactured_lapse_fields(EPS).conformal_rows
-
-    def fill(T, x, F, W):
-        rows(T, x, F, W)
-        F[1][:, x[0] > 1.15 - T / 2] = np.nan  # the dN rows
-    return row_provider(fill)
+    return hooked_provider(nan_front)
 
 
 class TestPaperForm:
@@ -221,17 +240,22 @@ class TestIntegration:
         assert np.allclose(log.total_weight, 1.0, rtol=1e-14)
         assert fin.total_weight() == pytest.approx(1.0)
 
-    def test_thread_count_does_not_change_results(self):
+    def test_thread_count_does_not_change_results(self, forks, monkeypatch):
+        monkeypatch.setattr(transport, "_CHUNK", 8)  # four chunks
         log1, _ = run(manufactured_lapse_fields(EPS), n=32, span=1.0)
         log4, _ = run(manufactured_lapse_fields(EPS), n=32, span=1.0,
                       threads=4)
+        assert len(forks) == 3
         assert np.array_equal(log1.p, log4.p)
         assert np.array_equal(log1.calG, log4.calG)
 
-    def test_flagged_particles_freeze_independently_of_threads(self):
+    def test_flagged_particles_freeze_independently_of_threads(
+            self, forks, monkeypatch):
+        monkeypatch.setattr(transport, "_CHUNK", 16)  # four chunks
         provider = nan_front_provider()
         log1, fin1 = run(provider, n=64, span=0.5, log_every=10)
         log2, fin2 = run(provider, n=64, span=0.5, log_every=10, threads=2)
+        assert len(forks) == 1
         assert int(np.sum(log1.flagged)) == 15
         for key in ("x", "p", "p0", "massshell_residual", "G", "calG",
                     "flagged"):
@@ -468,12 +492,9 @@ def nan_residual_provider():
     A particle the front overtakes gets flagged, and its frozen state has
     a NaN mass-shell residual from then on.
     """
-    rows = manufactured_lapse_fields(EPS).conformal_rows
-
-    def fill(T, x, F, W):
-        rows(T, x, F, W)
+    def nan_lapse(T, x, F, W):
         F[0][x[0] > 1.15 - T / 2] = np.nan  # the N row
-    return row_provider(fill)
+    return hooked_provider(nan_lapse)
 
 
 SUMMARY_PROVIDERS = {
@@ -696,28 +717,27 @@ class TestRowAlignment:
     def test_provider_rows_start_on_cache_lines(self, n):
         # the dense formula reference reads its lapse and conformal rows
         # from the same aligned fill the integrator runs on
-        rows, calls = manufactured_lapse_fields(0.3).conformal_rows, []
+        calls = []
 
         def checked_fill(T, x, F, W):
             assert_starts_on_lines(*F, W)
             calls.append(x.shape)
-            rows(T, x, F, W)
 
         ens = sample_ensemble(n, seed=4)
-        f = row_provider(checked_fill)(0.3, ens.x)
+        f = hooked_provider(checked_fill, 0.3)(0.3, ens.x)
         assert calls == [(3, n)]
         assert_starts_on_lines(f.N, f.dTN, f.conf_a)
 
 
-def unbound_run(fill, ens, steps, h):
+def unbound_run(bind, ens, steps, h):
     """Full-log rows ``(x, p, p0)`` of the integrator's RK4 steps, with
     every right-hand side evaluated by a new flow: nothing is bound
     before the call that uses it."""
     def rhs(T, y, k):
-        transport._Flow(fill, -1.0, ens.size).rhs(T, y, k)
+        transport._Flow(bind, -1.0, ens.size).rhs(T, y, k)
 
     y = np.concatenate([ens.x.T, ens.p.T, np.zeros((1, ens.size))])
-    transport._Flow(fill, -1.0, ens.size).p0(0.0, y, y[6])
+    transport._Flow(bind, -1.0, ens.size).p0(0.0, y, y[6])
     rows = [y.copy()]
     for step in range(steps):
         y = rk4_step_into(rhs, step * h, y, h, *(np.empty_like(y)
@@ -728,7 +748,7 @@ def unbound_run(fill, ens, steps, h):
 
 class TestBoundKernels:
     """Kernels and fills bound once per chunk give the bits of ones bound
-    anew for every call, and of the plain row-fill protocol."""
+    anew for every call."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("steps", [5, 6])
@@ -748,40 +768,6 @@ class TestBoundKernels:
         assert same_bits(log.p0, want[:, 6])
         assert same_bits(fin.x, want[-1, 0:3].T.copy())
         assert same_bits(fin.p, want[-1, 3:6].T.copy())
-
-    @pytest.mark.parametrize("n", [1, 7, 8, 1001])
-    def test_plain_fill_equals_the_bound_fill(self, n):
-        rows = manufactured_lapse_fields(0.3).conformal_rows
-
-        def plain(T, x, F, W):  # no bind: the generic binding calls it
-            rows(T, x, F, W)
-
-        x = np.ascontiguousarray(sample_ensemble(n, seed=14).x.T)
-        filled = {}
-        for fill in (rows, plain):
-            F = transport._rows(9, n)
-            retime, at = transport._bind_fill(
-                fill, F, transport._rows(transport._SCRATCH_ROWS, n))
-            bound = at(x)
-            for T in (0.0, 0.37, 2.5):
-                retime(T)
-                bound()
-                filled[fill, T] = F.copy()
-        for T in (0.0, 0.37, 2.5):
-            assert same_bits(filled[plain, T], filled[rows, T]), T
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_plain_fill_runs_to_the_bits_of_the_provider(self, threads,
-                                                         monkeypatch):
-        monkeypatch.setattr(transport, "_CHUNK", 7)
-        provider = manufactured_lapse_fields(0.3)
-        rows = provider.conformal_rows
-        kw = dict(n=20, span=0.2, h=1e-2, log_every=5, threads=threads)
-        log, fin = run(provider, **kw)
-        log_plain, fin_plain = run(row_provider(
-            lambda T, x, F, W: rows(T, x, F, W)), **kw)
-        assert_same_log(log_plain, log)
-        assert same_bits(fin_plain.x, fin.x) and same_bits(fin_plain.p, fin.p)
 
     @pytest.mark.parametrize("padded", [True, False])
     @pytest.mark.parametrize("offset", [0, 8, 16, 24, 32, 40, 48, 56])
@@ -879,17 +865,14 @@ class TestForkedWorkers:
         # the child's share and raises it itself; a raise in the parent's
         # own share kills the child
         monkeypatch.setattr(transport, "_CHUNK", 7)
-        rows = manufactured_lapse_fields(EPS).conformal_rows
-
         def fill(T, x, F, W):
             if np.any(x[0] > 2.5):
                 raise Boom("a marked particle")
-            rows(T, x, F, W)
 
         ens = sample_ensemble(40)
         ens.x[30 if share == "child" else 5, 0] = 3.0  # shares [0, 20), [20, 40)
         with pytest.raises(Boom):
-            integrate_characteristics(ens, row_provider(fill),
+            integrate_characteristics(ens, hooked_provider(fill),
                                       make_time_frame(-1.0, 0.0), 0.5, 1e-2,
                                       threads=2)
         assert len(forks) == 1
@@ -901,16 +884,16 @@ class TestForkedWorkers:
         # flagged particles 31 (T < 0.1) and 38 (T < 0.4) of its share,
         # and the rerun must not freeze 38 early from a stale flag
         monkeypatch.setattr(transport, "_CHUNK", 20)
-        rows, parent = nan_front_provider().conformal_rows, os.getpid()
+        parent = os.getpid()
 
         def fill(T, x, F, W):
             if T > 0.4 and os.getpid() != parent:
                 os._exit(3)
-            rows(T, x, F, W)
+            nan_front(T, x, F, W)
 
         kw = dict(n=40, span=0.5, h=1e-2, log_every=5)
         log, fin = run(nan_front_provider(), **kw)
-        log_2, fin_2 = run(row_provider(fill), threads=2, **kw)
+        log_2, fin_2 = run(hooked_provider(fill), threads=2, **kw)
         assert len(forks) == 1
         assert_no_child_left()
         assert np.flatnonzero(log.flagged[20:]).tolist() == [11, 18]
