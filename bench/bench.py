@@ -1,62 +1,58 @@
 """Particle scaling of transport and the cost of the full_report layers.
 
-The ``transport_scaling`` section times
+Every timed figure comes from one method, :func:`probed_walls`: a probe
+process runs a fixed kernel of ``perfbench/calibrate.py`` (``solver``,
+or ``wide`` for ``characteristics`` and the transport rows) before the
+first of ``WALL_REPEATS`` calls and for ``KERNEL_SHARE`` of each call's
+wall after it.  A figure is given raw, its median over the calls, and
+scaled, its mean times the kernel's reference time over the mean kernel
+time around the calls, as ``perfbench/run.py`` scales ``wall_s``, so
+two trees timed minutes apart compare.  A per-layer figure comes from
+:func:`per_unit`: each call runs a short and a long job back to back,
+so drift hits both alike and what they share cancels, and the figure is
+``(wall(long) - wall(short)) / units`` (``wall(long) / units`` for a
+figure with no short job).  It is written as ``<key>`` (raw),
+``scaled_<key>`` (scaled) and ``<key>_runs`` (each call's).
+
+The ``report`` section times ``full_report`` at its defaults and these
+layers of it: one 64-row block flush of its homogeneous log points,
+timed inside the run (``flush_ms``); the homogeneous closure per call
+(a bare loop over ``homogeneous._closure_nodes``); the homogeneous RK4
+step (a run of 2 n steps against one of n) and log point (every
+``logEvery`` steps against the two ends); ``sasaki_energy`` per
+distribution (one call each, and one call on a stack of 64); and the
+mode sector with its cost per mode step (twice the sector's steps
+against the sector), next to the run's constraint and continuity
+defects.  The ``scenarios`` section times each scenario at its defaults.
+The ``transport_scaling`` section gives ns per particle-step of
 ``transport.integrate_characteristics`` (derived mode, manufactured
 lapse with eps = 1e-3, h = 1e-3, tau0 = -1) at 10^3, 10^4 and 10^5
-particles on a budget of one and two workers (``threads``), and writes a
-JSON table of ns per particle-step, raw (median of ``WALL_REPEATS``
-runs) and scaled to one machine speed by the ``wide`` probe (see below),
-with the largest mass-shell residual of each run next to it, so a
-speedup that costs accuracy shows in the same row.  Its
-``fixed_us_per_step`` entry is the cost of a step that does not grow
-with the particles: a 1-particle run at 2500 and at 5000 steps, the
-difference of their times over 2500, median of ``WALL_REPEATS``
-back-to-back pairs, and their mean scaled by the ``solver`` probe.  Each
-row also gives the peak RSS of one more such run in a fresh process, of
-the process itself and of its largest forked worker, so memory that
-moves into workers shows in the same row.  Its ``row_alignment`` entry
-compares the CPU time of one chunk of ``transport._CHUNK`` particles
-over 40 steps on one thread with its rows on cache lines and with the
-same rows 16 bytes past them (alternating in-process pairs), so a buffer
-that loses its alignment shows.  The ``report`` section times
-``full_report`` at its defaults, one 64-row block flush of its
-homogeneous log points inside the run (``flush_ms``), the homogeneous
-closure per call, the homogeneous RK4 step and log point (medians of
-back-to-back run pairs), ``sasaki_energy`` per distribution (one call
-each, and one call on a stack of 64), and the report's mode sector with
-its cost per mode step (median of back-to-back pairs at the sector's
-step count and twice it), next to the run's constraint and continuity
-defects.  The ``scenarios`` section times each scenario at its defaults
-(ten warm runs).  The ``full_report`` walls, ``flush_ms`` and the
-scenario walls are also given scaled to one machine speed, as
-``perfbench/run.py`` scales ``wall_s``: a probe process runs a fixed
-kernel of ``perfbench/calibrate.py`` (``solver``, or ``wide`` for
-``characteristics`` and the transport rows) before the first run and
-after each, and the mean figure times the kernel's reference time over
-the mean kernel time around the runs, so two trees timed minutes apart
-compare.  The ``accuracy`` section gives the observed order of classical
-Runge-Kutta under step halving (``log2`` of successive max-norm
-differences at h, h/2, h/4) for one fixed configuration of each
-``TestConvergenceOrder``: final transport ``x`` and ``p``, homogeneous
-``b_ode`` and ``rho_cont``, and a mode's ``u`` and ``w``, so a speedup
-that costs accuracy shows in the same file.  The ``memory`` section
-records the ``tracemalloc`` peaks of one ``characteristics`` run at the
-``chars_wide`` size and of one ``full_report`` run at its defaults,
-measured apart from the timed runs.  ``source_lines`` counts the
-non-blank, non-comment lines of the package, and
-``source_lines_by_module`` splits them per module.
+particles on a budget of one and two workers, with the largest
+mass-shell residual of each run, so a speedup that costs accuracy shows
+in the same row, and the peak RSS of one more run in a fresh process
+(its own and its largest forked worker's); its ``fixed_us_per_step``
+is the cost of a step that does not grow with the particles (a
+1-particle run at 5000 against 2500 steps).  The ``accuracy`` section
+gives the observed order of classical Runge-Kutta under step halving
+(``log2`` of successive max-norm differences at h, h/2, h/4) for one
+fixed configuration of each ``TestConvergenceOrder``.  The ``memory``
+section records the ``tracemalloc`` peaks of one ``characteristics``
+run at the ``chars_wide`` size and of one ``full_report`` run, apart
+from the timed runs.  Each record names the tree it timed by
+``git_sha`` and by ``src_sha256``, a digest of the package files that a
+``git archive`` copy keeps too; ``source_lines`` counts the non-blank,
+non-comment lines of the package, per module in
+``source_lines_by_module``.
 
 The sections run in the order ``report``, ``scenarios``, ``accuracy``,
 ``transport_scaling``, ``memory``, each section's seconds recorded in
-``section_seconds``; on a 2-vCPU VM they took about 18, 45, 0.1, 95 and
-6 s.  ``report`` and ``scenarios`` come before the 10^5-particle runs:
+``section_seconds``; on a 2-vCPU VM they took about 30, 35, 0.1, 75 and
+4 s.  ``report`` and ``scenarios`` come before the 10^5-particle runs:
 the large buffers those free raise glibc's mmap and trim thresholds for
 the rest of the process, after which a ``full_report`` no longer pays
-the page faults a fresh process pays for its temporaries (at the
-parent of the change that added ``flush_ms``, a flush read 5.75 ms
-scaled with ``report`` first, ``before`` in ``BENCH_16.json``, and 3.38
-ms after the transport runs).  Standard library plus numpy (and scipy
-in the probe process); about 3 minutes in all::
+the page faults a fresh process pays for its temporaries.  Standard
+library plus numpy (and scipy in the probe process); about 2.5 minutes
+in all::
 
     python bench/bench.py --src PARENT_CHECKOUT/src --out before.json
     python bench/bench.py --before before.json --out BENCH_<n>.json
@@ -72,7 +68,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -87,17 +85,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # (particles, steps): about 10^6-10^7 particle-steps per run
 SIZES = ((1_000, 1_000), (10_000, 200), (100_000, 50))
 THREADS = (1, 2)
-REPEATS = 3
 FIXED_STEPS = 2500  # a 1-particle run at this many steps and twice as many
-# probed runs of each full_report and scenario wall: over four alternating
-# pairs of fresh processes the scaled full_report walls of ten runs kept
-# the two trees of a 10 % gain apart, those of three runs did not
+# probed calls of each figure: over four alternating pairs of fresh
+# processes the scaled full_report walls of ten runs kept the two trees of
+# a 10 % gain apart, those of three runs did not
 WALL_REPEATS = 10
-ALIGN_PAIRS = 12  # alternating (aligned, offset rows) chunk run pairs
-ALIGN_STEPS = 40
-LOG_POINT_PAIRS = 7  # interleaved (every logEvery, two ends) run pairs
-STEP_PAIRS = 7  # interleaved (n, 2 n steps, two log points each) run pairs
-MODE_PAIRS = 7  # interleaved (n, 2 n steps) mode sector pairs
 ENERGY_ROWS = 64  # the log-point block of homogeneous.evolve_homogeneous
 H = 1e-3
 EPS = 1e-3
@@ -116,6 +108,16 @@ def source_lines_by_module(src: Path) -> dict:
             1 for line in path.read_text().splitlines()
             if line.strip() and not line.strip().startswith("#"))
     return counts
+
+
+def src_sha256(src: Path) -> str:
+    """SHA-256 over the sorted names and bytes of ``milne_lab/*.py``."""
+    digest = hashlib.sha256()
+    for path in sorted((src / "milne_lab").glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def git_sha(src: Path) -> str:
@@ -139,10 +141,9 @@ def git_dirty(src: Path):
     return bool(out.stdout.strip())
 
 
-def run_once(transport, frame0, n: int, steps: int, threads: int,
-             clock=time.perf_counter) -> tuple:
-    """Time on ``clock`` and largest |mass-shell residual| at the logged
-    times."""
+def run_once(transport, frame0, n: int, steps: int, threads: int) -> tuple:
+    """Wall time of the integration and largest |mass-shell residual| at
+    the logged times."""
     import numpy as np
 
     rng = np.random.default_rng(0)
@@ -151,11 +152,11 @@ def run_once(transport, frame0, n: int, steps: int, threads: int,
         p=rng.normal(scale=0.7, size=(n, 3)),
         weights=np.full(n, 1.0 / n))
     provider = transport.manufactured_lapse_fields(EPS)
-    t0 = clock()
+    t0 = time.perf_counter()
     log, _ = transport.integrate_characteristics(
         ens, provider, frame0, frame0.T + steps * H, H, mode="derived",
         log_every=max(1, steps // 10), threads=threads)
-    elapsed = clock() - t0
+    elapsed = time.perf_counter() - t0
     return elapsed, float(np.max(np.abs(log.massshell_residual)))
 
 
@@ -195,45 +196,6 @@ def peak_rss(transport, n: int, steps: int, threads: int) -> dict:
             "workers_peak_rss_mb": round(workers, 1)}
 
 
-def row_alignment(transport, frame0):
-    """CPU time of one chunk with its rows on cache lines over the same
-    chunk with every block 16 bytes past a line, in alternating pairs;
-    ``None`` for a tree that does not allocate through ``_rows``."""
-    aligned = getattr(transport, "_rows", None)
-    if aligned is None:
-        return None
-    chunk = transport._CHUNK
-
-    def offset(m, n):  # aligned rows with their first 2 doubles cut off
-        return aligned(m, n + 2)[:, 2:]
-
-    def cpu(rows):
-        transport._rows = rows
-        try:
-            return run_once(transport, frame0, chunk, ALIGN_STEPS, 1,
-                            clock=time.process_time)[0]
-        finally:
-            transport._rows = aligned
-
-    ratios = []
-    for i in range(ALIGN_PAIRS):
-        order = (aligned, offset) if i % 2 == 0 else (offset, aligned)
-        cpu_s = {rows: cpu(rows) for rows in order}
-        ratios.append(cpu_s[aligned] / cpu_s[offset])
-    entry = {
-        "particles": chunk, "steps": ALIGN_STEPS, "threads": 1,
-        "statistic": f"process_time ratio aligned / 16-byte offset rows, "
-                     f"{ALIGN_PAIRS} alternating in-process pairs",
-        "median_ratio": round(statistics.median(ratios), 3),
-        "aligned_wins": sum(r < 1.0 for r in ratios),
-        "ratios": [round(r, 3) for r in ratios],
-    }
-    print(f"row alignment: aligned / offset CPU time "
-          f"{entry['median_ratio']:.3f}, aligned faster in "
-          f"{entry['aligned_wins']}/{ALIGN_PAIRS} pairs")
-    return entry
-
-
 def wall_of(fn) -> float:
     """Wall time of one call of ``fn``."""
     t0 = time.perf_counter()
@@ -246,9 +208,10 @@ def probed_walls(fn, kernel: str, threads: int = 1, figure=None) -> dict:
     one machine speed by the ``calibrate.py`` probe ``kernel``
     (``threads`` copies of it), timed in a process of its own before the
     first call and for ``KERNEL_SHARE`` of each call's wall after it.
-    ``figure``, if given, returns after each call a list of seconds
-    measured inside it; the median of each call's list is kept, and
-    their mean is scaled as the walls are."""
+    ``figure``, if given, returns after each call a dict of lists of
+    seconds measured inside it; for each name the median of each call's
+    list is kept, and ``figures[name]`` is ``(median, mean scaled as the
+    walls are, the per-call values)``."""
     proc = subprocess.Popen(
         [sys.executable, str(CALIBRATE), kernel, str(threads)], cwd=ROOT,
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
@@ -259,11 +222,12 @@ def probed_walls(fn, kernel: str, threads: int = 1, figure=None) -> dict:
         return float(proc.stdout.readline())
 
     try:
-        walls, figures, kernels, before = [], [], [], probe(0.0)
+        walls, figures, kernels, before = [], {}, [], probe(0.0)
         for _ in range(WALL_REPEATS):
             walls.append(wall_of(fn))
-            if figure is not None:
-                figures.append(statistics.median(figure()))
+            for name, seconds in (figure() if figure else {}).items():
+                figures.setdefault(name, []).append(
+                    statistics.median(seconds))
             after = probe(KERNEL_SHARE * walls[-1])
             kernels.append(0.5 * (before + after))
             before = after
@@ -278,9 +242,33 @@ def probed_walls(fn, kernel: str, threads: int = 1, figure=None) -> dict:
            "kernel": kernel,
            "kernel_s": [round(k, 4) for k in kernels]}
     if figure is not None:
-        out["figures_s"] = figures
-        out["scaled_figure_s"] = speed * statistics.fmean(figures)
+        out["figures"] = {name: (statistics.median(values),
+                                 speed * statistics.fmean(values), values)
+                          for name, values in figures.items()}
     return out
+
+
+def per_unit(long, units: int, short=None) -> dict:
+    """The ``probed_walls`` figures of one layer, on the ``solver`` probe:
+    ``per_unit``, ``(wall(long) - wall(short)) / units`` of ``short`` and
+    ``long`` called back to back in each probed call (``wall(long) /
+    units`` without ``short``), and ``short``, the wall of ``short``."""
+    seconds = {}
+
+    def pair():
+        seconds["short"] = [wall_of(short) if short else 0.0]
+        seconds["per_unit"] = [(wall_of(long) - seconds["short"][0]) / units]
+
+    return probed_walls(pair, "solver", figure=lambda: seconds)["figures"]
+
+
+def scaled(key: str, figure: tuple, scale: float, digits: int) -> dict:
+    """A ``probed_walls`` figure times ``scale`` as ``key`` (raw median),
+    ``scaled_<key>`` (scaled mean) and ``<key>_runs`` (each call's)."""
+    raw, mean, runs = figure
+    return {key: round(scale * raw, digits),
+            f"scaled_{key}": round(scale * mean, digits),
+            f"{key}_runs": [round(scale * r, digits) for r in runs]}
 
 
 @contextlib.contextmanager
@@ -318,33 +306,10 @@ def flush_timers(homogeneous, flushes: list):
         homogeneous.sasaki_energy = energy
 
 
-def closure_cost(harness, homogeneous, cfg) -> float:
-    """Seconds per ``scaling_closure_moments`` call over one homogeneous
-    run, timed inside the call (whatever its signature)."""
-    closure = homogeneous.scaling_closure_moments
-    spent, calls = [0.0], [0]
-
-    def timed(*args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            return closure(*args, **kwargs)
-        finally:
-            spent[0] += time.perf_counter() - t0
-            calls[0] += 1
-
-    homogeneous.scaling_closure_moments = timed
-    try:
-        harness.run_scenario(cfg)
-    finally:
-        homogeneous.scaling_closure_moments = closure
-    return spent[0] / calls[0]
-
-
-def energy_row_cost(homogeneous, cfg):
+def energy_row_cost(homogeneous, cfg) -> dict:
     """Microseconds per distribution of ``sasaki_energy``, called once per
     distribution and once on a stack of ``ENERGY_ROWS``, on log-point-like
-    distributions; the stack figure is ``None`` for a tree whose
-    ``sasaki_energy`` takes one distribution only."""
+    distributions, raw and scaled."""
     import numpy as np
     from milne_lab.matter import RadialDistribution
 
@@ -365,16 +330,11 @@ def energy_row_cost(homogeneous, cfg):
     def stack():
         homogeneous.sasaki_energy(fs, None, vol_cell=vols, **kwargs)
 
-    try:
-        stack()
-    except (AttributeError, TypeError):  # no stack form in this tree
-        stack = None
-    out = {}
-    for name, fn in (("single", single), (f"stack_{ENERGY_ROWS}", stack)):
-        out[name] = None if fn is None else round(
-            1e6 * statistics.median(wall_of(fn) for _ in range(REPEATS))
-            / ENERGY_ROWS, 1)
-    return out
+    figures = {name: per_unit(fn, ENERGY_ROWS)["per_unit"] for name, fn in
+               (("single", single), (f"stack_{ENERGY_ROWS}", stack))}
+    return {f"{prefix}sasaki_energy_us_per_row": {
+        name: round(1e6 * figure[i], 1) for name, figure in figures.items()}
+        for i, prefix in enumerate(("", "scaled_"))}
 
 
 def report_section() -> dict:
@@ -392,109 +352,93 @@ def report_section() -> dict:
         flushes.clear()
         with flush_timers(homogeneous, flushes):
             harness.run_scenario(cfg)
-        return flushes
 
-    flush = probed_walls(timed_run, "solver", figure=lambda: flushes)
+    flush = probed_walls(timed_run, "solver",
+                         figure=lambda: {"flush": flushes})["figures"]
 
-    hom_cfg = harness.validate_config({"scenario": "homogeneous", "seed": 0})
-    closure_s = statistics.median(closure_cost(harness, homogeneous, hom_cfg)
-                                  for _ in range(REPEATS))
-
-    # a log point: the run logging every logEvery steps against the same
-    # run logging only its two ends, run back to back in pairs, so drift
-    # hits both runs of a pair alike
     n_steps = harness._homogeneous_steps(cfg)
-    args = (harness._matter_profile(cfg), cfg.tau0, cfg.Tend - cfg.T0,
-            n_steps)
-    kwargs = {"n_q": cfg.radialNodes, "n_nodes": cfg.quadNodes}
-    extra_points = n_steps // cfg.logEvery + 1 - 2
-    diffs = []
-    for _ in range(LOG_POINT_PAIRS):
-        logged, ends = [wall_of(lambda: homogeneous.evolve_homogeneous(
-            *args, log_every=every, **kwargs))
-            for every in (cfg.logEvery, n_steps)]
-        diffs.append((logged - ends) / extra_points)
-    # an RK4 step: the run of 2 n_steps steps against the run of n_steps,
-    # both logging only their two ends, back to back in pairs
-    step_diffs = []
-    for _ in range(STEP_PAIRS):
-        short, long = [wall_of(lambda: homogeneous.evolve_homogeneous(
-            *args[:3], steps, log_every=steps, **kwargs))
-            for steps in (n_steps, 2 * n_steps)]
-        step_diffs.append((long - short) / n_steps)
+    f0, span = harness._matter_profile(cfg), cfg.Tend - cfg.T0
 
-    # a mode step: full_report's mode sector (every lambda of the grid over
-    # the run span, at the sector's step count) against the same sector at
-    # twice the steps, back to back in pairs; the shorter run is the sector
-    lambdas = cfg.lambdaGrid
+    def evolve(steps, log_every):
+        return lambda: homogeneous.evolve_homogeneous(
+            f0, cfg.tau0, span, steps, n_q=cfg.radialNodes,
+            log_every=log_every, n_nodes=cfg.quadNodes)
+
+    extra_points = n_steps // cfg.logEvery - 1
+    log_point = per_unit(evolve(n_steps, cfg.logEvery), extra_points,
+                         short=evolve(n_steps, n_steps))
+    step = per_unit(evolve(2 * n_steps, 2 * n_steps), n_steps,
+                    short=evolve(n_steps, n_steps))
+
+    # the closure at the s = |tau0| e^{-T} of each of the run's steps
+    nodes = homogeneous._closure_nodes(f0, cfg.quadNodes)
+    closure = homogeneous.scaling_closure_moments
+    s_values = [abs(cfg.tau0) * math.exp(-k * span / n_steps)
+                for k in range(n_steps)]
+
+    def closure_loop():
+        for s in s_values:
+            closure(*nodes, 1.0, s)
+
+    closure_cost = per_unit(closure_loop, n_steps)
+
+    # full_report's mode sector: every lambda of the grid over the run span
     _, mode_steps = harness._mode_steps(n_steps // cfg.logEvery)
 
     def mode_sector(steps):
-        for lam in lambdas:
-            modes.integrate_mode(lam, cfg.modeAmp, -cfg.modeAmp,
-                                 (0.0, cfg.Tend - cfg.T0), steps,
-                                 eps_prime=cfg.epsPrime)
+        def run():
+            for lam in cfg.lambdaGrid:
+                modes.integrate_mode(lam, cfg.modeAmp, -cfg.modeAmp,
+                                     (0.0, span), steps,
+                                     eps_prime=cfg.epsPrime)
+        return run
 
-    sector_walls, mode_diffs = [], []
-    for _ in range(MODE_PAIRS):
-        short, long = [wall_of(lambda: mode_sector(steps))
-                       for steps in (mode_steps, 2 * mode_steps)]
-        sector_walls.append(short)
-        mode_diffs.append((long - short) / (len(lambdas) * mode_steps))
+    mode_units = len(cfg.lambdaGrid) * mode_steps
+    mode = per_unit(mode_sector(2 * mode_steps), mode_units,
+                    short=mode_sector(mode_steps))
     section = {
         "config": "full_report defaults, seed 0",
-        "repeats": REPEATS,
-        "statistic": "median wall time over the repeats",
-        "full_report_statistic": f"median warm wall over {WALL_REPEATS} "
-                                 f"runs, and their mean scaled to the speed "
-                                 f"at which the calibrate.py solver kernel "
-                                 f"takes {KERNEL_REF_S['solver']} s",
+        "statistic": f"each figure: its median over {WALL_REPEATS} probed "
+                     f"calls, and their mean scaled to the speed at which "
+                     f"the calibrate.py solver kernel takes "
+                     f"{KERNEL_REF_S['solver']} s (scaled_)",
         "full_report_wall_s": report["wall_s"],
         "full_report_walls_s": report["walls_s"],
         "full_report_scaled_wall_s": report["scaled_wall_s"],
         "full_report_kernel_s": report["kernel_s"],
-        "flush_ms": round(1e3 * flush["scaled_figure_s"], 3),
-        "flush_ms_raw": [round(1e3 * f, 3) for f in flush["figures_s"]],
-        "flush_kernel_s": flush["kernel_s"],
+        **scaled("flush_ms", flush["flush"], 1e3, 3),
         "flush_method": f"one {ENERGY_ROWS}-row block flush of full_report, "
                         f"timed in the run from the end of its last log "
                         f"point's closure call to the end of its "
-                        f"sasaki_energy call; the median of each of "
-                        f"{WALL_REPEATS} runs (flush_ms_raw), their mean "
-                        f"scaled as full_report_scaled_wall_s",
-        "closure_us_per_call": round(1e6 * closure_s, 2),
-        "log_point_ms": round(1e3 * statistics.median(diffs), 3),
-        "log_point_ms_pairs": [round(1e3 * d, 3) for d in diffs],
-        "log_point_method": f"median over {LOG_POINT_PAIRS} back-to-back "
-                            f"pairs of (wall at logEvery {cfg.logEvery} - "
-                            f"wall at 2 log points) / {extra_points}, "
-                            f"{n_steps} steps each",
-        "homogeneous_step_us": round(1e6 * statistics.median(step_diffs), 2),
-        "homogeneous_step_us_pairs": [round(1e6 * d, 2) for d in step_diffs],
-        "homogeneous_step_method": f"median over {STEP_PAIRS} back-to-back "
-                                   f"pairs of (wall at {2 * n_steps} steps "
-                                   f"- wall at {n_steps} steps) / "
-                                   f"{n_steps}, two log points each",
-        "sasaki_energy_us_per_row": energy_row_cost(homogeneous, cfg),
-        "mode_sector_ms": round(1e3 * statistics.median(sector_walls), 2),
-        "mode_ns_per_step": round(1e9 * statistics.median(mode_diffs), 1),
-        "mode_ns_per_step_pairs": [round(1e9 * d, 1) for d in mode_diffs],
-        "mode_method": f"median over {MODE_PAIRS} back-to-back pairs of "
-                       f"the sector ({len(lambdas)} lambdas x {mode_steps} "
-                       f"steps) and the sector at {2 * mode_steps} steps: "
-                       f"the first run's wall, and the difference / "
-                       f"{len(lambdas) * mode_steps}",
+                        f"sasaki_energy call; the median of each run",
+        **scaled("closure_us_per_call", closure_cost["per_unit"], 1e6, 2),
+        "closure_method": f"wall of a bare loop of {n_steps} closure calls "
+                          f"/ {n_steps}",
+        **scaled("log_point_ms", log_point["per_unit"], 1e3, 3),
+        "log_point_method": f"(wall at logEvery {cfg.logEvery} - wall at "
+                            f"2 log points) / {extra_points}, {n_steps} "
+                            f"steps each",
+        **scaled("homogeneous_step_us", step["per_unit"], 1e6, 2),
+        "homogeneous_step_method": f"(wall at {2 * n_steps} steps - wall at "
+                                   f"{n_steps} steps) / {n_steps}, two log "
+                                   f"points each",
+        **energy_row_cost(homogeneous, cfg),
+        **scaled("mode_sector_ms", mode["short"], 1e3, 2),
+        **scaled("mode_ns_per_step", mode["per_unit"], 1e9, 1),
+        "mode_method": f"the sector ({len(cfg.lambdaGrid)} lambdas x "
+                       f"{mode_steps} steps), and (wall at {2 * mode_steps} "
+                       f"steps - the sector) / {mode_units}",
         "constraint_defect": result["summary"]["constraint_defect"],
         "continuity_defect": result["summary"]["continuity_defect"],
     }
     print(f"full_report {section['full_report_wall_s']:.3f} s (scaled "
-          f"{section['full_report_scaled_wall_s']:.3f} s), block flush "
-          f"{section['flush_ms']:.2f} ms scaled, closure "
-          f"{section['closure_us_per_call']:.2f} us/call, RK4 step "
-          f"{section['homogeneous_step_us']:.2f} us, log point "
-          f"{section['log_point_ms']:.3f} ms, mode sector "
-          f"{section['mode_sector_ms']:.1f} ms, mode step "
-          f"{section['mode_ns_per_step']:.0f} ns")
+          f"{section['full_report_scaled_wall_s']:.3f} s); scaled: block "
+          f"flush {section['scaled_flush_ms']:.2f} ms, closure "
+          f"{section['scaled_closure_us_per_call']:.2f} us/call, RK4 step "
+          f"{section['scaled_homogeneous_step_us']:.2f} us, log point "
+          f"{section['scaled_log_point_ms']:.3f} ms, mode sector "
+          f"{section['scaled_mode_sector_ms']:.1f} ms, mode step "
+          f"{section['scaled_mode_ns_per_step']:.0f} ns")
     return section
 
 
@@ -503,7 +447,7 @@ def scenarios_section() -> dict:
     ``WALL_REPEATS`` probed runs (``probed_walls``)."""
     from milne_lab import harness, transport
 
-    threads = int(os.environ.get("MILNE_LAB_THREADS", "1"))
+    threads = harness._thread_budget()
     walls = {}
     for scenario in harness.SCENARIOS:
         cfg = harness.validate_config({"scenario": scenario, "seed": 0})
@@ -636,27 +580,17 @@ def memory_section() -> dict:
 
 def fixed_cost(transport, frame0) -> dict:
     """us per step of a 1-particle run, the part of a step's cost that
-    does not grow with the particles: the difference of the times of a
-    ``2 FIXED_STEPS`` and a ``FIXED_STEPS`` run (the same ten log rows
-    each) over ``FIXED_STEPS``, over ``WALL_REPEATS`` back-to-back pairs,
-    raw and scaled by the ``solver`` probe, whose scalar loop and small
-    numpy calls are bound by per-call costs as this run is."""
-    diffs = []
+    does not grow with the particles: a ``2 FIXED_STEPS`` against a
+    ``FIXED_STEPS`` run (the same ten log rows each), scaled by the
+    ``solver`` probe, whose scalar loop and small numpy calls are bound
+    by per-call costs as this run is."""
+    def run(steps):
+        return lambda: run_once(transport, frame0, 1, steps, 1)
 
-    def pair():
-        short, _ = run_once(transport, frame0, 1, FIXED_STEPS, 1)
-        long, _ = run_once(transport, frame0, 1, 2 * FIXED_STEPS, 1)
-        diffs.append((long - short) / FIXED_STEPS)
-
-    walls = probed_walls(pair, "solver", figure=lambda: diffs[-1:])
+    figure = per_unit(run(2 * FIXED_STEPS), FIXED_STEPS,
+                      short=run(FIXED_STEPS))["per_unit"]
     entry = {"particles": 1, "steps": [FIXED_STEPS, 2 * FIXED_STEPS],
-             "threads": 1,
-             "statistic": f"median over {WALL_REPEATS} back-to-back pairs; "
-                          f"scaled: their mean scaled as the walls are",
-             "fixed_us_per_step": round(1e6 * statistics.median(diffs), 1),
-             "scaled_fixed_us_per_step": round(
-                 1e6 * walls["scaled_figure_s"], 1),
-             "pairs_us_per_step": [round(1e6 * d, 1) for d in diffs]}
+             "threads": 1, **scaled("fixed_us_per_step", figure, 1e6, 1)}
     print(f"fixed cost: {entry['fixed_us_per_step']:.1f} us per step "
           f"(scaled {entry['scaled_fixed_us_per_step']:.1f})")
     return entry
@@ -666,8 +600,8 @@ def transport_section() -> dict:
     """ns per particle-step at each of ``SIZES`` on each of ``THREADS``,
     raw and scaled (``probed_walls`` with the ``wide`` kernel), with the
     largest mass-shell residual of each run, the peak RSS of one more run
-    in a fresh process (see :func:`peak_rss`), the fixed cost per step
-    (:func:`fixed_cost`) and the ``row_alignment`` pairs."""
+    in a fresh process (see :func:`peak_rss`) and the fixed cost per step
+    (:func:`fixed_cost`)."""
     from milne_lab import transport
     from milne_lab.geometry import make_time_frame
 
@@ -684,15 +618,11 @@ def transport_section() -> dict:
             # the probe runs one kernel per worker the run can use
             workers = min(threads, -(-n // transport._CHUNK))
             walls = probed_walls(timed, "wide", workers,
-                                 figure=lambda: [runs[-1][0]])
-            per = 1e9 / (n * steps)
+                                 figure=lambda: {"run": [runs[-1][0]]})
             rows.append({
                 "particles": n, "steps": steps, "threads": threads,
-                "ns_per_particle_step": round(
-                    per * statistics.median(t for t, _ in runs), 1),
-                "scaled_ns_per_particle_step": round(
-                    per * walls["scaled_figure_s"], 1),
-                "wall_s": [round(t, 4) for t, _ in runs],
+                **scaled("ns_per_particle_step", walls["figures"]["run"],
+                         1e9 / (n * steps), 1),
                 "kernel_s": walls["kernel_s"],
                 "massshell_residual_max": max(r for _, r in runs),
                 **peak_rss(transport, n, steps, threads),
@@ -712,7 +642,6 @@ def transport_section() -> dict:
                      f"calibrate.py wide kernel takes {KERNEL_REF_S['wide']} s",
         "rows": rows,
         "fixed_us_per_step": fixed_cost(transport, frame0),
-        "row_alignment": row_alignment(transport, frame0),
     }
 
 
@@ -749,6 +678,7 @@ def main(argv=None) -> int:
     doc = {
         "git_sha": git_sha(src),
         "git_dirty": git_dirty(src),
+        "src_sha256": src_sha256(src),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": os.cpu_count(),

@@ -568,9 +568,9 @@ def _run_characteristics(cfg: ScenarioConfig) -> dict:
         full_log=False)
     norms = {key: np.array([bound(t) for t in log_t.T])
              for key, bound in provider.norm_envelopes.items()}
-    norms["tau0_abs"] = abs(cfg.tau0)
     gron = transport.support_bound_check(log_t.T, log_t.calG, norms,
-                                         C=cfg.gronwallC)
+                                         C=cfg.gronwallC,
+                                         tau0_abs=abs(cfg.tau0))
     max_res = float(np.max(log_t.max_residual))
     flagged = int(np.sum(log_t.flagged))
     monitors = {

@@ -150,26 +150,9 @@ class BatchFields:
     # set by providers whose metric is a conformal multiple of the
     # identity frame metric, ``g = a I`` with ``Sigma = X = 0``:
     # ``conf_a`` is the factor ``a (n,)`` and ``conf_u`` its logarithmic
-    # gradient ``d_c ln a (n,3)``, from which :meth:`materialize` fills
-    # the dense blocks.
+    # gradient ``d_c ln a (n,3)``.
     conf_a: Optional[np.ndarray] = None
     conf_u: Optional[np.ndarray] = None
-
-    def materialize(self) -> "BatchFields":
-        """Fill the dense metric blocks from the conformal representation.
-
-        Conformal providers may leave ``g``, ``dg`` and ``dTg`` unset,
-        since the flow evaluation never touches them; consumers that need
-        the dense blocks call this first.  With the trace-free part and
-        the shift at zero the frame metric necessarily dilates as
-        ``dg/dT = (2/3)(N - 3) g``, so the blocks are determined by
-        ``(conf_a, conf_u, N)``.
-        """
-        if self.conf_a is not None and self.g is None:
-            self.g = self.conf_a[:, None, None] * np.eye(3)
-            self.dg = self.g[:, :, :, None] * self.conf_u[:, None, None, :]
-            self.dTg = (2.0 / 3.0) * (self.N - BACKGROUND_LAPSE)[:, None, None] * self.g
-        return self
 
 
 # Row form of conformal fields: one ``(9, n)`` field block ``F`` laid out
@@ -242,12 +225,17 @@ def _conformal_batch(bind, T: float, x: np.ndarray) -> BatchFields:
     matrix = np.broadcast_to(0.0, (n, 3, 3))
     # dN and conf_u are C-contiguous copies, not views of their rows:
     # np.einsum("na,na->n") adds the products of a strided operand in a
-    # different order, which would change the sums of the dense formulas
+    # different order, which would change the sums of the dense formulas.
+    # With the trace-free part and the shift at zero the frame metric
+    # dilates as dg/dT = (2/3)(N - 3) g, so (a, u, N) fix the dense blocks.
+    N, a, u = F[0], F[2], F[6:9].T.copy()
+    g = a[:, None, None] * np.eye(3)
     return BatchFields(
-        g=None, dg=None, dTg=None,  # dense blocks via materialize()
-        N=F[0], dN=F[3:6].T.copy(), dTN=F[1],
+        g=g, dg=g[:, :, :, None] * u[:, None, None, :],
+        dTg=(2.0 / 3.0) * (N - BACKGROUND_LAPSE)[:, None, None] * g,
+        N=N, dN=F[3:6].T.copy(), dTN=F[1],
         X=vector, dX=matrix, Sigma=matrix, dTX=vector,
-        conf_a=F[2], conf_u=F[6:9].T.copy())
+        conf_a=a, conf_u=u)
 
 
 def _background_rows(F: np.ndarray, W: np.ndarray) -> tuple:
@@ -510,16 +498,15 @@ def _residual_rows(tau: float, F: np.ndarray, q0: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def characteristic_rhs(state, fields_at, frame: TimeFrame, mode: str = "derived",
+def characteristic_rhs(state, f, frame: TimeFrame, mode: str = "derived",
                        q0: Optional[np.ndarray] = None):
     """Right-hand side of the characteristic system at one time.
 
-    ``state`` is a pair of ``(n,3)`` arrays ``(x, p)``; ``fields_at`` is
-    the already-evaluated :class:`BatchFields` at the particle positions
-    (conformal ones are materialized).  Returns ``(dx/dT, dp/dT,
-    dp0/dT)`` for ``mode="derived"`` (which co-evolves the time
-    component; pass the current ``q0``, else the on-shell value is used)
-    and ``(dx/dT, dp/dT)`` for
+    ``state`` is a pair of ``(n,3)`` arrays ``(x, p)``; ``f`` is the
+    already-evaluated :class:`BatchFields` at the particle positions.
+    Returns ``(dx/dT, dp/dT, dp0/dT)`` for ``mode="derived"`` (which
+    co-evolves the time component; pass the current ``q0``, else the
+    on-shell value is used) and ``(dx/dT, dp/dT)`` for
     ``mode="paper_form"``.  Fields with a shift raise
     ``NotImplementedError``.
 
@@ -537,7 +524,6 @@ def characteristic_rhs(state, fields_at, frame: TimeFrame, mode: str = "derived"
     This is the dense reference of the integrator's row kernels.
     """
     x, p = state
-    f = fields_at.materialize()
     tau = frame.tau
 
     if mode == "paper_form":
@@ -906,37 +892,41 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
 
 
 def support_bound_check(T: np.ndarray, calG: np.ndarray, norms: dict,
-                        C: float = 10.0) -> dict:
+                        C: float = 10.0, tau0_abs: float = 1.0) -> dict:
     """Gronwall envelope for the momentum-support functional.
 
     ``norms`` maps the keys ``X, Sigma, Nm3, dTX, GammaStar,
     GammaStarStar`` to time series (arrays aligned with ``T``) of the
-    corresponding field norms.  The envelope is::
+    corresponding field norms; any other key is a ``ValueError``.  The
+    envelope is::
 
         (calG(T0) + C * int_{T0}^{T} (s(r) ||dTX|| + ||GammaStar||/s(r)) dr)
         * exp(C * int_{T0}^{T} (||X||/s + ||Sigma|| + ||N-3||
                                 + s^2 ||dTX|| + ||GammaStar||
                                 + ||GammaStarStar||) dr)
 
-    where ``s(r) = |tau0| e^{-r}`` is the scale factor along the run
-    (time weights are expressed through powers of the scale factor,
-    anchored at the run's ``tau0``; the check is performed with
-    ``|tau0| <= 1``).  Integrals use trapezoidal quadrature of the logged
-    series.  Returns measured/envelope series, ``holds`` and the minimum
-    margin over ``T > T0`` (at ``T0`` the envelope equals ``calG``).
+    where ``s(r) = |tau0| e^{-r}`` is the scale factor along the run,
+    with ``|tau0|`` given as ``tau0_abs`` (time weights are expressed
+    through powers of the scale factor, anchored at the run's ``tau0``;
+    the check is performed with ``|tau0| <= 1``).  Integrals use
+    trapezoidal quadrature of the logged series.  Returns
+    measured/envelope series, ``holds`` and the minimum margin over ``T >
+    T0`` (at ``T0`` the envelope equals ``calG``).
     """
     required = ("X", "Sigma", "Nm3", "dTX", "GammaStar", "GammaStarStar")
     missing = [k for k in required if k not in norms]
     if missing:
         raise ValueError(f"missing norm series: {missing}")
+    unknown = [k for k in norms if k not in required]
+    if unknown:
+        raise ValueError(f"unknown norm series: {unknown}")
     T = np.asarray(T, dtype=float)
     calG = np.asarray(calG, dtype=float)
     nm = {k: np.asarray(norms[k], dtype=float) for k in required}
     for k, v in nm.items():
         if v.shape != T.shape:
             raise ValueError(f"norm series {k!r} misaligned with T")
-    tau0_abs = float(norms.get("tau0_abs", 1.0))
-    s = tau0_abs * np.exp(-(T - T[0]))
+    s = float(tau0_abs) * np.exp(-(T - T[0]))
 
     def cumtrapz(y):
         out = np.zeros_like(y)

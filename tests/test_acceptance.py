@@ -132,8 +132,8 @@ def test_criterion_3_momentum_support(background_run, manufactured_run):
     norms = {key: np.array([provider.norm_envelopes[key](t) for t in log_m.T])
              for key in ("X", "Sigma", "Nm3", "dTX", "GammaStar",
                          "GammaStarStar")}
-    norms["tau0_abs"] = 1.0
-    gron = transport.support_bound_check(log_m.T, log_m.calG, norms, C=10.0)
+    gron = transport.support_bound_check(log_m.T, log_m.calG, norms, C=10.0,
+                                         tau0_abs=1.0)
     ok = drift < 1e-8 and gron["holds"]
     _verdict("criterion-3 momentum-support", ok,
              f"background drift {drift:.3e}, envelope margin "

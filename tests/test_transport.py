@@ -51,7 +51,6 @@ class TestProviders:
         f = background_fields(0.0, np.zeros((4, 3)))
         assert np.allclose(f.N, 3.0)
         assert np.max(np.abs(f.X)) == 0.0
-        f.materialize()
         assert np.allclose(f.g, np.eye(3))
 
     def test_manufactured_gradient_matches_finite_differences(self):
@@ -112,7 +111,7 @@ class TestRhsEquivalence:
         x = rng.uniform(-1.2, 1.2, size=(n, 3))
         p = rng.normal(size=(n, 3))
         fr = make_time_frame(-1.0, T)
-        f = provider(T, x).materialize()
+        f = provider(T, x)
         if on_shell:  # the shift-free on-shell time component
             q0 = np.sqrt(1.0 + fr.tau**2
                          * np.einsum("na,nab,nb->n", p, f.g, p)) / f.N
@@ -128,7 +127,7 @@ def dense_provider(eps):
     conformal = manufactured_lapse_fields(eps)
 
     def provider(T, x):
-        f = conformal(T, x).materialize()
+        f = conformal(T, x)
         return BatchFields(g=f.g, dg=f.dg, N=f.N, dN=f.dN, X=f.X, dX=f.dX,
                            Sigma=f.Sigma, dTg=f.dTg, dTN=f.dTN, dTX=f.dTX)
     return provider
@@ -828,6 +827,17 @@ class TestSupportEnvelope:
         with pytest.raises(ValueError, match="missing"):
             support_bound_check(np.array([0.0, 1.0]), np.array([1.0, 1.0]),
                                 {"X": np.zeros(2)})
+
+    @pytest.mark.parametrize("key", ["GamaStar", "tau0_abs"])
+    def test_unknown_norm_series_rejected(self, key):
+        # a misspelt series, or the scale factor passed as a series, would
+        # otherwise change the envelope unnoticed
+        norms = {k: np.zeros(2) for k in ("X", "Sigma", "Nm3", "dTX",
+                                           "GammaStar", "GammaStarStar")}
+        norms[key] = np.zeros(2)
+        with pytest.raises(ValueError, match=key):
+            support_bound_check(np.array([0.0, 1.0]), np.array([1.0, 1.0]),
+                                norms)
 
 
 class Boom(Exception):
