@@ -19,8 +19,8 @@ layers of it: one 64-row block flush of its homogeneous log points,
 timed inside the run (``flush_ms``); the homogeneous closure per call
 (a bare loop over ``homogeneous._closure_nodes``); the homogeneous RK4
 step (a run of 2 n steps against one of n) and log point (every
-``logEvery`` steps against the two ends); ``sasaki_energy`` per
-distribution (one call each, and one call on a stack of 64); and the
+``logEvery`` steps against the two ends); ``sasaki_energy`` per grid
+row (64 one-row calls, and one call on a block of 64 rows); and the
 mode sector with its cost per mode step (twice the sector's steps
 against the sector), next to the run's constraint and continuity
 defects.  The ``scenarios`` section times each scenario at its defaults.
@@ -291,9 +291,9 @@ def flush_timers(homogeneous, flushes: list):
         closure_end[0] = time.perf_counter()
         return out
 
-    def timed_energy(f, *args, **kwargs):
-        out = energy(f, *args, **kwargs)
-        if len(f) == ENERGY_ROWS:
+    def timed_energy(grid, *args, **kwargs):
+        out = energy(grid, *args, **kwargs)
+        if len(grid) == ENERGY_ROWS:
             flushes.append(time.perf_counter() - closure_end[0])
         return out
 
@@ -307,28 +307,26 @@ def flush_timers(homogeneous, flushes: list):
 
 
 def energy_row_cost(homogeneous, cfg) -> dict:
-    """Microseconds per distribution of ``sasaki_energy``, called once per
-    distribution and once on a stack of ``ENERGY_ROWS``, on log-point-like
-    distributions, raw and scaled."""
+    """Microseconds per grid row of ``sasaki_energy``, called once per row
+    and once on a block of ``ENERGY_ROWS`` rows, on log-point-like rows,
+    raw and scaled."""
     import numpy as np
-    from milne_lab.matter import RadialDistribution
 
-    qmax = cfg.matterQmax
-    fs = []
-    for stretch in np.linspace(1.0, 0.5, ENERGY_ROWS):
-        grid = np.linspace(0.0, qmax * stretch, cfg.radialNodes)
-        fs.append(RadialDistribution(
-            grid=grid, qmax=qmax * stretch,
-            values=cfg.matterAmp * np.maximum(0.0, 1 - (grid / qmax) ** 2)))
+    qmax = cfg.matterQmax * np.linspace(1.0, 0.5, ENERGY_ROWS)
+    # C-contiguous rows, as the blocks of the flush are
+    grid = np.linspace(0.0, qmax, cfg.radialNodes, axis=-1).copy()
+    values = cfg.matterAmp * np.maximum(
+        0.0, 1 - (grid / cfg.matterQmax) ** 2)
     vols = np.linspace(1.0, 1.2, ENERGY_ROWS)
     kwargs = {"ell": 2, "mu": 4.0, "ladder_ell": 5}
 
     def single():
-        for f, vol in zip(fs, vols):
-            homogeneous.sasaki_energy(f, None, vol_cell=float(vol), **kwargs)
+        for i, vol in enumerate(vols.tolist()):
+            homogeneous.sasaki_energy(grid[i:i + 1], values[i:i + 1],
+                                      qmax[i:i + 1], vol=vol, **kwargs)
 
     def stack():
-        homogeneous.sasaki_energy(fs, None, vol_cell=vols, **kwargs)
+        homogeneous.sasaki_energy(grid, values, qmax, vol=vols, **kwargs)
 
     figures = {name: per_unit(fn, ENERGY_ROWS)["per_unit"] for name, fn in
                (("single", single), (f"stack_{ENERGY_ROWS}", stack))}

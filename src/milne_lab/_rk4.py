@@ -1,10 +1,19 @@
-"""One step of the classical fourth-order Runge-Kutta method."""
+"""One step of the classical fourth-order Runge-Kutta method, and the
+check of the step and log counts the fixed-step integrators take."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rk4_step", "rk4_step_into"]
+__all__ = ["check_count", "rk4_step", "rk4_step_into"]
+
+
+def check_count(name: str, value) -> None:
+    """Named errors for a count that is not a positive integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 def rk4_step(f, t: float, y, h: float) -> list:

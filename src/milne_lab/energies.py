@@ -52,6 +52,8 @@ LAPSE_UPPER_TOL = 1e-9
 SHIFT_TOL = 1e-10
 # horizon doublings of the tail-integral test (tail_convergence)
 TAIL_DOUBLINGS = 3
+# Gauss-Legendre nodes of each row's integral in sasaki_energy
+_ENERGY_NODES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +115,14 @@ def _solve_tridiagonal_rows(A, b):
 
 
 def _not_a_knot_spline(x, y):
-    """Not-a-knot cubic spline through ``(x, y)``, a scipy ``PPoly``.
-
-    ``x`` and ``y`` of shape ``(n,)`` give one spline; a stack of shape
-    ``(m, n)`` gives a list of ``m`` splines, one per row, built in one
-    pass.  Each is bitwise equal to ``scipy.interpolate.CubicSpline(x,
-    y)`` for 1-D real data: ``PPoly.construct_fast`` over the rows of
-    :func:`_not_a_knot_coefficients`.
-    """
+    """Not-a-knot cubic spline through ``(x, y)`` of shape ``(n,)``, a
+    scipy ``PPoly`` bitwise equal to ``scipy.interpolate.CubicSpline(x,
+    y)`` for real data: ``PPoly.construct_fast`` over
+    :func:`_not_a_knot_coefficients`."""
     from scipy.interpolate import PPoly
 
-    single = np.ndim(x) == 1
-    x, c = _not_a_knot_coefficients(x, y)
-    splines = [PPoly.construct_fast(ci, xi) for ci, xi in zip(c, x)]
-    return splines[0] if single else splines
+    (x,), (c,) = _not_a_knot_coefficients(x, y)  # a ValueError for a stack
+    return PPoly.construct_fast(c, x)
 
 
 def _not_a_knot_coefficients(x, y):
@@ -251,44 +247,9 @@ def _cubic_derivatives(x, c, q):
     return out
 
 
-class _GridRows:
-    """A stack of ``m`` distributions for :func:`sasaki_energy` as
-    ``(m, n)`` blocks ``grid`` and ``values`` and ``(m,)`` ``qmax``."""
-
-    __slots__ = ("grid", "qmax", "values")
-
-    def __init__(self, grid, qmax, values):
-        self.grid, self.qmax, self.values = grid, qmax, values
-
-    def __len__(self):
-        return len(self.qmax)
-
-
-def _radial_derivatives(fs, live: np.ndarray, qmax: np.ndarray,
-                        n_nodes: int):
-    """Quadrature nodes plus f, f', f'' sampled there via a cubic spline.
-
-    One row per distribution of the stack ``fs`` (grids of one length)
-    where ``live`` holds, ``qmax`` the array of their support radii.
-    """
-    if isinstance(fs, _GridRows):
-        grid, vals = fs.grid, fs.values
-        if not live.all():
-            grid, vals = grid[live], vals[live]
-    else:
-        fs = [f for f, ok in zip(fs, live) if ok]
-        grid = np.array([f.grid for f in fs], dtype=float)
-        vals = np.array([
-            f.profile(g) if getattr(f, "profile", None) is not None
-            else f.values for f, g in zip(fs, grid)], dtype=float)
-    q, w = composite_gauss_legendre(0.0, qmax[live], n_nodes)
-    return q, w, *_cubic_derivatives(*_not_a_knot_coefficients(grid, vals),
-                                     q)
-
-
-def sasaki_energy(f, geom, ell: int, mu: float, ladder_ell: Optional[int] = None,
-                  vol_cell=1.0, n_nodes: int = 64, base: str = "g"):
-    """Weighted ``L^2``-Sobolev energy of a radial distribution function.
+def sasaki_energy(grid, values, qmax, ell: int, mu: float,
+                  ladder_ell: Optional[int] = None, vol=1.0) -> np.ndarray:
+    """Weighted ``L^2``-Sobolev energies of radial distribution functions.
 
     For a homogeneous isotropic ``f(q)`` (``q`` the frame-metric momentum
     magnitude) the horizontal derivatives vanish and only the vertical
@@ -302,31 +263,25 @@ def sasaki_energy(f, geom, ell: int, mu: float, ladder_ell: Optional[int] = None
     ``ladder_ell`` (each missing derivative raises the weight exponent by
     four; each vertical index lowers it by two)::
 
-        E^2 = vol * sum_{k <= min(ell,2)}
-              4 pi int pbar^{2 mu + 4 (L - k) - 2 k} d_k(q) q^2 dq,
+        E^2 = vol * sum_{k <= ell}
+              4 pi int_0^qmax pbar^{2 mu + 4 (L - k) - 2 k} d_k(q) q^2 dq,
 
     with ``pbar = sqrt(1 + q^2)``, ``L = ladder_ell`` and ``vol`` the
-    metric volume of the homogeneous cell.  ``base="gamma"`` evaluates
-    the same functional with weights and measure of the reference metric
-    (the two are equivalent for conformal factors near one).
+    metric volume of the homogeneous cell, ``sqrt(det g)`` times its
+    coordinate volume.
 
-    The geometry enters only through ``det g``: for ``base="g"`` only as
-    ``vol = sqrt(det g) * vol_cell``, and ``geom=None`` stands for
-    ``det g = 1``.  So ``sasaki_energy(f, None, ..., vol_cell=sqrt(det g)
-    * v)`` is bitwise the value with ``geom`` and ``vol_cell=v``, with no
-    geometry object built.
-
-    ``f`` is one distribution, and the energy a float; or a list of
-    distributions whose grids have one length, and the energies a 1-D
-    array in the same order, with ``vol_cell`` a float or an array of one
-    cell volume per distribution.  A stack is evaluated in one pass (one
-    quadrature rule, one spline build, 2-D sums), and each entry is
-    bitwise the value of its own call; a single distribution is a stack
-    of one.  A distribution with ``qmax <= 0`` has energy 0.  Of each
-    distribution only ``qmax``, ``grid`` and ``values`` (or a
-    ``profile``, where it has one) are read.  A stack may also come as
-    the private ``_GridRows`` of the rows of one grid block, which the
-    spline build reads without copying them.
+    Row ``i`` of the ``(m, n)`` blocks ``grid`` and ``values`` samples
+    one distribution with support radius ``qmax[i]`` of the ``(m,)``
+    array ``qmax``, and ``vol`` is one cell volume for all rows or an
+    ``(m,)`` array of one per row; the energies come back as an ``(m,)``
+    array.  Each row's not-a-knot cubic spline gives ``f``, ``f'`` and
+    ``f''`` at the nodes of a 64-node composite Gauss-Legendre rule on
+    ``[0, qmax[i]]``.  The rows are evaluated in one pass (one
+    quadrature rule, one spline build, 2-D sums), each entry bitwise the
+    value of its own one-row call, and the blocks are read without
+    copying them.  Blocks of other shapes, empty ones included, are a
+    ``ValueError``, and so is a row with ``qmax <= 0`` (the
+    quadrature's).
 
     Raises ``ValueError`` for ``ell > 2`` (documented desk-scale cap on
     the derivative count; use ``ladder_ell`` for the weight order).
@@ -340,49 +295,25 @@ def sasaki_energy(f, geom, ell: int, mu: float, ladder_ell: Optional[int] = None
     L = ell if ladder_ell is None else ladder_ell
     if L < ell:
         raise ValueError("ladder_ell must be >= ell")
-    if isinstance(f, _GridRows):
-        stack, fs, qmax = True, f, f.qmax
-    else:
-        stack = isinstance(f, (list, tuple))
-        fs = list(f) if stack else [f]
-        qmax = np.array([float(fi.qmax) for fi in fs])
-    live = qmax > 0
-    energy = np.zeros(len(fs))
-    if not live.any():
-        return energy if stack else 0.0
-    vol_cell = np.asarray(vol_cell, dtype=float)
-    if vol_cell.ndim:  # one cell volume per distribution
-        vol_cell = vol_cell[live]
-    detg = float(np.linalg.det(geom.g)) if geom is not None else 1.0
-    scale = detg ** (1.0 / 6.0)  # isotropic conformal stretch sqrt(b)
-
-    q, w, f0, f1, f2 = _radial_derivatives(fs, live, qmax, n_nodes)
-    if base == "g":
-        vol = math.sqrt(detg) * vol_cell
-        s, ds = q, 1.0  # integrate directly in frame-metric magnitude
-    elif base == "gamma":
-        # substitute q = scale * s: reference-metric magnitude s, with
-        # derivatives of f with respect to s picking up one scale factor
-        vol = vol_cell
-        s, ds = q / scale, scale
-        f1 = f1 * scale
-        f2 = f2 * scale**2
-    else:
-        raise ValueError(f"unknown base {base!r}")
-    pbar2 = 1.0 + s**2
+    if np.ndim(grid) != 2 or np.shape(qmax) != (len(grid),) or not len(grid):
+        raise ValueError("grid and values must be (m, n) blocks, m >= 1, "
+                         "and qmax an (m,) array")
+    q, w = composite_gauss_legendre(0.0, qmax, _ENERGY_NODES)
+    f0, f1, f2 = _cubic_derivatives(*_not_a_knot_coefficients(grid, values),
+                                    q)
+    pbar2 = 1.0 + q**2
     total = np.zeros(q.shape[0])
-    for k in range(min(ell, 2) + 1):
+    for k in range(ell + 1):
         if k == 0:
             dk = f0**2
         elif k == 1:
             dk = f1**2
         else:
-            dk = f2**2 + 2.0 * (f1 / q * ds) ** 2
+            dk = f2**2 + 2.0 * (f1 / q) ** 2
         expo = 2.0 * mu + 4.0 * (L - k) - 2.0 * k
         total += 4.0 * math.pi * np.sum(
-            w / ds * pbar2 ** (expo / 2.0) * dk * s**2, axis=-1)
-    energy[live] = np.sqrt(vol * total)
-    return energy if stack else float(energy[0])
+            w * pbar2 ** (expo / 2.0) * dk * q**2, axis=-1)
+    return np.sqrt(vol * total)
 
 
 class WeightConditionError(ValueError):

@@ -34,12 +34,13 @@ The evolution intentionally runs two discretisations side by side:
   over up to 64 log points on stacked ``(m, n_q)`` arrays: the grid
   distribution, its two trapezoid moments, the pole check, the
   constraint ``b`` and the weighted distribution energy ``E_report``
-  (one ``sasaki_energy`` call), each row bitwise its own evaluation.
-  The flush works in buffers made once per run and hands its blocks to
-  ``sasaki_energy`` uncopied, so the heap serves its few remaining
-  temporaries again from flush to flush (2-3 minor page faults a warm
-  default ``full_report`` run, against about 4400 with an array per
-  operation).
+  (one ``sasaki_energy`` call on the ``(m, n_q)`` grid and distribution
+  blocks, the ``(m,)`` support radii and cell volumes), each row bitwise
+  its own evaluation.  The flush works in buffers made once per run and
+  hands its blocks to ``sasaki_energy`` uncopied, so the heap serves its
+  few remaining temporaries again from flush to flush (2-3 minor page
+  faults a warm default ``full_report`` run, against about 4400 with an
+  array per operation).
   An abort resolves as if every log point had run in full, checking
   lapse range, pole and spot check in this order: the first pole of the
   block wins, the rows from the abort on are dropped, and so are the
@@ -55,9 +56,10 @@ from typing import Optional
 import numpy as np
 
 from ._quadrature import composite_gauss_legendre, trapezoid
+from ._rk4 import check_count
 from .geometry import TimeFrame, make_time_frame
 from .matter import RadialDistribution
-from .energies import _GridRows, _not_a_knot_spline, sasaki_energy
+from .energies import LAPSE_UPPER_TOL, _not_a_knot_spline, sasaki_energy
 
 __all__ = [
     "ConstraintSingularError",
@@ -231,7 +233,7 @@ def initial_density(f0: RadialDistribution, tau0: float,
 def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
                        n_steps: int, n_q: int = 257, log_every: int = 10,
                        n_nodes: int = 96,
-                       lapse_tol: float = 1e-9) -> HomogeneousRun:
+                       lapse_tol: float = LAPSE_UPPER_TOL) -> HomogeneousRun:
     """Evolve the reduced homogeneous system on ``[0, T_end]``.
 
     ``f0`` is the initial isotropic distribution as a function of the
@@ -245,28 +247,32 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
     and the elliptic-lapse spot check
     ``|N - 3| <= 10 (|Sigma|^2 + s rho + s^3 eta_under)``.
 
-    The run aborts (with ``completed=False`` and the reason recorded)
-    if the lapse leaves ``(0, 3 + tol]``, the constraint reaches its
-    pole, or the spot check fails, checked in this order at each log
-    point.  A log point computes its closure moments and lapse at once,
-    and with them the two checks that read nothing else: the lapse range
-    and the spot check.  The rest waits for the block flush, on stacked
-    arrays of up to ``_ENERGY_BLOCK`` log points: the grids and the
-    distributions on them, their trapezoid moments, the pole check ``s
-    rho >= 1/6`` on the grid ``rho``, the constraint ``b``, the cell
-    volumes ``sqrt(det(b I))`` and one ``sasaki_energy`` call.  A block
-    is flushed when it is full, when a log point fails an inline check,
-    and at the end of the run.  The first pole among its log points wins
-    over the inline failure (which comes after the pole check of its own
-    log point only for the spot check), and the rows from the abort on
-    are dropped.  So a pole stops the run up to one block of log points
-    late; the steps taken past it, which cannot raise (``b`` stays
-    positive and the closure moments nonnegative), are thrown away.
-    Rows, energies and reason are bitwise those of a run that does every
-    log point in full.
+    ``n_steps`` and ``log_every`` must be positive integers (``TypeError``
+    or ``ValueError``), ``n_steps`` a multiple of ``log_every``.  The run
+    aborts (with ``completed=False`` and the reason recorded) if the lapse
+    leaves ``(0, 3 (1 + lapse_tol)]`` (by default the ceiling of the
+    completeness monitor, ``energies.LAPSE_UPPER_TOL``), the constraint
+    reaches its pole, or the spot check fails, checked in this order at each
+    log point.  A log point computes its closure moments and lapse at once,
+    and with them the two checks that read nothing else: the lapse range and
+    the spot check.  The rest waits for the block flush, on stacked arrays
+    of up to ``_ENERGY_BLOCK`` log points: the grids and the distributions
+    on them, their trapezoid moments, the pole check ``s rho >= 1/6`` on the
+    grid ``rho``, the constraint ``b``, the cell volumes ``sqrt(det(b I))``
+    and one ``sasaki_energy`` call.  A block is flushed when it is full,
+    when a log point fails an inline check, and at the end of the run.  The
+    first pole among its log points wins over the inline failure (which
+    comes after the pole check of its own log point only for the spot
+    check), and the rows from the abort on are dropped.  So a pole stops the
+    run up to one block of log points late; the steps taken past it, which
+    cannot raise (``b`` stays positive and the closure moments nonnegative),
+    are thrown away.  Rows, energies and reason are bitwise those of a run
+    that does every log point in full.
     """
-    if n_steps < 1 or n_steps % log_every != 0:
-        raise ValueError("n_steps must be a positive multiple of log_every")
+    check_count("n_steps", n_steps)
+    check_count("log_every", log_every)
+    if n_steps % log_every != 0:
+        raise ValueError("n_steps must be a multiple of log_every")
     if n_q < 2:  # a log grid spans [0, G]
         raise ValueError("n_q must be at least 2")
     s0 = abs(float(tau0))
@@ -350,14 +356,12 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
                 # the pole
                 rows[3] = 1.0 / (1.0 - 6.0 * rows[3])
                 blocks.append(rows)
-                # the metric b I enters the energy only through sqrt(det g),
-                # so it goes in as the cell volume; det is taken as
-                # sasaki_energy takes it from a geometry (b**3 can differ in
-                # the last bit)
+                # the cell volume sqrt(det g) of the metric b I, its det
+                # taken by np.linalg.det (b**3 can differ in the last bit)
                 vol = np.sqrt(np.linalg.det(b[:keep, None, None] * np.eye(3)))
                 E_report.extend(sasaki_energy(
-                    _GridRows(q[:keep], G[:keep], fq[:keep]), None, ell=2,
-                    mu=4.0, ladder_ell=5, vol_cell=vol))
+                    q[:keep], fq[:keep], G[:keep], ell=2, mu=4.0,
+                    ladder_ell=5, vol=vol))
         if failure is not None:
             completed, abort_reason = False, failure
         return failure is None

@@ -299,8 +299,16 @@ def moment_bound_check(f: RadialDistribution, geom: LocalGeometry,
     def C(mu):
         return math.sqrt(vol_g * 4.0 * math.pi * inverse_weight_integral(mu))
 
-    E3 = sasaki_energy(f, geom, ell=min(ell, 2), mu=3.0, ladder_ell=ell)
-    E4 = sasaki_energy(f, geom, ell=min(ell, 2), mu=4.0, ladder_ell=ell)
+    # f as one row of samples on its grid, in a cell of metric volume vol_g
+    values = f.values if f.profile is None else f.profile(f.grid)
+    row = (f.grid[None], np.asarray(values, dtype=float)[None],
+           np.array([f.qmax]))
+
+    def E(mu):
+        return float(sasaki_energy(*row, ell=min(ell, 2), mu=mu,
+                                   ladder_ell=ell, vol=vol_g)[0])
+
+    E3, E4 = E(3.0), E(4.0)
 
     tau = frame.tau
     checks = {

@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._rk4 import check_count
 from .geometry import CorrectionConstants, correction_constants
 from .energies import _fit_rate
 
@@ -130,8 +131,10 @@ def integrate_mode(lam: float, u0: float, w0: float, T_span: tuple,
 
     Returns the full logged trajectory with the corrected energy attached;
     ``eps_prime`` is forwarded to the constant selection at the borderline
-    eigenvalue.
+    eigenvalue.  ``n_steps`` must be a positive integer (``TypeError`` or
+    ``ValueError``).
     """
+    check_count("n_steps", n_steps)
     constants = correction_constants(lam, eps_prime=eps_prime)
     T0, T1 = float(T_span[0]), float(T_span[1])
     if not T1 > T0:

@@ -103,7 +103,7 @@ from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from ._rk4 import rk4_step_into
+from ._rk4 import check_count, rk4_step_into
 from .geometry import TimeFrame, rescaled_christoffels, BACKGROUND_LAPSE
 # the flow computes tau itself, but make_time_frame stays a name of this
 # module: perfbench/selftest.py checks that its tracer binds a span here
@@ -736,14 +736,6 @@ class _Flow:
         _residual_rows(float(self.tau[0]), self.F, y[6], residual, self.W)
 
 
-def _count(name: str, value) -> None:
-    """Named errors for a count that is not a positive integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
-
-
 def integrate_characteristics(ensemble: ParticleEnsemble,
                               fields: _RowProvider,
                               frame0: TimeFrame, Tend: float, h: float,
@@ -786,8 +778,8 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
     if mode != "derived":
         raise ValueError(f"unknown mode {mode!r}: the characteristics "
                          "are integrated in mode='derived' only")
-    _count("log_every", log_every)
-    _count("threads", threads)
+    check_count("log_every", log_every)
+    check_count("threads", threads)
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step size must be positive and finite, got {h}")
     if not math.isfinite(Tend):

@@ -3,7 +3,9 @@
 No other test runs ``bench/bench.py``, so a rename in the package would
 break it unseen.  Every package name and module attribute it reads is
 checked with ``ast``, as ``test_demos.py`` checks the demos, private
-ones included, and its cheapest section (about 1 s) is run.
+ones included, its cheapest section (about 1 s) is run, and so are the
+``sasaki_energy`` timers of its ``report`` section, each figure from one
+call.
 """
 
 import ast
@@ -11,6 +13,7 @@ import importlib
 import importlib.util
 import json
 import pathlib
+import statistics
 
 import pytest
 
@@ -87,3 +90,32 @@ def test_src_sha256_follows_names_and_bytes(bench, tmp_path):
     changed = bench.src_sha256(tmp_path)
     (package / "a.py").rename(package / "b.py")
     assert len({first, changed, bench.src_sha256(tmp_path)}) == 3
+
+
+def one_call(fn, kernel, threads=1, figure=None):
+    """``probed_walls`` with one unprobed call of ``fn``."""
+    fn()
+    seconds = figure() if figure else {}
+    return {"figures": {name: (statistics.median(values),) * 2 + ([],)
+                        for name, values in seconds.items()}}
+
+
+def test_energy_timers_run(bench, monkeypatch):
+    from milne_lab import harness, homogeneous
+
+    monkeypatch.setattr(bench, "probed_walls", one_call)
+    cfg = harness.validate_config({"scenario": "full_report", "seed": 0})
+    cost = bench.energy_row_cost(homogeneous, cfg)
+    assert sorted(cost) == ["sasaki_energy_us_per_row",
+                            "scaled_sasaki_energy_us_per_row"]
+    for figures in cost.values():
+        assert sorted(figures) == ["single", f"stack_{bench.ENERGY_ROWS}"]
+        assert all(us > 0.0 for us in figures.values())
+
+    energy, flushes = homogeneous.sasaki_energy, []
+    with bench.flush_timers(homogeneous, flushes):
+        harness.run_scenario(cfg)
+    log_points = harness._homogeneous_steps(cfg) // cfg.logEvery + 1
+    assert len(flushes) == log_points // bench.ENERGY_ROWS
+    assert all(seconds > 0.0 for seconds in flushes)
+    assert homogeneous.sasaki_energy is energy

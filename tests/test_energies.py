@@ -24,15 +24,7 @@ from milne_lab.energies import (
     total_energy,
     validate_energy_weights,
 )
-from milne_lab.geometry import LocalGeometry, background_geometry
 from milne_lab.matter import RadialDistribution
-
-GEOM = background_geometry()
-
-
-def scaled_geom(b):
-    return LocalGeometry(g=b * np.eye(3), Sigma=np.zeros((3, 3)), N=3.0,
-                         X=np.zeros(3))
 
 
 def smooth_bump(amp=1.0, qmax=2.0):
@@ -57,11 +49,21 @@ class TestWeightIntegrals:
             inverse_weight_integral(1.5)
 
 
+def one_row(f, **kwargs):
+    """``sasaki_energy`` of the distribution ``f`` as one grid row: its
+    ``values``, or its ``profile`` sampled on its grid."""
+    values = f.values if f.profile is None else f.profile(f.grid)
+    energy = sasaki_energy(f.grid[None], values[None], np.array([f.qmax]),
+                           **kwargs)
+    assert energy.shape == (1,)
+    return float(energy[0])
+
+
 class TestSasakiEnergy:
     def test_zero_distribution(self):
         f = RadialDistribution(grid=np.linspace(0.0, 1.0, 20), qmax=1.0,
                                values=np.zeros(20))
-        assert sasaki_energy(f, GEOM, ell=0, mu=4.0) == 0.0
+        assert one_row(f, ell=0, mu=4.0) == 0.0
 
     def test_weighted_l2_oracle(self):
         # ell = 0, ladder 0: E^2 = 4 pi int (1+q^2)^mu f^2 q^2 dq with a
@@ -71,48 +73,28 @@ class TestSasakiEnergy:
                                values=np.array([2.0, 2.0]))
         want, _ = quad(lambda q: 4 * math.pi * (1 + q**2) ** 4 * 4.0 * q**2,
                        0, Q)
-        got = sasaki_energy(f, GEOM, ell=0, mu=4.0)
+        got = one_row(f, ell=0, mu=4.0)
         assert got**2 == pytest.approx(want, rel=1e-10)
 
     def test_monotone_in_weight_order(self):
         f = smooth_bump()
-        e3 = sasaki_energy(f, GEOM, ell=2, mu=3.0, ladder_ell=5)
-        e4 = sasaki_energy(f, GEOM, ell=2, mu=4.0, ladder_ell=5)
+        e3 = one_row(f, ell=2, mu=3.0, ladder_ell=5)
+        e4 = one_row(f, ell=2, mu=4.0, ladder_ell=5)
         assert e4 > e3 > 0.0
 
     def test_ladder_raises_weight_not_derivatives(self):
         f = smooth_bump()
-        low = sasaki_energy(f, GEOM, ell=2, mu=4.0, ladder_ell=2)
-        high = sasaki_energy(f, GEOM, ell=2, mu=4.0, ladder_ell=5)
+        low = one_row(f, ell=2, mu=4.0, ladder_ell=2)
+        high = one_row(f, ell=2, mu=4.0, ladder_ell=5)
         assert high > low
 
     def test_high_derivative_order_rejected(self):
         with pytest.raises(ValueError):
-            sasaki_energy(smooth_bump(), GEOM, ell=3, mu=4.0)
+            one_row(smooth_bump(), ell=3, mu=4.0)
 
     def test_ladder_below_derivative_order_rejected(self):
         with pytest.raises(ValueError):
-            sasaki_energy(smooth_bump(), GEOM, ell=2, mu=4.0, ladder_ell=1)
-
-    def test_reference_base_equivalent_near_identity(self):
-        f = smooth_bump()
-        for b in (0.9, 1.0, 1.1):
-            geom = scaled_geom(b)
-            eg = sasaki_energy(f, geom, ell=2, mu=4.0, ladder_ell=5)
-            er = sasaki_energy(f, geom, ell=2, mu=4.0, ladder_ell=5,
-                               base="gamma")
-            # norms are equivalent with a constant controlled by powers of
-            # the conformal stretch (large ladder weights amplify it)
-            scale = b**0.5
-            bound = scale**16
-            lo, hi = min(bound, 1 / bound), max(bound, 1 / bound)
-            assert lo <= eg / er <= hi
-            if b == 1.0:
-                assert eg == pytest.approx(er, rel=1e-12)
-
-    def test_unknown_base_rejected(self):
-        with pytest.raises(ValueError):
-            sasaki_energy(smooth_bump(), GEOM, ell=0, mu=4.0, base="euclid")
+            one_row(smooth_bump(), ell=2, mu=4.0, ladder_ell=1)
 
 
 def assert_bitwise(got, want, what=""):
@@ -206,17 +188,19 @@ class TestNotAKnotSpline:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 257])
     def test_stack_gives_one_spline_per_row(self, n):
+        # a stack of rows is built by _not_a_knot_coefficients alone (the
+        # spline build of sasaki_energy); _not_a_knot_spline takes one row
         rng = np.random.default_rng(n)
         x = np.cumsum(rng.uniform(1e-3, 1.0, size=(6, n)), axis=1)
         y = rng.normal(size=(6, n))
-        splines = _not_a_knot_spline(x, y)
-        assert len(splines) == 6
-        for xi, yi, got in zip(x, y, splines):
+        breaks, c = _not_a_knot_coefficients(x, y)
+        assert c.shape == (6, 4, n - 1)
+        for xi, yi, got_x, got_c in zip(x, y, breaks, c):
             want = CubicSpline(xi, yi)
-            assert_bitwise(got.c, want.c, "c")
-            points = off_grid(xi, rng)
-            for nu in range(3):
-                assert_bitwise(got(points, nu), want(points, nu), f"{nu}")
+            assert_bitwise(got_x, want.x, "x")
+            assert_bitwise(got_c, want.c, "c")
+        with pytest.raises(ValueError):
+            _not_a_knot_spline(x, y)
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -260,23 +244,6 @@ class TestCubicDerivatives:
         points = np.concatenate([x, rng.uniform(lo - 0.1, hi + 0.1,
                                                 size=(rows, 32))], axis=1)
         assert_cubics_match_ppoly(x, y, points)
-
-
-class TestSasakiEnergyWithoutGeometry:
-    @settings(max_examples=60, deadline=None)
-    @given(st.floats(min_value=1e-3, max_value=1e3),
-           st.sampled_from([(0, None), (1, 3), (2, 5)]))
-    def test_volume_factor_equals_geometry(self, b, orders):
-        # the homogeneous log point passes sqrt(det(b I)) as the cell
-        # volume instead of building the geometry b I
-        ell, ladder = orders
-        f = smooth_bump(amp=2e-4, qmax=2.0 * b**-0.5)
-        vol = math.sqrt(float(np.linalg.det(b * np.eye(3))))
-        got = sasaki_energy(f, None, ell=ell, mu=4.0, ladder_ell=ladder,
-                            vol_cell=vol)
-        want = sasaki_energy(f, scaled_geom(b), ell=ell, mu=4.0,
-                             ladder_ell=ladder)
-        assert_bitwise(got, want)
 
 
 def not_a_knot_system(x, rng):
@@ -385,62 +352,62 @@ class TestTridiagonalRows:
             _solve_tridiagonal_rows(A, np.stack([rhs for _, rhs in systems]))
 
 
-def stack_member(n, qmax, kind, amp, rng):
-    """A distribution on ``n`` nodes: sampled ``values``, a ``profile``,
-    or one whose support radius is zero."""
+def energy_row(n, qmax, kind, amp, rng):
+    """A row on ``n`` nodes and its support radius: random ``values`` up
+    to the last node, or a ``profile`` of support ``qmax`` sampled on a
+    grid that may run past it."""
     grid = np.linspace(0.0, max(qmax, 1.0), n)
     if kind == "profile":
-        return RadialDistribution(
-            grid=grid, qmax=qmax,
-            profile=lambda q: amp * np.maximum(0.0, 1.0 - (q / qmax) ** 2) ** 3)
-    f = RadialDistribution(grid=grid, qmax=grid[-1],
-                           values=amp * rng.uniform(size=n))
-    if kind == "empty":
-        f.qmax = 0.0  # the energy of an empty support is zero
-    return f
+        return grid, amp * np.maximum(0.0, 1.0 - (grid / qmax) ** 2) ** 3, qmax
+    return grid, amp * rng.uniform(size=n), grid[-1]
 
 
 class TestSasakiEnergyStack:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([2, 3, 4, 257]),
-           st.lists(st.tuples(st.sampled_from(["values", "profile", "empty"]),
+           st.lists(st.tuples(st.sampled_from(["values", "profile"]),
                               st.floats(min_value=0.05, max_value=4.0),
                               st.floats(min_value=0.0, max_value=1.0),
                               st.floats(min_value=1e-2, max_value=1e2)),
                     min_size=1, max_size=5),
            st.sampled_from([(0, None), (1, 3), (2, 5)]),
-           st.sampled_from(["g", "gamma"]),
-           st.sampled_from([None, 0.8, 1.3]),
+           st.booleans(),
            st.integers(min_value=0, max_value=2**32 - 1))
-    def test_stack_equals_single_calls(self, n, members, orders, base, b,
+    def test_stack_equals_single_calls(self, n, members, orders, shared,
                                        seed):
+        # each row of a block is bitwise its one-row call, with one cell
+        # volume for all rows (a float) or one per row (an array)
         rng = np.random.default_rng(seed)
-        fs = [stack_member(n, qmax, kind, amp, rng)
-              for kind, qmax, amp, _ in members]
+        grid, values, qmax = (np.array(block) for block in zip(*(
+            energy_row(n, qmax, kind, amp, rng)
+            for kind, qmax, amp, _ in members)))
         vols = np.array([vol for *_, vol in members])
-        geom = None if b is None else scaled_geom(b)
+        if shared:
+            vols = float(vols[0])
         ell, ladder = orders
-        got = sasaki_energy(fs, geom, ell=ell, mu=4.0, ladder_ell=ladder,
-                            vol_cell=vols, base=base)
-        want = [sasaki_energy(f, geom, ell=ell, mu=4.0, ladder_ell=ladder,
-                              vol_cell=vol, base=base)
-                for f, vol in zip(fs, vols)]
-        assert isinstance(got, np.ndarray) and got.shape == (len(fs),)
-        assert all(type(e) is float for e in want)
-        assert_bitwise(got, want)
-        for (kind, *_), e in zip(members, got):
-            if kind == "empty":
-                assert e == 0.0
+        kwargs = {"ell": ell, "mu": 4.0, "ladder_ell": ladder}
+        got = sasaki_energy(grid, values, qmax, vol=vols, **kwargs)
+        want = [sasaki_energy(grid[i:i + 1], values[i:i + 1], qmax[i:i + 1],
+                              vol=np.broadcast_to(vols, qmax.shape)[i],
+                              **kwargs)
+                for i in range(len(members))]
+        assert isinstance(got, np.ndarray) and got.shape == (len(members),)
+        assert all(e.shape == (1,) for e in want)
+        assert_bitwise(got, np.concatenate(want))
 
-    def test_shared_cell_volume_and_empty_stack(self):
-        fs = [smooth_bump(amp=2e-4, qmax=q) for q in (1.0, 1.5, 2.0)]
-        got = sasaki_energy(fs, None, ell=2, mu=4.0, ladder_ell=5,
-                            vol_cell=0.7)
-        want = [sasaki_energy(f, None, ell=2, mu=4.0, ladder_ell=5,
-                              vol_cell=0.7) for f in fs]
-        assert_bitwise(got, want)
-        empty = sasaki_energy([], None, ell=2, mu=4.0)
-        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    def test_nonpositive_support_radius_is_the_quadrature_error(self):
+        grid = np.tile(np.linspace(0.0, 1.0, 5), (2, 1))
+        with pytest.raises(ValueError, match="empty quadrature interval"):
+            sasaki_energy(grid, np.ones_like(grid), np.array([1.0, 0.0]),
+                          ell=2, mu=4.0)
+
+    @pytest.mark.parametrize("grid, values, qmax", [
+        ((5,), (5,), ()), ((2, 5), (2, 5), (3,)), ((2, 5), (2, 5), (2, 1)),
+        ((2, 5), (2, 4), (2,)), ((0, 5), (0, 5), (0,))])
+    def test_mismatched_blocks_rejected(self, grid, values, qmax):
+        with pytest.raises(ValueError):
+            sasaki_energy(np.linspace(0.0, 1.0, 5) * np.ones(grid),
+                          np.ones(values), np.ones(qmax), ell=2, mu=4.0)
 
 
 class TestTotalEnergy:

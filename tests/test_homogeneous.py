@@ -378,7 +378,7 @@ def per_point_reference(f0, tau0, T_end, n_steps, n_q=257, log_every=10,
 
     q_fine = np.linspace(0.0, f0.qmax, 4 * n_q)
     f0_spline = homogeneous._not_a_knot_spline(q_fine, f0(q_fine))
-    rows, dists, reason = [], [], None
+    rows, grids, dists, reason = [], [], [], None  # dists: f on the grids
 
     def log_point(T, b, rho_cont):
         nonlocal reason
@@ -403,8 +403,8 @@ def per_point_reference(f0, tau0, T_end, n_steps, n_q=257, log_every=10,
         if abs(N - 3.0) > 10.0 * (s * rho_c + s**3 * eta_c) + 1e-14:
             reason = f"lapse spot check failed at T={T}"
             return False
-        dists.append(RadialDistribution(grid=q_grid, qmax=f0.qmax * stretch,
-                                        values=fq))
+        grids.append(q_grid)
+        dists.append(fq)
         rows.append([T, frame.tau, b, b_con, N, rho_g, eta_g,
                      f0.qmax * stretch, rho_c, eta_c, rho_cont])
         return True
@@ -429,9 +429,11 @@ def per_point_reference(f0, tau0, T_end, n_steps, n_q=257, log_every=10,
     series = np.array(rows, dtype=float).reshape(-1, 11).T.copy()
     energy = np.empty(0)
     if rows:
+        # the cell volumes sqrt(det(b I)) and the support radii G
         vol = np.sqrt(np.linalg.det(series[2][:, None, None] * np.eye(3)))
-        energy = homogeneous.sasaki_energy(dists, None, ell=2, mu=4.0,
-                                           ladder_ell=5, vol_cell=vol)
+        energy = homogeneous.sasaki_energy(
+            np.array(grids), np.array(dists), series[7], ell=2, mu=4.0,
+            ladder_ell=5, vol=vol)
     return HomogeneousRun(*series[:8], energy, *series[8:], b0=b0,
                           completed=reason is None, abort_reason=reason)
 

@@ -205,3 +205,46 @@ class TestMomentBounds:
                                  make_time_frame(-1.0, 0.0), ell=2)
         assert rep["all_hold"] and not rep["within_design_regime"]
 
+
+    # lhs and rhs of each check (the j lhs of an isotropic f is zero) on
+    # the cell b I at T = 0.3 of tau0 = -1, as float.hex
+    PINNED = {
+        (0.5, 2, "profile"): {
+            "rho": ("0x1.379dcd9f99dcep+0", "0x1.54774a484952fp+2"),
+            "j": ("0x0.0p+0", "0x1.54774a484952fp+2"),
+            "T_under": ("0x1.78c08b718a695p-2", "0x1.66601723b9372p+2"),
+            "S": ("0x1.e80b4266ba592p-1", "0x1.89314589c223fp+2")},
+        (1.0, 4, "values"): {
+            "rho": ("0x1.06695a0ca345ap+1", "0x1.70d558f3d7a2ap+6"),
+            "j": ("0x0.0p+0", "0x1.70d558f3d7a2ap+6"),
+            "T_under": ("0x1.3d86b1c8cf170p-1", "0x1.bad235c682932p+6"),
+            "S": ("0x1.9af1d0bed621ep+0", "0x1.b8ee891a39cd4p+6")},
+        (1.7, 3, "values"): {
+            "rho": ("0x1.86adb7ae010b1p+1", "0x1.33c941c62eab1p+6"),
+            "j": ("0x0.0p+0", "0x1.33c941c62eab1p+6"),
+            "T_under": ("0x1.d8bbb9127f311p-1", "0x1.5d61f1988de27p+6"),
+            "S": ("0x1.31e84a83163e6p+1", "0x1.6a6c5a153d3d2p+6")},
+        (1.7, 5, "profile"): {
+            "rho": ("0x1.861f055e7c162p+1", "0x1.2d326ada9556cp+9"),
+            "j": ("0x0.0p+0", "0x1.2d326ada9556cp+9"),
+            "T_under": ("0x1.d7aa96c94a19bp-1", "0x1.78cba6c13de21p+9"),
+            "S": ("0x1.317f731b06b39p+1", "0x1.6c3d34afdcf55p+9")},
+    }
+
+    @pytest.mark.parametrize("b, ell, kind", sorted(PINNED))
+    def test_pinned_values(self, b, ell, kind):
+        # a profile is sampled on its grid; values are read as given
+        qmax = 1.8
+        grid = np.linspace(0.0, qmax, 40)
+        prof = lambda q: (0.7 * np.exp(-1.3 * q**2)
+                          * np.maximum(0.0, 1.0 - (q / qmax) ** 2))
+        f = RadialDistribution(grid=grid, qmax=qmax, **(
+            {"profile": prof} if kind == "profile" else
+            {"values": prof(grid)}))
+        geom = LocalGeometry(g=b * np.eye(3), Sigma=np.zeros((3, 3)), N=3.0,
+                             X=np.zeros(3))
+        rep = moment_bound_check(f, geom, make_time_frame(-1.0, 0.3), ell)
+        for name, (lhs, rhs) in self.PINNED[b, ell, kind].items():
+            assert (rep[name]["lhs"].hex(), rep[name]["rhs"].hex()) == \
+                (lhs, rhs), name
+            assert type(rep[name]["rhs"]) is float, name

@@ -1,6 +1,41 @@
 import numpy as np
+import pytest
 
 from milne_lab._rk4 import rk4_step, rk4_step_into
+from milne_lab.homogeneous import evolve_homogeneous
+from milne_lab.matter import RadialDistribution
+from milne_lab.modes import integrate_mode
+
+
+def mode_run(n_steps):
+    return integrate_mode(1.0, 1.0, -1.0, (0.0, 1.0), n_steps)
+
+
+def homogeneous_run(n_steps=10, log_every=10):
+    f0 = RadialDistribution(grid=np.linspace(0.0, 2.0, 20), qmax=2.0,
+                            profile=lambda q: 2e-3 * (1.0 - (q / 2.0) ** 2))
+    return evolve_homogeneous(f0, -1.0, 1.0, n_steps, n_q=9,
+                              log_every=log_every)
+
+
+@pytest.mark.parametrize("run, bad, error, name", [
+    (mode_run, dict(n_steps=0), ValueError, "n_steps"),
+    (mode_run, dict(n_steps=-3), ValueError, "n_steps"),
+    (mode_run, dict(n_steps=2.5), TypeError, "n_steps"),
+    (mode_run, dict(n_steps=True), TypeError, "n_steps"),
+    (homogeneous_run, dict(n_steps=0), ValueError, "n_steps"),
+    (homogeneous_run, dict(n_steps=10.0), TypeError, "n_steps"),
+    (homogeneous_run, dict(log_every=0), ValueError, "log_every"),
+    (homogeneous_run, dict(log_every=-10), ValueError, "log_every"),
+    (homogeneous_run, dict(log_every=10.0), TypeError, "log_every"),
+    (homogeneous_run, dict(log_every=True), TypeError, "log_every"),
+])
+def test_bad_step_counts_are_named_errors(run, bad, error, name):
+    # the integrators check their counts as integrate_characteristics does
+    with pytest.raises(error, match=f"{name} must be"):
+        run(**bad)
+    if error is TypeError:  # numpy integers are counts
+        run(**{key: np.int64(10) for key in bad})
 
 
 def test_float_pair_matches_written_out_stages():
