@@ -395,6 +395,22 @@ class TestSasakiEnergyStack:
         assert all(e.shape == (1,) for e in want)
         assert_bitwise(got, np.concatenate(want))
 
+    def test_shared_cell_volume_and_empty_stack(self):
+        # one float cell volume for three smooth bumps is bitwise each
+        # row's own call; a stack of no rows is rejected
+        fs = [smooth_bump(amp=2e-4, qmax=q) for q in (1.0, 1.5, 2.0)]
+        grid = np.stack([f.grid for f in fs])
+        values = np.stack([f.profile(f.grid) for f in fs])
+        qmax = np.array([f.qmax for f in fs])
+        kwargs = {"ell": 2, "mu": 4.0, "ladder_ell": 5, "vol": 0.7}
+        got = sasaki_energy(grid, values, qmax, **kwargs)
+        want = [one_row(f, **kwargs) for f in fs]
+        assert got.shape == (3,)
+        assert_bitwise(got, want)
+        with pytest.raises(ValueError):
+            sasaki_energy(np.empty((0, 5)), np.empty((0, 5)), np.empty(0),
+                          ell=2, mu=4.0)
+
     def test_nonpositive_support_radius_is_the_quadrature_error(self):
         grid = np.tile(np.linspace(0.0, 1.0, 5), (2, 1))
         with pytest.raises(ValueError, match="empty quadrature interval"):
