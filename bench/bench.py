@@ -506,12 +506,11 @@ def accuracy_section() -> dict:
         run = homogeneous.evolve_homogeneous(f0, -1.5, 2.0, 40 * m, n_q=9,
                                              log_every=8 * m, n_nodes=16)
         series.append(np.array([run.b_ode, run.rho_cont]))
-    # a mode: lambda = 1, source amplitude 0.5, to T = 3 at h = 0.05,
-    # 0.025 and 0.0125, compared on the coarse steps
+    # a mode: lambda = 1, to T = 3 at h = 0.05, 0.025 and 0.0125, compared
+    # on the coarse steps
     states = []
     for m in (1, 2, 4):
-        traj = modes.integrate_mode(1.0, 1.0, -1.0, (0.0, 3.0), 60 * m,
-                                    S_amp=0.5)
+        traj = modes.integrate_mode(1.0, 1.0, -1.0, (0.0, 3.0), 60 * m)
         states.append(np.array([traj.u[::m], traj.w[::m]]))
     b_order, rho_order = observed_order(*series)
     u_order, w_order = observed_order(*states)
@@ -526,7 +525,7 @@ def accuracy_section() -> dict:
                               "h 0.05, n_q 9, 16 nodes",
         "mode_u": round(float(u_order), 3),
         "mode_w": round(float(w_order), 3),
-        "mode_config": "lambda 1, u 1, w -1, S_amp 0.5, T 0 to 3, h 0.05",
+        "mode_config": "lambda 1, u 1, w -1, T 0 to 3, h 0.05",
     }
     print("RK4 orders: " + ", ".join(
         f"{k} {v:.3f}" for k, v in section.items()

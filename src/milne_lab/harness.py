@@ -198,9 +198,9 @@ def validate_config(raw) -> ScenarioConfig:
     1/2``, ``deltaEcal > 1/2``, ``deltaE + deltaEcal < 1``), the
     decay-budget conditions
     ``1 - 2 deltaAlpha - deltaE - epsTot > 1 - epsDecay`` and
-    ``deltaEcal - epsTot > 1 - epsDecay``, caps on the run size, and a
-    ``full_report`` ``modeAmp`` whose mode energies stay finite and mode
-    metric normal over the run span.
+    ``deltaEcal - epsTot > 1 - epsDecay``, caps on the run size, the bound
+    ``|tau0| <= 1e100``, and a ``full_report`` ``modeAmp`` whose mode
+    energies stay finite and mode metric normal over the run span.
     """
     if isinstance(raw, (str, bytes)):
         data = _json_object(raw)
@@ -231,6 +231,8 @@ def validate_config(raw) -> ScenarioConfig:
                  f"{c['scenario']!r}")
     _named_check(c["seed"] >= 0, "seed >= 0", f"seed={c['seed']}")
     _named_check(c["tau0"] < 0.0, "tau0 < 0", f"tau0={c['tau0']}")
+    _named_check(abs(c["tau0"]) <= _MAX_ABS_TAU0, "|tau0| <= 1e100",
+                 f"tau0={c['tau0']}")
     _named_check(c["T0"] >= 0.0, "T0 >= 0", f"T0={c['T0']}")
     _named_check(c["h"] > 0.0, "h > 0", f"h={c['h']}")
     _named_check(c["Tend"] > c["T0"], "Tend > T0",
@@ -343,6 +345,10 @@ _MAX_STEPS = 10**6
 _MAX_PARTICLE_STEPS = 10**9
 _MAX_MODE_STEPS = 10**8
 _MAX_CURVATURE = 1e150
+# the runs square tau (the characteristic flow, the Christoffel symbols)
+# and cube s = |tau| (the homogeneous log points); at 1e100 every power
+# stays finite
+_MAX_ABS_TAU0 = 1e100
 
 
 def _check_run_size(cfg: ScenarioConfig) -> None:

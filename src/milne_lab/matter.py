@@ -4,15 +4,10 @@ A collisionless distribution function feeds the field equations only
 through a handful of momentum averages: the energy density, the momentum
 density, the pressure trace, the stress tensor and the derived source
 tensor of the metric evolution.  This module computes those moments from
-either
-
-* a :class:`RadialDistribution` — an isotropic profile ``f(q)`` of the
-  frame-metric momentum magnitude (requires vanishing shift), integrated
-  with composite Gauss-Legendre quadrature, or
-* a :class:`ParticleEnsemble` — weighted momentum samples with fully
-  general kernels,
-
-and provides the exact continuity system the moments satisfy (its
+a :class:`RadialDistribution` — an isotropic profile ``f(q)`` of the
+frame-metric momentum magnitude (requires vanishing shift), integrated
+with composite Gauss-Legendre quadrature — and provides the exact
+continuity system the moments satisfy on homogeneous states (its
 right-hand side at the background feeds the ``background_check``
 scenario's vacuum check) and the Cauchy-Schwarz moment bounds with
 explicit constants.  :func:`eta_direct` evaluates ``eta`` with one
@@ -23,14 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from ._quadrature import composite_gauss_legendre
 from .geometry import LocalGeometry, TimeFrame
-from .massshell import compute_p0
-from .transport import ParticleEnsemble
 from .energies import inverse_weight_integral, sasaki_energy
 
 __all__ = [
@@ -57,16 +50,15 @@ class UnsupportedModeError(ValueError):
 class RadialDistribution:
     """Isotropic distribution ``f(q)`` of the momentum magnitude ``q = |p|_g``.
 
-    Either ``values`` on ``grid`` (linear interpolation between nodes) or
-    a callable ``profile`` must be given; outside ``[0, qmax]`` the
-    distribution vanishes identically.  Nonnegativity and compact support
-    are validated on construction.
+    The callable ``profile`` gives ``f`` on an array of magnitudes, and
+    ``grid`` holds the nodes it is sampled on for the energy; outside
+    ``[0, qmax]`` the distribution vanishes identically.  The grid and
+    the profile's nonnegativity on it are validated on construction.
     """
 
     grid: np.ndarray
     qmax: float
-    values: Optional[np.ndarray] = None
-    profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    profile: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         self.grid = np.asarray(self.grid, dtype=float)
@@ -77,29 +69,13 @@ class RadialDistribution:
             raise ValueError("grid must be strictly increasing")
         if self.qmax <= 0.0:
             raise ValueError("qmax must be positive")
-        if (self.values is None) == (self.profile is None):
-            raise ValueError("give exactly one of values or profile")
-        if self.values is not None:
-            self.values = np.asarray(self.values, dtype=float)
-            if self.values.shape != self.grid.shape:
-                raise ValueError("values must match the grid shape")
-            if np.any(self.values < 0.0):
-                raise ValueError("distribution values must be nonnegative")
-            beyond = self.grid > self.qmax
-            if np.any(np.abs(self.values[beyond]) > 0.0):
-                raise ValueError("distribution must vanish beyond qmax")
-        else:
-            probe = self.profile(self.grid[self.grid <= self.qmax])
-            if np.any(np.asarray(probe) < 0.0):
-                raise ValueError("distribution profile must be nonnegative")
+        probe = self.profile(self.grid[self.grid <= self.qmax])
+        if np.any(np.asarray(probe) < 0.0):
+            raise ValueError("distribution profile must be nonnegative")
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        if self.profile is not None:
-            out = np.asarray(self.profile(q), dtype=float)
-        else:
-            out = np.interp(q, self.grid, self.values, left=self.values[0],
-                            right=0.0)
+        out = np.asarray(self.profile(q), dtype=float)
         return np.where((q >= 0.0) & (q <= self.qmax), out, 0.0)
 
 
@@ -147,48 +123,29 @@ def _require_isotropic(geom: LocalGeometry, what: str) -> None:
             f"{what} uses the isotropic reduction, which needs zero shift")
 
 
-def moments_from_distribution(f, geom: LocalGeometry, frame: TimeFrame,
-                              n_nodes: int = 64) -> MatterMoments:
-    """Momentum averages of a distribution at one slice.
+def moments_from_distribution(f: RadialDistribution, geom: LocalGeometry,
+                              frame: TimeFrame) -> MatterMoments:
+    """Momentum averages of a radial distribution at one slice.
 
-    For a :class:`RadialDistribution` (zero shift required) the isotropic
-    closed reductions are used, with ``phat = sqrt(1 + tau^2 q^2)``::
+    The isotropic closed reductions (zero shift required) are integrated
+    on 64 composite Gauss-Legendre nodes over ``[0, qmax]``, with
+    ``phat = sqrt(1 + tau^2 q^2)``::
 
         rho       = 4 pi int f phat q^2 dq
         j         = 0
         eta_under = 4 pi int f q^4 / phat dq
         T_under   = (eta_under / 3) ginv
         S         = g (rho / 2 - tau^2 eta_under / 6)
-
-    For a :class:`ParticleEnsemble` (weights carry the full phase-space
-    measure) the general kernels are summed:
-    ``N p0`` for ``rho``, ``p^a`` for ``j``, ``|p + p0 X / s|^2_g / (N p0)``
-    for ``eta_under`` and ``p^a p^b / (N p0)`` for ``T_under``; the source
-    tensor is assembled from the isotropic trace part.
     """
+    _require_isotropic(geom, "moments_from_distribution")
     tau = frame.tau
-    if isinstance(f, RadialDistribution):
-        _require_isotropic(geom, "moments_from_distribution")
-        q, w = composite_gauss_legendre(0.0, f.qmax, n_nodes)
-        fv = f(q)
-        ph = np.sqrt(1.0 + tau**2 * q**2)
-        rho = 4.0 * math.pi * float(np.sum(w * fv * ph * q**2))
-        eta_under = 4.0 * math.pi * float(np.sum(w * fv * q**4 / ph))
-        j = np.zeros(3)
-        T_under = (eta_under / 3.0) * geom.ginv
-    elif isinstance(f, ParticleEnsemble):
-        p = f.p
-        wgt = f.weights
-        p0 = compute_p0(geom, p, frame, method="paper_primary")
-        pund = geom.N * p0
-        rho = float(np.sum(wgt * pund))
-        j = np.einsum("n,na->a", wgt, p)
-        v = p + (p0[:, None] / frame.s) * geom.X
-        v2 = np.einsum("na,ab,nb->n", v, geom.g, v)
-        eta_under = float(np.sum(wgt * v2 / pund))
-        T_under = np.einsum("n,na,nb->ab", wgt / pund, p, p)
-    else:
-        raise TypeError(f"unsupported distribution type {type(f).__name__}")
+    q, w = composite_gauss_legendre(0.0, f.qmax, 64)
+    fv = f(q)
+    ph = np.sqrt(1.0 + tau**2 * q**2)
+    rho = 4.0 * math.pi * float(np.sum(w * fv * ph * q**2))
+    eta_under = 4.0 * math.pi * float(np.sum(w * fv * q**4 / ph))
+    j = np.zeros(3)
+    T_under = (eta_under / 3.0) * geom.ginv
     S = geom.g * (0.5 * rho - tau**2 * eta_under / 6.0)
     eta = rho + tau**2 * eta_under
     return MatterMoments(rho=rho, j=j, eta_under=eta_under, T_under=T_under,
@@ -216,15 +173,11 @@ def eta_direct(f: RadialDistribution, geom: LocalGeometry,
 # continuity system
 # ---------------------------------------------------------------------------
 
-_GRADIENT_KEYS = ("X_grad_rho", "div_N2j", "X_grad_j", "gradX_j", "div_NT")
-
-
 def continuity_rhs(rho: float, j: np.ndarray, geom: LocalGeometry,
-                   frame: TimeFrame, eta_under: float,
-                   gradients: Optional[dict] = None) -> tuple:
-    """Exact evolution system of the first two moments.
+                   frame: TimeFrame, eta_under: float) -> tuple:
+    """Exact evolution system of the first two moments on a homogeneous state.
 
-    Returns ``(d_T rho, d_T j)`` with::
+    Returns ``(d_T rho, d_T j)``.  The full system reads::
 
         d_T rho = (3 - N) rho - X.grad(rho) + (tau/N) div(N^2 j)
                   - tau^2 (N/3) g:T_under - tau^2 N Sigma:T_under
@@ -232,39 +185,31 @@ def continuity_rhs(rho: float, j: np.ndarray, geom: LocalGeometry,
                   + tau div_b(N T^{ab}) - 2 N Sigma^a_b j^b
                   - (1/s) rho grad^a N
 
-    The spatial-gradient contractions cannot be formed from pointwise
-    data; for inhomogeneous states they must be supplied through
-    ``gradients`` (keys ``X_grad_rho, div_N2j, X_grad_j, gradX_j,
-    div_NT``), otherwise an :class:`UnsupportedModeError` is raised.
-    Homogeneous states (zero shift, zero lapse gradient) need no extras.
-    The stress is the isotropic ``T_under = (eta_under / 3) ginv``.
+    Its spatial-gradient contractions cannot be formed from pointwise
+    data, so only homogeneous states (zero shift, zero lapse gradient),
+    where they vanish, are accepted; any other state raises
+    :class:`UnsupportedModeError`.  The stress is the isotropic
+    ``T_under = (eta_under / 3) ginv``.
     """
+    dN = geom.dN if geom.dN is not None else np.zeros(3)
+    if (float(np.max(np.abs(geom.X))) != 0.0
+            or float(np.max(np.abs(dN))) != 0.0):
+        raise UnsupportedModeError(
+            "continuity_rhs needs a homogeneous state: zero shift and zero "
+            "lapse gradient")
     tau, s = frame.tau, frame.s
-    g, N, X, Sigma = geom.g, geom.N, geom.X, geom.Sigma
+    g, N, Sigma = geom.g, geom.N, geom.Sigma
     j = np.asarray(j, dtype=float)
     T_under = (eta_under / 3.0) * geom.ginv
-    dN = geom.dN if geom.dN is not None else np.zeros(3)
-    homogeneous = (float(np.max(np.abs(X))) == 0.0
-                   and float(np.max(np.abs(dN))) == 0.0)
-    if gradients is None:
-        if not homogeneous:
-            raise UnsupportedModeError(
-                "inhomogeneous continuity needs the gradient contractions "
-                f"{_GRADIENT_KEYS}")
-        gradients = {}
-    X_grad_rho = gradients.get("X_grad_rho", 0.0)
-    div_N2j = gradients.get("div_N2j", 0.0)
-    X_grad_j = np.asarray(gradients.get("X_grad_j", np.zeros(3)), dtype=float)
-    gradX_j = np.asarray(gradients.get("gradX_j", np.zeros(3)), dtype=float)
-    div_NT = np.asarray(gradients.get("div_NT", np.zeros(3)), dtype=float)
-
     gT = float(np.einsum("ab,ab->", g, T_under))
     SigmaT = float(np.einsum("ab,ab->", Sigma, T_under))
-    drho = ((3.0 - N) * rho - X_grad_rho + (tau / N) * div_N2j
-            - tau**2 * (N / 3.0) * gT - tau**2 * N * SigmaT)
+    drho = ((3.0 - N) * rho - tau**2 * (N / 3.0) * gT
+            - tau**2 * N * SigmaT)
     Sigma_mixed = geom.ginv @ Sigma
-    dj = ((5.0 / 3.0) * (3.0 - N) * j - X_grad_j - gradX_j + tau * div_NT
-          - 2.0 * N * (Sigma_mixed @ j) - (rho / s) * (geom.ginv @ dN))
+    # the lapse-gradient term is a zero here, but its sign can decide the
+    # sign of a zero component of d_T j
+    dj = ((5.0 / 3.0) * (3.0 - N) * j - 2.0 * N * (Sigma_mixed @ j)
+          - (rho / s) * (geom.ginv @ dN))
     return float(drho), dj
 
 
@@ -300,8 +245,7 @@ def moment_bound_check(f: RadialDistribution, geom: LocalGeometry,
         return math.sqrt(vol_g * 4.0 * math.pi * inverse_weight_integral(mu))
 
     # f as one row of samples on its grid, in a cell of metric volume vol_g
-    values = f.values if f.profile is None else f.profile(f.grid)
-    row = (f.grid[None], np.asarray(values, dtype=float)[None],
+    row = (f.grid[None], np.asarray(f.profile(f.grid), dtype=float)[None],
            np.array([f.qmax]))
 
     def E(mu):

@@ -3,12 +3,14 @@
 Each spatial eigenmode of the linearised geometry decouples into a damped
 oscillator in logarithmic time,
 
-    u'' + 2 u' + 9 lambda u = 18 s S_amp,   s = s0 e^{-T},
+    u'' + 2 u' + 9 lambda u = 0,
 
-where ``lambda`` is the (nonnegative) eigenvalue of the spatial operator
-and the right-hand side is an exponentially decaying matter source.  The
-borderline eigenvalue ``lambda = 1/9`` gives a double characteristic root
-``-1``; above it the roots are complex with real part ``-1``.
+where ``lambda`` is the (nonnegative) eigenvalue of the spatial operator.
+The lab runs the source-free sector only: the matter source of the full
+linearisation decays like the scale factor ``s ~ e^{-T}`` and is left
+out.  The borderline eigenvalue ``lambda = 1/9`` gives a double
+characteristic root ``-1``; above it the roots are complex with real part
+``-1``.
 
 The corrected quadratic energies combine the oscillator energy with a
 cross term ``cE u' u`` chosen by :func:`milne_lab.geometry.correction_constants`
@@ -24,11 +26,10 @@ table).
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,11 +69,10 @@ class ModeTrajectory:
     energy: np.ndarray
 
 
-def mode_rhs(u: float, w: float, lam: float, T: float,
-             S_amp: float = 0.0, s0: float = 1.0) -> tuple:
-    """Right-hand side ``(u', w')`` of the damped mode oscillator."""
-    s = s0 * math.exp(-T)
-    return w, -2.0 * w - 9.0 * lam * u + 18.0 * s * S_amp
+def mode_rhs(u: float, w: float, lam: float, T: float) -> tuple:
+    """Right-hand side ``(u', w')`` of the damped mode oscillator at ``T``
+    (autonomous: ``T`` is there for the ``f(T, y)`` form of a step)."""
+    return w, -2.0 * w - 9.0 * lam * u
 
 
 def corrected_energy(u, w, lam: float, constants: CorrectionConstants,
@@ -125,7 +125,7 @@ def coercivity_check(lam: float, cE: float) -> dict:
 
 
 def integrate_mode(lam: float, u0: float, w0: float, T_span: tuple,
-                   n_steps: int, S_amp: float = 0.0, s0: float = 1.0,
+                   n_steps: int,
                    eps_prime: float = 1.0 / 900.0) -> ModeTrajectory:
     """Classical Runge-Kutta integration of one eigenmode.
 
@@ -140,40 +140,28 @@ def integrate_mode(lam: float, u0: float, w0: float, T_span: tuple,
     if not T1 > T0:
         raise ValueError("empty integration span")
     h = (T1 - T0) / n_steps
-    # mode_rhs written out, with 9 lam, h/2 and h/6 hoisted and the source
-    # evaluated once per distinct stage time: the same floating-point
-    # operations, in the same order, as rk4_step driven by mode_rhs (pinned
-    # bitwise by the tests).  |s0 e^{-t}| only shrinks as t grows, so when
-    # the first step's source is a zero every stage source is a zero, and
-    # the loop adds 0.0 without an exp (the sign of a zero source never
-    # reaches u or w, which the tests check).  The times are T0 + i h, as in
+    # mode_rhs written out, with 9 lam, h/2 and h/6 hoisted: the same
+    # floating-point operations, in the same order, as rk4_step driven by
+    # mode_rhs (pinned bitwise by the tests).  The times are T0 + i h, as in
     # rk4_step's caller, computed after the loop.  About 0.5 us a step
-    # source-free (bench/bench.py, 2-vCPU VM) against 2.4 us calling
-    # mode_rhs and 3-4 times that through the generic step; stepping the
-    # lambda grid as one array is slower too.  The states go into arrays of
-    # doubles: lists would keep a float object per value alive (about
-    # 0.8 MB more peak memory in a report)
+    # (bench/bench.py, 2-vCPU VM) against 2.4 us calling mode_rhs and 3-4
+    # times that through the generic step; stepping the lambda grid as one
+    # array is slower too.  The states go into arrays of doubles: lists
+    # would keep a float object per value alive (about 0.8 MB more peak
+    # memory in a report)
     half, sixth, lam9 = 0.5 * h, h / 6.0, 9.0 * lam
-    exp = math.exp
-    if 18.0 * (s0 * exp(-T0)) * S_amp == 0.0:
-        sources = itertools.repeat((0.0, 0.0, 0.0), n_steps)
-    else:
-        sources = ((18.0 * (s0 * exp(-t)) * S_amp,
-                    18.0 * (s0 * exp(-(t + half))) * S_amp,
-                    18.0 * (s0 * exp(-(t + h))) * S_amp)
-                   for t in (T0 + i * h for i in range(n_steps)))
     u, w = float(u0), float(w0)
     U, W = array("d", [u]), array("d", [w])
-    for src, src_half, src_end in sources:
+    for _ in range(n_steps):
         # the u-slope of a stage is its w state (k1u = w), so k2u, k3u and
         # k4u are the stage values of w
-        k1w = -2.0 * w - lam9 * u + src
+        k1w = -2.0 * w - lam9 * u
         k2u = w + half * k1w
-        k2w = -2.0 * k2u - lam9 * (u + half * w) + src_half
+        k2w = -2.0 * k2u - lam9 * (u + half * w)
         k3u = w + half * k2w
-        k3w = -2.0 * k3u - lam9 * (u + half * k2u) + src_half
+        k3w = -2.0 * k3u - lam9 * (u + half * k2u)
         k4u = w + h * k3w
-        k4w = -2.0 * k4u - lam9 * (u + h * k3u) + src_end
+        k4w = -2.0 * k4u - lam9 * (u + h * k3u)
         u += sixth * (w + 2.0 * k2u + 2.0 * k3u + k4u)
         w += sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         U.append(u)
@@ -185,25 +173,24 @@ def integrate_mode(lam: float, u0: float, w0: float, T_span: tuple,
                           energy=energy)
 
 
-def energy_decay_check(traj: ModeTrajectory,
-                       fit_window: Optional[tuple] = None) -> dict:
+def energy_decay_check(traj: ModeTrajectory) -> dict:
     """Whether a source-free mode run decays at its guaranteed rate.
 
     Returns the mode's entry of the ``modes`` report: ``alpha``, ``cE``,
     the smallest eigenvalue ``min_quadform_eig`` of the energy form, the
     worst dissipation-identity value ``max_violation``, the log-linear
-    energy rate ``fitted_rate`` over ``fit_window`` (the whole run by
-    default; ``None``, the reason at ``unfitted``, if it cannot be fitted)
-    and ``holds``: the form is positive definite, the identity stays <=
-    1e-12, and the rate is within 0.02 of 2 above the borderline
-    eigenvalue 1/9, at it no more than :data:`RATE_TOL` below ``2 alpha``.
+    energy rate ``fitted_rate`` over the whole run (``None``, the reason
+    at ``unfitted``, if it cannot be fitted) and ``holds``: the form is
+    positive definite, the identity stays <= 1e-12, and the rate is within
+    0.02 of 2 above the borderline eigenvalue 1/9, at it no more than
+    :data:`RATE_TOL` below ``2 alpha``.
     """
     c = traj.constants
     diss = dissipation_identity(traj.u, traj.w, traj.lam, c)
     entry = {"alpha": c.alpha, "cE": c.cE,
              "min_quadform_eig": coercivity_check(traj.lam, c.cE)["min_eig"],
              "max_violation": float(np.max(diss))}
-    _fit_rate(entry, "fitted_rate", traj.T, traj.energy, fit_window)
+    _fit_rate(entry, "fitted_rate", traj.T, traj.energy)
     rate = entry["fitted_rate"]
     rate_ok = rate is not None and (
         abs(rate - 2.0) <= 0.02 if traj.lam > 1.0 / 9.0 + 1e-12

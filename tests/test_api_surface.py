@@ -1,9 +1,13 @@
 """The public surface of the package holds nothing that nobody uses.
 
 * Every defaulted parameter of a public function or method in
-  ``src/milne_lab`` is set by some call in the repository.  A parameter
-  that no caller sets always takes its default, so it is a constant, not
-  an option, and belongs in the body.
+  ``src/milne_lab`` is set by some call in code that runs: a module of
+  ``src``, ``demos``, ``bench`` or ``perfbench``.  A parameter that no
+  such caller sets always takes its default when the lab runs, so it is a
+  constant, not an option, and belongs in the body; an option only tests
+  set is an input form only tests reach.  The only exceptions are the
+  test seams in :data:`TEST_SEAMS`, each set by the test it serves and by
+  no code that runs.
 * Every name in an ``__all__`` resolves, so a deletion cannot leave a
   stale export behind.
 * Every name that ``__init__.py`` re-exports from a module of the
@@ -37,6 +41,20 @@ TEST_REFERENCES = {
     "eta_direct": "tests/test_matter.py::TestMoments::"
                   "test_eta_identity_against_direct_kernel",
     "rk4_step": "tests/test_rk4.py::test_buffered_step_matches_rk4_step",
+}
+# defaulted parameters that only tests set, each with a test that sets it:
+# the dense reference system of the characteristic integrator and the
+# failure seam of the homogeneous run
+TEST_SEAMS = {
+    "transport.characteristic_rhs(mode)":
+        "tests/test_transport.py::TestPaperForm::"
+        "test_paper_form_is_derived_minus_2p",
+    "transport.characteristic_rhs(q0)":
+        "tests/test_transport.py::TestRhsEquivalence::"
+        "test_row_kernel_matches_dense_rhs",
+    "homogeneous.evolve_homogeneous(lapse_tol)":
+        "tests/test_homogeneous.py::TestRunBitwise::"
+        "test_run_aborted_at_T0_has_empty_series",
 }
 MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -75,22 +93,27 @@ def defaulted_parameters():
     return out
 
 
-def calls_by_name():
-    """Every call in the repository's Python files, keyed by the called
-    name (``f(...)`` and ``obj.f(...)`` both count as calls of ``f``)."""
+def calls_by_name(trees):
+    """Every call in the syntax trees ``trees``, keyed by the called name
+    (``f(...)`` and ``obj.f(...)`` both count as calls of ``f``)."""
     calls = {}
-    for folder in CALLER_DIRS:
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = (func.id if isinstance(func, ast.Name) else
-                        func.attr if isinstance(func, ast.Attribute) else None)
-                if name is not None:
-                    calls.setdefault(name, []).append(node)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name is not None:
+                calls.setdefault(name, []).append(node)
     return calls
+
+
+def code_that_runs():
+    """The syntax trees of the modules of ``USE_DIRS``."""
+    return [ast.parse(path.read_text(), filename=str(path))
+            for folder in USE_DIRS
+            for path in sorted((ROOT / folder).rglob("*.py"))]
 
 
 def sets(call, name, position, is_method):
@@ -104,15 +127,40 @@ def sets(call, name, position, is_method):
     return position is not None and len(call.args) + is_method > position
 
 
+def unset_parameters(trees):
+    """Labels of the defaulted parameters that no call in ``trees`` sets."""
+    calls = calls_by_name(trees)
+    return [label for label, fn, name, position, is_method
+            in defaulted_parameters()
+            if not any(sets(call, name, position, is_method)
+                       for call in calls.get(fn, []))]
+
+
 def test_every_defaulted_parameter_is_set_by_some_caller():
-    params = defaulted_parameters()
-    assert params  # the scan sees the package
-    calls = calls_by_name()
-    unset = [label for label, fn, name, position, is_method in params
-             if not any(sets(call, name, position, is_method)
-                        for call in calls.get(fn, []))]
-    assert not unset, (f"{len(unset)} defaulted parameters that no call "
-                       f"sets: {unset}")
+    assert defaulted_parameters()  # the scan sees the package
+    unset = [label for label in unset_parameters(code_that_runs())
+             if label not in TEST_SEAMS]
+    assert not unset, (f"{len(unset)} defaulted parameters that no code "
+                       f"that runs sets: {unset}; make each a constant, or "
+                       f"add a test seam to TEST_SEAMS with a test that "
+                       f"sets it")
+
+
+@pytest.mark.parametrize("label", sorted(TEST_SEAMS))
+def test_test_seams_are_set_only_by_tests(label):
+    assert label in {p[0] for p in defaulted_parameters()}, (
+        f"{label} is no defaulted parameter of a public function")
+    assert label in unset_parameters(code_that_runs()), (
+        f"{label} is set by code that runs")
+    path, *scopes = TEST_SEAMS[label].split("::")
+    node = ast.parse((ROOT / path).read_text())
+    for name in scopes:  # the test's class, then the test
+        node = next((item for item in node.body
+                     if isinstance(item, (ast.ClassDef, ast.FunctionDef))
+                     and item.name == name), None)
+        assert node is not None, TEST_SEAMS[label]
+    assert label not in unset_parameters([node]), (
+        f"{TEST_SEAMS[label]} does not set {label}")
 
 
 def exporting_modules():

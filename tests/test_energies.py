@@ -51,10 +51,9 @@ class TestWeightIntegrals:
 
 def one_row(f, **kwargs):
     """``sasaki_energy`` of the distribution ``f`` as one grid row: its
-    ``values``, or its ``profile`` sampled on its grid."""
-    values = f.values if f.profile is None else f.profile(f.grid)
-    energy = sasaki_energy(f.grid[None], values[None], np.array([f.qmax]),
-                           **kwargs)
+    ``profile`` sampled on its grid."""
+    energy = sasaki_energy(f.grid[None], f.profile(f.grid)[None],
+                           np.array([f.qmax]), **kwargs)
     assert energy.shape == (1,)
     return float(energy[0])
 
@@ -62,7 +61,7 @@ def one_row(f, **kwargs):
 class TestSasakiEnergy:
     def test_zero_distribution(self):
         f = RadialDistribution(grid=np.linspace(0.0, 1.0, 20), qmax=1.0,
-                               values=np.zeros(20))
+                               profile=np.zeros_like)
         assert one_row(f, ell=0, mu=4.0) == 0.0
 
     def test_weighted_l2_oracle(self):
@@ -70,7 +69,7 @@ class TestSasakiEnergy:
         # top-hat profile, against adaptive quadrature
         Q = 1.5
         f = RadialDistribution(grid=np.array([0.0, Q]), qmax=Q,
-                               values=np.array([2.0, 2.0]))
+                               profile=lambda q: np.full_like(q, 2.0))
         want, _ = quad(lambda q: 4 * math.pi * (1 + q**2) ** 4 * 4.0 * q**2,
                        0, Q)
         got = one_row(f, ell=0, mu=4.0)

@@ -510,6 +510,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "[T0 = 0]" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("characteristics", {"tau0": -1e160}),
+        ("background-check", {"tau0": -1e160}),
+        ("homogeneous", {"tau0": -1e110, "matterAmp": 0}),
+        ("report", {"tau0": -1e110, "matterAmp": 0}),
+        ("report", {"tau0": -1e300, "matterAmp": 0}),
+    ])
+    def test_huge_tau0_exits_2(self, command, extra, tmp_path, capsys):
+        # tau^2 and s^3 overflow past the bound; at it the config is valid
+        cfg = tmp_path / "huge_tau0.json"
+        cfg.write_text(json.dumps(extra))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "[|tau0| <= 1e100]" in err and "Traceback" not in err
+        validate_config({**extra, "tau0": -1e100, "seed": 0,
+                         "scenario": harness._CLI_SCENARIOS[command]})
+
     def test_large_thread_budget_accepted(self, monkeypatch):
         # validated only: a run never starts more workers than chunks
         monkeypatch.setenv("MILNE_LAB_THREADS", "1000000")

@@ -57,7 +57,7 @@ class TestAlgebraicPieces:
 class TestVacuumRun:
     def test_fixed_point_preserved(self):
         f0 = RadialDistribution(grid=np.linspace(0.0, 1.0, 20), qmax=1.0,
-                                values=np.zeros(20))
+                                profile=np.zeros_like)
         run = evolve_homogeneous(f0, tau0=-1.0, T_end=3.0, n_steps=300)
         assert run.completed
         assert np.max(np.abs(run.b_ode - 1.0)) < 1e-12

@@ -36,19 +36,12 @@ class TestExactSolutions:
         du, dw = mode_rhs(0.0, 0.0, 1.0, 0.0)
         assert du == 0.0 and dw == 0.0
 
-    def test_forcing_enters_through_scale_factor(self):
-        du0, dw0 = mode_rhs(0.0, 0.0, 1.0, 0.0, S_amp=1.0, s0=1.0)
-        du1, dw1 = mode_rhs(0.0, 0.0, 1.0, 1.0, S_amp=1.0, s0=1.0)
-        assert du0 == 0.0
-        assert dw0 == pytest.approx(18.0)
-        assert dw1 == pytest.approx(18.0 * math.exp(-1.0))
-
 
 class TestCorrectedEnergy:
     def test_generic_modes_decay_at_rate_two(self):
         for lam in (0.2, 5.0 / 9.0, 1.0, 2.0):
             traj = integrate_mode(lam, 1.0, -1.0, (0.0, 8.0), 4000)
-            rep = energy_decay_check(traj, fit_window=(3.0, 8.0))
+            rep = energy_decay_check(traj)
             assert rep["max_violation"] <= 1e-12
             assert rep["fitted_rate"] == pytest.approx(2.0, abs=0.02)
             assert rep["holds"]
@@ -56,9 +49,10 @@ class TestCorrectedEnergy:
     def test_borderline_guaranteed_rate(self):
         traj = integrate_mode(1.0 / 9.0, 1.0, -1.0, (0.0, 8.0), 4000,
                               eps_prime=1.0 / 900.0)
-        rep = energy_decay_check(traj, fit_window=(3.0, 8.0))
+        rep = energy_decay_check(traj)
         assert 2.0 * rep["alpha"] == pytest.approx(1.8, abs=1e-12)
         assert rep["max_violation"] <= 1e-12
+        assert rep["fitted_rate"] >= 2.0 * rep["alpha"] - 0.05
         assert rep["holds"]
 
     def test_order_factor_is_geometric_partial_sum(self):
@@ -119,28 +113,20 @@ class TestSweep:
         assert border["fitted_rate"] >= 2.0 * border["alpha"] - 0.05
 
 
-class TestForcedRuns:
-    def test_forced_mode_still_decays(self):
-        traj = integrate_mode(1.0, 1.0, -1.0, (0.0, 10.0), 5000, S_amp=0.3)
-        late = np.abs(traj.u[traj.T > 8.0])
-        assert np.max(late) < 0.01
-
-
 DEFAULT_LAMBDAS = next(f.default for f in dataclasses.fields(ScenarioConfig)
                        if f.name == "lambdaGrid")
 
 
-ZERO_SOURCE_STATES = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300,
-                      1e300, 0.5)
+EDGE_STATES = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, 1e300, 0.5)
 
 
-def mode_rhs_loop(lam, u0, w0, T_span, n_steps, S_amp, s0):
+def mode_rhs_loop(lam, u0, w0, T_span, n_steps):
     """``integrate_mode``'s states from ``rk4_step`` driven by ``mode_rhs``."""
     T0, T1 = T_span
     h = (T1 - T0) / n_steps
 
     def f(T, y):
-        return mode_rhs(y[0], y[1], lam, T, S_amp, s0)
+        return mode_rhs(y[0], y[1], lam, T)
 
     T, U, W = [T0], [u0], [w0]
     y = (u0, w0)
@@ -154,53 +140,43 @@ def mode_rhs_loop(lam, u0, w0, T_span, n_steps, S_amp, s0):
 
 
 class TestWrittenOutStages:
-    @pytest.mark.parametrize("S_amp, s0", [(0.0, 1.0), (1.0, 1.0),
-                                           (1.0, 0.7)])
+    @pytest.mark.parametrize("u0, w0", [(0.0, 1.0), (1.0, 1.0), (1.0, 0.7)])
     @pytest.mark.parametrize("T_span, n_steps", [((0.0, 8.0), 2000),
                                                  ((0.3, 5.0), 1000)])
-    def test_bitwise_equal_to_rk4_step_over_mode_rhs(self, S_amp, s0,
-                                                      T_span, n_steps):
+    def test_bitwise_equal_to_rk4_step_over_mode_rhs(self, u0, w0, T_span,
+                                                      n_steps):
         for lam in DEFAULT_LAMBDAS:
-            traj = integrate_mode(lam, 1.0, -1.0, T_span, n_steps,
-                                  S_amp=S_amp, s0=s0)
-            want = mode_rhs_loop(lam, 1.0, -1.0, T_span, n_steps, S_amp, s0)
+            traj = integrate_mode(lam, u0, w0, T_span, n_steps)
+            want = mode_rhs_loop(lam, u0, w0, T_span, n_steps)
             for got, ref in zip((traj.T, traj.u, traj.w), want):
                 assert np.array_equal(got, ref), lam
                 assert np.array_equal(got.view(np.int64),
                                       ref.view(np.int64)), lam
 
-    # the source-free loop adds a plain 0.0 at each stage, where rk4_step
-    # over mode_rhs adds 18 (s0 e^{-t}) S_amp, a zero of either sign here;
-    # the states must agree bit for bit all the same, also from signed
-    # zeros, subnormals and the ends of the float range (the 243 cases
-    # are few enough for the search to cover them all)
-    @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(ZERO_SOURCE_STATES),
-           st.sampled_from(ZERO_SOURCE_STATES),
-           st.sampled_from([(0.0, 1.0), (-0.0, 1.0), (0.0, -0.7)]))
-    def test_zero_source_run_equals_rk4_step_over_mode_rhs(self, u0, w0,
-                                                           source):
-        S_amp, s0 = source
+    # the states agree bit for bit also from signed zeros, subnormals and
+    # the ends of the float range (the 81 cases are few enough for the
+    # search to cover them all)
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(EDGE_STATES), st.sampled_from(EDGE_STATES))
+    def test_zero_source_run_equals_rk4_step_over_mode_rhs(self, u0, w0):
         for lam in DEFAULT_LAMBDAS:
             with np.errstate(over="ignore", invalid="ignore"):
                 # the energy of a state near 1e300 overflows
-                traj = integrate_mode(lam, u0, w0, (0.0, 2.0), 200,
-                                      S_amp=S_amp, s0=s0)
-            want = mode_rhs_loop(lam, u0, w0, (0.0, 2.0), 200, S_amp, s0)
+                traj = integrate_mode(lam, u0, w0, (0.0, 2.0), 200)
+            want = mode_rhs_loop(lam, u0, w0, (0.0, 2.0), 200)
             for got, ref in zip((traj.T, traj.u, traj.w), want):
                 assert np.array_equal(got.view(np.int64),
                                       ref.view(np.int64)), lam
 
-    # at (1e-300, 1e-30) the source underflows to a zero at every stage,
-    # so the first step's zero stands for all of them
-    @pytest.mark.parametrize("S_amp, s0", [(0.0, 1.0), (0.3, 1.0),
-                                           (1e-300, 1e-30)])
-    def test_time_grid_at_non_dyadic_start_and_step(self, S_amp, s0):
+    # the parts of (1e-300, 1e-30) lie 270 decades apart, near the bottom
+    # of the float range
+    @pytest.mark.parametrize("u0, w0", [(0.0, 1.0), (0.3, 1.0),
+                                        (1e-300, 1e-30)])
+    def test_time_grid_at_non_dyadic_start_and_step(self, u0, w0):
         # T0 = 0.1 and h = 0.003 are not binary fractions, so T0 + i h
         # rounds at most steps
-        traj = integrate_mode(0.2, 1.0, -1.0, (0.1, 2.2), 700, S_amp=S_amp,
-                              s0=s0)
-        want = mode_rhs_loop(0.2, 1.0, -1.0, (0.1, 2.2), 700, S_amp, s0)
+        traj = integrate_mode(0.2, u0, w0, (0.1, 2.2), 700)
+        want = mode_rhs_loop(0.2, u0, w0, (0.1, 2.2), 700)
         for got, ref in zip((traj.T, traj.u, traj.w), want):
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
         assert traj.T.size == 701 and traj.T[0] == 0.1
@@ -222,19 +198,17 @@ class TestExactSymmetries:
 
 
 class TestConvergenceOrder:
-    # the coarse step stays at or below 0.05; on a 1107-point grid of this
-    # domain the order read 3.88-4.09, with errors far above round-off
+    # the coarse step stays at or below 0.05; on a 567-point grid of this
+    # domain the order read 3.95-4.07, with errors far above round-off
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=1.0 / 9.0, max_value=4.0),
-           st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=1.0, max_value=5.0),
            st.floats(min_value=0.02, max_value=0.05))
-    def test_halving_h_gives_order_four(self, lam, S_amp, T_end, h):
+    def test_halving_h_gives_order_four(self, lam, T_end, h):
         n = math.ceil(T_end / h)
         states = []
         for k in (1, 2, 4):
-            traj = integrate_mode(lam, 1.0, -1.0, (0.0, T_end), n * k,
-                                  S_amp=S_amp)
+            traj = integrate_mode(lam, 1.0, -1.0, (0.0, T_end), n * k)
             states.append(np.array([traj.u[::k], traj.w[::k]]))
         coarse, mid, fine = states
         order = np.log2(np.max(np.abs(coarse - mid), axis=1)
