@@ -10,10 +10,11 @@ import numpy as np
 
 from milne_lab.geometry import LocalGeometry, make_time_frame
 from milne_lab.massshell import (
-    MomentumPoint,
     compute_p0,
     mass_shell_residual,
     normalization_report,
+    pbar,
+    phat,
     pointwise_estimates_check,
 )
 
@@ -37,9 +38,10 @@ print(f"\nraw/closed-form ratio: {np.mean(rep['ratio']):.6f} "
 p0 = compute_p0(geom, p, frame, "paper_primary")
 print(f"on-shell residual: {np.max(np.abs(mass_shell_residual(geom, p, p0, frame))):.3e}")
 
-mp = MomentumPoint(geom, p[0], frame)
-print(f"\nsingle-point bundle: p0={mp.p0:.6f}  pund={mp.pund:.6f}  "
-      f"pbar={mp.pbar:.6f}  phat={mp.phat:.6f}")
+p0_single = compute_p0(geom, p[0], frame, "paper_primary")
+print(f"\nsingle-point bundle: p0={p0_single:.6f}  "
+      f"pund={geom.N * p0_single:.6f}  pbar={pbar(geom, p[0]):.6f}  "
+      f"phat={phat(geom, p[0], frame):.6f}")
 
 # large-sample inequality sweep
 total, bad = 0, 0

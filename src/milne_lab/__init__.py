@@ -26,9 +26,8 @@ from .geometry import (BACKGROUND_LAPSE, BackgroundChart, CorrectionConstants,
                        LocalGeometry, TimeFrame, background_geometry,
                        correction_constants, make_time_frame,
                        rescaled_christoffels)
-from .massshell import (MomentumPoint, SingularShiftError, compute_p0,
-                        mass_shell_residual, normalization_report,
-                        pointwise_estimates_check)
+from .massshell import (SingularShiftError, compute_p0, mass_shell_residual,
+                        normalization_report, pointwise_estimates_check)
 from .transport import ParticleEnsemble
 from .matter import (MatterMoments, RadialDistribution,
                      UnsupportedModeError, continuity_rhs, eta_direct,
@@ -48,9 +47,8 @@ __all__ = [
     "BACKGROUND_LAPSE", "BackgroundChart", "CorrectionConstants",
     "LocalGeometry", "TimeFrame", "background_geometry",
     "correction_constants", "make_time_frame", "rescaled_christoffels",
-    "MomentumPoint", "SingularShiftError", "compute_p0",
-    "mass_shell_residual", "normalization_report",
-    "pointwise_estimates_check",
+    "SingularShiftError", "compute_p0", "mass_shell_residual",
+    "normalization_report", "pointwise_estimates_check",
     "MatterMoments", "ParticleEnsemble", "RadialDistribution",
     "UnsupportedModeError", "continuity_rhs", "eta_direct",
     "moment_bound_check", "moments_from_distribution",

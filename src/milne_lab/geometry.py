@@ -10,7 +10,7 @@ vanishing trace-free curvature ``Sigma``, lapse ``3`` and zero shift.
 
 This module provides:
 
-* :class:`TimeFrame` -- the (tau, T, s, t) bookkeeping for one time slice,
+* :class:`TimeFrame` -- the (tau, T, s) bookkeeping for one time slice,
 * :class:`BackgroundChart` -- the reference hyperbolic metric in a ball
   chart, with closed-form connection and curvature,
 * :func:`rescaled_christoffels` -- the connection blocks of the full
@@ -54,7 +54,7 @@ CURVATURE_RADIUS = 3.0  # sectional curvature of the reference metric is -1/9
 
 @dataclass(frozen=True)
 class TimeFrame:
-    """One time slice in all four time variables.
+    """One time slice in all three time variables.
 
     Attributes
     ----------
@@ -66,22 +66,19 @@ class TimeFrame:
         Mean-curvature time, ``tau = tau0 * exp(-T) in [tau0, 0)``.
     s : float
         Scale factor ``s = |tau|``.
-    t : float
-        Comoving proper-time surrogate ``t = -3 / tau > 0``.
     """
 
     tau0: float
     T: float
     tau: float
     s: float
-    t: float
 
 
 def make_time_frame(tau0: float, T: float) -> TimeFrame:
     """Build the time frame at logarithmic time ``T`` anchored at ``tau0``.
 
     ``tau0`` must be negative and ``T`` nonnegative, so ``tau`` stays in
-    ``[tau0, 0)`` and ``t`` is positive and increasing in ``T``.
+    ``[tau0, 0)``.
     """
     tau0 = float(tau0)
     T = float(T)
@@ -90,7 +87,7 @@ def make_time_frame(tau0: float, T: float) -> TimeFrame:
     if not T >= 0.0:
         raise ValueError(f"T must be nonnegative, got {T}")
     tau = tau0 * math.exp(-T)
-    return TimeFrame(tau0=tau0, T=T, tau=tau, s=abs(tau), t=-3.0 / tau)
+    return TimeFrame(tau0=tau0, T=T, tau=tau, s=abs(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +190,13 @@ class BackgroundChart:
 
 
 # ---------------------------------------------------------------------------
-# pointwise field data
+# field data
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class LocalGeometry:
-    """Nondimensional field data at one spatial point.
+    """Nondimensional field data at one spatial point or a batch of points.
 
     ``g`` is the spatial metric, ``Sigma`` its trace-free curvature
     companion, ``N`` the lapse and ``X`` the (contravariant) shift.  The
@@ -210,33 +207,39 @@ class LocalGeometry:
     * ``dX[a, c] = d_c X^a``
     * ``dg[a, b, c] = d_c g_ab``
     * ``dTg, dTN, dTX`` -- derivatives along ``T`` at fixed spatial point.
+
+    A batch of ``n`` points puts the same leading axis on every array:
+    ``N (n,)``, ``X (n, 3)``, ``g (n, 3, 3)``, ``dg (n, 3, 3, 3)`` and so
+    on; the checks then hold at each point.  A scalar lapse stays a
+    Python ``float``.
     """
 
     g: np.ndarray
     Sigma: np.ndarray
-    N: float
+    N: float | np.ndarray
     X: np.ndarray
     dN: Optional[np.ndarray] = None
     dX: Optional[np.ndarray] = None
     dg: Optional[np.ndarray] = None
     dTg: Optional[np.ndarray] = None
-    dTN: Optional[float] = None
+    dTN: Optional[float | np.ndarray] = None
     dTX: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         self.g = np.asarray(self.g, dtype=float)
         self.Sigma = np.asarray(self.Sigma, dtype=float)
         self.X = np.asarray(self.X, dtype=float)
-        self.N = float(self.N)
-        if self.g.shape != (3, 3) or self.Sigma.shape != (3, 3):
-            raise ValueError("g and Sigma must be 3x3")
-        if self.X.shape != (3,):
-            raise ValueError("X must be a 3-vector")
-        if not np.allclose(self.g, self.g.T, atol=1e-12):
+        N = np.asarray(self.N, dtype=float)
+        self.N = float(N) if N.ndim == 0 else N
+        if not self.g.shape == self.Sigma.shape == N.shape + (3, 3):
+            raise ValueError("g and Sigma must be 3x3 at each point")
+        if self.X.shape != N.shape + (3,):
+            raise ValueError("X must be a 3-vector at each point")
+        if not np.allclose(self.g, np.swapaxes(self.g, -1, -2), atol=1e-12):
             raise ValueError("g must be symmetric")
         if np.any(np.linalg.eigvalsh(self.g) <= 0.0):
             raise ValueError("g must be positive definite")
-        if self.N <= 0.0:
+        if np.any(N <= 0.0):
             raise ValueError("lapse must be positive")
 
     @property
@@ -281,13 +284,11 @@ def _require(value, name: str):
     return value
 
 
-def rescaled_christoffels(geom, frame: TimeFrame) -> dict:
+def rescaled_christoffels(geom: LocalGeometry, frame: TimeFrame) -> dict:
     """Connection blocks of the spacetime metric in nondimensional variables.
 
-    ``geom`` is a :class:`LocalGeometry` or any object with the same
-    attribute names whose arrays carry leading batch axes (such as a
-    :class:`milne_lab.transport.BatchFields`); every block then carries
-    the same batch axes.  Returns a dict with
+    ``geom`` is a :class:`LocalGeometry`; for a batch every block carries
+    its leading axis.  Returns a dict with
 
     * ``"spatial"`` -- ``Gamma^a_{bc}`` of the full spacetime connection
       restricted to spatial indices: the Levi-Civita coefficients of ``g``
@@ -394,7 +395,9 @@ def correction_constants(lambda0: float,
     ``cE = 9 (lambda0 - eps_prime)`` which costs ``delta_alpha =
     sqrt(1 - cE)`` of decay rate.  Below ``1/9`` no uniform choice exists
     and a ``ValueError`` is raised.  In every returned case the coercivity
-    condition ``cE < 3 sqrt(lambda0)`` holds.
+    condition ``cE < 3 sqrt(lambda0)`` holds; an ``eps_prime`` too small
+    to resolve against ``lambda0`` (about ``7e-18``) rounds ``cE`` to
+    ``3 sqrt(lambda0)`` and is a ``ValueError`` too.
     """
     lambda0 = float(lambda0)
     if lambda0 > _LAMBDA_CRITICAL + _BORDERLINE_TOL:
@@ -411,5 +414,7 @@ def correction_constants(lambda0: float,
         raise ValueError(
             f"lowest spectral value {lambda0} below the borderline 1/9")
     if not out.cE < 3.0 * math.sqrt(lambda0):
-        raise AssertionError("correction constants lost coercivity")
+        raise ValueError(
+            f"correction constants lost coercivity: cE={out.cE} at "
+            f"lambda0={lambda0}, eps_prime={eps_prime}")
     return out

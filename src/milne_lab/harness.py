@@ -292,6 +292,14 @@ def validate_config(raw) -> ScenarioConfig:
     c["lambdaGrid"] = lam
     cfg = ScenarioConfig(**c)
     _check_run_size(cfg)
+    if cfg.scenario in ("modes", "full_report"):
+        # an epsPrime too small to resolve against 1/9 (about 7e-18)
+        # leaves the borderline mode's corrected energy without coercivity
+        try:
+            constants = [correction_constants(lam, cfg.epsPrime)
+                         for lam in cfg.lambdaGrid]
+        except ValueError as exc:
+            raise ConfigError(f"config error [epsPrime]: {exc}") from exc
     if cfg.scenario == "modes":
         # the report holds one entry per key, so two modes under one key
         # would hide the first one's verdict
@@ -307,13 +315,16 @@ def validate_config(raw) -> ScenarioConfig:
             raise ConfigError(f"config error [matterQmax]: {exc}") from exc
         # the log-point energy squares the profile's second derivative,
         # -2 matterAmp / matterQmax^2, which must stay far inside the
-        # float range (the spline of the profile overflows first)
-        _named_check(cfg.matterAmp <= _MAX_CURVATURE * cfg.matterQmax**2,
+        # float range (the spline of the profile overflows first); the
+        # square is a product, as ** raises past the float range
+        _named_check(cfg.matterAmp
+                     <= _MAX_CURVATURE * (cfg.matterQmax * cfg.matterQmax),
                      "matterQmax",
                      f"matterAmp / matterQmax^2 must be <= 1e150, got "
                      f"matterAmp={cfg.matterAmp}, "
                      f"matterQmax={cfg.matterQmax}")
-        rho0 = homogeneous.initial_density(f0, cfg.tau0, cfg.quadNodes)
+        with np.errstate(over="ignore", invalid="ignore"):  # to inf, named
+            rho0 = homogeneous.initial_density(f0, cfg.tau0, cfg.quadNodes)
         _named_check(abs(cfg.tau0) * rho0 < 1.0 / 6.0, "|tau0| rho0 < 1/6",
                      f"|tau0| rho0={abs(cfg.tau0) * rho0} reaches the "
                      f"constraint pole")
@@ -326,11 +337,11 @@ def validate_config(raw) -> ScenarioConfig:
         # must stay normal for its decay rate to be fitted
         a = cfg.modeAmp
         with np.errstate(over="ignore", invalid="ignore"):
-            E6 = sum(modes.corrected_energy(
-                a, -a, lam, correction_constants(lam, cfg.epsPrime), order=6)
-                for lam in cfg.lambdaGrid)
+            E6 = sum(modes.corrected_energy(a, -a, lam, c, order=6)
+                     for lam, c in zip(cfg.lambdaGrid, constants))
         _named_check(math.isfinite(E6), "modeAmp: mode energies finite",
-                     f"modeAmp={a} gives E6={E6} at T0")
+                     f"modeAmp={a} gives E6={E6} at T0 on lambdaGrid up "
+                     f"to {max(cfg.lambdaGrid)}")
         end = a * math.exp(-span)
         _named_check(end * end >= sys.float_info.min,
                      "modeAmp: mode metric normal",

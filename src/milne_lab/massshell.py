@@ -25,7 +25,6 @@ from .geometry import LocalGeometry, TimeFrame
 
 __all__ = [
     "SingularShiftError",
-    "MomentumPoint",
     "compute_p0",
     "mass_shell_residual",
     "phat",
@@ -42,8 +41,8 @@ class SingularShiftError(ValueError):
 def _dots(geom: LocalGeometry, p: np.ndarray):
     """Common inner products; ``p`` may be shaped (..., 3).
 
-    ``geom.g`` and ``geom.X`` may carry leading batch axes that broadcast
-    against those of ``p`` (one field point per momentum).
+    The batch axis of a batched ``geom`` broadcasts against the leading
+    axes of ``p`` (one field point per momentum).
     """
     p = np.asarray(p, dtype=float)
     g, X = geom.g, geom.X
@@ -87,7 +86,8 @@ def compute_p0(geom: LocalGeometry, p: np.ndarray, frame: TimeFrame,
     ``"paper_alternative"`` evaluate the two closed forms for the
     nondimensional component; they agree with each other identically and
     with ``tau^2 * first_principles`` (see :func:`normalization_report`).
-    The fields may carry leading batch axes, one point per momentum.
+    ``geom`` may be a batched :class:`LocalGeometry`, one point per
+    momentum.
     """
     X2 = _check_admissible(geom)
     p, p2, Xp = _dots(geom, p)
@@ -118,23 +118,6 @@ def compute_p0(geom: LocalGeometry, p: np.ndarray, frame: TimeFrame,
     raise ValueError(f"unknown method {method!r}")
 
 
-class MomentumPoint:
-    """Bundle of the derived momentum functions at one (geom, p, frame).
-
-    Attributes: ``p`` (spatial momentum), ``p0`` (nondimensional time
-    component), ``phat``, ``pbar = sqrt(1 + |p|^2_g)``, ``pund = N p0``.
-    """
-
-    def __init__(self, geom: LocalGeometry, p: np.ndarray, frame: TimeFrame):
-        self.geom = geom
-        self.frame = frame
-        self.p = np.asarray(p, dtype=float)
-        self.p0 = compute_p0(geom, p, frame, method="paper_primary")
-        self.phat = phat(geom, p, frame)
-        self.pbar = pbar(geom, p)
-        self.pund = geom.N * self.p0
-
-
 def normalization_report(geom: LocalGeometry, p: np.ndarray,
                          frame: TimeFrame) -> dict:
     """Document the fixed normalization ratio between the two roots.
@@ -163,8 +146,8 @@ def mass_shell_residual(geom: LocalGeometry, p: np.ndarray, p0: np.ndarray,
     ``p0`` is the nondimensional component; the reconstruction uses the
     raw pair ``(tau^2 p0, tau^2 p)``.  Zero on the shell.  The algebra is
     arranged in order-one factors so the residual is cancellation-safe:
-    ``residual = -N^2 p0^2 + |tau p + p0 X|^2_g + 1``.  The fields may
-    carry leading batch axes, as in :func:`compute_p0`.
+    ``residual = -N^2 p0^2 + |tau p + p0 X|^2_g + 1``.  ``geom`` may be
+    a batched :class:`LocalGeometry`, as in :func:`compute_p0`.
     """
     p = np.asarray(p, dtype=float)
     tau, N, g, X = frame.tau, geom.N, geom.g, geom.X

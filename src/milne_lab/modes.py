@@ -90,7 +90,10 @@ def corrected_energy(u, w, lam: float, constants: CorrectionConstants,
     if lam == 1.0:
         factor = float(order)
     else:
-        factor = (1.0 - lam**order) / (1.0 - lam)
+        try:
+            factor = (1.0 - lam**order) / (1.0 - lam)
+        except OverflowError:  # lam**order past the float range, lam > 1
+            factor = math.inf
     return factor * base
 
 

@@ -33,9 +33,10 @@ stage the provider's row fill (``conformal_rows``, set by
 the field rows ``(N, dN, dTN, a, u)`` in place for the row kernels.
 That fill is a binder, the one row-fill protocol (see the comment above
 ``_SCRATCH_ROWS``), and the provider's own ``(T, x)`` call runs it too.
-The ``(n, 3)`` ``dN`` and ``conf_u`` of a provider's :class:`BatchFields`
-are copies of these rows, because ``np.einsum("na,na->n")`` sums a
-strided operand in another order.
+The ``(n, 3)`` ``dN`` of the batched
+:class:`~milne_lab.geometry.LocalGeometry` that call returns is a copy
+of its rows, because ``np.einsum("na,na->n")`` sums a strided operand
+in another order.
 
 A step of a small chunk costs what its numpy calls cost, about 0.4 us
 each whatever their length, so each chunk binds its hot loop once
@@ -83,10 +84,10 @@ replaced (``|p|^2`` enters ``calG``, the residual and every stage, and a
 different rounding would change the logged trajectories).
 
 A full log stores every particle's state, ``G`` and residual at each log
-row.  A summary log (``full_log=False``, what the ``characteristics``
-scenario asks for) observes ``G`` and the residual of a chunk in two
-scratch rows and keeps only their per-row maxima, ``calG`` and
-``max_residual``, and no final state.  A maximum is exact in any order
+row; its last row is the final state.  A summary log (``full_log=False``,
+what the ``characteristics`` scenario asks for) observes ``G`` and the
+residual of a chunk in two scratch rows and keeps only their per-row
+maxima, ``calG`` and ``max_residual``, and no final state.  A maximum is exact in any order
 of reduction and ``np.max`` passes a NaN through, so these equal the
 maxima of the full log bit for bit.
 """
@@ -104,14 +105,14 @@ from typing import Callable, Optional, Protocol
 import numpy as np
 
 from ._rk4 import check_count, rk4_step_into
-from .geometry import TimeFrame, rescaled_christoffels, BACKGROUND_LAPSE
+from .geometry import (BACKGROUND_LAPSE, LocalGeometry, TimeFrame,
+                       rescaled_christoffels)
 # the flow computes tau itself, but make_time_frame stays a name of this
 # module: perfbench/selftest.py checks that its tracer binds a span here
 from .geometry import make_time_frame  # noqa: F401
 from .massshell import compute_p0
 
 __all__ = [
-    "BatchFields",
     "background_fields",
     "manufactured_lapse_fields",
     "ParticleEnsemble",
@@ -125,34 +126,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # field providers
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class BatchFields:
-    """Field data evaluated on a batch of ``n`` particle positions.
-
-    Shapes: ``g (n,3,3)``, ``dg (n,3,3,3)`` with ``dg[:,a,b,c] = d_c
-    g_ab``, ``N (n,)``, ``dN (n,3)``, ``X (n,3)``, ``dX (n,3,3)`` with
-    ``dX[:,a,c] = d_c X^a``, ``Sigma (n,3,3)``, ``dTg (n,3,3)``, ``dTN
-    (n,)``, ``dTX (n,3)``.
-    """
-
-    g: np.ndarray
-    dg: np.ndarray
-    N: np.ndarray
-    dN: np.ndarray
-    X: np.ndarray
-    dX: np.ndarray
-    Sigma: np.ndarray
-    dTg: np.ndarray
-    dTN: np.ndarray
-    dTX: np.ndarray
-    # set by providers whose metric is a conformal multiple of the
-    # identity frame metric, ``g = a I`` with ``Sigma = X = 0``:
-    # ``conf_a`` is the factor ``a (n,)`` and ``conf_u`` its logarithmic
-    # gradient ``d_c ln a (n,3)``.
-    conf_a: Optional[np.ndarray] = None
-    conf_u: Optional[np.ndarray] = None
 
 
 # Row form of conformal fields: one ``(9, n)`` field block ``F`` laid out
@@ -171,7 +144,7 @@ class _RowProvider(Protocol):
     """A field provider that carries its row fill as ``conformal_rows``."""
     conformal_rows: Callable[[np.ndarray, np.ndarray], tuple]
 
-    def __call__(self, T: float, x: np.ndarray) -> BatchFields: ...
+    def __call__(self, T: float, x: np.ndarray) -> LocalGeometry: ...
 
 
 def _rows(m: int, n: int) -> np.ndarray:
@@ -214,8 +187,9 @@ def _dot3(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     return out
 
 
-def _conformal_batch(bind, T: float, x: np.ndarray) -> BatchFields:
-    """:class:`BatchFields` of the row fill ``bind`` at ``x (n, 3)``."""
+def _conformal_batch(bind, T: float, x: np.ndarray) -> LocalGeometry:
+    """Batched :class:`LocalGeometry` of the row fill ``bind`` at the
+    positions ``x (n, 3)``."""
     n = x.shape[0]
     F = _rows(9, n)
     retime, at = bind(F, _rows(_SCRATCH_ROWS, n))
@@ -223,19 +197,18 @@ def _conformal_batch(bind, T: float, x: np.ndarray) -> BatchFields:
     at(np.ascontiguousarray(x.T))()
     vector = np.broadcast_to(0.0, (n, 3))
     matrix = np.broadcast_to(0.0, (n, 3, 3))
-    # dN and conf_u are C-contiguous copies, not views of their rows:
+    # dN is a C-contiguous copy, not a view of its rows:
     # np.einsum("na,na->n") adds the products of a strided operand in a
     # different order, which would change the sums of the dense formulas.
     # With the trace-free part and the shift at zero the frame metric
     # dilates as dg/dT = (2/3)(N - 3) g, so (a, u, N) fix the dense blocks.
-    N, a, u = F[0], F[2], F[6:9].T.copy()
+    N, a, u = F[0], F[2], F[6:9].T
     g = a[:, None, None] * np.eye(3)
-    return BatchFields(
+    return LocalGeometry(
         g=g, dg=g[:, :, :, None] * u[:, None, None, :],
         dTg=(2.0 / 3.0) * (N - BACKGROUND_LAPSE)[:, None, None] * g,
         N=N, dN=F[3:6].T.copy(), dTN=F[1],
-        X=vector, dX=matrix, Sigma=matrix, dTX=vector,
-        conf_a=a, conf_u=u)
+        X=vector, dX=matrix, Sigma=matrix, dTX=vector)
 
 
 def _background_rows(F: np.ndarray, W: np.ndarray) -> tuple:
@@ -246,7 +219,7 @@ def _background_rows(F: np.ndarray, W: np.ndarray) -> tuple:
     return (lambda T: None), (lambda x: lambda: None)
 
 
-def background_fields(T: float, x: np.ndarray) -> BatchFields:
+def background_fields(T: float, x: np.ndarray) -> LocalGeometry:
     """The fixed point ``(identity frame, Sigma=0, N=3, X=0)``: conformal, a = 1."""
     return _conformal_batch(_background_rows, T, x)
 
@@ -321,7 +294,7 @@ def manufactured_lapse_fields(eps: float) -> _RowProvider:
             return fill
         return retime, at
 
-    def provider(T: float, x: np.ndarray) -> BatchFields:
+    def provider(T: float, x: np.ndarray) -> LocalGeometry:
         return _conformal_batch(bind, T, x)
 
     provider.conformal_rows = bind
@@ -503,7 +476,8 @@ def characteristic_rhs(state, f, frame: TimeFrame, mode: str = "derived",
     """Right-hand side of the characteristic system at one time.
 
     ``state`` is a pair of ``(n,3)`` arrays ``(x, p)``; ``f`` is the
-    already-evaluated :class:`BatchFields` at the particle positions.
+    already-evaluated batched :class:`LocalGeometry` at the particle
+    positions.
     Returns ``(dx/dT, dp/dT, dp0/dT)`` for ``mode="derived"`` (which
     co-evolves the time component; pass the current ``q0``, else the
     on-shell value is used) and ``(dx/dT, dp/dT)`` for
@@ -800,12 +774,12 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
     chunks, jobs = _split(n, _workers(threads, -(-n // _CHUNK)))
     # everything a worker writes: the largest G of a live particle and
     # the largest |residual| per chunk and log row, the flags, and the
-    # per-particle rows and final state of a full log
-    per_particle = ((m, n, 3), (m, n, 3), (m, n), (m, n), (m, n), (6, n))
+    # per-particle rows of a full log
+    per_particle = ((m, n, 3), (m, n, 3), (m, n), (m, n), (m, n))
     top, worst, flagged, *arrays = _shared(
         ((len(chunks), m), float), ((len(chunks), m), float), ((n,), bool),
         *((shape, float) for shape in per_particle if full_log))
-    x, p, p0, residual, G, final = arrays if full_log else (None,) * 6
+    x, p, p0, residual, G = arrays if full_log else (None,) * 5
     log = TrajectoryLog(
         T=np.array([T0] + [T0 + step * h for step in logged]),
         x=x, p=p, p0=p0, massshell_residual=residual, G=G,
@@ -858,8 +832,6 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
             T = T0 + step * h
             if step in log_row:
                 record(log_row[step], T, y)
-        if full_log:
-            final[:, lo:hi] = y[0:6]
 
     def run_share(ids: range) -> None:
         for i in ids:
@@ -873,8 +845,8 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
         log.max_residual[:] = np.max(worst, axis=0)
     if not full_log:
         return log, None
-    fin = ParticleEnsemble(final[0:3].T.copy(), final[3:6].T.copy(),
-                           ensemble.weights.copy())
+    # the last step is always logged
+    fin = ParticleEnsemble(x[-1].copy(), p[-1].copy(), ensemble.weights.copy())
     return log, fin
 
 

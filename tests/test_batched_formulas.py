@@ -1,8 +1,9 @@
 """The shared connection-block and mass-shell formulas on batches.
 
 Transport evaluates ``rescaled_christoffels``, ``compute_p0`` and
-``mass_shell_residual`` on whole particle batches; each batched result
-must match the pointwise evaluation at every batch entry.
+``mass_shell_residual`` on a batched ``LocalGeometry``, one point per
+particle; each batched result must match the pointwise evaluation at
+every batch entry.
 """
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 
 from milne_lab.geometry import LocalGeometry, make_time_frame, rescaled_christoffels
 from milne_lab.massshell import SingularShiftError, compute_p0, mass_shell_residual
-from milne_lab.transport import BatchFields
 
 N_POINTS = 12
 FRAME = make_time_frame(-1.0, 0.6)
@@ -23,7 +23,7 @@ def random_fields(n=N_POINTS, seed=0, shift=0.2):
     S = rng.normal(scale=0.1, size=(n, 3, 3))
     Sigma = S + np.swapaxes(S, 1, 2)
     dG = rng.normal(scale=0.1, size=(n, 3, 3, 3))
-    return BatchFields(
+    return LocalGeometry(
         g=g, dg=dG + np.swapaxes(dG, 1, 2),
         N=3.0 + rng.normal(scale=0.1, size=n),
         dN=rng.normal(scale=0.1, size=(n, 3)),

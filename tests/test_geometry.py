@@ -27,7 +27,7 @@ def chart_points():
 class TestTimeFrame:
     def test_anchor_slice(self):
         fr = make_time_frame(-2.0, 0.0)
-        assert fr.tau == -2.0 and fr.s == 2.0 and fr.t == 1.5
+        assert fr.tau == -2.0 and fr.s == 2.0
 
     def test_tau_increases_to_zero(self):
         taus = [make_time_frame(-1.0, T).tau for T in (0.0, 1.0, 5.0)]
@@ -137,16 +137,32 @@ class TestCorrectionConstants:
         assert c.cE < 3.0 * math.sqrt(lam)
 
 
-class TestLocalGeometry:
-    def test_rejects_indefinite_metric(self):
-        with pytest.raises(ValueError):
-            LocalGeometry(g=-np.eye(3), Sigma=np.zeros((3, 3)), N=3.0,
-                          X=np.zeros(3))
+def batch_of(n, **fields):
+    """Background fields at ``n`` points, with ``fields`` replaced."""
+    return {"g": np.tile(np.eye(3), (n, 1, 1)), "Sigma": np.zeros((n, 3, 3)),
+            "N": np.full(n, 3.0), "X": np.zeros((n, 3)), **fields}
 
-    def test_rejects_nonpositive_lapse(self):
-        with pytest.raises(ValueError):
-            LocalGeometry(g=np.eye(3), Sigma=np.zeros((3, 3)), N=0.0,
-                          X=np.zeros(3))
+
+class TestLocalGeometry:
+    @pytest.mark.parametrize("fields, match", [
+        ({"g": -np.eye(3), "Sigma": np.zeros((3, 3)), "N": 3.0,
+          "X": np.zeros(3)}, "positive definite"),
+        ({"g": np.eye(3), "Sigma": np.zeros((3, 3)), "N": 0.0,
+          "X": np.zeros(3)}, "lapse"),
+        (batch_of(4, g=np.stack([np.eye(3)] * 3
+                                + [np.diag([1.0, -1.0, 1.0])])),
+         "positive definite"),
+        (batch_of(4, N=np.array([3.0, 3.0, -1e-3, 3.0])), "lapse"),
+        (batch_of(4, N=np.full(3, 3.0)), "3x3"),
+        (batch_of(4, X=np.zeros((3, 3))), "3-vector"),
+        (batch_of(4, Sigma=np.zeros((3, 3))), "3x3"),
+    ], ids=["indefinite g", "zero lapse", "batch: one indefinite g",
+            "batch: one negative lapse", "batch: N (3,), g (4, 3, 3)",
+            "batch: X (3, 3), N (4,)", "batch: Sigma (3, 3), g (4, 3, 3)"])
+    def test_rejects_malformed_fields(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            LocalGeometry(**fields)
 
     def test_background_lapse_constant(self):
         assert background_geometry().N == BACKGROUND_LAPSE == 3.0
+        assert type(background_geometry().N) is float  # not a 0-d array

@@ -527,6 +527,29 @@ class TestCli:
         validate_config({**extra, "tau0": -1e100, "seed": 0,
                          "scenario": harness._CLI_SCENARIOS[command]})
 
+    @pytest.mark.parametrize("command, bad, name, good", [
+        # matterQmax^2 overflows; the profile's rho0 does, and is named
+        ("homogeneous", {"matterQmax": 1e160}, "|tau0| rho0 < 1/6", None),
+        ("report", {"matterQmax": 1e160}, "|tau0| rho0 < 1/6", None),
+        # lam^6 of the order-6 mode energy overflows
+        ("report", {"lambdaGrid": [1e52]}, "modeAmp: mode energies finite",
+         {"lambdaGrid": [1e51]}),
+        # 9 (1/9 - epsPrime) rounds to 1, which is not coercive at 1/9
+        ("modes", {"epsPrime": 5e-18}, "epsPrime", {"epsPrime": 1e-16}),
+        ("report", {"epsPrime": 5e-18}, "epsPrime", {"epsPrime": 1e-16}),
+    ], ids=["homogeneous-matterQmax", "report-matterQmax", "report-lambdaGrid",
+            "modes-epsPrime", "report-epsPrime"])
+    def test_extreme_values_exit_2(self, command, bad, name, good, tmp_path,
+                                   capsys):
+        cfg = tmp_path / "extreme.json"
+        cfg.write_text(json.dumps(bad))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"[{name}]" in err and "Traceback" not in err
+        if good is not None:
+            validate_config({**good, "seed": 0,
+                             "scenario": harness._CLI_SCENARIOS[command]})
+
     def test_large_thread_budget_accepted(self, monkeypatch):
         # validated only: a run never starts more workers than chunks
         monkeypatch.setenv("MILNE_LAB_THREADS", "1000000")

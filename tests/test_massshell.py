@@ -4,11 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from milne_lab.geometry import LocalGeometry, background_geometry, make_time_frame
 from milne_lab.massshell import (
-    MomentumPoint,
     SingularShiftError,
     compute_p0,
     mass_shell_residual,
     normalization_report,
+    pbar,
+    phat,
     pointwise_estimates_check,
 )
 
@@ -73,24 +74,14 @@ class TestComputeP0:
                        make_time_frame(-1.0, 0.0), method="guess")
 
 
-class TestMomentumPoint:
-    def test_bundle_consistency(self):
-        rng = np.random.default_rng(5)
-        geom = random_geometry(rng)
-        fr = make_time_frame(-1.0, 0.5)
-        p = rng.normal(size=3)
-        mp = MomentumPoint(geom, p, fr)
-        assert mp.pund == pytest.approx(geom.N * mp.p0)
-        assert mp.pbar >= 1.0
-        assert mp.phat > 0.0
-
-
 class TestPointwiseEstimates:
     def test_zero_violations_on_random_samples(self):
         rng = np.random.default_rng(19)
         for _ in range(50):
             geom = random_geometry(rng)
             fr = make_time_frame(-1.0, rng.uniform(0.0, 6.0))
-            rep = pointwise_estimates_check(geom, rng.normal(
-                scale=3.0, size=(200, 3)), fr)
+            p = rng.normal(scale=3.0, size=(200, 3))
+            rep = pointwise_estimates_check(geom, p, fr)
             assert rep["holds1"] and rep["holds2"]
+            assert np.all(pbar(geom, p) >= 1.0)
+            assert np.all(phat(geom, p, fr) > 0.0)

@@ -13,7 +13,6 @@ from milne_lab._rk4 import rk4_step, rk4_step_into
 from milne_lab.geometry import make_time_frame
 from milne_lab.massshell import compute_p0
 from milne_lab.transport import (
-    BatchFields,
     ParticleEnsemble,
     background_fields,
     characteristic_rhs,
@@ -64,9 +63,8 @@ class TestProviders:
             e[c] = h
             dN = (provider(0.4, x + e).N - provider(0.4, x - e).N) / (2 * h)
             assert np.allclose(f.dN[:, c], dN, atol=1e-7)
-            da = (provider(0.4, x + e).conf_a
-                  - provider(0.4, x - e).conf_a) / (2 * h)
-            assert np.allclose(f.conf_a * f.conf_u[:, c], da, atol=1e-7)
+            dg = (provider(0.4, x + e).g - provider(0.4, x - e).g) / (2 * h)
+            assert np.allclose(f.dg[..., c], dg, atol=1e-7)
 
     def test_manufactured_time_consistency(self):
         # the conformal metric factor must satisfy the kinematic identity
@@ -76,8 +74,10 @@ class TestProviders:
         x = rng.uniform(-1.5, 1.5, size=(16, 3))
         h = 1e-6
         f = provider(0.9, x)
-        da = (provider(0.9 + h, x).conf_a - provider(0.9 - h, x).conf_a) / (2 * h)
-        assert np.allclose(da, (2.0 / 3.0) * (f.N - 3.0) * f.conf_a, atol=1e-9)
+        a = f.g[:, 0, 0]
+        da = (provider(0.9 + h, x).g[:, 0, 0]
+              - provider(0.9 - h, x).g[:, 0, 0]) / (2 * h)
+        assert np.allclose(da, (2.0 / 3.0) * (f.N - 3.0) * a, atol=1e-9)
         dN = (provider(0.9 + h, x).N - provider(0.9 - h, x).N) / (2 * h)
         assert np.allclose(dN, f.dTN, atol=1e-7)
 
@@ -120,17 +120,6 @@ class TestRhsEquivalence:
         want = characteristic_rhs((x, p), f, fr, mode="derived", q0=q0)
         for a, b in zip(row_kernel_rhs(provider, T, x, p, q0), want):
             assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
-
-
-def dense_provider(eps):
-    """The manufactured fields with the dense metric blocks filled in."""
-    conformal = manufactured_lapse_fields(eps)
-
-    def provider(T, x):
-        f = conformal(T, x)
-        return BatchFields(g=f.g, dg=f.dg, N=f.N, dN=f.dN, X=f.X, dX=f.dX,
-                           Sigma=f.Sigma, dTg=f.dTg, dTN=f.dTN, dTX=f.dTX)
-    return provider
 
 
 def hooked_provider(hook, eps=EPS):
@@ -179,7 +168,7 @@ class TestPaperForm:
         x = rng.uniform(-1.2, 1.2, size=(32, 3))
         p = rng.normal(size=(32, 3))
         fr = make_time_frame(-1.0, 0.4)
-        f = dense_provider(0.3)(0.4, x)
+        f = manufactured_lapse_fields(0.3)(0.4, x)
         dx_d, dp_d, _ = characteristic_rhs((x, p), f, fr, mode="derived")
         dx_p, dp_p = characteristic_rhs((x, p), f, fr, mode="paper_form")
         assert np.array_equal(dx_p, dx_d)
@@ -196,7 +185,7 @@ class TestPaperForm:
 
     def test_shifted_fields_rejected(self):
         x = np.zeros((4, 3))
-        f = dense_provider(0.3)(0.0, x)
+        f = manufactured_lapse_fields(0.3)(0.0, x)
         f.X = np.full((4, 3), 0.1)
         for mode in ("derived", "paper_form"):
             with pytest.raises(NotImplementedError):
@@ -268,9 +257,8 @@ class TestIntegration:
 
     def test_dense_path_matches_conformal_path(self):
         # classical RK4 over the dense formula reference
-        provider, h = dense_provider(0.3), 1e-2
-        log, _ = run(manufactured_lapse_fields(0.3), n=16, span=0.5, h=h,
-                     log_every=10)
+        provider, h = manufactured_lapse_fields(0.3), 1e-2
+        log, _ = run(provider, n=16, span=0.5, h=h, log_every=10)
         ens = sample_ensemble(16)
 
         def rhs(T, y):
@@ -434,7 +422,13 @@ class TestMetamorphic:
         q0 = rng.uniform(0.3, 0.5, size=n)
         tau = make_time_frame(-1.0, T).tau
         f = provider(T, x)
-        a, u, N = f.conf_a, f.conf_u, f.N
+        F = transport._rows(9, n)
+        retime, at = provider.conformal_rows(
+            F, transport._rows(transport._SCRATCH_ROWS, n))
+        retime(T)
+        at(np.ascontiguousarray(x.T))()
+        # (n, 3) operands as einsum sees them: C-contiguous
+        a, u, N = F[2], F[6:9].T.copy(), f.N
         p2 = np.einsum("na,na->n", p, p)
         up = np.einsum("na,na->n", u, p)
         t = tau / q0
@@ -725,7 +719,7 @@ class TestRowAlignment:
         ens = sample_ensemble(n, seed=4)
         f = hooked_provider(checked_fill, 0.3)(0.3, ens.x)
         assert calls == [(3, n)]
-        assert_starts_on_lines(f.N, f.dTN, f.conf_a)
+        assert_starts_on_lines(f.N, f.dTN)
 
 
 def unbound_run(bind, ens, steps, h):
