@@ -38,7 +38,9 @@ gives the observed order of classical Runge-Kutta under step halving
 fixed configuration of each ``TestConvergenceOrder``.  The ``memory``
 section records the ``tracemalloc`` peaks of one ``characteristics``
 run at the ``chars_wide`` size and of one ``full_report`` run, apart
-from the timed runs.  Each record names the tree it timed by
+from the timed runs, and the peak RSS (``VmHWM``) of one more default
+``full_report`` in a fresh process with the scipy subpackages it
+loaded.  Each record names the tree it timed by
 ``git_sha`` and by ``src_sha256``, a digest of the package files that a
 ``git archive`` copy keeps too; ``source_lines`` counts the non-blank,
 non-comment lines of the package, per module in
@@ -47,7 +49,7 @@ non-comment lines of the package, per module in
 The sections run in the order ``report``, ``scenarios``, ``accuracy``,
 ``transport_scaling``, ``memory``, each section's seconds recorded in
 ``section_seconds``; on a 2-vCPU VM they took about 30, 35, 0.1, 75 and
-4 s.  ``report`` and ``scenarios`` come before the 10^5-particle runs:
+6 s.  ``report`` and ``scenarios`` come before the 10^5-particle runs:
 the large buffers those free raise glibc's mmap and trim thresholds for
 the rest of the process, after which a ``full_report`` no longer pays
 the page faults a fresh process pays for its temporaries.  Standard
@@ -176,6 +178,24 @@ with open("/proc/self/status") as status:
                if line.startswith("VmHWM:"))
 workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
 print(json.dumps([hwm / 1024.0, workers / 1024.0]))
+"""
+
+
+# one default full_report in a fresh process; prints its own peak RSS, in
+# MB (VmHWM, as in RSS_RUN), and the public scipy subpackages it loaded
+REPORT_RSS_RUN = """
+import json, sys
+sys.path[:0] = sys.argv[1:2]  # milne_lab's tree
+from milne_lab import harness
+harness.run_scenario(harness.validate_config(
+    {"scenario": "full_report", "seed": 0}))
+with open("/proc/self/status") as status:
+    hwm = next(int(line.split()[1]) for line in status
+               if line.startswith("VmHWM:"))
+print(json.dumps([hwm / 1024.0, sorted(
+    name for name, module in sys.modules.items()
+    if name.startswith("scipy.") and name.count(".") == 1
+    and not name.startswith("scipy._") and hasattr(module, "__path__"))]))
 """
 
 
@@ -545,9 +565,23 @@ def peak_mb(harness, raw) -> float:
         tracemalloc.stop()
 
 
+def report_peak_rss(harness) -> dict:
+    """Own peak RSS of one default ``full_report`` in a fresh process,
+    which imports the ``milne_lab`` that ``harness`` belongs to, and the
+    scipy subpackages that run loaded."""
+    src = Path(harness.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", REPORT_RSS_RUN, str(src)],
+                         cwd=ROOT, capture_output=True, text=True, check=True)
+    peak, scipy_loaded = json.loads(out.stdout.splitlines()[-1])
+    return {"report_peak_rss_mb": round(peak, 1),
+            "report_scipy_subpackages": scipy_loaded}
+
+
 def memory_section() -> dict:
     """``tracemalloc`` peaks of one ``characteristics`` run at the
-    ``chars_wide`` size and of one ``full_report`` run at its defaults."""
+    ``chars_wide`` size and of one ``full_report`` run at its defaults,
+    and the peak RSS of one more default ``full_report`` in a fresh
+    process (:func:`report_peak_rss`)."""
     from milne_lab import harness
 
     raw = {"scenario": "characteristics", "seed": 0,
@@ -569,9 +603,14 @@ def memory_section() -> dict:
         "report_peak_mb": peak_mb(harness, report_raw),
         "method": "tracemalloc peak over one harness.run_scenario, "
                   "MB = 2^20 bytes",
+        **report_peak_rss(harness),
+        "rss_method": "VmHWM of a fresh process that runs report_config "
+                      "once, MB = 2^20 bytes",
     }
     print(f"characteristics peak {section['characteristics_peak_mb']:.2f} MB, "
-          f"report peak {section['report_peak_mb']:.2f} MB")
+          f"report peak {section['report_peak_mb']:.2f} MB, report peak RSS "
+          f"{section['report_peak_rss_mb']:.1f} MB (scipy: "
+          f"{', '.join(section['report_scipy_subpackages']) or 'none'})")
     return section
 
 

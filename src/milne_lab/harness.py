@@ -285,6 +285,10 @@ def validate_config(raw) -> ScenarioConfig:
     # keeps the manufactured lapse 3 + eps e^{-T} phi, |phi| <= 1, positive
     _named_check(abs(c["perturbationEps"]) < 3.0, "|perturbationEps| < 3",
                  f"perturbationEps={c['perturbationEps']}")
+    # the support envelope is a Gronwall bound, which needs a positive
+    # constant: at C <= 0 it never rises above calG(T0)
+    _named_check(c["gronwallC"] > 0.0, "gronwallC > 0",
+                 f"gronwallC={c['gronwallC']}")
     # the time frame divides by tau = tau0 e^{-T}
     _named_check(abs(c["tau0"]) * math.exp(-c["Tend"]) >= sys.float_info.min,
                  "|tau0| e^-Tend normal",

@@ -38,9 +38,12 @@ The evolution intentionally runs two discretisations side by side:
   blocks, the ``(m,)`` support radii and cell volumes), each row bitwise
   its own evaluation.  The flush works in buffers made once per run and
   hands its blocks to ``sasaki_energy`` uncopied, so the heap serves its
-  few remaining temporaries again from flush to flush (2-3 minor page
-  faults a warm default ``full_report`` run, against about 4400 with an
-  array per operation).
+  few remaining temporaries again from flush to flush (about 11 minor
+  page faults a warm default ``full_report`` run in most processes, up
+  to about 700 in some, by the heap's layout, against about 4400 with an
+  array per operation).  The ``f0`` spline is built once per run and
+  evaluated in numpy, each bitwise scipy's ``CubicSpline``, so a run
+  does not import ``scipy.interpolate``.
   An abort resolves as if every log point had run in full, checking
   lapse range, pole and spot check in this order: the first pole of the
   block wins, the rows from the abort on are dropped, and so are the
@@ -59,7 +62,8 @@ from ._quadrature import composite_gauss_legendre, trapezoid
 from ._rk4 import check_count
 from .geometry import TimeFrame, make_time_frame
 from .matter import RadialDistribution
-from .energies import LAPSE_UPPER_TOL, _not_a_knot_spline, sasaki_energy
+from .energies import (LAPSE_UPPER_TOL, _not_a_knot_coefficients,
+                       _spline_values, sasaki_energy)
 
 __all__ = [
     "ConstraintSingularError",
@@ -292,7 +296,7 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
         return 2.0 * (N3 - 1.0) * b, (3.0 - N) * rho_cont - s2 * N3 * eta_c
 
     q_fine = np.linspace(0.0, f0.qmax, 4 * n_q)
-    f0_spline = _not_a_knot_spline(q_fine, f0(q_fine))
+    (x_f0,), (c_f0,) = _not_a_knot_coefficients(q_fine, f0(q_fine))
 
     h = T_end / n_steps
     half, sixth = h / 2, h / 6
@@ -331,7 +335,7 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
             G = f0.qmax * stretch
             _linspace_rows(G, ramp, q)
             np.divide(q, stretch[:, None], out=nodes)
-            fq = f0_spline(nodes)
+            fq = _spline_values(x_f0, c_f0, nodes)
             np.clip(fq, 0.0, None, out=fq)
             np.square(q, out=q2)
             np.multiply(tau2[:, None], q2, out=ph)

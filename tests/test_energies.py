@@ -11,8 +11,8 @@ from milne_lab._quadrature import composite_gauss_legendre, trapezoid
 from milne_lab.energies import (
     _cubic_derivatives,
     _not_a_knot_coefficients,
-    _not_a_knot_spline,
     _solve_tridiagonal_rows,
+    _spline_values,
     DecayFitError,
     MONITOR_THRESHOLDS,
     WeightConditionError,
@@ -25,6 +25,7 @@ from milne_lab.energies import (
     validate_energy_weights,
 )
 from milne_lab.matter import RadialDistribution
+from references import not_a_knot_ppoly
 
 
 def smooth_bump(amp=1.0, qmax=2.0):
@@ -105,7 +106,7 @@ def assert_bitwise(got, want, what=""):
 
 def assert_same_spline(x, y, points):
     """Breakpoints, coefficients and 0th-2nd derivatives, bit for bit."""
-    got, want = _not_a_knot_spline(x, y), CubicSpline(x, y)
+    got, want = not_a_knot_ppoly(x, y), CubicSpline(x, y)
     assert_bitwise(got.x, want.x, "x")
     assert_bitwise(got.c, want.c, "c")
     for nu in range(3):
@@ -183,12 +184,12 @@ class TestNotAKnotSpline:
         with pytest.raises(ValueError):
             CubicSpline(x, y)
         with pytest.raises(ValueError):
-            _not_a_knot_spline(x, y)
+            not_a_knot_ppoly(x, y)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 257])
     def test_stack_gives_one_spline_per_row(self, n):
         # a stack of rows is built by _not_a_knot_coefficients alone (the
-        # spline build of sasaki_energy); _not_a_knot_spline takes one row
+        # spline build of sasaki_energy); not_a_knot_ppoly takes one row
         rng = np.random.default_rng(n)
         x = np.cumsum(rng.uniform(1e-3, 1.0, size=(6, n)), axis=1)
         y = rng.normal(size=(6, n))
@@ -199,11 +200,11 @@ class TestNotAKnotSpline:
             assert_bitwise(got_x, want.x, "x")
             assert_bitwise(got_c, want.c, "c")
         with pytest.raises(ValueError):
-            _not_a_knot_spline(x, y)
+            not_a_knot_ppoly(x, y)
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
-            _not_a_knot_spline(np.linspace(0.0, 1.0, 5), np.zeros(4))
+            not_a_knot_ppoly(np.linspace(0.0, 1.0, 5), np.zeros(4))
 
 
 def assert_cubics_match_ppoly(x, y, points):
@@ -243,6 +244,64 @@ class TestCubicDerivatives:
         points = np.concatenate([x, rng.uniform(lo - 0.1, hi + 0.1,
                                                 size=(rows, 32))], axis=1)
         assert_cubics_match_ppoly(x, y, points)
+
+
+
+def assert_values_match_ppoly(x, y, points):
+    """``_spline_values`` against ``PPoly.__call__`` on the same
+    coefficients, bit for bit."""
+    spline = not_a_knot_ppoly(x, y)
+    got = _spline_values(spline.x, spline.c, points)
+    assert got.shape == points.shape
+    assert_bitwise(got, spline(points))
+
+
+def point_blocks(x, rng):
+    """The breakpoints, the points of :func:`off_grid`, both zeros and
+    random draws of them, in blocks of shapes ``(k,)``, ``(1, k)`` and
+    ``(m, k)``."""
+    points = np.concatenate([x, off_grid(x, rng), [-0.0, 0.0]])
+    return [points, points[None], rng.choice(points, size=(7, 33))]
+
+
+class TestSplineValues:
+    @pytest.mark.parametrize("n", [4, 5, 257, 1028])
+    @pytest.mark.parametrize("start", [0.0, -0.5])
+    def test_matches_ppoly_on_and_off_the_breakpoints(self, n, start):
+        # a grid from 0.0, as the f0 spline's, meets the point -0.0
+        rng = np.random.default_rng(n)
+        x = start + np.concatenate([[0.0], np.cumsum(
+            rng.uniform(1e-3, 1.0, size=n - 1))])
+        y = rng.normal(size=n)
+        y[rng.random(n) < 0.3] = -0.0
+        for points in point_blocks(x, rng):
+            assert_values_match_ppoly(x, y, points)
+
+    @pytest.mark.parametrize("n_q", [9, 65, 257])
+    def test_matches_ppoly_on_log_point_grids(self, n_q):
+        # the f0 spline at the nodes of a flush: stretched grids over the
+        # stretch, whose last node can fall just past the support edge
+        qmax = 2.0
+        x = np.linspace(0.0, qmax, 4 * n_q)
+        y = 2e-4 * np.maximum(0.0, 1.0 - (x / qmax) ** 2)
+        stretch = np.linspace(1.0, 1.5, 64)
+        grids = np.linspace(0.0, qmax * stretch, n_q, axis=-1)
+        assert_values_match_ppoly(x, y, grids / stretch[:, None])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=3,
+                    max_size=40),
+           st.floats(min_value=-1e3, max_value=1e3),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_ppoly_property(self, steps, start, seed):
+        x = start + np.cumsum(np.array(steps))
+        x = np.concatenate([[start], x])
+        assume(np.all(np.diff(x) > 0))  # no step lost to rounding
+        rng = np.random.default_rng(seed)
+        y = rng.normal(scale=10.0 ** rng.integers(-4, 4), size=x.size)
+        y[rng.random(x.size) < 0.2] = -0.0
+        for points in point_blocks(x, rng):
+            assert_values_match_ppoly(x, y, points)
 
 
 def not_a_knot_system(x, rng):

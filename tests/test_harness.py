@@ -550,6 +550,20 @@ class TestCli:
             validate_config({**good, "seed": 0,
                              "scenario": harness._CLI_SCENARIOS[command]})
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_nonpositive_gronwall_constant_exits_2(self, value, tmp_path,
+                                                   capsys):
+        # the envelope of C <= 0 never rises above calG(T0), so a run
+        # would fail support_envelope and exit 1
+        cfg = tmp_path / "gronwall.json"
+        small = {"particleCount": 4, "Tend": 0.3}
+        cfg.write_text(json.dumps({**small, "gronwallC": value}))
+        assert main(["characteristics", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "[gronwallC > 0]" in err and "Traceback" not in err
+        cfg.write_text(json.dumps(small))  # the default 10.0
+        assert main(["characteristics", "--config", str(cfg)]) == 0
+
     def test_large_thread_budget_accepted(self, monkeypatch):
         # validated only: a run never starts more workers than chunks
         monkeypatch.setenv("MILNE_LAB_THREADS", "1000000")
@@ -585,6 +599,41 @@ class TestCli:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_default_runs_load_no_scipy_interpolate(self):
+        # scipy.interpolate and the subpackages it imports add about 50 MB
+        # of RSS to a run: homogeneous and full_report use scipy.linalg's
+        # dgtsv alone at their defaults, the other scenarios no scipy.  Two
+        # fresh processes, run at once, each run their scenarios in turn
+        # and list the scipy modules loaded after each
+        src = os.path.dirname(os.path.dirname(milne_lab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env.pop("MILNE_LAB_THREADS", None)
+        run = ("import json, sys\n"
+               "from milne_lab import harness\n"
+               "for scenario in sys.argv[1:]:\n"
+               "    harness.run_scenario(harness.validate_config(\n"
+               "        {'scenario': scenario, 'seed': 0}))\n"
+               "    print(json.dumps(sorted(m for m in sys.modules\n"
+               "                            if m.split('.')[0] == 'scipy')))")
+        with_linalg = ("homogeneous", "full_report")
+        groups = [[s for s in harness.SCENARIOS if s not in with_linalg],
+                  list(with_linalg)]
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", run, *group], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=env) for group in groups]
+        outputs = [proc.communicate(timeout=120) for proc in procs]
+        for group, proc, (out, err) in zip(groups, procs, outputs):
+            assert proc.returncode == 0, err
+            for scenario, line in zip(group, out.splitlines(), strict=True):
+                loaded = json.loads(line)
+                if scenario in with_linalg:
+                    assert "scipy.linalg" in loaded, scenario
+                    assert not [m for m in loaded if m.startswith(
+                        ("scipy.interpolate", "scipy.optimize"))], scenario
+                else:
+                    assert loaded == [], scenario
 
     def test_package_runs_as_module(self):
         src = os.path.dirname(os.path.dirname(milne_lab.__file__))
