@@ -36,11 +36,11 @@ is the cost of a step that does not grow with the particles (a
 gives the observed order of classical Runge-Kutta under step halving
 (``log2`` of successive max-norm differences at h, h/2, h/4) for one
 fixed configuration of each ``TestConvergenceOrder``.  The ``memory``
-section records the ``tracemalloc`` peaks of one ``characteristics``
-run at the ``chars_wide`` size and of one ``full_report`` run, apart
-from the timed runs, and the peak RSS (``VmHWM``) of one more default
-``full_report`` in a fresh process with the scipy subpackages it
-loaded.  Each record names the tree it timed by
+section records the ``tracemalloc`` peak of one ``characteristics``
+run at the ``chars_wide`` size, apart from the timed runs, and, in a
+fresh process, the peak RSS (``VmHWM``) of one default ``full_report``
+with the scipy subpackages it loaded and the ``tracemalloc`` peak of a
+second one, which no earlier section's imports can change.  Each record names the tree it timed by
 ``git_sha`` and by ``src_sha256``, a digest of the package files that a
 ``git archive`` copy keeps too; ``source_lines`` counts the non-blank,
 non-comment lines of the package, per module in
@@ -181,21 +181,28 @@ print(json.dumps([hwm / 1024.0, workers / 1024.0]))
 """
 
 
-# one default full_report in a fresh process; prints its own peak RSS, in
-# MB (VmHWM, as in RSS_RUN), and the public scipy subpackages it loaded
+# one default full_report in a fresh process, then one more under
+# tracemalloc; prints the first run's own peak RSS, in MB (VmHWM, as in
+# RSS_RUN, read before tracemalloc adds its own memory), the public scipy
+# subpackages it loaded, and the second run's tracemalloc peak in MB,
+# which the first run's imports leave out, whatever else the bench ran
 REPORT_RSS_RUN = """
-import json, sys
+import json, sys, tracemalloc
 sys.path[:0] = sys.argv[1:2]  # milne_lab's tree
 from milne_lab import harness
-harness.run_scenario(harness.validate_config(
-    {"scenario": "full_report", "seed": 0}))
+cfg = harness.validate_config({"scenario": "full_report", "seed": 0})
+harness.run_scenario(cfg)
 with open("/proc/self/status") as status:
     hwm = next(int(line.split()[1]) for line in status
                if line.startswith("VmHWM:"))
-print(json.dumps([hwm / 1024.0, sorted(
+scipy_loaded = sorted(
     name for name, module in sys.modules.items()
     if name.startswith("scipy.") and name.count(".") == 1
-    and not name.startswith("scipy._") and hasattr(module, "__path__"))]))
+    and not name.startswith("scipy._") and hasattr(module, "__path__"))
+tracemalloc.start()
+harness.run_scenario(cfg)
+peak = tracemalloc.get_traced_memory()[1] / 2**20
+print(json.dumps([hwm / 1024.0, scipy_loaded, peak]))
 """
 
 
@@ -567,21 +574,22 @@ def peak_mb(harness, raw) -> float:
 
 def report_peak_rss(harness) -> dict:
     """Own peak RSS of one default ``full_report`` in a fresh process,
-    which imports the ``milne_lab`` that ``harness`` belongs to, and the
-    scipy subpackages that run loaded."""
+    which imports the ``milne_lab`` that ``harness`` belongs to, the
+    scipy subpackages that run loaded, and the ``tracemalloc`` peak of a
+    second run in that process (:data:`REPORT_RSS_RUN`)."""
     src = Path(harness.__file__).resolve().parent.parent
     out = subprocess.run([sys.executable, "-c", REPORT_RSS_RUN, str(src)],
                          cwd=ROOT, capture_output=True, text=True, check=True)
-    peak, scipy_loaded = json.loads(out.stdout.splitlines()[-1])
-    return {"report_peak_rss_mb": round(peak, 1),
+    rss, scipy_loaded, peak = json.loads(out.stdout.splitlines()[-1])
+    return {"report_peak_mb": round(peak, 2),
+            "report_peak_rss_mb": round(rss, 1),
             "report_scipy_subpackages": scipy_loaded}
 
 
 def memory_section() -> dict:
-    """``tracemalloc`` peaks of one ``characteristics`` run at the
-    ``chars_wide`` size and of one ``full_report`` run at its defaults,
-    and the peak RSS of one more default ``full_report`` in a fresh
-    process (:func:`report_peak_rss`)."""
+    """``tracemalloc`` peak of one ``characteristics`` run at the
+    ``chars_wide`` size, and the peak RSS and ``tracemalloc`` peak of a
+    default ``full_report`` in a fresh process (:func:`report_peak_rss`)."""
     from milne_lab import harness
 
     raw = {"scenario": "characteristics", "seed": 0,
@@ -600,12 +608,12 @@ def memory_section() -> dict:
         "config": f"{raw}, MILNE_LAB_THREADS=2",
         "characteristics_peak_mb": characteristics_peak,
         "report_config": str(report_raw),
-        "report_peak_mb": peak_mb(harness, report_raw),
         "method": "tracemalloc peak over one harness.run_scenario, "
-                  "MB = 2^20 bytes",
+                  "MB = 2^20 bytes; the report's in a fresh process, "
+                  "over its second run",
         **report_peak_rss(harness),
-        "rss_method": "VmHWM of a fresh process that runs report_config "
-                      "once, MB = 2^20 bytes",
+        "rss_method": "VmHWM of a fresh process after its first run of "
+                      "report_config, MB = 2^20 bytes",
     }
     print(f"characteristics peak {section['characteristics_peak_mb']:.2f} MB, "
           f"report peak {section['report_peak_mb']:.2f} MB, report peak RSS "

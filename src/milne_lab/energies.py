@@ -30,6 +30,7 @@ __all__ = [
     "sasaki_energy",
     "total_energy",
     "WeightConditionError",
+    "WEIGHT_CONDITIONS",
     "validate_energy_weights",
     "decay_fit",
     "tail_span_needed",
@@ -353,15 +354,21 @@ class WeightConditionError(ValueError):
     """An energy-weight side condition fails; the message names it."""
 
 
+# the energy-weight side conditions on (deltaE, deltaEcal), by name, in
+# the order they are checked
+WEIGHT_CONDITIONS = (
+    ("deltaE < 1/2", lambda dE, dEcal: 0.0 < dE < 0.5),
+    ("deltaEcal > 1/2", lambda dE, dEcal: dEcal > 0.5),
+    ("deltaE + deltaEcal < 1", lambda dE, dEcal: dE + dEcal < 1.0),
+)
+
+
 def validate_energy_weights(deltaE: float, deltaEcal: float) -> None:
-    """Check ``0 < deltaE < 1/2``, ``deltaEcal > 1/2`` and
-    ``deltaE + deltaEcal < 1``, raising :class:`WeightConditionError`."""
-    if not 0.0 < deltaE < 0.5:
-        raise WeightConditionError("deltaE < 1/2")
-    if not deltaEcal > 0.5:
-        raise WeightConditionError("deltaEcal > 1/2")
-    if not deltaE + deltaEcal < 1.0:
-        raise WeightConditionError("deltaE + deltaEcal < 1")
+    """Check :data:`WEIGHT_CONDITIONS`, raising
+    :class:`WeightConditionError` named by the first that fails."""
+    for name, holds in WEIGHT_CONDITIONS:
+        if not holds(deltaE, deltaEcal):
+            raise WeightConditionError(name)
 
 
 def total_energy(E6: float, sasaki54sq: float, T: float,

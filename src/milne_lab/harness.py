@@ -131,13 +131,6 @@ def _schema_field(f: dataclasses.Field) -> dict:
     return spec
 
 
-CONFIG_SCHEMA = {
-    "schemaVersion": ScenarioConfig.schemaVersion,
-    "fields": {f.name: _schema_field(f)
-               for f in dataclasses.fields(ScenarioConfig)},
-}
-
-
 def _named_check(cond: bool, name: str, detail: str) -> None:
     if not cond:
         raise ConfigError(f"config error [{name}]: {detail}")
@@ -188,20 +181,10 @@ def _read_config(path: str) -> dict:
 
 
 def validate_config(raw) -> ScenarioConfig:
-    """Parse and validate a configuration document.
-
-    ``raw`` may be a JSON string or an already-decoded mapping; anything
-    else is the named error ``[json]``.  Unknown keys are rejected,
-    defaults are filled in, and every side condition is checked with a
-    named error, including the energy-weight
-    inequalities of ``energies.validate_energy_weights`` (``0 < deltaE <
-    1/2``, ``deltaEcal > 1/2``, ``deltaE + deltaEcal < 1``), the
-    decay-budget conditions
-    ``1 - 2 deltaAlpha - deltaE - epsTot > 1 - epsDecay`` and
-    ``deltaEcal - epsTot > 1 - epsDecay``, caps on the run size, the bound
-    ``|tau0| <= 1e100``, and a ``full_report`` ``modeAmp`` whose mode
-    energies stay finite and mode metric normal over the run span.
-    """
+    """Parse and validate a configuration document, a JSON string or a
+    mapping: its form (keys, types, version, scenario), then the side
+    conditions of its scenario in the order of ``CONFIG_SCHEMA
+    ["conditions"]``; the first that fails is a named ConfigError."""
     if isinstance(raw, (str, bytes)):
         data = _json_object(raw)
     else:
@@ -221,7 +204,6 @@ def validate_config(raw) -> ScenarioConfig:
         _named_check(_has_type(c[name], spec), name,
                      f"{name} must be of type {spec['type']} (finite "
                      f"numbers only), got {c[name]!r}")
-
     _named_check(c["schemaVersion"] == CONFIG_SCHEMA["schemaVersion"],
                  "schemaVersion",
                  f"expected {CONFIG_SCHEMA['schemaVersion']}, "
@@ -229,178 +211,202 @@ def validate_config(raw) -> ScenarioConfig:
     _named_check(c["scenario"] in SCENARIOS, "scenario",
                  f"scenario must be one of {SCENARIOS}, got "
                  f"{c['scenario']!r}")
-    _named_check(c["seed"] >= 0, "seed >= 0", f"seed={c['seed']}")
-    _named_check(c["tau0"] < 0.0, "tau0 < 0", f"tau0={c['tau0']}")
-    _named_check(abs(c["tau0"]) <= _MAX_ABS_TAU0, "|tau0| <= 1e100",
-                 f"tau0={c['tau0']}")
-    _named_check(c["T0"] >= 0.0, "T0 >= 0", f"T0={c['T0']}")
-    _named_check(c["h"] > 0.0, "h > 0", f"h={c['h']}")
-    _named_check(c["Tend"] > c["T0"], "Tend > T0",
-                 f"T0={c['T0']}, Tend={c['Tend']}")
-    span = c["Tend"] - c["T0"]
-    if c["scenario"] in ("homogeneous", "full_report"):
-        _named_check(span > energies.tail_span_needed(), "Tend - T0 > 4 ln 2",
-                     f"span={span} is too short for the completeness "
-                     f"tail doublings")
-        # the homogeneous run starts from tau0 at T = 0 and reads only the span
-        _named_check(c["T0"] == 0.0, "T0 = 0",
-                     f"T0={c['T0']}: {c['scenario']} starts at T = 0")
-    if c["scenario"] == "characteristics":
-        steps = span / c["h"]
-        _named_check(math.isfinite(steps)
-                     and abs(c["T0"] + round(steps) * c["h"] - c["Tend"])
-                     <= 1e-9,
-                     "h divides Tend - T0",
-                     f"T0={c['T0']}, Tend={c['Tend']}, h={c['h']}")
-    _named_check(c["matterQmax"] > 0.0, "matterQmax > 0",
-                 f"matterQmax={c['matterQmax']}")
-    _named_check(c["matterAmp"] >= 0.0, "matterAmp >= 0",
-                 f"matterAmp={c['matterAmp']}")
-    try:
-        energies.validate_energy_weights(c["deltaE"], c["deltaEcal"])
-    except energies.WeightConditionError as exc:
-        raise ConfigError(f"config error [{exc}]: deltaE={c['deltaE']}, "
-                          f"deltaEcal={c['deltaEcal']}") from exc
-    _named_check(0.0 < c["epsDecay"] < 1.0, "0 < epsDecay < 1",
-                 f"epsDecay={c['epsDecay']}")
-    lhs1 = 1.0 - 2.0 * c["deltaAlpha"] - c["deltaE"] - c["epsTot"]
-    _named_check(lhs1 > 1.0 - c["epsDecay"],
-                 "1 - 2 deltaAlpha - deltaE - epsTot > 1 - epsDecay",
-                 f"lhs={lhs1}, rhs={1.0 - c['epsDecay']}")
-    lhs2 = c["deltaEcal"] - c["epsTot"]
-    _named_check(lhs2 > 1.0 - c["epsDecay"],
-                 "deltaEcal - epsTot > 1 - epsDecay",
-                 f"lhs={lhs2}, rhs={1.0 - c['epsDecay']}")
-    lam = tuple(float(v) for v in c["lambdaGrid"])
-    _named_check(len(lam) > 0 and all(v >= 1.0 / 9.0 - 1e-12 for v in lam),
-                 "lambdaGrid >= 1/9", f"lambdaGrid={lam}")
-    _named_check(0.0 < c["epsPrime"] < 1.0 / 9.0, "0 < epsPrime < 1/9",
-                 f"epsPrime={c['epsPrime']}")
-    for name in ("radialNodes", "quadNodes", "particleCount", "logEvery"):
-        _named_check(c[name] > 0, f"{name} > 0", f"{name}={c[name]}")
-    _named_check(c["quadNodes"] % PANELS == 0, "quadNodes multiple of 8",
-                 f"quadNodes={c['quadNodes']}")
-    _named_check(c["radialNodes"] >= 2, "radialNodes >= 2",
-                 f"radialNodes={c['radialNodes']}")
-    # keeps the manufactured lapse 3 + eps e^{-T} phi, |phi| <= 1, positive
-    _named_check(abs(c["perturbationEps"]) < 3.0, "|perturbationEps| < 3",
-                 f"perturbationEps={c['perturbationEps']}")
-    # the support envelope is a Gronwall bound, which needs a positive
-    # constant: at C <= 0 it never rises above calG(T0)
-    _named_check(c["gronwallC"] > 0.0, "gronwallC > 0",
-                 f"gronwallC={c['gronwallC']}")
-    # the time frame divides by tau = tau0 e^{-T}
-    _named_check(abs(c["tau0"]) * math.exp(-c["Tend"]) >= sys.float_info.min,
-                 "|tau0| e^-Tend normal",
-                 f"tau0={c['tau0']}, Tend={c['Tend']}")
-    c["lambdaGrid"] = lam
+    c["lambdaGrid"] = tuple(float(v) for v in c["lambdaGrid"])
     cfg = ScenarioConfig(**c)
-    _check_run_size(cfg)
-    if cfg.scenario in ("modes", "full_report"):
-        # an epsPrime too small to resolve against 1/9 (about 7e-18)
-        # leaves the borderline mode's corrected energy without coercivity
+    for name, scenarios, check, detail in _CONDITIONS:
         try:
-            constants = [correction_constants(lam, cfg.epsPrime)
-                         for lam in cfg.lambdaGrid]
-        except ValueError as exc:
-            raise ConfigError(f"config error [epsPrime]: {exc}") from exc
-    if cfg.scenario == "modes":
-        # the report holds one entry per key, so two modes under one key
-        # would hide the first one's verdict
-        keys = Counter(_mode_key(v) for v in cfg.lambdaGrid)
-        shared = sorted(k for k, n in keys.items() if n > 1)
-        _named_check(not shared, "lambdaGrid keys distinct",
-                     f"modes {shared} share a report key (lambda to six "
-                     f"significant digits)")
-    if cfg.scenario in ("homogeneous", "full_report"):
-        try:
-            f0 = _matter_profile(cfg)
-        except ValueError as exc:  # a matterQmax too small to grid
-            raise ConfigError(f"config error [matterQmax]: {exc}") from exc
-        # the log-point energy squares the profile's second derivative,
-        # -2 matterAmp / matterQmax^2, which must stay far inside the
-        # float range (the spline of the profile overflows first); the
-        # square is a product, as ** raises past the float range
-        _named_check(cfg.matterAmp
-                     <= _MAX_CURVATURE * (cfg.matterQmax * cfg.matterQmax),
-                     "matterQmax",
-                     f"matterAmp / matterQmax^2 must be <= 1e150, got "
-                     f"matterAmp={cfg.matterAmp}, "
-                     f"matterQmax={cfg.matterQmax}")
-        with np.errstate(over="ignore", invalid="ignore"):  # to inf, named
-            rho0 = homogeneous.initial_density(f0, cfg.tau0, cfg.quadNodes)
-        _named_check(abs(cfg.tau0) * rho0 < 1.0 / 6.0, "|tau0| rho0 < 1/6",
-                     f"|tau0| rho0={abs(cfg.tau0) * rho0} reaches the "
-                     f"constraint pole")
-    if cfg.scenario == "full_report":
-        # every mode of the sector starts at (a, -a) and is a e^{-(T - T0)}
-        # times a bounded oscillation (the roots have real part -1, and
-        # this start has no T e^{-T} part at the double root): the
-        # corrected energies are largest at T0, where they must be finite,
-        # and the squared mode metric falls to about (a e^{-span})^2, which
-        # must stay normal for its decay rate to be fitted
-        a = cfg.modeAmp
-        with np.errstate(over="ignore", invalid="ignore"):
-            E6 = sum(modes.corrected_energy(a, -a, lam, c, order=6)
-                     for lam, c in zip(cfg.lambdaGrid, constants))
-        _named_check(math.isfinite(E6), "modeAmp: mode energies finite",
-                     f"modeAmp={a} gives E6={E6} at T0 on lambdaGrid up "
-                     f"to {max(cfg.lambdaGrid)}")
-        end = a * math.exp(-span)
-        _named_check(end * end >= sys.float_info.min,
-                     "modeAmp: mode metric normal",
-                     f"modeAmp={a} gives a squared mode metric of about "
-                     f"{end * end} at Tend")
+            if cfg.scenario not in scenarios or check(cfg):
+                continue
+        except ValueError as exc:  # a check that computes names the fault
+            raise ConfigError(f"config error [{name}]: {exc}") from exc
+        text = (detail(cfg) if callable(detail) else ", ".join(
+            f"{f}={getattr(cfg, f)}" for f in detail.split()))
+        raise ConfigError(f"config error [{name}]: {text}")
     return cfg
 
 
-_MAX_NODES = 10**4
-_MAX_PARTICLES = 10**6
-_MAX_STEPS = 10**6
-_MAX_PARTICLE_STEPS = 10**9
-_MAX_MODE_STEPS = 10**8
-_MAX_CURVATURE = 1e150
-# the runs square tau (the characteristic flow, the Christoffel symbols)
-# and cube s = |tau| (the homogeneous log points); at 1e100 every power
-# stays finite
-_MAX_ABS_TAU0 = 1e100
+def _steps(cfg: ScenarioConfig) -> float:
+    return (cfg.Tend - cfg.T0) / cfg.h
 
 
-def _check_run_size(cfg: ScenarioConfig) -> None:
-    """Named checks on the step count and the run size.
+def _report_mode_steps(cfg: ScenarioConfig) -> int:
+    return _mode_steps(_homogeneous_steps(cfg) // cfg.logEvery)[1]
 
-    The caps keep an accepted run to minutes.  Measured on a 2-vCPU VM
-    (``bench/bench.py``, scaled rows), a particle-step costs 100-400 ns
-    (10^4-10^5 particles on two worker processes to 10^3 particles on
-    one), so 10^9 particle-steps take 2-7 minutes; a scalar step of one
-    mode costs about 0.5 us, so the 10^8 mode steps of ``full_report``
-    take about a minute.
-    """
-    for name in ("radialNodes", "quadNodes"):
-        _named_check(getattr(cfg, name) <= _MAX_NODES, f"{name} <= 10^4",
-                     f"{name}={getattr(cfg, name)}")
-    _named_check(len(cfg.lambdaGrid) <= _MAX_NODES, "len(lambdaGrid) <= 10^4",
-                 f"len(lambdaGrid)={len(cfg.lambdaGrid)}")
-    _named_check(cfg.particleCount <= _MAX_PARTICLES, "particleCount <= 10^6",
-                 f"particleCount={cfg.particleCount}")
-    if cfg.scenario == "background_check":  # takes no steps
-        return
-    steps = (cfg.Tend - cfg.T0) / cfg.h
-    _named_check(steps >= 1.0, "h <= Tend - T0",
-                 f"T0={cfg.T0}, Tend={cfg.Tend}, h={cfg.h}")
-    if steps <= _MAX_STEPS and cfg.scenario in ("homogeneous", "full_report"):
-        steps = _homogeneous_steps(cfg)
-    _named_check(steps <= _MAX_STEPS, "steps <= 10^6", f"steps={steps}")
-    if cfg.scenario == "characteristics":
-        _named_check(cfg.particleCount * steps <= _MAX_PARTICLE_STEPS,
-                     "particleCount x steps <= 10^9",
-                     f"particleCount={cfg.particleCount}, steps={steps}")
-    if cfg.scenario == "full_report":
-        _, mode_steps = _mode_steps(steps // cfg.logEvery)
-        _named_check(len(cfg.lambdaGrid) * mode_steps <= _MAX_MODE_STEPS,
-                     "len(lambdaGrid) x mode steps <= 10^8",
-                     f"len(lambdaGrid)={len(cfg.lambdaGrid)}, "
-                     f"mode steps={mode_steps}")
+
+def _mode_constants(cfg: ScenarioConfig) -> list:
+    # an epsPrime too small to resolve against 1/9 (about 7e-18) leaves
+    # the borderline mode's corrected energy without coercivity: a
+    # ValueError
+    return [correction_constants(lam, cfg.epsPrime)
+            for lam in cfg.lambdaGrid]
+
+
+def _shared_keys(cfg: ScenarioConfig) -> list:
+    # the report holds one entry per key, so two modes under one key
+    # would hide the first one's verdict
+    keys = Counter(_mode_key(v) for v in cfg.lambdaGrid)
+    return sorted(k for k, n in keys.items() if n > 1)
+
+
+def _profile_curvature_fits(cfg: ScenarioConfig) -> bool:
+    _matter_profile(cfg)  # a ValueError when matterQmax is too small to grid
+    # the log-point energy squares the profile's second derivative,
+    # -2 matterAmp / matterQmax^2, which must stay far inside the float
+    # range (the spline of the profile overflows first); the square is a
+    # product, as ** raises past the float range
+    return cfg.matterAmp <= 1e150 * (cfg.matterQmax * cfg.matterQmax)
+
+
+def _tau_rho0(cfg: ScenarioConfig) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):  # to inf, named
+        return abs(cfg.tau0) * homogeneous.initial_density(
+            _matter_profile(cfg), cfg.tau0, cfg.quadNodes)
+
+
+# every mode of the full_report sector starts at (a, -a) and is
+# a e^{-(T - T0)} times a bounded oscillation (the roots have real part -1,
+# and this start has no T e^{-T} part at the double root): the corrected
+# energies are largest at T0, where they must be finite, and the squared
+# mode metric falls to about (a e^{-span})^2, which must stay normal for
+# its decay rate to be fitted
+def _initial_mode_energy(cfg: ScenarioConfig) -> float:
+    a = cfg.modeAmp
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sum(modes.corrected_energy(a, -a, lam, c, order=6)
+                   for lam, c in zip(cfg.lambdaGrid, _mode_constants(cfg)))
+
+
+def _final_mode_metric(cfg: ScenarioConfig) -> float:
+    end = cfg.modeAmp * math.exp(-(cfg.Tend - cfg.T0))
+    return end * end
+
+
+def _rk4_row(scenarios: tuple, mode_step) -> tuple:
+    def unstable(c):
+        return modes.unstable_eigenvalue(c.lambdaGrid, mode_step(c))
+
+    return ("lambdaGrid: RK4 stable at h", scenarios,
+            lambda c: unstable(c) is None,
+            lambda c: f"lambda={unstable(c)} has |R(hz)| >= 1 at the mode "
+                      f"step h={mode_step(c)}")
+
+
+_ALL = SCENARIOS
+_HOMOGENEOUS = ("homogeneous", "full_report")
+_STEPPED = ("modes", "homogeneous", "characteristics", "full_report")
+# The side conditions of a configuration, checked in this order by
+# validate_config: each row is (name, scenarios it applies to, check,
+# detail).  A check returns whether the condition holds, or raises a
+# ValueError whose text is the detail.  A detail is a function of the
+# config, or the names of the fields it shows as name=value.  The caps
+# keep an accepted run to minutes: on a 2-vCPU VM (bench/bench.py, scaled
+# rows) a particle-step costs 100-400 ns, so 10^9 take 2-7 minutes, and
+# a scalar step of one mode about 0.5 us, so 10^8 take about a minute.
+_CONDITIONS = (
+    ("seed >= 0", _ALL, lambda c: c.seed >= 0, "seed"),
+    ("tau0 < 0", _ALL, lambda c: c.tau0 < 0.0, "tau0"),
+    # the runs square tau (the characteristic flow, the Christoffel
+    # symbols) and cube s = |tau| (the homogeneous log points); at 1e100
+    # every power stays finite
+    ("|tau0| <= 1e100", _ALL, lambda c: abs(c.tau0) <= 1e100, "tau0"),
+    ("T0 >= 0", _ALL, lambda c: c.T0 >= 0.0, "T0"),
+    ("h > 0", _ALL, lambda c: c.h > 0.0, "h"),
+    ("Tend > T0", _ALL, lambda c: c.Tend > c.T0, "T0 Tend"),
+    (f"Tend - T0 > {energies.TAIL_DOUBLINGS + 1} ln 2", _HOMOGENEOUS,
+     lambda c: c.Tend - c.T0 > energies.tail_span_needed(),
+     lambda c: f"span={c.Tend - c.T0} is too short for the completeness "
+               f"tail doublings"),
+    # the homogeneous run starts from tau0 at T = 0 and reads only the span
+    ("T0 = 0", _HOMOGENEOUS, lambda c: c.T0 == 0.0,
+     lambda c: f"T0={c.T0}: {c.scenario} starts at T = 0"),
+    ("h divides Tend - T0", ("characteristics",), lambda c: math.isfinite(
+        _steps(c)) and abs(c.T0 + round(_steps(c)) * c.h - c.Tend) <= 1e-9,
+     "T0 Tend h"),
+    ("matterQmax > 0", _ALL, lambda c: c.matterQmax > 0.0, "matterQmax"),
+    ("matterAmp >= 0", _ALL, lambda c: c.matterAmp >= 0.0, "matterAmp"),
+    *((name, _ALL, lambda c, holds=holds: holds(c.deltaE, c.deltaEcal),
+       "deltaE deltaEcal") for name, holds in energies.WEIGHT_CONDITIONS),
+    ("0 < epsDecay < 1", _ALL, lambda c: 0.0 < c.epsDecay < 1.0, "epsDecay"),
+    # the decay budgets; deltaAlpha is the configured budget, not the
+    # borderline mode's own rate loss, which the modes rate table checks
+    # against 2 alpha
+    *((f"{lhs_name} > 1 - epsDecay", _ALL,
+       lambda c, lhs=lhs: lhs(c) > 1.0 - c.epsDecay,
+       lambda c, lhs=lhs: f"lhs={lhs(c)}, rhs={1.0 - c.epsDecay}")
+      for lhs_name, lhs in (
+          ("1 - 2 deltaAlpha - deltaE - epsTot",
+           lambda c: 1.0 - 2.0 * c.deltaAlpha - c.deltaE - c.epsTot),
+          ("deltaEcal - epsTot", lambda c: c.deltaEcal - c.epsTot))),
+    ("lambdaGrid >= 1/9", _ALL, lambda c: len(c.lambdaGrid) > 0 and all(
+        v >= 1.0 / 9.0 - 1e-12 for v in c.lambdaGrid), "lambdaGrid"),
+    ("0 < epsPrime < 1/9", _ALL, lambda c: 0.0 < c.epsPrime < 1.0 / 9.0,
+     "epsPrime"),
+    *((f"{name} > 0", _ALL, lambda c, name=name: getattr(c, name) > 0, name)
+      for name in ("radialNodes", "quadNodes", "particleCount", "logEvery")),
+    (f"quadNodes multiple of {PANELS}", _ALL,
+     lambda c: c.quadNodes % PANELS == 0, "quadNodes"),
+    ("radialNodes >= 2", _ALL, lambda c: c.radialNodes >= 2, "radialNodes"),
+    # keeps the manufactured lapse 3 + eps e^{-T} phi, |phi| <= 1, positive
+    ("|perturbationEps| < 3", _ALL, lambda c: abs(c.perturbationEps) < 3.0,
+     "perturbationEps"),
+    # the support envelope is a Gronwall bound, which needs a positive
+    # constant: at C <= 0 it never rises above calG(T0)
+    ("gronwallC > 0", _ALL, lambda c: c.gronwallC > 0.0, "gronwallC"),
+    # the time frame divides by tau = tau0 e^{-T}
+    ("|tau0| e^-Tend normal", _ALL,
+     lambda c: abs(c.tau0) * math.exp(-c.Tend) >= sys.float_info.min,
+     "tau0 Tend"),
+    *((f"{name} <= 10^4", _ALL,
+       lambda c, name=name: getattr(c, name) <= 10**4, name)
+      for name in ("radialNodes", "quadNodes")),
+    ("len(lambdaGrid) <= 10^4", _ALL, lambda c: len(c.lambdaGrid) <= 10**4,
+     lambda c: f"len(lambdaGrid)={len(c.lambdaGrid)}"),
+    ("particleCount <= 10^6", _ALL, lambda c: c.particleCount <= 10**6,
+     "particleCount"),
+    ("h <= Tend - T0", _STEPPED, lambda c: _steps(c) >= 1.0, "T0 Tend h"),
+    ("steps <= 10^6", _STEPPED, lambda c: _steps(c) <= 10**6,
+     lambda c: f"steps={_steps(c)}"),
+    # the homogeneous runs round their steps up to whole log intervals
+    ("steps <= 10^6", _HOMOGENEOUS, lambda c: _homogeneous_steps(c) <= 10**6,
+     lambda c: f"steps={_homogeneous_steps(c)}"),
+    ("particleCount x steps <= 10^9", ("characteristics",),
+     lambda c: c.particleCount * _steps(c) <= 10**9,
+     lambda c: f"particleCount={c.particleCount}, steps={_steps(c)}"),
+    ("len(lambdaGrid) x mode steps <= 10^8", ("full_report",),
+     lambda c: len(c.lambdaGrid) * _report_mode_steps(c) <= 10**8,
+     lambda c: f"len(lambdaGrid)={len(c.lambdaGrid)}, "
+               f"mode steps={_report_mode_steps(c)}"),
+    ("epsPrime", ("modes", "full_report"),
+     lambda c: len(_mode_constants(c)) > 0, None),
+    ("lambdaGrid keys distinct", ("modes",), lambda c: not _shared_keys(c),
+     lambda c: f"modes {_shared_keys(c)} share a report key (lambda to six "
+               f"significant digits)"),
+    ("matterQmax", _HOMOGENEOUS, _profile_curvature_fits,
+     lambda c: f"matterAmp / matterQmax^2 must be <= 1e150, got "
+               f"matterAmp={c.matterAmp}, matterQmax={c.matterQmax}"),
+    ("|tau0| rho0 < 1/6", _HOMOGENEOUS, lambda c: _tau_rho0(c) < 1.0 / 6.0,
+     lambda c: f"|tau0| rho0={_tau_rho0(c)} reaches the constraint pole"),
+    ("modeAmp: mode energies finite", ("full_report",),
+     lambda c: math.isfinite(_initial_mode_energy(c)),
+     lambda c: f"modeAmp={c.modeAmp} gives E6={_initial_mode_energy(c)} at "
+               f"T0 on lambdaGrid up to {max(c.lambdaGrid)}"),
+    ("modeAmp: mode metric normal", ("full_report",),
+     lambda c: _final_mode_metric(c) >= sys.float_info.min,
+     lambda c: f"modeAmp={c.modeAmp} gives a squared mode metric of about "
+               f"{_final_mode_metric(c)} at Tend"),
+    # at the mode step each scenario takes
+    _rk4_row(("modes",), lambda c: (c.Tend - c.T0) / round(_steps(c))),
+    _rk4_row(("full_report",), lambda c: (c.Tend - c.T0)
+             / _report_mode_steps(c)),
+)
+
+CONFIG_SCHEMA = {
+    "schemaVersion": ScenarioConfig.schemaVersion,
+    "fields": {f.name: _schema_field(f)
+               for f in dataclasses.fields(ScenarioConfig)},
+    "conditions": [{"name": name, "scenarios": scenarios}
+                   for name, scenarios, _, _ in _CONDITIONS],
+}
 
 
 @dataclass
@@ -692,17 +698,17 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _json_default(obj):
     """The JSON form of a numpy array or scalar (``json.dump`` hook)."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
+
+
+def _fmt(value):
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def validate_report(report: dict) -> None:
@@ -768,12 +774,8 @@ _CLI_SCENARIOS = {
 
 def _strict_margins(monitors: dict, floor: float) -> list:
     """Names of monitors whose margin falls below the strict floor."""
-    failing = []
-    for name, mon in monitors.items():
-        margin = mon.get("margin")
-        if margin is not None and margin < floor:
-            failing.append(name)
-    return failing
+    return [name for name, mon in monitors.items()
+            if mon.get("margin") is not None and mon["margin"] < floor]
 
 
 def main(argv=None) -> int:

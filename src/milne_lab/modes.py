@@ -26,10 +26,11 @@ table).
 
 from __future__ import annotations
 
+import cmath
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "corrected_energy",
     "dissipation_identity",
     "energy_decay_check",
+    "unstable_eigenvalue",
     "coercivity_check",
     "mode_sweep",
     "MODE_CSV_COLUMNS",
@@ -174,6 +176,25 @@ def integrate_mode(lam: float, u0: float, w0: float, T_span: tuple,
     energy = corrected_energy(U, W, lam, constants)
     return ModeTrajectory(lam=lam, constants=constants, T=T, u=U, w=W,
                           energy=energy)
+
+
+def unstable_eigenvalue(lambdas: Sequence[float],
+                        h: float) -> Optional[float]:
+    """The first of ``lambdas`` whose mode :func:`integrate_mode` cannot
+    step stably at step ``h``, or None.
+
+    A step multiplies each solution ``e^{zT}`` by the RK4 factor
+    ``R(hz) = 1 + hz + (hz)^2/2 + (hz)^3/6 + (hz)^4/24``, so both roots
+    ``z = -1 +- sqrt(1 - 9 lam)`` need ``|R(hz)| < 1``.  Python complex
+    arithmetic warns of nothing: an overflow reads inf or nan and fails.
+    """
+    for lam in lambdas:
+        root = cmath.sqrt(1.0 - 9.0 * lam)
+        for z in (h * (root - 1.0), h * (-root - 1.0)):
+            r = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+            if not r.real * r.real + r.imag * r.imag < 1.0:
+                return lam
+    return None
 
 
 def energy_decay_check(traj: ModeTrajectory) -> dict:

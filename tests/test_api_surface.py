@@ -46,7 +46,8 @@ TEST_REFERENCES = {
 }
 # dataclass fields that only tests read, each with the test that compares
 # it: the closure's eta against the grid-sampled one, and the borderline
-# rate loss (which validate_config does not yet weigh against deltaAlpha)
+# rate loss (the decay-budget condition takes the configured deltaAlpha
+# instead, and the modes rate table checks this loss; README.md says why)
 TEST_FIELDS = {
     "homogeneous.HomogeneousRun.eta_under_closure":
         "tests/test_homogeneous.py::TestMatterRun::"

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -232,6 +233,94 @@ class TestConfigRobustness:
         cfg = validate_config(base_config(scenario="characteristics",
                                           T0=0.5, Tend=0.75, h=0.05))
         assert cfg.h == 0.05
+
+
+# a config that violates each row of CONFIG_SCHEMA["conditions"] and no
+# row before it, by the row's name; validation only, never run
+_VIOLATIONS = [
+    ("seed >= 0", {"seed": -1}),
+    ("tau0 < 0", {"tau0": 0.0}),
+    ("|tau0| <= 1e100", {"tau0": -1.5e100}),
+    ("T0 >= 0", {"T0": -0.5}),
+    ("h > 0", {"h": 0.0}),
+    ("Tend > T0", {"T0": 2.0, "Tend": 2.0}),
+    (f"Tend - T0 > {TAIL_DOUBLINGS + 1} ln 2",
+     {"scenario": "homogeneous", "Tend": (TAIL_DOUBLINGS + 1) * math.log(2.0)}),
+    ("T0 = 0", {"scenario": "full_report", "T0": 0.5, "Tend": 5.0}),
+    ("h divides Tend - T0",
+     {"scenario": "characteristics", "Tend": 1.0005, "h": 1e-2}),
+    ("matterQmax > 0", {"matterQmax": 0.0}),
+    ("matterAmp >= 0", {"matterAmp": -1e-4}),
+    ("deltaE < 1/2", {"deltaE": 0.5}),
+    ("deltaEcal > 1/2", {"deltaEcal": 0.5}),
+    ("deltaE + deltaEcal < 1",
+     {"deltaE": 0.3, "deltaEcal": 0.8, "epsDecay": 0.45}),
+    ("0 < epsDecay < 1", {"epsDecay": 1.0}),
+    ("1 - 2 deltaAlpha - deltaE - epsTot > 1 - epsDecay",
+     {"deltaAlpha": 0.05}),
+    ("deltaEcal - epsTot > 1 - epsDecay", {"deltaEcal": 0.85}),
+    ("lambdaGrid >= 1/9", {"lambdaGrid": []}),
+    ("0 < epsPrime < 1/9", {"epsPrime": 1.0 / 9.0}),
+    ("radialNodes > 0", {"radialNodes": 0}),
+    ("quadNodes > 0", {"quadNodes": 0}),
+    ("particleCount > 0", {"particleCount": 0}),
+    ("logEvery > 0", {"logEvery": 0}),
+    (f"quadNodes multiple of {PANELS}", {"quadNodes": PANELS + 1}),
+    ("radialNodes >= 2", {"radialNodes": 1}),
+    ("|perturbationEps| < 3", {"perturbationEps": -3.0}),
+    ("gronwallC > 0", {"gronwallC": 0.0}),
+    ("|tau0| e^-Tend normal", {"tau0": -1e-300, "Tend": 20.0}),
+    ("radialNodes <= 10^4", {"radialNodes": 10**4 + 1}),
+    ("quadNodes <= 10^4", {"quadNodes": 10**4 + PANELS}),
+    ("len(lambdaGrid) <= 10^4", {"lambdaGrid": [1.0] * (10**4 + 1)}),
+    ("particleCount <= 10^6", {"particleCount": 10**6 + 1}),
+    ("h <= Tend - T0", {"scenario": "modes", "h": 5.001}),
+    ("steps <= 10^6", {"scenario": "modes", "h": 5e-6 * 0.999}),
+    # 5000 steps, rounded up to one log interval of 2 x 10^6
+    ("steps <= 10^6", {"scenario": "homogeneous", "logEvery": 2 * 10**6}),
+    ("particleCount x steps <= 10^9",
+     {"scenario": "characteristics", "particleCount": 2 * 10**5,
+      "h": 1e-3 * 0.8}),
+    ("len(lambdaGrid) x mode steps <= 10^8",
+     {"scenario": "full_report", "logEvery": 5, "lambdaGrid": [1.0] * 10**4}),
+    ("epsPrime", {"scenario": "modes", "epsPrime": 5e-18}),
+    ("lambdaGrid keys distinct",
+     {"scenario": "modes", "lambdaGrid": [0.3, 0.3 + 1e-9]}),
+    ("matterQmax", {"scenario": "full_report", "matterQmax": 1e-80}),
+    ("|tau0| rho0 < 1/6", {"scenario": "homogeneous", "matterAmp": 0.05}),
+    ("modeAmp: mode energies finite",
+     {"scenario": "full_report", "modeAmp": -1e154}),
+    ("modeAmp: mode metric normal",
+     {"scenario": "full_report", "modeAmp": 1e-160}),
+    ("lambdaGrid: RK4 stable at h",
+     {"scenario": "modes", "lambdaGrid": [1e30], "h": 0.01}),
+    ("lambdaGrid: RK4 stable at h",
+     {"scenario": "full_report", "lambdaGrid": [1e51]}),
+]
+
+
+@pytest.mark.parametrize("name, extra", _VIOLATIONS)
+def test_each_condition_rejects_its_violation(name, extra):
+    with pytest.raises(ConfigError) as info:
+        validate_config(base_config(**extra))
+    assert str(info.value).startswith(f"config error [{name}]: ")
+
+
+def test_every_condition_has_a_violation():
+    rows = CONFIG_SCHEMA["conditions"]
+    cases = {(name, extra.get("scenario", "background_check"))
+             for name, extra in _VIOLATIONS}
+    assert {name for name, _ in cases} == {row["name"] for row in rows}
+    for row in rows:  # rows that share a name each have a scenario's case
+        assert any((row["name"], s) in cases for s in row["scenarios"]), row
+
+
+def test_readme_names_every_condition():
+    readme = (pathlib.Path(__file__).resolve().parents[1]
+              / "README.md").read_text()
+    missing = [row["name"] for row in CONFIG_SCHEMA["conditions"]
+               if f"`{row['name']}`" not in readme]
+    assert not missing
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers()
@@ -533,12 +622,20 @@ class TestCli:
         ("report", {"matterQmax": 1e160}, "|tau0| rho0 < 1/6", None),
         # lam^6 of the order-6 mode energy overflows
         ("report", {"lambdaGrid": [1e52]}, "modeAmp: mode energies finite",
-         {"lambdaGrid": [1e51]}),
+         {"lambdaGrid": [1e5]}),
+        # RK4 leaves its stability region at the mode step, and the mode
+        # energies overflow during the run
+        ("modes", {"lambdaGrid": [1e30], "h": 0.01, "Tend": 5},
+         "lambdaGrid: RK4 stable at h",
+         {"lambdaGrid": [1e3], "h": 0.01, "Tend": 5}),
+        ("report", {"lambdaGrid": [1e51]}, "lambdaGrid: RK4 stable at h",
+         {"lambdaGrid": [1e5]}),
         # 9 (1/9 - epsPrime) rounds to 1, which is not coercive at 1/9
         ("modes", {"epsPrime": 5e-18}, "epsPrime", {"epsPrime": 1e-16}),
         ("report", {"epsPrime": 5e-18}, "epsPrime", {"epsPrime": 1e-16}),
     ], ids=["homogeneous-matterQmax", "report-matterQmax", "report-lambdaGrid",
-            "modes-epsPrime", "report-epsPrime"])
+            "modes-lambdaGrid-rk4", "report-lambdaGrid-rk4", "modes-epsPrime",
+            "report-epsPrime"])
     def test_extreme_values_exit_2(self, command, bad, name, good, tmp_path,
                                    capsys):
         cfg = tmp_path / "extreme.json"

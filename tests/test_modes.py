@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from milne_lab.modes import (
     integrate_mode,
     mode_rhs,
     mode_sweep,
+    unstable_eigenvalue,
 )
 
 
@@ -35,6 +37,28 @@ class TestExactSolutions:
     def test_rhs_at_origin(self):
         du, dw = mode_rhs(0.0, 0.0, 1.0, 0.0)
         assert du == 0.0 and dw == 0.0
+
+
+class TestStepStability:
+    def test_bound_matches_the_growth_of_integrate_mode(self):
+        # the stability bound at h = 0.01 lies near lambda = 8935: a tenth
+        # below it the run decays, a tenth above it grows
+        assert unstable_eigenvalue([8000.0], 0.01) is None
+        assert unstable_eigenvalue([1.0, 10000.0, 2e4], 0.01) == 10000.0
+        for lam, grows in ((8000.0, False), (10000.0, True)):
+            traj = integrate_mode(lam, 1.0, -1.0, (0.0, 2.0), 200)
+            assert bool(abs(traj.u[-1]) > 1.0) is grows
+
+    def test_real_roots_and_extremes_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # real roots near the borderline 1/9, where the double root
+            # z = -h leaves the real interval [-2.79, 0] of the region
+            assert unstable_eigenvalue([1.0 / 9.0 - 1e-12], 1e-3) is None
+            assert unstable_eigenvalue([1.0 / 9.0], 2.5) is None
+            assert unstable_eigenvalue([1.0 / 9.0], 3.0) == 1.0 / 9.0
+            for lam in (1e30, 1e300, 1.7e308):
+                assert unstable_eigenvalue([lam], 1e-3) == lam
 
 
 class TestCorrectedEnergy:
