@@ -30,7 +30,7 @@ from .massshell import (SingularShiftError, compute_p0, mass_shell_residual,
                         normalization_report, pointwise_estimates_check)
 from .transport import ParticleEnsemble
 from .matter import (MatterMoments, RadialDistribution,
-                     UnsupportedModeError, continuity_rhs, eta_direct,
+                     UnsupportedModeError, continuity_rhs,
                      moment_bound_check, moments_from_distribution)
 from .modes import (ModeTrajectory, corrected_energy, energy_decay_check,
                     integrate_mode, mode_sweep)
@@ -50,7 +50,7 @@ __all__ = [
     "SingularShiftError", "compute_p0", "mass_shell_residual",
     "normalization_report", "pointwise_estimates_check",
     "MatterMoments", "ParticleEnsemble", "RadialDistribution",
-    "UnsupportedModeError", "continuity_rhs", "eta_direct",
+    "UnsupportedModeError", "continuity_rhs",
     "moment_bound_check", "moments_from_distribution",
     "ModeTrajectory", "corrected_energy", "energy_decay_check",
     "integrate_mode", "mode_sweep",

@@ -281,6 +281,25 @@ def _final_mode_metric(cfg: ScenarioConfig) -> float:
     return end * end
 
 
+def _log_stride(cfg: ScenarioConfig) -> int:
+    return max(1, int(round(0.05 / cfg.h)))
+
+
+def _envelope_growth(cfg: ScenarioConfig) -> float:
+    # the support envelope of the characteristics run at calG = 1, from the
+    # closed-form norm envelopes on its log rows: at most the envelope over
+    # max(calG(T0), 1), as the envelope grows with T
+    n = round(_steps(cfg))
+    T = cfg.T0 + cfg.h * np.r_[0:n:_log_stride(cfg), n]
+    bounds = transport.manufactured_lapse_fields(
+        cfg.perturbationEps).norm_envelopes
+    with np.errstate(over="ignore"):  # to inf, named
+        return float(transport.support_bound_check(
+            T, np.ones_like(T), {k: np.array([bound(t) for t in T])
+                                 for k, bound in bounds.items()},
+            C=cfg.gronwallC, tau0_abs=abs(cfg.tau0))["envelope"][-1])
+
+
 def _rk4_row(scenarios: tuple, mode_step) -> tuple:
     def unstable(c):
         return modes.unstable_eigenvalue(c.lambdaGrid, mode_step(c))
@@ -293,6 +312,7 @@ def _rk4_row(scenarios: tuple, mode_step) -> tuple:
 
 _ALL = SCENARIOS
 _HOMOGENEOUS = ("homogeneous", "full_report")
+_WITH_TAU = tuple(s for s in SCENARIOS if s != "modes")
 _STEPPED = ("modes", "homogeneous", "characteristics", "full_report")
 # The side conditions of a configuration, checked in this order by
 # validate_config: each row is (name, scenarios it applies to, check,
@@ -352,10 +372,11 @@ _CONDITIONS = (
     # the support envelope is a Gronwall bound, which needs a positive
     # constant: at C <= 0 it never rises above calG(T0)
     ("gronwallC > 0", _ALL, lambda c: c.gronwallC > 0.0, "gronwallC"),
-    # the time frame divides by tau = tau0 e^{-T}
-    ("|tau0| e^-Tend normal", _ALL,
-     lambda c: abs(c.tau0) * math.exp(-c.Tend) >= sys.float_info.min,
-     "tau0 Tend"),
+    # tau = tau0 e^{-T} stays normal with its square, which the runs divide
+    # by (the connection blocks, the metric measure, the characteristic
+    # flow); modes has no tau
+    ("|tau0| e^-Tend normal", _WITH_TAU, lambda c: abs(c.tau0) * math.exp(
+        -c.Tend) >= math.sqrt(sys.float_info.min), "tau0 Tend"),
     *((f"{name} <= 10^4", _ALL,
        lambda c, name=name: getattr(c, name) <= 10**4, name)
       for name in ("radialNodes", "quadNodes")),
@@ -398,6 +419,11 @@ _CONDITIONS = (
     _rk4_row(("modes",), lambda c: (c.Tend - c.T0) / round(_steps(c))),
     _rk4_row(("full_report",), lambda c: (c.Tend - c.T0)
              / _report_mode_steps(c)),
+    # calG(T0) is a few units, so 1e300 leaves room below the float range
+    ("gronwallC: support envelope finite", ("characteristics",),
+     lambda c: _envelope_growth(c) <= 1e300,
+     lambda c: f"gronwallC={c.gronwallC}: the support envelope from calG = "
+               f"1 reaches {_envelope_growth(c):.4g} by Tend, past 1e300"),
 )
 
 CONFIG_SCHEMA = {
@@ -591,7 +617,7 @@ def _run_characteristics(cfg: ScenarioConfig) -> dict:
     threads = _thread_budget()
     log_t, _ = transport.integrate_characteristics(
         ens, provider, frame0, cfg.Tend, cfg.h, mode="derived",
-        log_every=max(1, int(round(0.05 / cfg.h))), threads=threads,
+        log_every=_log_stride(cfg), threads=threads,
         full_log=False)
     norms = {key: np.array([bound(t) for t in log_t.T])
              for key, bound in provider.norm_envelopes.items()}

@@ -21,9 +21,9 @@ The evolution intentionally runs two discretisations side by side:
   momentum integrals evaluated through the exact-scaling closure on a
   Gauss-Legendre rule (spectrally accurate, and the closure makes the
   constraint propagate exactly at the continuous level).  The RK4 step
-  is written out over one stage function, with the operations of
-  ``_rk4.rk4_step`` in the same order, and the closure works in scratch
-  arrays made once per run;
+  is written out over one stage function, with the operations of the
+  tests' ``references.rk4_step`` in the same order (pinned bitwise there),
+  and the closure works in scratch arrays made once per run;
 * logging — the distribution is materialised on a fixed momentum grid by
   cubic semi-Lagrangian interpolation along the exact characteristics
   and its moments are taken with the trapezoid rule, giving an
@@ -388,9 +388,9 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
 
     if log_point(0.0, b, rho_cont):
         # classical Runge-Kutta written out: the same floating-point
-        # operations, in the same order, as rk4_step driven by the two
-        # slopes (pinned bitwise by the tests), with h/2, h/6 and the scale
-        # s at t + h/2 hoisted, as in modes.integrate_mode
+        # operations, in the same order, as the tests' references.rk4_step
+        # driven by the two slopes (pinned bitwise there), with h/2, h/6
+        # and the scale s at t + h/2 hoisted, as in modes.integrate_mode
         for i in range(n_steps):
             t = i * h
             s_half = s0 * exp(-(t + half))

@@ -10,8 +10,7 @@ with composite Gauss-Legendre quadrature — and provides the exact
 continuity system the moments satisfy on homogeneous states (its
 right-hand side at the background feeds the ``background_check``
 scenario's vacuum check) and the Cauchy-Schwarz moment bounds with
-explicit constants.  :func:`eta_direct` evaluates ``eta`` with one
-combined kernel, the reference the moment tests compare against.
+explicit constants.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "RadialDistribution",
     "MatterMoments",
     "moments_from_distribution",
-    "eta_direct",
     "continuity_rhs",
     "moment_bound_check",
 ]
@@ -150,23 +148,6 @@ def moments_from_distribution(f: RadialDistribution, geom: LocalGeometry,
     eta = rho + tau**2 * eta_under
     return MatterMoments(rho=rho, j=j, eta_under=eta_under, T_under=T_under,
                          S=S, eta=eta, tau=tau)
-
-
-def eta_direct(f: RadialDistribution, geom: LocalGeometry,
-               frame: TimeFrame) -> float:
-    """Independent single-quadrature evaluation of ``eta``.
-
-    Uses the combined kernel ``(1 + 2 tau^2 q^2) / phat`` instead of
-    assembling ``rho + tau^2 eta_under`` from two integrals; agreement
-    certifies the identity between the two forms.
-    """
-    _require_isotropic(geom, "eta_direct")
-    tau = frame.tau
-    q, w = composite_gauss_legendre(0.0, f.qmax)
-    fv = f(q)
-    ph = np.sqrt(1.0 + tau**2 * q**2)
-    return 4.0 * math.pi * float(np.sum(w * fv * (1.0 + 2.0 * tau**2 * q**2)
-                                        / ph * q**2))
 
 
 # ---------------------------------------------------------------------------

@@ -146,9 +146,10 @@ def integrate_mode(lam: float, u0: float, w0: float, T_span: tuple,
         raise ValueError("empty integration span")
     h = (T1 - T0) / n_steps
     # mode_rhs written out, with 9 lam, h/2 and h/6 hoisted: the same
-    # floating-point operations, in the same order, as rk4_step driven by
-    # mode_rhs (pinned bitwise by the tests).  The times are T0 + i h, as in
-    # rk4_step's caller, computed after the loop.  About 0.5 us a step
+    # floating-point operations, in the same order, as the generic RK4 step
+    # of the tests (references.rk4_step) driven by mode_rhs, pinned bitwise
+    # there.  The times are T0 + i h, as in that step's caller, computed
+    # after the loop.  About 0.5 us a step
     # (bench/bench.py, 2-vCPU VM) against 2.4 us calling mode_rhs and 3-4
     # times that through the generic step; stepping the lambda grid as one
     # array is slower too.  The states go into arrays of doubles: lists

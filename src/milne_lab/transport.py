@@ -1,39 +1,30 @@
 """Characteristic flow of the collisionless transport equation.
 
 Characteristics are the geodesics of the raw spacetime metric written in
-nondimensional variables ``(x, p, p0)``.  Two right-hand sides are
-provided, both for shift-free fields:
-
-* ``mode="derived"`` -- obtained by pushing the exact geodesic equations
-  through the rescaling.  The dilution of raw momenta cancels the growth
-  of the rescaling weight identically, and the implementation groups the
-  cancelling terms symbolically so that the background right-hand side is
-  an exact floating-point zero.  The time component ``p0`` is
-  co-integrated (never recomputed algebraically), so the reconstructed
-  mass-shell residual is a genuine measure of integration quality.
-* ``mode="paper_form"`` -- the classical termwise bookkeeping, a
-  diagnostic of :func:`characteristic_rhs` only: the derived ``dx/dT``
-  and ``dp/dT = derived - 2 p`` at the on-shell ``p0``, the uncancelled
-  ``-2 p`` restored.  At the background it returns ``dp/dT = -2 p``
-  instead of zero; the discrepancy is reported by the tests, not hidden.
+nondimensional variables ``(x, p, p0)``, for shift-free fields.  The
+right-hand side (``mode="derived"``) is obtained by pushing the exact
+geodesic equations through the rescaling.  The dilution of raw momenta
+cancels the growth of the rescaling weight identically, and the
+implementation groups the cancelling terms symbolically so that the
+background right-hand side is an exact floating-point zero.  The time
+component ``p0`` is co-integrated (never recomputed algebraically), so
+the reconstructed mass-shell residual is a genuine measure of
+integration quality.
 
 All work happens in a local orthonormal frame of the reference metric,
 where the spatial connection coefficients of the background vanish and
 every contraction is a plain array operation.  Field providers supply
 ``(g, N, X, Sigma)`` and their needed derivatives as closed-form
-functions of ``(T, x)`` on particle batches.  :func:`characteristic_rhs`,
-the dense formula reference, goes through the batched connection blocks
-of :func:`milne_lab.geometry.rescaled_christoffels`.
+functions of ``(T, x)`` on particle batches.
 
-Hot path.  The integrator runs ``mode="derived"`` on conformal fields
-(``g = a I``) only.  It packs the state of a chunk of particles as one
-``(7, n)`` array of rows ``x0 x1 x2 p0 p1 p2 q0``, and at every RK4
-stage the provider's row fill (``conformal_rows``, set by
-:func:`background_fields` and :func:`manufactured_lapse_fields`) writes
-the field rows ``(N, dN, dTN, a, u)`` in place for the row kernels.
-That fill is a binder, the one row-fill protocol (see the comment above
-``_SCRATCH_ROWS``), and the provider's own ``(T, x)`` call runs it too.
-The ``(n, 3)`` ``dN`` of the batched
+Hot path.  The integrator runs on conformal fields (``g = a I``) only.
+It packs the state of a chunk of particles as one ``(7, n)`` array of
+rows ``x0 x1 x2 p0 p1 p2 q0``, and at every RK4 stage the provider's
+row fill (``conformal_rows``, set by :func:`manufactured_lapse_fields`)
+writes the field rows ``(N, dN, dTN, a, u)`` in place for the row
+kernel :func:`_bind_rhs`.  That fill is a binder, the one row-fill
+protocol (see the comment above ``_SCRATCH_ROWS``), and the provider's
+own ``(T, x)`` call runs it too.  The ``(n, 3)`` ``dN`` of the batched
 :class:`~milne_lab.geometry.LocalGeometry` that call returns is a copy
 of its rows, because ``np.einsum("na,na->n")`` sums a strided operand
 in another order.
@@ -105,18 +96,14 @@ from typing import Callable, Optional, Protocol
 import numpy as np
 
 from ._rk4 import check_count, rk4_step_into
-from .geometry import (BACKGROUND_LAPSE, LocalGeometry, TimeFrame,
-                       rescaled_christoffels)
+from .geometry import BACKGROUND_LAPSE, LocalGeometry, TimeFrame
 # the flow computes tau itself, but make_time_frame stays a name of this
 # module: perfbench/selftest.py checks that its tracer binds a span here
 from .geometry import make_time_frame  # noqa: F401
-from .massshell import compute_p0
 
 __all__ = [
-    "background_fields",
     "manufactured_lapse_fields",
     "ParticleEnsemble",
-    "characteristic_rhs",
     "integrate_characteristics",
     "TrajectoryLog",
     "support_bound_check",
@@ -211,22 +198,6 @@ def _conformal_batch(bind, T: float, x: np.ndarray) -> LocalGeometry:
         X=vector, dX=matrix, Sigma=matrix, dTX=vector)
 
 
-def _background_rows(F: np.ndarray, W: np.ndarray) -> tuple:
-    # the rows are constant, so they are written once, here
-    F.fill(0.0)
-    F[0] = BACKGROUND_LAPSE
-    F[2] = 1.0
-    return (lambda T: None), (lambda x: lambda: None)
-
-
-def background_fields(T: float, x: np.ndarray) -> LocalGeometry:
-    """The fixed point ``(identity frame, Sigma=0, N=3, X=0)``: conformal, a = 1."""
-    return _conformal_batch(_background_rows, T, x)
-
-
-background_fields.conformal_rows = _background_rows
-
-
 def manufactured_lapse_fields(eps: float) -> _RowProvider:
     """A closed-form lapse perturbation ``N = 3 + eps e^{-T} phi(x)``.
 
@@ -241,8 +212,8 @@ def manufactured_lapse_fields(eps: float) -> _RowProvider:
 
         g(T, x) = exp((2 eps / 3) phi(x) (1 - e^{-T})) I.
 
-    Used for manufactured-solution invariant tests; the returned provider
-    also exposes closed-form sup-norm envelopes of the correction fields
+    At ``eps = 0`` these are the background fields, row for row (up to
+    the signs of zeros).  The returned provider also exposes closed-form sup-norm envelopes of the correction fields
     via the attribute ``norm_envelopes``, and its row form via
     ``conformal_rows``.
     """
@@ -467,67 +438,6 @@ def _residual_rows(tau: float, F: np.ndarray, q0: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides
-# ---------------------------------------------------------------------------
-
-
-def characteristic_rhs(state, f, frame: TimeFrame, mode: str = "derived",
-                       q0: Optional[np.ndarray] = None):
-    """Right-hand side of the characteristic system at one time.
-
-    ``state`` is a pair of ``(n,3)`` arrays ``(x, p)``; ``f`` is the
-    already-evaluated batched :class:`LocalGeometry` at the particle
-    positions.
-    Returns ``(dx/dT, dp/dT, dp0/dT)`` for ``mode="derived"`` (which
-    co-evolves the time component; pass the current ``q0``, else the
-    on-shell value is used) and ``(dx/dT, dp/dT)`` for
-    ``mode="paper_form"``.  Fields with a shift raise
-    ``NotImplementedError``.
-
-    Derived system (exact geodesic flow in nondimensional variables)::
-
-        dx/dT = -tau p / p0
-        dp/dT = 2 (gamma_star_star p)
-                + (p0 / tau) gamma_star
-                + (tau / p0) Gamma p p
-
-    with the blocks of :func:`milne_lab.geometry.rescaled_christoffels`,
-    where the raw-dilution term ``+2p`` and the pure frame-drag term
-    ``-2p`` have been cancelled symbolically.  The ``paper_form`` mode
-    keeps the uncancelled ``-2p`` of the classical termwise expression.
-    This is the dense reference of the integrator's row kernels.
-    """
-    x, p = state
-    tau = frame.tau
-
-    if mode == "paper_form":
-        dx, dp, _ = characteristic_rhs(state, f, frame)
-        return dx, dp - 2.0 * p
-    if mode != "derived":
-        raise ValueError(f"unknown mode {mode!r}")
-    if q0 is None:
-        q0 = compute_p0(f, p, frame, method="paper_primary")
-    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-
-    if np.any(f.X != 0.0) or np.any(f.dTX != 0.0):
-        raise NotImplementedError(
-            "the characteristic flow is implemented for shift-free fields")
-    blocks = rescaled_christoffels(f, frame)
-    dx = -tau * p / q0[:, None]
-    dp = (2.0 * np.einsum("nac,nc->na", blocks["gamma_star_star"], p)
-          + (q0 / tau)[:, None] * blocks["gamma_star"]
-          + (tau / q0)[:, None] * np.einsum("nabc,nb,nc->na",
-                                            blocks["spatial"], p, p))
-    dNoverN = f.dTN / f.N
-    gradNp = np.einsum("na,na->n", f.dN, p)
-    gdot_pp = np.einsum("nab,na,nb->n", 2.0 * f.g + f.dTg, p, p)
-    dq0 = (2.0 * q0 - (2.0 + dNoverN) * q0
-           + 2.0 * tau * gradNp / f.N
-           - tau**2 * gdot_pp / (2.0 * f.N**2 * q0))
-    return dx, dp, dq0
-
-
-# ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
 
@@ -748,7 +658,8 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
     bind = getattr(fields, "conformal_rows", None)
     if bind is None:
         raise TypeError("integrate_characteristics needs a provider with a "
-                        "row fill (conformal_rows), such as background_fields")
+                        "row fill (conformal_rows), such as "
+                        "manufactured_lapse_fields(eps)")
     if mode != "derived":
         raise ValueError(f"unknown mode {mode!r}: the characteristics "
                          "are integrated in mode='derived' only")

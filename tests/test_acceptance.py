@@ -24,6 +24,7 @@ from milne_lab.modes import corrected_energy, dissipation_identity, integrate_mo
 from milne_lab.energies import decay_fit
 from milne_lab import transport
 from milne_lab.geometry import LocalGeometry
+from references import background_fields
 
 
 def _verdict(name, ok, detail):
@@ -58,10 +59,10 @@ def _warmup(provider):
 @pytest.fixture(scope="module")
 def background_run():
     frame0 = make_time_frame(-1.0, 0.0)
-    _warmup(transport.background_fields)
+    _warmup(background_fields)
     t0 = time.perf_counter()
     log, _ = transport.integrate_characteristics(
-        _ensemble(N_PARTICLES), transport.background_fields, frame0, SPAN, H,
+        _ensemble(N_PARTICLES), background_fields, frame0, SPAN, H,
         mode="derived", log_every=50)
     return log, time.perf_counter() - t0
 

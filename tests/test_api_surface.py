@@ -15,9 +15,10 @@
 * Every name in an ``__all__`` is loaded by code that runs: some module
   of ``src``, ``demos``, ``bench`` or ``perfbench`` reads it as a name or
   an attribute.  An ``__all__`` entry or a re-export in ``__init__.py``
-  is not a load.  The only exceptions are the reference implementations
-  in :data:`TEST_REFERENCES`, each kept for the test that compares
-  against it.
+  is not a load, and neither is a name's use of itself: a load inside
+  its own ``def`` or ``class`` (a recursive call), or the object of an
+  attribute store (``f.attr = ...``).  A reference implementation that
+  only tests compare against lives in ``tests/references.py``.
 * Every field of a public dataclass in ``src/milne_lab`` is read by code
   that runs: its name appears in a module of ``src``, ``demos``,
   ``bench`` or ``perfbench`` as an attribute load or as a string
@@ -36,19 +37,19 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "milne_lab"
-USE_DIRS = ("src", "demos", "bench", "perfbench")  # what runs
-# exported names that only tests load, each with the test that compares
-# the code under test against it
-TEST_REFERENCES = {
-    "eta_direct": "tests/test_matter.py::TestMoments::"
-                  "test_eta_identity_against_direct_kernel",
-    "rk4_step": "tests/test_rk4.py::test_buffered_step_matches_rk4_step",
-}
+# what runs; the benchmark too, so that no change can delete a name it
+# calls
+USE_DIRS = ("src", "demos", "bench", "perfbench")
 # dataclass fields that only tests read, each with the test that compares
-# it: the closure's eta against the grid-sampled one, and the borderline
-# rate loss (the decay-budget condition takes the configured deltaAlpha
-# instead, and the modes rate table checks this loss; README.md says why)
+# it: the closure's eta against the grid-sampled one, the borderline rate
+# loss (the decay-budget condition takes the configured deltaAlpha
+# instead, and the modes rate table checks this loss; README.md says why),
+# and the metric's time derivative, an input of the dense reference flow
+# of tests/references.py
 TEST_FIELDS = {
+    "geometry.LocalGeometry.dTg":
+        "tests/test_transport.py::TestProviders::"
+        "test_manufactured_metric_time_derivative",
     "homogeneous.HomogeneousRun.eta_under_closure":
         "tests/test_homogeneous.py::TestMatterRun::"
         "test_grid_sampled_moments_track_closure",
@@ -56,15 +57,8 @@ TEST_FIELDS = {
         "tests/test_geometry.py::TestCorrectionConstants::test_borderline",
 }
 # defaulted parameters that only tests set, each with a test that sets it:
-# the dense reference system of the characteristic integrator and the
-# failure seam of the homogeneous run
+# the failure seam of the homogeneous run
 TEST_SEAMS = {
-    "transport.characteristic_rhs(mode)":
-        "tests/test_transport.py::TestPaperForm::"
-        "test_paper_form_is_derived_minus_2p",
-    "transport.characteristic_rhs(q0)":
-        "tests/test_transport.py::TestRhsEquivalence::"
-        "test_row_kernel_matches_dense_rhs",
     "homogeneous.evolve_homogeneous(lapse_tol)":
         "tests/test_homogeneous.py::TestRunBitwise::"
         "test_run_aborted_at_T0_has_empty_series",
@@ -209,47 +203,45 @@ def test_every_reexport_is_in_its_modules_all():
     assert not missing, f"re-exports missing from __all__: {missing}"
 
 
-def names_loaded():
-    """Names and attribute names loaded in the code that runs."""
+def names_loaded(trees):
+    """Names and attribute names loaded in the syntax trees ``trees``, less
+    each name's uses of itself: loads inside the ``def`` or ``class`` of
+    that name, and the object of an attribute store."""
     names = set()
-    for folder in USE_DIRS:
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(),
-                                           filename=str(path))):
-                if (isinstance(node, ast.Name)
-                        and isinstance(node.ctx, ast.Load)):
-                    names.add(node.id)
-                elif (isinstance(node, ast.Attribute)
-                      and isinstance(node.ctx, ast.Load)):
-                    names.add(node.attr)
+
+    def visit(node, own, counted=True):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        loaded = (node.id if isinstance(node, ast.Name) else
+                  node.attr if isinstance(node, ast.Attribute) else None)
+        if (counted and loaded is not None and loaded not in own
+                and isinstance(node.ctx, ast.Load)):
+            names.add(loaded)
+        stored = (node.value if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store) else None)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own, child is not stored)
+
+    for tree in trees:
+        visit(tree, frozenset())
     return names
+
+
+def test_a_names_use_of_itself_is_no_load():
+    tree = ast.parse("def f(n):\n    return f(n - 1)\n\n"
+                     "f.attr = 1\ng.h.attr = 2\n")
+    assert names_loaded([tree]) == {"n", "g"}
 
 
 def test_every_export_is_loaded_by_code_that_runs():
     exported = {(module, name) for module in exporting_modules()
                 for name in importlib.import_module(module).__all__}
-    loaded = names_loaded()
+    loaded = names_loaded(code_that_runs())
     unused = sorted(f"{module}.{name}" for module, name in exported
-                    if name not in loaded and name not in TEST_REFERENCES)
+                    if name not in loaded)
     assert not unused, (f"{len(unused)} exports only tests load: {unused}; "
-                        f"delete them, or add a reference implementation "
-                        f"to TEST_REFERENCES with the test that uses it")
-
-
-@pytest.mark.parametrize("name", sorted(TEST_REFERENCES))
-def test_test_references_are_exported_unused_and_tested(name):
-    exported = {n for module in exporting_modules()
-                for n in importlib.import_module(module).__all__}
-    assert name in exported, f"{name} is exported by no module"
-    assert name not in names_loaded(), f"{name} is loaded by code that runs"
-    path, test = TEST_REFERENCES[name].split("::", 1)
-    tree = ast.parse((ROOT / path).read_text())
-    defined = {node.name for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert set(test.split("::")) <= defined, TEST_REFERENCES[name]
-    assert name in {node.id for node in ast.walk(tree)
-                    if isinstance(node, ast.Name)}, (
-        f"{path} does not use {name}")
+                        f"delete them, or move a reference implementation "
+                        f"to tests/references.py")
 
 
 def dataclass_fields():

@@ -296,6 +296,8 @@ _VIOLATIONS = [
      {"scenario": "modes", "lambdaGrid": [1e30], "h": 0.01}),
     ("lambdaGrid: RK4 stable at h",
      {"scenario": "full_report", "lambdaGrid": [1e51]}),
+    ("gronwallC: support envelope finite",
+     {"scenario": "characteristics", "gronwallC": 1e300}),
 ]
 
 
@@ -633,9 +635,32 @@ class TestCli:
         # 9 (1/9 - epsPrime) rounds to 1, which is not coercive at 1/9
         ("modes", {"epsPrime": 5e-18}, "epsPrime", {"epsPrime": 1e-16}),
         ("report", {"epsPrime": 5e-18}, "epsPrime", {"epsPrime": 1e-16}),
+        # the envelope's exp, or its source times the exp, overflows; at
+        # 1e300 the margin was Infinity in report.json, which is not JSON
+        ("characteristics", {"gronwallC": 1.2e5},
+         "gronwallC: support envelope finite", {"gronwallC": 1e4}),
+        ("characteristics", {"tau0": -1e-150, "gronwallC": 1e5},
+         "gronwallC: support envelope finite",
+         {"tau0": -1e-150, "gronwallC": 1e3}),
+        ("characteristics", {"gronwallC": 1e300},
+         "gronwallC: support envelope finite", None),
+        # tau^2 leaves the normal range: invalid divides, and an overflow
+        # in the flow
+        ("background-check", {"tau0": -1e-170}, "|tau0| e^-Tend normal",
+         {"tau0": -1e-150}),
+        ("homogeneous", {"tau0": -1e-170}, "|tau0| e^-Tend normal",
+         {"tau0": -1e-150}),
+        ("characteristics", {"tau0": -1e-170}, "|tau0| e^-Tend normal",
+         {"tau0": -1e-150}),
+        ("characteristics", {"tau0": -1e-160, "Tend": 0.3},
+         "|tau0| e^-Tend normal", {"tau0": -1e-150, "Tend": 0.3}),
     ], ids=["homogeneous-matterQmax", "report-matterQmax", "report-lambdaGrid",
             "modes-lambdaGrid-rk4", "report-lambdaGrid-rk4", "modes-epsPrime",
-            "report-epsPrime"])
+            "report-epsPrime", "characteristics-gronwallC",
+            "characteristics-tiny-tau0-gronwallC",
+            "characteristics-huge-gronwallC", "background-check-tiny-tau0",
+            "homogeneous-tiny-tau0", "characteristics-tiny-tau0",
+            "characteristics-tiny-tau0-short"])
     def test_extreme_values_exit_2(self, command, bad, name, good, tmp_path,
                                    capsys):
         cfg = tmp_path / "extreme.json"
@@ -660,6 +685,25 @@ class TestCli:
         assert "[gronwallC > 0]" in err and "Traceback" not in err
         cfg.write_text(json.dumps(small))  # the default 10.0
         assert main(["characteristics", "--config", str(cfg)]) == 0
+
+    # defaults inside the envelope and tiny-tau0 bounds run with no numpy
+    # warning and write a report that is JSON (no Infinity, no NaN)
+    @pytest.mark.parametrize("command, extra", [
+        ("background-check", {"tau0": -1e-150}),
+        ("homogeneous", {"tau0": -1e-150}),
+        ("characteristics", {"tau0": -1e-150}),
+        ("characteristics", {"gronwallC": 1e4}),
+    ])
+    def test_configs_inside_the_bounds_run_clean(self, command, extra,
+                                                 tmp_path):
+        cfg = tmp_path / "inside.json"
+        cfg.write_text(json.dumps(extra))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+        json.loads((tmp_path / "out" / "report.json").read_text(),
+                   parse_constant=pytest.fail)
 
     def test_large_thread_budget_accepted(self, monkeypatch):
         # validated only: a run never starts more workers than chunks

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from milne_lab import homogeneous
-from milne_lab._rk4 import rk4_step
 from milne_lab._quadrature import composite_gauss_legendre, trapezoid
 from milne_lab.energies import sasaki_energy
 from milne_lab.homogeneous import (
@@ -26,7 +25,7 @@ from milne_lab.homogeneous import (
 from milne_lab.geometry import make_time_frame
 from milne_lab.harness import run_scenario, validate_config
 from milne_lab.matter import RadialDistribution
-from references import not_a_knot_ppoly
+from references import not_a_knot_ppoly, rk4_step
 
 
 def bump(amp, qmax=2.0):

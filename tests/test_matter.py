@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milne_lab._quadrature import composite_gauss_legendre
-from milne_lab._rk4 import rk4_step
 from milne_lab.geometry import LocalGeometry, background_geometry, make_time_frame
 from milne_lab.matter import (
     RadialDistribution,
     UnsupportedModeError,
     continuity_rhs,
-    eta_direct,
     moment_bound_check,
     moments_from_distribution,
 )
+from references import eta_direct, rk4_step
 
 GEOM = background_geometry()
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from milne_lab._rk4 import rk4_step
 from milne_lab.geometry import correction_constants
 from milne_lab.harness import ScenarioConfig
 from milne_lab.modes import (
@@ -20,6 +19,7 @@ from milne_lab.modes import (
     mode_sweep,
     unstable_eigenvalue,
 )
+from references import rk4_step
 
 
 class TestExactSolutions:

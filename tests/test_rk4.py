@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from milne_lab._rk4 import rk4_step, rk4_step_into
+from milne_lab._rk4 import rk4_step_into
 from milne_lab.homogeneous import evolve_homogeneous
 from milne_lab.matter import RadialDistribution
 from milne_lab.modes import integrate_mode
+from references import rk4_step
 
 
 def mode_run(n_steps):

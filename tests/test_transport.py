@@ -9,17 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milne_lab import transport
-from milne_lab._rk4 import rk4_step, rk4_step_into
+from milne_lab._rk4 import rk4_step_into
 from milne_lab.geometry import make_time_frame
 from milne_lab.massshell import compute_p0
 from milne_lab.transport import (
     ParticleEnsemble,
-    background_fields,
-    characteristic_rhs,
     integrate_characteristics,
     manufactured_lapse_fields,
     support_bound_check,
 )
+from references import background_fields, characteristic_rhs, rk4_step
 
 EPS = 1e-3
 
@@ -80,6 +79,14 @@ class TestProviders:
         assert np.allclose(da, (2.0 / 3.0) * (f.N - 3.0) * a, atol=1e-9)
         dN = (provider(0.9 + h, x).N - provider(0.9 - h, x).N) / (2 * h)
         assert np.allclose(dN, f.dTN, atol=1e-7)
+
+    def test_manufactured_metric_time_derivative(self):
+        # dTg feeds the dense reference flow (references.characteristic_rhs)
+        provider = manufactured_lapse_fields(0.3)
+        x = np.random.default_rng(7).uniform(-1.5, 1.5, size=(16, 3))
+        h = 1e-6
+        dg = (provider(0.9 + h, x).g - provider(0.9 - h, x).g) / (2 * h)
+        assert np.allclose(provider(0.9, x).dTg, dg, atol=1e-9)
 
     def test_norm_envelopes_bound_samples(self):
         provider = manufactured_lapse_fields(EPS)
