@@ -408,7 +408,7 @@ def report_section() -> dict:
     closure_cost = per_unit(closure_loop, n_steps)
 
     # full_report's mode sector: every lambda of the grid over the run span
-    _, mode_steps = harness._mode_steps(n_steps // cfg.logEvery)
+    _, mode_steps = harness._mode_steps(cfg)
 
     def mode_sector(steps):
         def run():

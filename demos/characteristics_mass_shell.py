@@ -45,10 +45,8 @@ orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
 print(f"  observed orders: {np.round(orders, 3)}")
 
 # Gronwall envelope from the provider's closed-form sup-norms
-norms = {key: np.array([provider.norm_envelopes[key](t) for t in log.T])
-         for key in ("X", "Sigma", "Nm3", "dTX", "GammaStar",
-                     "GammaStarStar")}
-report = support_bound_check(log.T, log.calG, norms, C=10.0)
+report = support_bound_check(log.T, log.calG, provider.norm_envelopes,
+                             C=10.0)
 print(f"\nsupport envelope holds: {report['holds']} "
       f"(margin {report['margin']:.3e})")
 print(f"total weight conserved: {np.allclose(log.total_weight, 1.0)}")

@@ -272,7 +272,7 @@ def _cubic_derivatives(x, c, q):
     rows = np.arange(len(q))[:, None]
     s = q - x[rows, j]
     pieces = c.transpose(1, 0, 2)[:, rows, j]
-    c3, c2, c1, c0 = pieces
+    c3, c2, c1, _ = pieces
     s2 = s * s
     out = np.empty((3,) + q.shape)
     out[1] = 0.0 + c1 + c2 * s * 2.0 + c3 * s2 * 3.0
@@ -502,7 +502,6 @@ def monitors(run: dict, config: Optional[dict] = None) -> dict:
     T = np.asarray(run["T"], dtype=float)
     s = np.asarray(run["s"], dtype=float)
     n = T.shape[0]
-    zeros = np.zeros(n)
 
     def series(name, default):
         v = run.get(name)

@@ -12,7 +12,7 @@ This module provides:
 
 * :class:`TimeFrame` -- the (tau, T, s) bookkeeping for one time slice,
 * :class:`BackgroundChart` -- the reference hyperbolic metric in a ball
-  chart, with closed-form connection and curvature,
+  chart, with closed-form curvature,
 * :func:`rescaled_christoffels` -- the connection blocks of the full
   spacetime metric expressed through the nondimensional fields, including
   the two correction fields ``gamma_star`` (a vector built from lapse and
@@ -99,10 +99,10 @@ class BackgroundChart:
     """Ball chart of the hyperbolic reference metric of curvature ``-1/9``.
 
     The metric is conformally flat, ``gamma_ab = lam(x)^2 delta_ab`` with
-    ``lam(x) = 2 / (1 - |x|^2 / 9)`` on the open ball ``|x| < 3``.  All
-    connection and curvature quantities below are closed-form expressions
-    in the conformal exponent ``phi = ln(lam)`` and its first two
-    derivatives; nothing is differentiated numerically.
+    ``lam(x) = 2 / (1 - |x|^2 / 9)`` on the open ball ``|x| < 3``.  The
+    curvature below is a closed-form expression in the conformal exponent
+    ``phi = ln(lam)`` and its first two derivatives; nothing is
+    differentiated numerically.
     """
 
     RADIUS = CURVATURE_RADIUS
@@ -142,40 +142,8 @@ class BackgroundChart:
         lam = self.conformal_factor(x)
         return np.eye(3) / lam[..., None, None] ** 2
 
-    def christoffels(self, x: np.ndarray) -> np.ndarray:
-        """Connection coefficients ``Gam[a, b, c] = Gamma^a_{bc}``."""
-        dphi, _ = self.phi_derivatives(x)
-        eye = np.eye(3)
-        return (
-            eye[..., :, :, None] * dphi[..., None, None, :]
-            + eye[..., :, None, :] * dphi[..., None, :, None]
-            - eye[..., None, :, :] * dphi[..., :, None, None]
-        )
-
-    def christoffel_derivatives(self, x: np.ndarray) -> np.ndarray:
-        """Partials ``dGam[a, b, c, d] = d_d Gamma^a_{bc}`` in closed form."""
-        _, ddphi = self.phi_derivatives(x)
-        eye = np.eye(3)
-        return (
-            eye[..., :, :, None, None] * ddphi[..., None, None, :, :]
-            + eye[..., :, None, :, None] * ddphi[..., None, :, None, :]
-            - eye[..., None, :, :, None] * ddphi[..., :, None, None, :]
-        )
-
-    def riemann(self, x: np.ndarray) -> np.ndarray:
-        """Curvature tensor ``R[a, b, c, d] = R^a_{bcd}`` from the connection."""
-        gam = self.christoffels(x)
-        dgam = self.christoffel_derivatives(x)
-        # R^a_{bcd} = d_c Gam^a_{db} - d_d Gam^a_{cb}
-        #             + Gam^a_{ce} Gam^e_{db} - Gam^a_{de} Gam^e_{cb}
-        term1 = np.einsum("...adbc->...abcd", dgam)
-        term2 = np.einsum("...acbd->...abcd", dgam)
-        term3 = np.einsum("...ace,...edb->...abcd", gam, gam)
-        term4 = np.einsum("...ade,...ecb->...abcd", gam, gam)
-        return term1 - term2 + term3 - term4
-
     def ricci(self, x: np.ndarray) -> np.ndarray:
-        """Ricci tensor in closed conformal form (independent of riemann)."""
+        """Ricci tensor in closed conformal form."""
         dphi, ddphi = self.phi_derivatives(x)
         lap = np.einsum("...aa->...", ddphi)
         grad2 = np.einsum("...a,...a->...", dphi, dphi)

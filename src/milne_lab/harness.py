@@ -229,10 +229,6 @@ def _steps(cfg: ScenarioConfig) -> float:
     return (cfg.Tend - cfg.T0) / cfg.h
 
 
-def _report_mode_steps(cfg: ScenarioConfig) -> int:
-    return _mode_steps(_homogeneous_steps(cfg) // cfg.logEvery)[1]
-
-
 def _mode_constants(cfg: ScenarioConfig) -> list:
     # an epsPrime too small to resolve against 1/9 (about 7e-18) leaves
     # the borderline mode's corrected energy without coercivity: a
@@ -291,12 +287,10 @@ def _envelope_growth(cfg: ScenarioConfig) -> float:
     # max(calG(T0), 1), as the envelope grows with T
     n = round(_steps(cfg))
     T = cfg.T0 + cfg.h * np.r_[0:n:_log_stride(cfg), n]
-    bounds = transport.manufactured_lapse_fields(
-        cfg.perturbationEps).norm_envelopes
     with np.errstate(over="ignore"):  # to inf, named
         return float(transport.support_bound_check(
-            T, np.ones_like(T), {k: np.array([bound(t) for t in T])
-                                 for k, bound in bounds.items()},
+            T, np.ones_like(T), transport.manufactured_lapse_fields(
+                cfg.perturbationEps).norm_envelopes,
             C=cfg.gronwallC, tau0_abs=abs(cfg.tau0))["envelope"][-1])
 
 
@@ -394,9 +388,9 @@ _CONDITIONS = (
      lambda c: c.particleCount * _steps(c) <= 10**9,
      lambda c: f"particleCount={c.particleCount}, steps={_steps(c)}"),
     ("len(lambdaGrid) x mode steps <= 10^8", ("full_report",),
-     lambda c: len(c.lambdaGrid) * _report_mode_steps(c) <= 10**8,
+     lambda c: len(c.lambdaGrid) * _mode_steps(c)[1] <= 10**8,
      lambda c: f"len(lambdaGrid)={len(c.lambdaGrid)}, "
-               f"mode steps={_report_mode_steps(c)}"),
+               f"mode steps={_mode_steps(c)[1]}"),
     ("epsPrime", ("modes", "full_report"),
      lambda c: len(_mode_constants(c)) > 0, None),
     ("lambdaGrid keys distinct", ("modes",), lambda c: not _shared_keys(c),
@@ -418,7 +412,7 @@ _CONDITIONS = (
     # at the mode step each scenario takes
     _rk4_row(("modes",), lambda c: (c.Tend - c.T0) / round(_steps(c))),
     _rk4_row(("full_report",), lambda c: (c.Tend - c.T0)
-             / _report_mode_steps(c)),
+             / _mode_steps(c)[1]),
     # calG(T0) is a few units, so 1e300 leaves room below the float range
     ("gronwallC: support envelope finite", ("characteristics",),
      lambda c: _envelope_growth(c) <= 1e300,
@@ -521,9 +515,8 @@ def _mode_key(lam: float) -> str:
 
 
 def _run_modes(cfg: ScenarioConfig) -> dict:
-    n_steps = int(round((cfg.Tend - cfg.T0) / cfg.h))
-    sweep = modes.mode_sweep(cfg.lambdaGrid, (cfg.T0, cfg.Tend), n_steps,
-                             cfg.epsPrime)
+    sweep = modes.mode_sweep(cfg.lambdaGrid, (cfg.T0, cfg.Tend),
+                             round(_steps(cfg)), cfg.epsPrime)
     log = RunLog(modes.MODE_CSV_COLUMNS,
                  [[m[k] for k in modes.MODE_CSV_COLUMNS] for m in sweep])
     per_mode = {_mode_key(m["lambda"]):
@@ -543,7 +536,7 @@ def _fit_window(T: np.ndarray) -> tuple:
 
 def _homogeneous_steps(cfg: ScenarioConfig) -> int:
     """``(Tend - T0) / h`` rounded up to whole log intervals."""
-    n_steps = max(cfg.logEvery, int(round((cfg.Tend - cfg.T0) / cfg.h)))
+    n_steps = max(cfg.logEvery, round(_steps(cfg)))
     return n_steps + (-n_steps) % cfg.logEvery
 
 
@@ -554,21 +547,14 @@ def _homogeneous_run(cfg: ScenarioConfig):
         log_every=cfg.logEvery, n_nodes=cfg.quadNodes)
 
 
-def _homogeneous_series(cfg: ScenarioConfig, run) -> dict:
-    s0 = abs(cfg.tau0)
-    return {
-        "T": run.T, "s": s0 * np.exp(-run.T), "N": run.N, "b": run.b_ode,
-        "rho": run.rho, "eta_under": run.eta_under,
-        "sasaki54sq": run.E_report**2,
-    }
-
-
-def _monitor_config(cfg: ScenarioConfig) -> dict:
-    return {name: getattr(cfg, name) for name in _THRESHOLDS}
-
-
-def _decay_summary(cfg: ScenarioConfig, run) -> dict:
+def _homogeneous_verdict(cfg: ScenarioConfig, run, E6=None) -> tuple:
+    """``(monitors, summary)`` of a completed homogeneous run."""
     s = abs(cfg.tau0) * np.exp(-run.T)
+    series = {"T": run.T, "s": s, "N": run.N, "b": run.b_ode, "rho": run.rho,
+              "eta_under": run.eta_under, "sasaki54sq": run.E_report**2,
+              "E6": E6}
+    mons = energies.monitors(series, {name: getattr(cfg, name)
+                                      for name in _THRESHOLDS})
     window = _fit_window(run.T)
     mask = run.T >= run.T[-1] - 1.0
     rho_final = run.rho[mask]
@@ -589,7 +575,7 @@ def _decay_summary(cfg: ScenarioConfig, run) -> dict:
                        window)
     energies._fit_rate(summary, "tau2_eta_under_rate", run.T,
                        s**2 * run.eta_under, window)
-    return summary
+    return mons, summary
 
 
 def _run_homogeneous(cfg: ScenarioConfig) -> dict:
@@ -598,9 +584,7 @@ def _run_homogeneous(cfg: ScenarioConfig) -> dict:
     if not run.completed:
         return {"log": log, "monitors": {},
                 "summary": {"abort": run.abort_reason}}
-    mons = energies.monitors(_homogeneous_series(cfg, run),
-                             _monitor_config(cfg))
-    summary = _decay_summary(cfg, run)
+    mons, summary = _homogeneous_verdict(cfg, run)
     summary["b0"] = run.b0
     return {"log": log, "monitors": mons, "summary": summary}
 
@@ -619,11 +603,9 @@ def _run_characteristics(cfg: ScenarioConfig) -> dict:
         ens, provider, frame0, cfg.Tend, cfg.h, mode="derived",
         log_every=_log_stride(cfg), threads=threads,
         full_log=False)
-    norms = {key: np.array([bound(t) for t in log_t.T])
-             for key, bound in provider.norm_envelopes.items()}
-    gron = transport.support_bound_check(log_t.T, log_t.calG, norms,
-                                         C=cfg.gronwallC,
-                                         tau0_abs=abs(cfg.tau0))
+    gron = transport.support_bound_check(
+        log_t.T, log_t.calG, provider.norm_envelopes, C=cfg.gronwallC,
+        tau0_abs=abs(cfg.tau0))
     max_res = float(np.max(log_t.max_residual))
     flagged = int(np.sum(log_t.flagged))
     monitors = {
@@ -641,12 +623,11 @@ def _run_characteristics(cfg: ScenarioConfig) -> dict:
                         "final_calG": float(log_t.calG[-1])}}
 
 
-def _mode_steps(intervals: int) -> tuple:
-    """``(stride, steps)`` of the ``full_report`` mode sector.
-
-    At least 2000 steps, 20 or more per log interval, and every one of
-    the ``intervals`` log intervals a whole number (``stride``) of steps.
-    """
+def _mode_steps(cfg: ScenarioConfig) -> tuple:
+    """``(stride, steps)`` of the ``full_report`` mode sector: at least
+    2000 steps, 20 or more per log interval of the matter run, and each
+    interval a whole number (``stride``) of steps."""
+    intervals = _homogeneous_steps(cfg) // cfg.logEvery
     stride = max(20, -(-2000 // intervals))
     return stride, stride * intervals
 
@@ -658,7 +639,7 @@ def _run_full_report(cfg: ScenarioConfig) -> dict:
                 "monitors": {}, "summary": {"abort": run.abort_reason}}
     # vacuum mode sector integrated on the same log grid
     a = cfg.modeAmp
-    stride, n_steps = _mode_steps(run.T.size - 1)
+    stride, n_steps = _mode_steps(cfg)
     E6 = np.zeros_like(run.T)
     g_norm_sq = np.zeros_like(run.T)
     for lam in cfg.lambdaGrid:
@@ -670,11 +651,7 @@ def _run_full_report(cfg: ScenarioConfig) -> dict:
         E6 += modes.corrected_energy(u, w, traj.lam, traj.constants, order=6)
         g_norm_sq += 4.5 * traj.lam * u**2
 
-    series = _homogeneous_series(cfg, run)
-    series["E6"] = E6
-    mons = energies.monitors(series, _monitor_config(cfg))
-
-    summary = _decay_summary(cfg, run)
+    mons, summary = _homogeneous_verdict(cfg, run, E6)
     energies._fit_rate(summary, "mode_metric_rate", run.T,
                        np.sqrt(g_norm_sq), _fit_window(run.T))
     summary["mode_metric_rate_floor"] = 1.0 - cfg.deltaE - 0.05

@@ -165,7 +165,7 @@ def pointwise_estimates_check(geom: LocalGeometry, p: np.ndarray,
     sqrt(1-|Xhat|^2) sqrt(1+tau^2|p|^2)]``.
     """
     X2 = _check_admissible(geom)
-    p, p2, Xp = _dots(geom, p)
+    p, p2, _ = _dots(geom, p)
     tau, N = frame.tau, geom.N
     s = abs(tau)
     p0 = compute_p0(geom, p, frame, method="paper_primary")

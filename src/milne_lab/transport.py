@@ -766,13 +766,14 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
 # ---------------------------------------------------------------------------
 
 
-def support_bound_check(T: np.ndarray, calG: np.ndarray, norms: dict,
+def support_bound_check(T: np.ndarray, calG: np.ndarray, envelopes: dict,
                         C: float = 10.0, tau0_abs: float = 1.0) -> dict:
     """Gronwall envelope for the momentum-support functional.
 
-    ``norms`` maps the keys ``X, Sigma, Nm3, dTX, GammaStar,
-    GammaStarStar`` to time series (arrays aligned with ``T``) of the
-    corresponding field norms; any other key is a ``ValueError``.  The
+    ``envelopes`` maps the keys ``X, Sigma, Nm3, dTX, GammaStar,
+    GammaStarStar`` to functions ``bound(T)`` of the sup-norms of the
+    corresponding fields (a provider's ``norm_envelopes``), evaluated
+    here at each time of ``T``; any other key is a ``ValueError``.  The
     envelope is::
 
         (calG(T0) + C * int_{T0}^{T} (s(r) ||dTX|| + ||GammaStar||/s(r)) dr)
@@ -784,23 +785,20 @@ def support_bound_check(T: np.ndarray, calG: np.ndarray, norms: dict,
     with ``|tau0|`` given as ``tau0_abs`` (time weights are expressed
     through powers of the scale factor, anchored at the run's ``tau0``;
     the check is performed with ``|tau0| <= 1``).  Integrals use
-    trapezoidal quadrature of the logged series.  Returns
+    trapezoidal quadrature over the times ``T``.  Returns
     measured/envelope series, ``holds`` and the minimum margin over ``T >
     T0`` (at ``T0`` the envelope equals ``calG``).
     """
     required = ("X", "Sigma", "Nm3", "dTX", "GammaStar", "GammaStarStar")
-    missing = [k for k in required if k not in norms]
+    missing = [k for k in required if k not in envelopes]
     if missing:
         raise ValueError(f"missing norm series: {missing}")
-    unknown = [k for k in norms if k not in required]
+    unknown = [k for k in envelopes if k not in required]
     if unknown:
         raise ValueError(f"unknown norm series: {unknown}")
     T = np.asarray(T, dtype=float)
     calG = np.asarray(calG, dtype=float)
-    nm = {k: np.asarray(norms[k], dtype=float) for k in required}
-    for k, v in nm.items():
-        if v.shape != T.shape:
-            raise ValueError(f"norm series {k!r} misaligned with T")
+    nm = {k: np.array([envelopes[k](t) for t in T]) for k in required}
     s = float(tau0_abs) * np.exp(-(T - T[0]))
 
     def cumtrapz(y):

@@ -15,6 +15,10 @@ another way, kept here because only the tests run it:
   and the buffered ``_rk4.rk4_step_into`` are pinned to bit for bit;
 * :func:`eta_direct` -- ``eta`` from one combined quadrature kernel,
   against the two-integral form of ``matter.moments_from_distribution``;
+* :func:`riemann` -- the curvature tensor of a ``BackgroundChart``
+  assembled from its closed-form connection (:func:`christoffels`) and
+  the connection's partials (:func:`christoffel_derivatives`), against
+  the chart's closed conformal Ricci tensor;
 * :func:`not_a_knot_ppoly` -- the package's not-a-knot spline
   coefficients, which it builds and evaluates without
   ``scipy.interpolate``, evaluated through scipy's ``PPoly``.
@@ -30,7 +34,8 @@ from scipy.interpolate import PPoly
 
 from milne_lab._quadrature import composite_gauss_legendre
 from milne_lab.energies import _not_a_knot_coefficients
-from milne_lab.geometry import LocalGeometry, TimeFrame, rescaled_christoffels
+from milne_lab.geometry import (BackgroundChart, LocalGeometry, TimeFrame,
+                                rescaled_christoffels)
 from milne_lab.massshell import compute_p0
 from milne_lab.matter import RadialDistribution, _require_isotropic
 from milne_lab.transport import manufactured_lapse_fields
@@ -133,6 +138,42 @@ def eta_direct(f: RadialDistribution, geom: LocalGeometry,
     ph = np.sqrt(1.0 + tau**2 * q**2)
     return 4.0 * math.pi * float(np.sum(w * fv * (1.0 + 2.0 * tau**2 * q**2)
                                         / ph * q**2))
+
+
+def christoffels(chart: BackgroundChart, x: np.ndarray) -> np.ndarray:
+    """Connection coefficients ``Gam[a, b, c] = Gamma^a_{bc}``."""
+    dphi, _ = chart.phi_derivatives(x)
+    eye = np.eye(3)
+    return (
+        eye[..., :, :, None] * dphi[..., None, None, :]
+        + eye[..., :, None, :] * dphi[..., None, :, None]
+        - eye[..., None, :, :] * dphi[..., :, None, None]
+    )
+
+
+def christoffel_derivatives(chart: BackgroundChart,
+                            x: np.ndarray) -> np.ndarray:
+    """Partials ``dGam[a, b, c, d] = d_d Gamma^a_{bc}`` in closed form."""
+    _, ddphi = chart.phi_derivatives(x)
+    eye = np.eye(3)
+    return (
+        eye[..., :, :, None, None] * ddphi[..., None, None, :, :]
+        + eye[..., :, None, :, None] * ddphi[..., None, :, None, :]
+        - eye[..., None, :, :, None] * ddphi[..., :, None, None, :]
+    )
+
+
+def riemann(chart: BackgroundChart, x: np.ndarray) -> np.ndarray:
+    """Curvature tensor ``R[a, b, c, d] = R^a_{bcd}`` from the connection."""
+    gam = christoffels(chart, x)
+    dgam = christoffel_derivatives(chart, x)
+    # R^a_{bcd} = d_c Gam^a_{db} - d_d Gam^a_{cb}
+    #             + Gam^a_{ce} Gam^e_{db} - Gam^a_{de} Gam^e_{cb}
+    term1 = np.einsum("...adbc->...abcd", dgam)
+    term2 = np.einsum("...acbd->...abcd", dgam)
+    term3 = np.einsum("...ace,...edb->...abcd", gam, gam)
+    term4 = np.einsum("...ade,...ecb->...abcd", gam, gam)
+    return term1 - term2 + term3 - term4
 
 
 def not_a_knot_ppoly(x, y):

@@ -130,10 +130,8 @@ def test_criterion_3_momentum_support(background_run, manufactured_run):
     log_b, _ = background_run
     provider, log_m, _ = manufactured_run
     drift = float(np.max(np.abs(log_b.calG - log_b.calG[0])))
-    norms = {key: np.array([provider.norm_envelopes[key](t) for t in log_m.T])
-             for key in ("X", "Sigma", "Nm3", "dTX", "GammaStar",
-                         "GammaStarStar")}
-    gron = transport.support_bound_check(log_m.T, log_m.calG, norms, C=10.0,
+    gron = transport.support_bound_check(log_m.T, log_m.calG,
+                                         provider.norm_envelopes, C=10.0,
                                          tau0_abs=1.0)
     ok = drift < 1e-8 and gron["holds"]
     _verdict("criterion-3 momentum-support", ok,

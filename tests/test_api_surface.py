@@ -19,6 +19,8 @@
   its own ``def`` or ``class`` (a recursive call), or the object of an
   attribute store (``f.attr = ...``).  A reference implementation that
   only tests compare against lives in ``tests/references.py``.
+* Every public method of a public class in ``src/milne_lab`` is loaded
+  by code that runs, in the same sense.
 * Every field of a public dataclass in ``src/milne_lab`` is read by code
   that runs: its name appears in a module of ``src``, ``demos``,
   ``bench`` or ``perfbench`` as an attribute load or as a string
@@ -242,6 +244,19 @@ def test_every_export_is_loaded_by_code_that_runs():
     assert not unused, (f"{len(unused)} exports only tests load: {unused}; "
                         f"delete them, or move a reference implementation "
                         f"to tests/references.py")
+
+
+def test_every_public_method_is_loaded_by_code_that_runs():
+    methods = [(path.stem, fn.name) for path in MODULES
+               for fn, is_method in public_functions(ast.parse(
+                   path.read_text(), filename=str(path))) if is_method]
+    assert methods  # the scan sees the classes
+    loaded = names_loaded(code_that_runs())
+    unused = sorted(f"{module}.{name}" for module, name in methods
+                    if name not in loaded)
+    assert not unused, (f"{len(unused)} public methods only tests load: "
+                        f"{unused}; delete them, or move a reference "
+                        f"implementation to tests/references.py")
 
 
 def dataclass_fields():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import milne_lab
-from milne_lab import harness, transport
+from milne_lab import harness, modes, transport
 from milne_lab._quadrature import PANELS
 from milne_lab.energies import MONITOR_THRESHOLDS, TAIL_DOUBLINGS
 from milne_lab.harness import (
@@ -493,6 +493,52 @@ class TestScenarios:
         assert len(result["log"].rows) == 5
 
 
+class TestGuardsSeeTheirRun:
+    """The conditions that predict a run quantity derive it as the run
+    does: a spy records what the guard and the run each pass on."""
+
+    @pytest.mark.parametrize("extra, rows", [
+        ({"Tend": 1.0}, 21),
+        ({"T0": 0.5, "Tend": 1.3, "h": 0.004}, 18),
+    ])
+    def test_support_envelope_guard_sees_the_log_times(self, extra, rows,
+                                                       monkeypatch):
+        times = []
+        check = transport.support_bound_check
+
+        def spy(T, *args, **kwargs):
+            times.append(np.array(T))
+            return check(T, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "support_bound_check", spy)
+        cfg = validate_config(base_config(scenario="characteristics",
+                                          particleCount=8, **extra))
+        assert len(times) == 1  # [gronwallC: support envelope finite]
+        run_scenario(cfg)
+        guard, run = times
+        assert run.size == rows
+        assert guard.dtype == run.dtype and guard.tobytes() == run.tobytes()
+
+    @pytest.mark.parametrize("extra, steps", [
+        ({}, 10000),
+        ({"h": 0.003, "logEvery": 7}, 4780),
+    ])
+    def test_mode_step_guard_sees_the_mode_sector(self, extra, steps,
+                                                  monkeypatch):
+        taken = []
+        integrate = modes.integrate_mode
+
+        def spy(lam, u0, w0, span, n_steps, **kwargs):
+            taken.append(n_steps)
+            return integrate(lam, u0, w0, span, n_steps, **kwargs)
+
+        monkeypatch.setattr(modes, "integrate_mode", spy)
+        cfg = validate_config(base_config(scenario="full_report", **extra))
+        assert harness._mode_steps(cfg)[1] == steps
+        run_scenario(cfg)
+        assert taken == [steps] * len(cfg.lambdaGrid)
+
+
 class TestReports:
     def test_emit_is_byte_stable(self, tmp_path):
         cfg = validate_config(base_config())
@@ -704,6 +750,24 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 0
         json.loads((tmp_path / "out" / "report.json").read_text(),
                    parse_constant=pytest.fail)
+
+    def test_lapse_deviation_rounded_to_zero_fails_report(self, tmp_path):
+        # at tau0 -1e-12, 1 + 3 s eta rounds to 1 in the fit window, so
+        # N - 3 is exactly 0 there: the lapse rate is null with its reason
+        # and decay_rates fails, with no numpy warning; -1e-8 passes
+        cfg = tmp_path / "tiny_tau0.json"
+        out = tmp_path / "out"
+        for tau0, code in ((-1e-8, 0), (-1e-12, 1)):
+            cfg.write_text(json.dumps({"tau0": tau0}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["report", "--config", str(cfg),
+                             "--out", str(out)]) == code
+        rates = json.loads((out / "report.json").read_text())["monitors"][
+            "decay_rates"]
+        assert rates["holds"] is False and rates["lapse_rate"] is None
+        assert rates["unfitted"] == {
+            "lapse_rate": "decay fit requires strictly positive values"}
 
     def test_large_thread_budget_accepted(self, monkeypatch):
         # validated only: a run never starts more workers than chunks

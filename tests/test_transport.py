@@ -801,10 +801,8 @@ class TestSupportEnvelope:
     def test_gronwall_envelope_holds(self):
         provider = manufactured_lapse_fields(EPS)
         log, _ = run(provider, n=64)
-        norms = {k: np.array([provider.norm_envelopes[k](t) for t in log.T])
-                 for k in ("X", "Sigma", "Nm3", "dTX", "GammaStar",
-                           "GammaStarStar")}
-        rep = support_bound_check(log.T, log.calG, norms, C=10.0)
+        rep = support_bound_check(log.T, log.calG, provider.norm_envelopes,
+                                  C=10.0)
         assert rep["holds"]
         assert rep["envelope"][-1] >= rep["measured"][-1]
 
@@ -813,29 +811,27 @@ class TestSupportEnvelope:
         # construction and the reported margin is taken over the rows after
         provider = manufactured_lapse_fields(EPS)
         log, _ = run(provider, n=64, log_every=100)
-        norms = {k: np.array([provider.norm_envelopes[k](t) for t in log.T])
-                 for k in ("X", "Sigma", "Nm3", "dTX", "GammaStar",
-                           "GammaStarStar")}
-        rep = support_bound_check(log.T, log.calG, norms, C=10.0)
+        rep = support_bound_check(log.T, log.calG, provider.norm_envelopes,
+                                  C=10.0)
         gap = rep["envelope"] - rep["measured"]
         assert gap[0] == 0.0
         assert rep["margin"] == np.min(gap[1:]) > 0.0
         first = support_bound_check(log.T[:1], log.calG[:1],
-                                    {k: v[:1] for k, v in norms.items()})
+                                    provider.norm_envelopes)
         assert first["margin"] == 0.0
 
     def test_missing_norm_series_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             support_bound_check(np.array([0.0, 1.0]), np.array([1.0, 1.0]),
-                                {"X": np.zeros(2)})
+                                {"X": lambda T: 0.0})
 
     @pytest.mark.parametrize("key", ["GamaStar", "tau0_abs"])
     def test_unknown_norm_series_rejected(self, key):
         # a misspelt series, or the scale factor passed as a series, would
         # otherwise change the envelope unnoticed
-        norms = {k: np.zeros(2) for k in ("X", "Sigma", "Nm3", "dTX",
-                                           "GammaStar", "GammaStarStar")}
-        norms[key] = np.zeros(2)
+        norms = {k: lambda T: 0.0 for k in ("X", "Sigma", "Nm3", "dTX",
+                                             "GammaStar", "GammaStarStar")}
+        norms[key] = lambda T: 0.0
         with pytest.raises(ValueError, match=key):
             support_bound_check(np.array([0.0, 1.0]), np.array([1.0, 1.0]),
                                 norms)
