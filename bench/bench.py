@@ -408,14 +408,15 @@ def report_section() -> dict:
     closure_cost = per_unit(closure_loop, n_steps)
 
     # full_report's mode sector: every lambda of the grid over the run span
-    _, mode_steps = harness._mode_steps(cfg)
+    stride, mode_steps = harness._mode_steps(cfg)
 
     def mode_sector(steps):
         def run():
             for lam in cfg.lambdaGrid:
                 modes.integrate_mode(lam, cfg.modeAmp, -cfg.modeAmp,
                                      (0.0, span), steps,
-                                     eps_prime=cfg.epsPrime)
+                                     eps_prime=cfg.epsPrime,
+                                     record_every=stride)
         return run
 
     mode_units = len(cfg.lambdaGrid) * mode_steps

@@ -20,6 +20,7 @@ import math
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from ._quadrature import composite_gauss_legendre, trapezoid
 
@@ -75,44 +76,118 @@ def inverse_weight_integral(mu: float) -> float:
     return 0.25 * math.sqrt(math.pi) * math.gamma(mu - 1.5) / math.gamma(mu)
 
 
+def _dgtsv_row(dl, d, du, b):
+    """Reference LAPACK ``dgtsv`` with one right-hand side, on lists.
+
+    ``dl``, ``d``, ``du`` and ``b`` hold the sub-, main and
+    superdiagonal and the right-hand side of one system of ``n = len(d)``
+    unknowns; all four are overwritten and the solution is returned in
+    ``b``.  Each elimination step takes dgtsv's branch: no interchange
+    while ``|d_i| >= |dl_i|``, else rows ``i`` and ``i + 1`` swap and the
+    second superdiagonal fills in (kept in ``dl``, as dgtsv keeps it).
+    The operations and their order are dgtsv's, so the solution is its
+    bits, and a zero pivot is a ``LinAlgError``.
+    """
+    n = len(d)
+    du.append(0.0)  # dgtsv's last step writes no fill-in; this takes it
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise LinAlgError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            temp = d[i + 1]
+            d[i], d[i + 1] = dl[i], du[i] - fact * temp
+            dl[i] = du[i + 1]
+            du[i], du[i + 1] = temp, -fact * du[i + 1]
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise LinAlgError("singular matrix")
+    b[n - 1] /= d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
 def _solve_tridiagonal_rows(A, b):
     """``solve_banded((1, 1), A[:, i], b[i])`` for each row ``i``, bitwise.
 
     ``A`` of shape ``(3, m, n)`` holds each system ``A[:, i]`` in
     ``solve_banded``'s banded storage and ``b`` of shape ``(m, n)`` the
-    right-hand sides.  One call of the LAPACK ``dgtsv`` that
-    ``solve_banded`` dispatches to solves all rows as one system of ``m
-    n`` unknowns: the corners banded storage leaves unused, ``A[0, i,
-    0]`` and ``A[2, i, -1]``, are zeroed and couple consecutive rows.
-    Across a zero coupling the elimination moves only zeros, which
-    changes no bit of a finite solution unless it meets a -0.0 on a
-    right-hand side or the diagonal (it can come out as +0.0); the slope
-    systems' diagonals are positive, and rows whose right-hand side
-    holds a -0.0 are solved again on their own.  At 64 rows of 257 nodes
-    this took 0.47 ms against 0.65 ms with a call per row (medians of 15
-    interleaved pairs, 2-vCPU VM).  A singular system is a
-    ``LinAlgError``, as in ``solve_banded``.  ``A`` and ``b`` are
-    overwritten; the solution is returned in ``b``'s memory.
+    right-hand sides; ``solve_banded`` hands such a system to LAPACK's
+    ``dgtsv``, and this is a numpy transcription of reference dgtsv, so
+    importing it loads no scipy.  A stack of two or more rows first runs
+    dgtsv's no-interchange elimination and back substitution on all rows
+    at once, column by column, on an ``(n, 3, m)`` copy laid out as ``(d,
+    b, du)`` per column: a step updates ``(d, b)`` of the next column
+    from ``(du, b)`` of its own in one multiply and one subtract.  The
+    sweep leaves out the back substitution's ``- du2_i x_{i+2}``, a zero
+    term without interchanges that can only flip the sign of a zero
+    ``x_i`` (or make a non-finite ``x_{i+2}`` spread).  A row has dgtsv's
+    bits when it took the no-interchange branch at every step, that is
+    each pivot is nonzero and at least its subdiagonal entry in size,
+    and its solution holds no zero and no inf or nan; the other rows,
+    and a stack of one row, go through dgtsv itself on Python floats
+    (:func:`_dgtsv_row`).  At 64 rows of 257 nodes the solve took 1.4 ms
+    against 0.4 ms for ``dgtsv`` on the rows chained into one system;
+    one row of 1028 nodes took 0.40 ms in Python against 3.4 ms swept
+    and 0.03 ms in ``dgtsv`` (medians of 15 repeats, 2-vCPU VM).  A
+    singular system is a ``LinAlgError``, as in ``solve_banded``.  ``A``
+    is left as it was and the solution is returned in ``b``'s memory.
     """
-    from scipy.linalg import LinAlgError
-    from scipy.linalg.lapack import dgtsv
+    x, fast = _no_interchange_rows(A, b) if len(b) > 1 else (b, [False])
+    for row in np.flatnonzero(np.logical_not(fast)):
+        bands = A[2, row, :-1], A[1, row], A[0, row, 1:], b[row]
+        try:
+            x[row] = _dgtsv_row(*(band.tolist() for band in bands))
+        except ZeroDivisionError:  # a nan pivot over a zero subdiagonal
+            with np.errstate(all="ignore"):  # IEEE 754 division
+                x[row] = _dgtsv_row(*(list(band) for band in bands))
+    b[...] = x
+    return b
 
-    def solve(du, d, dl, rhs):
-        x, info = dgtsv(dl, d, du, rhs, 1, 1, 1, 1)[3:]
-        if info > 0:
-            raise LinAlgError("singular matrix")
-        return x
 
-    # -0.0 has the bits of the least int64
-    negative_zero = b.view(np.int64) == np.iinfo(np.int64).min
-    signed = np.flatnonzero(negative_zero.any(axis=1))
-    alone = [(A[:, row].copy(), b[row].copy()) for row in signed]
-    A[0, :, 0] = A[2, :, -1] = 0.0
-    x = solve(A[0].reshape(-1)[1:], A[1].reshape(-1), A[2].reshape(-1)[:-1],
-              b.reshape(-1)).reshape(b.shape)
-    for row, (a, rhs) in zip(signed, alone):
-        x[row] = solve(a[0, 1:], a[1], a[2, :-1], rhs)
-    return x
+def _no_interchange_rows(A, b):
+    """dgtsv's no-interchange elimination and back substitution on every
+    row of :func:`_solve_tridiagonal_rows`' stack at once.
+
+    Returns the solutions as an ``(m, n)`` view and a mask of the rows
+    whose solutions are dgtsv's bits.
+    """
+    m, n = b.shape
+    W = np.zeros((n, 3, m))
+    d, x, du = W[:, 0], W[:, 1], W[:-1, 2]
+    d[...] = A[1].T
+    x[...] = b.T
+    du[...] = A[0, :, 1:].T
+    dl = A[2, :, :-1].T.copy()
+    fact, term = np.empty(m), np.empty((2, m))
+    du_x = term[0]
+    divide, multiply, subtract = np.divide, np.multiply, np.subtract
+    # each step's row views, made before the loops: 6 ufunc calls a column
+    forward = zip(dl, d, [w[2:0:-1] for w in W[:-1]], [w[:2] for w in W[1:]])
+    back = zip(x[-2::-1], du[::-1], x[:0:-1], d[-2::-1])
+    with np.errstate(all="ignore"):
+        for dl_i, d_i, du_b, d_b_next in forward:
+            divide(dl_i, d_i, fact)
+            multiply(fact, du_b, term)
+            subtract(d_b_next, term, d_b_next)
+        divide(x[-1], d[-1], x[-1])
+        for x_i, du_i, x_next, d_i in back:
+            multiply(du_i, x_next, du_x)
+            subtract(x_i, du_x, x_i)
+            divide(x_i, d_i, x_i)
+        size = np.abs(x)
+        fast = ((np.abs(d[:-1]) >= np.abs(dl)).all(axis=0)
+                & (d != 0.0).all(axis=0)
+                & ((0.0 < size) & (size < np.inf)).all(axis=0))
+    return x.T, fast
 
 
 def _not_a_knot_coefficients(x, y):
@@ -127,7 +202,8 @@ def _not_a_knot_coefficients(x, y):
     input checks of scipy 1.17.1's ``prepare_input`` (finite ``x`` and
     ``y``, strictly increasing ``x``, each a ``ValueError``), repeats the
     numpy expressions of ``CubicSpline.__init__`` for the tridiagonal
-    slope system, solves the rows' systems in one LAPACK call
+    slope system, solves the rows' systems with a numpy transcription of
+    the LAPACK ``dgtsv`` that ``solve_banded`` calls
     (:func:`_solve_tridiagonal_rows`; ``LinAlgError`` for a singular
     system, as in ``solve_banded``), then repeats those of
     ``CubicHermiteSpline.__init__`` for the coefficients, every
@@ -138,8 +214,8 @@ def _not_a_knot_coefficients(x, y):
     nodes go to ``CubicSpline`` itself, row by row: there scipy's
     not-a-knot spline is the line or the parabola through the points,
     built by other code than the banded system.  Only that branch
-    imports ``scipy.interpolate``, which with the subpackages it loads
-    adds about 50 MB to a run's RSS.  The tests compare the helper
+    imports scipy (``scipy.interpolate``, which with the subpackages it
+    loads adds about 50 MB to a run's RSS).  The tests compare the helper
     bitwise with ``CubicSpline`` and ``solve_banded``, so a scipy release
     that changes the arithmetic fails there instead of drifting.
     """

@@ -645,11 +645,11 @@ def _run_full_report(cfg: ScenarioConfig) -> dict:
     for lam in cfg.lambdaGrid:
         traj = modes.integrate_mode(lam, a, -a, (float(run.T[0]),
                                                  float(run.T[-1])),
-                                    n_steps, eps_prime=cfg.epsPrime)
-        u = traj.u[::stride]
-        w = traj.w[::stride]
-        E6 += modes.corrected_energy(u, w, traj.lam, traj.constants, order=6)
-        g_norm_sq += 4.5 * traj.lam * u**2
+                                    n_steps, eps_prime=cfg.epsPrime,
+                                    record_every=stride)
+        E6 += modes.corrected_energy(traj.u, traj.w, traj.lam,
+                                     traj.constants, order=6)
+        g_norm_sq += 4.5 * traj.lam * traj.u**2
 
     mons, summary = _homogeneous_verdict(cfg, run, E6)
     energies._fit_rate(summary, "mode_metric_rate", run.T,

@@ -42,8 +42,9 @@ The evolution intentionally runs two discretisations side by side:
   page faults a warm default ``full_report`` run in most processes, up
   to about 700 in some, by the heap's layout, against about 4400 with an
   array per operation).  The ``f0`` spline is built once per run and
-  evaluated in numpy, each bitwise scipy's ``CubicSpline``, so a run
-  does not import ``scipy.interpolate``.
+  evaluated in numpy.  It and the energy splines are each bitwise
+  scipy's ``CubicSpline``, their slope systems solved by a numpy
+  transcription of LAPACK's ``dgtsv``, so a run imports no scipy.
   An abort resolves as if every log point had run in full, checking
   lapse range, pole and spot check in this order: the first pole of the
   block wins, the rows from the abort on are dropped, and so are the

@@ -130,16 +130,23 @@ def coercivity_check(lam: float, cE: float) -> dict:
 
 
 def integrate_mode(lam: float, u0: float, w0: float, T_span: tuple,
-                   n_steps: int,
-                   eps_prime: float = 1.0 / 900.0) -> ModeTrajectory:
+                   n_steps: int, eps_prime: float = 1.0 / 900.0,
+                   record_every: int = 1) -> ModeTrajectory:
     """Classical Runge-Kutta integration of one eigenmode.
 
-    Returns the full logged trajectory with the corrected energy attached;
-    ``eps_prime`` is forwarded to the constant selection at the borderline
-    eigenvalue.  ``n_steps`` must be a positive integer (``TypeError`` or
-    ``ValueError``).
+    Returns the logged trajectory with the corrected energy attached: the
+    initial state and every ``record_every``-th step's, bitwise that
+    slice of the full trajectory.  ``eps_prime`` is forwarded to the
+    constant selection at the borderline eigenvalue.  ``n_steps`` and
+    ``record_every`` must be positive integers (``TypeError`` or
+    ``ValueError``), ``n_steps`` a multiple of ``record_every``
+    (``ValueError``).
     """
     check_count("n_steps", n_steps)
+    check_count("record_every", record_every)
+    if n_steps % record_every:
+        raise ValueError(f"n_steps must be a multiple of record_every, "
+                         f"got {n_steps} and {record_every}")
     constants = correction_constants(lam, eps_prime=eps_prime)
     T0, T1 = float(T_span[0]), float(T_span[1])
     if not T1 > T0:
@@ -158,21 +165,24 @@ def integrate_mode(lam: float, u0: float, w0: float, T_span: tuple,
     half, sixth, lam9 = 0.5 * h, h / 6.0, 9.0 * lam
     u, w = float(u0), float(w0)
     U, W = array("d", [u]), array("d", [w])
-    for _ in range(n_steps):
-        # the u-slope of a stage is its w state (k1u = w), so k2u, k3u and
-        # k4u are the stage values of w
-        k1w = -2.0 * w - lam9 * u
-        k2u = w + half * k1w
-        k2w = -2.0 * k2u - lam9 * (u + half * w)
-        k3u = w + half * k2w
-        k3w = -2.0 * k3u - lam9 * (u + half * k2u)
-        k4u = w + h * k3w
-        k4w = -2.0 * k4u - lam9 * (u + h * k3u)
-        u += sixth * (w + 2.0 * k2u + 2.0 * k3u + k4u)
-        w += sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+    between = range(record_every)
+    for _ in range(n_steps // record_every):
+        for _ in between:
+            # the u-slope of a stage is its w state (k1u = w), so k2u, k3u
+            # and k4u are the stage values of w
+            k1w = -2.0 * w - lam9 * u
+            k2u = w + half * k1w
+            k2w = -2.0 * k2u - lam9 * (u + half * w)
+            k3u = w + half * k2w
+            k3w = -2.0 * k3u - lam9 * (u + half * k2u)
+            k4u = w + h * k3w
+            k4w = -2.0 * k4u - lam9 * (u + h * k3u)
+            u += sixth * (w + 2.0 * k2u + 2.0 * k3u + k4u)
+            w += sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         U.append(u)
         W.append(w)
-    T = np.concatenate(([T0], T0 + np.arange(n_steps) * h + h))
+    T = np.concatenate(([T0], T0 + np.arange(record_every - 1, n_steps,
+                                             record_every) * h + h))
     U, W = np.array(U), np.array(W)
     energy = corrected_energy(U, W, lam, constants)
     return ModeTrajectory(lam=lam, constants=constants, T=T, u=U, w=W,

@@ -380,10 +380,10 @@ class TestTridiagonalRows:
         with pytest.raises(LinAlgError):
             _solve_tridiagonal_rows(A[:, None], b[None])
 
-    # the stacked solve makes one dgtsv call for all rows; a zero coupling
-    # between two rows is exact unless the elimination meets a -0.0 on a
-    # right-hand side, so the "signed" rows carry signed zeros next to
-    # other rows of every kind
+    # the stacked solve sweeps all rows at once without row interchanges
+    # and solves alone the rows that need one, meet a zero pivot or get a
+    # zero in their solution; "swap" rows and the zeros of "signed" rows
+    # take that path next to rows of every other kind
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([1, 7, 64]), st.integers(min_value=4, max_value=40),
            st.lists(st.tuples(st.sampled_from(["knot", "swap"]),
@@ -408,6 +408,34 @@ class TestTridiagonalRows:
         A = np.stack([a for a, _ in systems], axis=1)
         with pytest.raises(LinAlgError):
             _solve_tridiagonal_rows(A, np.stack([rhs for _, rhs in systems]))
+
+
+def test_stacked_solve_keeps_the_sign_dgtsv_gives_a_zero():
+    # dgtsv subtracts the fill-in term 0.0 x_{i+2} even where no row
+    # swapped: -0.0 - 0.0 * -1.0 is +0.0, so x_0 is +0.0, not the -0.0 of
+    # a back substitution without that term
+    a = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    rhs = np.array([-0.0, 1.0, -1.0])
+    want = solve_banded((1, 1), a, rhs, check_finite=False)
+    assert want.tobytes() == np.array([0.0, 1.0, -1.0]).tobytes()
+    got = _solve_tridiagonal_rows(np.repeat(a[:, None], 2, axis=1),
+                                  np.tile(rhs, (2, 1)))
+    assert got.tobytes() == np.tile(want, (2, 1)).tobytes()
+
+
+def test_nan_pivot_over_zero_subdiagonal_is_dgtsv_bitwise():
+    # dgtsv swaps rows at a nan pivot and divides by the zero below it,
+    # which Python floats refuse; the row is solved again on numpy
+    # scalars, alone or in a stack
+    a = np.ones((3, 6))
+    a[1] = 0.3
+    a[1, 2], a[2, 2] = np.nan, 0.0
+    rhs = np.arange(1.0, 7.0)
+    want = solve_banded((1, 1), a, rhs, check_finite=False)
+    for m in (1, 3):
+        got = _solve_tridiagonal_rows(np.repeat(a[:, None], m, axis=1),
+                                      np.tile(rhs, (m, 1)))
+        assert got.tobytes() == np.tile(want, (m, 1)).tobytes()
 
 
 def energy_row(n, qmax, kind, amp, rng):

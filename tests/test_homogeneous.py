@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from milne_lab import homogeneous
+from milne_lab import energies, homogeneous
 from milne_lab._quadrature import composite_gauss_legendre, trapezoid
 from milne_lab.energies import sasaki_energy
 from milne_lab.homogeneous import (
@@ -455,6 +455,24 @@ def spot_breaking_moments(s):
                 assert s * (rho + s**2 * eta) == 0.0
                 return rho, eta
     raise AssertionError(f"no spot-breaking moments at s = {s}")
+
+
+def test_default_run_solves_its_energy_rows_on_the_sweep(monkeypatch):
+    # the stacked no-interchange sweep solves every row of every energy
+    # block: only the f0 spline, one row of 1028 nodes, goes through the
+    # per-row dgtsv, which took about five times as long a block
+    rows = []
+    dgtsv_row = energies._dgtsv_row
+
+    def counted(dl, d, du, b):
+        rows.append(len(d))
+        return dgtsv_row(dl, d, du, b)
+
+    monkeypatch.setattr(energies, "_dgtsv_row", counted)
+    result = run_scenario(validate_config({"scenario": "homogeneous",
+                                           "seed": 0}))
+    assert result["ok"] and result["log"].rows
+    assert rows == [1028]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

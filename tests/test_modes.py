@@ -206,6 +206,21 @@ class TestWrittenOutStages:
         assert traj.T.size == 701 and traj.T[0] == 0.1
 
 
+class TestRecordEvery:
+    @pytest.mark.parametrize("k", [1, 2, 20, 700])
+    def test_kept_states_are_the_slice_of_the_full_run(self, k):
+        # every k-th state of a run from a non-dyadic start and step, and
+        # its time and energy, bit for bit (k = 700 keeps the ends alone)
+        for lam in DEFAULT_LAMBDAS:
+            full = integrate_mode(lam, 0.3, -1.0, (0.1, 2.2), 700)
+            kept = integrate_mode(lam, 0.3, -1.0, (0.1, 2.2), 700,
+                                  record_every=k)
+            for name in ("T", "u", "w", "energy"):
+                got, want = getattr(kept, name), getattr(full, name)[::k]
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64)), (lam, name)
+
+
 class TestExactSymmetries:
     """Bitwise relations from the exact symmetries of the mode equation."""
 

@@ -8,8 +8,9 @@ from milne_lab.modes import integrate_mode
 from references import rk4_step
 
 
-def mode_run(n_steps):
-    return integrate_mode(1.0, 1.0, -1.0, (0.0, 1.0), n_steps)
+def mode_run(n_steps=10, record_every=1):
+    return integrate_mode(1.0, 1.0, -1.0, (0.0, 1.0), n_steps,
+                          record_every=record_every)
 
 
 def homogeneous_run(n_steps=10, log_every=10):
@@ -30,6 +31,9 @@ def homogeneous_run(n_steps=10, log_every=10):
     (homogeneous_run, dict(log_every=-10), ValueError, "log_every"),
     (homogeneous_run, dict(log_every=10.0), TypeError, "log_every"),
     (homogeneous_run, dict(log_every=True), TypeError, "log_every"),
+    (mode_run, dict(record_every=0), ValueError, "record_every"),
+    (mode_run, dict(record_every=2.0), TypeError, "record_every"),
+    (mode_run, dict(record_every=3), ValueError, "n_steps"),
 ])
 def test_bad_step_counts_are_named_errors(run, bad, error, name):
     # the integrators check their counts as integrate_characteristics does
