@@ -36,11 +36,12 @@ is the cost of a step that does not grow with the particles (a
 gives the observed order of classical Runge-Kutta under step halving
 (``log2`` of successive max-norm differences at h, h/2, h/4) for one
 fixed configuration of each ``TestConvergenceOrder``.  The ``memory``
-section records the ``tracemalloc`` peak of one ``characteristics``
-run at the ``chars_wide`` size, apart from the timed runs, and, in a
-fresh process, the peak RSS (``VmHWM``) of one default ``full_report``
-with the scipy subpackages it loaded and the ``tracemalloc`` peak of a
-second one, which no earlier section's imports can change.  Each record names the tree it timed by
+section runs one ``characteristics`` run at the ``chars_wide`` size and
+one default ``full_report``, each twice in a fresh process of its own:
+it records the peak RSS (``VmHWM``) after the first run, the scipy
+subpackages the report loaded, and the ``tracemalloc`` peak of the
+second run, which nothing the bench ran before can change.  Each record
+names the tree it timed by
 ``git_sha`` and by ``src_sha256``, a digest of the package files that a
 ``git archive`` copy keeps too; ``source_lines`` counts the non-blank,
 non-comment lines of the package, per module in
@@ -49,7 +50,7 @@ non-comment lines of the package, per module in
 The sections run in the order ``report``, ``scenarios``, ``accuracy``,
 ``transport_scaling``, ``memory``, each section's seconds recorded in
 ``section_seconds``; on a 2-vCPU VM they took about 30, 35, 0.1, 75 and
-6 s.  ``report`` and ``scenarios`` come before the 10^5-particle runs:
+7 s.  ``report`` and ``scenarios`` come before the 10^5-particle runs:
 the large buffers those free raise glibc's mmap and trim thresholds for
 the rest of the process, after which a ``full_report`` no longer pays
 the page faults a fresh process pays for its temporaries.  Standard
@@ -79,7 +80,6 @@ import statistics
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -181,16 +181,17 @@ print(json.dumps([hwm / 1024.0, workers / 1024.0]))
 """
 
 
-# one default full_report in a fresh process, then one more under
-# tracemalloc; prints the first run's own peak RSS, in MB (VmHWM, as in
-# RSS_RUN, read before tracemalloc adds its own memory), the public scipy
-# subpackages it loaded, and the second run's tracemalloc peak in MB,
-# which the first run's imports leave out, whatever else the bench ran
-REPORT_RSS_RUN = """
+# one harness run of the config in argv[2] in a fresh process, then one
+# more under tracemalloc; prints the first run's own peak RSS, in MB
+# (VmHWM, as in RSS_RUN, read before tracemalloc adds its own memory), the
+# public scipy subpackages it loaded, and the second run's tracemalloc
+# peak in MB, which the first run's imports leave out, whatever else the
+# bench ran
+PEAK_RUN = """
 import json, sys, tracemalloc
 sys.path[:0] = sys.argv[1:2]  # milne_lab's tree
 from milne_lab import harness
-cfg = harness.validate_config({"scenario": "full_report", "seed": 0})
+cfg = harness.validate_config(json.loads(sys.argv[2]))
 harness.run_scenario(cfg)
 with open("/proc/self/status") as status:
     hwm = next(int(line.split()[1]) for line in status
@@ -561,65 +562,50 @@ def accuracy_section() -> dict:
     return section
 
 
-def peak_mb(harness, raw) -> float:
-    """``tracemalloc`` peak of one ``harness.run_scenario`` of ``raw``, in
-    MB = 2^20 bytes."""
-    cfg = harness.validate_config(raw)
-    tracemalloc.start()
-    try:
-        harness.run_scenario(cfg)
-        return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
-    finally:
-        tracemalloc.stop()
-
-
-def report_peak_rss(harness) -> dict:
-    """Own peak RSS of one default ``full_report`` in a fresh process,
-    which imports the ``milne_lab`` that ``harness`` belongs to, the
-    scipy subpackages that run loaded, and the ``tracemalloc`` peak of a
-    second run in that process (:data:`REPORT_RSS_RUN`)."""
+def fresh_peaks(harness, raw, env=None) -> tuple:
+    """Own peak RSS, in MB, of one ``harness.run_scenario`` of ``raw`` in
+    a fresh process, which imports the ``milne_lab`` that ``harness``
+    belongs to, the scipy subpackages that run loaded, and the
+    ``tracemalloc`` peak of a second run in that process, in MB
+    (:data:`PEAK_RUN`); ``env`` adds environment variables."""
     src = Path(harness.__file__).resolve().parent.parent
-    out = subprocess.run([sys.executable, "-c", REPORT_RSS_RUN, str(src)],
-                         cwd=ROOT, capture_output=True, text=True, check=True)
+    out = subprocess.run(
+        [sys.executable, "-c", PEAK_RUN, str(src), json.dumps(raw)],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+        env={**os.environ, **(env or {})})
     rss, scipy_loaded, peak = json.loads(out.stdout.splitlines()[-1])
-    return {"report_peak_mb": round(peak, 2),
-            "report_peak_rss_mb": round(rss, 1),
-            "report_scipy_subpackages": scipy_loaded}
+    return round(rss, 1), scipy_loaded, round(peak, 2)
 
 
 def memory_section() -> dict:
-    """``tracemalloc`` peak of one ``characteristics`` run at the
-    ``chars_wide`` size, and the peak RSS and ``tracemalloc`` peak of a
-    default ``full_report`` in a fresh process (:func:`report_peak_rss`)."""
+    """Peak RSS and ``tracemalloc`` peak of one ``characteristics`` run at
+    the ``chars_wide`` size and of a default ``full_report``, each in a
+    fresh process (:func:`fresh_peaks`)."""
     from milne_lab import harness
 
     raw = {"scenario": "characteristics", "seed": 0,
            "particleCount": 100_000, "Tend": 0.1}
     report_raw = {"scenario": "full_report", "seed": 0}
-    saved = os.environ.get("MILNE_LAB_THREADS")
-    os.environ["MILNE_LAB_THREADS"] = "2"
-    try:
-        characteristics_peak = peak_mb(harness, raw)
-    finally:
-        if saved is None:
-            del os.environ["MILNE_LAB_THREADS"]
-        else:
-            os.environ["MILNE_LAB_THREADS"] = saved
+    chars_rss, _, chars_peak = fresh_peaks(harness, raw,
+                                           {"MILNE_LAB_THREADS": "2"})
+    rss, scipy_loaded, peak = fresh_peaks(harness, report_raw)
     section = {
         "config": f"{raw}, MILNE_LAB_THREADS=2",
-        "characteristics_peak_mb": characteristics_peak,
+        "characteristics_peak_mb": chars_peak,
+        "characteristics_peak_rss_mb": chars_rss,
         "report_config": str(report_raw),
-        "method": "tracemalloc peak over one harness.run_scenario, "
-                  "MB = 2^20 bytes; the report's in a fresh process, "
-                  "over its second run",
-        **report_peak_rss(harness),
-        "rss_method": "VmHWM of a fresh process after its first run of "
-                      "report_config, MB = 2^20 bytes",
+        "method": "tracemalloc peak over the second of two "
+                  "harness.run_scenario calls in a fresh process, "
+                  "MB = 2^20 bytes",
+        "report_peak_mb": peak,
+        "report_peak_rss_mb": rss,
+        "report_scipy_subpackages": scipy_loaded,
+        "rss_method": "VmHWM of the fresh process after its first run, "
+                      "MB = 2^20 bytes",
     }
-    print(f"characteristics peak {section['characteristics_peak_mb']:.2f} MB, "
-          f"report peak {section['report_peak_mb']:.2f} MB, report peak RSS "
-          f"{section['report_peak_rss_mb']:.1f} MB (scipy: "
-          f"{', '.join(section['report_scipy_subpackages']) or 'none'})")
+    print(f"characteristics peak {chars_peak:.2f} MB, peak RSS "
+          f"{chars_rss:.1f} MB; report peak {peak:.2f} MB, peak RSS "
+          f"{rss:.1f} MB (scipy: {', '.join(scipy_loaded) or 'none'})")
     return section
 
 

@@ -28,7 +28,7 @@ for x in rng.uniform(-1.0, 1.0, size=(3, 3)):
           f"R = {chart.scalar_curvature(x):+.6f}")
 
 # the vacuum lapse is exactly 3, with no numerical defect
-print(f"\nalgebraic lapse at vacuum: {solve_lapse_algebraic(0.0, 0.0)!r}")
+print(f"\nalgebraic lapse at vacuum: {solve_lapse_algebraic(0.0)!r}")
 
 # connection corrections vanish on the background
 geom = background_geometry()

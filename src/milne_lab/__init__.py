@@ -10,12 +10,13 @@ variables that turn the background into a fixed point.  Modules:
   momentum estimates;
 * :mod:`milne_lab.transport` — characteristic (geodesic) transport with
   mass-shell-conservation diagnostics and the momentum-support envelope;
-* :mod:`milne_lab.matter` — kinetic moments, their continuity system and
-  the Cauchy-Schwarz moment bounds;
+* :mod:`milne_lab.matter` — the isotropic distribution, the continuity
+  system of its moments and the Cauchy-Schwarz moment bounds;
 * :mod:`milne_lab.modes` — linear perturbation oscillators and corrected
   energy decay;
 * :mod:`milne_lab.homogeneous` — the reduced homogeneous isotropic
-  system with constraint and consistency diagnostics;
+  system with constraint and consistency diagnostics, and its closure,
+  the one quadrature of the isotropic moments;
 * :mod:`milne_lab.energies` — energy functionals, decay fits and the
   run monitors;
 * :mod:`milne_lab.harness` — scenario configuration, orchestration,
@@ -29,9 +30,8 @@ from .geometry import (BACKGROUND_LAPSE, BackgroundChart, CorrectionConstants,
 from .massshell import (SingularShiftError, compute_p0, mass_shell_residual,
                         normalization_report, pointwise_estimates_check)
 from .transport import ParticleEnsemble
-from .matter import (MatterMoments, RadialDistribution,
-                     UnsupportedModeError, continuity_rhs,
-                     moment_bound_check, moments_from_distribution)
+from .matter import (RadialDistribution, UnsupportedModeError,
+                     continuity_rhs, moment_bound_check)
 from .modes import (ModeTrajectory, corrected_energy, energy_decay_check,
                     integrate_mode, mode_sweep)
 from .homogeneous import (ConstraintSingularError, HomogeneousRun,
@@ -49,9 +49,8 @@ __all__ = [
     "correction_constants", "make_time_frame", "rescaled_christoffels",
     "SingularShiftError", "compute_p0", "mass_shell_residual",
     "normalization_report", "pointwise_estimates_check",
-    "MatterMoments", "ParticleEnsemble", "RadialDistribution",
-    "UnsupportedModeError", "continuity_rhs",
-    "moment_bound_check", "moments_from_distribution",
+    "ParticleEnsemble", "RadialDistribution", "UnsupportedModeError",
+    "continuity_rhs", "moment_bound_check",
     "ModeTrajectory", "corrected_energy", "energy_decay_check",
     "integrate_mode", "mode_sweep",
     "ConstraintSingularError", "HomogeneousRun", "evolve_homogeneous",

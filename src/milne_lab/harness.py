@@ -254,9 +254,10 @@ def _profile_curvature_fits(cfg: ScenarioConfig) -> bool:
 
 
 def _tau_rho0(cfg: ScenarioConfig) -> float:
+    s0 = abs(float(cfg.tau0))
     with np.errstate(over="ignore", invalid="ignore"):  # to inf, named
-        return abs(cfg.tau0) * homogeneous.initial_density(
-            _matter_profile(cfg), cfg.tau0, cfg.quadNodes)
+        return s0 * homogeneous.isotropic_moments(
+            _matter_profile(cfg), s0, cfg.quadNodes)[0]
 
 
 # every mode of the full_report sector starts at (a, -a) and is
@@ -341,6 +342,12 @@ _CONDITIONS = (
     *((name, _ALL, lambda c, holds=holds: holds(c.deltaE, c.deltaEcal),
        "deltaE deltaEcal") for name, holds in energies.WEIGHT_CONDITIONS),
     ("0 < epsDecay < 1", _ALL, lambda c: 0.0 < c.epsDecay < 1.0, "epsDecay"),
+    # the radii of the smallness and continuation balls, which hold
+    # nonnegative deviations: at zero only a vacuum run passes smallness
+    # and no run passes continuation, and below zero no run passes either
+    *((f"{name} > 0", _HOMOGENEOUS,
+       lambda c, name=name: getattr(c, name) > 0.0, name)
+      for name in ("smallnessDelta", "epsLoc")),
     # the decay budgets; deltaAlpha is the configured budget, not the
     # borderline mode's own rate loss, which the modes rate table checks
     # against 2 alpha
@@ -482,7 +489,7 @@ def _run_background_check(cfg: ScenarioConfig) -> dict:
         "gamma_star_star": float(np.max(np.abs(blocks["gamma_star_star"]))),
     }
     # homogeneous evolution right-hand side at the vacuum fixed point
-    N0 = homogeneous.solve_lapse_algebraic(0.0, 0.0)
+    N0 = homogeneous.solve_lapse_algebraic(0.0)
     checks["scale_factor_rhs"] = abs(2.0 * (N0 / 3.0 - 1.0) * 1.0)
     drho, dj = matter.continuity_rhs(0.0, np.zeros(3), geom, frame, 0.0)
     checks["continuity_rho_rhs"] = abs(drho)

@@ -4,7 +4,7 @@ With zero shift and zero trace-free curvature the field equations close
 on the conformal size ``b`` of the spatial metric ``g = b * gamma`` and
 the distribution function.  The lapse is algebraic,
 
-    N = 3 / (1 + 3 |Sigma|^2 + 3 s eta),
+    N = 3 / (1 + 3 s eta),
 
 the Hamiltonian constraint is solvable in closed form,
 
@@ -23,7 +23,11 @@ The evolution intentionally runs two discretisations side by side:
   constraint propagate exactly at the continuous level).  The RK4 step
   is written out over one stage function, with the operations of the
   tests' ``references.rk4_step`` in the same order (pinned bitwise there),
-  and the closure works in scratch arrays made once per run;
+  and the closure works in scratch arrays made once per run.  At stretch
+  one the closure is the package's one quadrature of the isotropic
+  moments, :func:`isotropic_moments`: the initial density ``rho0``, the
+  run's guard ``|tau0| rho0 < 1/6`` (the constraint pole) and
+  ``matter.moment_bound_check`` read it;
 * logging — the distribution is materialised on a fixed momentum grid by
   cubic semi-Lagrangian interpolation along the exact characteristics
   and its moments are taken with the trapezoid rule, giving an
@@ -55,16 +59,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from ._quadrature import composite_gauss_legendre, trapezoid
 from ._rk4 import check_count
 from .geometry import TimeFrame, make_time_frame
-from .matter import RadialDistribution
 from .energies import (LAPSE_UPPER_TOL, _not_a_knot_coefficients,
                        _spline_values, sasaki_energy)
+
+if TYPE_CHECKING:  # matter reads its moments here, so no run-time import
+    from .matter import RadialDistribution
 
 __all__ = [
     "ConstraintSingularError",
@@ -72,7 +78,7 @@ __all__ = [
     "solve_lapse_algebraic",
     "hamiltonian_constraint_b",
     "scaling_closure_moments",
-    "initial_density",
+    "isotropic_moments",
     "evolve_homogeneous",
     "HOMOGENEOUS_CSV_COLUMNS",
 ]
@@ -94,17 +100,15 @@ class ConstraintSingularError(ValueError):
     """Raised when ``s rho`` reaches the constraint pole at ``1/6``."""
 
 
-def solve_lapse_algebraic(Sigma2: float, sEta: float) -> float:
-    """Algebraic lapse ``3 / (1 + 3 |Sigma|^2 + 3 s eta)``.
+def solve_lapse_algebraic(sEta: float) -> float:
+    """Algebraic lapse ``3 / (1 + 3 s eta)``.
 
     Matter only lowers the lapse below its vacuum value 3; a negative
     energy input would push it above and is rejected.
     """
     if sEta < 0.0:
         raise ValueError("s * eta must be nonnegative")
-    if Sigma2 < 0.0:
-        raise ValueError("|Sigma|^2 must be nonnegative")
-    return 3.0 / (1.0 + 3.0 * Sigma2 + 3.0 * sEta)
+    return 3.0 / (1.0 + 3.0 * sEta)
 
 
 def hamiltonian_constraint_b(rho: float, frame: TimeFrame) -> float:
@@ -208,6 +212,13 @@ def scaling_closure_moments(wf: np.ndarray, u2: np.ndarray,
     return _FOUR_PI * r**1.5 * rho_sum, _FOUR_PI * r**2.5 * eta_sum
 
 
+def isotropic_moments(f: RadialDistribution, s: float,
+                      n_nodes: int) -> tuple:
+    """Moments ``(rho, eta_under)`` of ``f`` at scale factor ``s``: the
+    closure at stretch ``r = 1`` on ``n_nodes`` Gauss-Legendre nodes."""
+    return scaling_closure_moments(*_closure_nodes(f, n_nodes), 1.0, s)
+
+
 def _linspace_rows(stops: np.ndarray, ramp: np.ndarray,
                    out: np.ndarray) -> np.ndarray:
     """``np.linspace(0.0, stops, n, axis=-1)`` written into ``out``.
@@ -221,18 +232,6 @@ def _linspace_rows(stops: np.ndarray, ramp: np.ndarray,
     np.multiply(ramp, (stops / (len(ramp) - 1))[:, None], out=out)
     out[:, -1] = stops
     return out
-
-
-def initial_density(f0: RadialDistribution, tau0: float,
-                    n_nodes: int = 96) -> float:
-    """Initial energy density ``rho0`` of :func:`evolve_homogeneous`.
-
-    The exact-scaling closure at ``T = 0`` on ``n_nodes`` Gauss-Legendre
-    nodes; the run can start only if ``|tau0| rho0 < 1/6`` (the
-    constraint pole).
-    """
-    return scaling_closure_moments(*_closure_nodes(f0, n_nodes), 1.0,
-                                   abs(float(tau0)))[0]
 
 
 def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
@@ -250,7 +249,7 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
     momentum grid spanning the current support for the independent trapezoid
     measurements, the support radius, the weighted distribution energy
     and the elliptic-lapse spot check
-    ``|N - 3| <= 10 (|Sigma|^2 + s rho + s^3 eta_under)``.
+    ``|N - 3| <= 10 (s rho + s^3 eta_under)``.
 
     ``n_steps`` and ``log_every`` must be positive integers (``TypeError``
     or ``ValueError``), ``n_steps`` a multiple of ``log_every``.  The run
@@ -282,7 +281,7 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
         raise ValueError("n_q must be at least 2")
     s0 = abs(float(tau0))
     nodes = _closure_nodes(f0, n_nodes)
-    # initial_density, from the nodes just built
+    # isotropic_moments, from the nodes just built
     rho0 = scaling_closure_moments(*nodes, 1.0, s0)[0]
     b0 = hamiltonian_constraint_b(rho0, make_time_frame(tau0, 0.0))
 
@@ -292,7 +291,7 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
         # helper costs one more Python call in each of the 4 stages a step
         s2 = s**2
         rho_c, eta_c = scaling_closure_moments(*nodes, b0 / b, s)
-        N = solve_lapse_algebraic(0.0, s * (rho_c + s2 * eta_c))
+        N = solve_lapse_algebraic(s * (rho_c + s2 * eta_c))
         N3 = N / 3.0
         return 2.0 * (N3 - 1.0) * b, (3.0 - N) * rho_cont - s2 * N3 * eta_c
 
@@ -377,7 +376,7 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
         frame = make_time_frame(tau0, T)
         s = frame.s
         rho_c, eta_c = scaling_closure_moments(*nodes, b0 / b, s)
-        N = solve_lapse_algebraic(0.0, s * (rho_c + s**2 * eta_c))
+        N = solve_lapse_algebraic(s * (rho_c + s**2 * eta_c))
         if not (0.0 < N <= 3.0 * (1.0 + lapse_tol)):
             return flush(f"lapse left (0, 3] at T={T}")
         pending.append([T, frame.tau, b, N, rho_c, eta_c, rho_cont, s,

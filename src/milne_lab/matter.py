@@ -2,15 +2,16 @@
 
 A collisionless distribution function feeds the field equations only
 through a handful of momentum averages: the energy density, the momentum
-density, the pressure trace, the stress tensor and the derived source
-tensor of the metric evolution.  This module computes those moments from
-a :class:`RadialDistribution` — an isotropic profile ``f(q)`` of the
-frame-metric momentum magnitude (requires vanishing shift), integrated
-with composite Gauss-Legendre quadrature — and provides the exact
-continuity system the moments satisfy on homogeneous states (its
-right-hand side at the background feeds the ``background_check``
-scenario's vacuum check) and the Cauchy-Schwarz moment bounds with
-explicit constants.
+density, the pressure trace, the stress tensor and the source tensor of
+the metric evolution.  This module holds the isotropic distribution
+:class:`RadialDistribution` (a profile ``f(q)`` of the frame-metric
+momentum magnitude, for a vanishing shift), the exact continuity system
+the moments satisfy on homogeneous states (its right-hand side at the
+background feeds the ``background_check`` scenario's vacuum check) and
+the Cauchy-Schwarz moment bounds with explicit constants.  The bounds
+read the density and the pressure trace from the homogeneous closure at
+stretch one (``homogeneous.isotropic_moments``), the package's one
+Gauss-Legendre quadrature of the isotropic moments.
 """
 
 from __future__ import annotations
@@ -21,15 +22,13 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import composite_gauss_legendre
 from .geometry import LocalGeometry, TimeFrame
 from .energies import inverse_weight_integral, sasaki_energy
+from .homogeneous import isotropic_moments
 
 __all__ = [
     "UnsupportedModeError",
     "RadialDistribution",
-    "MatterMoments",
-    "moments_from_distribution",
     "continuity_rhs",
     "moment_bound_check",
 ]
@@ -75,79 +74,6 @@ class RadialDistribution:
         q = np.asarray(q, dtype=float)
         out = np.asarray(self.profile(q), dtype=float)
         return np.where((q >= 0.0) & (q <= self.qmax), out, 0.0)
-
-
-@dataclass
-class MatterMoments:
-    """The momentum averages at one time slice (nondimensional variables).
-
-    ``rho`` energy density, ``j`` momentum density (contravariant),
-    ``eta_under`` pressure trace with the inverse-energy kernel,
-    ``T_under`` stress tensor (contravariant), ``S`` source tensor
-    (covariant), ``eta = rho + tau^2 eta_under``.
-    """
-
-    rho: float
-    j: np.ndarray
-    eta_under: float
-    T_under: np.ndarray
-    S: np.ndarray
-    eta: float
-    tau: float
-
-    def __post_init__(self) -> None:
-        self.j = np.asarray(self.j, dtype=float)
-        self.T_under = np.asarray(self.T_under, dtype=float)
-        self.S = np.asarray(self.S, dtype=float)
-        if self.rho < 0.0:
-            raise ValueError("energy density must be nonnegative")
-        if self.eta_under < 0.0:
-            raise ValueError("pressure trace must be nonnegative")
-        if np.any(np.linalg.eigvalsh(self.T_under) < -1e-12):
-            raise ValueError("stress tensor must be positive semidefinite")
-        if not math.isclose(self.eta, self.rho + self.tau**2 * self.eta_under,
-                            rel_tol=1e-12, abs_tol=1e-14):
-            raise ValueError("eta must equal rho + tau^2 eta_under")
-
-
-# ---------------------------------------------------------------------------
-# moments
-# ---------------------------------------------------------------------------
-
-
-def _require_isotropic(geom: LocalGeometry, what: str) -> None:
-    if float(np.max(np.abs(geom.X))) > 0.0:
-        raise UnsupportedModeError(
-            f"{what} uses the isotropic reduction, which needs zero shift")
-
-
-def moments_from_distribution(f: RadialDistribution, geom: LocalGeometry,
-                              frame: TimeFrame) -> MatterMoments:
-    """Momentum averages of a radial distribution at one slice.
-
-    The isotropic closed reductions (zero shift required) are integrated
-    on 64 composite Gauss-Legendre nodes over ``[0, qmax]``, with
-    ``phat = sqrt(1 + tau^2 q^2)``::
-
-        rho       = 4 pi int f phat q^2 dq
-        j         = 0
-        eta_under = 4 pi int f q^4 / phat dq
-        T_under   = (eta_under / 3) ginv
-        S         = g (rho / 2 - tau^2 eta_under / 6)
-    """
-    _require_isotropic(geom, "moments_from_distribution")
-    tau = frame.tau
-    q, w = composite_gauss_legendre(0.0, f.qmax, 64)
-    fv = f(q)
-    ph = np.sqrt(1.0 + tau**2 * q**2)
-    rho = 4.0 * math.pi * float(np.sum(w * fv * ph * q**2))
-    eta_under = 4.0 * math.pi * float(np.sum(w * fv * q**4 / ph))
-    j = np.zeros(3)
-    T_under = (eta_under / 3.0) * geom.ginv
-    S = geom.g * (0.5 * rho - tau**2 * eta_under / 6.0)
-    eta = rho + tau**2 * eta_under
-    return MatterMoments(rho=rho, j=j, eta_under=eta_under, T_under=T_under,
-                         S=S, eta=eta, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +125,12 @@ def continuity_rhs(rho: float, j: np.ndarray, geom: LocalGeometry,
 # ---------------------------------------------------------------------------
 
 
+def _require_isotropic(geom: LocalGeometry, what: str) -> None:
+    if float(np.max(np.abs(geom.X))) > 0.0:
+        raise UnsupportedModeError(
+            f"{what} uses the isotropic reduction, which needs zero shift")
+
+
 def moment_bound_check(f: RadialDistribution, geom: LocalGeometry,
                        frame: TimeFrame, ell: int) -> dict:
     """Cauchy-Schwarz moment bounds with the explicit weight constant.
@@ -218,7 +150,12 @@ def moment_bound_check(f: RadialDistribution, geom: LocalGeometry,
     if ell < 2:
         raise ValueError("moment bounds need weight order ell >= 2")
     _require_isotropic(geom, "moment_bound_check")
-    mom = moments_from_distribution(f, geom, frame)
+    rho, eta_under = isotropic_moments(f, frame.s, 64)
+    # a profile can dip below zero between the grid nodes it is checked on
+    if rho < 0.0:
+        raise ValueError("energy density must be nonnegative")
+    if eta_under < 0.0:
+        raise ValueError("pressure trace must be nonnegative")
     vol_g = math.sqrt(float(np.linalg.det(geom.g)))
     sqrt_vol = math.sqrt(vol_g)
 
@@ -237,10 +174,10 @@ def moment_bound_check(f: RadialDistribution, geom: LocalGeometry,
 
     tau = frame.tau
     checks = {
-        "rho": (abs(mom.rho) * sqrt_vol, C(3.0) * E3),
-        "j": (float(np.sqrt(mom.j @ geom.g @ mom.j)) * sqrt_vol, C(3.0) * E3),
-        "T_under": ((mom.eta_under / math.sqrt(3.0)) * sqrt_vol, C(4.0) * E4),
-        "S": (math.sqrt(3.0) * abs(0.5 * mom.rho - tau**2 * mom.eta_under / 6.0)
+        "rho": (abs(rho) * sqrt_vol, C(3.0) * E3),
+        "j": (0.0, C(3.0) * E3),  # an isotropic f carries no current
+        "T_under": ((eta_under / math.sqrt(3.0)) * sqrt_vol, C(4.0) * E4),
+        "S": (math.sqrt(3.0) * abs(0.5 * rho - tau**2 * eta_under / 6.0)
               * sqrt_vol,
               math.sqrt(3.0) * (0.5 * C(3.0) * E3
                                 + (tau**2 / 6.0) * math.sqrt(3.0) * C(4.0) * E4)),

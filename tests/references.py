@@ -14,7 +14,8 @@ another way, kept here because only the tests run it:
   steps of ``modes.integrate_mode`` and ``homogeneous.evolve_homogeneous``
   and the buffered ``_rk4.rk4_step_into`` are pinned to bit for bit;
 * :func:`eta_direct` -- ``eta`` from one combined quadrature kernel,
-  against the two-integral form of ``matter.moments_from_distribution``;
+  against ``rho + tau^2 eta_under`` from the two integrals of the
+  closure at stretch one, ``homogeneous.isotropic_moments``;
 * :func:`riemann` -- the curvature tensor of a ``BackgroundChart``
   assembled from its closed-form connection (:func:`christoffels`) and
   the connection's partials (:func:`christoffel_derivatives`), against

@@ -24,14 +24,17 @@
 * Every field of a public dataclass in ``src/milne_lab`` is read by code
   that runs: its name appears in a module of ``src``, ``demos``,
   ``bench`` or ``perfbench`` as an attribute load or as a string
-  constant (a ``getattr`` or key name).  The only exceptions are the
-  diagnostics in :data:`TEST_FIELDS`, each read by the test that
+  constant (a ``getattr`` or key name), outside the body of its own
+  class (a field that only its class's methods read, say a check in
+  ``__post_init__``, is read by nothing else).  The only exceptions are
+  the diagnostics in :data:`TEST_FIELDS`, each read by the test that
   compares it.
 
 The scans read the source with ``ast``; nothing is run.
 """
 
 import ast
+import functools
 import importlib
 import pathlib
 
@@ -118,11 +121,12 @@ def calls_by_name(trees):
     return calls
 
 
+@functools.lru_cache(maxsize=None)
 def code_that_runs():
-    """The syntax trees of the modules of ``USE_DIRS``."""
-    return [ast.parse(path.read_text(), filename=str(path))
-            for folder in USE_DIRS
-            for path in sorted((ROOT / folder).rglob("*.py"))]
+    """The syntax trees of the modules of ``USE_DIRS``, parsed once."""
+    return tuple(ast.parse(path.read_text(), filename=str(path))
+                 for folder in USE_DIRS
+                 for path in sorted((ROOT / folder).rglob("*.py")))
 
 
 def sets(call, name, position, is_method):
@@ -276,27 +280,45 @@ def dataclass_fields():
                            item.target.id)
 
 
-def names_read(trees):
+def names_read(trees, skip=None):
     """Attribute names loaded and string constants in the syntax trees
-    ``trees``."""
+    ``trees``, less those inside a class named ``skip``."""
     names = set()
+
+    def visit(node):
+        if isinstance(node, ast.ClassDef) and node.name == skip:
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
     for tree in trees:
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute)
-                    and isinstance(node.ctx, ast.Load)):
-                names.add(node.attr)
-            elif (isinstance(node, ast.Constant)
-                  and isinstance(node.value, str)):
-                names.add(node.value)
+        visit(tree)
     return names
+
+
+@functools.lru_cache(maxsize=None)
+def read_outside(cls):
+    """Names read by code that runs outside the classes named ``cls``."""
+    return names_read(code_that_runs(), skip=cls)
+
+
+def test_a_fields_use_in_its_own_class_is_no_read():
+    tree = ast.parse("class A:\n    x: int\n    def f(self):\n"
+                     "        return self.x, 'y'\n\nB().z\n")
+    assert names_read([tree], skip="A") == {"z"}
+    assert names_read([tree]) == {"x", "y", "z"}
 
 
 def test_every_dataclass_field_is_read():
     fields = list(dataclass_fields())
     assert fields  # the scan sees the dataclasses
-    read = names_read(code_that_runs())
     unread = [label for label, name in fields
-              if name not in read and label not in TEST_FIELDS]
+              if name not in read_outside(label.split(".")[1])
+              and label not in TEST_FIELDS]
     assert not unread, (f"{len(unread)} dataclass fields no code that runs "
                         f"reads: {unread}; delete them, or add a diagnostic "
                         f"to TEST_FIELDS with the test that reads it")
@@ -306,7 +328,7 @@ def test_every_dataclass_field_is_read():
 def test_test_fields_are_read_only_by_their_test(label):
     name = dict(dataclass_fields()).get(label)
     assert name is not None, f"{label} is no field of a public dataclass"
-    assert name not in names_read(code_that_runs()), (
+    assert name not in read_outside(label.split(".")[1]), (
         f"{label} is read by code that runs")
     path, *scopes = TEST_FIELDS[label].split("::")
     node = ast.parse((ROOT / path).read_text())

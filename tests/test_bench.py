@@ -51,8 +51,8 @@ def package_reads(source):
 def test_package_names_read_by_bench_exist(bench):
     reads = set(package_reads(BENCH.read_text()))
     reads |= set(package_reads(bench.RSS_RUN))
-    report_reads = set(package_reads(bench.REPORT_RSS_RUN))
-    # the fresh process of report_peak_rss runs the report through these
+    report_reads = set(package_reads(bench.PEAK_RUN))
+    # the fresh process of fresh_peaks runs the scenario through these
     assert {("milne_lab.harness", "run_scenario"),
             ("milne_lab.harness", "validate_config")} <= report_reads
     reads |= report_reads

@@ -298,6 +298,9 @@ _VIOLATIONS = [
      {"scenario": "full_report", "lambdaGrid": [1e51]}),
     ("gronwallC: support envelope finite",
      {"scenario": "characteristics", "gronwallC": 1e300}),
+    # rows after 0 < epsDecay < 1, listed last to keep the case ids above
+    ("smallnessDelta > 0", {"scenario": "homogeneous", "smallnessDelta": 0.0}),
+    ("epsLoc > 0", {"scenario": "full_report", "epsLoc": -0.1}),
 ]
 
 

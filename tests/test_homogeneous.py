@@ -18,7 +18,7 @@ from milne_lab.homogeneous import (
     _linspace_rows,
     evolve_homogeneous,
     hamiltonian_constraint_b,
-    initial_density,
+    isotropic_moments,
     scaling_closure_moments,
     solve_lapse_algebraic,
 )
@@ -36,15 +36,15 @@ def bump(amp, qmax=2.0):
 
 class TestAlgebraicPieces:
     def test_vacuum_lapse_exact(self):
-        assert solve_lapse_algebraic(0.0, 0.0) == 3.0
+        assert solve_lapse_algebraic(0.0) == 3.0
 
     def test_lapse_below_three_with_matter(self):
-        N = solve_lapse_algebraic(0.0, 0.05)
+        N = solve_lapse_algebraic(0.05)
         assert 0.0 < N < 3.0
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
-            solve_lapse_algebraic(0.0, -0.1)
+            solve_lapse_algebraic(-0.1)
 
     def test_constraint_vacuum(self):
         assert hamiltonian_constraint_b(0.0, make_time_frame(-1.0, 0.0)) == 1.0
@@ -178,8 +178,8 @@ class TestClosureBitwise:
         want = [closure_from_nodes(f0_vals, u, w, r, s)
                 for r, s in zip(rs, ss)]
         assert_bitwise(got, want)
-        assert_bitwise(initial_density(f0, -0.7, n_nodes),
-                       closure_from_nodes(f0_vals, u, w, 1.0, 0.7)[0])
+        assert_bitwise(isotropic_moments(f0, 0.7, n_nodes),
+                       closure_from_nodes(f0_vals, u, w, 1.0, 0.7))
 
 
 def rk4_states(f0, tau0, T_end, n_steps, n_nodes):
@@ -197,7 +197,7 @@ def rk4_states(f0, tau0, T_end, n_steps, n_nodes):
         s = s0 * math.exp(-T)
         rho_c, eta_c = closure_from_nodes(f0_vals, u, w, b0 / b, s)
         eta = rho_c + s**2 * eta_c
-        N = solve_lapse_algebraic(0.0, s * eta)
+        N = solve_lapse_algebraic(s * eta)
         return (2.0 * (N / 3.0 - 1.0) * b,
                 (3.0 - N) * rho_cont - s**2 * (N / 3.0) * eta_c)
 
@@ -372,7 +372,7 @@ def per_point_reference(f0, tau0, T_end, n_steps, n_q=257, log_every=10,
     def stage(s, b, rho_cont):
         s2 = s**2
         rho_c, eta_c = homogeneous.scaling_closure_moments(*nodes, b0 / b, s)
-        N = solve_lapse_algebraic(0.0, s * (rho_c + s2 * eta_c))
+        N = solve_lapse_algebraic(s * (rho_c + s2 * eta_c))
         N3 = N / 3.0
         return 2.0 * (N3 - 1.0) * b, (3.0 - N) * rho_cont - s2 * N3 * eta_c
 
@@ -385,7 +385,7 @@ def per_point_reference(f0, tau0, T_end, n_steps, n_q=257, log_every=10,
         frame = make_time_frame(tau0, T)
         s = frame.s
         rho_c, eta_c = homogeneous.scaling_closure_moments(*nodes, b0 / b, s)
-        N = solve_lapse_algebraic(0.0, s * (rho_c + s**2 * eta_c))
+        N = solve_lapse_algebraic(s * (rho_c + s**2 * eta_c))
         if not (0.0 < N <= 3.0 * (1.0 + lapse_tol)):
             reason = f"lapse left (0, 3] at T={T}"
             return False
