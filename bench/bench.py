@@ -15,8 +15,9 @@ figure with no short job).  It is written as ``<key>`` (raw),
 ``scaled_<key>`` (scaled) and ``<key>_runs`` (each call's).
 
 The ``report`` section times ``full_report`` at its defaults and these
-layers of it: one 64-row block flush of its homogeneous log points,
-timed inside the run (``flush_ms``); the homogeneous closure per call
+layers of it: one 64-row block of the grid work of its homogeneous log
+points, which a run does after its stepping, timed inside the run
+(``flush_ms``); the homogeneous closure per call
 (a bare loop over ``homogeneous._closure_nodes``); the homogeneous RK4
 step (a run of 2 n steps against one of n) and log point (every
 ``logEvery`` steps against the two ends); ``sasaki_energy`` per grid
@@ -92,7 +93,6 @@ FIXED_STEPS = 2500  # a 1-particle run at this many steps and twice as many
 # processes the scaled full_report walls of ten runs kept the two trees of
 # a 10 % gain apart, those of three runs did not
 WALL_REPEATS = 10
-ENERGY_ROWS = 64  # the log-point block of homogeneous.evolve_homogeneous
 H = 1e-3
 EPS = 1e-3
 # the machine-speed probe of perfbench/run.py: seconds of each kernel at
@@ -301,28 +301,33 @@ def scaled(key: str, figure: tuple, scale: float, digits: int) -> dict:
 
 @contextlib.contextmanager
 def flush_timers(homogeneous, flushes: list):
-    """Append to ``flushes`` the seconds of each block flush of
-    ``ENERGY_ROWS`` log points in the runs made inside the block.
+    """Append to ``flushes`` the seconds of each full block (flush) of
+    ``homogeneous._ENERGY_BLOCK`` log points that the runs made inside
+    the block measure.
 
-    A flush runs right after the closure call of its block's last log
-    point and ends with its one ``sasaki_energy`` call, so its time is
-    taken from the end of that closure call to the end of the energy
-    call: the flush plus the lapse and checks of that log point (a few
-    us).  Both functions are wrapped at ``homogeneous``, which the run
-    calls them through."""
+    A run measures its blocks one after another after its stepping, each
+    ending with its one ``sasaki_energy`` call, so a block's time is taken
+    to the end of its energy call from the end of the previous block's,
+    or, for a run's first block, from the end of the run's last closure
+    call (its last log point): that block also pays the lapse and checks
+    of that log point and the ``f0`` spline and buffers made once per run.
+    Both functions are wrapped at ``homogeneous``, which the run calls
+    them through."""
     closure = homogeneous.scaling_closure_moments
     energy = homogeneous.sasaki_energy
-    closure_end = [0.0]
+    last_end = [0.0]
 
     def timed_closure(*args):
         out = closure(*args)
-        closure_end[0] = time.perf_counter()
+        last_end[0] = time.perf_counter()
         return out
 
     def timed_energy(grid, *args, **kwargs):
         out = energy(grid, *args, **kwargs)
-        if len(grid) == ENERGY_ROWS:
-            flushes.append(time.perf_counter() - closure_end[0])
+        end = time.perf_counter()
+        if len(grid) == homogeneous._ENERGY_BLOCK:
+            flushes.append(end - last_end[0])
+        last_end[0] = end
         return out
 
     homogeneous.scaling_closure_moments = timed_closure
@@ -336,16 +341,17 @@ def flush_timers(homogeneous, flushes: list):
 
 def energy_row_cost(homogeneous, cfg) -> dict:
     """Microseconds per grid row of ``sasaki_energy``, called once per row
-    and once on a block of ``ENERGY_ROWS`` rows, on log-point-like rows,
-    raw and scaled."""
+    and once on a block of ``homogeneous._ENERGY_BLOCK`` rows, on
+    log-point-like rows, raw and scaled."""
     import numpy as np
 
-    qmax = cfg.matterQmax * np.linspace(1.0, 0.5, ENERGY_ROWS)
-    # C-contiguous rows, as the blocks of the flush are
+    rows = homogeneous._ENERGY_BLOCK
+    qmax = cfg.matterQmax * np.linspace(1.0, 0.5, rows)
+    # C-contiguous rows, as the run's blocks are
     grid = np.linspace(0.0, qmax, cfg.radialNodes, axis=-1).copy()
     values = cfg.matterAmp * np.maximum(
         0.0, 1 - (grid / cfg.matterQmax) ** 2)
-    vols = np.linspace(1.0, 1.2, ENERGY_ROWS)
+    vols = np.linspace(1.0, 1.2, rows)
     kwargs = {"ell": 2, "mu": 4.0, "ladder_ell": 5}
 
     def single():
@@ -356,8 +362,8 @@ def energy_row_cost(homogeneous, cfg) -> dict:
     def stack():
         homogeneous.sasaki_energy(grid, values, qmax, vol=vols, **kwargs)
 
-    figures = {name: per_unit(fn, ENERGY_ROWS)["per_unit"] for name, fn in
-               (("single", single), (f"stack_{ENERGY_ROWS}", stack))}
+    figures = {name: per_unit(fn, rows)["per_unit"] for name, fn in
+               (("single", single), (f"stack_{rows}", stack))}
     return {f"{prefix}sasaki_energy_us_per_row": {
         name: round(1e6 * figure[i], 1) for name, figure in figures.items()}
         for i, prefix in enumerate(("", "scaled_"))}
@@ -370,7 +376,7 @@ def report_section() -> dict:
     cfg = harness.validate_config({"scenario": "full_report", "seed": 0})
     result = harness.run_scenario(cfg)  # also pays the first-call costs
     report = probed_walls(lambda: harness.run_scenario(cfg), "solver")
-    # the block flushes of the same runs, timed inside them (the wrappers
+    # the log-point blocks of the same runs, timed inside them (the wrappers
     # slow the closure, so these runs are apart from the walls above)
     flushes = []
 
@@ -434,10 +440,12 @@ def report_section() -> dict:
         "full_report_scaled_wall_s": report["scaled_wall_s"],
         "full_report_kernel_s": report["kernel_s"],
         **scaled("flush_ms", flush["flush"], 1e3, 3),
-        "flush_method": f"one {ENERGY_ROWS}-row block flush of full_report, "
-                        f"timed in the run from the end of its last log "
-                        f"point's closure call to the end of its "
-                        f"sasaki_energy call; the median of each run",
+        "flush_method": f"one {homogeneous._ENERGY_BLOCK}-row block of "
+                        f"full_report's log points, timed in the run to "
+                        f"the end of its sasaki_energy call from the end "
+                        f"of the previous block's (the first block: of "
+                        f"the run's last closure call); the median of "
+                        f"each run",
         **scaled("closure_us_per_call", closure_cost["per_unit"], 1e6, 2),
         "closure_method": f"wall of a bare loop of {n_steps} closure calls "
                           f"/ {n_steps}",

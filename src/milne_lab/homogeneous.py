@@ -14,9 +14,10 @@ and the transport equation is solved exactly by rescaling the momentum
 magnitude: ``f(T, q) = f0(q * sqrt(b / b0))``, so the support radius is
 ``G(T) = qmax0 * sqrt(b0 / b)``.
 
-The evolution intentionally runs two discretisations side by side:
+The evolution intentionally runs two discretisations, one after the
+other:
 
-* dynamics — the scale-factor ODE ``b' = 2 (N/3 - 1) b`` and the
+* stepping — the scale-factor ODE ``b' = 2 (N/3 - 1) b`` and the
   continuity density are integrated with classical Runge-Kutta, with all
   momentum integrals evaluated through the exact-scaling closure on a
   Gauss-Legendre rule (spectrally accurate, and the closure makes the
@@ -27,37 +28,28 @@ The evolution intentionally runs two discretisations side by side:
   one the closure is the package's one quadrature of the isotropic
   moments, :func:`isotropic_moments`: the initial density ``rho0``, the
   run's guard ``|tau0| rho0 < 1/6`` (the constraint pole) and
-  ``matter.moment_bound_check`` read it;
-* logging — the distribution is materialised on a fixed momentum grid by
-  cubic semi-Lagrangian interpolation along the exact characteristics
-  and its moments are taken with the trapezoid rule, giving an
-  independent second-order-in-``dq`` measurement whose constraint defect
-  converges at the expected rate.  Of a log point only the checks that
-  read its closure moments alone run at once, the lapse range and the
-  lapse spot check.  Its grid work waits for the block flush, one pass
-  over up to 64 log points on stacked ``(m, n_q)`` arrays: the grid
-  distribution, its two trapezoid moments, the pole check, the
-  constraint ``b`` and the weighted distribution energy ``E_report``
-  (one ``sasaki_energy`` call on the ``(m, n_q)`` grid and distribution
-  blocks, the ``(m,)`` support radii and cell volumes), each row bitwise
-  its own evaluation.  The flush works in buffers made once per run and
-  hands its blocks to ``sasaki_energy`` uncopied, so the heap serves its
-  few remaining temporaries again from flush to flush (about 11 minor
-  page faults a warm default ``full_report`` run in most processes, up
-  to about 700 in some, by the heap's layout, against about 4400 with an
-  array per operation).  The ``f0`` spline is built once per run and
-  evaluated in numpy.  It and the energy splines are each bitwise
-  scipy's ``CubicSpline``, their slope systems solved by a numpy
+  ``matter.moment_bound_check`` read it.  A log point records its
+  closure moments and lapse and runs the two checks that read nothing
+  else, the lapse range and the lapse spot check;
+* measurement — after the stepping, the distribution of each logged
+  point is materialised on a fixed momentum grid by cubic
+  semi-Lagrangian interpolation along the exact characteristics and its
+  moments are taken with the trapezoid rule, giving an independent
+  second-order-in-``dq`` measurement whose constraint defect converges
+  at the expected rate.  With them come the pole check, the constraint
+  ``b`` and the weighted distribution energy ``E_report``.  The work
+  goes in blocks of up to 64 log points on stacked ``(m, n_q)`` arrays
+  in buffers made once per run, one ``sasaki_energy`` call a block, each
+  row bitwise its own evaluation.  The ``f0`` spline is built once per
+  run and evaluated in numpy.  It and the energy splines are each
+  bitwise scipy's ``CubicSpline``, their slope systems solved by a numpy
   transcription of LAPACK's ``dgtsv``, so a run imports no scipy.
-  An abort resolves as if every log point had run in full, checking
-  lapse range, pole and spot check in this order: the first pole of the
-  block wins, the rows from the abort on are dropped, and so are the
-  steps taken past a pole (at most one block of log points).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -219,21 +211,6 @@ def isotropic_moments(f: RadialDistribution, s: float,
     return scaling_closure_moments(*_closure_nodes(f, n_nodes), 1.0, s)
 
 
-def _linspace_rows(stops: np.ndarray, ramp: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-    """``np.linspace(0.0, stops, n, axis=-1)`` written into ``out``.
-
-    As numpy computes it for ``(m,)`` stops: ``ramp = np.arange(n,
-    dtype=float)`` times ``stops / (n - 1)``, the last node set to the
-    stop.  Numpy's branch for a step that underflows to 0 is left out: a
-    log grid's step is about that of the ``f0`` spline's own grid over
-    the support, which is strictly increasing.
-    """
-    np.multiply(ramp, (stops / (len(ramp) - 1))[:, None], out=out)
-    out[:, -1] = stops
-    return out
-
-
 def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
                        n_steps: int, n_q: int = 257, log_every: int = 10,
                        n_nodes: int = 96,
@@ -257,21 +234,18 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
     leaves ``(0, 3 (1 + lapse_tol)]`` (by default the ceiling of the
     completeness monitor, ``energies.LAPSE_UPPER_TOL``), the constraint
     reaches its pole, or the spot check fails, checked in this order at each
-    log point.  A log point computes its closure moments and lapse at once,
-    and with them the two checks that read nothing else: the lapse range and
-    the spot check.  The rest waits for the block flush, on stacked arrays
-    of up to ``_ENERGY_BLOCK`` log points: the grids and the distributions
-    on them, their trapezoid moments, the pole check ``s rho >= 1/6`` on the
-    grid ``rho``, the constraint ``b``, the cell volumes ``sqrt(det(b I))``
-    and one ``sasaki_energy`` call.  A block is flushed when it is full,
-    when a log point fails an inline check, and at the end of the run.  The
-    first pole among its log points wins over the inline failure (which
-    comes after the pole check of its own log point only for the spot
-    check), and the rows from the abort on are dropped.  So a pole stops the
-    run up to one block of log points late; the steps taken past it, which
-    cannot raise (``b`` stays positive and the closure moments nonnegative),
-    are thrown away.  Rows, energies and reason are bitwise those of a run
-    that does every log point in full.
+    log point.  While stepping, a log point runs the checks that read only
+    its closure moments and lapse, the lapse range and the spot check, and
+    a failure stops the stepping.  After it, blocks of up to
+    ``_ENERGY_BLOCK`` logged points get their grids, the distributions and
+    trapezoid moments on them, the pole check ``s rho >= 1/6``, the
+    constraint ``b``, the cell volumes ``sqrt(det(b I))`` and one
+    ``sasaki_energy`` call.  A failure is a triple ``(row, check,
+    reason)``, its check lapse range 0, pole 1 or spot check 2: the least
+    is the outcome, and the rows from its row on are dropped.  A pole does
+    not stop the stepping; the steps past it cannot raise (``b`` stays
+    positive and the closure moments nonnegative).  Rows, energies and
+    reason are bitwise those of a run that does every log point in full.
     """
     check_count("n_steps", n_steps)
     check_count("log_every", log_every)
@@ -295,98 +269,33 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
         N3 = N / 3.0
         return 2.0 * (N3 - 1.0) * b, (3.0 - N) * rho_cont - s2 * N3 * eta_c
 
-    q_fine = np.linspace(0.0, f0.qmax, 4 * n_q)
-    (x_f0,), (c_f0,) = _not_a_knot_coefficients(q_fine, f0(q_fine))
+    # per log point T, tau, b, N, rho_c, eta_c, rho_cont and tau^2, in
+    # doubles: a list of tuples would keep nine objects a log point alive
+    logged = array("d")
+
+    def log_point(T, b, rho_cont):
+        # the checks that read only the closure; a failure is (row, check,
+        # reason), and a spot-check failure's row is logged for its pole
+        # check, which comes first
+        frame = make_time_frame(tau0, T)
+        s = frame.s
+        rho_c, eta_c = scaling_closure_moments(*nodes, b0 / b, s)
+        N = solve_lapse_algebraic(s * (rho_c + s**2 * eta_c))
+        row = len(logged) // 8
+        if not (0.0 < N <= 3.0 * (1.0 + lapse_tol)):
+            return row, 0, f"lapse left (0, 3] at T={T}"
+        logged.extend((T, frame.tau, b, N, rho_c, eta_c, rho_cont,
+                       frame.tau**2))
+        if abs(N - 3.0) > 10.0 * (s * rho_c + s**3 * eta_c) + 1e-14:
+            return row, 2, f"lapse spot check failed at T={T}"
+        return None
 
     h = T_end / n_steps
     half, sixth = h / 2, h / 6
     exp = math.exp
     b, rho_cont = b0, rho0
-    # per log point whose grid work waits for the block flush: T, tau, b,
-    # N, rho_c, eta_c, rho_cont, s, tau^2 and the support stretch
-    pending = []
-    blocks, E_report = [], []  # (11, m) logged series and energies a block
-    completed, abort_reason = True, None
-
-    # the flush's arrays, made once per run: per log point the grid, its
-    # nodes over the stretch, q^2, sqrt(1 + tau^2 q^2), a work row and
-    # the two moment rows
-    block = min(_ENERGY_BLOCK, n_steps // log_every + 1)
-    ramp = np.arange(n_q, dtype=float)
-    rows_block = np.empty((5, block, n_q))
-    terms_block = np.empty((block, 2, n_q))
-
-    def flush(failure=None, drop=0):
-        # the grid work of the pending log points, each row bitwise its
-        # own evaluation; the log grid rides the exact characteristics: its
-        # last node sits on the support edge, so the trapezoid error stays
-        # second order with a smooth coefficient under grid refinement.
-        # The first pole wins over the inline `failure`; the rows from it
-        # on are dropped, and so are the last `drop` rows (a log point
-        # that failed its spot check)
-        nonlocal completed, abort_reason
-        keep = len(pending) - drop
-        if pending:
-            T, tau, b, N, rho_c, eta_c, rho_cont, s, tau2, stretch = \
-                np.array(pending).T
-            pending.clear()
-            q, nodes, q2, ph, work = rows_block[:, :len(T)]
-            terms = terms_block[:len(T)]
-            G = f0.qmax * stretch
-            _linspace_rows(G, ramp, q)
-            np.divide(q, stretch[:, None], out=nodes)
-            fq = _spline_values(x_f0, c_f0, nodes)
-            np.clip(fq, 0.0, None, out=fq)
-            np.square(q, out=q2)
-            np.multiply(tau2[:, None], q2, out=ph)
-            np.add(1.0, ph, out=ph)
-            np.sqrt(ph, out=ph)
-            rho_terms, eta_terms = terms.transpose(1, 0, 2)
-            np.multiply(fq, ph, out=work)
-            np.multiply(work, q2, out=rho_terms)
-            np.power(q, 4, out=work)
-            np.multiply(fq, work, out=work)
-            np.divide(work, ph, out=eta_terms)
-            rho_g, eta_g = (4.0 * math.pi * trapezoid(terms, q[:, None])).T
-            srho = s * rho_g
-            poles = np.flatnonzero(srho >= 1.0 / 6.0)
-            if poles.size:
-                keep = poles[0]
-                failure = f"constraint pole at T={float(T[keep])}"
-            if keep:
-                rows = np.array([T, tau, b, srho, N, rho_g, eta_g, G, rho_c,
-                                 eta_c, rho_cont])[:, :keep]
-                # the constraint b = 1 / (1 - 6 s rho) of the rows short of
-                # the pole
-                rows[3] = 1.0 / (1.0 - 6.0 * rows[3])
-                blocks.append(rows)
-                # the cell volume sqrt(det g) of the metric b I, its det
-                # taken by np.linalg.det (b**3 can differ in the last bit)
-                vol = np.sqrt(np.linalg.det(b[:keep, None, None] * np.eye(3)))
-                E_report.extend(sasaki_energy(
-                    q[:keep], fq[:keep], G[:keep], ell=2, mu=4.0,
-                    ladder_ell=5, vol=vol))
-        if failure is not None:
-            completed, abort_reason = False, failure
-        return failure is None
-
-    def log_point(T, b, rho_cont):
-        # the checks that read only the closure run at once; the rest of
-        # the log point waits in `pending` for the block flush
-        frame = make_time_frame(tau0, T)
-        s = frame.s
-        rho_c, eta_c = scaling_closure_moments(*nodes, b0 / b, s)
-        N = solve_lapse_algebraic(s * (rho_c + s**2 * eta_c))
-        if not (0.0 < N <= 3.0 * (1.0 + lapse_tol)):
-            return flush(f"lapse left (0, 3] at T={T}")
-        pending.append([T, frame.tau, b, N, rho_c, eta_c, rho_cont, s,
-                        frame.tau**2, math.sqrt(b0 / b)])
-        if abs(N - 3.0) > 10.0 * (s * rho_c + s**3 * eta_c) + 1e-14:
-            # the pole check of this log point still comes first
-            return flush(f"lapse spot check failed at T={T}", drop=1)
-        return len(pending) < _ENERGY_BLOCK or flush()
-
-    if log_point(0.0, b, rho_cont):
+    failure = log_point(0.0, b, rho_cont)
+    if failure is None:
         # classical Runge-Kutta written out: the same floating-point
         # operations, in the same order, as the tests' references.rk4_step
         # driven by the two slopes (pinned bitwise there), with h/2, h/6
@@ -401,14 +310,72 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
                              rho_cont + h * dr3)
             b += sixth * (db1 + 2.0 * db2 + 2.0 * db3 + db4)
             rho_cont += sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
-            if (i + 1) % log_every == 0 and not log_point((i + 1) * h, b,
-                                                           rho_cont):
+            if (i + 1) % log_every == 0 and (
+                    failure := log_point((i + 1) * h, b, rho_cont)):
                 break
-        else:
-            flush()
 
-    # the empty block keeps the eleven series when a run aborts at T = 0
-    series = np.concatenate([np.empty((11, 0)), *blocks], axis=1)
-    return HomogeneousRun(*series[:8], np.array(E_report, dtype=float),
-                          *series[8:], b0=b0, completed=completed,
+    # the measurement, each row bitwise its own evaluation; the log grid
+    # rides the exact characteristics: its last node sits on the support
+    # edge, so the trapezoid error stays second order with a smooth
+    # coefficient under grid refinement
+    n = len(logged) // 8
+    # the eleven series in the order of HomogeneousRun, then tau^2; the
+    # logged scalars fill all rows but the grid measurements 3, 5, 6 and 7
+    series = np.empty((12, n))
+    series[[0, 1, 2, 4, 8, 9, 10, 11]] = np.reshape(logged, (n, 8)).T
+    T, tau, b_ode, b_con, _, rho_g, eta_g, G, *_, tau2 = series
+    E_report = np.empty(n)
+    failures = [failure] if failure else []
+    q_fine = np.linspace(0.0, f0.qmax, 4 * n_q)
+    (x_f0,), (c_f0,) = _not_a_knot_coefficients(q_fine, f0(q_fine))
+    # the block's arrays, made once per run: per log point the grid, its
+    # initial magnitudes q / stretch, q^2, sqrt(1 + tau^2 q^2), a work row
+    # and the two moment rows
+    rows_block = np.empty((5, min(_ENERGY_BLOCK, n), n_q))
+    terms_block = np.empty((min(_ENERGY_BLOCK, n), 2, n_q))
+    for lo in range(0, n, _ENERGY_BLOCK):
+        hi = min(lo + _ENERGY_BLOCK, n)
+        q, q0, q2, ph, work = rows_block[:, :hi - lo]
+        terms = terms_block[:hi - lo]
+        stretch = np.sqrt(b0 / b_ode[lo:hi])
+        np.multiply(f0.qmax, stretch, out=G[lo:hi])
+        q[...] = np.linspace(0.0, G[lo:hi], n_q, axis=-1)
+        np.divide(q, stretch[:, None], out=q0)
+        fq = _spline_values(x_f0, c_f0, q0)
+        np.clip(fq, 0.0, None, out=fq)
+        np.square(q, out=q2)
+        np.multiply(tau2[lo:hi, None], q2, out=ph)
+        np.add(1.0, ph, out=ph)
+        np.sqrt(ph, out=ph)
+        rho_terms, eta_terms = terms.transpose(1, 0, 2)
+        np.multiply(fq, ph, out=work)
+        np.multiply(work, q2, out=rho_terms)
+        np.power(q, 4, out=work)
+        np.multiply(fq, work, out=work)
+        np.divide(work, ph, out=eta_terms)
+        rho_g[lo:hi], eta_g[lo:hi] = \
+            (4.0 * math.pi * trapezoid(terms, q[:, None])).T
+        srho = np.abs(tau[lo:hi]) * rho_g[lo:hi]
+        poles = np.flatnonzero(srho >= 1.0 / 6.0)
+        if poles.size:
+            row = lo + int(poles[0])
+            failures.append((row, 1, f"constraint pole at T={float(T[row])}"))
+        keep = min(hi, min(failures, default=(hi,))[0]) - lo
+        if keep > 0:
+            # the constraint b = 1 / (1 - 6 s rho) of the rows short of the
+            # abort, and the cell volume sqrt(det g) of the metric b I, its
+            # det taken by np.linalg.det (b**3 can differ in the last bit)
+            b_con[lo:lo + keep] = 1.0 / (1.0 - 6.0 * srho[:keep])
+            vol = np.sqrt(np.linalg.det(b_ode[lo:lo + keep, None, None]
+                                        * np.eye(3)))
+            E_report[lo:lo + keep] = sasaki_energy(
+                q[:keep], fq[:keep], G[lo:lo + keep], ell=2, mu=4.0,
+                ladder_ell=5, vol=vol)
+        if keep < hi - lo:
+            break
+
+    end, _, abort_reason = min(failures, default=(n, 0, None))
+    return HomogeneousRun(*series[:8, :end], E_report[:end],
+                          *series[8:11, :end], b0=b0,
+                          completed=abort_reason is None,
                           abort_reason=abort_reason)

@@ -1,8 +1,10 @@
 """The shared connection-block and mass-shell formulas on batches.
 
-Transport evaluates ``rescaled_christoffels``, ``compute_p0`` and
-``mass_shell_residual`` on a batched ``LocalGeometry``, one point per
-particle; each batched result must match the pointwise evaluation at
+The tests' ``references.characteristic_rhs`` evaluates
+``rescaled_christoffels`` and ``compute_p0`` on a batched
+``LocalGeometry``, one point per particle, and the background check
+evaluates ``compute_p0`` and ``mass_shell_residual`` on a batch of
+momenta; each batched result must match the pointwise evaluation at
 every batch entry.
 """
 

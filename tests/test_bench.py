@@ -14,6 +14,7 @@ import importlib.util
 import json
 import pathlib
 import statistics
+import time
 
 import pytest
 
@@ -114,13 +115,30 @@ def test_energy_timers_run(bench, monkeypatch):
     assert sorted(cost) == ["sasaki_energy_us_per_row",
                             "scaled_sasaki_energy_us_per_row"]
     for figures in cost.values():
-        assert sorted(figures) == ["single", f"stack_{bench.ENERGY_ROWS}"]
+        assert sorted(figures) == ["single",
+                                   f"stack_{homogeneous._ENERGY_BLOCK}"]
         assert all(us > 0.0 for us in figures.values())
 
     energy, flushes = homogeneous.sasaki_energy, []
+    start = time.perf_counter()
     with bench.flush_timers(homogeneous, flushes):
         harness.run_scenario(cfg)
+    wall = time.perf_counter() - start
     log_points = harness._homogeneous_steps(cfg) // cfg.logEvery + 1
-    assert len(flushes) == log_points // bench.ENERGY_ROWS
+    assert len(flushes) == log_points // homogeneous._ENERGY_BLOCK
     assert all(seconds > 0.0 for seconds in flushes)
+    assert sum(flushes) < wall
+
+    # the blocks are timed apart, so they add up to less than the run even
+    # where it is mostly blocks: 641 log points of one step each (timing
+    # each block from the last closure call adds up to about 4 times that)
+    flushes.clear()
+    start = time.perf_counter()
+    with bench.flush_timers(homogeneous, flushes):
+        homogeneous.evolve_homogeneous(
+            harness._matter_profile(cfg), cfg.tau0, 1.0, 640,
+            n_q=cfg.radialNodes, log_every=1, n_nodes=cfg.quadNodes)
+    wall = time.perf_counter() - start
+    assert len(flushes) == 641 // homogeneous._ENERGY_BLOCK
+    assert sum(flushes) < wall
     assert homogeneous.sasaki_energy is energy

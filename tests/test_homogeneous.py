@@ -15,7 +15,6 @@ from milne_lab.homogeneous import (
     ConstraintSingularError,
     HomogeneousRun,
     _closure_nodes,
-    _linspace_rows,
     evolve_homogeneous,
     hamiltonian_constraint_b,
     isotropic_moments,
@@ -613,32 +612,72 @@ class TestAbortOrder:
         assert want.abort_reason == f"{first} at T={full.T[row]}"
 
 
+class TestSteppingContract:
+    """A lapse range or spot check failure stops the stepping at its log
+    point; a pole, found by the measurement after the stepping, does not.
+    Counted in closure calls: one for ``rho0``, one a log point and four a
+    step."""
+
+    ARGS, KWARGS, ROWS = TestAbortOrder.ARGS, TestAbortOrder.KWARGS, \
+        TestAbortOrder.ROWS
+    lapse_tol = TestAbortOrder.lapse_tol
+    pole_patch = TestAbortOrder.pole_patch
+    spot_patch = TestAbortOrder.spot_patch
+
+    @pytest.fixture(scope="class")
+    def full(self):
+        return evolve_homogeneous(*self.ARGS, **self.KWARGS)
+
+    def closure_calls(self, monkeypatch, patch, **kwargs):
+        patch()
+        closure, calls = homogeneous.scaling_closure_moments, []
+
+        def counted(*args):
+            calls.append(None)
+            return closure(*args)
+
+        monkeypatch.setattr(homogeneous, "scaling_closure_moments", counted)
+        run = evolve_homogeneous(*self.ARGS, **self.KWARGS, **kwargs)
+        return run, len(calls)
+
+    @pytest.mark.parametrize("row", ROWS)
+    @pytest.mark.parametrize("check", ["lapse", "spot"])
+    def test_inline_failure_stops_the_stepping(self, monkeypatch, full,
+                                               check, row):
+        if check == "lapse":
+            run, calls = self.closure_calls(
+                monkeypatch, lambda: None, lapse_tol=self.lapse_tol(full, row))
+        else:
+            run, calls = self.closure_calls(
+                monkeypatch, self.spot_patch(monkeypatch, full, row))
+        assert run.T.size == row and not run.completed
+        assert calls == 1 + (row + 1) + 4 * row * self.KWARGS["log_every"]
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_pole_steps_the_whole_run(self, monkeypatch, full, row):
+        run, calls = self.closure_calls(
+            monkeypatch, self.pole_patch(monkeypatch, full, row))
+        assert run.abort_reason == f"constraint pole at T={full.T[row]}"
+        n_steps, log_every = self.ARGS[3], self.KWARGS["log_every"]
+        assert calls == 1 + (n_steps // log_every + 1) + 4 * n_steps
+
+
 class TestBatchedNumpy:
-    """The numpy calls that the block flush makes on stacked rows give
+    """The numpy calls that the measurement makes on stacked rows give
     each row bitwise its one-row call."""
 
     @pytest.mark.parametrize("n", [2, 3, 9, 65, 257])
     def test_linspace_with_array_stops(self, n):
-        stops = np.concatenate([[2.0, 1e-3], np.random.default_rng(n)
-                                .uniform(0.5, 5.0, size=62)])
-        grids = np.linspace(0.0, stops, n, axis=-1)
-        assert grids.shape == (64, n)
-        for grid, stop in zip(grids, stops):
-            assert_bitwise(grid, np.linspace(0.0, float(stop), n))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.sampled_from([1, 7, 64]), st.sampled_from([2, 3, 9, 65, 257]),
-           st.lists(st.floats(min_value=1e-300, max_value=1e300),
-                    min_size=64, max_size=64))
-    def test_buffered_grid_is_linspace(self, m, n, stops):
-        # the flush's grids, written into a buffer, are numpy's own
-        stops = np.array(stops[:m])
-        out = np.full((m, n), np.nan)
-        got = _linspace_rows(stops, np.arange(n, dtype=float), out)
-        assert got is out
-        assert_bitwise(got, np.linspace(0.0, stops, n, axis=-1))
-        for grid, stop in zip(got, stops.tolist()):
-            assert_bitwise(grid, np.linspace(0.0, stop, n))
+        # blocks of 1, 7 and 64 grids, their stops from 1e-300 to 1e300
+        rng = np.random.default_rng(n)
+        stops = np.concatenate([[2.0, 1e-3, 1e-300, 1e300],
+                                10.0 ** rng.uniform(-300.0, 300.0, size=10),
+                                rng.uniform(0.5, 5.0, size=50)])
+        for m in (1, 7, 64):
+            grids = np.linspace(0.0, stops[:m], n, axis=-1)
+            assert grids.shape == (m, n)
+            for grid, stop in zip(grids, stops[:m].tolist()):
+                assert_bitwise(grid, np.linspace(0.0, stop, n))
 
     @pytest.mark.parametrize("n_q", [9, 65, 257])
     def test_ppoly_on_a_stack(self, n_q):
