@@ -36,7 +36,14 @@ is the cost of a step that does not grow with the particles (a
 1-particle run at 5000 against 2500 steps).  The ``accuracy`` section
 gives the observed order of classical Runge-Kutta under step halving
 (``log2`` of successive max-norm differences at h, h/2, h/4) for one
-fixed configuration of each ``TestConvergenceOrder``.  The ``memory``
+fixed configuration of each ``TestConvergenceOrder``.  The ``chunks``
+section sweeps ``transport._CHUNK`` over fixed sizes and the size the
+package derives, at 10^5 particles x 100 steps with a summary log (as
+``chars_wide`` runs) on a budget of one and two workers, the sizes in
+rotating order over five rounds; per size it gives the chunks per
+worker, the MiB of one chunk's buffers, the median and quartiles of the
+walls and the paired ratio to 8192, the size before ``_CHUNK`` was
+derived from the L2.  The ``memory``
 section runs one ``characteristics`` run at the ``chars_wide`` size and
 one default ``full_report``, each twice in a fresh process of its own:
 it records the peak RSS (``VmHWM``) after the first run, the scipy
@@ -49,13 +56,14 @@ non-comment lines of the package, per module in
 ``source_lines_by_module``.
 
 The sections run in the order ``report``, ``scenarios``, ``accuracy``,
-``transport_scaling``, ``memory``, each section's seconds recorded in
-``section_seconds``; on a 2-vCPU VM they took about 30, 35, 0.1, 75 and
-7 s.  ``report`` and ``scenarios`` come before the 10^5-particle runs:
-the large buffers those free raise glibc's mmap and trim thresholds for
+``chunks``, ``transport_scaling``, ``memory``, each section's seconds
+recorded in ``section_seconds``; on a 2-vCPU VM they took about 30, 35,
+0.1, 115, 75 and 7 s.  ``report`` and ``scenarios`` come before the
+10^5-particle runs: the large buffers those free raise glibc's mmap and
+trim thresholds for
 the rest of the process, after which a ``full_report`` no longer pays
 the page faults a fresh process pays for its temporaries.  Standard
-library plus numpy (and scipy in the probe process); about 2.5 minutes
+library plus numpy (and scipy in the probe process); about 4.5 minutes
 in all::
 
     python bench/bench.py --src PARENT_CHECKOUT/src --out before.json
@@ -89,6 +97,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = ((1_000, 1_000), (10_000, 200), (100_000, 50))
 THREADS = (1, 2)
 FIXED_STEPS = 2500  # a 1-particle run at this many steps and twice as many
+# the chunk sweep: transport._CHUNK at each of these sizes, at the size the
+# package derives and at CHUNK_BASE, the size before it was derived from
+# the L2, over CHUNK_ROUNDS rounds of summary runs at the chars_wide size
+CHUNK_SIZES = (2048, 3072, 4096, 5120, 6144, 7168, 8192)
+CHUNK_BASE = 8192
+CHUNK_RUN = (100_000, 100)
+CHUNK_ROUNDS = 5
 # probed calls of each figure: over four alternating pairs of fresh
 # processes the scaled full_report walls of ten runs kept the two trees of
 # a 10 % gain apart, those of three runs did not
@@ -143,7 +158,8 @@ def git_dirty(src: Path):
     return bool(out.stdout.strip())
 
 
-def run_once(transport, frame0, n: int, steps: int, threads: int) -> tuple:
+def run_once(transport, frame0, n: int, steps: int, threads: int,
+             full_log: bool = True) -> tuple:
     """Wall time of the integration and largest |mass-shell residual| at
     the logged times."""
     import numpy as np
@@ -157,9 +173,9 @@ def run_once(transport, frame0, n: int, steps: int, threads: int) -> tuple:
     t0 = time.perf_counter()
     log, _ = transport.integrate_characteristics(
         ens, provider, frame0, frame0.T + steps * H, H, mode="derived",
-        log_every=max(1, steps // 10), threads=threads)
+        log_every=max(1, steps // 10), threads=threads, full_log=full_log)
     elapsed = time.perf_counter() - t0
-    return elapsed, float(np.max(np.abs(log.massshell_residual)))
+    return elapsed, float(np.max(log.max_residual))
 
 
 # one run_once in a fresh process; prints the peak RSS, in MB, of the
@@ -488,7 +504,8 @@ def scenarios_section() -> dict:
         cfg = harness.validate_config({"scenario": scenario, "seed": 0})
         harness.run_scenario(cfg)  # first-call costs
         # the probe runs one kernel per worker the run can use
-        workers = min(threads, -(-cfg.particleCount // transport._CHUNK))
+        workers = transport._workers(
+            threads, -(-cfg.particleCount // transport._CHUNK))
         walls[scenario] = (
             probed_walls(lambda: harness.run_scenario(cfg), "wide", workers)
             if scenario == "characteristics" else
@@ -635,6 +652,92 @@ def fixed_cost(transport, frame0) -> dict:
     return entry
 
 
+def chunk_rows(transport, frame0) -> int:
+    """Rows of one float per particle that the buffers of one chunk take:
+    those ``transport._rows`` allocates in a one-particle summary run."""
+    rows, counted = transport._rows, []
+
+    def counting(m, n):
+        counted.append(m)
+        return rows(m, n)
+
+    transport._rows = counting
+    try:
+        run_once(transport, frame0, 1, 1, 1, full_log=False)
+    finally:
+        transport._rows = rows
+    return sum(counted)
+
+
+def chunks_section() -> dict:
+    """Wall of a summary run of ``CHUNK_RUN`` particles x steps with
+    ``transport._CHUNK`` at each of ``CHUNK_SIZES``, ``CHUNK_BASE`` and
+    the size the package derives, on a budget of each of ``THREADS``:
+    ``CHUNK_ROUNDS`` rounds, each running every size once, in an order
+    rotated by one size a round.  Per size: its chunks per worker and
+    MiB per chunk, the median and quartiles of its walls, and the median
+    over rounds of its wall over that of ``CHUNK_BASE`` in the same
+    round."""
+    from milne_lab import transport
+    from milne_lab.geometry import make_time_frame
+
+    frame0 = make_time_frame(-1.0, 0.0)
+    n, steps = CHUNK_RUN
+    derived = transport._CHUNK
+    sizes = sorted({*CHUNK_SIZES, CHUNK_BASE, derived})
+    rows = chunk_rows(transport, frame0)
+    run_once(transport, frame0, 1_000, 10, 1)  # first-call costs
+    sweeps = []
+    try:
+        for threads in THREADS:
+            walls = {size: [] for size in sizes}
+            for r in range(CHUNK_ROUNDS):
+                for size in sizes[r % len(sizes):] + sizes[:r % len(sizes)]:
+                    transport._CHUNK = size
+                    walls[size].append(run_once(
+                        transport, frame0, n, steps, threads,
+                        full_log=False)[0])
+            for size in sizes:
+                transport._CHUNK = size
+                chunks, jobs = transport._split(
+                    n, transport._workers(threads, -(-n // size)))
+                # the middle quartile is the median
+                q1, median, q3 = statistics.quantiles(walls[size], n=4)
+                particles = max(hi - lo for lo, hi in chunks)
+                ratio = statistics.median(
+                    w / b for w, b in zip(walls[size], walls[CHUNK_BASE]))
+                mib = 8 * rows * particles / 2**20
+                sweeps.append({
+                    "threads": threads, "chunk": size,
+                    "derived": size == derived, "workers": len(jobs),
+                    "chunks_per_worker": len(jobs[0]),
+                    "particles_per_chunk": particles,
+                    "mib_per_chunk": round(mib, 3),
+                    "wall_s": round(median, 4),
+                    "wall_q1_s": round(q1, 4), "wall_q3_s": round(q3, 4),
+                    "walls_s": [round(w, 4) for w in walls[size]],
+                    "ratio_to_base": round(ratio, 4),
+                })
+                print(f"chunk {size:>5}, {threads} thread(s): "
+                      f"{len(jobs[0]):>3} chunks of {particles} per worker, "
+                      f"{mib:.2f} MiB each: {median:.3f} s ({q1:.3f}-"
+                      f"{q3:.3f}), {ratio:.3f} x {CHUNK_BASE}")
+    finally:
+        transport._CHUNK = derived
+    return {
+        "config": f"{n} particles x {steps} steps, summary log, "
+                  f"manufactured_lapse_fields({EPS}), h {H}",
+        "derived_chunk": derived,
+        "rows_per_chunk": rows,
+        "rounds": CHUNK_ROUNDS,
+        "statistic": f"median and quartiles of the integration walls over "
+                     f"{CHUNK_ROUNDS} rounds, sizes in rotating order; "
+                     f"ratio_to_base: the median over rounds of the wall "
+                     f"over the wall at {CHUNK_BASE} in the same round",
+        "sweeps": sweeps,
+    }
+
+
 def transport_section() -> dict:
     """ns per particle-step at each of ``SIZES`` on each of ``THREADS``,
     raw and scaled (``probed_walls`` with the ``wide`` kernel), with the
@@ -655,7 +758,7 @@ def transport_section() -> dict:
                 runs.append(run_once(transport, frame0, n, steps, threads))
 
             # the probe runs one kernel per worker the run can use
-            workers = min(threads, -(-n // transport._CHUNK))
+            workers = transport._workers(threads, -(-n // transport._CHUNK))
             walls = probed_walls(timed, "wide", workers,
                                  figure=lambda: {"run": [runs[-1][0]]})
             rows.append({
@@ -689,6 +792,7 @@ SECTIONS = {
     "report": report_section,
     "scenarios": scenarios_section,
     "accuracy": accuracy_section,
+    "chunks": chunks_section,
     "transport_scaling": transport_section,
     "memory": memory_section,
 }

@@ -49,9 +49,8 @@ particles.
 Every row of the hot loop (state, stage, slope, field and scratch rows)
 starts on a 64-byte cache line: :func:`_rows` cuts each block at a line
 boundary and pads the row stride to whole lines.  ``np.empty`` makes no
-such promise: the ``(7, 8192)`` block of a full chunk typically starts
-16 bytes past a line, and as 8192 doubles fill whole lines, so does each
-of its rows; in a chunk of another size the rows drift across offsets.
+such promise: a ``(7, n)`` block typically starts 16 bytes past a line,
+and unless ``n`` doubles fill whole lines its rows drift across offsets.
 A misaligned row splits every AVX-512 load and store across two lines;
 a 25 000-element ``np.multiply`` took 7.6-7.8 us with aligned operands
 against 15-17 us at offsets of 8 to 32 bytes (median of 2000 calls,
@@ -62,10 +61,13 @@ run every offset).
 
 The particles are split into at most ``threads`` contiguous shares,
 one per worker process, and each share into chunks of at most
-``_CHUNK`` (sized for L2: the buffers of one chunk are 47 rows), each
-integrated over the whole run with its kernels bound once.  The calling
-process integrates the first share and forks a child for each other
-one; the children write their log rows into a shared anonymous map.
+``_CHUNK``, each integrated over the whole run with its kernels bound
+once.  The buffers of one chunk are ``_CHUNK_ROWS`` = 47 rows of one
+float per particle, and ``_CHUNK`` is the most particles whose 47 rows
+fill 15/16 of a 2 MiB per-core L2 (``_L2_BYTES``): 5228, 1.87 MiB.
+The calling process integrates the first share and forks a child for
+each other one; the children write their log rows into a shared
+anonymous map.
 Nothing couples particles, so the output is bitwise independent of the
 chunk size and of the worker count.  The row-wise dot product
 :func:`_dot3` adds its three products as ``(a0 b0 + a2 b2) + a1 b1``,
@@ -77,10 +79,12 @@ different rounding would change the logged trajectories).
 A full log stores every particle's state, ``G`` and residual at each log
 row; its last row is the final state.  A summary log (``full_log=False``,
 what the ``characteristics`` scenario asks for) observes ``G`` and the
-residual of a chunk in two scratch rows and keeps only their per-row
-maxima, ``calG`` and ``max_residual``, and no final state.  A maximum is exact in any order
-of reduction and ``np.max`` passes a NaN through, so these equal the
-maxima of the full log bit for bit.
+residual of a chunk in the first two rows of a slope buffer, which are
+free at a log row (the step is done, and the next step's kernel writes
+its slopes in full before it reads them), and keeps only their per-row
+maxima, ``calG`` and ``max_residual``, and no final state.  A maximum is
+exact in any order of reduction and ``np.max`` passes a NaN through, so
+these equal the maxima of the full log bit for bit.
 """
 
 from __future__ import annotations
@@ -462,20 +466,29 @@ class TrajectoryLog:
     flagged: np.ndarray            # (n,) bool: left the flow, frozen since
 
 
-# Particles per chunk.  Each chunk is integrated over the whole run in
-# its own buffers, 47 cache-line-aligned rows of 8-byte floats per
-# particle (3 MB at 8192).  Swept at 10^5 particles x 100 steps on a
-# 2-vCPU VM with AVX-512 (summary log, medians of five rounds of fresh
-# processes in rotating order), with each chunk's kernels bound once:
-# 2048 / 4096 / 8192 particles took 3.94 / 2.47 / 2.69 s on one worker
-# and 1.38 / 1.26 / 1.22 s on two.  4096 (buffers inside the 2 MB L2)
-# won on one worker but not on two, so the size stays 8192; 2048 pays
-# the fixed cost of a step (about 0.2 ms) on 49 chunks, not 13.  Before
-# the kernels were bound, 4096 / 8192 / 16384 / 25000 took 2.53 / 2.27 /
-# 2.70 / 2.78 s on one worker and 1.40 / 1.29 / 1.36 / 1.51 s on two.
+# The buffers of one chunk, in rows of one 8-byte float per particle: the
+# four (7, n) blocks of an RK4 step (state, stage state, two slope
+# buffers), the (9, n) field block and the scratch rows, in either log mode.
+_CHUNK_ROWS = 4 * 7 + 9 + _SCRATCH_ROWS
+# The per-core L2 the buffers of a chunk are sized for, assumed rather
+# than probed: on another L2 a run loses speed, never a result bit.
+_L2_BYTES = 2 << 20
+
+# Particles per chunk: the most whose buffers fill 15/16 of the L2 (5228,
+# 1.87 MiB), leaving a sixteenth to whatever else the loop touches.
+# Each chunk is integrated over the whole run in its own buffers, with its
+# kernels bound once.  Swept at 10^5 particles x 100 steps with a summary
+# log on a 2-vCPU Xeon VM with a 2 MiB L2 per core (the chunks section of
+# bench/bench.py: medians of five rounds, sizes in rotating order), 2048 /
+# 3072 / 4096 / 5120 / 6144 / 7168 / 8192 took 3.00 / 1.78 / 1.86 / 1.69 /
+# 1.84 / 1.99 / 2.02 s on one worker and 1.02 / 0.93 / 0.90 / 0.83 / 0.88
+# / 0.96 / 0.96 s on two.  The cap cuts each share into chunks of 5000
+# (1.79 MiB), as 5120 does: 0.83 of 8192's wall on one worker and 0.86 on
+# two, paired by round.  Chunks past the L2 (6144 and up) wait on memory;
+# smaller ones pay the fixed cost of a step (about 0.2 ms) more often.
 # Each worker is a process of its own, so a chunk's short numpy calls
 # never wait on another worker's.
-_CHUNK = 8192
+_CHUNK = _L2_BYTES * 15 // 16 // (8 * _CHUNK_ROWS)
 
 
 def _workers(threads: int, chunks: int) -> int:
@@ -650,8 +663,8 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
     fields ``T``, ``calG``, ``max_residual``, ``total_weight`` and
     ``flagged``, its per-particle fields are ``None``, and the call
     returns ``(log, None)``.  Each chunk then observes ``G`` and the
-    residual in its own scratch rows and keeps only their maxima.  A
-    maximum does not depend on the order of reduction (and ``np.max``
+    residual in two rows of a slope buffer and keeps only their maxima.
+    A maximum does not depend on the order of reduction (and ``np.max``
     passes a NaN through), so the summary fields equal those of the full
     log bit for bit.
     """
@@ -712,11 +725,12 @@ def integrate_characteristics(ensemble: ParticleEnsemble,
         flagged[:] = False
         top[i] = -np.inf
         frozen = False
-        observed = None if full_log else _rows(2, hi - lo)  # G, residual
 
         def record(row: int, T: float, y: np.ndarray) -> None:
+            # a summary observes G and the residual in the slope rows k[0:2],
+            # free between steps
             G, res = ((log.G[row, lo:hi], log.massshell_residual[row, lo:hi])
-                      if full_log else observed)
+                      if full_log else k[0:2])
             flow.observe(T, y, G, res)
             if full_log:
                 log.p0[row, lo:hi] = y[6]

@@ -85,6 +85,35 @@ def test_accuracy_section_runs(bench, tmp_path):
         assert abs(order - 4.0) <= 0.2, (key, order)
 
 
+def test_chunks_section_runs(bench, monkeypatch):
+    from milne_lab import transport
+
+    monkeypatch.setattr(bench, "CHUNK_SIZES", (4,))
+    monkeypatch.setattr(bench, "CHUNK_BASE", 8)
+    monkeypatch.setattr(bench, "CHUNK_RUN", (20, 3))
+    monkeypatch.setattr(bench, "CHUNK_ROUNDS", 2)
+    derived = transport._CHUNK
+    section = bench.chunks_section()
+    assert transport._CHUNK == derived
+    assert section["rows_per_chunk"] == transport._CHUNK_ROWS
+    sweeps = {(row["threads"], row["chunk"]): row for row in section["sweeps"]}
+    assert sorted(sweeps) == [(t, c) for t in bench.THREADS
+                              for c in (4, 8, derived)]
+    for (threads, chunk), row in sweeps.items():
+        assert len(row["walls_s"]) == 2
+        assert row["wall_q1_s"] <= row["wall_s"] <= row["wall_q3_s"]
+        assert row["derived"] is (chunk == derived)
+        if chunk == 8:
+            assert row["ratio_to_base"] == 1.0
+    # 20 particles in chunks of at most 4: five on one worker, and three
+    # of at most 4 in each share of 10 on two (where two CPUs are free)
+    assert sweeps[1, 4]["chunks_per_worker"] == 5
+    assert sweeps[1, 4]["particles_per_chunk"] == 4
+    assert sweeps[1, derived]["chunks_per_worker"] == 1
+    if sweeps[2, 4]["workers"] == 2:
+        assert sweeps[2, 4]["chunks_per_worker"] == 3
+
+
 def test_src_sha256_follows_names_and_bytes(bench, tmp_path):
     package = tmp_path / "milne_lab"
     package.mkdir()

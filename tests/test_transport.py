@@ -575,6 +575,34 @@ class TestSummaryLog:
         assert (fin is None) is not full_log
 
 
+class TestSummaryInSlopeRows:
+    """A summary log observes G and the residual in two slope rows, which
+    the next step overwrites before it reads them."""
+
+    @pytest.mark.parametrize("name", sorted(SUMMARY_PROVIDERS))
+    def test_every_step_logged_gives_the_full_logs_row_maxima(
+            self, name, forks, monkeypatch):
+        # a log row after every step: a slope row read before the kernel
+        # writes it would carry G or a residual into the trajectory
+        monkeypatch.setattr(transport, "_CHUNK", 7)  # six chunks
+        provider = SUMMARY_PROVIDERS[name]()
+        kw = dict(n=40, span=0.2, h=1e-2, log_every=1, threads=2)
+        full, _ = run(provider, **kw)
+        summary, _ = run(provider, full_log=False, **kw)
+        assert len(forks) == 2  # one child per run
+        # a particle flagged by a row has the state of the row before it
+        live = np.ones(full.G.shape, dtype=bool)
+        live[1:] = (full.x[1:] != full.x[:-1]).any(axis=2)
+        G_max = np.where(live, full.G, -np.inf).max(axis=1)
+        calG = np.where(np.isneginf(G_max), 0.0, np.sqrt(G_max))
+        assert same_bits(summary.calG, calG)
+        assert same_bits(summary.max_residual,
+                         np.max(np.abs(full.massshell_residual), axis=1))
+        if name in ("flagging", "NaN residual"):
+            assert 0 < int(np.sum(summary.flagged)) < 40
+            assert not live.all()
+
+
 REFERENCE_PROVIDERS = {
     "row_form_derived": lambda: manufactured_lapse_fields(0.3),
     "nan_front": nan_front_provider,
@@ -727,6 +755,27 @@ class TestRowAlignment:
         f = hooked_provider(checked_fill, 0.3)(0.3, ens.x)
         assert calls == [(3, n)]
         assert_starts_on_lines(f.N, f.dTN)
+
+
+class TestChunkBuffers:
+    """The buffers of a chunk are the rows ``_CHUNK`` is derived from."""
+
+    def test_a_chunk_allocates_its_rows_in_either_log_mode(self,
+                                                           monkeypatch):
+        rows, counted = transport._rows, []
+
+        def counting(m, n):
+            counted[-1] += m
+            return rows(m, n)
+
+        monkeypatch.setattr(transport, "_rows", counting)
+        for full_log in (True, False):
+            counted.append(0)
+            run(manufactured_lapse_fields(0.3), n=100, span=0.05, h=1e-2,
+                log_every=2, full_log=full_log)
+        assert counted == [transport._CHUNK_ROWS] * 2
+        assert transport._CHUNK * transport._CHUNK_ROWS * 8 \
+            <= transport._L2_BYTES
 
 
 def unbound_run(bind, ens, steps, h):
