@@ -48,8 +48,11 @@ section runs one ``characteristics`` run at the ``chars_wide`` size and
 one default ``full_report``, each twice in a fresh process of its own:
 it records the peak RSS (``VmHWM``) after the first run, the scipy
 subpackages the report loaded, and the ``tracemalloc`` peak of the
-second run, which nothing the bench ran before can change.  Each record
-names the tree it timed by
+second run, which nothing the bench ran before can change.  It also
+runs ``homogeneous`` and ``full_report`` with ``LONG_LOG`` (a log row
+every step, 100 001 rows), each once in a fresh process that then
+writes its report with ``emit_report``, and records that process's peak
+RSS and the seconds of the write.  Each record names the tree it timed by
 ``git_sha`` and by ``src_sha256``, a digest of the package files that a
 ``git archive`` copy keeps too; ``source_lines`` counts the non-blank,
 non-comment lines of the package, per module in
@@ -58,12 +61,12 @@ non-comment lines of the package, per module in
 The sections run in the order ``report``, ``scenarios``, ``accuracy``,
 ``chunks``, ``transport_scaling``, ``memory``, each section's seconds
 recorded in ``section_seconds``; on a 2-vCPU VM they took about 30, 35,
-0.1, 115, 75 and 7 s.  ``report`` and ``scenarios`` come before the
+0.1, 115, 75 and 27 s.  ``report`` and ``scenarios`` come before the
 10^5-particle runs: the large buffers those free raise glibc's mmap and
 trim thresholds for
 the rest of the process, after which a ``full_report`` no longer pays
 the page faults a fresh process pays for its temporaries.  Standard
-library plus numpy (and scipy in the probe process); about 4.5 minutes
+library plus numpy (and scipy in the probe process); about 5 minutes
 in all::
 
     python bench/bench.py --src PARENT_CHECKOUT/src --out before.json
@@ -108,6 +111,9 @@ CHUNK_ROUNDS = 5
 # processes the scaled full_report walls of ten runs kept the two trees of
 # a 10 % gain apart, those of three runs did not
 WALL_REPEATS = 10
+# the memory section's long log: 100 001 rows of homogeneous and of
+# full_report at the default span
+LONG_LOG = {"h": 5e-5, "logEvery": 1}
 H = 1e-3
 EPS = 1e-3
 # the machine-speed probe of perfbench/run.py: seconds of each kernel at
@@ -220,6 +226,26 @@ tracemalloc.start()
 harness.run_scenario(cfg)
 peak = tracemalloc.get_traced_memory()[1] / 2**20
 print(json.dumps([hwm / 1024.0, scipy_loaded, peak]))
+"""
+
+
+# one harness run of the config in argv[2] in a fresh process, its CSV and
+# JSON then written by emit_report into a temporary directory; prints the
+# process's peak RSS in MB (VmHWM, as in RSS_RUN) after the write and the
+# seconds of the emit_report call
+LOG_RUN = """
+import json, sys, tempfile, time
+sys.path[:0] = sys.argv[1:2]  # milne_lab's tree
+from milne_lab import harness
+result = harness.run_scenario(harness.validate_config(json.loads(sys.argv[2])))
+with tempfile.TemporaryDirectory() as out:
+    start = time.perf_counter()
+    harness.emit_report(result, out)
+    seconds = time.perf_counter() - start
+with open("/proc/self/status") as status:
+    hwm = next(int(line.split()[1]) for line in status
+               if line.startswith("VmHWM:"))
+print(json.dumps([hwm / 1024.0, seconds]))
 """
 
 
@@ -602,10 +628,29 @@ def fresh_peaks(harness, raw, env=None) -> tuple:
     return round(rss, 1), scipy_loaded, round(peak, 2)
 
 
+def long_log_peaks(harness, extra: dict) -> dict:
+    """Peak RSS (VmHWM, MB) of a fresh process that runs ``homogeneous``
+    and ``full_report`` with ``extra`` and writes the run's report, and
+    the seconds of that ``emit_report`` call, per scenario
+    (:data:`LOG_RUN`)."""
+    src = Path(harness.__file__).resolve().parent.parent
+    figures = {}
+    for scenario in ("homogeneous", "full_report"):
+        out = subprocess.run(
+            [sys.executable, "-c", LOG_RUN, str(src),
+             json.dumps({"scenario": scenario, "seed": 0, **extra})],
+            cwd=ROOT, capture_output=True, text=True, check=True)
+        rss, seconds = json.loads(out.stdout.splitlines()[-1])
+        figures[scenario] = {"peak_rss_mb": round(rss, 1),
+                             "emit_report_s": round(seconds, 3)}
+    return figures
+
+
 def memory_section() -> dict:
     """Peak RSS and ``tracemalloc`` peak of one ``characteristics`` run at
     the ``chars_wide`` size and of a default ``full_report``, each in a
-    fresh process (:func:`fresh_peaks`)."""
+    fresh process (:func:`fresh_peaks`), and the peak RSS and report
+    write of a run that logs every step (:func:`long_log_peaks`)."""
     from milne_lab import harness
 
     raw = {"scenario": "characteristics", "seed": 0,
@@ -614,6 +659,7 @@ def memory_section() -> dict:
     chars_rss, _, chars_peak = fresh_peaks(harness, raw,
                                            {"MILNE_LAB_THREADS": "2"})
     rss, scipy_loaded, peak = fresh_peaks(harness, report_raw)
+    long_log = long_log_peaks(harness, LONG_LOG)
     section = {
         "config": f"{raw}, MILNE_LAB_THREADS=2",
         "characteristics_peak_mb": chars_peak,
@@ -627,10 +673,20 @@ def memory_section() -> dict:
         "report_scipy_subpackages": scipy_loaded,
         "rss_method": "VmHWM of the fresh process after its first run, "
                       "MB = 2^20 bytes",
+        "long_log_config": str(LONG_LOG),
+        "long_log": long_log,
+        "long_log_method": "VmHWM of a fresh process after one "
+                           "harness.run_scenario and one emit_report into "
+                           "a temporary directory, MB = 2^20 bytes; "
+                           "emit_report_s is the wall of that call",
     }
     print(f"characteristics peak {chars_peak:.2f} MB, peak RSS "
           f"{chars_rss:.1f} MB; report peak {peak:.2f} MB, peak RSS "
           f"{rss:.1f} MB (scipy: {', '.join(scipy_loaded) or 'none'})")
+    for scenario, figures in long_log.items():
+        print(f"{scenario} logging every step: peak RSS "
+              f"{figures['peak_rss_mb']:.1f} MB, emit_report "
+              f"{figures['emit_report_s']:.2f} s")
     return section
 
 

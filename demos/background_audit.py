@@ -41,5 +41,5 @@ result = run_scenario(validate_config({"scenario": "background_check",
                                        "seed": 0}))
 print(f"\nscenario verdict: ok={result['ok']}, worst residual "
       f"{result['summary']['worst_residual']:.3e}")
-for name, value in result["log"].rows:
+for name, value in zip(*result["log"].values):
     print(f"  {name}: {value:.3e}")

@@ -17,7 +17,8 @@ reported verbatim.  The five scenarios are
   continuation, completeness).
 
 Outputs are a per-scenario CSV log and a JSON report, both byte-stable
-for a fixed ``(config, seed)`` pair; the process exit code is 0 exactly
+for a fixed ``(config, seed)`` pair; the CSV is written row by row from
+the columns of a :class:`RunLog`.  The process exit code is 0 exactly
 when every enabled monitor holds (``--strict`` additionally enforces a
 margin floor).  The ``MILNE_LAB_THREADS`` environment variable caps
 the worker processes among which the characteristic integrator shares
@@ -438,23 +439,23 @@ CONFIG_SCHEMA = {
 
 @dataclass
 class RunLog:
-    """The CSV table of a run: its column names and its rows.
-
-    Every row must be as wide as ``columns``, and a ``T`` column must
-    increase strictly down the rows; either fault is a ``ValueError``
-    when the log is built.
+    """The CSV table of a run as columns: one sequence of values per name
+    (none if the log has no rows), all of one length, the run's own float
+    array where it has one, written row by row by :func:`emit_report`.  A
+    ``T`` column must increase strictly; a fault is a ``ValueError``.
     """
 
     columns: list
-    rows: list = field(default_factory=list)
+    values: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if any(len(row) != len(self.columns) for row in self.rows):
-            raise ValueError("row width does not match the columns")
-        if "T" in self.columns:
-            i = self.columns.index("T")
-            if any(not b[i] > a[i] for a, b in zip(self.rows, self.rows[1:])):
-                raise ValueError("time column must be strictly increasing")
+        if (len(self.values) not in (0, len(self.columns))
+                or len(set(map(len, self.values))) > 1):
+            raise ValueError("one column per name, all of one length")
+        T = np.asarray(dict(zip(self.columns, self.values)).get("T", ()),
+                       dtype=float)
+        if not np.all(T[1:] > T[:-1]):  # NaN fails too
+            raise ValueError("time column must be strictly increasing")
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +505,7 @@ def _run_background_check(cfg: ScenarioConfig) -> dict:
     checks["hamiltonian_b_minus_1"] = abs(
         homogeneous.hamiltonian_constraint_b(0.0, frame) - 1.0)
 
-    log = RunLog(["check", "residual"],
-                 [[name, val] for name, val in sorted(checks.items())])
+    log = RunLog(["check", "residual"], [*zip(*sorted(checks.items()))])
     lapse_exact = (N0 == BACKGROUND_LAPSE)
     worst = max(checks.values())
     monitors = {"fixed_point": {"holds": bool(worst < 1e-12),
@@ -525,14 +525,14 @@ def _run_modes(cfg: ScenarioConfig) -> dict:
     sweep = modes.mode_sweep(cfg.lambdaGrid, (cfg.T0, cfg.Tend),
                              round(_steps(cfg)), cfg.epsPrime)
     log = RunLog(modes.MODE_CSV_COLUMNS,
-                 [[m[k] for k in modes.MODE_CSV_COLUMNS] for m in sweep])
+                 [[m[k] for m in sweep] for k in modes.MODE_CSV_COLUMNS])
     per_mode = {_mode_key(m["lambda"]):
                 {k: v for k, v in m.items() if k != "lambda"} for m in sweep}
     monitors = {"rate_table": {"holds": all(v["holds"]
                                             for v in per_mode.values()),
                                "modes": per_mode}}
     return {"log": log, "monitors": monitors,
-            "summary": {"n_modes": len(log.rows)}}
+            "summary": {"n_modes": len(sweep)}}
 
 
 def _fit_window(T: np.ndarray) -> tuple:
@@ -585,9 +585,13 @@ def _homogeneous_verdict(cfg: ScenarioConfig, run, E6=None) -> tuple:
     return mons, summary
 
 
+def _columns(run) -> list:  # the series of the homogeneous CSV columns
+    return [getattr(run, name) for name in homogeneous.HOMOGENEOUS_CSV_COLUMNS]
+
+
 def _run_homogeneous(cfg: ScenarioConfig) -> dict:
     run = _homogeneous_run(cfg)
-    log = RunLog(homogeneous.HOMOGENEOUS_CSV_COLUMNS, run.rows())
+    log = RunLog(homogeneous.HOMOGENEOUS_CSV_COLUMNS, _columns(run))
     if not run.completed:
         return {"log": log, "monitors": {},
                 "summary": {"abort": run.abort_reason}}
@@ -622,9 +626,7 @@ def _run_characteristics(cfg: ScenarioConfig) -> dict:
                              "margin": gron["margin"]},
     }
     log = RunLog(["T", "calG", "max_residual", "envelope"],
-                 [[float(t), float(g), float(r), float(e)]
-                  for t, g, r, e in zip(log_t.T, log_t.calG,
-                                        log_t.max_residual, gron["envelope"])])
+                 [log_t.T, log_t.calG, log_t.max_residual, gron["envelope"]])
     return {"log": log, "monitors": monitors,
             "summary": {"max_residual": max_res, "flagged": flagged,
                         "final_calG": float(log_t.calG[-1])}}
@@ -665,7 +667,7 @@ def _run_full_report(cfg: ScenarioConfig) -> dict:
     summary["Etot_T0"] = mons["totalDecay"]["Etot0"]
 
     log = RunLog(homogeneous.HOMOGENEOUS_CSV_COLUMNS + ["E6"],
-                 [row + [float(e)] for row, e in zip(run.rows(), E6)])
+                 _columns(run) + [E6])
     rates_ok = ("unfitted" not in summary
                 and abs(summary["lapse_rate"] - 1.0) <= 0.1
                 and abs(summary["tau2_eta_under_rate"] - 2.0) <= 0.1
@@ -716,9 +718,11 @@ def _json_default(obj):
 
 
 def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+# rows of a log that emit_report turns into Python objects at a time
+_WRITE_ROWS = 4096
 
 
 def validate_report(report: dict) -> None:
@@ -747,8 +751,13 @@ def emit_report(result: dict, out_dir: str) -> dict:
     csv_path = os.path.join(out_dir, f"{cfg.scenario}_log.csv")
     with open(csv_path, "w", newline="\n") as fh:
         fh.write(",".join(log.columns) + "\n")
-        for row in log.rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, max(map(len, log.values), default=0), _WRITE_ROWS):
+            # Python floats for _fmt, which would write a float64 as
+            # np.float64(x)
+            block = (v[lo:lo + _WRITE_ROWS] for v in log.values)
+            for row in zip(*(v.tolist() if isinstance(v, np.ndarray) else v
+                             for v in block)):
+                fh.write(",".join(map(_fmt, row)) + "\n")
     report = {
         "schemaVersion": REPORT_SCHEMA["schemaVersion"],
         "scenario": cfg.scenario,

@@ -140,11 +140,6 @@ class HomogeneousRun:
     completed: bool
     abort_reason: Optional[str] = None
 
-    def rows(self) -> list:
-        """CSV rows following :data:`HOMOGENEOUS_CSV_COLUMNS`."""
-        cols = [getattr(self, name) for name in HOMOGENEOUS_CSV_COLUMNS]
-        return [list(map(float, vals)) for vals in zip(*cols)]
-
 
 def _closure_nodes(f0: RadialDistribution, n_nodes: int) -> tuple:
     """Node products and scratch of :func:`scaling_closure_moments`.

@@ -5,7 +5,7 @@ break it unseen.  Every package name and module attribute it reads is
 checked with ``ast``, as ``test_demos.py`` checks the demos, private
 ones included, its cheapest section (about 1 s) is run, and so are the
 ``sasaki_energy`` timers of its ``report`` section, each figure from one
-call.
+call, and its long-log runs of the ``memory`` section at a small size.
 """
 
 import ast
@@ -53,10 +53,13 @@ def test_package_names_read_by_bench_exist(bench):
     reads = set(package_reads(BENCH.read_text()))
     reads |= set(package_reads(bench.RSS_RUN))
     report_reads = set(package_reads(bench.PEAK_RUN))
-    # the fresh process of fresh_peaks runs the scenario through these
+    log_reads = set(package_reads(bench.LOG_RUN))
+    # the fresh processes of fresh_peaks and long_log_peaks run the
+    # scenario through these
     assert {("milne_lab.harness", "run_scenario"),
             ("milne_lab.harness", "validate_config")} <= report_reads
-    reads |= report_reads
+    assert ("milne_lab.harness", "emit_report") in log_reads
+    reads |= report_reads | log_reads
     # the privates the bench leans on are among the names checked
     assert {("milne_lab.harness", "_mode_steps"),
             ("milne_lab.transport", "_CHUNK"),
@@ -112,6 +115,16 @@ def test_chunks_section_runs(bench, monkeypatch):
     assert sweeps[1, derived]["chunks_per_worker"] == 1
     if sweeps[2, 4]["workers"] == 2:
         assert sweeps[2, 4]["chunks_per_worker"] == 3
+
+
+def test_long_log_peaks_run(bench):
+    from milne_lab import harness
+
+    figures = bench.long_log_peaks(harness, {"Tend": 4.0, "h": 0.01,
+                                             "logEvery": 1})
+    assert sorted(figures) == ["full_report", "homogeneous"]
+    for entry in figures.values():
+        assert entry["peak_rss_mb"] > 0.0 and entry["emit_report_s"] > 0.0
 
 
 def test_src_sha256_follows_names_and_bytes(bench, tmp_path):

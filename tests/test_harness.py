@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import milne_lab
-from milne_lab import harness, modes, transport
+from milne_lab import harness, homogeneous, modes, transport
 from milne_lab._quadrature import PANELS
 from milne_lab.energies import MONITOR_THRESHOLDS, TAIL_DOUBLINGS
 from milne_lab.harness import (
@@ -391,16 +391,38 @@ class TestConfigSchema:
 
 class TestRunLog:
     def test_constructor_keeps_checked_rows(self):
-        log = RunLog(["T", "v"], [[0.0, 1.0], [0.5, 0.5]])
-        assert log.rows == [[0.0, 1.0], [0.5, 0.5]]
+        T, v = np.array([0.0, 0.5]), [1.0, 0.5]
+        log = RunLog(["T", "v"], [T, v])
+        assert log.values[0] is T and log.values[1] is v
 
     def test_time_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
-            RunLog(["T", "v"], [[0.0, 1.0], [0.0, 0.9]])
+            RunLog(["T", "v"], [[0.0, 0.0], [1.0, 0.9]])
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="increasing"):
+            RunLog(["T", "v"], [np.array([0.0, np.nan, 1.0]), [1.0] * 3])
 
     def test_row_width_checked(self):
-        with pytest.raises(ValueError, match="width"):
-            RunLog(["T", "v"], [[0.0, 1.0], [0.5]])
+        with pytest.raises(ValueError, match="length"):
+            RunLog(["T", "v"], [[0.0, 0.5], [1.0]])
+        with pytest.raises(ValueError, match="length"):
+            RunLog(["T", "v"], [[0.0, 0.5]])
+
+    def test_array_and_list_columns_write_the_same_bytes(self, tmp_path):
+        # numpy 2 writes repr(np.float64(x)) as np.float64(x), so an array
+        # column must reach the CSV as Python floats
+        values = [-0.0, 5e-324, 1e300, 0.1, 1.0 / 3.0]
+        blobs = []
+        for sub, column in (("array", np.array(values)), ("list", values)):
+            result = {"config": validate_config(base_config()),
+                      "log": RunLog(["T", "v"], [np.arange(5.0), column]),
+                      "monitors": {}, "summary": {}, "ok": True}
+            blobs.append(open(emit_report(result, str(tmp_path / sub))["csv"],
+                              "rb").read())
+        assert blobs[0] == blobs[1]
+        assert blobs[0].splitlines()[1:] == [
+            f"{float(i)!r},{v!r}".encode() for i, v in enumerate(values)]
 
 
 class TestScenarios:
@@ -416,7 +438,7 @@ class TestScenarios:
         for h, every in ((1e-3, 20), (5e-4, 40)):  # same log times
             cfg = validate_config(base_config(scenario="homogeneous",
                                               Tend=3.0, h=h, logEvery=every))
-            logs.append(np.array(run_scenario(cfg)["log"].rows))
+            logs.append(np.array(run_scenario(cfg)["log"].values).T)
         coarse, fine = logs
         assert coarse.shape == fine.shape
         assert np.array_equal(coarse[:, 0], fine[:, 0])
@@ -425,7 +447,7 @@ class TestScenarios:
 
     def test_halving_h_changes_modes_log(self):
         logs = [run_scenario(validate_config(base_config(
-            scenario="modes", h=h)))["log"].rows for h in (0.01, 0.005)]
+            scenario="modes", h=h)))["log"].values for h in (0.01, 0.005)]
         assert logs[0] != logs[1]
 
     def test_unfittable_homogeneous_rates_are_null(self):
@@ -489,11 +511,25 @@ class TestScenarios:
             scenario="characteristics", perturbationEps=-0.5, Tend=0.5)))
         assert result["monitors"]["support_envelope"]["holds"]
 
+    @pytest.mark.parametrize("extra", [
+        {"scenario": "homogeneous", "Tend": 4.0, "h": 0.01},
+        {"scenario": "full_report", "Tend": 4.0, "h": 0.01},
+        {"scenario": "characteristics", "particleCount": 8, "Tend": 0.2,
+         "h": 0.01}], ids=lambda extra: extra["scenario"])
+    def test_log_columns_are_the_run_arrays(self, extra):
+        # the log holds the run's float64 series, not a list per row
+        assert not hasattr(homogeneous.HomogeneousRun, "rows")
+        log = run_scenario(validate_config(base_config(**extra)))["log"]
+        assert len(log.values[0]) > 1
+        for name, column in zip(log.columns, log.values):
+            assert isinstance(column, np.ndarray), name
+            assert column.ndim == 1 and column.dtype == np.float64, name
+
     def test_modes_scenario_rate_table(self):
         result = run_scenario(validate_config(
             base_config(scenario="modes", Tend=8.0)))
         assert result["ok"]
-        assert len(result["log"].rows) == 5
+        assert len(result["log"].values[0]) == 5
 
 
 class TestGuardsSeeTheirRun:

@@ -103,9 +103,9 @@ class TestMatterRun:
         assert np.max(np.abs(run.rho_cont - run.rho_closure)) < 1e-9
 
     def test_rows_match_csv_schema(self, run):
-        rows = run.rows()
-        assert len(rows[0]) == len(HOMOGENEOUS_CSV_COLUMNS)
-        assert rows[0][0] == pytest.approx(0.0)
+        columns = [getattr(run, name) for name in HOMOGENEOUS_CSV_COLUMNS]
+        assert all(c.shape == run.T.shape for c in columns)
+        assert columns[0][0] == pytest.approx(0.0)
 
     def test_weighted_energy_square_decreasing(self, run):
         # the raw norm may grow with the support stretch; the run-level
@@ -293,7 +293,7 @@ class TestRunBitwise:
              "Tend": 3.0, "h": 0.01}))
         assert "abort" not in result["summary"]
         col = HOMOGENEOUS_CSV_COLUMNS.index("E_report")
-        got = [row[col] for row in result["log"].rows]
+        got = result["log"].values[col]
         assert_bitwise(got, [float.fromhex(v) for v in ref[str(radial_nodes)]])
 
     def test_run_aborted_at_T0_has_empty_series(self):
@@ -305,7 +305,8 @@ class TestRunBitwise:
             value = getattr(run, f.name)
             if isinstance(value, np.ndarray):
                 assert value.shape == (0,) and value.dtype == float, f.name
-        assert run.rows() == []
+        assert all(getattr(run, name).size == 0
+                   for name in HOMOGENEOUS_CSV_COLUMNS)
 
 
 def run_arrays(run):
@@ -470,7 +471,7 @@ def test_default_run_solves_its_energy_rows_on_the_sweep(monkeypatch):
     monkeypatch.setattr(energies, "_dgtsv_row", counted)
     result = run_scenario(validate_config({"scenario": "homogeneous",
                                            "seed": 0}))
-    assert result["ok"] and result["log"].rows
+    assert result["ok"] and len(result["log"].values[0])
     assert rows == [1028]
 
 
