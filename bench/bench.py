@@ -52,7 +52,10 @@ second run, which nothing the bench ran before can change.  It also
 runs ``homogeneous`` and ``full_report`` with ``LONG_LOG`` (a log row
 every step, 100 001 rows), each once in a fresh process that then
 writes its report with ``emit_report``, and records that process's peak
-RSS and the seconds of the write.  Each record names the tree it timed by
+RSS and the seconds of the write.  Last come the ``tracemalloc`` peaks,
+each from a fresh process, of one ``sasaki_energy`` call on a 64 x 257
+block of log-point rows and of the homogeneous run of a default
+``full_report``.  Each record names the tree it timed by
 ``git_sha`` and by ``src_sha256``, a digest of the package files that a
 ``git archive`` copy keeps too; ``source_lines`` counts the non-blank,
 non-comment lines of the package, per module in
@@ -246,6 +249,28 @@ with open("/proc/self/status") as status:
     hwm = next(int(line.split()[1]) for line in status
                if line.startswith("VmHWM:"))
 print(json.dumps([hwm / 1024.0, seconds]))
+"""
+
+
+# in a fresh process, the tracemalloc peak in MB of one call of argv[2]:
+# "block", sasaki_energy on a 64 x 257 block of log-point rows, or
+# "evolve", the homogeneous run of a default full_report
+ENERGY_RUN = """
+import json, sys, tracemalloc
+sys.path[:0] = sys.argv[1:2]  # milne_lab's tree
+import numpy as np
+from milne_lab import harness
+from milne_lab.energies import sasaki_energy
+G = 2.0 * np.linspace(1.0, 1.5, 64)
+grid = np.linspace(0.0, G, 257, axis=-1)
+values = 1e-3 * np.maximum(0.0, 1.0 - (grid / G[:, None]) ** 2)
+cfg = harness.validate_config({"scenario": "full_report", "seed": 0})
+calls = {"block": lambda: sasaki_energy(grid, values, G, ell=2, mu=4.0,
+                                        ladder_ell=5),
+         "evolve": lambda: harness._homogeneous_run(cfg)}
+tracemalloc.start()
+calls[sys.argv[2]]()
+print(json.dumps(tracemalloc.get_traced_memory()[1] / 2**20))
 """
 
 
@@ -646,11 +671,28 @@ def long_log_peaks(harness, extra: dict) -> dict:
     return figures
 
 
+def energy_peaks(harness) -> dict:
+    """``tracemalloc`` peaks, in MB, of a ``sasaki_energy`` call on one
+    log-point block and of a default ``full_report``'s homogeneous run,
+    each in a fresh process of its own (:data:`ENERGY_RUN`) that imports
+    the ``milne_lab`` that ``harness`` belongs to."""
+    src = Path(harness.__file__).resolve().parent.parent
+    peaks = {}
+    for kind, key in (("block", "energy_block_peak_mb"),
+                      ("evolve", "report_evolve_peak_mb")):
+        out = subprocess.run(
+            [sys.executable, "-c", ENERGY_RUN, str(src), kind],
+            cwd=ROOT, capture_output=True, text=True, check=True)
+        peaks[key] = round(json.loads(out.stdout.splitlines()[-1]), 2)
+    return peaks
+
+
 def memory_section() -> dict:
     """Peak RSS and ``tracemalloc`` peak of one ``characteristics`` run at
     the ``chars_wide`` size and of a default ``full_report``, each in a
-    fresh process (:func:`fresh_peaks`), and the peak RSS and report
-    write of a run that logs every step (:func:`long_log_peaks`)."""
+    fresh process (:func:`fresh_peaks`), the peak RSS and report write
+    of a run that logs every step (:func:`long_log_peaks`), and the
+    ``tracemalloc`` peaks of the log-point energies (:func:`energy_peaks`)."""
     from milne_lab import harness
 
     raw = {"scenario": "characteristics", "seed": 0,
@@ -660,6 +702,7 @@ def memory_section() -> dict:
                                            {"MILNE_LAB_THREADS": "2"})
     rss, scipy_loaded, peak = fresh_peaks(harness, report_raw)
     long_log = long_log_peaks(harness, LONG_LOG)
+    energy = energy_peaks(harness)
     section = {
         "config": f"{raw}, MILNE_LAB_THREADS=2",
         "characteristics_peak_mb": chars_peak,
@@ -679,6 +722,12 @@ def memory_section() -> dict:
                            "harness.run_scenario and one emit_report into "
                            "a temporary directory, MB = 2^20 bytes; "
                            "emit_report_s is the wall of that call",
+        **energy,
+        "energy_method": "tracemalloc peak of one call in a fresh process: "
+                         "sasaki_energy(ell=2, mu=4, ladder_ell=5) on a "
+                         "64 x 257 block (energy_block), the homogeneous "
+                         "run of a default full_report (report_evolve), "
+                         "MB = 2^20 bytes",
     }
     print(f"characteristics peak {chars_peak:.2f} MB, peak RSS "
           f"{chars_rss:.1f} MB; report peak {peak:.2f} MB, peak RSS "
@@ -687,6 +736,8 @@ def memory_section() -> dict:
         print(f"{scenario} logging every step: peak RSS "
               f"{figures['peak_rss_mb']:.1f} MB, emit_report "
               f"{figures['emit_report_s']:.2f} s")
+    print(f"energy block peak {energy['energy_block_peak_mb']:.2f} MB, "
+          f"report evolve peak {energy['report_evolve_peak_mb']:.2f} MB")
     return section
 
 

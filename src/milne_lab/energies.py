@@ -115,58 +115,58 @@ def _dgtsv_row(dl, d, du, b):
     return b
 
 
-def _solve_tridiagonal_rows(A, b):
-    """``solve_banded((1, 1), A[:, i], b[i])`` for each row ``i``, bitwise.
+def _solve_tridiagonal_rows(W, dl, assemble):
+    """``solve_banded((1, 1), ...)`` of each row's tridiagonal system,
+    bitwise, on systems laid out by column.
 
-    ``A`` of shape ``(3, m, n)`` holds each system ``A[:, i]`` in
-    ``solve_banded``'s banded storage and ``b`` of shape ``(m, n)`` the
-    right-hand sides; ``solve_banded`` hands such a system to LAPACK's
-    ``dgtsv``, and this is a numpy transcription of reference dgtsv, so
-    importing it loads no scipy.  A stack of two or more rows first runs
-    dgtsv's no-interchange elimination and back substitution on all rows
-    at once, column by column, on an ``(n, 3, m)`` copy laid out as ``(d,
-    b, du)`` per column: a step updates ``(d, b)`` of the next column
-    from ``(du, b)`` of its own in one multiply and one subtract.  The
-    sweep leaves out the back substitution's ``- du2_i x_{i+2}``, a zero
-    term without interchanges that can only flip the sign of a zero
-    ``x_i`` (or make a non-finite ``x_{i+2}`` spread).  A row has dgtsv's
-    bits when it took the no-interchange branch at every step, that is
-    each pivot is nonzero and at least its subdiagonal entry in size,
-    and its solution holds no zero and no inf or nan; the other rows,
-    and a stack of one row, go through dgtsv itself on Python floats
-    (:func:`_dgtsv_row`).  At 64 rows of 257 nodes the solve took 1.4 ms
-    against 0.4 ms for ``dgtsv`` on the rows chained into one system;
-    one row of 1028 nodes took 0.40 ms in Python against 3.4 ms swept
-    and 0.03 ms in ``dgtsv`` (medians of 15 repeats, 2-vCPU VM).  A
-    singular system is a ``LinAlgError``, as in ``solve_banded``.  ``A``
-    is left as it was and the solution is returned in ``b``'s memory.
+    ``W[i]`` of ``W`` ``(n, 3, m)`` holds ``(d, b, du)`` (diagonal,
+    right-hand side, superdiagonal; the last ``du`` is not read) of
+    column ``i`` of all ``m`` rows, ``dl`` ``(n - 1, m)`` the
+    subdiagonals, and ``assemble(rows)`` gives ``(W, dl)`` anew for the
+    rows of the slice ``rows``.  ``solve_banded`` hands such a system to
+    LAPACK's ``dgtsv``, and this is a numpy transcription of reference
+    dgtsv, so importing it loads no scipy.  A stack of two or more rows
+    first runs dgtsv's no-interchange elimination and back substitution
+    on all rows at once, column by column, in ``W``: a step updates
+    ``(d, b)`` of the next column from ``(du, b)`` of its own in one
+    multiply and one subtract.  The sweep leaves out the back
+    substitution's ``- du2_i x_{i+2}``, a zero term without interchanges
+    that can only flip the sign of a zero ``x_i`` (or make a non-finite
+    ``x_{i+2}`` spread).  A row has dgtsv's bits when it took the
+    no-interchange branch at every step, that is each pivot is nonzero
+    and at least its subdiagonal entry in size, and its solution holds
+    no zero and no inf or nan; the other rows, and a stack of one row,
+    are assembled again on their own and go through dgtsv itself on
+    Python floats (:func:`_dgtsv_row`).  At 64 rows of 257 nodes the
+    solve took 1.4 ms against 0.4 ms for ``dgtsv`` on the rows chained
+    into one system; one row of 1028 nodes took 0.40 ms in Python
+    against 3.4 ms swept and 0.03 ms in ``dgtsv`` (medians of 15
+    repeats, 2-vCPU VM).  A singular system is a ``LinAlgError``, as in
+    ``solve_banded``.  ``W`` and ``dl`` are overwritten, and the
+    solutions are returned as the ``(m, n)`` view ``W[:, 1].T``.
     """
-    x, fast = _no_interchange_rows(A, b) if len(b) > 1 else (b, [False])
+    fast = _no_interchange_rows(W, dl) if W.shape[-1] > 1 else [False]
+    x = W[:, 1].T
     for row in np.flatnonzero(np.logical_not(fast)):
-        bands = A[2, row, :-1], A[1, row], A[0, row, 1:], b[row]
+        W_row, dl_row = assemble(slice(row, row + 1))
+        d, b, du = W_row[..., 0].T
+        bands = dl_row[:, 0], d, du[:-1], b
         try:
             x[row] = _dgtsv_row(*(band.tolist() for band in bands))
         except ZeroDivisionError:  # a nan pivot over a zero subdiagonal
             with np.errstate(all="ignore"):  # IEEE 754 division
                 x[row] = _dgtsv_row(*(list(band) for band in bands))
-    b[...] = x
-    return b
+    return x
 
 
-def _no_interchange_rows(A, b):
+def _no_interchange_rows(W, dl):
     """dgtsv's no-interchange elimination and back substitution on every
-    row of :func:`_solve_tridiagonal_rows`' stack at once.
+    row of :func:`_solve_tridiagonal_rows`' stack at once, in ``W``.
 
-    Returns the solutions as an ``(m, n)`` view and a mask of the rows
-    whose solutions are dgtsv's bits.
+    Returns a mask of the rows whose solutions are dgtsv's bits.
     """
-    m, n = b.shape
-    W = np.zeros((n, 3, m))
+    m = W.shape[-1]
     d, x, du = W[:, 0], W[:, 1], W[:-1, 2]
-    d[...] = A[1].T
-    x[...] = b.T
-    du[...] = A[0, :, 1:].T
-    dl = A[2, :, :-1].T.copy()
     fact, term = np.empty(m), np.empty((2, m))
     du_x = term[0]
     divide, multiply, subtract = np.divide, np.multiply, np.subtract
@@ -183,11 +183,97 @@ def _no_interchange_rows(A, b):
             multiply(du_i, x_next, du_x)
             subtract(x_i, du_x, x_i)
             divide(x_i, d_i, x_i)
-        size = np.abs(x)
-        fast = ((np.abs(d[:-1]) >= np.abs(dl)).all(axis=0)
-                & (d != 0.0).all(axis=0)
+        # d, dl and du are spent: the checks take their memory
+        size = np.abs(x, out=W[:, 2])
+        np.abs(d, out=d)
+        np.abs(dl, out=dl)
+        fast = ((d[:-1] >= dl).all(axis=0) & (d != 0.0).all(axis=0)
                 & ((0.0 < size) & (size < np.inf)).all(axis=0))
-    return x.T, fast
+    return fast
+
+
+def _slope_systems(x, y):
+    """``(W, dl)`` of :func:`_solve_tridiagonal_rows` for the not-a-knot
+    slope systems of the rows of ``x`` and ``y`` ``(m, n >= 4)``: each
+    entry the numpy expression of ``CubicSpline.__init__`` for its banded
+    ``A`` or ``b``, written where the sweep reads it.  ``x`` must strictly
+    increase along each row, else a ``ValueError``."""
+    m, n = x.shape
+    dx = np.subtract(x[:, 1:], x[:, :-1])  # np.diff
+    if np.any(dx <= 0):
+        raise ValueError("`x` must be strictly increasing sequence.")
+    slope = np.subtract(y[:, 1:], y[:, :-1])
+    np.divide(slope, dx, out=slope)
+    dx, slope = dx.T, slope.T  # by column, as W
+    W, dl = np.empty((n, 3, m)), np.empty((n - 1, m))
+    d, b, du = W[:, 0], W[:, 1], W[:-1, 2]
+    np.add(dx[:-1], dx[1:], out=d[1:-1])
+    np.multiply(2, d[1:-1], out=d[1:-1])
+    # dl serves as scratch until it is filled
+    np.multiply(dx[1:], slope[:-1], out=b[1:-1])
+    np.multiply(dx[:-1], slope[1:], out=dl[:-1])
+    np.add(b[1:-1], dl[:-1], out=b[1:-1])
+    np.multiply(3, b[1:-1], out=b[1:-1])
+    du[1:] = dx[:-1]
+    dl[:-1] = dx[1:]
+    # scipy squares the end steps as float64 scalars, through C pow, which
+    # can differ by an ulp from the exact square that ** 2 of an array is
+    first_sq, last_sq = (np.array([v**2 for v in dx[j].tolist()])
+                         for j in (0, -1))
+    d[0] = dx[1]
+    du[0] = e = x[:, 2] - x[:, 0]
+    b[0] = ((dx[0] + 2*e) * dx[1] * slope[0] + first_sq * slope[1]) / e
+    d[-1] = dx[-2]
+    dl[-1] = e = x[:, -1] - x[:, -3]
+    b[-1] = (last_sq*slope[-2] + (2*e + dx[-1])*dx[-2]*slope[-1]) / e
+    return W, dl
+
+
+def _not_a_knot_slopes(x, y):
+    """``(x, y, s)``: ``x`` and ``y`` of shape ``(n,)`` or ``(m, n)`` as
+    ``(m, n)`` float arrays (views of the inputs where they are such) and
+    the slopes ``s`` ``(m, n)`` of each row's not-a-knot spline at its
+    knots.
+
+    It keeps the input checks of scipy 1.17.1's ``prepare_input``
+    (finite ``x`` and ``y``, strictly increasing ``x``, each a
+    ``ValueError``) and solves the slope systems
+    (:func:`_slope_systems`, :func:`_solve_tridiagonal_rows`; a singular
+    one is a ``LinAlgError``, as in ``solve_banded``).  On grids of two
+    or three nodes ``s`` is ``None``: there scipy's not-a-knot spline is
+    the line or the parabola through the points, built by other code
+    than the banded system.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim not in (1, 2) or y.shape != x.shape:
+        raise ValueError("`x` and `y` must be 1-D (or stacks of 1-D rows) "
+                         "of the same length.")
+    x, y = np.atleast_2d(x), np.atleast_2d(y)
+    if x.shape[1] < 4:  # scipy fits a line (n = 2) or a parabola (n = 3)
+        return x, y, None
+    if not np.all(np.isfinite(x)):
+        raise ValueError("`x` must contain only finite values.")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("`y` must contain only finite values.")
+    s = _solve_tridiagonal_rows(*_slope_systems(x, y),
+                                lambda rows: _slope_systems(x[rows], y[rows]))
+    return x, y, s
+
+
+def _cubic_pieces(x, y, s, at, to):
+    """The pieces ``(t / dx, (slope - s0) / dx - t, s0, y0)``, highest
+    order first, of the cubics from the knots ``at`` to the knots ``to``
+    (``[:, :-1]`` and ``[:, 1:]``, or ``(rows, j)`` and ``(rows, j + 1)``)
+    of the splines with values ``y`` and slopes ``s`` at the knots ``x``:
+    the numpy expressions of ``CubicHermiteSpline.__init__``, with ``dx =
+    x1 - x0``, ``slope = (y1 - y0) / dx`` and ``t = (s0 + s1 - 2 slope) /
+    dx``."""
+    s0 = s[at]
+    dx = x[to] - x[at]
+    slope = (y[to] - y[at]) / dx
+    t = (s0 + s[to] - 2 * slope) / dx
+    return t / dx, (slope - s0) / dx - t, s0, y[at]
 
 
 def _not_a_knot_coefficients(x, y):
@@ -198,93 +284,22 @@ def _not_a_knot_coefficients(x, y):
     it is one) and the coefficients ``c`` of shape ``(m, 4, n - 1)``,
     each ``c[i]`` bitwise the ``c`` of ``scipy.interpolate.CubicSpline(
     x[i], y[i])`` without its front end (array-API shims, a second
-    validation in the ``CubicHermiteSpline`` round trip).  It keeps the
-    input checks of scipy 1.17.1's ``prepare_input`` (finite ``x`` and
-    ``y``, strictly increasing ``x``, each a ``ValueError``), repeats the
-    numpy expressions of ``CubicSpline.__init__`` for the tridiagonal
-    slope system, solves the rows' systems with a numpy transcription of
-    the LAPACK ``dgtsv`` that ``solve_banded`` calls
-    (:func:`_solve_tridiagonal_rows`; ``LinAlgError`` for a singular
-    system, as in ``solve_banded``), then repeats those of
-    ``CubicHermiteSpline.__init__`` for the coefficients, every
-    ``(m, n)``-sized operand and result (``c`` too) written with ``out=``
-    into one array made per call: at 64 rows of 257 nodes 1.16 ms
-    against 1.35 ms with an array per operation and a solve per row
-    (medians of 15 interleaved pairs, 2-vCPU VM).  Grids of two or three
-    nodes go to ``CubicSpline`` itself, row by row: there scipy's
-    not-a-knot spline is the line or the parabola through the points,
-    built by other code than the banded system.  Only that branch
-    imports scipy (``scipy.interpolate``, which with the subpackages it
-    loads adds about 50 MB to a run's RSS).  The tests compare the helper
-    bitwise with ``CubicSpline`` and ``solve_banded``, so a scipy release
-    that changes the arithmetic fails there instead of drifting.
+    validation in the ``CubicHermiteSpline`` round trip): the pieces
+    (:func:`_cubic_pieces`) of every interval from the slopes of
+    :func:`_not_a_knot_slopes`, or on two or three nodes ``CubicSpline``
+    itself, row by row.  Only that branch imports scipy
+    (``scipy.interpolate``, which with the subpackages it loads adds
+    about 50 MB to a run's RSS).  The tests compare the helper bitwise
+    with ``CubicSpline`` and ``solve_banded``, so a scipy release that
+    changes the arithmetic fails there instead of drifting.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim not in (1, 2) or y.shape != x.shape:
-        raise ValueError("`x` and `y` must be 1-D (or stacks of 1-D rows) "
-                         "of the same length.")
-    x, y = np.atleast_2d(x), np.atleast_2d(y)
-    m, n = x.shape
-    if n < 4:  # scipy fits a line (n = 2) or a parabola (n = 3) here
+    x, y, s = _not_a_knot_slopes(x, y)
+    if s is None:
         from scipy.interpolate import CubicSpline
 
         return x, np.array([CubicSpline(xi, yi).c for xi, yi in zip(x, y)])
-    if not np.all(np.isfinite(x)):
-        raise ValueError("`x` must contain only finite values.")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("`y` must contain only finite values.")
-    # c, dx, slope and t, then the banded systems and the right-hand sides
-    work = np.empty(7 * m * (n - 1) + 4 * m * n)
-    c = work[:4 * m * (n - 1)].reshape(m, 4, n - 1)
-    dx, slope, t = work[c.size:7 * m * (n - 1)].reshape(3, m, n - 1)
-    systems = work[7 * m * (n - 1):].reshape(4, m, n)
-    A, b = systems[:3], systems[3]
-    np.subtract(x[:, 1:], x[:, :-1], out=dx)  # np.diff
-    if np.any(dx <= 0):
-        raise ValueError("`x` must be strictly increasing sequence.")
-    np.subtract(y[:, 1:], y[:, :-1], out=slope)
-    np.divide(slope, dx, out=slope)
-
-    # A[:, i] is the banded storage of row i's slope system; t and c[:, 0]
-    # serve as scratch until they are computed
-    np.add(dx[:, :-1], dx[:, 1:], out=A[1, :, 1:-1])
-    np.multiply(2, A[1, :, 1:-1], out=A[1, :, 1:-1])
-    A[0, :, 2:] = dx[:, :-1]
-    A[2, :, :-2] = dx[:, 1:]
-    np.multiply(dx[:, 1:], slope[:, :-1], out=b[:, 1:-1])
-    np.multiply(dx[:, :-1], slope[:, 1:], out=t[:, 1:])
-    np.add(b[:, 1:-1], t[:, 1:], out=b[:, 1:-1])
-    np.multiply(3, b[:, 1:-1], out=b[:, 1:-1])
-    A[1, :, 0] = dx[:, 1]
-    A[0, :, 1] = x[:, 2] - x[:, 0]
-    # scipy squares the end steps as float64 scalars, through C pow, which
-    # can differ by an ulp from the exact square that ** 2 of an array is
-    first_sq, last_sq = (np.array([v**2 for v in dx[:, j].tolist()])
-                         for j in (0, -1))
-    d = x[:, 2] - x[:, 0]
-    b[:, 0] = ((dx[:, 0] + 2*d) * dx[:, 1] * slope[:, 0]
-               + first_sq * slope[:, 1]) / d
-    A[1, :, -1] = dx[:, -2]
-    A[2, :, -2] = x[:, -1] - x[:, -3]
-    d = x[:, -1] - x[:, -3]
-    b[:, -1] = ((last_sq*slope[:, -2]
-                 + (2*d + dx[:, -1])*dx[:, -2]*slope[:, -1]) / d)
-    s = _solve_tridiagonal_rows(A, b)
-
-    # t = (s[:-1] + s[1:] - 2 slope) / dx, then the coefficients
-    # (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])
-    np.add(s[:, :-1], s[:, 1:], out=t)
-    np.multiply(2, slope, out=c[:, 0])
-    np.subtract(t, c[:, 0], out=t)
-    np.divide(t, dx, out=t)
-    np.divide(t, dx, out=c[:, 0])
-    np.subtract(slope, s[:, :-1], out=c[:, 1])
-    np.divide(c[:, 1], dx, out=c[:, 1])
-    np.subtract(c[:, 1], t, out=c[:, 1])
-    c[:, 2] = s[:, :-1]
-    c[:, 3] = y[:, :-1]
-    return x, c
+    return x, np.stack(_cubic_pieces(x, y, s, np.s_[:, :-1], np.s_[:, 1:]),
+                       axis=1)
 
 
 def _power_form(c, s, out):
@@ -316,9 +331,10 @@ def _spline_values(x, c, q):
     nodes took 0.68 ms against 0.74 ms for ``PPoly.__call__``, and about
     1.5 times as long gathered by ``c[:, j]`` (medians of 21 interleaved
     pairs, 2-vCPU VM).  The constant terms are gathered apart and take
-    the values, so the three other pieces are freed on return: a block
-    flush that kept them alive pushed its later temporaries onto fresh
-    heap pages, about 700 minor page faults a warm default run.
+    the values, so the three other pieces are freed on return: a
+    log-point block that kept them alive pushed its later temporaries
+    onto fresh heap pages, about 700 minor page faults a warm default
+    run.
     """
     j = x.searchsorted(q, "right")
     np.subtract(j, 1, out=j)
@@ -329,31 +345,61 @@ def _spline_values(x, c, q):
     return _power_form((*np.take(c[:3], j, axis=1), values), s, values)
 
 
-def _cubic_derivatives(x, c, q):
-    """Values, first and second derivatives of stacked piecewise cubics.
+def _intervals(x, q):
+    """``clip(x[i].searchsorted(q[i], "right") - 1, 0, n - 2)`` for each
+    row ``i`` of ``x`` ``(m, n)``, strictly increasing, and ``q`` ``(m,
+    k)``, in one search for all rows.
 
-    Row ``i`` of ``x`` ``(m, n)`` and ``c`` ``(m, 4, n - 1)`` is the
-    spline ``PPoly.construct_fast(c[i], x[i])``, evaluated at the points
-    ``q[i]`` of ``q`` ``(m, k)``; returns a ``(3, m, k)`` array that is
-    bitwise ``[spline(q[i], nu) for nu in (0, 1, 2)]`` row by row.  Each
-    row finds its intervals as :func:`_spline_values` does; the values
-    are :func:`_power_form`, and the derivatives sum the terms ``(c z)
+    A first guess spreads each row's knots evenly over its span; then
+    each pass moves every point one interval towards ``x[j] <= q < x[j +
+    1]`` (the end intervals reach past the span) until none moves.  A
+    point only ever moves one way, so the passes end and give
+    ``searchsorted``'s index exactly; on the uniform log-point grids the
+    guess is exact but for a rounding.  A nan point is guessed into the
+    last interval, where ``searchsorted`` puts it, and never moves.
+    """
+    m, n = x.shape
+    with np.errstate(all="ignore"):  # a wild guess only costs passes
+        guess = (q - x[:, :1]) * ((n - 1) / (x[:, -1:] - x[:, :1]))
+    np.fmin(guess, n - 2, out=guess)  # nan goes last
+    np.fmax(guess, 0, out=guess)
+    j = guess.astype(np.intp)
+    rows = np.arange(m)[:, None]
+    while True:
+        up = (x[rows, j + 1] <= q) & (j < n - 2)
+        down = (x[rows, j] > q) & (j > 0)
+        if not (up.any() or down.any()):
+            return j
+        j += up
+        j -= down
+
+
+def _cubic_derivatives(x, y, q):
+    """``[CubicSpline(x[i], y[i])(q[i], nu) for nu in (0, 1, 2)]`` row by
+    row, bitwise, as one ``(3, m, k)`` array, for ``x`` and ``y`` ``(m,
+    n)`` and ``q`` ``(m, k)``.
+
+    Only the pieces (:func:`_cubic_pieces`) of the intervals that hold
+    points (:func:`_intervals`) are formed, at most ``k`` of a row's ``n
+    - 1``; on two or three nodes scipy's are gathered.  The values are
+    :func:`_power_form`, and the derivatives sum the terms ``(c z)
     prefactor`` of scipy's ``evaluate_poly1`` from ``0.0`` in the same
     way.
     """
-    j = np.empty(q.shape, dtype=np.intp)
-    for row, (xi, qi) in enumerate(zip(x, q)):
-        j[row] = xi.searchsorted(qi, "right")
-    np.clip(j - 1, 0, x.shape[-1] - 2, out=j)
+    x, y, s = _not_a_knot_slopes(x, y)
+    if s is None:  # scipy's pieces, checked there before the search
+        c = _not_a_knot_coefficients(x, y)[1].transpose(1, 0, 2)
+    j = _intervals(x, q)
     rows = np.arange(len(q))[:, None]
-    s = q - x[rows, j]
-    pieces = c.transpose(1, 0, 2)[:, rows, j]
+    pieces = (c[:, rows, j] if s is None else
+              _cubic_pieces(x, y, s, (rows, j), (rows, j + 1)))
+    z = q - x[rows, j]
     c3, c2, c1, _ = pieces
-    s2 = s * s
+    z2 = z * z
     out = np.empty((3,) + q.shape)
-    out[1] = 0.0 + c1 + c2 * s * 2.0 + c3 * s2 * 3.0
-    out[2] = 0.0 + c2 * 2.0 + c3 * s * 6.0
-    _power_form(pieces, s, out[0])
+    out[1] = 0.0 + c1 + c2 * z * 2.0 + c3 * z2 * 3.0
+    out[2] = 0.0 + c2 * 2.0 + c3 * z * 6.0
+    _power_form(pieces, z, out[0])
     return out
 
 
@@ -387,11 +433,12 @@ def sasaki_energy(grid, values, qmax, ell: int, mu: float,
     array.  Each row's not-a-knot cubic spline gives ``f``, ``f'`` and
     ``f''`` at the nodes of a 64-node composite Gauss-Legendre rule on
     ``[0, qmax[i]]``.  The rows are evaluated in one pass (one
-    quadrature rule, one spline build, 2-D sums), each entry bitwise the
-    value of its own one-row call, and the blocks are read without
-    copying them.  Blocks of other shapes, empty ones included, are a
-    ``ValueError``, and so is a row with ``qmax <= 0`` (the
-    quadrature's).
+    quadrature rule, one solve of the slope systems, the cubic pieces of
+    only the intervals that hold nodes, 2-D sums;
+    :func:`_cubic_derivatives`), each entry bitwise the value of its own
+    one-row call, and the blocks are read without copying them.  Blocks
+    of other shapes, empty ones included, are a ``ValueError``, and so
+    is a row with ``qmax <= 0`` (the quadrature's).
 
     Raises ``ValueError`` for ``ell > 2`` (documented desk-scale cap on
     the derivative count; use ``ladder_ell`` for the weight order).
@@ -409,8 +456,7 @@ def sasaki_energy(grid, values, qmax, ell: int, mu: float,
         raise ValueError("grid and values must be (m, n) blocks, m >= 1, "
                          "and qmax an (m,) array")
     q, w = composite_gauss_legendre(0.0, qmax, _ENERGY_NODES)
-    f0, f1, f2 = _cubic_derivatives(*_not_a_knot_coefficients(grid, values),
-                                    q)
+    f0, f1, f2 = _cubic_derivatives(grid, values, q)
     pbar2 = 1.0 + q**2
     total = np.zeros(q.shape[0])
     for k in range(ell + 1):

@@ -42,8 +42,9 @@ other:
   in buffers made once per run, one ``sasaki_energy`` call a block, each
   row bitwise its own evaluation.  The ``f0`` spline is built once per
   run and evaluated in numpy.  It and the energy splines are each
-  bitwise scipy's ``CubicSpline``, their slope systems solved by a numpy
-  transcription of LAPACK's ``dgtsv``, so a run imports no scipy.
+  bitwise scipy's ``CubicSpline``, their slope systems assembled for and
+  solved by a numpy transcription of LAPACK's ``dgtsv``, so a run imports
+  no scipy; an energy spline forms only the pieces its Gauss nodes read.
 """
 
 from __future__ import annotations

@@ -23,6 +23,9 @@ another way, kept here because only the tests run it:
 * :func:`not_a_knot_ppoly` -- the package's not-a-knot spline
   coefficients, which it builds and evaluates without
   ``scipy.interpolate``, evaluated through scipy's ``PPoly``.
+* :func:`solve_banded_rows` -- the package's stacked dgtsv solve of
+  systems laid out by column, fed systems in ``solve_banded``'s banded
+  storage, so that each row can be compared with ``solve_banded``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ import numpy as np
 from scipy.interpolate import PPoly
 
 from milne_lab._quadrature import composite_gauss_legendre
-from milne_lab.energies import _not_a_knot_coefficients
+from milne_lab.energies import (_not_a_knot_coefficients,
+                                _solve_tridiagonal_rows)
 from milne_lab.geometry import (BackgroundChart, LocalGeometry, TimeFrame,
                                 rescaled_christoffels)
 from milne_lab.massshell import compute_p0
@@ -184,3 +188,17 @@ def not_a_knot_ppoly(x, y):
     ``_not_a_knot_coefficients``."""
     (x,), (c,) = _not_a_knot_coefficients(x, y)  # a ValueError for a stack
     return PPoly.construct_fast(c, x)
+
+
+def solve_banded_rows(A, b):
+    """``energies._solve_tridiagonal_rows`` of the systems ``A[:, i]``,
+    ``b[i]`` in ``solve_banded``'s banded storage, ``A`` ``(3, m, n)``
+    and ``b`` ``(m, n)``, left as they are: the solutions ``(m, n)``."""
+    def columns(rows):
+        A_rows, b_rows = A[:, rows], b[rows]
+        m, n = b_rows.shape
+        W = np.zeros((n, 3, m))
+        W[:, 0], W[:, 1], W[:-1, 2] = A_rows[1].T, b_rows.T, A_rows[0, :, 1:].T
+        return W, A_rows[2, :, :-1].T.copy()
+
+    return _solve_tridiagonal_rows(*columns(slice(None)), columns)

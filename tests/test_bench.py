@@ -5,7 +5,8 @@ break it unseen.  Every package name and module attribute it reads is
 checked with ``ast``, as ``test_demos.py`` checks the demos, private
 ones included, its cheapest section (about 1 s) is run, and so are the
 ``sasaki_energy`` timers of its ``report`` section, each figure from one
-call, and its long-log runs of the ``memory`` section at a small size.
+call, its long-log runs of the ``memory`` section at a small size, and
+the fresh processes of that section's energy peaks.
 """
 
 import ast
@@ -54,6 +55,7 @@ def test_package_names_read_by_bench_exist(bench):
     reads |= set(package_reads(bench.RSS_RUN))
     report_reads = set(package_reads(bench.PEAK_RUN))
     log_reads = set(package_reads(bench.LOG_RUN))
+    reads |= set(package_reads(bench.ENERGY_RUN))
     # the fresh processes of fresh_peaks and long_log_peaks run the
     # scenario through these
     assert {("milne_lab.harness", "run_scenario"),
@@ -63,6 +65,7 @@ def test_package_names_read_by_bench_exist(bench):
     # the privates the bench leans on are among the names checked
     assert {("milne_lab.harness", "_mode_steps"),
             ("milne_lab.transport", "_CHUNK"),
+            ("milne_lab.harness", "_homogeneous_run"),
             ("milne_lab.homogeneous", "_closure_nodes")} <= reads
     for module, name in sorted(reads):
         assert hasattr(importlib.import_module(module), name), \
@@ -125,6 +128,14 @@ def test_long_log_peaks_run(bench):
     assert sorted(figures) == ["full_report", "homogeneous"]
     for entry in figures.values():
         assert entry["peak_rss_mb"] > 0.0 and entry["emit_report_s"] > 0.0
+
+
+def test_energy_peaks_run(bench):
+    from milne_lab import harness
+
+    peaks = bench.energy_peaks(harness)
+    assert sorted(peaks) == ["energy_block_peak_mb", "report_evolve_peak_mb"]
+    assert all(peak > 0.0 for peak in peaks.values())
 
 
 def test_src_sha256_follows_names_and_bytes(bench, tmp_path):

@@ -10,8 +10,8 @@ from scipy.linalg import LinAlgError, solve_banded
 from milne_lab._quadrature import composite_gauss_legendre, trapezoid
 from milne_lab.energies import (
     _cubic_derivatives,
+    _intervals,
     _not_a_knot_coefficients,
-    _solve_tridiagonal_rows,
     _spline_values,
     DecayFitError,
     MONITOR_THRESHOLDS,
@@ -25,7 +25,7 @@ from milne_lab.energies import (
     validate_energy_weights,
 )
 from milne_lab.matter import RadialDistribution
-from references import not_a_knot_ppoly
+from references import not_a_knot_ppoly, solve_banded_rows
 
 
 def smooth_bump(amp=1.0, qmax=2.0):
@@ -210,7 +210,7 @@ class TestNotAKnotSpline:
 def assert_cubics_match_ppoly(x, y, points):
     """``_cubic_derivatives`` row by row against ``CubicSpline.__call__``
     for ``nu = 0, 1, 2``, bit for bit."""
-    got = _cubic_derivatives(*_not_a_knot_coefficients(x, y), points)
+    got = _cubic_derivatives(x, y, points)
     assert got.shape == (3,) + points.shape
     for row, (xi, yi, qi) in enumerate(zip(x, y, points)):
         want = CubicSpline(xi, yi)
@@ -245,6 +245,26 @@ class TestCubicDerivatives:
                                                 size=(rows, 32))], axis=1)
         assert_cubics_match_ppoly(x, y, points)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=40),
+           st.integers(min_value=1, max_value=4),
+           st.integers(min_value=-300, max_value=300),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_intervals_match_searchsorted(self, n, rows, scale, seed):
+        # knot spacings over twelve decades at any scale, so the first
+        # guess can be far off or overflow; points on and between the
+        # knots, past both ends, signed zeros, infinities and nan
+        rng = np.random.default_rng(seed)
+        steps = 10.0 ** rng.uniform(-6.0, 6.0, size=(rows, n))
+        x = np.cumsum(steps, axis=1) - steps.sum(axis=1)[:, None] / 2
+        x *= 10.0**scale
+        assume(np.all(np.isfinite(x)) and np.all(np.diff(x, axis=1) > 0))
+        specials = [-np.inf, -0.0, 0.0, np.inf, np.nan]
+        points = np.concatenate([x, (x[:, 1:] + x[:, :-1]) / 2, 1.5 * x,
+                                 np.tile(specials, (rows, 1))], axis=1)
+        want = [np.clip(xi.searchsorted(qi, "right") - 1, 0, n - 2)
+                for xi, qi in zip(x, points)]
+        assert np.array_equal(_intervals(x, points), want)
 
 
 def assert_values_match_ppoly(x, y, points):
@@ -342,7 +362,7 @@ def tridiagonal_system(matrix, rhs, n, rng):
 def assert_rows_match_solve_banded(systems):
     A = np.stack([a for a, _ in systems], axis=1)
     b = np.stack([rhs for _, rhs in systems])
-    got = _solve_tridiagonal_rows(A, b.copy())
+    got = solve_banded_rows(A, b)
     for row, (a, rhs) in enumerate(systems):
         want = solve_banded((1, 1), a, rhs.reshape(-1, 1),
                             check_finite=False).reshape(-1)
@@ -378,7 +398,7 @@ class TestTridiagonalRows:
         with pytest.raises(LinAlgError):
             solve_banded((1, 1), A, b)
         with pytest.raises(LinAlgError):
-            _solve_tridiagonal_rows(A[:, None], b[None])
+            solve_banded_rows(A[:, None], b[None])
 
     # the stacked solve sweeps all rows at once without row interchanges
     # and solves alone the rows that need one, meet a zero pivot or get a
@@ -407,7 +427,7 @@ class TestTridiagonalRows:
             solve_banded((1, 1), A, b)
         A = np.stack([a for a, _ in systems], axis=1)
         with pytest.raises(LinAlgError):
-            _solve_tridiagonal_rows(A, np.stack([rhs for _, rhs in systems]))
+            solve_banded_rows(A, np.stack([rhs for _, rhs in systems]))
 
 
 def test_stacked_solve_keeps_the_sign_dgtsv_gives_a_zero():
@@ -418,8 +438,8 @@ def test_stacked_solve_keeps_the_sign_dgtsv_gives_a_zero():
     rhs = np.array([-0.0, 1.0, -1.0])
     want = solve_banded((1, 1), a, rhs, check_finite=False)
     assert want.tobytes() == np.array([0.0, 1.0, -1.0]).tobytes()
-    got = _solve_tridiagonal_rows(np.repeat(a[:, None], 2, axis=1),
-                                  np.tile(rhs, (2, 1)))
+    got = solve_banded_rows(np.repeat(a[:, None], 2, axis=1),
+                            np.tile(rhs, (2, 1)))
     assert got.tobytes() == np.tile(want, (2, 1)).tobytes()
 
 
@@ -433,8 +453,8 @@ def test_nan_pivot_over_zero_subdiagonal_is_dgtsv_bitwise():
     rhs = np.arange(1.0, 7.0)
     want = solve_banded((1, 1), a, rhs, check_finite=False)
     for m in (1, 3):
-        got = _solve_tridiagonal_rows(np.repeat(a[:, None], m, axis=1),
-                                      np.tile(rhs, (m, 1)))
+        got = solve_banded_rows(np.repeat(a[:, None], m, axis=1),
+                                np.tile(rhs, (m, 1)))
         assert got.tobytes() == np.tile(want, (m, 1)).tobytes()
 
 

@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from milne_lab import energies, homogeneous
+from milne_lab import energies, harness, homogeneous
 from milne_lab._quadrature import composite_gauss_legendre, trapezoid
 from milne_lab.energies import sasaki_energy
 from milne_lab.homogeneous import (
@@ -473,6 +474,28 @@ def test_default_run_solves_its_energy_rows_on_the_sweep(monkeypatch):
                                            "seed": 0}))
     assert result["ok"] and len(result["log"].values[0])
     assert rows == [1028]
+
+
+def test_log_point_energies_stay_small():
+    # tracemalloc peaks of one energy block of the default grid and of the
+    # homogeneous run of a default full_report; a block that copies its
+    # slope systems out of banded storage and forms the pieces of every
+    # interval takes them to 2.41 and 3.61 MB
+    G = 2.0 * np.linspace(1.0, 1.5, 64)
+    grid = np.linspace(0.0, G, 257, axis=-1)
+    values = 1e-3 * np.maximum(0.0, 1.0 - (grid / G[:, None]) ** 2)
+    cfg = validate_config({"scenario": "full_report", "seed": 0})
+    peaks = []
+    for call in (lambda: sasaki_energy(grid, values, G, ell=2, mu=4.0,
+                                       ladder_ell=5),
+                 lambda: harness._homogeneous_run(cfg)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.3 and peaks[1] <= 2.4, peaks
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
