@@ -21,10 +21,12 @@ points, which a run does after its stepping, timed inside the run
 (a bare loop over ``homogeneous._closure_nodes``); the homogeneous RK4
 step (a run of 2 n steps against one of n) and log point (every
 ``logEvery`` steps against the two ends); ``sasaki_energy`` per grid
-row (64 one-row calls, and one call on a block of 64 rows); and the
-mode sector with its cost per mode step (twice the sector's steps
-against the sector), next to the run's constraint and continuity
-defects.  The ``scenarios`` section times each scenario at its defaults.
+row (64 one-row calls, and one call on a block of 64 rows); one
+``sasaki_energy`` call on 64 rows of 1000 geometrically spaced knots
+(``geometric_block_ms``); and the mode sector with its cost per mode
+step (twice the sector's steps against the sector), next to the run's
+constraint and continuity defects.
+The ``scenarios`` section times each scenario at its defaults.
 The ``transport_scaling`` section gives ns per particle-step of
 ``transport.integrate_characteristics`` (derived mode, manufactured
 lapse with eps = 1e-3, h = 1e-3, tau0 = -1) at 10^3, 10^4 and 10^5
@@ -436,6 +438,26 @@ def energy_row_cost(homogeneous, cfg) -> dict:
         for i, prefix in enumerate(("", "scaled_"))}
 
 
+def geometric_block_cost() -> dict:
+    """Milliseconds of one ``sasaki_energy`` call (``ell=2, mu=4,
+    ladder_ell=5``) on 64 rows of 1000 knots spaced geometrically from
+    ``1e-6 qmax`` to ``qmax``, raw and scaled: unlike the log-point rows,
+    whose knots are evenly spaced, a row's Gauss nodes fall hundreds of
+    knots apart."""
+    import numpy as np
+    from milne_lab.energies import sasaki_energy
+
+    qmax = np.linspace(0.5, 2.0, 64)
+    grid = np.geomspace(1e-6 * qmax, qmax, 1000, axis=-1)
+    values = 1e-3 * (1.0 - (grid / qmax[:, None]) ** 2) ** 3
+
+    def call():
+        sasaki_energy(grid, values, qmax, ell=2, mu=4.0, ladder_ell=5)
+
+    return scaled("geometric_block_ms", per_unit(call, 1)["per_unit"], 1e3,
+                  2)
+
+
 def report_section() -> dict:
     """Wall time of ``full_report`` and the cost of its three layers."""
     from milne_lab import harness, homogeneous, modes
@@ -525,6 +547,10 @@ def report_section() -> dict:
                                    f"{n_steps} steps) / {n_steps}, two log "
                                    f"points each",
         **energy_row_cost(homogeneous, cfg),
+        **geometric_block_cost(),
+        "geometric_block_method": "one sasaki_energy call on 64 rows of "
+                                  "1000 knots spaced geometrically from "
+                                  "1e-6 qmax to qmax",
         **scaled("mode_sector_ms", mode["short"], 1e3, 2),
         **scaled("mode_ns_per_step", mode["per_unit"], 1e9, 1),
         "mode_method": f"the sector ({len(cfg.lambdaGrid)} lambdas x "

@@ -31,8 +31,11 @@ def composite_gauss_legendre(a: float, b, n_nodes: int = 64
     ``b`` of shape ``(m,)`` gives ``(m, n_nodes)`` nodes and weights, row
     ``i`` bitwise the rule on ``[a, b[i]]``.  The reference rule is cached
     per node count (``leggauss`` costs about 0.2 ms a call); the returned
-    arrays are new on every call.
+    arrays are new on every call.  A non-finite bound, or ``b <= a``, is
+    a ``ValueError``.
     """
+    if not (np.isfinite(a) and np.all(np.isfinite(b))):
+        raise ValueError("quadrature bounds must be finite")
     if np.any(np.asarray(b) <= a):
         raise ValueError("empty quadrature interval")
     if n_nodes % PANELS != 0:

@@ -56,6 +56,8 @@ SHIFT_TOL = 1e-10
 TAIL_DOUBLINGS = 3
 # Gauss-Legendre nodes of each row's integral in sasaki_energy
 _ENERGY_NODES = 64
+# fewest samples in its window that decay_fit fits
+_FIT_SAMPLES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -321,57 +323,37 @@ def _power_form(c, s, out):
     return np.add(out, c3, out=out)
 
 
+def _interval(x, q):
+    """The interval ``x[j] <= q < x[j + 1]`` of each point of ``q`` on
+    the knots ``x``, by scipy's ``PPoly`` rule: the last interval closed,
+    points outside the span in the end intervals and nan in the last.
+    Knots ``x`` ``(n,)`` take points of any shape in one ``searchsorted``
+    call, rows ``x`` ``(m, n)`` take ``q`` ``(m, k)`` in one call a row;
+    O(log n) a point."""
+    j = (x.searchsorted(q, "right") if x.ndim == 1 else
+         np.array([xi.searchsorted(qi, "right") for xi, qi in zip(x, q)]))
+    np.subtract(j, 1, out=j)
+    return np.clip(j, 0, x.shape[-1] - 2, out=j)
+
+
 def _spline_values(x, c, q):
     """Values at the points ``q`` (any shape) of the spline
     ``PPoly.construct_fast(c, x)``, ``x`` ``(n,)`` and ``c`` ``(4, n -
-    1)``, bitwise ``PPoly.__call__``: as in scipy's ``_ppoly.evaluate``,
-    each point lies in the interval ``x[j] <= q < x[j + 1]`` (the last
-    closed, points outside the span in the end intervals), and takes the
-    value :func:`_power_form`.  Gathered by ``np.take``, 64 rows of 257
-    nodes took 0.68 ms against 0.74 ms for ``PPoly.__call__``, and about
-    1.5 times as long gathered by ``c[:, j]`` (medians of 21 interleaved
-    pairs, 2-vCPU VM).  The constant terms are gathered apart and take
-    the values, so the three other pieces are freed on return: a
-    log-point block that kept them alive pushed its later temporaries
-    onto fresh heap pages, about 700 minor page faults a warm default
-    run.
+    1)``, bitwise ``PPoly.__call__``: each point takes the value
+    :func:`_power_form` of its interval (:func:`_interval`).  Gathered by
+    ``np.take``, 64 rows of 257 nodes took 0.68 ms against 0.74 ms for
+    ``PPoly.__call__``, and about 1.5 times as long gathered by ``c[:,
+    j]`` (medians of 21 interleaved pairs, 2-vCPU VM).  The constant
+    terms are gathered apart and take the values, so the three other
+    pieces are freed on return: a log-point block that kept them alive
+    pushed its later temporaries onto fresh heap pages, about 700 minor
+    page faults a warm default run.
     """
-    j = x.searchsorted(q, "right")
-    np.subtract(j, 1, out=j)
-    np.clip(j, 0, len(x) - 2, out=j)
+    j = _interval(x, q)
     s = np.take(x, j)
     np.subtract(q, s, out=s)
     values = np.take(c[3], j)
     return _power_form((*np.take(c[:3], j, axis=1), values), s, values)
-
-
-def _intervals(x, q):
-    """``clip(x[i].searchsorted(q[i], "right") - 1, 0, n - 2)`` for each
-    row ``i`` of ``x`` ``(m, n)``, strictly increasing, and ``q`` ``(m,
-    k)``, in one search for all rows.
-
-    A first guess spreads each row's knots evenly over its span; then
-    each pass moves every point one interval towards ``x[j] <= q < x[j +
-    1]`` (the end intervals reach past the span) until none moves.  A
-    point only ever moves one way, so the passes end and give
-    ``searchsorted``'s index exactly; on the uniform log-point grids the
-    guess is exact but for a rounding.  A nan point is guessed into the
-    last interval, where ``searchsorted`` puts it, and never moves.
-    """
-    m, n = x.shape
-    with np.errstate(all="ignore"):  # a wild guess only costs passes
-        guess = (q - x[:, :1]) * ((n - 1) / (x[:, -1:] - x[:, :1]))
-    np.fmin(guess, n - 2, out=guess)  # nan goes last
-    np.fmax(guess, 0, out=guess)
-    j = guess.astype(np.intp)
-    rows = np.arange(m)[:, None]
-    while True:
-        up = (x[rows, j + 1] <= q) & (j < n - 2)
-        down = (x[rows, j] > q) & (j > 0)
-        if not (up.any() or down.any()):
-            return j
-        j += up
-        j -= down
 
 
 def _cubic_derivatives(x, y, q):
@@ -379,9 +361,10 @@ def _cubic_derivatives(x, y, q):
     row, bitwise, as one ``(3, m, k)`` array, for ``x`` and ``y`` ``(m,
     n)`` and ``q`` ``(m, k)``.
 
-    Only the pieces (:func:`_cubic_pieces`) of the intervals that hold
-    points (:func:`_intervals`) are formed, at most ``k`` of a row's ``n
-    - 1``; on two or three nodes scipy's are gathered.  The values are
+    Each row's points find their intervals with one ``searchsorted``
+    (:func:`_interval`), and only the pieces (:func:`_cubic_pieces`) of
+    those intervals are formed, at most ``k`` of a row's ``n - 1``; on
+    two or three nodes scipy's are gathered.  The values are
     :func:`_power_form`, and the derivatives sum the terms ``(c z)
     prefactor`` of scipy's ``evaluate_poly1`` from ``0.0`` in the same
     way.
@@ -389,7 +372,7 @@ def _cubic_derivatives(x, y, q):
     x, y, s = _not_a_knot_slopes(x, y)
     if s is None:  # scipy's pieces, checked there before the search
         c = _not_a_knot_coefficients(x, y)[1].transpose(1, 0, 2)
-    j = _intervals(x, q)
+    j = _interval(x, q)
     rows = np.arange(len(q))[:, None]
     pieces = (c[:, rows, j] if s is None else
               _cubic_pieces(x, y, s, (rows, j), (rows, j + 1)))
@@ -432,13 +415,14 @@ def sasaki_energy(grid, values, qmax, ell: int, mu: float,
     ``(m,)`` array of one per row; the energies come back as an ``(m,)``
     array.  Each row's not-a-knot cubic spline gives ``f``, ``f'`` and
     ``f''`` at the nodes of a 64-node composite Gauss-Legendre rule on
-    ``[0, qmax[i]]``.  The rows are evaluated in one pass (one
-    quadrature rule, one solve of the slope systems, the cubic pieces of
-    only the intervals that hold nodes, 2-D sums;
-    :func:`_cubic_derivatives`), each entry bitwise the value of its own
-    one-row call, and the blocks are read without copying them.  Blocks
-    of other shapes, empty ones included, are a ``ValueError``, and so
-    is a row with ``qmax <= 0`` (the quadrature's).
+    ``[0, qmax[i]]``.  The rows are evaluated together (one quadrature
+    rule, one solve of the slope systems, one ``searchsorted`` a row for
+    the intervals that hold nodes and the cubic pieces of only those,
+    2-D sums; :func:`_cubic_derivatives`), each entry bitwise the value
+    of its own one-row call, and the blocks are read without copying
+    them.  Blocks of other shapes, empty ones included, are a
+    ``ValueError``, and so is a row with ``qmax <= 0`` or a non-finite
+    ``qmax`` (the quadrature's).
 
     Raises ``ValueError`` for ``ell > 2`` (documented desk-scale cap on
     the derivative count; use ``ladder_ell`` for the weight order).
@@ -514,8 +498,8 @@ def decay_fit(T, v, window: Optional[tuple] = None) -> float:
     """Rate of the least-squares fit ``v = A e^{-rate T}`` on ``ln v``.
 
     Fits over the samples with ``T`` in ``window`` (the whole series by
-    default).  Requires at least 8 strictly positive samples there, and
-    raises :class:`DecayFitError` otherwise.
+    default).  Requires at least ``_FIT_SAMPLES`` (8) strictly positive
+    samples there, and raises :class:`DecayFitError` otherwise.
     """
     T = np.asarray(T, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -523,8 +507,9 @@ def decay_fit(T, v, window: Optional[tuple] = None) -> float:
         window = (float(T[0]), float(T[-1]))
     mask = (T >= window[0]) & (T <= window[1])
     Tw, vw = T[mask], v[mask]
-    if Tw.size < 8:
-        raise DecayFitError("decay fit needs at least 8 samples in the window")
+    if Tw.size < _FIT_SAMPLES:
+        raise DecayFitError(f"decay fit needs at least {_FIT_SAMPLES} "
+                            f"samples in the window")
     if np.any(vw <= 0):
         raise DecayFitError("decay fit requires strictly positive values")
     A = np.stack([Tw, np.ones_like(Tw)], axis=1)

@@ -296,6 +296,15 @@ def _envelope_growth(cfg: ScenarioConfig) -> float:
             C=cfg.gronwallC, tau0_abs=abs(cfg.tau0))["envelope"][-1])
 
 
+def _fit_rows(cfg: ScenarioConfig) -> int:
+    # the homogeneous run's log times, as it steps them, in the window of
+    # its decay fits
+    n = _homogeneous_steps(cfg)
+    T = np.arange(0, n + 1, cfg.logEvery) * ((cfg.Tend - cfg.T0) / n)
+    lo, hi = _fit_window(T)
+    return int(np.count_nonzero((T >= lo) & (T <= hi)))
+
+
 def _rk4_row(scenarios: tuple, mode_step) -> tuple:
     def unstable(c):
         return modes.unstable_eigenvalue(c.lambdaGrid, mode_step(c))
@@ -399,6 +408,11 @@ _CONDITIONS = (
      lambda c: len(c.lambdaGrid) * _mode_steps(c)[1] <= 10**8,
      lambda c: f"len(lambdaGrid)={len(c.lambdaGrid)}, "
                f"mode steps={_mode_steps(c)[1]}"),
+    # each decay rate that decay_rates holds to is fitted in this window
+    (f"{energies._FIT_SAMPLES} log rows in the fit window", ("full_report",),
+     lambda c: _fit_rows(c) >= energies._FIT_SAMPLES,
+     lambda c: f"log rows in the last 60 % of the span: {_fit_rows(c)} at "
+               f"h={c.h}, logEvery={c.logEvery}"),
     ("epsPrime", ("modes", "full_report"),
      lambda c: len(_mode_constants(c)) > 0, None),
     ("lambdaGrid keys distinct", ("modes",), lambda c: not _shared_keys(c),

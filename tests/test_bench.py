@@ -171,6 +171,10 @@ def test_energy_timers_run(bench, monkeypatch):
         assert sorted(figures) == ["single",
                                    f"stack_{homogeneous._ENERGY_BLOCK}"]
         assert all(us > 0.0 for us in figures.values())
+    block = bench.geometric_block_cost()
+    assert sorted(block) == ["geometric_block_ms", "geometric_block_ms_runs",
+                             "scaled_geometric_block_ms"]
+    assert block["geometric_block_ms"] > 0.0
 
     energy, flushes = homogeneous.sasaki_energy, []
     start = time.perf_counter()

@@ -1,16 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import LinAlgError, LinAlgWarning, solve_banded
 
 from milne_lab._quadrature import composite_gauss_legendre, trapezoid
 from milne_lab.energies import (
     _cubic_derivatives,
-    _intervals,
+    _interval,
     _not_a_knot_coefficients,
     _spline_values,
     DecayFitError,
@@ -251,20 +252,37 @@ class TestCubicDerivatives:
            st.integers(min_value=-300, max_value=300),
            st.integers(min_value=0, max_value=2**32 - 1))
     def test_intervals_match_searchsorted(self, n, rows, scale, seed):
-        # knot spacings over twelve decades at any scale, so the first
-        # guess can be far off or overflow; points on and between the
-        # knots, past both ends, signed zeros, infinities and nan
+        # knot spacings over twelve decades at any scale; points on and
+        # between the knots, past both ends, signed zeros, infinities and
+        # nan; where the splines' values are finite, the derivatives at
+        # the finite points match PPoly too
         rng = np.random.default_rng(seed)
         steps = 10.0 ** rng.uniform(-6.0, 6.0, size=(rows, n))
         x = np.cumsum(steps, axis=1) - steps.sum(axis=1)[:, None] / 2
         x *= 10.0**scale
         assume(np.all(np.isfinite(x)) and np.all(np.diff(x, axis=1) > 0))
         specials = [-np.inf, -0.0, 0.0, np.inf, np.nan]
-        points = np.concatenate([x, (x[:, 1:] + x[:, :-1]) / 2, 1.5 * x,
-                                 np.tile(specials, (rows, 1))], axis=1)
+        finite = np.concatenate([x, (x[:, 1:] + x[:, :-1]) / 2, 1.5 * x],
+                                axis=1)
+        points = np.concatenate([finite, np.tile(specials, (rows, 1))],
+                                axis=1)
         want = [np.clip(xi.searchsorted(qi, "right") - 1, 0, n - 2)
                 for xi, qi in zip(x, points)]
-        assert np.array_equal(_intervals(x, points), want)
+        assert np.array_equal(_interval(x, points), want)  # row by row
+        for xi, qi, wi in zip(x, points, want):  # one knot row
+            assert np.array_equal(_interval(xi, qi), wi)
+        y = rng.normal(size=(rows, n))
+        # steps twelve decades apart make scipy's parabolas ill-conditioned
+        # (a LinAlgWarning), and far from scale 1 the cubics overflow
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", LinAlgWarning)
+            try:
+                finite_values = np.isfinite(
+                    _cubic_derivatives(x, y, finite)).all()
+            except OverflowError:  # a squared end step
+                finite_values = False
+            if finite_values:
+                assert_cubics_match_ppoly(x, y, finite)
 
 
 def assert_values_match_ppoly(x, y, points):
@@ -499,6 +517,18 @@ class TestSasakiEnergyStack:
                 for i in range(len(members))]
         assert isinstance(got, np.ndarray) and got.shape == (len(members),)
         assert all(e.shape == (1,) for e in want)
+        assert_bitwise(got, np.concatenate(want))
+
+    def test_geometric_knots_equal_single_calls(self):
+        # 64 rows of 1000 knots spaced geometrically from 1e-6, where the
+        # Gauss nodes of a row fall a few hundred knots apart
+        qmax = np.linspace(0.5, 2.0, 64)
+        grid = np.geomspace(1e-6 * qmax, qmax, 1000, axis=-1)
+        values = 1e-3 * (1.0 - (grid / qmax[:, None]) ** 2) ** 3
+        kwargs = {"ell": 2, "mu": 4.0, "ladder_ell": 5}
+        got = sasaki_energy(grid, values, qmax, **kwargs)
+        want = [sasaki_energy(grid[i:i + 1], values[i:i + 1],
+                              qmax[i:i + 1], **kwargs) for i in range(64)]
         assert_bitwise(got, np.concatenate(want))
 
     def test_shared_cell_volume_and_empty_stack(self):

@@ -302,9 +302,18 @@ _VIOLATIONS = [
     ("smallnessDelta > 0", {"scenario": "homogeneous", "smallnessDelta": 0.0}),
     ("epsLoc > 0", {"scenario": "full_report", "epsLoc": -0.1}),
 ]
+# later rows' cases, with ids name-scenario, which no insertion shifts
+_NAMED_VIOLATIONS = [
+    # a log row every 5000 steps: two rows, one in the fit window
+    ("8 log rows in the fit window",
+     {"scenario": "full_report", "logEvery": 5000}),
+]
 
 
-@pytest.mark.parametrize("name, extra", _VIOLATIONS)
+@pytest.mark.parametrize(
+    "name, extra", _VIOLATIONS + _NAMED_VIOLATIONS,
+    ids=[None] * len(_VIOLATIONS) + [f"{name}-{extra['scenario']}"
+                                     for name, extra in _NAMED_VIOLATIONS])
 def test_each_condition_rejects_its_violation(name, extra):
     with pytest.raises(ConfigError) as info:
         validate_config(base_config(**extra))
@@ -314,7 +323,7 @@ def test_each_condition_rejects_its_violation(name, extra):
 def test_every_condition_has_a_violation():
     rows = CONFIG_SCHEMA["conditions"]
     cases = {(name, extra.get("scenario", "background_check"))
-             for name, extra in _VIOLATIONS}
+             for name, extra in _VIOLATIONS + _NAMED_VIOLATIONS}
     assert {name for name, _ in cases} == {row["name"] for row in rows}
     for row in rows:  # rows that share a name each have a scenario's case
         assert any((row["name"], s) in cases for s in row["scenarios"]), row
@@ -577,6 +586,31 @@ class TestGuardsSeeTheirRun:
         run_scenario(cfg)
         assert taken == [steps] * len(cfg.lambdaGrid)
 
+    @pytest.mark.parametrize("extra, rows", [
+        ({}, 301),
+        ({"h": 0.003, "logEvery": 7}, 144),
+    ])
+    def test_fit_row_guard_sees_the_log_times(self, extra, rows,
+                                              monkeypatch):
+        times = []
+        fit_window = harness._fit_window
+
+        def spy(T):
+            times.append(np.array(T))
+            return fit_window(T)
+
+        monkeypatch.setattr(harness, "_fit_window", spy)
+        cfg = validate_config(base_config(scenario="full_report", **extra))
+        assert len(times) == 1  # [8 log rows in the fit window]
+        lo, hi = fit_window(times[0])
+        assert np.count_nonzero((times[0] >= lo) & (times[0] <= hi)) == rows
+        run_scenario(cfg)
+        guard, *runs = times
+        assert len(runs) == 2  # the matter fits and the mode metric fit
+        for run in runs:
+            assert guard.dtype == run.dtype
+            assert guard.tobytes() == run.tobytes()
+
 
 class TestReports:
     def test_emit_is_byte_stable(self, tmp_path):
@@ -637,6 +671,21 @@ class TestCli:
         assert main(["modes", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [{"logEvery": 5000}, {"h": 0.5}],
+                             ids=["logEvery", "h"])
+    def test_report_too_short_to_fit_exits_2(self, extra, tmp_path, capsys,
+                                             monkeypatch):
+        # two log rows, one of them in the fit window: a run that could
+        # only fail decay_rates (exit 1) is rejected before it starts
+        cfg = tmp_path / "report.json"
+        cfg.write_text(json.dumps(extra))
+        ran = []
+        monkeypatch.setattr(harness, "run_scenario", ran.append)
+        assert main(["report", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "[8 log rows in the fit window]" in err
+        assert "Traceback" not in err and not ran
 
     def test_out_writes_artifacts(self, tmp_path):
         out = tmp_path / "artifacts"

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from milne_lab._quadrature import composite_gauss_legendre, trapezoid
+from milne_lab.energies import sasaki_energy
+from milne_lab.homogeneous import isotropic_moments
+from milne_lab.matter import RadialDistribution
 
 
 def uncached_rule(a, b, n_nodes, panels=8):
@@ -26,6 +29,18 @@ def test_cached_rule_matches_uncached(a, b, n_nodes):
     want_q, want_w = uncached_rule(a, b, n_nodes)
     assert_bitwise(q, want_q)
     assert_bitwise(w, want_w)
+
+
+@pytest.mark.parametrize("bound", [np.nan, np.inf, -np.inf])
+def test_non_finite_bound_is_a_named_error(bound):
+    grid = np.linspace(0.0, 1.0, 5)[None]
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        sasaki_energy(grid, np.ones_like(grid), np.array([bound]), ell=2,
+                      mu=4.0)
+    f = RadialDistribution(grid=grid[0], qmax=1.0, profile=np.ones_like)
+    f.qmax = bound  # past the constructor, which rejects only -inf
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        isotropic_moments(f, 1.0, 96)
 
 
 def test_mutating_returned_arrays_leaves_later_calls_unchanged():
