@@ -17,6 +17,7 @@ configuration values with documented defaults, not theorems.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional
 
 import numpy as np
@@ -56,6 +57,8 @@ SHIFT_TOL = 1e-10
 TAIL_DOUBLINGS = 3
 # Gauss-Legendre nodes of each row's integral in sasaki_energy
 _ENERGY_NODES = 64
+# the largest first or last knot step whose square (C pow) is finite
+_MAX_END_STEP = math.sqrt(sys.float_info.max)
 # fewest samples in its window that decay_fit fits
 _FIT_SAMPLES = 8
 
@@ -235,16 +238,15 @@ def _not_a_knot_slopes(x, y):
     """``(x, y, s)``: ``x`` and ``y`` of shape ``(n,)`` or ``(m, n)`` as
     ``(m, n)`` float arrays (views of the inputs where they are such) and
     the slopes ``s`` ``(m, n)`` of each row's not-a-knot spline at its
-    knots.
+    knots, a C-contiguous array, for :func:`_cubic_at`.
 
-    It keeps the input checks of scipy 1.17.1's ``prepare_input``
-    (finite ``x`` and ``y``, strictly increasing ``x``, each a
-    ``ValueError``) and solves the slope systems
+    It keeps scipy 1.17.1's input checks (finite ``x`` and ``y``,
+    strictly increasing ``x``), adds one for first and last steps whose
+    squares overflow, each a ``ValueError``, and solves the slope systems
     (:func:`_slope_systems`, :func:`_solve_tridiagonal_rows`; a singular
     one is a ``LinAlgError``, as in ``solve_banded``).  On grids of two
     or three nodes ``s`` is ``None``: there scipy's not-a-knot spline is
-    the line or the parabola through the points, built by other code
-    than the banded system.
+    the line or the parabola through the points.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -258,131 +260,104 @@ def _not_a_knot_slopes(x, y):
         raise ValueError("`x` must contain only finite values.")
     if not np.all(np.isfinite(y)):
         raise ValueError("`y` must contain only finite values.")
+    if np.any(x[:, [1, -1]] - x[:, [0, -2]] > _MAX_END_STEP):
+        raise ValueError(f"the first and last steps of `x` must be at most "
+                         f"{_MAX_END_STEP!r}: their squares overflow.")
     s = _solve_tridiagonal_rows(*_slope_systems(x, y),
                                 lambda rows: _slope_systems(x[rows], y[rows]))
-    return x, y, s
+    return x, y, np.ascontiguousarray(s)
 
 
-def _cubic_pieces(x, y, s, at, to):
-    """The pieces ``(t / dx, (slope - s0) / dx - t, s0, y0)``, highest
-    order first, of the cubics from the knots ``at`` to the knots ``to``
-    (``[:, :-1]`` and ``[:, 1:]``, or ``(rows, j)`` and ``(rows, j + 1)``)
-    of the splines with values ``y`` and slopes ``s`` at the knots ``x``:
-    the numpy expressions of ``CubicHermiteSpline.__init__``, with ``dx =
-    x1 - x0``, ``slope = (y1 - y0) / dx`` and ``t = (s0 + s1 - 2 slope) /
-    dx``."""
-    s0 = s[at]
-    dx = x[to] - x[at]
-    slope = (y[to] - y[at]) / dx
-    t = (s0 + s[to] - 2 * slope) / dx
-    return t / dx, (slope - s0) / dx - t, s0, y[at]
-
-
-def _not_a_knot_coefficients(x, y):
-    """Breakpoints and coefficients of not-a-knot cubic splines.
-
-    ``x`` and ``y`` of shape ``(n,)`` or ``(m, n)``, one spline per row;
-    returns ``x`` as an ``(m, n)`` float array (a view of the input where
-    it is one) and the coefficients ``c`` of shape ``(m, 4, n - 1)``,
-    each ``c[i]`` bitwise the ``c`` of ``scipy.interpolate.CubicSpline(
-    x[i], y[i])`` without its front end (array-API shims, a second
-    validation in the ``CubicHermiteSpline`` round trip): the pieces
-    (:func:`_cubic_pieces`) of every interval from the slopes of
-    :func:`_not_a_knot_slopes`, or on two or three nodes ``CubicSpline``
-    itself, row by row.  Only that branch imports scipy
-    (``scipy.interpolate``, which with the subpackages it loads adds
-    about 50 MB to a run's RSS).  The tests compare the helper bitwise
-    with ``CubicSpline`` and ``solve_banded``, so a scipy release that
-    changes the arithmetic fails there instead of drifting.
-    """
-    x, y, s = _not_a_knot_slopes(x, y)
-    if s is None:
-        from scipy.interpolate import CubicSpline
-
-        return x, np.array([CubicSpline(xi, yi).c for xi, yi in zip(x, y)])
-    return x, np.stack(_cubic_pieces(x, y, s, np.s_[:, :-1], np.s_[:, 1:]),
-                       axis=1)
-
-
-def _power_form(c, s, out):
+def _power_form(c, s):
     """``0.0 + c0 + c1 s + c2 s^2 + c3 (s^2 s)``, the value that scipy's
     ``evaluate_poly1`` gives for the cubic pieces ``c = (c3, c2, c1, c0)``
-    gathered at the points (highest order first) at their offsets ``s``,
+    of :func:`_cubic_at` (highest order first) at their offsets ``s``,
     summed left to right in place: ``c[:3]`` are overwritten and the
-    values written into ``out`` (``c[3]`` may be it), which is returned.
+    values written into ``c0``, which is returned.
     """
     c3, c2, c1, c0 = c
-    np.add(0.0, c0, out=out)
+    np.add(0.0, c0, out=c0)
     np.multiply(c1, s, out=c1)
-    np.add(out, c1, out=out)
+    np.add(c0, c1, out=c0)
     np.multiply(s, s, out=c1)
     np.multiply(c2, c1, out=c2)
-    np.add(out, c2, out=out)
+    np.add(c0, c2, out=c0)
     np.multiply(c1, s, out=c1)
     np.multiply(c3, c1, out=c3)
-    return np.add(out, c3, out=out)
+    return np.add(c0, c3, out=c0)
 
 
 def _interval(x, q):
-    """The interval ``x[j] <= q < x[j + 1]`` of each point of ``q`` on
-    the knots ``x``, by scipy's ``PPoly`` rule: the last interval closed,
-    points outside the span in the end intervals and nan in the last.
-    Knots ``x`` ``(n,)`` take points of any shape in one ``searchsorted``
-    call, rows ``x`` ``(m, n)`` take ``q`` ``(m, k)`` in one call a row;
-    O(log n) a point."""
-    j = (x.searchsorted(q, "right") if x.ndim == 1 else
-         np.array([xi.searchsorted(qi, "right") for xi, qi in zip(x, q)]))
+    """The interval ``x[i, j] <= q[i] < x[i, j + 1]`` of each point of the
+    rows ``q`` ``(m, k)`` on the knot rows ``x`` ``(m, n)``, by scipy's
+    ``PPoly`` rule: the last interval closed, points outside the span in
+    the end intervals and nan in the last.  One ``searchsorted`` call a
+    row, O(log n) a point."""
+    j = np.array([xi.searchsorted(qi, "right") for xi, qi in zip(x, q)])
     np.subtract(j, 1, out=j)
-    return np.clip(j, 0, x.shape[-1] - 2, out=j)
+    return np.clip(j, 0, x.shape[1] - 2, out=j)
 
 
-def _spline_values(x, c, q):
-    """Values at the points ``q`` (any shape) of the spline
-    ``PPoly.construct_fast(c, x)``, ``x`` ``(n,)`` and ``c`` ``(4, n -
-    1)``, bitwise ``PPoly.__call__``: each point takes the value
-    :func:`_power_form` of its interval (:func:`_interval`).  Gathered by
-    ``np.take``, 64 rows of 257 nodes took 0.68 ms against 0.74 ms for
-    ``PPoly.__call__``, and about 1.5 times as long gathered by ``c[:,
-    j]`` (medians of 21 interleaved pairs, 2-vCPU VM).  The constant
-    terms are gathered apart and take the values, so the three other
-    pieces are freed on return: a log-point block that kept them alive
-    pushed its later temporaries onto fresh heap pages, about 700 minor
-    page faults a warm default run.
+def _cubic_at(x, y, s, q):
+    """``(pieces, z)`` of the not-a-knot splines ``(x, y, s)`` of
+    :func:`_not_a_knot_slopes` at the point rows ``q`` ``(m, k)``: the
+    pieces ``(c3, c2, c1, c0)`` of the intervals that hold the points
+    (:func:`_interval`) and the points' offsets ``z`` from their left
+    knots, each ``(m, k)``.  Only these pieces are formed, ``(t / dx,
+    (slope - s0) / dx - t, s0, y0)`` with ``dx = x1 - x0``, ``slope = (y1
+    - y0) / dx`` and ``t = (s0 + s1 - 2 slope) / dx``, the operations of
+    ``CubicHermiteSpline`` in its order, in place on knot values gathered
+    by ``np.take`` on flat indices (``(rows, j)`` gathers took about 1.6
+    times as long): seven arrays of the points' shape at most.  On two
+    or three nodes (``s`` ``None``) they are scipy's ``CubicSpline``'s,
+    and only that branch imports scipy (``scipy.interpolate`` adds about
+    50 MB to a run's RSS).  The tests compare the splines bitwise with
+    ``CubicSpline``, so a scipy release that changes them fails there.
     """
-    j = _interval(x, q)
-    s = np.take(x, j)
-    np.subtract(q, s, out=s)
-    values = np.take(c[3], j)
-    return _power_form((*np.take(c[:3], j, axis=1), values), s, values)
+    m, n = x.shape
+    if s is None:  # scipy's pieces, after its input checks
+        from scipy.interpolate import CubicSpline
+
+        c = np.array([CubicSpline(xi, yi).c for xi, yi in zip(x, y)])
+    at = _interval(x, q)
+    rows = np.arange(m)[:, None]
+    if s is None:
+        return tuple(c[rows, :, at].transpose(2, 0, 1)), q - x[rows, at]
+    at += n * rows
+    z, c0, c1 = np.take(x, at), np.take(y, at), np.take(s, at)
+    at += 1
+    dx = np.take(x, at)
+    dx -= z
+    slope = np.take(y, at)
+    slope -= c0
+    slope /= dx
+    t = np.take(s, at)
+    del at
+    np.add(c1, t, out=t)  # s0 + s1, scipy's operand order
+    c3 = 2 * slope
+    t -= c3
+    t /= dx
+    np.divide(t, dx, out=c3)
+    slope -= c1
+    slope /= dx
+    slope -= t
+    return (c3, slope, c1, c0), np.subtract(q, z, out=z)
 
 
 def _cubic_derivatives(x, y, q):
     """``[CubicSpline(x[i], y[i])(q[i], nu) for nu in (0, 1, 2)]`` row by
     row, bitwise, as one ``(3, m, k)`` array, for ``x`` and ``y`` ``(m,
-    n)`` and ``q`` ``(m, k)``.
-
-    Each row's points find their intervals with one ``searchsorted``
-    (:func:`_interval`), and only the pieces (:func:`_cubic_pieces`) of
-    those intervals are formed, at most ``k`` of a row's ``n - 1``; on
-    two or three nodes scipy's are gathered.  The values are
-    :func:`_power_form`, and the derivatives sum the terms ``(c z)
-    prefactor`` of scipy's ``evaluate_poly1`` from ``0.0`` in the same
-    way.
+    n)`` and ``q`` ``(m, k)``: :func:`_power_form` of the pieces at the
+    points (:func:`_cubic_at`), and the derivatives summed from ``0.0``
+    as scipy's ``evaluate_poly1`` sums their terms ``(c z) prefactor``.
     """
-    x, y, s = _not_a_knot_slopes(x, y)
-    if s is None:  # scipy's pieces, checked there before the search
-        c = _not_a_knot_coefficients(x, y)[1].transpose(1, 0, 2)
-    j = _interval(x, q)
-    rows = np.arange(len(q))[:, None]
-    pieces = (c[:, rows, j] if s is None else
-              _cubic_pieces(x, y, s, (rows, j), (rows, j + 1)))
-    z = q - x[rows, j]
+    pieces, z = _cubic_at(*_not_a_knot_slopes(x, y), q)
     c3, c2, c1, _ = pieces
     z2 = z * z
     out = np.empty((3,) + q.shape)
     out[1] = 0.0 + c1 + c2 * z * 2.0 + c3 * z2 * 3.0
     out[2] = 0.0 + c2 * 2.0 + c3 * z * 6.0
-    _power_form(pieces, z, out[0])
+    out[0] = _power_form(pieces, z)
     return out
 
 
@@ -416,13 +391,15 @@ def sasaki_energy(grid, values, qmax, ell: int, mu: float,
     array.  Each row's not-a-knot cubic spline gives ``f``, ``f'`` and
     ``f''`` at the nodes of a 64-node composite Gauss-Legendre rule on
     ``[0, qmax[i]]``.  The rows are evaluated together (one quadrature
-    rule, one solve of the slope systems, one ``searchsorted`` a row for
-    the intervals that hold nodes and the cubic pieces of only those,
-    2-D sums; :func:`_cubic_derivatives`), each entry bitwise the value
-    of its own one-row call, and the blocks are read without copying
-    them.  Blocks of other shapes, empty ones included, are a
-    ``ValueError``, and so is a row with ``qmax <= 0`` or a non-finite
-    ``qmax`` (the quadrature's).
+    rule, one solve of the slope systems, the cubic pieces of only the
+    intervals that hold nodes, as every spline of the package is read,
+    :func:`_cubic_at`, and 2-D sums), each entry bitwise the value of
+    its own one-row call, and C-contiguous blocks are read without
+    copying them.
+    Blocks of other shapes, empty ones included, are a ``ValueError``,
+    and so is a row with ``qmax <= 0`` or a non-finite ``qmax`` (the
+    quadrature's), or a grid row whose first or last step squares past
+    the float range.
 
     Raises ``ValueError`` for ``ell > 2`` (documented desk-scale cap on
     the derivative count; use ``ladder_ell`` for the weight order).

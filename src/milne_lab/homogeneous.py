@@ -41,10 +41,10 @@ other:
   goes in blocks of up to 64 log points on stacked ``(m, n_q)`` arrays
   in buffers made once per run, one ``sasaki_energy`` call a block, each
   row bitwise its own evaluation.  The ``f0`` spline is built once per
-  run and evaluated in numpy.  It and the energy splines are each
-  bitwise scipy's ``CubicSpline``, their slope systems assembled for and
-  solved by a numpy transcription of LAPACK's ``dgtsv``, so a run imports
-  no scipy; an energy spline forms only the pieces its Gauss nodes read.
+  run, as its knot slopes, and read like the energy splines, forming
+  only the cubic pieces its points fall in.  All are bitwise scipy's
+  ``CubicSpline``, their slope systems assembled for and solved by a
+  numpy transcription of LAPACK's ``dgtsv``, so a run imports no scipy.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ import numpy as np
 from ._quadrature import composite_gauss_legendre, trapezoid
 from ._rk4 import check_count
 from .geometry import TimeFrame, make_time_frame
-from .energies import (LAPSE_UPPER_TOL, _not_a_knot_coefficients,
-                       _spline_values, sasaki_energy)
+from .energies import (LAPSE_UPPER_TOL, _cubic_at, _not_a_knot_slopes,
+                       _power_form, sasaki_energy)
 
 if TYPE_CHECKING:  # matter reads its moments here, so no run-time import
     from .matter import RadialDistribution
@@ -323,7 +323,7 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
     E_report = np.empty(n)
     failures = [failure] if failure else []
     q_fine = np.linspace(0.0, f0.qmax, 4 * n_q)
-    (x_f0,), (c_f0,) = _not_a_knot_coefficients(q_fine, f0(q_fine))
+    spline = _not_a_knot_slopes(q_fine, f0(q_fine))
     # the block's arrays, made once per run: per log point the grid, its
     # initial magnitudes q / stretch, q^2, sqrt(1 + tau^2 q^2), a work row
     # and the two moment rows
@@ -337,7 +337,9 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
         np.multiply(f0.qmax, stretch, out=G[lo:hi])
         q[...] = np.linspace(0.0, G[lo:hi], n_q, axis=-1)
         np.divide(q, stretch[:, None], out=q0)
-        fq = _spline_values(x_f0, c_f0, q0)
+        # f0 at the block's points, read as one row
+        fq = _power_form(*_cubic_at(*spline, q0.reshape(1, -1))).reshape(
+            q0.shape)
         np.clip(fq, 0.0, None, out=fq)
         np.square(q, out=q2)
         np.multiply(tau2[lo:hi, None], q2, out=ph)

@@ -64,6 +64,8 @@ class RadialDistribution:
             raise ValueError("grid must be a 1-d array with >= 2 nodes")
         if np.any(np.diff(self.grid) <= 0.0):
             raise ValueError("grid must be strictly increasing")
+        if not math.isfinite(self.qmax):
+            raise ValueError("qmax must be finite")
         if self.qmax <= 0.0:
             raise ValueError("qmax must be positive")
         probe = self.profile(self.grid[self.grid <= self.qmax])

@@ -20,9 +20,6 @@ another way, kept here because only the tests run it:
   assembled from its closed-form connection (:func:`christoffels`) and
   the connection's partials (:func:`christoffel_derivatives`), against
   the chart's closed conformal Ricci tensor;
-* :func:`not_a_knot_ppoly` -- the package's not-a-knot spline
-  coefficients, which it builds and evaluates without
-  ``scipy.interpolate``, evaluated through scipy's ``PPoly``.
 * :func:`solve_banded_rows` -- the package's stacked dgtsv solve of
   systems laid out by column, fed systems in ``solve_banded``'s banded
   storage, so that each row can be compared with ``solve_banded``.
@@ -34,11 +31,9 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PPoly
 
 from milne_lab._quadrature import composite_gauss_legendre
-from milne_lab.energies import (_not_a_knot_coefficients,
-                                _solve_tridiagonal_rows)
+from milne_lab.energies import _solve_tridiagonal_rows
 from milne_lab.geometry import (BackgroundChart, LocalGeometry, TimeFrame,
                                 rescaled_christoffels)
 from milne_lab.massshell import compute_p0
@@ -179,15 +174,6 @@ def riemann(chart: BackgroundChart, x: np.ndarray) -> np.ndarray:
     term3 = np.einsum("...ace,...edb->...abcd", gam, gam)
     term4 = np.einsum("...ade,...ecb->...abcd", gam, gam)
     return term1 - term2 + term3 - term4
-
-
-def not_a_knot_ppoly(x, y):
-    """Not-a-knot cubic spline through ``(x, y)`` of shape ``(n,)``, a
-    scipy ``PPoly`` bitwise equal to ``scipy.interpolate.CubicSpline(x,
-    y)`` for real data: ``PPoly.construct_fast`` over
-    ``_not_a_knot_coefficients``."""
-    (x,), (c,) = _not_a_knot_coefficients(x, y)  # a ValueError for a stack
-    return PPoly.construct_fast(c, x)
 
 
 def solve_banded_rows(A, b):

@@ -1,4 +1,4 @@
-"""The bench script still runs against the package.
+"""The bench scripts still run against the package.
 
 No other test runs ``bench/bench.py``, so a rename in the package would
 break it unseen.  Every package name and module attribute it reads is
@@ -6,7 +6,10 @@ checked with ``ast``, as ``test_demos.py`` checks the demos, private
 ones included, its cheapest section (about 1 s) is run, and so are the
 ``sasaki_energy`` timers of its ``report`` section, each figure from one
 call, its long-log runs of the ``memory`` section at a small size, and
-the fresh processes of that section's energy peaks.
+the fresh processes of that section's energy peaks.  Of
+``bench/against.py``, which runs two trees for about 40 s, the package
+names it reads are checked the same way and its cases validated, none
+of them run.
 """
 
 import ast
@@ -21,14 +24,19 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench" / "bench.py"
+AGAINST = ROOT / "bench" / "against.py"
+
+
+def load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def bench():
-    spec = importlib.util.spec_from_file_location("bench", BENCH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load(BENCH)
 
 
 def package_reads(source):
@@ -199,3 +207,29 @@ def test_energy_timers_run(bench, monkeypatch):
     assert len(flushes) == 641 // homogeneous._ENERGY_BLOCK
     assert sum(flushes) < wall
     assert homogeneous.sasaki_energy is energy
+
+
+def test_package_names_read_by_against_exist():
+    reads = set(package_reads(AGAINST.read_text()))
+    assert ("milne_lab.harness", "_CLI_SCENARIOS") in reads
+    for module, name in sorted(reads):
+        assert hasattr(importlib.import_module(module), name), \
+            f"{module}.{name}"
+
+
+def test_against_cases_are_valid():
+    from milne_lab import harness
+
+    cases = load(AGAINST).cases()
+    assert len({name for name, *_ in cases}) == len(cases)
+    scenarios, demos = [], []
+    for _, config, demo, _ in cases:
+        if demo is None:
+            scenarios.append(harness.validate_config(config).scenario)
+        else:
+            demos.append(demo)
+    assert set(scenarios) == set(harness.SCENARIOS)
+    assert set(scenarios) <= set(harness._CLI_SCENARIOS.values())
+    assert demos == sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+    assert [threads for name, *_, threads in cases
+            if name.startswith("chars_wide")] == [2, 2]

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -10,10 +11,11 @@ from scipy.linalg import LinAlgError, LinAlgWarning, solve_banded
 
 from milne_lab._quadrature import composite_gauss_legendre, trapezoid
 from milne_lab.energies import (
+    _cubic_at,
     _cubic_derivatives,
     _interval,
-    _not_a_knot_coefficients,
-    _spline_values,
+    _not_a_knot_slopes,
+    _power_form,
     DecayFitError,
     MONITOR_THRESHOLDS,
     WeightConditionError,
@@ -26,7 +28,7 @@ from milne_lab.energies import (
     validate_energy_weights,
 )
 from milne_lab.matter import RadialDistribution
-from references import not_a_knot_ppoly, solve_banded_rows
+from references import solve_banded_rows
 
 
 def smooth_bump(amp=1.0, qmax=2.0):
@@ -106,12 +108,13 @@ def assert_bitwise(got, want, what=""):
 
 
 def assert_same_spline(x, y, points):
-    """Breakpoints, coefficients and 0th-2nd derivatives, bit for bit."""
-    got, want = not_a_knot_ppoly(x, y), CubicSpline(x, y)
-    assert_bitwise(got.x, want.x, "x")
-    assert_bitwise(got.c, want.c, "c")
-    for nu in range(3):
-        assert_bitwise(got(points, nu), want(points, nu), f"derivative {nu}")
+    """The spline of the one knot row ``(x, y)`` against
+    ``CubicSpline(x, y)``: values and first and second derivatives at
+    ``points``, every knot and the points of :func:`off_grid` (every
+    interval's midpoint among them), bit for bit."""
+    points = np.concatenate([x, off_grid(x, np.random.default_rng(x.size)),
+                             points])
+    assert_cubics_match_ppoly(x[None], y[None], points[None])
 
 
 def off_grid(x, rng):
@@ -185,27 +188,43 @@ class TestNotAKnotSpline:
         with pytest.raises(ValueError):
             CubicSpline(x, y)
         with pytest.raises(ValueError):
-            not_a_knot_ppoly(x, y)
+            _cubic_derivatives(x[None], y[None], x[None])
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 257])
     def test_stack_gives_one_spline_per_row(self, n):
-        # a stack of rows is built by _not_a_knot_coefficients alone (the
-        # spline build of sasaki_energy); not_a_knot_ppoly takes one row
+        # a stack of rows, as sasaki_energy reads it, is one spline a row
         rng = np.random.default_rng(n)
         x = np.cumsum(rng.uniform(1e-3, 1.0, size=(6, n)), axis=1)
         y = rng.normal(size=(6, n))
-        breaks, c = _not_a_knot_coefficients(x, y)
-        assert c.shape == (6, 4, n - 1)
-        for xi, yi, got_x, got_c in zip(x, y, breaks, c):
-            want = CubicSpline(xi, yi)
-            assert_bitwise(got_x, want.x, "x")
-            assert_bitwise(got_c, want.c, "c")
-        with pytest.raises(ValueError):
-            not_a_knot_ppoly(x, y)
+        points = np.array([np.concatenate([xi, off_grid(xi, rng)])
+                           for xi in x])
+        assert_cubics_match_ppoly(x, y, points)
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
-            not_a_knot_ppoly(np.linspace(0.0, 1.0, 5), np.zeros(4))
+            _not_a_knot_slopes(np.linspace(0.0, 1.0, 5), np.zeros(4))
+
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_overflowing_end_step_is_a_named_error(self, end):
+        # the largest end step whose square (C pow, a Python float's **)
+        # is finite, and the next float up, whose square overflows
+        step = math.sqrt(sys.float_info.max)
+        over = math.nextafter(step, math.inf)
+        assert math.isfinite(step**2)
+        with pytest.raises(OverflowError):
+            over**2
+        y = np.array([0.0, 0.0, 0.5, 1.0])
+        for v in (step, over):
+            x = (np.array([-v, 0.0, 1.0, 2.0]) if end == "first"
+                 else np.array([0.0, 1.0, 2.0, v]))
+            assert (x[1] - x[0] if end == "first" else x[-1] - x[-2]) == v
+            if v == step:
+                with np.errstate(all="ignore"):
+                    _not_a_knot_slopes(x, y)
+            else:
+                with pytest.raises(ValueError,
+                                   match="their squares overflow"):
+                    _not_a_knot_slopes(x, y)
 
 
 def assert_cubics_match_ppoly(x, y, points):
@@ -270,7 +289,7 @@ class TestCubicDerivatives:
                 for xi, qi in zip(x, points)]
         assert np.array_equal(_interval(x, points), want)  # row by row
         for xi, qi, wi in zip(x, points, want):  # one knot row
-            assert np.array_equal(_interval(xi, qi), wi)
+            assert np.array_equal(_interval(xi[None], qi[None]), [wi])
         y = rng.normal(size=(rows, n))
         # steps twelve decades apart make scipy's parabolas ill-conditioned
         # (a LinAlgWarning), and far from scale 1 the cubics overflow
@@ -279,19 +298,21 @@ class TestCubicDerivatives:
             try:
                 finite_values = np.isfinite(
                     _cubic_derivatives(x, y, finite)).all()
-            except OverflowError:  # a squared end step
+            except ValueError as exc:  # a squared end step
+                assert "their squares overflow" in str(exc)
                 finite_values = False
             if finite_values:
                 assert_cubics_match_ppoly(x, y, finite)
 
 
 def assert_values_match_ppoly(x, y, points):
-    """``_spline_values`` against ``PPoly.__call__`` on the same
-    coefficients, bit for bit."""
-    spline = not_a_knot_ppoly(x, y)
-    got = _spline_values(spline.x, spline.c, points)
-    assert got.shape == points.shape
-    assert_bitwise(got, spline(points))
+    """The values of the spline of the one knot row ``(x, y)`` at
+    ``points`` (any shape), read as the ``f0`` spline of a homogeneous
+    run is, one row of points through :func:`_cubic_at` and
+    :func:`_power_form`, against ``CubicSpline(x, y)``, bit for bit."""
+    pieces, z = _cubic_at(*_not_a_knot_slopes(x, y), points.reshape(1, -1))
+    got = _power_form(pieces, z).reshape(points.shape)
+    assert_bitwise(got, CubicSpline(x, y)(points))
 
 
 def point_blocks(x, rng):

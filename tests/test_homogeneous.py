@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from milne_lab import energies, harness, homogeneous
 from milne_lab._quadrature import composite_gauss_legendre, trapezoid
@@ -25,7 +26,7 @@ from milne_lab.homogeneous import (
 from milne_lab.geometry import make_time_frame
 from milne_lab.harness import run_scenario, validate_config
 from milne_lab.matter import RadialDistribution
-from references import not_a_knot_ppoly, rk4_step
+from references import rk4_step
 
 
 def bump(amp, qmax=2.0):
@@ -378,7 +379,7 @@ def per_point_reference(f0, tau0, T_end, n_steps, n_q=257, log_every=10,
         return 2.0 * (N3 - 1.0) * b, (3.0 - N) * rho_cont - s2 * N3 * eta_c
 
     q_fine = np.linspace(0.0, f0.qmax, 4 * n_q)
-    f0_spline = not_a_knot_ppoly(q_fine, f0(q_fine))
+    f0_spline = CubicSpline(q_fine, f0(q_fine))
     rows, grids, dists, reason = [], [], [], None  # dists: f on the grids
 
     def log_point(T, b, rho_cont):
@@ -707,7 +708,7 @@ class TestBatchedNumpy:
     def test_ppoly_on_a_stack(self, n_q):
         f0 = bump(2e-3)
         q_fine = np.linspace(0.0, f0.qmax, 4 * n_q)
-        spline = not_a_knot_ppoly(q_fine, f0(q_fine))
+        spline = CubicSpline(q_fine, f0(q_fine))
         stretch = np.linspace(1.0, 1.5, 64)
         grids = np.linspace(0.0, f0.qmax * stretch, n_q, axis=-1)
         got = spline(grids / stretch[:, None])

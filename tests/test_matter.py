@@ -39,6 +39,12 @@ class TestRadialDistribution:
             RadialDistribution(grid=np.array([0.0, 2.0, 1.0]), qmax=2.0,
                                profile=np.zeros_like)
 
+    @pytest.mark.parametrize("qmax", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_qmax(self, qmax):
+        with pytest.raises(ValueError, match="qmax must be finite"):
+            RadialDistribution(grid=np.linspace(0.0, 1.0, 5), qmax=qmax,
+                               profile=np.ones_like)
+
 
 # the moments (rho, eta_under) as moment_bound_check reads them: the
 # homogeneous closure at stretch one on 64 nodes
