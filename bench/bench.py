@@ -20,8 +20,11 @@ points, which a run does after its stepping, timed inside the run
 (``flush_ms``); the homogeneous closure per call
 (a bare loop over ``homogeneous._closure_nodes``); the homogeneous RK4
 step (a run of 2 n steps against one of n) and log point (every
-``logEvery`` steps against the two ends); ``sasaki_energy`` per grid
-row (64 one-row calls, and one call on a block of 64 rows); one
+``logEvery`` steps against the two ends; a log point reads the closure
+moments and lapse of the next step's first stage, so this figure holds
+no closure call, only the point's checks, its logged row and its share
+of the grid work); ``sasaki_energy`` per grid row (64 one-row calls,
+and one call on a block of 64 rows); one
 ``sasaki_energy`` call on 64 rows of 1000 geometrically spaced knots
 (``geometric_block_ms``); and the mode sector with its cost per mode
 step (twice the sector's steps against the sector), next to the run's
@@ -38,7 +41,10 @@ is the cost of a step that does not grow with the particles (a
 1-particle run at 5000 against 2500 steps).  The ``accuracy`` section
 gives the observed order of classical Runge-Kutta under step halving
 (``log2`` of successive max-norm differences at h, h/2, h/4) for one
-fixed configuration of each ``TestConvergenceOrder``.  The ``chunks``
+fixed configuration of each ``TestConvergenceOrder``.  The ``counts``
+section counts the calls of one default ``full_report`` and one default
+``homogeneous`` run: closure calls, ``sasaki_energy`` calls and the
+steps of each mode, which no wall noise moves.  The ``chunks``
 section sweeps ``transport._CHUNK`` over fixed sizes and the size the
 package derives, at 10^5 particles x 100 steps with a summary log (as
 ``chars_wide`` runs) on a budget of one and two workers, the sizes in
@@ -64,19 +70,19 @@ non-comment lines of the package, per module in
 ``source_lines_by_module``.
 
 The sections run in the order ``report``, ``scenarios``, ``accuracy``,
-``chunks``, ``transport_scaling``, ``memory``, each section's seconds
-recorded in ``section_seconds``; on a 2-vCPU VM they took about 30, 35,
-0.1, 115, 75 and 27 s.  ``report`` and ``scenarios`` come before the
-10^5-particle runs: the large buffers those free raise glibc's mmap and
-trim thresholds for
-the rest of the process, after which a ``full_report`` no longer pays
-the page faults a fresh process pays for its temporaries.  Standard
-library plus numpy (and scipy in the probe process); about 5 minutes
-in all::
+``counts``, ``chunks``, ``transport_scaling``, ``memory``, each section's
+seconds recorded in ``section_seconds``; on a 2-vCPU VM they took about
+30, 35, 0.1, 0.8, 115, 75 and 27 s.  ``report`` and ``scenarios`` come
+before the 10^5-particle runs: the large buffers those free raise
+glibc's mmap and trim thresholds for the rest of the process, after
+which a ``full_report`` no longer pays the page faults a fresh process
+pays for its temporaries.  Standard library plus numpy (and scipy in the
+probe process); about 5 minutes in all::
 
     python bench/bench.py --src PARENT_CHECKOUT/src --out before.json
     python bench/bench.py --before before.json --out BENCH_<n>.json
     python bench/bench.py --only report --out report.json
+    python bench/bench.py --only counts --out counts.json
 
 ``--src`` times another source tree with the same script (side-by-side
 comparisons); ``--before`` stores an earlier run's JSON under
@@ -378,8 +384,10 @@ def flush_timers(homogeneous, flushes: list):
     ending with its one ``sasaki_energy`` call, so a block's time is taken
     to the end of its energy call from the end of the previous block's,
     or, for a run's first block, from the end of the run's last closure
-    call (its last log point): that block also pays the lapse and checks
-    of that log point and the ``f0`` spline and buffers made once per run.
+    call (the first stage taken at the state of its last log point, after
+    the last step): that block also pays that stage's lapse and slopes,
+    the checks of that log point and the ``f0`` spline and buffers made
+    once per run.
     Both functions are wrapped at ``homogeneous``, which the run calls
     them through."""
     closure = homogeneous.scaling_closure_moments
@@ -664,6 +672,66 @@ def accuracy_section() -> dict:
     return section
 
 
+def run_counts(harness, homogeneous, modes, scenario: str) -> dict:
+    """Closure and ``sasaki_energy`` calls and the steps of each mode in
+    one run of ``scenario`` at its defaults, seed 0, its validation not
+    counted.
+
+    The closure and ``sasaki_energy`` are wrapped at ``homogeneous`` and
+    ``modes.integrate_mode`` at ``modes``, the attributes the run calls
+    them through; a mode's steps are its call's ``n_steps`` (the mode loop
+    makes no call a step), keyed as the ``modes`` report keys a mode."""
+    # validated before the wrappers: its guard |tau0| rho0 < 1/6 calls the
+    # closure once
+    cfg = harness.validate_config({"scenario": scenario, "seed": 0})
+    closure = homogeneous.scaling_closure_moments
+    energy = homogeneous.sasaki_energy
+    integrate_mode = modes.integrate_mode
+    counts = {"closure_calls": 0, "sasaki_energy_calls": 0,
+              "mode_steps": {}}
+
+    def counted_closure(*args):
+        counts["closure_calls"] += 1
+        return closure(*args)
+
+    def counted_energy(*args, **kwargs):
+        counts["sasaki_energy_calls"] += 1
+        return energy(*args, **kwargs)
+
+    def counted_mode(lam, u0, w0, T_span, n_steps, *args, **kwargs):
+        key = harness._mode_key(lam)
+        steps = counts["mode_steps"]
+        steps[key] = steps.get(key, 0) + n_steps
+        return integrate_mode(lam, u0, w0, T_span, n_steps, *args, **kwargs)
+
+    homogeneous.scaling_closure_moments = counted_closure
+    homogeneous.sasaki_energy = counted_energy
+    modes.integrate_mode = counted_mode
+    try:
+        harness.run_scenario(cfg)
+    finally:
+        homogeneous.scaling_closure_moments = closure
+        homogeneous.sasaki_energy = energy
+        modes.integrate_mode = integrate_mode
+    return counts
+
+
+def counts_section() -> dict:
+    """Call counts of one default ``full_report`` and one default
+    ``homogeneous`` run (:func:`run_counts`): deterministic, so they tell
+    apart changes that walls cannot."""
+    from milne_lab import harness, homogeneous, modes
+
+    section = {"config": "defaults, seed 0"}
+    for scenario in ("full_report", "homogeneous"):
+        section[scenario] = run_counts(harness, homogeneous, modes, scenario)
+        print(f"{scenario}: {section[scenario]['closure_calls']} closure "
+              f"calls, {section[scenario]['sasaki_energy_calls']} "
+              f"sasaki_energy calls, mode steps "
+              f"{section[scenario]['mode_steps']}")
+    return section
+
+
 def fresh_peaks(harness, raw, env=None) -> tuple:
     """Own peak RSS, in MB, of one ``harness.run_scenario`` of ``raw`` in
     a fresh process, which imports the ``milne_lab`` that ``harness``
@@ -925,6 +993,7 @@ SECTIONS = {
     "report": report_section,
     "scenarios": scenarios_section,
     "accuracy": accuracy_section,
+    "counts": counts_section,
     "chunks": chunks_section,
     "transport_scaling": transport_section,
     "memory": memory_section,

@@ -28,9 +28,9 @@ other:
   one the closure is the package's one quadrature of the isotropic
   moments, :func:`isotropic_moments`: the initial density ``rho0``, the
   run's guard ``|tau0| rho0 < 1/6`` (the constraint pole) and
-  ``matter.moment_bound_check`` read it.  A log point records its
-  closure moments and lapse and runs the two checks that read nothing
-  else, the lapse range and the lapse spot check;
+  ``matter.moment_bound_check`` read it.  A log point reads the state its
+  step ends on, with the closure moments and lapse of the next step's
+  first stage, and runs the lapse range and spot checks, which read no more;
 * measurement — after the stepping, the distribution of each logged
   point is materialised on a fixed momentum grid by cubic
   semi-Lagrangian interpolation along the exact characteristics and its
@@ -230,9 +230,10 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
     leaves ``(0, 3 (1 + lapse_tol)]`` (by default the ceiling of the
     completeness monitor, ``energies.LAPSE_UPPER_TOL``), the constraint
     reaches its pole, or the spot check fails, checked in this order at each
-    log point.  While stepping, a log point runs the checks that read only
-    its closure moments and lapse, the lapse range and the spot check, and
-    a failure stops the stepping.  After it, blocks of up to
+    log point.  While stepping, a log point reads the state its step ends
+    on, with the closure moments and lapse of the next step's first stage,
+    and runs the checks that read only those, the lapse range and the spot
+    check; a failure stops the stepping.  After it, blocks of up to
     ``_ENERGY_BLOCK`` logged points get their grids, the distributions and
     trapezoid moments on them, the pole check ``s rho >= 1/6``, the
     constraint ``b``, the cell volumes ``sqrt(det(b I))`` and one
@@ -256,32 +257,29 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
     b0 = hamiltonian_constraint_b(rho0, make_time_frame(tau0, 0.0))
 
     def stage(s, b, rho_cont):
-        # slopes of b' = 2 (N/3 - 1) b and of the continuity equation; the
-        # lapse is written out here and at the log point, since a shared
-        # helper costs one more Python call in each of the 4 stages a step
+        # slopes of b' = 2 (N/3 - 1) b and of the continuity equation, and
+        # the closure moments and lapse they come from, which a log point
+        # reads off the first stage taken at its state
         s2 = s**2
         rho_c, eta_c = scaling_closure_moments(*nodes, b0 / b, s)
         N = solve_lapse_algebraic(s * (rho_c + s2 * eta_c))
         N3 = N / 3.0
-        return 2.0 * (N3 - 1.0) * b, (3.0 - N) * rho_cont - s2 * N3 * eta_c
+        return (2.0 * (N3 - 1.0) * b, (3.0 - N) * rho_cont - s2 * N3 * eta_c,
+                (rho_c, eta_c, N))
 
     # per log point T, tau, b, N, rho_c, eta_c, rho_cont and tau^2, in
     # doubles: a list of tuples would keep nine objects a log point alive
     logged = array("d")
 
-    def log_point(T, b, rho_cont):
+    def log_point(T, s, b, rho_cont, closure):
         # the checks that read only the closure; a failure is (row, check,
         # reason), and a spot-check failure's row is logged for its pole
-        # check, which comes first
-        frame = make_time_frame(tau0, T)
-        s = frame.s
-        rho_c, eta_c = scaling_closure_moments(*nodes, b0 / b, s)
-        N = solve_lapse_algebraic(s * (rho_c + s**2 * eta_c))
+        # check, which comes first.  tau = -s exactly, as tau0 < 0
+        rho_c, eta_c, N = closure
         row = len(logged) // 8
         if not (0.0 < N <= 3.0 * (1.0 + lapse_tol)):
             return row, 0, f"lapse left (0, 3] at T={T}"
-        logged.extend((T, frame.tau, b, N, rho_c, eta_c, rho_cont,
-                       frame.tau**2))
+        logged.extend((T, -s, b, N, rho_c, eta_c, rho_cont, s**2))
         if abs(N - 3.0) > 10.0 * (s * rho_c + s**3 * eta_c) + 1e-14:
             return row, 2, f"lapse spot check failed at T={T}"
         return None
@@ -289,25 +287,29 @@ def evolve_homogeneous(f0: RadialDistribution, tau0: float, T_end: float,
     h = T_end / n_steps
     half, sixth = h / 2, h / 6
     exp = math.exp
-    b, rho_cont = b0, rho0
-    failure = log_point(0.0, b, rho_cont)
+    b, rho_cont, t = b0, rho0, 0.0
+    db1, dr1, closure = stage(s0, b, rho_cont)
+    failure = log_point(t, s0, b, rho_cont, closure)
     if failure is None:
         # classical Runge-Kutta written out: the same floating-point
         # operations, in the same order, as the tests' references.rk4_step
         # driven by the two slopes (pinned bitwise there), with h/2, h/6
-        # and the scale s at t + h/2 hoisted, as in modes.integrate_mode
+        # and the scale s at t + h/2 hoisted, as in modes.integrate_mode;
+        # a step's first stage, at its t = i h, is taken at the end of the
+        # step before
         for i in range(n_steps):
-            t = i * h
             s_half = s0 * exp(-(t + half))
-            db1, dr1 = stage(s0 * exp(-t), b, rho_cont)
-            db2, dr2 = stage(s_half, b + half * db1, rho_cont + half * dr1)
-            db3, dr3 = stage(s_half, b + half * db2, rho_cont + half * dr2)
-            db4, dr4 = stage(s0 * exp(-(t + h)), b + h * db3,
-                             rho_cont + h * dr3)
+            db2, dr2, _ = stage(s_half, b + half * db1, rho_cont + half * dr1)
+            db3, dr3, _ = stage(s_half, b + half * db2, rho_cont + half * dr2)
+            db4, dr4, _ = stage(s0 * exp(-(t + h)), b + h * db3,
+                                rho_cont + h * dr3)
             b += sixth * (db1 + 2.0 * db2 + 2.0 * db3 + db4)
             rho_cont += sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
+            t = (i + 1) * h
+            s = s0 * exp(-t)
+            db1, dr1, closure = stage(s, b, rho_cont)
             if (i + 1) % log_every == 0 and (
-                    failure := log_point((i + 1) * h, b, rho_cont)):
+                    failure := log_point(t, s, b, rho_cont, closure)):
                 break
 
     # the measurement, each row bitwise its own evaluation; the log grid

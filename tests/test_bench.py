@@ -3,7 +3,8 @@
 No other test runs ``bench/bench.py``, so a rename in the package would
 break it unseen.  Every package name and module attribute it reads is
 checked with ``ast``, as ``test_demos.py`` checks the demos, private
-ones included, its cheapest section (about 1 s) is run, and so are the
+ones included, its two cheapest sections (about 1 s each) are run, its
+``counts`` against a table here and twice, and so are the
 ``sasaki_energy`` timers of its ``report`` section, each figure from one
 call, its long-log runs of the ``memory`` section at a small size, and
 the fresh processes of that section's energy peaks.  Of
@@ -97,6 +98,36 @@ def test_accuracy_section_runs(bench, tmp_path):
                            "homogeneous_rho_cont", "mode_u", "mode_w"}
     for key, order in orders.items():
         assert abs(order - 4.0) <= 0.2, (key, order)
+
+
+# the counts of one default run of each scenario: one closure call for
+# rho0, one at T = 0 and four a step; one sasaki_energy call a block of up
+# to 64 of the 501 log points; the full_report mode sector
+COUNTS = {
+    "full_report": {"closure_calls": 20_002, "sasaki_energy_calls": 8,
+                    "mode_steps": {"lambda=0.111111": 10_000,
+                                   "lambda=0.2": 10_000,
+                                   "lambda=0.555556": 10_000,
+                                   "lambda=1": 10_000,
+                                   "lambda=2": 10_000}},
+    "homogeneous": {"closure_calls": 20_002, "sasaki_energy_calls": 8,
+                    "mode_steps": {}},
+}
+
+
+def test_counts_section_runs(bench, tmp_path):
+    from milne_lab import homogeneous, modes
+
+    wrapped = (homogeneous.scaling_closure_moments,
+               homogeneous.sasaki_energy, modes.integrate_mode)
+    out = tmp_path / "counts.json"
+    assert bench.main(["--only", "counts", "--out", str(out)]) == 0
+    section = json.loads(out.read_text())["counts"]
+    assert {key: section[key] for key in COUNTS} == COUNTS
+    # two runs count alike, and the wrappers come off
+    assert bench.counts_section() == section
+    assert (homogeneous.scaling_closure_moments, homogeneous.sasaki_energy,
+            modes.integrate_mode) == wrapped
 
 
 def test_chunks_section_runs(bench, monkeypatch):

@@ -310,10 +310,17 @@ _NAMED_VIOLATIONS = [
 ]
 
 
+def _case_id(name, extra):
+    return f"{name}-{extra.get('scenario', 'background_check')}"
+
+
+# ids name-scenario for the first 24 cases and the later rows' cases; the
+# other 24 keep their positional ids (name-extraN) for now
 @pytest.mark.parametrize(
     "name, extra", _VIOLATIONS + _NAMED_VIOLATIONS,
-    ids=[None] * len(_VIOLATIONS) + [f"{name}-{extra['scenario']}"
-                                     for name, extra in _NAMED_VIOLATIONS])
+    ids=[_case_id(*case) for case in _VIOLATIONS[:24]]
+    + [None] * (len(_VIOLATIONS) - 24)
+    + [_case_id(*case) for case in _NAMED_VIOLATIONS])
 def test_each_condition_rejects_its_violation(name, extra):
     with pytest.raises(ConfigError) as info:
         validate_config(base_config(**extra))

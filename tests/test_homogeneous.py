@@ -640,7 +640,7 @@ class TestAbortOrder:
 class TestSteppingContract:
     """A lapse range or spot check failure stops the stepping at its log
     point; a pole, found by the measurement after the stepping, does not.
-    Counted in closure calls: one for ``rho0``, one a log point and four a
+    Counted in closure calls: one for ``rho0``, one at ``T = 0`` and four a
     step."""
 
     ARGS, KWARGS, ROWS = TestAbortOrder.ARGS, TestAbortOrder.KWARGS, \
@@ -676,15 +676,14 @@ class TestSteppingContract:
             run, calls = self.closure_calls(
                 monkeypatch, self.spot_patch(monkeypatch, full, row))
         assert run.T.size == row and not run.completed
-        assert calls == 1 + (row + 1) + 4 * row * self.KWARGS["log_every"]
+        assert calls == 2 + 4 * row * self.KWARGS["log_every"]
 
     @pytest.mark.parametrize("row", ROWS)
     def test_pole_steps_the_whole_run(self, monkeypatch, full, row):
         run, calls = self.closure_calls(
             monkeypatch, self.pole_patch(monkeypatch, full, row))
         assert run.abort_reason == f"constraint pole at T={full.T[row]}"
-        n_steps, log_every = self.ARGS[3], self.KWARGS["log_every"]
-        assert calls == 1 + (n_steps // log_every + 1) + 4 * n_steps
+        assert calls == 2 + 4 * self.ARGS[3]
 
 
 class TestBatchedNumpy:

@@ -38,7 +38,7 @@ def test_non_finite_bound_is_a_named_error(bound):
         sasaki_energy(grid, np.ones_like(grid), np.array([bound]), ell=2,
                       mu=4.0)
     f = RadialDistribution(grid=grid[0], qmax=1.0, profile=np.ones_like)
-    f.qmax = bound  # past the constructor, which rejects only -inf
+    f.qmax = bound  # past the constructor, which rejects any non-finite
     with pytest.raises(ValueError, match="bounds must be finite"):
         isotropic_moments(f, 1.0, 96)
 
